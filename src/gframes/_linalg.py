@@ -54,11 +54,6 @@ def matrices_close(a: np.ndarray, b: np.ndarray, rel_eps: float) -> bool:
     return float(np.linalg.norm(a - b)) <= rel_eps * scale
 
 
-def is_identity(matrix: np.ndarray, rel_eps: float) -> bool:
-    rows, cols = matrix.shape
-    return rows == cols and matrices_close(matrix, np.eye(rows), rel_eps)
-
-
 def hermitian_power(matrix: np.ndarray, power: float, tol) -> np.ndarray:
     """``matrix ** power`` for a Hermitian PSD matrix via eigendecomposition.
 

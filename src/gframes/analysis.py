@@ -6,14 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import MACHINE_EPS, hermitian_power, hermitize, matrices_close
-from .errors import ShapeError
+from ._linalg import hermitian_power, hermitize, matrices_close, rank_cutoff
 from .model import (
     DEFAULT_TOL,
     GFrameFamily,
     TolerancePolicy,
+    analysis_matrix,
+    require_same_domain,
     require_same_khat,
-    require_valid,
     right_compose,
 )
 
@@ -38,17 +38,10 @@ class FrameReport:
 
 
 def frame_operator(fam: GFrameFamily) -> np.ndarray:
-    """Hermitian positive semidefinite d x d matrix: sum of w_i * block_i^H block_i."""
-    require_valid(fam)
-    out = np.zeros((fam.domain_dim, fam.domain_dim), dtype=complex)
-    for w, block in zip(fam.space.weights, fam.blocks):
-        out += w * (block.conj().T @ block)
-    return hermitize(out)
-
-
-def frame_lower_cutoff(domain_dim: int, upper: float, tol: TolerancePolicy) -> float:
-    """Eigenvalues at or below this value do not count as a positive lower bound."""
-    return tol.rank_eps_factor * domain_dim * upper * MACHINE_EPS
+    """Hermitian positive semidefinite d x d matrix: sum of w_i * block_i^H block_i,
+    i.e. A^H A for the embedded analysis matrix A."""
+    a = analysis_matrix(fam)
+    return hermitize(a.conj().T @ a)
 
 
 def frame_bounds(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> FrameReport:
@@ -57,7 +50,7 @@ def frame_bounds(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> Frame
     evals = np.linalg.eigvalsh(op)
     lower = float(evals[0])
     upper = float(evals[-1])
-    is_frame = lower > frame_lower_cutoff(fam.domain_dim, upper, tol)
+    is_frame = lower > rank_cutoff(op.shape, upper, tol)
     is_tight = is_frame and (upper - lower) <= tol.rel_eps * upper
     is_parseval = (
         is_tight
@@ -97,12 +90,7 @@ def cross_operator(left: GFrameFamily, right: GFrameFamily) -> np.ndarray:
     reduces to :func:`frame_operator`.
     """
     require_same_khat(left, right)
-    require_valid(left)
-    require_valid(right)
-    out = np.zeros((left.domain_dim, right.domain_dim), dtype=complex)
-    for w, lb, rb in zip(left.space.weights, left.blocks, right.blocks):
-        out += w * (lb.conj().T @ rb)
-    return out
+    return analysis_matrix(left).conj().T @ analysis_matrix(right)
 
 
 def is_dual_pair(
@@ -114,11 +102,7 @@ def is_dual_pair(
     Both orderings of the cross operator are checked; they are conjugate
     transposes of each other, so the verdict is symmetric.
     """
-    require_same_khat(theta, lam)
-    if theta.domain_dim != lam.domain_dim:
-        raise ShapeError(
-            f"domain dims differ: {theta.domain_dim} vs {lam.domain_dim}"
-        )
+    require_same_domain(theta, lam)
     if not frame_bounds(theta, tol).is_frame or not frame_bounds(lam, tol).is_frame:
         return False
     eye = np.eye(lam.domain_dim)

@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
+from ._linalg import operator_norm
 from .analysis import (
     canonical_dual,
     cross_operator,
@@ -119,7 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerance(args) -> TolerancePolicy:
-    return TolerancePolicy(rel_eps=args.tol, rank_eps_factor=args.rank_factor)
+    try:
+        return TolerancePolicy(rel_eps=args.tol, rank_eps_factor=args.rank_factor)
+    except ValueError as exc:
+        raise UsageError(f"--tol/--rank-factor: {exc}") from None
 
 
 def _family(doc: FrameDocument, name: str) -> GFrameFamily:
@@ -157,14 +162,16 @@ def _parse_matrix_flag(text: str | None, name: str, default: np.ndarray) -> np.n
     return np.array(rows, dtype=complex)
 
 
+def _operator_pair(args, dim: int) -> OperatorPair:
+    """The --l1/--l2 operators, each defaulting to the identity on ``dim``."""
+    eye = np.eye(dim)
+    return OperatorPair(
+        _parse_matrix_flag(args.l1, "l1", eye), _parse_matrix_flag(args.l2, "l2", eye)
+    )
+
+
 def _frame_numbers(rep) -> dict:
-    return {
-        "lower_bound": rep.lower_bound,
-        "upper_bound": rep.upper_bound,
-        "is_frame": rep.is_frame,
-        "is_tight": rep.is_tight,
-        "is_parseval": rep.is_parseval,
-    }
+    return {k: v for k, v in asdict(rep).items() if k != "frame_operator"}
 
 
 def _check(name: str, passed: bool, **numbers) -> dict:
@@ -177,10 +184,6 @@ def _pairing_defect(theta: GFrameFamily, lam: GFrameFamily) -> float:
     return float(np.linalg.norm(cross_operator(theta, lam) - eye))
 
 
-def _cross_norm(left: GFrameFamily, right: GFrameFamily) -> float:
-    return float(np.linalg.norm(cross_operator(left, right), 2))
-
-
 def _cmd_analyze(args, tol) -> dict:
     doc = load_document(args.file)
     fam = _family(doc, args.family)
@@ -188,14 +191,7 @@ def _cmd_analyze(args, tol) -> dict:
     reports = {"frame": _frame_numbers(rep)}
     checks = [_check("is-frame", rep.is_frame, **_frame_numbers(rep))]
     if rep.is_frame:
-        riesz = riesz_check(fam, tol)
-        reports["riesz"] = {
-            "is_riesz_type": riesz.is_riesz_type,
-            "analysis_rank": riesz.analysis_rank,
-            "khat_dim": riesz.khat_dim,
-            "synthesis_lower_bound": riesz.synthesis_lower_bound,
-            "synthesis_upper_bound": riesz.synthesis_upper_bound,
-        }
+        reports["riesz"] = asdict(riesz_check(fam, tol))
     return {"reports": reports, "checks": checks}
 
 
@@ -208,20 +204,7 @@ def _cmd_disjoint(args, tol) -> dict:
     gamma_rep = frame_bounds(gamma, tol)
     gamma_riesz = gamma_rep.is_frame and riesz_check(gamma, tol).is_riesz_type
     kernel_trivial = kernel_triviality(gamma, tol)
-    reports = {
-        "relations": {
-            "strongly_disjoint": report.strongly_disjoint,
-            "disjoint": report.disjoint,
-            "weakly_disjoint": report.weakly_disjoint,
-            "complementary_pair": report.complementary_pair,
-            "strongly_complementary_pair": report.strongly_complementary_pair,
-            "cross_operator_norm": report.cross_operator_norm,
-            "range_intersection_dim": report.range_intersection_dim,
-            "range_sum_dim": report.range_sum_dim,
-            "khat_dim": report.khat_dim,
-        },
-        "pair_family": _frame_numbers(gamma_rep),
-    }
+    reports = {"relations": asdict(report), "pair_family": _frame_numbers(gamma_rep)}
     checks = [
         _check(
             "pair-family-frame-iff-disjoint",
@@ -265,44 +248,40 @@ def _spec_from_family(fam: GFrameFamily, name: str) -> ContinuousFrameSpec:
         raise UsageError(
             f"family '{name}' must have all block dims equal to 1 to act as a vector frame"
         )
-    vectors = tuple(block.conj().reshape(-1) for block in fam.blocks)
-    return ContinuousFrameSpec(space=fam.space, dim=fam.domain_dim, vectors=vectors)
+    return ContinuousFrameSpec(space=fam.space, dim=fam.domain_dim, vectors=fam.rows.conj())
 
 
 def _cmd_construct(args, tol) -> dict:
     doc = load_document(args.file)
     recipe = args.recipe
     names = args.families
-    one_family = {"canonical-dual", "parseval"}
-    two_families = {"gamma", "delta", "sum-disjoint", "sum-strong", "pseudo-dual", "lift-example"}
-    expected = 1 if recipe in one_family else 2
+    expected = 1 if recipe in ("canonical-dual", "parseval") else 2
     if len(names) != expected:
         raise UsageError(f"recipe '{recipe}' needs exactly {expected} family name(s)")
+    # the first and the last named family: one and the same for one-family recipes
+    lam, theta = _family(doc, names[0]), _family(doc, names[-1])
 
     checks = []
     reports = {}
     out_families: dict[str, GFrameFamily] = {}
 
     if recipe == "canonical-dual":
-        fam = _family(doc, names[0])
-        dual = canonical_dual(fam, tol)
+        dual = canonical_dual(lam, tol)
         out_families["canonical_dual"] = dual
         checks.append(
             _check(
                 "dual-pairing",
-                is_dual_pair(dual, fam, tol),
-                identity_defect=_pairing_defect(dual, fam),
+                is_dual_pair(dual, lam, tol),
+                identity_defect=_pairing_defect(dual, lam),
             )
         )
         reports["result"] = _frame_numbers(frame_bounds(dual, tol))
     elif recipe == "parseval":
-        fam = _family(doc, names[0])
-        normalized = parseval_normalize(fam, tol)
+        normalized = parseval_normalize(lam, tol)
         rep = frame_bounds(normalized, tol)
         out_families["parseval"] = normalized
         checks.append(_check("is-parseval", rep.is_parseval, **_frame_numbers(rep)))
     elif recipe == "gamma":
-        lam, theta = _family(doc, names[0]), _family(doc, names[1])
         gamma = gamma_family(lam, theta)
         rep = frame_bounds(gamma, tol)
         out_families["gamma"] = gamma
@@ -317,7 +296,6 @@ def _cmd_construct(args, tol) -> dict:
             )
         )
     elif recipe == "delta":
-        lam, theta = _family(doc, names[0]), _family(doc, names[1])
         delta = delta_family(lam, theta, tol)
         rep = frame_bounds(delta, tol)
         out_families["delta"] = delta
@@ -332,12 +310,7 @@ def _cmd_construct(args, tol) -> dict:
             )
         )
     elif recipe == "sum-disjoint":
-        lam, theta = _family(doc, names[0]), _family(doc, names[1])
-        eye = np.eye(lam.domain_dim)
-        pair = OperatorPair(
-            _parse_matrix_flag(args.l1, "l1", eye), _parse_matrix_flag(args.l2, "l2", eye)
-        )
-        result = disjoint_sum_family(lam, theta, pair, tol)
+        result = disjoint_sum_family(lam, theta, _operator_pair(args, lam.domain_dim), tol)
         out_families["sum"] = result.family
         reports["result"] = _frame_numbers(result.report)
         checks.append(_check("is-frame", result.report.is_frame, **_frame_numbers(result.report)))
@@ -352,12 +325,7 @@ def _cmd_construct(args, tol) -> dict:
             )
         )
     elif recipe == "sum-strong":
-        lam, theta = _family(doc, names[0]), _family(doc, names[1])
-        eye = np.eye(lam.domain_dim)
-        pair = OperatorPair(
-            _parse_matrix_flag(args.l1, "l1", eye), _parse_matrix_flag(args.l2, "l2", eye)
-        )
-        result = strongly_disjoint_sum(lam, theta, pair, tol)
+        result = strongly_disjoint_sum(lam, theta, _operator_pair(args, lam.domain_dim), tol)
         out_families["sum"] = result.family
         reports["result"] = {**_frame_numbers(result.report), "scale": result.scale}
         rep_l, rep_t = frame_bounds(lam, tol), frame_bounds(theta, tol)
@@ -383,12 +351,7 @@ def _cmd_construct(args, tol) -> dict:
                 )
             )
     elif recipe == "pseudo-dual":
-        lam, theta = _family(doc, names[0]), _family(doc, names[1])
-        eye = np.eye(lam.domain_dim)
-        pair = OperatorPair(
-            _parse_matrix_flag(args.l1, "l1", eye), _parse_matrix_flag(args.l2, "l2", eye)
-        )
-        result = pseudo_dual(lam, theta, pair, tol)
+        result = pseudo_dual(lam, theta, _operator_pair(args, lam.domain_dim), tol)
         out_families["pseudo_dual"] = result.dual_candidate
         out_families["sum"] = result.sum_family
         out_families["single"] = result.single_family
@@ -407,8 +370,8 @@ def _cmd_construct(args, tol) -> dict:
             )
         )
     elif recipe == "lift-example":
-        f_spec = _spec_from_family(_family(doc, names[0]), names[0])
-        g_spec = _spec_from_family(_family(doc, names[1]), names[1])
+        f_spec = _spec_from_family(lam, names[0])
+        g_spec = _spec_from_family(theta, names[1])
         lifted = lift_continuous_frame(f_spec, g_spec, tol)
         out_families.update(
             {
@@ -437,8 +400,8 @@ def _cmd_construct(args, tol) -> dict:
                 "cross-strong-disjointness",
                 classify(lifted.lam, lifted.phi, tol).strongly_disjoint
                 and classify(lifted.theta, lifted.psi, tol).strongly_disjoint,
-                first_cross_norm=_cross_norm(lifted.phi, lifted.lam),
-                second_cross_norm=_cross_norm(lifted.psi, lifted.theta),
+                first_cross_norm=operator_norm(cross_operator(lifted.phi, lifted.lam)),
+                second_cross_norm=operator_norm(cross_operator(lifted.psi, lifted.theta)),
             )
         )
         glued = direct_sum_duals(lifted.lam, lifted.theta, lifted.psi, lifted.phi, tol)
@@ -513,6 +476,8 @@ def _cmd_generate(args, tol) -> dict:
 
 
 def _cmd_verify(args, tol) -> dict:
+    if args.cases < 1:
+        raise UsageError(f"--cases must be >= 1, got {args.cases}")
     suite = run_suite(args.seed, args.cases, tol)
     checks = [
         _check(result.name, result.passed, cases=result.cases, failures=list(result.failures))
@@ -573,7 +538,9 @@ def run_command(argv: list[str]) -> int:
     try:
         tol = _tolerance(args)
         body = _COMMANDS[args.command](args, tol)
-    except (UsageError, DocumentError, GenerationError, ShapeError, FamilyValidationError) as exc:
+    except (
+        UsageError, DocumentError, GenerationError, ShapeError, FamilyValidationError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PreconditionError, SingularOperatorError) as exc:

@@ -4,21 +4,28 @@ random generators that feed the property suites."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import MACHINE_EPS, hermitize, matrices_close, operator_norm, svd_rank
-from .analysis import FrameReport, canonical_dual, frame_bounds, frame_lower_cutoff, is_dual_pair
+from ._linalg import (
+    MACHINE_EPS,
+    hermitian_power,
+    hermitize,
+    matrices_close,
+    operator_norm,
+    svd_rank,
+)
+from .analysis import FrameReport, canonical_dual, frame_bounds, is_dual_pair
 from .disjointness import classify, gamma_family
-from .errors import GenerationError, PreconditionError, ShapeError
+from .errors import GenerationError, PreconditionError, ShapeError, SingularOperatorError
 from .model import (
     DEFAULT_TOL,
     GFrameFamily,
     MeasureSpace,
     TolerancePolicy,
     family_from_analysis_matrix,
-    require_same_khat,
+    require_same_domain,
     right_compose,
 )
 
@@ -42,17 +49,16 @@ class OperatorPair:
 @dataclass(frozen=True, eq=False)
 class ContinuousFrameSpec:
     """An ordinary (vector-valued) continuous frame over the same atom set:
-    one vector per atom in a ``dim``-dimensional space."""
+    one vector per atom in a ``dim``-dimensional space.  ``matrix`` stacks
+    them as rows; ``vectors`` are read-only views of those rows."""
 
     space: MeasureSpace
     dim: int
     vectors: tuple[np.ndarray, ...]
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         vecs = tuple(np.array(v, dtype=complex).reshape(-1) for v in self.vectors)
-        for v in vecs:
-            v.setflags(write=False)
-        object.__setattr__(self, "vectors", vecs)
         if len(vecs) != self.space.atom_count:
             raise ShapeError(
                 f"{len(vecs)} vectors supplied for {self.space.atom_count} atoms"
@@ -60,12 +66,14 @@ class ContinuousFrameSpec:
         for i, v in enumerate(vecs):
             if v.size != self.dim:
                 raise ShapeError(f"vector {i} has length {v.size}, expected {self.dim}")
+        matrix = np.array(vecs, dtype=complex).reshape(len(vecs), self.dim)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "vectors", tuple(matrix))
 
     def frame_operator(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for w, v in zip(self.space.weights, self.vectors):
-            out += w * np.outer(v, v.conj())
-        return hermitize(out)
+        """Sum of w_i * v_i v_i^H."""
+        return hermitize((self.matrix.T * self.space.weights) @ self.matrix.conj())
 
 
 def pseudo_inverse(matrix: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -78,9 +86,8 @@ def pseudo_inverse(matrix: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np
     return np.linalg.pinv(matrix, rcond=rcond)
 
 
-def _require_adjoint_pair_shapes(pair: OperatorPair, domain_dim: int) -> int:
-    """Both operators must map the shared domain somewhere common; returns the
-    new domain dimension (their shared row count)."""
+def _require_adjoint_pair_shapes(pair: OperatorPair, domain_dim: int) -> None:
+    """Both operators must map the shared domain somewhere common."""
     l1, l2 = pair.l1, pair.l2
     if l1.shape[1] != domain_dim or l2.shape[1] != domain_dim:
         raise ShapeError(
@@ -90,7 +97,12 @@ def _require_adjoint_pair_shapes(pair: OperatorPair, domain_dim: int) -> int:
         raise ShapeError(
             f"operators must have the same row count, got {l1.shape[0]} and {l2.shape[0]}"
         )
-    return l1.shape[0]
+
+
+def _adjoint_sum(lam: GFrameFamily, theta: GFrameFamily, pair: OperatorPair) -> GFrameFamily:
+    """Family with blocks lam_i @ L1^H + theta_i @ L2^H."""
+    rows = lam.rows @ pair.l1.conj().T + theta.rows @ pair.l2.conj().T
+    return GFrameFamily.from_rows(lam.space, rows, lam.block_dims)
 
 
 @dataclass(frozen=True)
@@ -118,9 +130,7 @@ def disjoint_sum_family(
     2 B_pair max(||L1||^2, ||L2||^2)] where A_pair, B_pair are the bounds of
     the pair family and Lk is the surjective operator.
     """
-    require_same_khat(lam, theta)
-    if lam.domain_dim != theta.domain_dim:
-        raise ShapeError("both families must share the same domain")
+    require_same_domain(lam, theta)
     report = classify(lam, theta, tol)
     if not report.disjoint:
         raise PreconditionError("families are not disjoint")
@@ -130,11 +140,7 @@ def disjoint_sum_family(
     if not (surj1 or surj2):
         raise PreconditionError("neither L1 nor L2 is surjective")
 
-    blocks = tuple(
-        lb @ pair.l1.conj().T + tb @ pair.l2.conj().T
-        for lb, tb in zip(lam.blocks, theta.blocks)
-    )
-    family = GFrameFamily(space=lam.space, domain_dim=pair.l1.shape[0], blocks=blocks)
+    family = _adjoint_sum(lam, theta, pair)
 
     pair_report = frame_bounds(gamma_family(lam, theta), tol)
     witness = pair.l1 if surj1 else pair.l2
@@ -181,9 +187,7 @@ def strongly_disjoint_sum(
     Requires L1^H L1 + L2^H L2 to be a positive multiple of the identity; for
     Parseval inputs the result is tight with exactly that multiple as bound.
     """
-    require_same_khat(lam, theta)
-    if lam.domain_dim != theta.domain_dim:
-        raise ShapeError("both families must share the same domain")
+    require_same_domain(lam, theta)
     report = classify(lam, theta, tol)
     if not report.strongly_disjoint:
         raise PreconditionError("families are not strongly disjoint")
@@ -197,8 +201,7 @@ def strongly_disjoint_sum(
         raise PreconditionError(
             "L1^H L1 + L2^H L2 is not a positive multiple of the identity"
         )
-    blocks = tuple(lb @ l1 + tb @ l2 for lb, tb in zip(lam.blocks, theta.blocks))
-    family = GFrameFamily(space=lam.space, domain_dim=d, blocks=blocks)
+    family = GFrameFamily.from_rows(lam.space, lam.rows @ l1 + theta.rows @ l2, lam.block_dims)
     return StrongSumResult(family=family, report=frame_bounds(family, tol), scale=scale)
 
 
@@ -259,22 +262,16 @@ def pseudo_dual(
     lam_i @ S^{-1} @ L1_pinv is simultaneously a dual of {lam_i @ L1^H} and of
     {lam_i @ L1^H + theta_i @ L2^H}.
     """
-    require_same_khat(lam, theta)
-    if lam.domain_dim != theta.domain_dim:
-        raise ShapeError("both families must share the same domain")
+    require_same_domain(lam, theta)
     report = classify(lam, theta, tol)
     if not report.strongly_disjoint:
         raise PreconditionError("families are not strongly disjoint")
-    new_dim = _require_adjoint_pair_shapes(pair, lam.domain_dim)
+    _require_adjoint_pair_shapes(pair, lam.domain_dim)
     if svd_rank(pair.l1, tol) != pair.l1.shape[0]:
         raise PreconditionError("L1 is not surjective")
 
     candidate = right_compose(canonical_dual(lam, tol), pseudo_inverse(pair.l1, tol))
-    sum_blocks = tuple(
-        lb @ pair.l1.conj().T + tb @ pair.l2.conj().T
-        for lb, tb in zip(lam.blocks, theta.blocks)
-    )
-    sum_family = GFrameFamily(space=lam.space, domain_dim=new_dim, blocks=sum_blocks)
+    sum_family = _adjoint_sum(lam, theta, pair)
     single_family = right_compose(lam, pair.l1.conj().T)
     return PseudoDualResult(
         dual_candidate=candidate,
@@ -314,38 +311,38 @@ def lift_continuous_frame(
         raise ShapeError("both continuous frame specs must share the measure space")
 
     def _inverse(spec: ContinuousFrameSpec, which: str) -> np.ndarray:
-        op = spec.frame_operator()
-        evals = np.linalg.eigvalsh(op)
-        if float(evals[0]) <= frame_lower_cutoff(spec.dim, float(evals[-1]), tol):
+        try:
+            return hermitian_power(spec.frame_operator(), -1.0, tol)
+        except SingularOperatorError:
             raise PreconditionError(
                 f"{which} continuous frame spec is degenerate (singular frame operator)"
-            )
-        vals, vecs = np.linalg.eigh(op)
-        return hermitize((vecs / vals) @ vecs.conj().T)
+            ) from None
 
-    inv_f = _inverse(f_spec, "first")
-    inv_g = _inverse(g_spec, "second")
+    def _lift(vectors: np.ndarray, row: int) -> GFrameFamily:
+        """Blocks with the conjugated vector in block row ``row`` and zeros in the other."""
+        rows = np.zeros((2 * vectors.shape[0], vectors.shape[1]), dtype=complex)
+        rows[row::2] = vectors.conj()
+        return GFrameFamily.from_rows(f_spec.space, rows, (2,) * vectors.shape[0])
 
-    lam_blocks, theta_blocks, phi_blocks, psi_blocks = [], [], [], []
-    zero_f = np.zeros(f_spec.dim, dtype=complex)
-    zero_g = np.zeros(g_spec.dim, dtype=complex)
-    for fv, gv in zip(f_spec.vectors, g_spec.vectors):
-        lam_blocks.append(np.vstack([fv.conj(), zero_f]))
-        theta_blocks.append(np.vstack([(inv_f @ fv).conj(), zero_f]))
-        phi_blocks.append(np.vstack([zero_g, (inv_g @ gv).conj()]))
-        psi_blocks.append(np.vstack([zero_g, gv.conj()]))
-
-    space = f_spec.space
+    f, g = f_spec.matrix, g_spec.matrix
     return LiftedFamilies(
-        lam=GFrameFamily(space=space, domain_dim=f_spec.dim, blocks=tuple(lam_blocks)),
-        theta=GFrameFamily(space=space, domain_dim=f_spec.dim, blocks=tuple(theta_blocks)),
-        phi=GFrameFamily(space=space, domain_dim=g_spec.dim, blocks=tuple(phi_blocks)),
-        psi=GFrameFamily(space=space, domain_dim=g_spec.dim, blocks=tuple(psi_blocks)),
+        lam=_lift(f, 0),
+        theta=_lift(f @ _inverse(f_spec, "first").T, 0),
+        phi=_lift(g @ _inverse(g_spec, "second").T, 1),
+        psi=_lift(g, 1),
     )
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def _orthonormal_columns(raw: np.ndarray) -> np.ndarray:
+    """Q factor of ``raw`` with the phases of R's diagonal moved into it, so that
+    the result is a function of ``raw`` alone and replays are bit-stable."""
+    q, r = np.linalg.qr(raw)
+    diag = np.where(np.abs(np.diagonal(r)) == 0, 1.0, np.diagonal(r))
+    return q * (diag / np.abs(diag))[np.newaxis, :]
 
 
 def _random_space(rng: np.random.Generator, atoms: int, weight_range) -> MeasureSpace:
@@ -409,9 +406,7 @@ def random_strongly_disjoint_parseval_pair(
     rng = np.random.default_rng(seed)
     space = _random_space(rng, len(dims), weight_range)
     raw = _complex_gaussian(rng, (total, dim_first + dim_second))
-    q, r = np.linalg.qr(raw)
-    diag = np.where(np.abs(np.diagonal(r)) == 0, 1.0, np.diagonal(r))
-    q = q * (diag / np.abs(diag))[np.newaxis, :]
+    q = _orthonormal_columns(raw)
     first = family_from_analysis_matrix(q[:, :dim_first], space, dims)
     second = family_from_analysis_matrix(q[:, dim_first:], space, dims)
     return first, second

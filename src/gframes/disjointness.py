@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import operator_norm, svd_rank
-from .analysis import cross_operator, frame_bounds, parseval_normalize
+from .analysis import frame_bounds, parseval_normalize
 from .errors import PreconditionError, ShapeError
 from .model import (
     DEFAULT_TOL,
@@ -24,12 +24,15 @@ from .model import (
     TolerancePolicy,
     analysis_matrix,
     require_same_khat,
+    require_valid,
     right_compose,
 )
 
 
 @dataclass(frozen=True)
 class DisjointnessReport:
+    """The five relations (plain ``bool``) with the ranks and norm behind them."""
+
     strongly_disjoint: bool
     disjoint: bool
     weakly_disjoint: bool
@@ -61,10 +64,10 @@ def classify(
     b = analysis_matrix(theta)
     khat_dim = a.shape[0]
 
-    cross_norm = operator_norm(cross_operator(theta, lam))
-    strongly = cross_norm <= tol.rel_eps * np.sqrt(
-        rep_lam.upper_bound * rep_theta.upper_bound
-    )
+    # the cross operator of (theta, lam), from the matrices already formed
+    cross_norm = operator_norm(b.conj().T @ a)
+    bessel = np.sqrt(rep_lam.upper_bound * rep_theta.upper_bound)
+    strongly = bool(cross_norm <= tol.rel_eps * bessel)
 
     rank_a = svd_rank(a, tol)
     rank_b = svd_rank(b, tol)
@@ -97,14 +100,9 @@ def gamma_family(lam: GFrameFamily, theta: GFrameFamily) -> GFrameFamily:
     left-to-right reading of (h, k) -> lam_i h + theta_i k.
     """
     require_same_khat(lam, theta)
-    blocks = tuple(
-        np.hstack([lb, tb]) for lb, tb in zip(lam.blocks, theta.blocks)
-    )
-    return GFrameFamily(
-        space=lam.space,
-        domain_dim=lam.domain_dim + theta.domain_dim,
-        blocks=blocks,
-    )
+    require_valid(lam)
+    require_valid(theta)
+    return GFrameFamily.from_rows(lam.space, np.hstack([lam.rows, theta.rows]), lam.block_dims)
 
 
 def delta_family(

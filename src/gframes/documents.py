@@ -2,13 +2,15 @@
 
 A document carries one measure space and any number of named families that
 share it (and share block dimensions); complex entries are two-element
-[re, im] arrays, never strings.  Parsing is strict: unknown fields and shape
+[re, im] arrays, never strings.  Parsing is strict: unknown or duplicate
+fields, non-finite numbers (including the NaN/Infinity literals) and shape
 inconsistencies are rejected with the path of the offending element.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +37,29 @@ class FrameDocument:
         )
 
 
-def _require_keys(obj, allowed, required, path):
+class _JSONObject(dict):
+    """A parsed JSON object; ``duplicate`` is a key it held more than once."""
+
+    duplicate = None
+
+
+def _json_object(pairs) -> _JSONObject:
+    obj = _JSONObject(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        obj.duplicate = next(key for key in keys if keys.count(key) > 1)
+    return obj
+
+
+def _require_object(obj, path):
     if not isinstance(obj, dict):
         raise DocumentError(path, f"expected an object, got {type(obj).__name__}")
+    if getattr(obj, "duplicate", None) is not None:
+        raise DocumentError(f"{path}.{obj.duplicate}", "duplicate key")
+
+
+def _require_keys(obj, allowed, required, path):
+    _require_object(obj, path)
     for key in obj:
         if key not in allowed:
             raise DocumentError(f"{path}.{key}", "unknown field")
@@ -50,7 +72,13 @@ def _as_number(value, path) -> float:
     # bool is an int subclass; reject it explicitly
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DocumentError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise DocumentError(path, f"expected a finite number, got {number}")
+    return number
 
 
 def _as_positive_int(value, path) -> int:
@@ -131,7 +159,7 @@ def parse_document(text: str) -> FrameDocument:
     """Parse and fully validate a frame document; raises DocumentError with a
     path to the first offending element."""
     try:
-        root = json.loads(text)
+        root = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise DocumentError("$", f"not valid JSON: {exc}") from None
     _require_keys(
@@ -145,8 +173,7 @@ def parse_document(text: str) -> FrameDocument:
         raise DocumentError("$.format_version", f"unrecognized version {version!r}")
     space = _parse_space(root["measure_space"], "$.measure_space")
     families_obj = root["families"]
-    if not isinstance(families_obj, dict):
-        raise DocumentError("$.families", "expected an object of named families")
+    _require_object(families_obj, "$.families")
     families: dict[str, GFrameFamily] = {}
     shared_dims = None
     for name, fam_obj in families_obj.items():

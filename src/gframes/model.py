@@ -7,6 +7,9 @@ The square-root-weight embedding defined here turns that weighted geometry
 into plain Euclidean geometry, and every rank/orthogonality computation in the
 package happens in those embedded coordinates.
 
+A family stores its blocks stacked in atom order as one N x d row matrix, so
+every operation on it is a single matrix product rather than a loop over atoms.
+
 Inner product convention: linear in the FIRST argument, conjugate-linear in
 the second. All adjoints are conjugate transposes under this convention.
 """
@@ -26,15 +29,25 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _as_block(values) -> np.ndarray:
-    """Coerce to a read-only 2-D complex matrix; 1-D input is a single row."""
-    arr = np.array(values, dtype=complex)
+    """Coerce to a 2-D complex matrix (no copy if it is one); 1-D input is a single row."""
+    arr = np.asarray(values, dtype=complex)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
         arr = arr.reshape(1, -1)
     elif arr.ndim != 2:
         raise ShapeError(f"operator block must be 2-D, got ndim={arr.ndim}")
-    return _freeze(arr)
+    return arr
+
+
+def _split_rows(matrix: np.ndarray, block_dims) -> list[np.ndarray]:
+    """Views of ``matrix`` cut into consecutive row groups of the given sizes."""
+    return np.split(matrix, np.cumsum(block_dims)[:-1])
+
+
+def _row_roots(space: "MeasureSpace", block_dims) -> np.ndarray:
+    """sqrt(weight) of the atom owning each stacked row."""
+    return np.repeat(np.sqrt(space.weights), block_dims)
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> complex:
@@ -49,17 +62,19 @@ class TolerancePolicy:
     ``rel_eps`` controls relative equality of scalars and matrices;
     ``rank_eps_factor`` scales the SVD rank cutoff
     (singular values below factor * max(rows, cols) * sigma_max * machine_eps
-    count as zero).
+    count as zero).  Both must be finite.
     """
 
     rel_eps: float = 1e-9
     rank_eps_factor: float = 10.0
 
     def __post_init__(self):
-        if not self.rel_eps > 0:
-            raise ValueError("rel_eps must be positive")
-        if not self.rank_eps_factor >= 1:
-            raise ValueError("rank_eps_factor must be >= 1")
+        if not (np.isfinite(self.rel_eps) and self.rel_eps > 0):
+            raise ValueError(f"rel_eps must be positive and finite, got {self.rel_eps}")
+        if not (np.isfinite(self.rank_eps_factor) and self.rank_eps_factor >= 1):
+            raise ValueError(
+                f"rank_eps_factor must be finite and >= 1, got {self.rank_eps_factor}"
+            )
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -76,27 +91,61 @@ class MeasureSpace:
     weights: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.weights, dtype=float).reshape(-1)
-        object.__setattr__(self, "weights", _freeze(arr))
+        arr = _freeze(np.array(self.weights, dtype=float).reshape(-1))
+        found = [] if arr.size else ["atom_count must be >= 1"]
+        bad = np.flatnonzero(~(np.isfinite(arr) & (arr > 0)))
+        found += [f"weights[{i}] = {arr[i]} not > 0" for i in bad]
+        object.__setattr__(self, "weights", arr)
+        object.__setattr__(self, "_violations", tuple(found))
 
     @property
     def atom_count(self) -> int:
         return int(self.weights.size)
 
     def violations(self) -> list[str]:
-        found = []
-        if self.atom_count < 1:
-            found.append("atom_count must be >= 1")
-        for i, w in enumerate(self.weights):
-            if not (np.isfinite(w) and w > 0):
-                found.append(f"weights[{i}] = {w} not > 0")
-        return found
+        return list(self._violations)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MeasureSpace) and np.array_equal(self.weights, other.weights)
 
 
-@dataclass(frozen=True, eq=False)
+def _violations(space, domain_dim, block_dims, rows, blocks) -> tuple[str, ...]:
+    """Every violated structural invariant of a family.  ``blocks`` is given
+    only when they do not fit ``block_dims`` x ``domain_dim`` (``rows`` is None)."""
+    found = space.violations()
+    if int(domain_dim) < 1:
+        found.append(f"domain_dim = {domain_dim} not >= 1")
+    if blocks is None:
+        bad_rows = ~np.isfinite(rows.view(float)).all(axis=1)
+        if bad_rows.any():
+            atoms = np.unique(np.repeat(np.arange(len(block_dims)), block_dims)[bad_rows])
+            found += [f"block {i} contains non-finite entries" for i in atoms]
+    else:
+        n = space.atom_count
+        if len(blocks) != n:
+            found.append(f"blocks.length = {len(blocks)} != atom_count = {n}")
+        if len(block_dims) != len(blocks):
+            found.append(
+                f"block_dims.length = {len(block_dims)} != blocks.length = {len(blocks)}"
+            )
+        for i, block in enumerate(blocks):
+            if i < len(block_dims) and block.shape[0] != block_dims[i]:
+                found.append(
+                    f"block {i} has {block.shape[0]} rows, "
+                    f"expected block_dims[{i}] = {block_dims[i]}"
+                )
+            if block.shape[1] != domain_dim:
+                found.append(
+                    f"block {i} has {block.shape[1]} columns, expected domain_dim = {domain_dim}"
+                )
+            if not np.all(np.isfinite(block)):
+                found.append(f"block {i} contains non-finite entries")
+    if sum(block_dims) < 1:
+        found.append("total codomain dimension must be >= 1")
+    return tuple(found)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class GFrameFamily:
     """A measure space plus one complex operator block per atom.
 
@@ -104,20 +153,65 @@ class GFrameFamily:
     atom's codomain of dimension ``block_dims[i]``. ``block_dims`` may be
     omitted, in which case it is read off the blocks; passing it explicitly
     lets :func:`validate_family` catch mismatches.
+
+    The family stores ``rows``: the raw blocks stacked in atom order, one
+    read-only C-contiguous N x ``domain_dim`` matrix (unweighted, so the
+    blocks stay bit-exact), and ``blocks`` are read-only views into it.  The
+    structural invariants are checked once, here.  Construction is
+    permissive: blocks that do not fit ``block_dims`` x ``domain_dim`` are
+    kept as given, with ``rows = None``, for inspection.
     """
 
     space: MeasureSpace
     domain_dim: int
-    blocks: tuple[np.ndarray, ...]
-    block_dims: tuple[int, ...] = field(default=None)
+    block_dims: tuple[int, ...]
+    rows: np.ndarray | None = field(repr=False)
 
-    def __post_init__(self):
-        blocks = tuple(_as_block(b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        if self.block_dims is None:
-            object.__setattr__(self, "block_dims", tuple(b.shape[0] for b in blocks))
+    def __init__(self, space, domain_dim, blocks, block_dims=None):
+        blocks = tuple(_as_block(b) for b in blocks)
+        dims = (
+            tuple(b.shape[0] for b in blocks) if block_dims is None else tuple(map(int, block_dims))
+        )
+        fits = bool(blocks) and len(blocks) == len(dims) == space.atom_count and all(
+            b.shape == (d, domain_dim) for b, d in zip(blocks, dims)
+        )
+        if fits:
+            self._set(space, domain_dim, dims, _freeze(np.vstack(blocks)), None)
         else:
-            object.__setattr__(self, "block_dims", tuple(int(d) for d in self.block_dims))
+            self._set(space, domain_dim, dims, None, tuple(_freeze(b.copy()) for b in blocks))
+
+    @classmethod
+    def from_rows(cls, space: MeasureSpace, rows: np.ndarray, block_dims) -> "GFrameFamily":
+        """Family whose blocks, stacked in atom order, are ``rows``.
+
+        ``rows`` is adopted without a copy when it is already a C-contiguous
+        complex matrix, and becomes read-only.
+        """
+        rows = np.ascontiguousarray(rows, dtype=complex)
+        dims = tuple(map(int, block_dims))
+        if rows.ndim != 2 or rows.shape[0] != sum(dims):
+            raise ShapeError(
+                f"matrix has {rows.shape[0]} rows, expected total block dim {sum(dims)}"
+            )
+        if len(dims) != space.atom_count:
+            raise ShapeError("block_dims do not match the measure space")
+        family = cls.__new__(cls)
+        family._set(space, rows.shape[1], dims, _freeze(rows), None)
+        return family
+
+    def _set(self, space, domain_dim, block_dims, rows, blocks) -> None:
+        found = _violations(space, domain_dim, block_dims, rows, blocks)
+        for name, value in zip(
+            ("space", "domain_dim", "block_dims", "rows", "_blocks", "_violations"),
+            (space, domain_dim, block_dims, rows, blocks, found),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        if self._blocks is None:
+            object.__setattr__(self, "_blocks", tuple(_split_rows(self.rows, self.block_dims)))
+        return self._blocks
 
     @property
     def atom_count(self) -> int:
@@ -129,13 +223,17 @@ class GFrameFamily:
         return int(sum(self.block_dims))
 
     def __eq__(self, other) -> bool:
-        return (
+        if not (
             isinstance(other, GFrameFamily)
             and self.space == other.space
             and self.domain_dim == other.domain_dim
             and self.block_dims == other.block_dims
-            and len(self.blocks) == len(other.blocks)
-            and all(np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks))
+        ):
+            return False
+        if self.rows is not None and other.rows is not None:
+            return np.array_equal(self.rows, other.rows)
+        return len(self.blocks) == len(other.blocks) and all(
+            np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks)
         )
 
 
@@ -166,37 +264,16 @@ class KHatVector:
 
 
 def validate_family(fam: GFrameFamily) -> list[str]:
-    """Return every violated structural invariant; an empty list means valid."""
-    found = fam.space.violations()
-    if int(fam.domain_dim) < 1:
-        found.append(f"domain_dim = {fam.domain_dim} not >= 1")
-    n = fam.space.atom_count
-    if len(fam.blocks) != n:
-        found.append(f"blocks.length = {len(fam.blocks)} != atom_count = {n}")
-    if len(fam.block_dims) != len(fam.blocks):
-        found.append(
-            f"block_dims.length = {len(fam.block_dims)} != blocks.length = {len(fam.blocks)}"
-        )
-    for i, block in enumerate(fam.blocks):
-        if i < len(fam.block_dims) and block.shape[0] != fam.block_dims[i]:
-            found.append(
-                f"block {i} has {block.shape[0]} rows, expected block_dims[{i}] = {fam.block_dims[i]}"
-            )
-        if block.shape[1] != fam.domain_dim:
-            found.append(
-                f"block {i} has {block.shape[1]} columns, expected domain_dim = {fam.domain_dim}"
-            )
-        if not np.all(np.isfinite(block.view(float))):
-            found.append(f"block {i} contains non-finite entries")
-    if sum(fam.block_dims) < 1:
-        found.append("total codomain dimension must be >= 1")
-    return found
+    """Return every violated structural invariant; an empty list means valid.
+
+    The invariants are checked when the family is built; this reads the result.
+    """
+    return list(fam._violations)
 
 
 def require_valid(fam: GFrameFamily) -> None:
-    violations = validate_family(fam)
-    if violations:
-        raise FamilyValidationError(violations)
+    if fam._violations:
+        raise FamilyValidationError(fam._violations)
 
 
 def require_same_khat(first: GFrameFamily, second: GFrameFamily) -> None:
@@ -207,6 +284,13 @@ def require_same_khat(first: GFrameFamily, second: GFrameFamily) -> None:
         raise ShapeError(
             f"families have different block dimensions: {first.block_dims} vs {second.block_dims}"
         )
+
+
+def require_same_domain(first: GFrameFamily, second: GFrameFamily) -> None:
+    """Both families must target the same space and act on domains of one dimension."""
+    require_same_khat(first, second)
+    if first.domain_dim != second.domain_dim:
+        raise ShapeError(f"domain dims differ: {first.domain_dim} vs {second.domain_dim}")
 
 
 def khat_inner(f: KHatVector, g: KHatVector, space: MeasureSpace) -> complex:
@@ -232,8 +316,9 @@ def embed(f: KHatVector, space: MeasureSpace) -> np.ndarray:
         raise ShapeError(
             f"vector has {len(f.blocks)} blocks but space has {space.atom_count} atoms"
         )
-    parts = [np.sqrt(w) * fb for w, fb in zip(space.weights, f.blocks)]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+    if not f.blocks:
+        return np.zeros(0, dtype=complex)
+    return np.concatenate(f.blocks) * _row_roots(space, f.block_dims)
 
 
 def unembed(vector: np.ndarray, space: MeasureSpace, block_dims) -> KHatVector:
@@ -244,11 +329,7 @@ def unembed(vector: np.ndarray, space: MeasureSpace, block_dims) -> KHatVector:
         raise ShapeError(f"vector length {vector.size} != total block dim {sum(dims)}")
     if len(dims) != space.atom_count:
         raise ShapeError("block_dims do not match the measure space")
-    blocks, offset = [], 0
-    for w, d in zip(space.weights, dims):
-        blocks.append(vector[offset : offset + d] / np.sqrt(w))
-        offset += d
-    return KHatVector(tuple(blocks))
+    return KHatVector(tuple(_split_rows(vector / _row_roots(space, dims), dims)))
 
 
 def analysis_matrix(fam: GFrameFamily) -> np.ndarray:
@@ -256,28 +337,21 @@ def analysis_matrix(fam: GFrameFamily) -> np.ndarray:
 
     Rows are the blocks sqrt(weight_i) * block_i stacked in atom order, so that
     for any h the product equals the embedding of the blockwise application.
-    The synthesis operator's matrix is the conjugate transpose.
+    The synthesis operator's matrix is the conjugate transpose.  It is formed
+    on each call, never stored beside the family's rows.
     """
     require_valid(fam)
-    rows = [np.sqrt(w) * block for w, block in zip(fam.space.weights, fam.blocks)]
-    return np.vstack(rows)
+    return fam.rows * _row_roots(fam.space, fam.block_dims)[:, np.newaxis]
 
 
 def family_from_analysis_matrix(matrix: np.ndarray, space: MeasureSpace, block_dims) -> GFrameFamily:
     """Rebuild the family whose embedded analysis matrix is ``matrix``."""
     matrix = np.asarray(matrix, dtype=complex)
     dims = tuple(int(d) for d in block_dims)
-    if matrix.ndim != 2 or matrix.shape[0] != sum(dims):
-        raise ShapeError(
-            f"matrix has {matrix.shape[0]} rows, expected total block dim {sum(dims)}"
-        )
-    if len(dims) != space.atom_count:
-        raise ShapeError("block_dims do not match the measure space")
-    blocks, offset = [], 0
-    for w, d in zip(space.weights, dims):
-        blocks.append(matrix[offset : offset + d, :] / np.sqrt(w))
-        offset += d
-    return GFrameFamily(space=space, domain_dim=matrix.shape[1], blocks=tuple(blocks))
+    if matrix.ndim == 2 and matrix.shape[0] == sum(dims) and len(dims) == space.atom_count:
+        matrix = matrix / _row_roots(space, dims)[:, np.newaxis]
+    # any other shape is rejected by from_rows
+    return GFrameFamily.from_rows(space, matrix, dims)
 
 
 def apply_analysis(fam: GFrameFamily, h: np.ndarray) -> KHatVector:
@@ -285,7 +359,8 @@ def apply_analysis(fam: GFrameFamily, h: np.ndarray) -> KHatVector:
     h = np.asarray(h, dtype=complex).reshape(-1)
     if h.size != fam.domain_dim:
         raise ShapeError(f"vector length {h.size} != domain_dim {fam.domain_dim}")
-    return KHatVector(tuple(block @ h for block in fam.blocks))
+    require_valid(fam)
+    return KHatVector(tuple(_split_rows(fam.rows @ h, fam.block_dims)))
 
 
 def apply_synthesis(fam: GFrameFamily, phi: KHatVector) -> np.ndarray:
@@ -294,10 +369,9 @@ def apply_synthesis(fam: GFrameFamily, phi: KHatVector) -> np.ndarray:
         raise ShapeError(
             f"vector block dims {phi.block_dims} != family block dims {fam.block_dims}"
         )
-    out = np.zeros(fam.domain_dim, dtype=complex)
-    for w, block, pb in zip(fam.space.weights, fam.blocks, phi.blocks):
-        out += w * (block.conj().T @ pb)
-    return out
+    require_valid(fam)
+    weighted = np.concatenate(phi.blocks) * np.repeat(fam.space.weights, fam.block_dims)
+    return fam.rows.conj().T @ weighted
 
 
 def right_compose(fam: GFrameFamily, operator: np.ndarray) -> GFrameFamily:
@@ -307,8 +381,5 @@ def right_compose(fam: GFrameFamily, operator: np.ndarray) -> GFrameFamily:
         raise ShapeError(
             f"operator shape {operator.shape} does not act on domain of dim {fam.domain_dim}"
         )
-    return GFrameFamily(
-        space=fam.space,
-        domain_dim=operator.shape[1],
-        blocks=tuple(block @ operator for block in fam.blocks),
-    )
+    require_valid(fam)
+    return GFrameFamily.from_rows(fam.space, fam.rows @ operator, fam.block_dims)

@@ -31,8 +31,8 @@ from .model import (
     analysis_matrix,
     apply_synthesis,
     khat_norm,
+    require_same_domain,
     require_same_khat,
-    require_valid,
 )
 
 
@@ -48,15 +48,9 @@ class RieszReport:
 
 
 def synthesis_matrix(fam: GFrameFamily) -> np.ndarray:
-    """Matrix of the synthesis operator in embedded coordinates (d x N).
-
-    Built directly from the blocks (columns sqrt(w_i) * block_i^H side by
-    side) rather than by transposing the analysis matrix, so the two can be
-    compared as independent computations.
-    """
-    require_valid(fam)
-    cols = [np.sqrt(w) * block.conj().T for w, block in zip(fam.space.weights, fam.blocks)]
-    return np.hstack(cols)
+    """Matrix of the synthesis operator in embedded coordinates (d x N): the
+    conjugate transpose of the analysis matrix, columns sqrt(w_i) * block_i^H."""
+    return analysis_matrix(fam).conj().T
 
 
 def riesz_check(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> RieszReport:
@@ -71,17 +65,14 @@ def riesz_check(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> RieszR
         raise PreconditionError("family is not a frame")
     a = analysis_matrix(fam)
     khat_dim = a.shape[0]
-    rank = svd_rank(a, tol)
-    synth = synthesis_matrix(fam)
-    svals = singular_values(synth)
-    upper = float(svals[0] ** 2) if svals.size else 0.0
-    lower = smallest_gain(synth) ** 2
+    svals = singular_values(a)  # also those of the synthesis matrix a^H
+    rank = int(np.count_nonzero(svals > rank_cutoff(a.shape, float(svals[0]), tol)))
     return RieszReport(
         is_riesz_type=rank == khat_dim,
-        analysis_rank=int(rank),
+        analysis_rank=rank,
         khat_dim=int(khat_dim),
-        synthesis_lower_bound=lower,
-        synthesis_upper_bound=upper,
+        synthesis_lower_bound=float(svals[-1]) ** 2 if khat_dim <= fam.domain_dim else 0.0,
+        synthesis_upper_bound=float(svals[0]) ** 2,
     )
 
 
@@ -113,11 +104,15 @@ def riesz_criteria(
     """
     report = riesz_check(fam, tol)
     synth = synthesis_matrix(fam)
-    svals = singular_values(synth)
-    cutoff = rank_cutoff(synth.shape, float(svals[0]) if svals.size else 0.0, tol)
-    bounded_below = smallest_gain(synth) > cutoff
     kernel_dim = synth.shape[1] - svd_rank(synth, tol)
-    return report.is_riesz_type, bounded_below, kernel_dim == 0
+    return report.is_riesz_type, _bounded_below(synth, tol)[1], kernel_dim == 0
+
+
+def _bounded_below(matrix: np.ndarray, tol: TolerancePolicy) -> tuple[float, bool]:
+    """Smallest gain of ``matrix`` and whether it clears the rank cutoff."""
+    svals = singular_values(matrix)
+    gain = smallest_gain(matrix)
+    return gain, gain > rank_cutoff(matrix.shape, float(svals[0]) if svals.size else 0.0, tol)
 
 
 @dataclass(frozen=True)
@@ -155,9 +150,7 @@ def mixed_construction(
     L1^H L2 = I.  The result is always a frame with lower bound >= 2 and
     upper bound <= B_lam ||L1||^2 + 2 + B_theta ||L2||^2.
     """
-    require_same_khat(lam, theta)
-    if lam.domain_dim != theta.domain_dim:
-        raise ShapeError("both families must share the same domain")
+    require_same_domain(lam, theta)
     d = lam.domain_dim
     l1 = np.asarray(l1, dtype=complex)
     l2 = np.asarray(l2, dtype=complex)
@@ -169,10 +162,7 @@ def mixed_construction(
     if not matrices_close(l1.conj().T @ l2, eye, tol.rel_eps):
         raise PreconditionError("L1^H L2 is not the identity")
 
-    blocks = tuple(
-        lb @ l1 + tb @ l2 for lb, tb in zip(lam.blocks, theta.blocks)
-    )
-    combined = GFrameFamily(space=lam.space, domain_dim=d, blocks=blocks)
+    combined = GFrameFamily.from_rows(lam.space, lam.rows @ l1 + theta.rows @ l2, lam.block_dims)
     report = frame_bounds(combined, tol)
     b_lam = frame_bounds(lam, tol).upper_bound
     b_theta = frame_bounds(theta, tol).upper_bound
@@ -190,12 +180,7 @@ def mixed_construction(
 
     # Independent route (iii): lower bound of the combined synthesis operator.
     combined_synthesis = l1.conj().T @ synthesis_matrix(lam) + l2.conj().T @ synthesis_matrix(theta)
-    svals = singular_values(combined_synthesis)
-    cutoff = rank_cutoff(
-        combined_synthesis.shape, float(svals[0]) if svals.size else 0.0, tol
-    )
-    gain = smallest_gain(combined_synthesis)
-    positive_lower = gain > cutoff
+    gain, positive_lower = _bounded_below(combined_synthesis, tol)
 
     return MixedConstruction(
         family=combined,
@@ -246,11 +231,7 @@ def perturbation_riesz_transfer(
     the comparison requires both families to share the same domain dimension.
     ``equivalence_verified`` is only meaningful when ``criterion_met``.
     """
-    require_same_khat(lam, theta)
-    if theta.domain_dim != lam.domain_dim:
-        raise ShapeError(
-            f"domain dims differ: {theta.domain_dim} vs {lam.domain_dim}"
-        )
+    require_same_domain(lam, theta)
     rep = frame_bounds(lam, tol)
     if not rep.is_frame:
         raise PreconditionError("first family is not a frame")

@@ -40,6 +40,8 @@ from .constructions import (
     random_strongly_disjoint_parseval_pair,
     strongly_disjoint_sum,
 )
+from .constructions import _complex_gaussian as _cgauss
+from .constructions import _orthonormal_columns
 from .disjointness import (
     classify,
     delta_family,
@@ -82,10 +84,6 @@ def _seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63 - 1))
 
 
-def _cgauss(rng: np.random.Generator, shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
 def _tiny(value: float, tol: TolerancePolicy, scale: float = 1.0) -> bool:
     return abs(value) <= tol.rel_eps * max(1.0, scale)
 
@@ -117,9 +115,7 @@ def _random_invertible(rng, dim: int, min_rel_sv: float = 1e-2) -> np.ndarray:
 
 
 def _random_unitary(rng, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(_cgauss(rng, (dim, dim)))
-    diag = np.where(np.abs(np.diagonal(r)) == 0, 1.0, np.diagonal(r))
-    return q * (diag / np.abs(diag))[np.newaxis, :]
+    return _orthonormal_columns(_cgauss(rng, (dim, dim)))
 
 
 def _random_strongly_disjoint(rng, tol, parseval: bool = False, equal_domains: bool = False):
@@ -158,27 +154,28 @@ def _random_pair(rng, tol):
         # identical analysis ranges
         lam = _random_frame(rng, tol)
         return lam, right_compose(lam, _random_invertible(rng, lam.domain_dim))
-    if mode == 2:
-        # one shared range direction, rest generic
-        for _ in range(40):
-            lam = _random_frame(rng, tol)
-            total = lam.codomain_dim
-            d2 = int(rng.integers(1, total + 1))
-            shared = analysis_matrix(lam) @ _cgauss(rng, (lam.domain_dim,))
-            emb = np.hstack([shared.reshape(-1, 1), _cgauss(rng, (total, d2 - 1))])
-            theta = _conditioned_from_embedded(rng, lam, emb, tol)
-            if theta is not None:
-                return lam, theta
-        raise AssertionError("could not build a shared-direction pair")
-    # generic independent pair over one space
     for _ in range(40):
         lam = _random_frame(rng, tol)
         total = lam.codomain_dim
         d2 = int(rng.integers(1, total + 1))
-        theta = _conditioned_from_embedded(rng, lam, _cgauss(rng, (total, d2)), tol)
+        if mode == 2:  # one shared range direction, rest generic
+            shared = analysis_matrix(lam) @ _cgauss(rng, (lam.domain_dim,))
+            emb = np.hstack([shared.reshape(-1, 1), _cgauss(rng, (total, d2 - 1))])
+        else:  # generic independent pair over one space
+            emb = _cgauss(rng, (total, d2))
+        theta = _conditioned_from_embedded(rng, lam, emb, tol)
         if theta is not None:
             return lam, theta
-    raise AssertionError("could not build a generic pair")
+    raise AssertionError(f"could not build a pair in mode {mode}")
+
+
+def _random_fit_or_overcomplete_frame(rng, tol):
+    """Half the time a frame whose domain fills the target (Riesz-type), else
+    one with a random domain dimension (mostly overcomplete)."""
+    dims = _random_dims(rng)
+    total = sum(dims)
+    domain = total if rng.integers(0, 2) else int(rng.integers(1, total + 1))
+    return _random_frame(rng, tol, dims=dims, domain_dim=domain)
 
 
 def _random_disjoint_equal_domain(rng, tol):
@@ -199,6 +196,21 @@ def _random_disjoint_equal_domain(rng, tol):
 
 def _random_khat(rng, block_dims) -> KHatVector:
     return KHatVector(tuple(_cgauss(rng, (int(d),)) for d in block_dims))
+
+
+# Atom-by-atom references: the library computes these as products on the
+# stacked row matrix, so the checks compare against the definitions.
+
+
+def _blockwise_frame_operator(fam) -> np.ndarray:
+    out = np.zeros((fam.domain_dim, fam.domain_dim), dtype=complex)
+    for w, block in zip(fam.space.weights, fam.blocks):
+        out += w * (block.conj().T @ block)
+    return out
+
+
+def _blockwise_synthesis(fam) -> np.ndarray:
+    return np.hstack([np.sqrt(w) * b.conj().T for w, b in zip(fam.space.weights, fam.blocks)])
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +243,13 @@ def _check_analysis_blockwise(rng, cases, tol):
         fam = _random_frame(rng, tol)
         h = _cgauss(rng, (fam.domain_dim,))
         via_matrix = unembed(analysis_matrix(fam) @ h, fam.space, fam.block_dims)
-        direct = apply_analysis(fam, h)
-        for i, (a, b) in enumerate(zip(via_matrix.blocks, direct.blocks)):
-            if not matrices_close(a, b, tol.rel_eps):
+        applied = apply_analysis(fam, h)
+        for i, block in enumerate(fam.blocks):
+            direct = block @ h
+            if not (
+                matrices_close(via_matrix.blocks[i], direct, tol.rel_eps)
+                and matrices_close(applied.blocks[i], direct, tol.rel_eps)
+            ):
                 failures.append(f"case {case}: block {i} mismatch")
     return failures
 
@@ -277,7 +293,10 @@ def _check_synthesis_norm(rng, cases, tol):
     for case in range(cases):
         fam = _random_frame(rng, tol)
         rep = frame_bounds(fam, tol)
-        sigma = operator_norm(synthesis_matrix(fam))
+        synth = synthesis_matrix(fam)
+        if not matrices_close(synth, _blockwise_synthesis(fam), tol.rel_eps):
+            failures.append(f"case {case}: synthesis matrix != blockwise columns")
+        sigma = operator_norm(synth)
         root = np.sqrt(rep.upper_bound)
         if sigma > root + tol.rel_eps * max(1.0, root):
             failures.append(f"case {case}: synthesis norm {sigma} exceeds sqrt(B) {root}")
@@ -290,9 +309,8 @@ def _check_gram_identity(rng, cases, tol):
     failures = []
     for case in range(cases):
         fam = _random_frame(rng, tol)
-        mat = analysis_matrix(fam)
-        if not matrices_close(frame_operator(fam), mat.conj().T @ mat, tol.rel_eps):
-            failures.append(f"case {case}: frame operator != gram of analysis matrix")
+        if not matrices_close(frame_operator(fam), _blockwise_frame_operator(fam), tol.rel_eps):
+            failures.append(f"case {case}: frame operator != blockwise sum of block grams")
     return failures
 
 
@@ -350,22 +368,16 @@ def _check_pair_frame_iff_disjoint(rng, cases, tol):
     return failures
 
 
-def _gamma_riesz(lam, theta, tol) -> bool:
-    gamma = gamma_family(lam, theta)
-    if not frame_bounds(gamma, tol).is_frame:
-        return False
-    return riesz_check(gamma, tol).is_riesz_type
-
-
 def _check_pair_riesz_equivalences(rng, cases, tol):
     failures = []
     for case in range(cases):
         lam, theta = _random_pair(rng, tol)
         report = classify(lam, theta, tol)
         gamma = gamma_family(lam, theta)
-        if report.complementary_pair != _gamma_riesz(lam, theta, tol):
+        gamma_riesz = frame_bounds(gamma, tol).is_frame and riesz_check(gamma, tol).is_riesz_type
+        if report.complementary_pair != gamma_riesz:
             failures.append(f"case {case}: complementary vs pair-family Riesz mismatch")
-        expected_strong_comp = report.strongly_disjoint and _gamma_riesz(lam, theta, tol)
+        expected_strong_comp = report.strongly_disjoint and gamma_riesz
         if report.strongly_complementary_pair != expected_strong_comp:
             failures.append(f"case {case}: strongly-complementary equivalence mismatch")
         if report.weakly_disjoint != kernel_triviality(gamma, tol):
@@ -416,11 +428,7 @@ def _check_pair_bound_sandwich(rng, cases, tol):
 def _check_riesz_criteria(rng, cases, tol):
     failures = []
     for case in range(cases):
-        # mix exact-fit (Riesz) and overcomplete (non-Riesz) shapes
-        dims = _random_dims(rng)
-        total = sum(dims)
-        domain = total if rng.integers(0, 2) else int(rng.integers(1, total + 1))
-        fam = _random_frame(rng, tol, dims=dims, domain_dim=domain)
+        fam = _random_fit_or_overcomplete_frame(rng, tol)
         by_rank, by_bound, by_kernel = riesz_criteria(fam, tol)
         if not (by_rank == by_bound == by_kernel):
             failures.append(
@@ -447,10 +455,7 @@ def _check_riesz_criteria(rng, cases, tol):
 def _check_synthesis_kernel(rng, cases, tol):
     failures = []
     for case in range(cases):
-        dims = _random_dims(rng)
-        total = sum(dims)
-        domain = total if rng.integers(0, 2) else int(rng.integers(1, total + 1))
-        fam = _random_frame(rng, tol, dims=dims, domain_dim=domain)
+        fam = _random_fit_or_overcomplete_frame(rng, tol)
         report = riesz_check(fam, tol)
         zero = KHatVector.zeros(fam.block_dims)
         if not synthesis_kernel_test(fam, zero, tol):
@@ -485,12 +490,7 @@ def _check_cross_surjectivity(rng, cases, tol):
         if fam.domain_dim >= 2:
             vec = _cgauss(rng, (fam.domain_dim,))
             vec = vec / np.linalg.norm(vec)
-            projector = np.outer(vec, vec.conj())
-            compressed = GFrameFamily(
-                space=fam.space,
-                domain_dim=fam.domain_dim,
-                blocks=tuple(b @ projector for b in fam.blocks),
-            )
+            compressed = right_compose(fam, np.outer(vec, vec.conj()))
             _, surj3 = cross_surjectivity(fam, compressed, tol)
             if surj3:
                 failures.append(f"case {case}: rank-deficient compression declared surjective")
@@ -511,21 +511,16 @@ def _check_cross_surjectivity(rng, cases, tol):
 def _check_perturbation(rng, cases, tol):
     failures = []
     for case in range(cases):
-        dims = _random_dims(rng)
-        total = sum(dims)
-        domain = total if rng.integers(0, 2) else int(rng.integers(1, total + 1))
-        lam = _random_frame(rng, tol, dims=dims, domain_dim=domain)
+        lam = _random_fit_or_overcomplete_frame(rng, tol)
+        domain = lam.domain_dim
         rep = frame_bounds(lam, tol)
-        noise = tuple(_cgauss(rng, b.shape) for b in lam.blocks)
-        direction = np.zeros((domain, domain), dtype=complex)
-        for w, nb, lb in zip(lam.space.weights, noise, lam.blocks):
-            direction += w * (nb.conj().T @ lb)
-        scale = 0.4 * rep.lower_bound / max(operator_norm(direction), 1e-12)
-        theta = GFrameFamily(
+        noise = GFrameFamily(
             space=lam.space,
             domain_dim=domain,
-            blocks=tuple(lb + scale * nb for lb, nb in zip(lam.blocks, noise)),
+            blocks=tuple(_cgauss(rng, b.shape) for b in lam.blocks),
         )
+        scale = 0.4 * rep.lower_bound / max(operator_norm(cross_operator(noise, lam)), 1e-12)
+        theta = GFrameFamily.from_rows(lam.space, lam.rows + scale * noise.rows, lam.block_dims)
         result = perturbation_riesz_transfer(lam, theta, tol)
         if not result.criterion_met:
             failures.append(f"case {case}: constructed perturbation misses the criterion")
@@ -539,12 +534,8 @@ def _check_perturbation(rng, cases, tol):
         if lhs < rhs * (1.0 - tol.rel_eps) - tol.rel_eps:
             failures.append(f"case {case}: injectivity chain violated")
         # gross perturbation: criterion must not fire
-        big = GFrameFamily(
-            space=lam.space,
-            domain_dim=domain,
-            blocks=tuple(
-                (1.0 + 2.0 * rep.upper_bound / rep.lower_bound) * b for b in lam.blocks
-            ),
+        big = GFrameFamily.from_rows(
+            lam.space, (1.0 + 2.0 * rep.upper_bound / rep.lower_bound) * lam.rows, lam.block_dims
         )
         if perturbation_riesz_transfer(lam, big, tol).criterion_met:
             failures.append(f"case {case}: oversized perturbation passed the criterion")
@@ -554,12 +545,9 @@ def _check_perturbation(rng, cases, tol):
 def _check_mixed_construction(rng, cases, tol):
     failures = []
     for case in range(cases):
-        dims = _random_dims(rng)
-        total = sum(dims)
-        domain = total if rng.integers(0, 2) else int(rng.integers(1, total + 1))
-        lam = _random_frame(rng, tol, dims=dims, domain_dim=domain)
+        lam = _random_fit_or_overcomplete_frame(rng, tol)
         theta = canonical_dual(lam, tol)
-        l1 = _random_invertible(rng, domain)
+        l1 = _random_invertible(rng, lam.domain_dim)
         l2 = np.linalg.inv(l1).conj().T
         result = mixed_construction(lam, theta, l1, l2, tol)
         if not result.sandwich_ok:
@@ -628,11 +616,7 @@ def _check_strong_sum_tightness(rng, cases, tol):
         gram = l1.conj().T @ l1 + l2.conj().T @ l2
         scale = float(np.trace(gram).real) / d
         hypothesis = scale > 0 and matrices_close(gram, scale * np.eye(d), tol.rel_eps)
-        summed = GFrameFamily(
-            space=lam.space,
-            domain_dim=d,
-            blocks=tuple(lb @ l1 + tb @ l2 for lb, tb in zip(lam.blocks, theta.blocks)),
-        )
+        summed = GFrameFamily.from_rows(lam.space, lam.rows @ l1 + theta.rows @ l2, lam.block_dims)
         rep = frame_bounds(summed, tol)
         if rep.is_tight != hypothesis:
             failures.append(
@@ -656,15 +640,26 @@ def _check_strong_sum_tightness(rng, cases, tol):
         if rng.integers(0, 2):
             alpha, beta = alpha / np.sqrt(weight), beta / np.sqrt(weight)
             weight = abs(alpha) ** 2 + abs(beta) ** 2
-        scalar_sum = GFrameFamily(
-            space=lam.space,
-            domain_dim=d,
-            blocks=tuple(alpha * lb + beta * tb for lb, tb in zip(lam.blocks, theta.blocks)),
+        scalar_sum = GFrameFamily.from_rows(
+            lam.space, alpha * lam.rows + beta * theta.rows, lam.block_dims
         )
         scalar_rep = frame_bounds(scalar_sum, tol)
         if scalar_rep.is_parseval != bool(abs(weight - 1.0) <= tol.rel_eps):
             failures.append(f"case {case}: scalar Parseval criterion mismatch")
     return failures
+
+
+def _glued_pairing_defect(rng, glued, dim_h: int, dim_k: int, tol):
+    """Atom by atom, the glued pairing of random (h1, k1), (h2, k2) against the
+    direct-sum inner product <h1, h2> + <k1, k2>; the defect, or None if tiny."""
+    h1, h2 = _cgauss(rng, (dim_h,)), _cgauss(rng, (dim_h,))
+    k1, k2 = _cgauss(rng, (dim_k,)), _cgauss(rng, (dim_k,))
+    pairing = 0.0 + 0.0j
+    for w, gb, db in zip(glued.gamma.space.weights, glued.gamma.blocks, glued.delta.blocks):
+        pairing += w * inner(gb @ np.concatenate([h1, k1]), db @ np.concatenate([h2, k2]))
+    expected = inner(h1, h2) + inner(k1, k2)
+    defect = abs(pairing - expected)
+    return None if _tiny(defect, tol, abs(expected)) else defect
 
 
 def _check_direct_sum_duals(rng, cases, tol):
@@ -675,18 +670,9 @@ def _check_direct_sum_duals(rng, cases, tol):
         result = direct_sum_duals(lam, theta, psi, phi, tol)
         if not result.dual_verified:
             failures.append(f"case {case}: glued families fail the dual pairing")
-        h1 = _cgauss(rng, (lam.domain_dim,))
-        h2 = _cgauss(rng, (lam.domain_dim,))
-        k1 = _cgauss(rng, (psi.domain_dim,))
-        k2 = _cgauss(rng, (psi.domain_dim,))
-        pairing = 0.0 + 0.0j
-        for w, gb, db in zip(lam.space.weights, result.gamma.blocks, result.delta.blocks):
-            pairing += w * inner(
-                gb @ np.concatenate([h1, k1]), db @ np.concatenate([h2, k2])
-            )
-        expected = inner(h1, h2) + inner(k1, k2)
-        if not _tiny(abs(pairing - expected), tol, abs(expected)):
-            failures.append(f"case {case}: glued pairing defect {abs(pairing - expected):.3e}")
+        defect = _glued_pairing_defect(rng, result, lam.domain_dim, psi.domain_dim, tol)
+        if defect is not None:
+            failures.append(f"case {case}: glued pairing defect {defect:.3e}")
     return failures
 
 
@@ -742,15 +728,9 @@ def _check_lift_pipeline(rng, cases, tol):
         glued = direct_sum_duals(lifted.lam, lifted.theta, lifted.psi, lifted.phi, tol)
         if not glued.dual_verified:
             failures.append(f"case {case}: glued lifted families fail the dual pairing")
-        # the glued pairing reproduces the direct-sum inner product pointwise
-        h1, h2 = _cgauss(rng, (dim_h,)), _cgauss(rng, (dim_h,))
-        k1, k2 = _cgauss(rng, (dim_k,)), _cgauss(rng, (dim_k,))
-        pairing = 0.0 + 0.0j
-        for w, gb, db in zip(space.weights, glued.gamma.blocks, glued.delta.blocks):
-            pairing += w * inner(gb @ np.concatenate([h1, k1]), db @ np.concatenate([h2, k2]))
-        expected = inner(h1, h2) + inner(k1, k2)
-        if not _tiny(abs(pairing - expected), tol, abs(expected)):
-            failures.append(f"case {case}: lifted pairing defect {abs(pairing - expected):.3e}")
+        defect = _glued_pairing_defect(rng, glued, dim_h, dim_k, tol)
+        if defect is not None:
+            failures.append(f"case {case}: lifted pairing defect {defect:.3e}")
     return failures
 
 

@@ -184,3 +184,33 @@ def test_verify_is_deterministic_and_passes(capsys):
     payload = json.loads(first)
     assert payload["passed"] is True
     assert len(payload["checks"]) >= 20
+
+
+def test_json_reports_of_disjoint_and_delta_parse(tmp_path, capsys):
+    assert run_command(["disjoint", PAIR_DOC, "lam", "theta", "--format", "json"]) == 0
+    relations = json.loads(capsys.readouterr().out)["reports"]["relations"]
+    assert relations["strongly_disjoint"] is False
+    out_path = str(tmp_path / "delta.json")
+    args = ["construct", PAIR_DOC, "delta", "lam", "theta", "-o", out_path, "--format", "json"]
+    assert run_command(args) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "missing.json", "lam"],
+        ["construct", PAIR_DOC, "canonical-dual", "theta", "-o", "no/such/dir/out.json"],
+        ["analyze", PAIR_DOC, "theta", "--tol", "0"],
+        ["analyze", PAIR_DOC, "theta", "--tol", "nan"],
+        ["analyze", PAIR_DOC, "theta", "--rank-factor", "inf"],
+        ["verify", "--cases", "-3"],
+    ],
+)
+def test_bad_input_or_option_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

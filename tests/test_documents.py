@@ -113,3 +113,22 @@ def test_round_trip_is_exact():
     }
     doc = FrameDocument(format_version=FORMAT_VERSION, space=space, families=families)
     assert parse_document(serialize_document(doc)) == doc
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_parse_rejects_non_finite_literals(literal):
+    text = MINIMAL.replace("[1.0, 0.0]", f"[{literal}, 0.0]")
+    with pytest.raises(DocumentError) as err:
+        parse_document(text)
+    assert err.value.path == "$.families.lone.blocks[0][0][0][0]"
+
+
+def test_parse_rejects_duplicate_keys():
+    lone = '"lone": {"domain_dim": 1, "block_dims": [1], "blocks": [[[[1.0, 0.0]]]]}'
+    text = MINIMAL.replace(lone, lone + ", " + lone.replace("1.0, 0.0", "2.0, 0.0"))
+    with pytest.raises(DocumentError) as err:
+        parse_document(text)
+    assert err.value.path == "$.families.lone"
+    with pytest.raises(DocumentError) as err:
+        parse_document(MINIMAL.replace('"weights": [1.0]', '"weights": [1.0], "weights": [2.0]'))
+    assert err.value.path == "$.measure_space.weights"

@@ -13,11 +13,15 @@ from gframes import (
     TolerancePolicy,
     analysis_matrix,
     apply_analysis,
+    cross_operator,
     embed,
     family_from_analysis_matrix,
+    frame_operator,
+    gamma_family,
     inner,
     khat_inner,
     right_compose,
+    synthesis_matrix,
     unembed,
     validate_family,
 )
@@ -197,3 +201,72 @@ def test_blocks_are_read_only(identity_family):
 def test_right_compose_rejects_wrong_shape(identity_family):
     with pytest.raises(ShapeError):
         right_compose(identity_family, np.eye(3))
+
+
+def test_tolerance_policy_rejects_non_finite_values():
+    for kwargs in ({"rel_eps": float("nan")}, {"rel_eps": float("inf")},
+                   {"rank_eps_factor": float("inf")}, {"rank_eps_factor": float("nan")}):
+        with pytest.raises(ValueError):
+            TolerancePolicy(**kwargs)
+
+
+def test_invalid_blocks_still_construct_and_are_named(space2):
+    ragged = GFrameFamily(space=space2, domain_dim=2, blocks=([[1.0, 0.0]], [[1.0, 0.0, 2.0]]))
+    assert any("block 1 has 3 columns" in v for v in validate_family(ragged))
+    assert ragged.rows is None and ragged.blocks[1].shape == (1, 3)
+    nonfinite = GFrameFamily(space=space2, domain_dim=1, blocks=([1.0], [np.inf]))
+    assert validate_family(nonfinite) == ["block 1 contains non-finite entries"]
+    assert np.isinf(nonfinite.blocks[1][0, 0])
+
+
+def _random_family(rng, space, dims, domain_dim):
+    return GFrameFamily(
+        space=space,
+        domain_dim=domain_dim,
+        blocks=tuple(
+            rng.standard_normal((d, domain_dim)) + 1j * rng.standard_normal((d, domain_dim))
+            for d in dims
+        ),
+    )
+
+
+def test_rebuilding_from_blocks_is_equal_and_blocks_stay_read_only():
+    rng = np.random.default_rng(3)
+    space = MeasureSpace(rng.uniform(0.5, 2.0, 5))
+    fam = _random_family(rng, space, (1, 3, 2, 4, 1), 3)
+    assert GFrameFamily(space=fam.space, domain_dim=fam.domain_dim, blocks=fam.blocks) == fam
+    assert fam.rows.flags.c_contiguous and fam.rows.shape == (11, 3)
+    for block in (*fam.blocks, fam.rows):
+        with pytest.raises(ValueError):
+            block[0, 0] = 5.0
+    composed = right_compose(fam, np.eye(3))
+    with pytest.raises(ValueError):
+        composed.blocks[2][0, 0] = 5.0
+
+
+def _close(actual, expected):
+    return np.linalg.norm(actual - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_stacked_operations_match_per_atom_reference():
+    rng = np.random.default_rng(11)
+    dims = tuple(int(d) for d in rng.integers(1, 5, 3000))
+    space = MeasureSpace(rng.uniform(0.25, 4.0, len(dims)))
+    lam = _random_family(rng, space, dims, 5)
+    theta = _random_family(rng, space, dims, 3)
+    weights = space.weights
+    frame_ref = sum(w * b.conj().T @ b for w, b in zip(weights, lam.blocks))
+    cross_ref = sum(w * lb.conj().T @ tb for w, lb, tb in zip(weights, lam.blocks, theta.blocks))
+    synth_ref = np.hstack([np.sqrt(w) * b.conj().T for w, b in zip(weights, lam.blocks)])
+    assert _close(frame_operator(lam), frame_ref)
+    assert _close(cross_operator(lam, theta), cross_ref)
+    assert _close(synthesis_matrix(lam), synth_ref)
+    gamma = gamma_family(lam, theta)
+    assert gamma.domain_dim == 8
+    assert all(
+        np.array_equal(g, np.hstack([lb, tb]))
+        for g, lb, tb in zip(gamma.blocks, lam.blocks, theta.blocks)
+    )
+    operator = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    composed = right_compose(lam, operator)
+    assert _close(composed.rows, np.vstack([b @ operator for b in lam.blocks]))
