@@ -50,6 +50,7 @@ from .errors import (
     FamilyValidationError,
     GenerationError,
     GFrameError,
+    NumericalRangeError,
     PreconditionError,
     ShapeError,
     SingularOperatorError,

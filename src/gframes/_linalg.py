@@ -2,15 +2,29 @@
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
-from .errors import SingularOperatorError
+from .errors import NumericalRangeError, SingularOperatorError
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
 
 
 def hermitize(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (matrix + matrix.conj().T)
+
+
+def require_finite(matrix: np.ndarray, what: str) -> np.ndarray:
+    """``matrix`` itself; raises NumericalRangeError when an entry overflowed.
+
+    The sum is not finite when an entry is not (or when the entries add up
+    past the float range, where the spectrum would overflow too), and it
+    costs less than a test per entry.
+    """
+    if not cmath.isfinite(matrix.sum()):
+        raise NumericalRangeError(f"{what} is not finite: entries or weights too large")
+    return matrix
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:

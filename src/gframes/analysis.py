@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import hermitian_power, hermitize, matrices_close, rank_cutoff
+from ._linalg import hermitian_power, hermitize, matrices_close, rank_cutoff, require_finite
 from .model import (
     DEFAULT_TOL,
     GFrameFamily,
@@ -39,9 +39,14 @@ class FrameReport:
 
 def frame_operator(fam: GFrameFamily) -> np.ndarray:
     """Hermitian positive semidefinite d x d matrix: sum of w_i * block_i^H block_i,
-    i.e. A^H A for the embedded analysis matrix A."""
+    i.e. A^H A for the embedded analysis matrix A.
+
+    Raises NumericalRangeError when it overflows.  A finite frame operator
+    implies a finite A (its diagonal holds A's squared column norms), so the
+    operations that bound a family first never see an overflowed A.
+    """
     a = analysis_matrix(fam)
-    return hermitize(a.conj().T @ a)
+    return require_finite(hermitize(a.conj().T @ a), "frame operator")
 
 
 def frame_bounds(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> FrameReport:
@@ -90,7 +95,8 @@ def cross_operator(left: GFrameFamily, right: GFrameFamily) -> np.ndarray:
     reduces to :func:`frame_operator`.
     """
     require_same_khat(left, right)
-    return analysis_matrix(left).conj().T @ analysis_matrix(right)
+    cross = analysis_matrix(left).conj().T @ analysis_matrix(right)
+    return require_finite(cross, "cross operator")
 
 
 def is_dual_pair(

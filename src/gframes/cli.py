@@ -9,7 +9,9 @@ construction hypothesis, 2 on usage or document errors.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -41,6 +43,7 @@ from .errors import (
     FamilyValidationError,
     GenerationError,
     GFrameError,
+    NumericalRangeError,
     PreconditionError,
     ShapeError,
     SingularOperatorError,
@@ -139,7 +142,7 @@ def _parse_matrix_flag(text: str | None, name: str, default: np.ndarray) -> np.n
         return default
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise UsageError(f"--{name} is not valid JSON: {exc}") from None
     if not isinstance(raw, list) or not raw:
         raise UsageError(f"--{name} must be a JSON array of rows")
@@ -155,7 +158,13 @@ def _parse_matrix_flag(text: str | None, name: str, default: np.ndarray) -> np.n
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
             ):
                 raise UsageError(f"--{name} entry [{i}][{j}] must be a [re, im] pair")
-            entries.append(complex(entry[0], entry[1]))
+            try:
+                value = complex(entry[0], entry[1])
+            except OverflowError:  # an integer beyond the float range
+                value = complex(math.inf)
+            if not cmath.isfinite(value):
+                raise UsageError(f"--{name} entry [{i}][{j}] must be finite")
+            entries.append(value)
         rows.append(entries)
     if len({len(r) for r in rows}) != 1:
         raise UsageError(f"--{name} rows have inconsistent lengths")
@@ -537,9 +546,17 @@ def run_command(argv: list[str]) -> int:
         return int(exc.code) if exc.code else 0
     try:
         tol = _tolerance(args)
-        body = _COMMANDS[args.command](args, tol)
+        # an overflow ends the command with NumericalRangeError, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            body = _COMMANDS[args.command](args, tol)
     except (
-        UsageError, DocumentError, GenerationError, ShapeError, FamilyValidationError, OSError
+        UsageError,
+        DocumentError,
+        GenerationError,
+        ShapeError,
+        FamilyValidationError,
+        NumericalRangeError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

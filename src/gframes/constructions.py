@@ -14,6 +14,7 @@ from ._linalg import (
     hermitize,
     matrices_close,
     operator_norm,
+    require_finite,
     svd_rank,
 )
 from .analysis import FrameReport, canonical_dual, frame_bounds, is_dual_pair
@@ -72,8 +73,9 @@ class ContinuousFrameSpec:
         object.__setattr__(self, "vectors", tuple(matrix))
 
     def frame_operator(self) -> np.ndarray:
-        """Sum of w_i * v_i v_i^H."""
-        return hermitize((self.matrix.T * self.space.weights) @ self.matrix.conj())
+        """Sum of w_i * v_i v_i^H; raises NumericalRangeError when it overflows."""
+        op = hermitize((self.matrix.T * self.space.weights) @ self.matrix.conj())
+        return require_finite(op, "frame operator")
 
 
 def pseudo_inverse(matrix: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:

@@ -5,6 +5,8 @@ share it (and share block dimensions); complex entries are two-element
 [re, im] arrays, never strings.  Parsing is strict: unknown or duplicate
 fields, non-finite numbers (including the NaN/Infinity literals) and shape
 inconsistencies are rejected with the path of the offending element.
+Each family's blocks are read and written as one array; the writer puts each
+block on a line of its own, and any whitespace layout parses.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import DocumentError
-from .model import GFrameFamily, MeasureSpace
+from .errors import DocumentError, ShapeError
+from .model import GFrameFamily, MeasureSpace, require_valid
 
 FORMAT_VERSION = "1"
 
@@ -68,17 +71,43 @@ def _require_keys(obj, allowed, required, path):
             raise DocumentError(path, f"missing required field '{key}'")
 
 
-def _as_number(value, path) -> float:
-    # bool is an int subclass; reject it explicitly
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DocumentError(path, f"expected a number, got {value!r}")
+_NUMBER_TYPES = {float, int}  # bool is a type of its own, so it is not among them
+
+
+def _float_or_inf(value) -> float:
     try:
-        number = float(value)
+        return float(value)
     except OverflowError:  # an integer literal beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise DocumentError(path, f"expected a finite number, got {number}")
-    return number
+        return math.inf
+
+
+def _as_floats(values: list, path_of, positive: bool = False) -> np.ndarray:
+    """JSON numbers as one float array.
+
+    Raises DocumentError at ``path_of(k)`` for the first value ``k`` that is
+    not a number, is not finite (an integer literal beyond the float range
+    counts as infinite) or, with ``positive``, is not > 0.
+    """
+    count = len(values)
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        count = next(k for k, t in enumerate(map(type, values)) if t not in _NUMBER_TYPES)
+    numbers = values[:count]
+    try:
+        array = np.array(numbers, dtype=float)
+    except OverflowError:
+        array = np.array(list(map(_float_or_inf, numbers)), dtype=float)
+    good = np.isfinite(array)
+    if positive:
+        good &= array > 0
+    if not good.all():
+        k = int(np.argmin(good))
+        value = float(array[k])
+        if not math.isfinite(value):
+            raise DocumentError(path_of(k), f"expected a finite number, got {value}")
+        raise DocumentError(path_of(k), f"weight must be > 0, got {value}")
+    if count < len(values):
+        raise DocumentError(path_of(count), f"expected a number, got {values[count]!r}")
+    return array
 
 
 def _as_positive_int(value, path) -> int:
@@ -87,24 +116,64 @@ def _as_positive_int(value, path) -> int:
     return value
 
 
-def _as_complex(value, path) -> complex:
-    if not isinstance(value, list) or len(value) != 2:
-        raise DocumentError(path, "complex entries must be two-element [re, im] arrays")
-    return complex(_as_number(value[0], f"{path}[0]"), _as_number(value[1], f"{path}[1]"))
-
-
 def _parse_space(obj, path) -> MeasureSpace:
     _require_keys(obj, {"weights"}, {"weights"}, path)
     weights = obj["weights"]
     if not isinstance(weights, list) or not weights:
         raise DocumentError(f"{path}.weights", "expected a non-empty array")
-    parsed = []
-    for i, w in enumerate(weights):
-        value = _as_number(w, f"{path}.weights[{i}]")
-        if not (np.isfinite(value) and value > 0):
-            raise DocumentError(f"{path}.weights[{i}]", f"weight must be > 0, got {value}")
-        parsed.append(value)
-    return MeasureSpace(np.array(parsed))
+    return MeasureSpace(_as_floats(weights, lambda k: f"{path}.weights[{k}]", positive=True))
+
+
+def _fitting(items: list, lengths: list[int]) -> list:
+    """The leading items that are arrays of the matching ``lengths``; all of
+    them, without a copy, when every item fits (checked at C speed)."""
+    if set(map(type, items)) <= {list} and list(map(len, items)) == lengths:
+        return items
+    fits = (type(item) is list and len(item) == n for item, n in zip(items, lengths))
+    return items[: next(k for k, fit in enumerate(fits) if not fit)]
+
+
+def _block_rows(name, blocks, dims, domain_dim, path) -> np.ndarray:
+    """The blocks stacked in atom order as one complex row matrix.
+
+    Blocks, rows and [re, im] entries are checked as arrays of the right
+    length, then every number at once.  Each check stops at its first misfit
+    and the next looks only at what precedes it, so the fault reported is
+    the first in document order.
+    """
+
+    def locate(row: int) -> tuple[int, int]:
+        ends = np.cumsum(dims)
+        atom = int(np.searchsorted(ends, row, side="right"))
+        return atom, row - int(ends[atom]) + dims[atom]
+
+    def entry_path(entry: int) -> str:
+        atom, j = locate(entry // domain_dim)
+        return f"{path}[{atom}][{j}][{entry % domain_dim}]"
+
+    good_blocks = _fitting(blocks, list(dims))
+    rows = list(chain.from_iterable(good_blocks))
+    good_rows = _fitting(rows, [domain_dim] * len(rows))
+    entries = list(chain.from_iterable(good_rows))
+    good_entries = _fitting(entries, [2] * len(entries))
+    numbers = _as_floats(
+        list(chain.from_iterable(good_entries)), lambda k: f"{entry_path(k // 2)}[{k % 2}]"
+    )
+    if len(good_entries) < len(entries):
+        raise DocumentError(
+            entry_path(len(good_entries)), "complex entries must be two-element [re, im] arrays"
+        )
+    if len(good_rows) < len(rows):
+        atom, j = locate(len(good_rows))
+        raise DocumentError(
+            f"{path}[{atom}][{j}]", f"family '{name}' atom {atom}: expected {domain_dim} columns"
+        )
+    if len(good_blocks) < len(blocks):
+        atom = len(good_blocks)
+        raise DocumentError(
+            f"{path}[{atom}]", f"family '{name}' atom {atom}: expected {dims[atom]} rows"
+        )
+    return numbers.view(complex).reshape(-1, domain_dim)
 
 
 def _parse_family(name, obj, space, shared_dims, path) -> GFrameFamily:
@@ -115,9 +184,12 @@ def _parse_family(name, obj, space, shared_dims, path) -> GFrameFamily:
     dims_obj = obj["block_dims"]
     if not isinstance(dims_obj, list):
         raise DocumentError(f"{path}.block_dims", "expected an array")
-    dims = tuple(
-        _as_positive_int(d, f"{path}.block_dims[{i}]") for i, d in enumerate(dims_obj)
-    )
+    if not (set(map(type, dims_obj)) <= {int} and min(dims_obj, default=1) >= 1):
+        i = next(i for i, d in enumerate(dims_obj) if type(d) is not int or d < 1)
+        raise DocumentError(
+            f"{path}.block_dims[{i}]", f"expected a positive integer, got {dims_obj[i]!r}"
+        )
+    dims = tuple(dims_obj)
     if len(dims) != space.atom_count:
         raise DocumentError(
             f"{path}.block_dims",
@@ -134,25 +206,8 @@ def _parse_family(name, obj, space, shared_dims, path) -> GFrameFamily:
             f"{path}.blocks",
             f"expected {space.atom_count} blocks (one per atom)",
         )
-    blocks = []
-    for i, block_obj in enumerate(blocks_obj):
-        block_path = f"{path}.blocks[{i}]"
-        if not isinstance(block_obj, list) or len(block_obj) != dims[i]:
-            raise DocumentError(
-                block_path,
-                f"family '{name}' atom {i}: expected {dims[i]} rows",
-            )
-        rows = []
-        for j, row_obj in enumerate(block_obj):
-            row_path = f"{block_path}[{j}]"
-            if not isinstance(row_obj, list) or len(row_obj) != domain_dim:
-                raise DocumentError(
-                    row_path,
-                    f"family '{name}' atom {i}: expected {domain_dim} columns",
-                )
-            rows.append([_as_complex(e, f"{row_path}[{k}]") for k, e in enumerate(row_obj)])
-        blocks.append(np.array(rows, dtype=complex).reshape(dims[i], domain_dim))
-    return GFrameFamily(space=space, domain_dim=domain_dim, blocks=tuple(blocks))
+    rows = _block_rows(name, blocks_obj, dims, domain_dim, f"{path}.blocks")
+    return GFrameFamily.from_rows(space, rows, dims)
 
 
 def parse_document(text: str) -> FrameDocument:
@@ -160,7 +215,9 @@ def parse_document(text: str) -> FrameDocument:
     path to the first offending element."""
     try:
         root = json.loads(text, object_pairs_hook=_json_object)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer literal longer
+        # than the interpreter converts; RecursionError, nesting too deep
         raise DocumentError("$", f"not valid JSON: {exc}") from None
     _require_keys(
         root,
@@ -183,32 +240,50 @@ def parse_document(text: str) -> FrameDocument:
     return FrameDocument(format_version=version, space=space, families=families)
 
 
-def _complex_entry(value: complex) -> list[float]:
-    return [float(value.real), float(value.imag)]
+def _family_json(name: str, fam: GFrameFamily, space: MeasureSpace) -> str:
+    """One family as indented JSON, each block on one line."""
+    require_valid(fam)
+    if fam.space != space:
+        raise ShapeError(f"family '{name}' lives over another measure space than the document")
+    # one %s per number in a layout of nested arrays; repr is the shortest
+    # text that reads back bit-exactly, as in json.dumps
+    row = "[" + ", ".join(["[%s, %s]"] * fam.domain_dim) + "]"
+    block = {b: "[" + ", ".join([row] * b) + "]" for b in set(fam.block_dims)}
+    layout = ",\n        ".join([block[b] for b in fam.block_dims])
+    blocks = layout % tuple(map(repr, fam.rows.view(float).ravel().tolist()))
+    return (
+        f'{{\n      "domain_dim": {int(fam.domain_dim)},\n'
+        f'      "block_dims": {json.dumps(fam.block_dims)},\n'
+        f'      "blocks": [\n        {blocks}\n      ]\n    }}'
+    )
 
 
 def serialize_document(doc: FrameDocument) -> str:
-    families = {}
-    for name, fam in doc.families.items():
-        families[name] = {
-            "domain_dim": int(fam.domain_dim),
-            "block_dims": [int(d) for d in fam.block_dims],
-            "blocks": [
-                [[_complex_entry(e) for e in row] for row in block]
-                for block in fam.blocks
-            ],
-        }
-    payload = {
-        "format_version": doc.format_version,
-        "measure_space": {"weights": [float(w) for w in doc.space.weights]},
-        "families": families,
-    }
-    return json.dumps(payload, indent=2)
+    """The document as strict JSON, indented, with each block on one line.
+
+    Raises FamilyValidationError for a family that violates its invariants
+    and ShapeError for one over another measure space than the document's,
+    since the text would not read back as the document.
+    """
+    members = ",\n".join(
+        f"    {json.dumps(name)}: {_family_json(name, fam, doc.space)}"
+        for name, fam in doc.families.items()
+    )
+    families = f"{{\n{members}\n  }}" if members else "{}"
+    return (
+        f'{{\n  "format_version": {json.dumps(doc.format_version)},\n'
+        f'  "measure_space": {{"weights": {json.dumps(doc.space.weights.tolist())}}},\n'
+        f'  "families": {families}\n}}'
+    )
 
 
 def load_document(path: str) -> FrameDocument:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_document(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise DocumentError("$", f"not UTF-8 text: {exc}") from None
+    return parse_document(text)
 
 
 def save_document(doc: FrameDocument, path: str) -> None:

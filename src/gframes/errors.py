@@ -21,6 +21,10 @@ class SingularOperatorError(GFrameError):
     """An operator that must be inverted is singular at the working tolerance."""
 
 
+class NumericalRangeError(GFrameError):
+    """A result computed from finite input left the floating-point range."""
+
+
 class PreconditionError(GFrameError):
     """A named hypothesis of a construction failed; the message names it."""
 

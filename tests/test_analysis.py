@@ -6,6 +6,7 @@ import pytest
 from gframes import (
     GFrameFamily,
     MeasureSpace,
+    NumericalRangeError,
     ShapeError,
     SingularOperatorError,
     analysis_matrix,
@@ -16,6 +17,7 @@ from gframes import (
     inner,
     is_dual_pair,
     parseval_normalize,
+    riesz_check,
 )
 from gframes.verification import _random_frame
 
@@ -173,3 +175,19 @@ def test_canonical_dual_is_involution(tol):
         double = canonical_dual(canonical_dual(fam, tol), tol)
         for a, b in zip(double.blocks, fam.blocks):
             assert np.allclose(a, b, rtol=1e-8, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "weights, blocks",
+    [([1e308, 1e308], ([1.0], [1.0])), ([1.0, 1.0], ([1e200], [1.0]))],
+    ids=["weights", "entries"],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_frame_operator_raises(weights, blocks):
+    fam = GFrameFamily(space=MeasureSpace(weights), domain_dim=1, blocks=blocks)
+    for operation in (frame_bounds, frame_operator, canonical_dual, riesz_check):
+        with pytest.raises(NumericalRangeError, match="frame operator is not finite"):
+            operation(fam)
+    with pytest.raises(NumericalRangeError, match="cross operator is not finite"):
+        cross_operator(fam, fam)

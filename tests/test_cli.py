@@ -205,11 +205,49 @@ def test_json_reports_of_disjoint_and_delta_parse(tmp_path, capsys):
         ["analyze", PAIR_DOC, "theta", "--tol", "nan"],
         ["analyze", PAIR_DOC, "theta", "--rank-factor", "inf"],
         ["verify", "--cases", "-3"],
+        *(
+            ["construct", PAIR_DOC, "sum-strong", "lam", "ortho", "--l1", flag, "-o", "x.json"]
+            for flag in (
+                "[[[NaN, 0]]]", "[[[0, -Infinity]]]", "[[[1e400, 0]]]", f"[[[1{'0' * 400}, 0]]]",
+                "[" * 100_000, "1" * 5000,
+            )
+        ),
     ],
 )
 def test_bad_input_or_option_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def _document(weights, blocks) -> str:
+    family = {"domain_dim": 1, "block_dims": [1] * len(weights), "blocks": blocks}
+    return json.dumps(
+        {"format_version": "1", "measure_space": {"weights": weights}, "families": {"a": family}}
+    )
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        _document([1e308, 1e308], [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]).encode(),
+        _document([1.0, 1.0], [[[[1e200, 0.0]]], [[[1.0, 0.0]]]]).encode(),
+        b"\xff\xfe{}",
+        b"[" * 100_000,
+        b"1" * 5000,
+    ],
+    ids=["weights-overflow", "entries-overflow", "not-utf8", "nesting", "long-integer"],
+)
+@pytest.mark.parametrize(
+    "command", [["analyze", "doc.json", "a"], ["disjoint", "doc.json", "a", "a"]]
+)
+def test_unusable_document_is_usage_error(content, command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "doc.json").write_bytes(content)
+    assert run_command(command) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
