@@ -85,6 +85,15 @@ from .riesz import (
     synthesis_kernel_test,
     synthesis_matrix,
 )
-from .verification import SuiteReport, run_suite
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The verify suite is imported on first use, so that importing the
+    # package (and every CLI command but verify) does not load it.
+    if name in ("run_suite", "SuiteReport"):
+        from . import verification
+
+        return getattr(verification, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

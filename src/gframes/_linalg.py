@@ -28,9 +28,13 @@ def require_finite(matrix: np.ndarray, what: str) -> np.ndarray:
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
+    """Descending singular values.  A wide matrix is decomposed through its
+    transpose, which has the same singular values and takes LAPACK's faster
+    tall path."""
     if matrix.size == 0:
         return np.zeros(0)
-    return np.linalg.svd(matrix, compute_uv=False)
+    rows, cols = matrix.shape
+    return np.linalg.svd(matrix.T if cols > rows else matrix, compute_uv=False)
 
 
 def operator_norm(matrix: np.ndarray) -> float:
@@ -43,12 +47,15 @@ def rank_cutoff(shape: tuple[int, int], sigma_max: float, tol) -> float:
     return tol.rank_eps_factor * max(shape) * sigma_max * MACHINE_EPS
 
 
-def svd_rank(matrix: np.ndarray, tol) -> int:
-    svals = singular_values(matrix)
+def rank_from_singular_values(svals: np.ndarray, shape: tuple[int, int], tol) -> int:
+    """Numerical rank of a ``shape`` matrix whose descending singular values are ``svals``."""
     if svals.size == 0:
         return 0
-    cutoff = rank_cutoff(matrix.shape, float(svals[0]), tol)
-    return int(np.count_nonzero(svals > cutoff))
+    return int(np.count_nonzero(svals > rank_cutoff(shape, float(svals[0]), tol)))
+
+
+def svd_rank(matrix: np.ndarray, tol) -> int:
+    return rank_from_singular_values(singular_values(matrix), matrix.shape, tol)
 
 
 def smallest_gain(matrix: np.ndarray) -> float:

@@ -6,7 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import hermitian_power, hermitize, matrices_close, rank_cutoff, require_finite
+from ._linalg import (
+    hermitian_power,
+    hermitize,
+    matrices_close,
+    rank_cutoff,
+    rank_from_singular_values,
+    require_finite,
+    singular_values,
+)
 from .model import (
     DEFAULT_TOL,
     GFrameFamily,
@@ -26,7 +34,8 @@ class FrameReport:
     frame operator; they are the optimal constants in the defining
     inequality. ``is_frame`` holds when the lower bound clears the rank
     cutoff, ``is_tight`` when the bounds agree relatively, ``is_parseval``
-    when additionally the common bound is 1.
+    when additionally the common bound is 1.  ``frame_operator`` is
+    read-only.
     """
 
     frame_operator: np.ndarray
@@ -41,16 +50,31 @@ def frame_operator(fam: GFrameFamily) -> np.ndarray:
     """Hermitian positive semidefinite d x d matrix: sum of w_i * block_i^H block_i,
     i.e. A^H A for the embedded analysis matrix A.
 
-    Raises NumericalRangeError when it overflows.  A finite frame operator
-    implies a finite A (its diagonal holds A's squared column norms), so the
-    operations that bound a family first never see an overflowed A.
+    Read-only, and computed once per family object.  Raises
+    NumericalRangeError when it overflows (on every call: an error is never
+    stored).  A finite frame operator implies a finite A (its diagonal holds
+    A's squared column norms), so the operations that bound a family first
+    never see an overflowed A.
     """
+    return fam._memoized("frame_operator", _frame_operator)
+
+
+def _frame_operator(fam: GFrameFamily) -> np.ndarray:
     a = analysis_matrix(fam)
-    return require_finite(hermitize(a.conj().T @ a), "frame operator")
+    op = require_finite(hermitize(a.conj().T @ a), "frame operator")
+    op.setflags(write=False)
+    return op
 
 
 def frame_bounds(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> FrameReport:
-    """Optimal frame bounds and flags from the spectrum of the frame operator."""
+    """Optimal frame bounds and flags from the spectrum of the frame operator.
+
+    Computed once per family object and tolerance values.
+    """
+    return fam._memoized(("frame_report", tol.rel_eps, tol.rank_eps_factor), _frame_report, tol)
+
+
+def _frame_report(fam: GFrameFamily, tol: TolerancePolicy) -> FrameReport:
     op = frame_operator(fam)
     evals = np.linalg.eigvalsh(op)
     lower = float(evals[0])
@@ -70,6 +94,24 @@ def frame_bounds(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> Frame
         is_tight=is_tight,
         is_parseval=is_parseval,
     )
+
+
+def analysis_singular_values(fam: GFrameFamily) -> np.ndarray:
+    """Singular values of the analysis matrix in descending order (also those
+    of the synthesis matrix); read-only, and computed once per family object."""
+    return fam._memoized("singular_values", _analysis_singular_values)
+
+
+def _analysis_singular_values(fam: GFrameFamily) -> np.ndarray:
+    svals = singular_values(analysis_matrix(fam))
+    svals.setflags(write=False)
+    return svals
+
+
+def analysis_rank(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> int:
+    """Numerical rank of the analysis matrix, from its memoized singular values."""
+    svals = analysis_singular_values(fam)
+    return rank_from_singular_values(svals, fam.rows.shape, tol)
 
 
 def canonical_dual(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> GFrameFamily:

@@ -50,7 +50,6 @@ from .errors import (
 )
 from .model import DEFAULT_TOL, GFrameFamily, TolerancePolicy
 from .riesz import riesz_check
-from .verification import run_suite
 
 
 class UsageError(GFrameError):
@@ -487,6 +486,8 @@ def _cmd_generate(args, tol) -> dict:
 def _cmd_verify(args, tol) -> dict:
     if args.cases < 1:
         raise UsageError(f"--cases must be >= 1, got {args.cases}")
+    from .verification import run_suite  # only this command loads the suite
+
     suite = run_suite(args.seed, args.cases, tol)
     checks = [
         _check(result.name, result.passed, cases=result.cases, failures=list(result.failures))

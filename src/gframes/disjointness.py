@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import operator_norm, svd_rank
-from .analysis import frame_bounds, parseval_normalize
+from .analysis import analysis_rank, frame_bounds, parseval_normalize
 from .errors import PreconditionError, ShapeError
 from .model import (
     DEFAULT_TOL,
@@ -69,8 +69,8 @@ def classify(
     bessel = np.sqrt(rep_lam.upper_bound * rep_theta.upper_bound)
     strongly = bool(cross_norm <= tol.rel_eps * bessel)
 
-    rank_a = svd_rank(a, tol)
-    rank_b = svd_rank(b, tol)
+    rank_a = analysis_rank(lam, tol)
+    rank_b = analysis_rank(theta, tol)
     rank_ab = svd_rank(np.hstack([a, b]), tol)
     intersection = rank_a + rank_b - rank_ab
 
@@ -153,4 +153,4 @@ def strong_disjointness_converse_check(
 
 def kernel_triviality(gamma: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """True when only the zero vector is annihilated by every block."""
-    return svd_rank(analysis_matrix(gamma), tol) == gamma.domain_dim
+    return analysis_rank(gamma, tol) == gamma.domain_dim

@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DocumentError, ShapeError
+from .errors import DocumentError, FamilyValidationError, ShapeError
 from .model import GFrameFamily, MeasureSpace, require_valid
 
 FORMAT_VERSION = "1"
@@ -261,10 +261,13 @@ def _family_json(name: str, fam: GFrameFamily, space: MeasureSpace) -> str:
 def serialize_document(doc: FrameDocument) -> str:
     """The document as strict JSON, indented, with each block on one line.
 
-    Raises FamilyValidationError for a family that violates its invariants
-    and ShapeError for one over another measure space than the document's,
-    since the text would not read back as the document.
+    Raises FamilyValidationError for an invalid measure space or a family
+    that violates its invariants, and ShapeError for a family over another
+    measure space than the document's, since the text would not read back as
+    the document.
     """
+    if doc.space.violations():
+        raise FamilyValidationError(doc.space.violations())
     members = ",\n".join(
         f"    {json.dumps(name)}: {_family_json(name, fam, doc.space)}"
         for name, fam in doc.families.items()

@@ -160,6 +160,11 @@ class GFrameFamily:
     structural invariants are checked once, here.  Construction is
     permissive: blocks that do not fit ``block_dims`` x ``domain_dim`` are
     kept as given, with ``rows = None``, for inspection.
+
+    Since a family never changes, its spectral data (the d x d frame
+    operator, one frame report per tolerance, the singular values of the
+    analysis matrix) is computed on first use and kept in a private memo for
+    as long as the family lives.  No N x d matrix is kept there.
     """
 
     space: MeasureSpace
@@ -202,10 +207,19 @@ class GFrameFamily:
     def _set(self, space, domain_dim, block_dims, rows, blocks) -> None:
         found = _violations(space, domain_dim, block_dims, rows, blocks)
         for name, value in zip(
-            ("space", "domain_dim", "block_dims", "rows", "_blocks", "_violations"),
-            (space, domain_dim, block_dims, rows, blocks, found),
+            ("space", "domain_dim", "block_dims", "rows", "_blocks", "_violations", "_memo"),
+            (space, domain_dim, block_dims, rows, blocks, found, {}),
         ):
             object.__setattr__(self, name, value)
+
+    def _memoized(self, key, compute, *args):
+        """``compute(self, *args)``, computed on the first call with ``key`` and
+        returned as is afterwards.  An exception from ``compute`` is raised and
+        nothing is stored, so every later call raises it again."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = compute(self, *args)
+        return value
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:

@@ -21,7 +21,13 @@ from ._linalg import (
     smallest_gain,
     svd_rank,
 )
-from .analysis import cross_operator, frame_bounds, frame_operator
+from .analysis import (
+    analysis_rank,
+    analysis_singular_values,
+    cross_operator,
+    frame_bounds,
+    frame_operator,
+)
 from .errors import PreconditionError, ShapeError
 from .model import (
     DEFAULT_TOL,
@@ -63,10 +69,9 @@ def riesz_check(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> RieszR
     """
     if not frame_bounds(fam, tol).is_frame:
         raise PreconditionError("family is not a frame")
-    a = analysis_matrix(fam)
-    khat_dim = a.shape[0]
-    svals = singular_values(a)  # also those of the synthesis matrix a^H
-    rank = int(np.count_nonzero(svals > rank_cutoff(a.shape, float(svals[0]), tol)))
+    khat_dim = fam.codomain_dim
+    svals = analysis_singular_values(fam)  # also those of the synthesis matrix
+    rank = analysis_rank(fam, tol)
     return RieszReport(
         is_riesz_type=rank == khat_dim,
         analysis_rank=rank,
@@ -89,7 +94,7 @@ def synthesis_kernel_test(
             f"vector block dims {phi.block_dims} != family block dims {fam.block_dims}"
         )
     image = apply_synthesis(fam, phi)
-    bessel = float(np.linalg.eigvalsh(frame_operator(fam))[-1])
+    bessel = frame_bounds(fam, tol).upper_bound
     scale = np.sqrt(max(bessel, 0.0)) * khat_norm(phi, fam.space)
     return float(np.linalg.norm(image)) <= tol.rel_eps * scale
 

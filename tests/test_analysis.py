@@ -9,8 +9,10 @@ from gframes import (
     NumericalRangeError,
     ShapeError,
     SingularOperatorError,
+    TolerancePolicy,
     analysis_matrix,
     canonical_dual,
+    classify,
     cross_operator,
     frame_bounds,
     frame_operator,
@@ -191,3 +193,64 @@ def test_overflowing_frame_operator_raises(weights, blocks):
             operation(fam)
     with pytest.raises(NumericalRangeError, match="cross operator is not finite"):
         cross_operator(fam, fam)
+
+
+def _count_linalg_calls(monkeypatch, name):
+    """Record the shape of every matrix passed to ``np.linalg.<name>``."""
+    shapes = []
+    original = getattr(np.linalg, name)
+
+    def counting(matrix, *args, **kwargs):
+        shapes.append(np.shape(matrix))
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return shapes
+
+
+def test_spectra_are_computed_once_per_family(monkeypatch):
+    rng = np.random.default_rng(3)
+    space = MeasureSpace(rng.uniform(0.5, 2.0, 6))
+    f = GFrameFamily.from_rows(space, rng.standard_normal((6, 2)) + 1j, (1,) * 6)
+    g = GFrameFamily.from_rows(space, rng.standard_normal((6, 3)) - 1j, (1,) * 6)
+    svds = _count_linalg_calls(monkeypatch, "svd")
+    eigs = _count_linalg_calls(monkeypatch, "eigvalsh")
+    riesz_check(f)
+    first = classify(f, g)
+    second = classify(f, g)
+    assert first == second
+    assert svds.count((6, 2)) == 1 and svds.count((6, 3)) == 1
+    # the pair matrix [A|B] is decomposed on every call
+    assert svds.count((6, 5)) == 2
+    assert len(eigs) == 2
+
+
+def test_other_tolerance_values_get_their_own_frame_report():
+    fam = GFrameFamily(MeasureSpace([1.0, 1.0]), 2, ([[1.0, 0.0]], [[0.0, 1.0 + 1e-6]]))
+    report = frame_bounds(fam)
+    assert frame_bounds(fam) is report
+    assert frame_bounds(fam, TolerancePolicy()) is report
+    loose = frame_bounds(fam, TolerancePolicy(rel_eps=1e-3))
+    assert loose is not report
+    assert not report.is_tight and loose.is_tight
+    assert frame_bounds(fam, TolerancePolicy(rank_eps_factor=20.0)) is not report
+    assert loose.frame_operator is report.frame_operator
+
+
+def test_frame_operator_and_report_operator_are_read_only(theta_family):
+    for op in (frame_operator(theta_family), frame_bounds(theta_family).frame_operator):
+        assert not op.flags.writeable
+        with pytest.raises(ValueError):
+            op[0, 0] = 5.0
+    assert np.allclose(frame_operator(theta_family), [[2.0]])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_overflow_is_raised_on_every_call_and_never_stored():
+    fam = GFrameFamily(space=MeasureSpace([1e308, 1e308]), domain_dim=1, blocks=([1.0], [1.0]))
+    for _ in range(3):
+        for operation in (frame_operator, frame_bounds, riesz_check):
+            with pytest.raises(NumericalRangeError, match="frame operator is not finite"):
+                operation(fam)
+    assert not any(isinstance(value, BaseException) for value in fam._memo.values())

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -252,3 +254,25 @@ def test_unusable_document_is_usage_error(content, command, tmp_path, monkeypatc
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_cli_import_leaves_the_verify_suite_unloaded():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, gframes.cli\n"
+        "assert 'gframes.verification' not in sys.modules, 'verification loaded'\n"
+        "import gframes\n"
+        "from gframes import SuiteReport\n"
+        "assert gframes.run_suite.__module__ == 'gframes.verification'\n"
+        "assert SuiteReport.__module__ == 'gframes.verification'\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_unknown_package_attribute_is_an_attribute_error():
+    import gframes
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gframes.no_such_name

@@ -160,6 +160,13 @@ def test_serialize_rejects_invalid_family():
         serialize_document(doc)
 
 
+def test_serialize_rejects_invalid_measure_space():
+    doc = FrameDocument(FORMAT_VERSION, MeasureSpace([0.0, -1.0]), {})
+    with pytest.raises(FamilyValidationError) as err:
+        serialize_document(doc)
+    assert err.value.violations == ["weights[0] = 0.0 not > 0", "weights[1] = -1.0 not > 0"]
+
+
 def test_serialize_rejects_family_over_another_space():
     fam = GFrameFamily(MeasureSpace([2.0, 3.0]), 1, ([1.0], [1.0]))
     space = MeasureSpace([1.0, 1.0])

@@ -25,6 +25,7 @@ from gframes import (
     unembed,
     validate_family,
 )
+from gframes._linalg import singular_values
 
 
 def test_tolerance_policy_rejects_bad_values():
@@ -270,3 +271,25 @@ def test_stacked_operations_match_per_atom_reference():
     operator = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
     composed = right_compose(lam, operator)
     assert _close(composed.rows, np.vstack([b @ operator for b in lam.blocks]))
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 7), (40, 6), (5, 5), (1, 9), (9, 1), (1, 1), (0, 4), (4, 0)]
+)
+def test_singular_values_match_numpy_and_take_the_tall_path(shape, monkeypatch):
+    rng = np.random.default_rng(sum(shape))
+    matrix = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    expected = np.linalg.svd(matrix, compute_uv=False)
+    decomposed = []
+    original = np.linalg.svd
+
+    def recording(m, *args, **kwargs):
+        decomposed.append(np.shape(m))
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    actual = singular_values(matrix)
+    assert actual.shape == expected.shape
+    scale = expected[0] if expected.size else 1.0
+    assert np.all(np.abs(actual - expected) <= 1e-12 * scale)
+    assert all(rows >= cols for rows, cols in decomposed)
