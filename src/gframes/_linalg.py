@@ -58,13 +58,18 @@ def svd_rank(matrix: np.ndarray, tol) -> int:
     return rank_from_singular_values(singular_values(matrix), matrix.shape, tol)
 
 
-def smallest_gain(matrix: np.ndarray) -> float:
-    """min ||M x|| over unit x in the full domain; 0 when the kernel is nontrivial."""
+def bounded_below(matrix: np.ndarray, tol) -> tuple[float, bool, bool]:
+    """The smallest gain min ||M x|| over unit x in the whole domain, whether
+    it clears the rank cutoff, and whether the kernel is trivial, all from one
+    decomposition.  A wide matrix has a nontrivial kernel, so its gain is 0
+    and it is not decomposed at all."""
     rows, cols = matrix.shape
     if cols > rows:
-        return 0.0
+        return 0.0, False, False
     svals = singular_values(matrix)
-    return float(svals[-1]) if svals.size else 0.0
+    gain = float(svals[-1])
+    cutoff = rank_cutoff(matrix.shape, float(svals[0]), tol)
+    return gain, gain > cutoff, rank_from_singular_values(svals, matrix.shape, tol) == cols
 
 
 def matrices_close(a: np.ndarray, b: np.ndarray, rel_eps: float) -> bool:

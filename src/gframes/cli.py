@@ -9,9 +9,7 @@ construction hypothesis, 2 on usage or document errors.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
-import math
 import sys
 from dataclasses import asdict
 
@@ -37,7 +35,7 @@ from .constructions import (
     strongly_disjoint_sum,
 )
 from .disjointness import classify, delta_family, gamma_family, kernel_triviality
-from .documents import FORMAT_VERSION, FrameDocument, load_document, save_document
+from .documents import FORMAT_VERSION, FrameDocument, load_document, parse_matrix, save_document
 from .errors import (
     DocumentError,
     FamilyValidationError,
@@ -83,19 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="run a construction recipe and write the result document")
     p.add_argument("file")
-    p.add_argument(
-        "recipe",
-        choices=(
-            "gamma",
-            "delta",
-            "sum-disjoint",
-            "sum-strong",
-            "pseudo-dual",
-            "canonical-dual",
-            "parseval",
-            "lift-example",
-        ),
-    )
+    p.add_argument("recipe", choices=tuple(_RECIPES))
     p.add_argument("families", nargs="+", help="family names from the input document")
     p.add_argument("--l1", help="operator as JSON rows of [re, im] entries")
     p.add_argument("--l2", help="operator as JSON rows of [re, im] entries")
@@ -136,46 +122,12 @@ def _family(doc: FrameDocument, name: str) -> GFrameFamily:
     return doc.families[name]
 
 
-def _parse_matrix_flag(text: str | None, name: str, default: np.ndarray) -> np.ndarray:
-    if text is None:
-        return default
-    try:
-        raw = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise UsageError(f"--{name} is not valid JSON: {exc}") from None
-    if not isinstance(raw, list) or not raw:
-        raise UsageError(f"--{name} must be a JSON array of rows")
-    rows = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or not row:
-            raise UsageError(f"--{name} row {i} must be a non-empty array")
-        entries = []
-        for j, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
-            ):
-                raise UsageError(f"--{name} entry [{i}][{j}] must be a [re, im] pair")
-            try:
-                value = complex(entry[0], entry[1])
-            except OverflowError:  # an integer beyond the float range
-                value = complex(math.inf)
-            if not cmath.isfinite(value):
-                raise UsageError(f"--{name} entry [{i}][{j}] must be finite")
-            entries.append(value)
-        rows.append(entries)
-    if len({len(r) for r in rows}) != 1:
-        raise UsageError(f"--{name} rows have inconsistent lengths")
-    return np.array(rows, dtype=complex)
-
-
 def _operator_pair(args, dim: int) -> OperatorPair:
     """The --l1/--l2 operators, each defaulting to the identity on ``dim``."""
     eye = np.eye(dim)
-    return OperatorPair(
-        _parse_matrix_flag(args.l1, "l1", eye), _parse_matrix_flag(args.l2, "l2", eye)
-    )
+    l1 = eye if args.l1 is None else parse_matrix(args.l1, "--l1")
+    l2 = eye if args.l2 is None else parse_matrix(args.l2, "--l2")
+    return OperatorPair(l1, l2)
 
 
 def _frame_numbers(rep) -> dict:
@@ -186,10 +138,20 @@ def _check(name: str, passed: bool, **numbers) -> dict:
     return {"name": name, "passed": bool(passed), **numbers}
 
 
-def _pairing_defect(theta: GFrameFamily, lam: GFrameFamily) -> float:
-    """Distance of the mixed pairing from the identity (Frobenius)."""
-    eye = np.eye(lam.domain_dim)
-    return float(np.linalg.norm(cross_operator(theta, lam) - eye))
+def _dual_check(name: str, theta: GFrameFamily, lam: GFrameFamily, tol) -> dict:
+    """Whether ``theta`` is a dual of ``lam``, with the distance of their mixed
+    pairing from the identity (Frobenius)."""
+    passed = is_dual_pair(theta, lam, tol)
+    defect = np.linalg.norm(cross_operator(theta, lam) - np.eye(lam.domain_dim))
+    return _check(name, passed, identity_defect=float(defect))
+
+
+def _write_document(path: str, families: dict[str, GFrameFamily]) -> dict:
+    """Save ``families`` as one document over their shared space; the output report."""
+    space = next(iter(families.values())).space
+    doc = FrameDocument(format_version=FORMAT_VERSION, space=space, families=families)
+    save_document(doc, path)
+    return {"path": path, "families": sorted(families)}
 
 
 def _cmd_analyze(args, tol) -> dict:
@@ -259,174 +221,155 @@ def _spec_from_family(fam: GFrameFamily, name: str) -> ContinuousFrameSpec:
     return ContinuousFrameSpec(space=fam.space, dim=fam.domain_dim, vectors=fam.rows.conj())
 
 
+# Construction recipes.  Each takes the first and the last named family (one
+# and the same for one-family recipes) and returns the families to write, the
+# frame numbers of the result (or None) and its checks.
+
+
+def _recipe_gamma(lam, theta, args, tol):
+    gamma = gamma_family(lam, theta)
+    rep = frame_bounds(gamma, tol)
+    disjoint = classify(lam, theta, tol).disjoint
+    check = _check(
+        "pair-family-frame-iff-disjoint",
+        disjoint == rep.is_frame,
+        disjoint=disjoint,
+        is_frame=rep.is_frame,
+    )
+    return {"gamma": gamma}, _frame_numbers(rep), [check]
+
+
+def _recipe_delta(lam, theta, args, tol):
+    delta = delta_family(lam, theta, tol)
+    rep = frame_bounds(delta, tol)
+    strongly = classify(lam, theta, tol).strongly_disjoint
+    check = _check(
+        "parseval-when-strongly-disjoint",
+        (not strongly) or rep.is_parseval,
+        strongly_disjoint=strongly,
+        is_parseval=rep.is_parseval,
+    )
+    return {"delta": delta}, _frame_numbers(rep), [check]
+
+
+def _recipe_sum_disjoint(lam, theta, args, tol):
+    result = disjoint_sum_family(lam, theta, _operator_pair(args, lam.domain_dim), tol)
+    numbers = _frame_numbers(result.report)
+    checks = [
+        _check("is-frame", result.report.is_frame, **numbers),
+        _check(
+            "certificate-sandwich",
+            result.certificate_ok,
+            certified_lower=result.certified_lower,
+            certified_upper=result.certified_upper,
+            lower_bound=result.report.lower_bound,
+            upper_bound=result.report.upper_bound,
+        ),
+    ]
+    return {"sum": result.family}, numbers, checks
+
+
+def _recipe_sum_strong(lam, theta, args, tol):
+    result = strongly_disjoint_sum(lam, theta, _operator_pair(args, lam.domain_dim), tol)
+    rep, scale = result.report, result.scale
+    rep_l, rep_t = frame_bounds(lam, tol), frame_bounds(theta, tol)
+    guaranteed = scale * min(rep_l.lower_bound, rep_t.lower_bound)
+    checks = [
+        _check(
+            "lower-bound-guarantee",
+            rep.lower_bound >= guaranteed * (1.0 - tol.rel_eps),
+            lower_bound=rep.lower_bound,
+            guaranteed=guaranteed,
+        )
+    ]
+    if rep_l.is_parseval and rep_t.is_parseval:
+        checks.append(
+            _check(
+                "tight-with-hypothesis-scale",
+                rep.is_tight and abs(rep.upper_bound - scale) <= tol.rel_eps * max(1.0, scale),
+                is_tight=rep.is_tight,
+                bound=rep.upper_bound,
+                scale=scale,
+            )
+        )
+    return {"sum": result.family}, {**_frame_numbers(rep), "scale": scale}, checks
+
+
+def _recipe_pseudo_dual(lam, theta, args, tol):
+    result = pseudo_dual(lam, theta, _operator_pair(args, lam.domain_dim), tol)
+    families = {
+        "pseudo_dual": result.dual_candidate,
+        "sum": result.sum_family,
+        "single": result.single_family,
+    }
+    checks = [
+        _dual_check("dual-of-sum", result.dual_candidate, result.sum_family, tol),
+        _dual_check("dual-of-single", result.dual_candidate, result.single_family, tol),
+    ]
+    return families, None, checks
+
+
+def _recipe_canonical_dual(lam, theta, args, tol):
+    dual = canonical_dual(lam, tol)
+    check = _dual_check("dual-pairing", dual, lam, tol)
+    return {"canonical_dual": dual}, _frame_numbers(frame_bounds(dual, tol)), [check]
+
+
+def _recipe_parseval(lam, theta, args, tol):
+    normalized = parseval_normalize(lam, tol)
+    rep = frame_bounds(normalized, tol)
+    check = _check("is-parseval", rep.is_parseval, **_frame_numbers(rep))
+    return {"parseval": normalized}, None, [check]
+
+
+def _recipe_lift_example(lam, theta, args, tol):
+    f_spec = _spec_from_family(lam, args.families[0])
+    g_spec = _spec_from_family(theta, args.families[1])
+    lifted = lift_continuous_frame(f_spec, g_spec, tol)
+    families = {
+        "lifted_lambda": lifted.lam,
+        "lifted_theta": lifted.theta,
+        "lifted_phi": lifted.phi,
+        "lifted_psi": lifted.psi,
+    }
+    checks = [
+        _dual_check("first-dual-pair", lifted.theta, lifted.lam, tol),
+        _dual_check("second-dual-pair", lifted.psi, lifted.phi, tol),
+        _check(
+            "cross-strong-disjointness",
+            classify(lifted.lam, lifted.phi, tol).strongly_disjoint
+            and classify(lifted.theta, lifted.psi, tol).strongly_disjoint,
+            first_cross_norm=operator_norm(cross_operator(lifted.phi, lifted.lam)),
+            second_cross_norm=operator_norm(cross_operator(lifted.psi, lifted.theta)),
+        ),
+    ]
+    glued = direct_sum_duals(lifted.lam, lifted.theta, lifted.psi, lifted.phi, tol)
+    checks.append(_dual_check("glued-dual-pair", glued.gamma, glued.delta, tol))
+    return families, None, checks
+
+
+# recipe name: (number of family names, recipe), in the order --help lists them
+_RECIPES = {
+    "gamma": (2, _recipe_gamma),
+    "delta": (2, _recipe_delta),
+    "sum-disjoint": (2, _recipe_sum_disjoint),
+    "sum-strong": (2, _recipe_sum_strong),
+    "pseudo-dual": (2, _recipe_pseudo_dual),
+    "canonical-dual": (1, _recipe_canonical_dual),
+    "parseval": (1, _recipe_parseval),
+    "lift-example": (2, _recipe_lift_example),
+}
+
+
 def _cmd_construct(args, tol) -> dict:
     doc = load_document(args.file)
-    recipe = args.recipe
+    arity, recipe = _RECIPES[args.recipe]
     names = args.families
-    expected = 1 if recipe in ("canonical-dual", "parseval") else 2
-    if len(names) != expected:
-        raise UsageError(f"recipe '{recipe}' needs exactly {expected} family name(s)")
-    # the first and the last named family: one and the same for one-family recipes
-    lam, theta = _family(doc, names[0]), _family(doc, names[-1])
-
-    checks = []
-    reports = {}
-    out_families: dict[str, GFrameFamily] = {}
-
-    if recipe == "canonical-dual":
-        dual = canonical_dual(lam, tol)
-        out_families["canonical_dual"] = dual
-        checks.append(
-            _check(
-                "dual-pairing",
-                is_dual_pair(dual, lam, tol),
-                identity_defect=_pairing_defect(dual, lam),
-            )
-        )
-        reports["result"] = _frame_numbers(frame_bounds(dual, tol))
-    elif recipe == "parseval":
-        normalized = parseval_normalize(lam, tol)
-        rep = frame_bounds(normalized, tol)
-        out_families["parseval"] = normalized
-        checks.append(_check("is-parseval", rep.is_parseval, **_frame_numbers(rep)))
-    elif recipe == "gamma":
-        gamma = gamma_family(lam, theta)
-        rep = frame_bounds(gamma, tol)
-        out_families["gamma"] = gamma
-        reports["result"] = _frame_numbers(rep)
-        disjoint = classify(lam, theta, tol).disjoint
-        checks.append(
-            _check(
-                "pair-family-frame-iff-disjoint",
-                disjoint == rep.is_frame,
-                disjoint=disjoint,
-                is_frame=rep.is_frame,
-            )
-        )
-    elif recipe == "delta":
-        delta = delta_family(lam, theta, tol)
-        rep = frame_bounds(delta, tol)
-        out_families["delta"] = delta
-        reports["result"] = _frame_numbers(rep)
-        strongly = classify(lam, theta, tol).strongly_disjoint
-        checks.append(
-            _check(
-                "parseval-when-strongly-disjoint",
-                (not strongly) or rep.is_parseval,
-                strongly_disjoint=strongly,
-                is_parseval=rep.is_parseval,
-            )
-        )
-    elif recipe == "sum-disjoint":
-        result = disjoint_sum_family(lam, theta, _operator_pair(args, lam.domain_dim), tol)
-        out_families["sum"] = result.family
-        reports["result"] = _frame_numbers(result.report)
-        checks.append(_check("is-frame", result.report.is_frame, **_frame_numbers(result.report)))
-        checks.append(
-            _check(
-                "certificate-sandwich",
-                result.certificate_ok,
-                certified_lower=result.certified_lower,
-                certified_upper=result.certified_upper,
-                lower_bound=result.report.lower_bound,
-                upper_bound=result.report.upper_bound,
-            )
-        )
-    elif recipe == "sum-strong":
-        result = strongly_disjoint_sum(lam, theta, _operator_pair(args, lam.domain_dim), tol)
-        out_families["sum"] = result.family
-        reports["result"] = {**_frame_numbers(result.report), "scale": result.scale}
-        rep_l, rep_t = frame_bounds(lam, tol), frame_bounds(theta, tol)
-        guaranteed = result.scale * min(rep_l.lower_bound, rep_t.lower_bound)
-        checks.append(
-            _check(
-                "lower-bound-guarantee",
-                result.report.lower_bound >= guaranteed * (1.0 - tol.rel_eps),
-                lower_bound=result.report.lower_bound,
-                guaranteed=guaranteed,
-            )
-        )
-        if rep_l.is_parseval and rep_t.is_parseval:
-            checks.append(
-                _check(
-                    "tight-with-hypothesis-scale",
-                    result.report.is_tight
-                    and abs(result.report.upper_bound - result.scale)
-                    <= tol.rel_eps * max(1.0, result.scale),
-                    is_tight=result.report.is_tight,
-                    bound=result.report.upper_bound,
-                    scale=result.scale,
-                )
-            )
-    elif recipe == "pseudo-dual":
-        result = pseudo_dual(lam, theta, _operator_pair(args, lam.domain_dim), tol)
-        out_families["pseudo_dual"] = result.dual_candidate
-        out_families["sum"] = result.sum_family
-        out_families["single"] = result.single_family
-        checks.append(
-            _check(
-                "dual-of-sum",
-                result.dual_of_sum,
-                identity_defect=_pairing_defect(result.dual_candidate, result.sum_family),
-            )
-        )
-        checks.append(
-            _check(
-                "dual-of-single",
-                result.dual_of_single,
-                identity_defect=_pairing_defect(result.dual_candidate, result.single_family),
-            )
-        )
-    elif recipe == "lift-example":
-        f_spec = _spec_from_family(lam, names[0])
-        g_spec = _spec_from_family(theta, names[1])
-        lifted = lift_continuous_frame(f_spec, g_spec, tol)
-        out_families.update(
-            {
-                "lifted_lambda": lifted.lam,
-                "lifted_theta": lifted.theta,
-                "lifted_phi": lifted.phi,
-                "lifted_psi": lifted.psi,
-            }
-        )
-        checks.append(
-            _check(
-                "first-dual-pair",
-                is_dual_pair(lifted.theta, lifted.lam, tol),
-                identity_defect=_pairing_defect(lifted.theta, lifted.lam),
-            )
-        )
-        checks.append(
-            _check(
-                "second-dual-pair",
-                is_dual_pair(lifted.psi, lifted.phi, tol),
-                identity_defect=_pairing_defect(lifted.psi, lifted.phi),
-            )
-        )
-        checks.append(
-            _check(
-                "cross-strong-disjointness",
-                classify(lifted.lam, lifted.phi, tol).strongly_disjoint
-                and classify(lifted.theta, lifted.psi, tol).strongly_disjoint,
-                first_cross_norm=operator_norm(cross_operator(lifted.phi, lifted.lam)),
-                second_cross_norm=operator_norm(cross_operator(lifted.psi, lifted.theta)),
-            )
-        )
-        glued = direct_sum_duals(lifted.lam, lifted.theta, lifted.psi, lifted.phi, tol)
-        checks.append(
-            _check(
-                "glued-dual-pair",
-                glued.dual_verified,
-                identity_defect=_pairing_defect(glued.gamma, glued.delta),
-            )
-        )
-
-    out_doc = FrameDocument(
-        format_version=FORMAT_VERSION, space=next(iter(out_families.values())).space,
-        families=out_families,
-    )
-    save_document(out_doc, args.output)
-    reports["output"] = {"path": args.output, "families": sorted(out_families)}
+    if len(names) != arity:
+        raise UsageError(f"recipe '{args.recipe}' needs exactly {arity} family name(s)")
+    families, result, checks = recipe(_family(doc, names[0]), _family(doc, names[-1]), args, tol)
+    reports = {} if result is None else {"result": result}
+    reports["output"] = _write_document(args.output, families)
     return {"reports": reports, "checks": checks}
 
 
@@ -470,15 +413,9 @@ def _cmd_generate(args, tol) -> dict:
                 second_upper=rep_second.upper_bound,
             )
         )
-    doc = FrameDocument(
-        format_version=FORMAT_VERSION,
-        space=next(iter(families.values())).space,
-        families=families,
-    )
-    save_document(doc, args.output)
     return {
         "seed": args.seed,
-        "reports": {"output": {"path": args.output, "families": sorted(families)}},
+        "reports": {"output": _write_document(args.output, families)},
         "checks": checks,
     }
 
@@ -486,6 +423,8 @@ def _cmd_generate(args, tol) -> dict:
 def _cmd_verify(args, tol) -> dict:
     if args.cases < 1:
         raise UsageError(f"--cases must be >= 1, got {args.cases}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     from .verification import run_suite  # only this command loads the suite
 
     suite = run_suite(args.seed, args.cases, tol)

@@ -4,6 +4,7 @@ random generators that feed the property suites."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -347,9 +348,19 @@ def _orthonormal_columns(raw: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[np.newaxis, :]
 
 
-def _random_space(rng: np.random.Generator, atoms: int, weight_range) -> MeasureSpace:
+def _seeded_space(seed: int, atoms: int, weight_range):
+    """The generator for ``seed`` and a measure space drawn from it, weights
+    uniform in ``weight_range``; GenerationError for a negative seed or a
+    range that is not finite with 0 < low <= high."""
     low, high = weight_range
-    return MeasureSpace(rng.uniform(low, high, atoms))
+    if seed < 0:
+        raise GenerationError(f"seed must be >= 0, got {seed}")
+    if not (math.isfinite(low) and math.isfinite(high) and 0 < low <= high):
+        raise GenerationError(
+            f"weight range must be finite with 0 < low <= high, got ({low}, {high})"
+        )
+    rng = np.random.default_rng(seed)
+    return rng, MeasureSpace(rng.uniform(low, high, atoms))
 
 
 def random_gframe(
@@ -370,8 +381,7 @@ def random_gframe(
     dims = tuple(int(d) for d in block_dims)
     if not dims or any(d < 1 for d in dims) or domain_dim < 1:
         raise GenerationError(f"invalid shape request: block_dims={dims}, domain_dim={domain_dim}")
-    rng = np.random.default_rng(seed)
-    space = _random_space(rng, len(dims), weight_range)
+    rng, space = _seeded_space(seed, len(dims), weight_range)
     total = sum(dims)
     if ensure_frame and total < domain_dim:
         raise GenerationError(
@@ -405,8 +415,7 @@ def random_strongly_disjoint_parseval_pair(
         raise GenerationError(
             f"need 1 <= dim_first, dim_second with sum <= {total}, got {dim_first} + {dim_second}"
         )
-    rng = np.random.default_rng(seed)
-    space = _random_space(rng, len(dims), weight_range)
+    rng, space = _seeded_space(seed, len(dims), weight_range)
     raw = _complex_gaussian(rng, (total, dim_first + dim_second))
     q = _orthonormal_columns(raw)
     first = family_from_analysis_matrix(q[:, :dim_first], space, dims)

@@ -133,13 +133,14 @@ def _fitting(items: list, lengths: list[int]) -> list:
     return items[: next(k for k, fit in enumerate(fits) if not fit)]
 
 
-def _block_rows(name, blocks, dims, domain_dim, path) -> np.ndarray:
+def _block_rows(blocks, dims, domain_dim, block_path, label) -> np.ndarray:
     """The blocks stacked in atom order as one complex row matrix.
 
     Blocks, rows and [re, im] entries are checked as arrays of the right
     length, then every number at once.  Each check stops at its first misfit
     and the next looks only at what precedes it, so the fault reported is
-    the first in document order.
+    the first in document order.  ``block_path(atom)`` is the path of a block
+    and ``label(atom)`` the start of a message about it.
     """
 
     def locate(row: int) -> tuple[int, int]:
@@ -149,7 +150,7 @@ def _block_rows(name, blocks, dims, domain_dim, path) -> np.ndarray:
 
     def entry_path(entry: int) -> str:
         atom, j = locate(entry // domain_dim)
-        return f"{path}[{atom}][{j}][{entry % domain_dim}]"
+        return f"{block_path(atom)}[{j}][{entry % domain_dim}]"
 
     good_blocks = _fitting(blocks, list(dims))
     rows = list(chain.from_iterable(good_blocks))
@@ -166,14 +167,25 @@ def _block_rows(name, blocks, dims, domain_dim, path) -> np.ndarray:
     if len(good_rows) < len(rows):
         atom, j = locate(len(good_rows))
         raise DocumentError(
-            f"{path}[{atom}][{j}]", f"family '{name}' atom {atom}: expected {domain_dim} columns"
+            f"{block_path(atom)}[{j}]", f"{label(atom)}expected {domain_dim} columns"
         )
     if len(good_blocks) < len(blocks):
         atom = len(good_blocks)
-        raise DocumentError(
-            f"{path}[{atom}]", f"family '{name}' atom {atom}: expected {dims[atom]} rows"
-        )
+        raise DocumentError(block_path(atom), f"{label(atom)}expected {dims[atom]} rows")
     return numbers.view(complex).reshape(-1, domain_dim)
+
+
+def parse_matrix(text: str, name: str) -> np.ndarray:
+    """A matrix given as JSON rows of [re, im] entries, read by the rules of
+    the document format; raises DocumentError at ``name[i][j]`` for the first
+    offending entry."""
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DocumentError(name, f"not valid JSON: {exc}") from None
+    if not (isinstance(raw, list) and raw and isinstance(raw[0], list) and raw[0]):
+        raise DocumentError(name, "expected a non-empty array of non-empty rows")
+    return _block_rows([raw], (len(raw),), len(raw[0]), lambda atom: name, lambda atom: "")
 
 
 def _parse_family(name, obj, space, shared_dims, path) -> GFrameFamily:
@@ -206,7 +218,13 @@ def _parse_family(name, obj, space, shared_dims, path) -> GFrameFamily:
             f"{path}.blocks",
             f"expected {space.atom_count} blocks (one per atom)",
         )
-    rows = _block_rows(name, blocks_obj, dims, domain_dim, f"{path}.blocks")
+    rows = _block_rows(
+        blocks_obj,
+        dims,
+        domain_dim,
+        lambda atom: f"{path}.blocks[{atom}]",
+        lambda atom: f"family '{name}' atom {atom}: ",
+    )
     return GFrameFamily.from_rows(space, rows, dims)
 
 

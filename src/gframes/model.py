@@ -7,8 +7,10 @@ The square-root-weight embedding defined here turns that weighted geometry
 into plain Euclidean geometry, and every rank/orthogonality computation in the
 package happens in those embedded coordinates.
 
-A family stores its blocks stacked in atom order as one N x d row matrix, so
-every operation on it is a single matrix product rather than a loop over atoms.
+A family stores its blocks stacked in atom order as one N x d row matrix, and
+a vector of the direct sum its blocks as one length-N array in the same row
+layout, so every operation is a single matrix or vector product rather than a
+loop over atoms.
 
 Inner product convention: linear in the FIRST argument, conjugate-linear in
 the second. All adjoints are conjugate transposes under this convention.
@@ -41,7 +43,7 @@ def _as_block(values) -> np.ndarray:
 
 
 def _split_rows(matrix: np.ndarray, block_dims) -> list[np.ndarray]:
-    """Views of ``matrix`` cut into consecutive row groups of the given sizes."""
+    """Views of ``matrix`` (or of a vector) cut into consecutive row groups of the given sizes."""
     return np.split(matrix, np.cumsum(block_dims)[:-1])
 
 
@@ -251,29 +253,55 @@ class GFrameFamily:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class KHatVector:
-    """One complex vector per atom; an element of the weighted direct sum."""
+    """An element of the weighted direct sum: one complex vector per atom.
 
-    blocks: tuple[np.ndarray, ...]
+    The vectors are stored stacked in atom order as one read-only 1-D array
+    ``data``, the row layout of a family with the same ``block_dims``;
+    ``blocks`` are read-only views into it.
+    """
 
-    def __post_init__(self):
-        blocks = tuple(_freeze(np.array(b, dtype=complex).reshape(-1)) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
+    data: np.ndarray
+    block_dims: tuple[int, ...]
 
-    @property
-    def block_dims(self) -> tuple[int, ...]:
-        return tuple(b.size for b in self.blocks)
+    def __init__(self, blocks):
+        blocks = [np.asarray(b, dtype=complex).reshape(-1) for b in blocks]
+        data = np.concatenate(blocks) if blocks else np.zeros(0, dtype=complex)
+        self._set(data, tuple(b.size for b in blocks))
+
+    @classmethod
+    def from_array(cls, data: np.ndarray, block_dims) -> "KHatVector":
+        """Vector whose blocks, stacked in atom order, are the 1-D array
+        ``data``; a complex array is adopted without a copy and becomes read-only."""
+        data = np.asarray(data, dtype=complex)
+        dims = tuple(map(int, block_dims))
+        if data.ndim != 1 or data.size != sum(dims):
+            raise ShapeError(f"vector of shape {data.shape} != total block dim {sum(dims)}")
+        vector = cls.__new__(cls)
+        vector._set(data, dims)
+        return vector
 
     @classmethod
     def zeros(cls, block_dims) -> "KHatVector":
-        return cls(tuple(np.zeros(int(d), dtype=complex) for d in block_dims))
+        return cls.from_array(np.zeros(sum(map(int, block_dims)), dtype=complex), block_dims)
+
+    def _set(self, data, block_dims) -> None:
+        object.__setattr__(self, "data", _freeze(data))
+        object.__setattr__(self, "block_dims", block_dims)
+        object.__setattr__(self, "_blocks", None)
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        if self._blocks is None:
+            object.__setattr__(self, "_blocks", tuple(_split_rows(self.data, self.block_dims)))
+        return self._blocks
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, KHatVector)
             and self.block_dims == other.block_dims
-            and all(np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks))
+            and np.array_equal(self.data, other.data)
         )
 
 
@@ -307,17 +335,19 @@ def require_same_domain(first: GFrameFamily, second: GFrameFamily) -> None:
         raise ShapeError(f"domain dims differ: {first.domain_dim} vs {second.domain_dim}")
 
 
+def _require_atoms(f: KHatVector, space: MeasureSpace) -> None:
+    if len(f.block_dims) != space.atom_count:
+        raise ShapeError(
+            f"vector has {len(f.block_dims)} blocks but space has {space.atom_count} atoms"
+        )
+
+
 def khat_inner(f: KHatVector, g: KHatVector, space: MeasureSpace) -> complex:
     """Weighted inner product: sum over atoms of weight * <F_i, G_i>."""
     if f.block_dims != g.block_dims:
         raise ShapeError(f"block dims differ: {f.block_dims} vs {g.block_dims}")
-    if len(f.blocks) != space.atom_count:
-        raise ShapeError(
-            f"vector has {len(f.blocks)} blocks but space has {space.atom_count} atoms"
-        )
-    return complex(
-        sum(w * inner(fb, gb) for w, fb, gb in zip(space.weights, f.blocks, g.blocks))
-    )
+    _require_atoms(f, space)
+    return complex(np.vdot(g.data, np.repeat(space.weights, f.block_dims) * f.data))
 
 
 def khat_norm(f: KHatVector, space: MeasureSpace) -> float:
@@ -326,24 +356,19 @@ def khat_norm(f: KHatVector, space: MeasureSpace) -> float:
 
 def embed(f: KHatVector, space: MeasureSpace) -> np.ndarray:
     """Stack sqrt(weight) * F_i in atom order; isometric onto standard coordinates."""
-    if len(f.blocks) != space.atom_count:
-        raise ShapeError(
-            f"vector has {len(f.blocks)} blocks but space has {space.atom_count} atoms"
-        )
-    if not f.blocks:
-        return np.zeros(0, dtype=complex)
-    return np.concatenate(f.blocks) * _row_roots(space, f.block_dims)
+    _require_atoms(f, space)
+    return f.data * _row_roots(space, f.block_dims)
 
 
 def unembed(vector: np.ndarray, space: MeasureSpace, block_dims) -> KHatVector:
-    """Inverse of :func:`embed`: split and undo the square-root weighting."""
+    """Inverse of :func:`embed`: undo the square-root weighting of each row."""
     vector = np.asarray(vector, dtype=complex).reshape(-1)
     dims = tuple(int(d) for d in block_dims)
     if vector.size != sum(dims):
         raise ShapeError(f"vector length {vector.size} != total block dim {sum(dims)}")
     if len(dims) != space.atom_count:
         raise ShapeError("block_dims do not match the measure space")
-    return KHatVector(tuple(_split_rows(vector / _row_roots(space, dims), dims)))
+    return KHatVector.from_array(vector / _row_roots(space, dims), dims)
 
 
 def analysis_matrix(fam: GFrameFamily) -> np.ndarray:
@@ -374,7 +399,7 @@ def apply_analysis(fam: GFrameFamily, h: np.ndarray) -> KHatVector:
     if h.size != fam.domain_dim:
         raise ShapeError(f"vector length {h.size} != domain_dim {fam.domain_dim}")
     require_valid(fam)
-    return KHatVector(tuple(_split_rows(fam.rows @ h, fam.block_dims)))
+    return KHatVector.from_array(fam.rows @ h, fam.block_dims)
 
 
 def apply_synthesis(fam: GFrameFamily, phi: KHatVector) -> np.ndarray:
@@ -384,8 +409,7 @@ def apply_synthesis(fam: GFrameFamily, phi: KHatVector) -> np.ndarray:
             f"vector block dims {phi.block_dims} != family block dims {fam.block_dims}"
         )
     require_valid(fam)
-    weighted = np.concatenate(phi.blocks) * np.repeat(fam.space.weights, fam.block_dims)
-    return fam.rows.conj().T @ weighted
+    return fam.rows.conj().T @ (phi.data * np.repeat(fam.space.weights, fam.block_dims))
 
 
 def right_compose(fam: GFrameFamily, operator: np.ndarray) -> GFrameFamily:

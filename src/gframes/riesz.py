@@ -2,9 +2,9 @@
 
 A frame is Riesz-type exactly when its analysis operator fills the whole
 weighted direct-sum target, i.e. the embedded analysis matrix has full row
-rank.  Three equivalent certificates are computed through genuinely separate
-routes (analysis rank, two-sided synthesis bound, synthesis kernel) so the
-equivalence itself can be verified numerically.
+rank.  Three equivalent certificates are computed (analysis rank, two-sided
+synthesis bound, synthesis kernel) so the equivalence can be verified
+numerically; the last two read one decomposition of the synthesis matrix.
 """
 
 from __future__ import annotations
@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (
-    matrices_close,
-    operator_norm,
-    rank_cutoff,
-    singular_values,
-    smallest_gain,
-    svd_rank,
-)
+from ._linalg import bounded_below, matrices_close, operator_norm, svd_rank
 from .analysis import (
     analysis_rank,
     analysis_singular_values,
@@ -89,10 +82,6 @@ def synthesis_kernel_test(
     A True verdict for a nonzero ``phi`` certifies that the family is not
     Riesz-type.
     """
-    if phi.block_dims != fam.block_dims:
-        raise ShapeError(
-            f"vector block dims {phi.block_dims} != family block dims {fam.block_dims}"
-        )
     image = apply_synthesis(fam, phi)
     bessel = frame_bounds(fam, tol).upper_bound
     scale = np.sqrt(max(bessel, 0.0)) * khat_norm(phi, fam.space)
@@ -102,22 +91,15 @@ def synthesis_kernel_test(
 def riesz_criteria(
     fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL
 ) -> tuple[bool, bool, bool]:
-    """The three equivalent Riesz-type certificates, each computed on its own.
+    """The three equivalent Riesz-type certificates.
 
     (range test, two-sided synthesis bound test, synthesis kernel test);
-    all three must agree on every frame.
+    all three must agree on every frame.  The range test reads the analysis
+    matrix's kept singular values; the other two share one decomposition of
+    the synthesis matrix, and none when it is wide (N > d).
     """
-    report = riesz_check(fam, tol)
-    synth = synthesis_matrix(fam)
-    kernel_dim = synth.shape[1] - svd_rank(synth, tol)
-    return report.is_riesz_type, _bounded_below(synth, tol)[1], kernel_dim == 0
-
-
-def _bounded_below(matrix: np.ndarray, tol: TolerancePolicy) -> tuple[float, bool]:
-    """Smallest gain of ``matrix`` and whether it clears the rank cutoff."""
-    svals = singular_values(matrix)
-    gain = smallest_gain(matrix)
-    return gain, gain > rank_cutoff(matrix.shape, float(svals[0]) if svals.size else 0.0, tol)
+    _, bound_ok, kernel_trivial = bounded_below(synthesis_matrix(fam), tol)
+    return riesz_check(fam, tol).is_riesz_type, bound_ok, kernel_trivial
 
 
 @dataclass(frozen=True)
@@ -185,7 +167,7 @@ def mixed_construction(
 
     # Independent route (iii): lower bound of the combined synthesis operator.
     combined_synthesis = l1.conj().T @ synthesis_matrix(lam) + l2.conj().T @ synthesis_matrix(theta)
-    gain, positive_lower = _bounded_below(combined_synthesis, tol)
+    gain, positive_lower, _ = bounded_below(combined_synthesis, tol)
 
     return MixedConstruction(
         family=combined,

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
+    bounded_below,
     hermitian_power,
     matrices_close,
     operator_norm,
     rank_cutoff,
     singular_values,
-    smallest_gain,
 )
 from .analysis import (
     canonical_dual,
@@ -298,7 +298,7 @@ def _check_synthesis_norm(rng, cases, tol):
             failures.append(f"case {case}: synthesis matrix != blockwise columns")
         sigma = operator_norm(synth)
         root = np.sqrt(rep.upper_bound)
-        if sigma > root + tol.rel_eps * max(1.0, root):
+        if sigma > root + tol.rel_eps:
             failures.append(f"case {case}: synthesis norm {sigma} exceeds sqrt(B) {root}")
         if not _tiny(abs(sigma - root), tol, root):
             failures.append(f"case {case}: spectral identity broken ({sigma} vs {root})")
@@ -336,10 +336,13 @@ def _check_pair_parseval(rng, cases, tol):
     failures = []
     for case in range(cases):
         lam, theta = _random_strongly_disjoint(rng, tol)
-        if not frame_bounds(delta_family(lam, theta, tol), tol).is_parseval:
+        delta = delta_family(lam, theta, tol)
+        if not frame_bounds(delta, tol).is_parseval:
             failures.append(
                 f"case {case}: normalized pair of a strongly disjoint pair not Parseval"
             )
+        if not matrices_close(frame_operator(delta), np.eye(delta.domain_dim), tol.rel_eps):
+            failures.append(f"case {case}: frame operator of the normalized pair is not I")
         l1 = hermitian_power(frame_operator(lam), -0.5, tol)
         l2 = hermitian_power(frame_operator(theta), -0.5, tol)
         if not strong_disjointness_converse_check(lam, theta, l1, l2, tol):
@@ -410,7 +413,7 @@ def _check_pair_bound_sandwich(rng, cases, tol):
             ]
         )
         norm_sq = operator_norm(basis) ** 2
-        gain_sq = smallest_gain(basis) ** 2
+        gain_sq = bounded_below(basis, tol)[0] ** 2
         if norm_sq > 2.0 * (1.0 + tol.rel_eps):
             failures.append(f"case {case}: sum map norm^2 {norm_sq} exceeds 2")
         rep_l = frame_bounds(lam, tol)
@@ -622,8 +625,11 @@ def _check_strong_sum_tightness(rng, cases, tol):
             failures.append(
                 f"case {case}: tight={rep.is_tight} but identity hypothesis={hypothesis}"
             )
-        if hypothesis and abs(rep.upper_bound - scale) > tol.rel_eps * max(1.0, scale):
-            failures.append(f"case {case}: tight bound {rep.upper_bound} != scale {scale}")
+        defect = max(abs(rep.lower_bound - scale), abs(rep.upper_bound - scale))
+        if hypothesis and defect > tol.rel_eps * scale:
+            failures.append(
+                f"case {case}: tight bounds [{rep.lower_bound}, {rep.upper_bound}] != scale {scale}"
+            )
         if rep.is_tight:
             # converse direction on random vectors: the operator squares must
             # distribute the tight bound exactly

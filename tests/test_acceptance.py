@@ -1,8 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  All tolerances are relative 1e-9 (the default policy); randomized
-criteria use fixed seeds so the verdict is reproducible.
+Each randomized criterion runs the named checks of the ``verify`` suite
+(``gframes.verification.CHECKS``) on 200 generated cases and asserts that they
+report no failure; the hand-computed values are asserted here.  Run with
+``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.  All
+tolerances are relative 1e-9 (the default policy), and every criterion draws
+from a fixed seed so the verdict is reproducible.
 """
 
 import os
@@ -13,46 +16,21 @@ import pytest
 from gframes import (
     GFrameFamily,
     KHatVector,
-    MeasureSpace,
     OperatorPair,
     TolerancePolicy,
-    analysis_matrix,
-    canonical_dual,
     classify,
-    delta_family,
-    direct_sum_duals,
-    disjoint_sum_family,
     frame_bounds,
-    frame_operator,
     gamma_family,
-    inner,
-    is_dual_pair,
     kernel_triviality,
-    lift_continuous_frame,
     parse_document,
     perturbation_riesz_transfer,
-    pseudo_dual,
-    random_strongly_disjoint_parseval_pair,
     riesz_check,
-    riesz_criteria,
     serialize_document,
-    strong_disjointness_converse_check,
     strongly_disjoint_sum,
     synthesis_kernel_test,
-    synthesis_matrix,
 )
-from gframes._linalg import hermitian_power, matrices_close, operator_norm
 from gframes.cli import run_command
-from gframes.constructions import ContinuousFrameSpec
-from gframes.verification import (
-    _cgauss,
-    _random_disjoint_equal_domain,
-    _random_dims,
-    _random_frame,
-    _random_pair,
-    _random_strongly_disjoint,
-    _seed,
-)
+from gframes.verification import CHECKS
 
 TOL = TolerancePolicy()
 CASES = 200
@@ -64,298 +42,94 @@ def _verdict(name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{name}: {detail}"
 
 
+def _suite(name: str, criterion: int, *checks: str) -> None:
+    """Run the named suite checks in turn on one generator seeded by the
+    criterion number; pass when none reports a failure."""
+    rng = np.random.default_rng(100 + criterion)
+    run = dict(CHECKS)
+    failures = [f"{check}: {fault}" for check in checks for fault in run[check](rng, CASES, TOL)]
+    detail = f"{', '.join(checks)} over {CASES} cases; {len(failures)} failures"
+    _verdict(name, not failures, "; ".join([detail, *failures[:3]]))
+
+
 def test_criterion_01_frame_axioms():
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(CASES):
-        fam = _random_frame(rng, TOL)
-        rep = frame_bounds(fam, TOL)
-        mat = analysis_matrix(fam)
-        h = _cgauss(rng, (fam.domain_dim, 100))
-        values = np.sum(np.abs(mat @ h) ** 2, axis=0)
-        norms = np.sum(np.abs(h) ** 2, axis=0)
-        slack = TOL.rel_eps * rep.upper_bound * norms
-        low = np.min(values - (rep.lower_bound * norms - slack))
-        high = np.min((rep.upper_bound * norms + slack) - values)
-        worst = min(worst, float(low), float(high))
-    _verdict("criterion-01 frame-axioms", worst >= 0.0, f"worst margin {worst:.3e}")
+    _suite("criterion-01 frame-axioms", 1, "defining-inequality")
 
 
 def test_criterion_02_reconstruction_identity():
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(CASES):
-        fam = _random_frame(rng, TOL)
-        s_inv = hermitian_power(frame_operator(fam), -1.0, TOL)
-        f = _cgauss(rng, (fam.domain_dim,))
-        g = _cgauss(rng, (fam.domain_dim,))
-        total = sum(
-            w * inner(s_inv @ f, block.conj().T @ (block @ g))
-            for w, block in zip(fam.space.weights, fam.blocks)
-        )
-        expected = inner(f, g)
-        defect = abs(total - expected) / max(1.0, abs(expected))
-        worst = max(worst, defect)
-    _verdict("criterion-02 reconstruction-identity", worst <= TOL.rel_eps, f"worst defect {worst:.3e}")
+    _suite("criterion-02 reconstruction-identity", 2, "reconstruction-identity")
 
 
 def test_criterion_03_synthesis_norm_bound():
-    rng = np.random.default_rng(103)
-    worst_excess = 0.0
-    worst_offset = 0.0
-    for _ in range(CASES):
-        fam = _random_frame(rng, TOL)
-        root = np.sqrt(frame_bounds(fam, TOL).upper_bound)
-        sigma = operator_norm(synthesis_matrix(fam))
-        worst_excess = max(worst_excess, sigma - (root + TOL.rel_eps))
-        worst_offset = max(worst_offset, abs(sigma - root) / max(1.0, root))
-    ok = worst_excess <= 0.0 and worst_offset <= TOL.rel_eps
-    _verdict(
-        "criterion-03 synthesis-norm-bound",
-        ok,
-        f"max excess {worst_excess:.3e}, max offset {worst_offset:.3e}",
-    )
+    _suite("criterion-03 synthesis-norm-bound", 3, "synthesis-norm-bound")
 
 
 def test_criterion_04_parseval_pair_sum():
-    rng = np.random.default_rng(104)
-    ok = True
-    for _ in range(CASES):
-        dims = _random_dims(rng)
-        total = sum(dims)
-        d1 = int(rng.integers(1, total))
-        d2 = int(rng.integers(1, total - d1 + 1))
-        first, second = random_strongly_disjoint_parseval_pair(_seed(rng), dims, d1, d2)
-        delta = delta_family(first, second, TOL)
-        if not matrices_close(frame_operator(delta), np.eye(d1 + d2), TOL.rel_eps):
-            ok = False
-            break
-        # converse direction: flag an overlapping pair
-        lam, theta = _random_pair(rng, TOL)
-        if not classify(lam, theta, TOL).strongly_disjoint:
-            w1 = hermitian_power(frame_operator(lam), -0.5, TOL)
-            w2 = hermitian_power(frame_operator(theta), -0.5, TOL)
-            if strong_disjointness_converse_check(lam, theta, w1, w2, TOL):
-                ok = False
-                break
-    _verdict("criterion-04 parseval-pair-sum", ok)
+    _suite("criterion-04 parseval-pair-sum", 4, "pair-parseval")
 
 
 def test_criterion_05_pair_family_frame_iff_disjoint(lam_family, theta_family):
-    rng = np.random.default_rng(105)
-    disagreements = 0
-    for _ in range(CASES):
-        lam, theta = _random_pair(rng, TOL)
-        report = classify(lam, theta, TOL)
-        if report.disjoint != frame_bounds(gamma_family(lam, theta), TOL).is_frame:
-            disagreements += 1
+    _suite("criterion-05 pair-family-frame-iff-disjoint", 5, "pair-frame-iff-disjoint")
     rep = frame_bounds(gamma_family(lam_family, theta_family), TOL)
-    golden = ((3.0 - np.sqrt(5.0)) / 2.0, (3.0 + np.sqrt(5.0)) / 2.0)
-    hand_ok = rep.lower_bound == pytest.approx(golden[0], rel=TOL.rel_eps) and (
-        rep.upper_bound == pytest.approx(golden[1], rel=TOL.rel_eps)
-    )
-    ok = disagreements == 0 and hand_ok
-    _verdict(
-        "criterion-05 pair-family-frame-iff-disjoint",
-        ok,
-        f"{disagreements} disagreements; hand bounds ({rep.lower_bound:.9f}, {rep.upper_bound:.9f})",
-    )
+    assert rep.lower_bound == pytest.approx((3.0 - np.sqrt(5.0)) / 2.0, rel=TOL.rel_eps)
+    assert rep.upper_bound == pytest.approx((3.0 + np.sqrt(5.0)) / 2.0, rel=TOL.rel_eps)
 
 
 def test_criterion_06_pair_riesz_equivalences(theta_family):
-    rng = np.random.default_rng(106)
-    disagreements = 0
-
-    def gamma_riesz(lam, theta):
-        gamma = gamma_family(lam, theta)
-        return frame_bounds(gamma, TOL).is_frame and riesz_check(gamma, TOL).is_riesz_type
-
-    pairs = [_random_pair(rng, TOL) for _ in range(CASES)]
-    pairs.append((theta_family, theta_family))
-    for lam, theta in pairs:
-        report = classify(lam, theta, TOL)
-        gamma = gamma_family(lam, theta)
-        riesz = gamma_riesz(lam, theta)
-        if report.complementary_pair != riesz:
-            disagreements += 1
-        if report.strongly_complementary_pair != (report.strongly_disjoint and riesz):
-            disagreements += 1
-        if report.weakly_disjoint != kernel_triviality(gamma, TOL):
-            disagreements += 1
-        if (report.strongly_disjoint and not report.disjoint) or (
-            report.disjoint and not report.weakly_disjoint
-        ):
-            disagreements += 1
-    _verdict(
-        "criterion-06 pair-riesz-equivalences",
-        disagreements == 0,
-        f"{disagreements} disagreements over {len(pairs)} pairs",
-    )
+    _suite("criterion-06 pair-riesz-equivalences", 6, "pair-riesz-equivalences")
+    report = classify(theta_family, theta_family, TOL)
+    gamma = gamma_family(theta_family, theta_family)
+    riesz = frame_bounds(gamma, TOL).is_frame and riesz_check(gamma, TOL).is_riesz_type
+    assert report.complementary_pair == riesz
+    assert report.strongly_complementary_pair == (report.strongly_disjoint and riesz)
+    assert report.weakly_disjoint == kernel_triviality(gamma, TOL)
+    assert not report.strongly_disjoint or report.disjoint
+    assert not report.disjoint or report.weakly_disjoint
 
 
 def test_criterion_07_disjoint_sums_certified():
-    rng = np.random.default_rng(107)
-    ok = True
-    for _ in range(CASES):
-        lam, theta = _random_disjoint_equal_domain(rng, TOL)
-        d = lam.domain_dim
-        surjective = None
-        for _ in range(20):
-            candidate = _cgauss(rng, (d, d))
-            if np.linalg.matrix_rank(candidate) == d:
-                surjective = candidate
-                break
-        pair = OperatorPair(np.eye(d), np.eye(d)) if rng.integers(0, 2) else OperatorPair(
-            surjective, _cgauss(rng, (d, d))
-        )
-        result = disjoint_sum_family(lam, theta, pair, TOL)
-        if not (result.report.is_frame and result.certificate_ok):
-            ok = False
-            break
-    _verdict("criterion-07 disjoint-sums-certified", ok)
+    _suite("criterion-07 disjoint-sums-certified", 7, "disjoint-sum")
 
 
 def test_criterion_08_strong_sum_tight_bounds(lam_family, ortho_family):
-    rng = np.random.default_rng(108)
-    worst = 0.0
-    for _ in range(CASES):
-        lam, theta = _random_strongly_disjoint(rng, TOL, parseval=True, equal_domains=True)
-        d = lam.domain_dim
-        c1, c2 = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0))
-        q1, _ = np.linalg.qr(_cgauss(rng, (d, d)))
-        q2, _ = np.linalg.qr(_cgauss(rng, (d, d)))
-        result = strongly_disjoint_sum(lam, theta, OperatorPair(c1 * q1, c2 * q2), TOL)
-        scale = c1**2 + c2**2
-        if not result.report.is_tight:
-            worst = max(worst, 1.0)
-            break
-        worst = max(
-            worst,
-            abs(result.report.upper_bound - scale) / scale,
-            abs(result.report.lower_bound - scale) / scale,
-        )
+    _suite("criterion-08 strong-sum-tight-bounds", 8, "strong-sum-bounds", "strong-sum-tightness")
     scalar = strongly_disjoint_sum(
         lam_family, ortho_family, OperatorPair(3.0 * np.eye(1), 4.0 * np.eye(1)), TOL
     )
-    unit = strongly_disjoint_sum(
-        lam_family,
-        ortho_family,
-        OperatorPair(np.eye(1) / np.sqrt(2.0), np.eye(1) / np.sqrt(2.0)),
-        TOL,
-    )
-    ok = (
-        worst <= TOL.rel_eps
-        and scalar.report.is_tight
-        and scalar.report.upper_bound == pytest.approx(25.0, rel=TOL.rel_eps)
-        and unit.report.is_parseval
-    )
-    _verdict(
-        "criterion-08 strong-sum-tight-bounds",
-        ok,
-        f"worst tight-bound defect {worst:.3e}; 3/4 case bound {scalar.report.upper_bound:.9f}",
-    )
+    assert scalar.report.is_tight
+    assert scalar.report.upper_bound == pytest.approx(25.0, rel=TOL.rel_eps)
+    half = np.eye(1) / np.sqrt(2.0)
+    unit = strongly_disjoint_sum(lam_family, ortho_family, OperatorPair(half, half), TOL)
+    assert unit.report.is_parseval
 
 
 def test_criterion_09_duality_constructions():
-    rng = np.random.default_rng(109)
-    ok = True
-    for _ in range(CASES // 4):
-        # glued dual pairs on a direct sum
-        lam, psi = _random_strongly_disjoint(rng, TOL)
-        theta, phi = canonical_dual(lam, TOL), canonical_dual(psi, TOL)
-        if not direct_sum_duals(lam, theta, psi, phi, TOL).dual_verified:
-            ok = False
-            break
-        # pseudo-inverse duals, identity and generic operators
-        slam, stheta = _random_strongly_disjoint(rng, TOL, equal_domains=True)
-        d = slam.domain_dim
-        for pair in (
-            OperatorPair(np.eye(d), np.eye(d)),
-            OperatorPair(_cgauss(rng, (d, d)) + 2 * np.eye(d), _cgauss(rng, (d, d))),
-        ):
-            result = pseudo_dual(slam, stheta, pair, TOL)
-            if not (result.dual_of_sum and result.dual_of_single):
-                ok = False
-                break
-        if not ok:
-            break
-        # lifting of ordinary continuous frames
-        atoms = int(rng.integers(2, 6))
-        space = MeasureSpace(rng.uniform(0.25, 4.0, atoms))
-        dim_h = int(rng.integers(1, min(atoms, 3) + 1))
-        dim_k = int(rng.integers(1, min(atoms, 3) + 1))
-        f_spec = ContinuousFrameSpec(
-            space=space, dim=dim_h, vectors=tuple(_cgauss(rng, (dim_h,)) for _ in range(atoms))
-        )
-        g_spec = ContinuousFrameSpec(
-            space=space, dim=dim_k, vectors=tuple(_cgauss(rng, (dim_k,)) for _ in range(atoms))
-        )
-        sf = np.linalg.svd(f_spec.frame_operator(), compute_uv=False)
-        sg = np.linalg.svd(g_spec.frame_operator(), compute_uv=False)
-        if sf[-1] < 1e-3 * sf[0] or sg[-1] < 1e-3 * sg[0]:
-            continue
-        lifted = lift_continuous_frame(f_spec, g_spec, TOL)
-        checks = (
-            is_dual_pair(lifted.theta, lifted.lam, TOL)
-            and is_dual_pair(lifted.psi, lifted.phi, TOL)
-            and classify(lifted.lam, lifted.phi, TOL).strongly_disjoint
-            and classify(lifted.theta, lifted.psi, TOL).strongly_disjoint
-            and direct_sum_duals(lifted.lam, lifted.theta, lifted.psi, lifted.phi, TOL).dual_verified
-        )
-        if not checks:
-            ok = False
-            break
-    _verdict("criterion-09 duality-constructions", ok)
+    _suite(
+        "criterion-09 duality-constructions", 9, "direct-sum-duals", "pseudo-dual", "lift-pipeline"
+    )
 
 
 def test_criterion_10_riesz_criteria_agree(theta_family):
-    rng = np.random.default_rng(110)
-    disagreements = 0
-    for _ in range(CASES):
-        dims = _random_dims(rng)
-        total = sum(dims)
-        domain = total if rng.integers(0, 2) else int(rng.integers(1, total + 1))
-        fam = _random_frame(rng, TOL, dims=dims, domain_dim=domain)
-        by_rank, by_bound, by_kernel = riesz_criteria(fam, TOL)
-        if not (by_rank == by_bound == by_kernel):
-            disagreements += 1
+    _suite("criterion-10 riesz-criteria-agree", 10, "riesz-criteria-agree", "synthesis-kernel")
     witness = KHatVector(([1.0], [-1.0]))
-    witness_detected = synthesis_kernel_test(theta_family, witness, TOL) and not riesz_check(
-        theta_family, TOL
-    ).is_riesz_type
-    ok = disagreements == 0 and witness_detected
-    _verdict(
-        "criterion-10 riesz-criteria-agree",
-        ok,
-        f"{disagreements} disagreements; explicit witness detected={witness_detected}",
-    )
+    assert synthesis_kernel_test(theta_family, witness, TOL)
+    assert not riesz_check(theta_family, TOL).is_riesz_type
 
 
 def test_criterion_11_perturbation_criterion(identity_family):
-    small = GFrameFamily(
-        space=identity_family.space,
-        domain_dim=2,
-        blocks=tuple(1.1 * b for b in identity_family.blocks),
-    )
-    large = GFrameFamily(
-        space=identity_family.space,
-        domain_dim=2,
-        blocks=tuple(3.0 * b for b in identity_family.blocks),
-    )
-    small_result = perturbation_riesz_transfer(identity_family, small, TOL)
-    large_result = perturbation_riesz_transfer(identity_family, large, TOL)
-    ok = (
-        small_result.lambda_gap == pytest.approx(0.1, rel=TOL.rel_eps)
-        and small_result.criterion_met
-        and small_result.equivalence_verified
-        and large_result.lambda_gap == pytest.approx(2.0, rel=TOL.rel_eps)
-        and not large_result.criterion_met
-    )
-    _verdict(
-        "criterion-11 perturbation-criterion",
-        ok,
-        f"gaps {small_result.lambda_gap:.3f} / {large_result.lambda_gap:.3f}",
-    )
+    _suite("criterion-11 perturbation-criterion", 11, "perturbation-transfer")
+
+    def scaled(factor):
+        return GFrameFamily.from_rows(
+            identity_family.space, factor * identity_family.rows, identity_family.block_dims
+        )
+
+    small = perturbation_riesz_transfer(identity_family, scaled(1.1), TOL)
+    large = perturbation_riesz_transfer(identity_family, scaled(3.0), TOL)
+    assert small.lambda_gap == pytest.approx(0.1, rel=TOL.rel_eps)
+    assert small.criterion_met and small.equivalence_verified
+    assert large.lambda_gap == pytest.approx(2.0, rel=TOL.rel_eps)
+    assert not large.criterion_met
 
 
 def test_criterion_12_cli_contract(tmp_path, capsys):
@@ -384,10 +158,10 @@ def test_criterion_12_cli_contract(tmp_path, capsys):
     rc_unknown = run_command(["analyze", pair_doc, "missing"])
     capsys.readouterr()
 
-    status_contract = (rc_pass, rc_fail, rc_usage, rc_unknown) == (0, 1, 2, 2)
-    ok = round_trip and deterministic and status_contract
+    statuses = (rc_pass, rc_fail, rc_usage, rc_unknown)
+    ok = round_trip and deterministic and statuses == (0, 1, 2, 2)
     _verdict(
         "criterion-12 cli-contract",
         ok,
-        f"round_trip={round_trip} deterministic={deterministic} statuses={(rc_pass, rc_fail, rc_usage, rc_unknown)}",
+        f"round_trip={round_trip} deterministic={deterministic} statuses={statuses}",
     )

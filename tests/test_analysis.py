@@ -18,8 +18,10 @@ from gframes import (
     frame_operator,
     inner,
     is_dual_pair,
+    mixed_construction,
     parseval_normalize,
     riesz_check,
+    riesz_criteria,
 )
 from gframes.verification import _random_frame
 
@@ -223,6 +225,30 @@ def test_spectra_are_computed_once_per_family(monkeypatch):
     # the pair matrix [A|B] is decomposed on every call
     assert svds.count((6, 5)) == 2
     assert len(eigs) == 2
+
+
+def test_riesz_routes_decompose_the_synthesis_matrix_at_most_once(monkeypatch):
+    rng = np.random.default_rng(4)
+    square = GFrameFamily.from_rows(
+        MeasureSpace(rng.uniform(0.5, 2.0, 3)), rng.standard_normal((3, 3)) + 1j, (1,) * 3
+    )
+    tall = GFrameFamily.from_rows(
+        MeasureSpace(rng.uniform(0.5, 2.0, 6)), rng.standard_normal((6, 2)) + 1j, (1,) * 6
+    )
+    dual = canonical_dual(tall)
+    svds = _count_linalg_calls(monkeypatch, "svd")
+    assert riesz_criteria(square) == (True, True, True)
+    # the analysis matrix (kept with the family) and the synthesis matrix
+    assert len(svds) == 2
+    assert riesz_criteria(tall) == (False, False, False)
+    # a wide synthesis matrix has a kernel and is not decomposed
+    assert len(svds) == 3
+    svds.clear()
+    result = mixed_construction(tall, dual, np.eye(2), np.eye(2))
+    assert result.criteria_agree and not result.riesz_report.is_riesz_type
+    # the combined family's own spectrum and the combined analysis rank; the
+    # wide combined synthesis matrix is not decomposed
+    assert svds.count((6, 2)) == 2 and svds.count((2, 2)) == 2 and len(svds) == 4
 
 
 def test_other_tolerance_values_get_their_own_frame_report():

@@ -155,6 +155,108 @@ def test_construct_lift_example(tmp_path, capsys):
     assert all(d == 2 for d in produced.families["lifted_lambda"].block_dims)
 
 
+_GOLDEN = ((3.0 - 5.0**0.5) / 2.0, (3.0 + 5.0**0.5) / 2.0)
+
+
+def _bounds(lower, upper, tight=True, parseval=False):
+    return {
+        "is_frame": True, "is_tight": tight, "is_parseval": parseval,
+        "lower_bound": lower, "upper_bound": upper,
+    }
+
+
+# argv after "construct", families written, (check, passed) in order, and the
+# numbers of each report and check by its name
+_RECIPE_CASES = {
+    "canonical-dual": (
+        [PAIR_DOC, "canonical-dual", "theta"], ["canonical_dual"], [("dual-pairing", True)],
+        {"result": _bounds(0.5, 0.5), "dual-pairing": {"identity_defect": 0.0}},
+    ),
+    "parseval": (
+        [PAIR_DOC, "parseval", "theta"], ["parseval"], [("is-parseval", True)],
+        {"is-parseval": _bounds(1.0, 1.0, parseval=True)},
+    ),
+    "gamma": (
+        [PAIR_DOC, "gamma", "lam", "theta"], ["gamma"],
+        [("pair-family-frame-iff-disjoint", True)],
+        {
+            "result": _bounds(*_GOLDEN, tight=False),
+            "pair-family-frame-iff-disjoint": {"disjoint": True, "is_frame": True},
+        },
+    ),
+    "delta": (
+        [PAIR_DOC, "delta", "lam", "ortho"], ["delta"],
+        [("parseval-when-strongly-disjoint", True)],
+        {
+            "result": _bounds(1.0, 1.0, parseval=True),
+            "parseval-when-strongly-disjoint": {"strongly_disjoint": True, "is_parseval": True},
+        },
+    ),
+    "sum-disjoint": (
+        [PAIR_DOC, "sum-disjoint", "lam", "theta"], ["sum"],
+        [("is-frame", True), ("certificate-sandwich", True)],
+        {
+            "result": _bounds(5.0, 5.0),
+            "is-frame": _bounds(5.0, 5.0),
+            "certificate-sandwich": {
+                "certified_lower": _GOLDEN[0], "certified_upper": 2.0 * _GOLDEN[1],
+                "lower_bound": 5.0, "upper_bound": 5.0,
+            },
+        },
+    ),
+    "sum-strong": (
+        [PAIR_DOC, "sum-strong", "lam", "ortho", "--l1", "[[[3, 0]]]", "--l2", "[[[4, 0]]]"],
+        ["sum"],
+        [("lower-bound-guarantee", True), ("tight-with-hypothesis-scale", True)],
+        {
+            "result": {**_bounds(25.0, 25.0), "scale": 25.0},
+            "lower-bound-guarantee": {"lower_bound": 25.0, "guaranteed": 25.0},
+            "tight-with-hypothesis-scale": {"is_tight": True, "bound": 25.0, "scale": 25.0},
+        },
+    ),
+    "pseudo-dual": (
+        [PAIR_DOC, "pseudo-dual", "lam", "ortho"], ["pseudo_dual", "single", "sum"],
+        [("dual-of-sum", True), ("dual-of-single", True)],
+        {"dual-of-sum": {"identity_defect": 0.0}, "dual-of-single": {"identity_defect": 0.0}},
+    ),
+    "lift-example": (
+        [LIFT_DOC, "lift-example", "f", "g"],
+        ["lifted_lambda", "lifted_phi", "lifted_psi", "lifted_theta"],
+        [
+            ("first-dual-pair", True), ("second-dual-pair", True),
+            ("cross-strong-disjointness", True), ("glued-dual-pair", True),
+        ],
+        {
+            "first-dual-pair": {"identity_defect": 0.0},
+            "second-dual-pair": {"identity_defect": 0.0},
+            "cross-strong-disjointness": {"first_cross_norm": 0.0, "second_cross_norm": 0.0},
+            "glued-dual-pair": {"identity_defect": 0.0},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(_RECIPE_CASES))
+def test_construct_recipe_report(recipe, tmp_path, capsys):
+    argv, families, checks, numbers = _RECIPE_CASES[recipe]
+    out_path = str(tmp_path / "out.json")
+    assert run_command(["construct", *argv, "-o", out_path, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [(c["name"], c["passed"]) for c in payload["checks"]] == checks
+    reports = payload["reports"]
+    assert reports.pop("output") == {"path": out_path, "families": families}
+    assert sorted(load_document(out_path).families) == families
+    actual = {
+        **reports,
+        **{c["name"]: {k: v for k, v in c.items() if k not in ("name", "passed")}
+           for c in payload["checks"]},
+    }
+    assert actual.keys() == numbers.keys()
+    for name, expected in numbers.items():
+        # the absolute floor of approx (1e-12) absorbs round-off in zero defects
+        assert actual[name] == pytest.approx(expected, rel=1e-12), name
+
+
 def test_generate_frame_round_trips(tmp_path, capsys):
     out_path = tmp_path / "gen.json"
     args = [
@@ -214,8 +316,22 @@ def test_json_reports_of_disjoint_and_delta_parse(tmp_path, capsys):
                 "[" * 100_000, "1" * 5000,
             )
         ),
+        ["verify", "--seed", "-1", "--cases", "1"],
+        *(
+            ["generate", "--kind", *kind, "--block-dims", "1,1", *extra, "-o", "x.json"]
+            for kind in (
+                ["frame", "--domain-dim", "1"],
+                ["strongly-disjoint-pair", "--dim-first", "1", "--dim-second", "1"],
+            )
+            for extra in (
+                ["--seed", "-1"], ["--weight-low", "nan"], ["--weight-high", "inf"],
+                ["--weight-low", "2", "--weight-high", "1"],
+                ["--weight-low", "0", "--weight-high", "0"],
+            )
+        ),
     ],
 )
+@pytest.mark.filterwarnings("error")  # a warning beside the error line breaks the contract
 def test_bad_input_or_option_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run_command(argv) == 2

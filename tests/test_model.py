@@ -146,6 +146,28 @@ def test_embedding_is_isometric(instance):
     assert self_ip.imag == pytest.approx(0.0, abs=1e-12)
 
 
+def test_khat_vector_is_one_array_with_block_views():
+    rng = np.random.default_rng(13)
+    dims = tuple(int(d) for d in rng.integers(1, 4, 1000))
+    space = MeasureSpace(rng.uniform(0.25, 4.0, len(dims)))
+    f = KHatVector(tuple(rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims))
+    g = KHatVector(tuple(rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims))
+    assert f.data.shape == (sum(dims),) and f.block_dims == dims
+    assert all(b.base is f.data for b in f.blocks)
+    for array in (f.data, f.blocks[3]):
+        with pytest.raises(ValueError):
+            array[0] = 5.0
+    # the round trip rounds like the per-atom route: bit for bit, and within
+    # an ulp or two of f (x * s / s need not give x back exactly)
+    roots = np.sqrt(space.weights)
+    per_atom = np.concatenate([b * r / r for b, r in zip(f.blocks, roots)])
+    round_trip = unembed(embed(f, space), space, dims)
+    assert round_trip.data.tobytes() == per_atom.tobytes()
+    assert np.all(np.abs(round_trip.data - f.data) <= 4e-16 * np.abs(f.data))
+    reference = sum(w * np.vdot(gb, fb) for w, fb, gb in zip(space.weights, f.blocks, g.blocks))
+    assert abs(khat_inner(f, g, space) - reference) <= 1e-12 * abs(reference)
+
+
 def test_analysis_matrix_single_block():
     fam = GFrameFamily(space=MeasureSpace([1.0]), domain_dim=1, blocks=([1.0],))
     assert np.allclose(analysis_matrix(fam), [[1.0]])
