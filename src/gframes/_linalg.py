@@ -54,6 +54,18 @@ def rank_from_singular_values(svals: np.ndarray, shape: tuple[int, int], tol) ->
     return int(np.count_nonzero(svals > rank_cutoff(shape, float(svals[0]), tol)))
 
 
+def gram_certifies_full_column_rank(smallest: float, largest: float, shape, tol) -> bool:
+    """True when the extreme eigenvalues of a computed Gram matrix fl(M^H M) prove
+    that the ``shape`` matrix M has full column rank at the singular-value cutoff.
+    delta bounds the rounding of the product and the eigensolver (Higham, ch. 3);
+    the factor 2 covers the SVD's own.  False means only "not certified"."""
+    rows, cols = shape
+    delta = (rows + cols) * cols * MACHINE_EPS * largest
+    if cols > rows or smallest <= delta:
+        return False
+    return (smallest - delta) ** 0.5 > 2.0 * rank_cutoff(shape, (largest + delta) ** 0.5, tol)
+
+
 def svd_rank(matrix: np.ndarray, tol) -> int:
     return rank_from_singular_values(singular_values(matrix), matrix.shape, tol)
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
+    gram_certifies_full_column_rank,
     hermitian_power,
     hermitize,
     matrices_close,
@@ -109,9 +110,11 @@ def _analysis_singular_values(fam: GFrameFamily) -> np.ndarray:
 
 
 def analysis_rank(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> int:
-    """Numerical rank of the analysis matrix, from its memoized singular values."""
-    svals = analysis_singular_values(fam)
-    return rank_from_singular_values(svals, fam.rows.shape, tol)
+    """Numerical rank of A: certified full by the frame bounds, else counted from σ(A)."""
+    rep = frame_bounds(fam, tol)
+    if gram_certifies_full_column_rank(rep.lower_bound, rep.upper_bound, fam.rows.shape, tol):
+        return fam.domain_dim
+    return rank_from_singular_values(analysis_singular_values(fam), fam.rows.shape, tol)
 
 
 def canonical_dual(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> GFrameFamily:

@@ -348,25 +348,27 @@ def _recipe_lift_example(lam, theta, args, tol):
     return families, None, checks
 
 
-# recipe name: (number of family names, recipe), in the order --help lists them
+# recipe name: (number of family names, recipe, takes --l1/--l2), in the order --help lists them
 _RECIPES = {
-    "gamma": (2, _recipe_gamma),
-    "delta": (2, _recipe_delta),
-    "sum-disjoint": (2, _recipe_sum_disjoint),
-    "sum-strong": (2, _recipe_sum_strong),
-    "pseudo-dual": (2, _recipe_pseudo_dual),
-    "canonical-dual": (1, _recipe_canonical_dual),
-    "parseval": (1, _recipe_parseval),
-    "lift-example": (2, _recipe_lift_example),
+    "gamma": (2, _recipe_gamma, False),
+    "delta": (2, _recipe_delta, False),
+    "sum-disjoint": (2, _recipe_sum_disjoint, True),
+    "sum-strong": (2, _recipe_sum_strong, True),
+    "pseudo-dual": (2, _recipe_pseudo_dual, True),
+    "canonical-dual": (1, _recipe_canonical_dual, False),
+    "parseval": (1, _recipe_parseval, False),
+    "lift-example": (2, _recipe_lift_example, False),
 }
 
 
 def _cmd_construct(args, tol) -> dict:
     doc = load_document(args.file)
-    arity, recipe = _RECIPES[args.recipe]
+    arity, recipe, takes_operators = _RECIPES[args.recipe]
     names = args.families
     if len(names) != arity:
         raise UsageError(f"recipe '{args.recipe}' needs exactly {arity} family name(s)")
+    if not takes_operators and (args.l1 is not None or args.l2 is not None):
+        raise UsageError(f"recipe '{args.recipe}' takes no --l1/--l2 operators")
     families, result, checks = recipe(_family(doc, names[0]), _family(doc, names[-1]), args, tol)
     reports = {} if result is None else {"result": result}
     reports["output"] = _write_document(args.output, families)

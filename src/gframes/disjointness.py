@@ -1,12 +1,12 @@
 """Classification of g-frame pairs by the five range-based disjointness relations.
 
 Two families over the same weighted direct-sum target are compared through
-their embedded analysis ranges: orthogonality of the ranges (strong
-disjointness) is certified by the cross operator, intersection dimensions by
-the SVD rank identity dim(U cap V) = rank A + rank B - rank [A|B].  In finite
-dimension the sum of two subspaces is always closed, so the "disjoint" and
-"weakly disjoint" verdicts coincide; they are still computed through two
-different routes (rank identity vs kernel test) as a cross-check.
+their embedded analysis ranges: strong disjointness by the cross operator,
+intersection dimensions by dim(U cap V) = rank A + rank B - rank [A|B], where a
+full rank is certified by Gram eigenvalues (for [A|B]: [[S_A, A^H B], [B^H A,
+S_B]]) and only an uncertified pair takes the SVD of [A|B].  The sum of two
+subspaces is closed in finite dimension, so "disjoint" and "weakly disjoint"
+coincide; two routes (rank identity vs kernel test) compute them as a check.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import operator_norm, svd_rank
+from ._linalg import gram_certifies_full_column_rank, operator_norm, svd_rank
 from .analysis import analysis_rank, frame_bounds, parseval_normalize
 from .errors import PreconditionError, ShapeError
 from .model import (
@@ -65,18 +65,23 @@ def classify(
     khat_dim = a.shape[0]
 
     # the cross operator of (theta, lam), from the matrices already formed
-    cross_norm = operator_norm(b.conj().T @ a)
+    cross = b.conj().T @ a
+    cross_norm = operator_norm(cross)
     bessel = np.sqrt(rep_lam.upper_bound * rep_theta.upper_bound)
     strongly = bool(cross_norm <= tol.rel_eps * bessel)
 
     rank_a = analysis_rank(lam, tol)
     rank_b = analysis_rank(theta, tol)
-    rank_ab = svd_rank(np.hstack([a, b]), tol)
+    pair_dim = lam.domain_dim + theta.domain_dim
+    gram = np.block([[rep_lam.frame_operator, cross.conj().T], [cross, rep_theta.frame_operator]])
+    evals = np.linalg.eigvalsh(gram)
+    certified = gram_certifies_full_column_rank(evals[0], evals[-1], (khat_dim, pair_dim), tol)
+    rank_ab = pair_dim if certified else svd_rank(np.hstack([a, b]), tol)
     intersection = rank_a + rank_b - rank_ab
 
     disjoint = intersection == 0
     # Independent route: trivial kernel of the stacked pair map.
-    weakly = rank_ab == lam.domain_dim + theta.domain_dim
+    weakly = rank_ab == pair_dim
     complementary = intersection == 0 and rank_ab == khat_dim
     strongly_complementary = strongly and (rank_a + rank_b == khat_dim)
 

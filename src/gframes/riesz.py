@@ -58,19 +58,21 @@ def riesz_check(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> RieszR
     ``synthesis_lower_bound`` is the square of the smallest gain of the
     synthesis operator over the whole target space (zero when the kernel is
     nontrivial); ``synthesis_upper_bound`` is the square of its largest
-    singular value, which equals the upper frame bound.
+    singular value: the upper frame bound.  A tall analysis matrix (N > d) is
+    decomposed only when the frame bounds do not certify its rank.
     """
-    if not frame_bounds(fam, tol).is_frame:
+    report = frame_bounds(fam, tol)
+    if not report.is_frame:
         raise PreconditionError("family is not a frame")
     khat_dim = fam.codomain_dim
-    svals = analysis_singular_values(fam)  # also those of the synthesis matrix
     rank = analysis_rank(fam, tol)
+    lower = float(analysis_singular_values(fam)[-1]) ** 2 if khat_dim <= fam.domain_dim else 0.0
     return RieszReport(
         is_riesz_type=rank == khat_dim,
         analysis_rank=rank,
         khat_dim=int(khat_dim),
-        synthesis_lower_bound=float(svals[-1]) ** 2 if khat_dim <= fam.domain_dim else 0.0,
-        synthesis_upper_bound=float(svals[0]) ** 2,
+        synthesis_lower_bound=lower,
+        synthesis_upper_bound=report.upper_bound,
     )
 
 
@@ -95,8 +97,8 @@ def riesz_criteria(
 
     (range test, two-sided synthesis bound test, synthesis kernel test);
     all three must agree on every frame.  The range test reads the analysis
-    matrix's kept singular values; the other two share one decomposition of
-    the synthesis matrix, and none when it is wide (N > d).
+    rank of ``riesz_check``; the other two share one decomposition of the
+    synthesis matrix, and none when it is wide (N > d).
     """
     _, bound_ok, kernel_trivial = bounded_below(synthesis_matrix(fam), tol)
     return riesz_check(fam, tol).is_riesz_type, bound_ok, kernel_trivial
@@ -161,9 +163,10 @@ def mixed_construction(
 
     riesz_report = riesz_check(combined, tol)
 
-    # Independent route (ii): rank of the combined analysis operator.
+    # Independent route (ii): rank of the combined analysis operator (< N when tall).
     combined_analysis = analysis_matrix(lam) @ l1 + analysis_matrix(theta) @ l2
-    surjective = svd_rank(combined_analysis, tol) == combined.codomain_dim
+    n = combined.codomain_dim
+    surjective = n <= d and svd_rank(combined_analysis, tol) == n
 
     # Independent route (iii): lower bound of the combined synthesis operator.
     combined_synthesis = l1.conj().T @ synthesis_matrix(lam) + l2.conj().T @ synthesis_matrix(theta)

@@ -23,6 +23,12 @@ from gframes import (
     riesz_check,
     riesz_criteria,
 )
+from gframes._linalg import (
+    gram_certifies_full_column_rank,
+    rank_from_singular_values,
+    singular_values,
+)
+from gframes.analysis import analysis_rank
 from gframes.verification import _random_frame
 
 
@@ -220,11 +226,26 @@ def test_spectra_are_computed_once_per_family(monkeypatch):
     riesz_check(f)
     first = classify(f, g)
     second = classify(f, g)
-    assert first == second
-    assert svds.count((6, 2)) == 1 and svds.count((6, 3)) == 1
-    # the pair matrix [A|B] is decomposed on every call
-    assert svds.count((6, 5)) == 2
-    assert len(eigs) == 2
+    assert first == second and first.range_sum_dim == 5
+    # the Gram eigenvalues certify every rank: no tall matrix is decomposed and
+    # [A|B] is never stacked; only the 3 x 2 cross operator's norm takes an SVD
+    assert svds == [(3, 2), (3, 2)]
+    # once per family, and the 5 x 5 pair Gram on every call
+    assert eigs == [(2, 2), (3, 3), (5, 5), (5, 5)]
+
+
+def test_uncertified_pair_falls_back_to_the_svd_of_the_stacked_matrix(monkeypatch):
+    rng = np.random.default_rng(5)
+    space = MeasureSpace(rng.uniform(0.5, 2.0, 6))
+    f = GFrameFamily.from_rows(space, rng.standard_normal((6, 2)) + 1j, (1,) * 6)
+    # the ranges of f and g share the direction of f's first column
+    g_rows = np.column_stack([f.rows[:, 0], rng.standard_normal((6, 2)) - 1j])
+    g = GFrameFamily.from_rows(space, g_rows, (1,) * 6)
+    svds = _count_linalg_calls(monkeypatch, "svd")
+    report = classify(f, g)
+    assert report.range_intersection_dim == 1 and not report.weakly_disjoint
+    assert svds.count((6, 5)) == 1
+    assert svds.count((6, 2)) == 0 and svds.count((6, 3)) == 0
 
 
 def test_riesz_routes_decompose_the_synthesis_matrix_at_most_once(monkeypatch):
@@ -238,17 +259,58 @@ def test_riesz_routes_decompose_the_synthesis_matrix_at_most_once(monkeypatch):
     dual = canonical_dual(tall)
     svds = _count_linalg_calls(monkeypatch, "svd")
     assert riesz_criteria(square) == (True, True, True)
-    # the analysis matrix (kept with the family) and the synthesis matrix
+    # the analysis matrix (for the synthesis lower bound) and the synthesis matrix
     assert len(svds) == 2
     assert riesz_criteria(tall) == (False, False, False)
-    # a wide synthesis matrix has a kernel and is not decomposed
-    assert len(svds) == 3
+    # the tall analysis matrix's rank is certified from the frame operator and
+    # the wide synthesis matrix has a kernel: neither is decomposed
+    assert len(svds) == 2
     svds.clear()
     result = mixed_construction(tall, dual, np.eye(2), np.eye(2))
     assert result.criteria_agree and not result.riesz_report.is_riesz_type
-    # the combined family's own spectrum and the combined analysis rank; the
-    # wide combined synthesis matrix is not decomposed
-    assert svds.count((6, 2)) == 2 and svds.count((2, 2)) == 2 and len(svds) == 4
+    # only the norms of L1 and L2: the combined family's rank is certified, and
+    # the tall combined analysis and wide combined synthesis matrices are not
+    # decomposed
+    assert svds == [(2, 2), (2, 2)]
+
+
+def _planted_family(rng, rows: int, svals: np.ndarray) -> GFrameFamily:
+    """Family whose analysis matrix has the singular values ``svals``."""
+    cols = svals.size
+    u, v = (
+        np.linalg.qr(rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols)))[0]
+        for n in (rows, cols)
+    )
+    weights = rng.uniform(0.5, 2.0, rows)
+    a = (u * svals) @ v.conj().T / np.sqrt(weights)[:, None]
+    return GFrameFamily.from_rows(MeasureSpace(weights), a, (1,) * rows)
+
+
+def _svd_rank_reference(fam: GFrameFamily, tol) -> int:
+    matrix = analysis_matrix(fam)
+    return rank_from_singular_values(singular_values(matrix), matrix.shape, tol)
+
+
+def test_analysis_rank_matches_the_svd_on_planted_spectra(tol):
+    rng = np.random.default_rng(23)
+    certified = set()
+    for kappa in np.logspace(0, 16, 17):
+        for rows, cols in ((1, 1), (7, 7), (48, 24), (300, 48), (3000, 8), (2500, 48)):
+            # singular values spread from 1 down to 1/kappa, or all 1 but the last
+            spread = np.geomspace(1.0, 1.0 / kappa, cols)
+            for svals in (spread, np.append(np.ones(cols - 1), 1.0 / kappa)):
+                fam = _planted_family(rng, rows, svals)
+                assert analysis_rank(fam, tol) == _svd_rank_reference(fam, tol), (rows, svals)
+                rep = frame_bounds(fam, tol)
+                bounds = (rep.lower_bound, rep.upper_bound)
+                certified.add(gram_certifies_full_column_rank(*bounds, (rows, cols), tol))
+    # both the eigenvalue certificate and the SVD fallback were exercised
+    assert certified == {True, False}
+
+
+def test_analysis_rank_of_a_tall_family_matches_the_svd(tol):
+    fam = _planted_family(np.random.default_rng(29), 20_000, np.geomspace(1.0, 1e-3, 12))
+    assert analysis_rank(fam, tol) == _svd_rank_reference(fam, tol) == 12
 
 
 def test_other_tolerance_values_get_their_own_frame_report():

@@ -329,6 +329,12 @@ def test_json_reports_of_disjoint_and_delta_parse(tmp_path, capsys):
                 ["--weight-low", "0", "--weight-high", "0"],
             )
         ),
+        # operators given to a recipe that takes none
+        ["construct", PAIR_DOC, "gamma", "lam", "theta", "--l1", "xx", "-o", "g.json"],
+        ["construct", PAIR_DOC, "delta", "lam", "theta", "--l2", "[[[1, 0]]]", "-o", "x.json"],
+        ["construct", PAIR_DOC, "canonical-dual", "theta", "--l1", "[[[1, 0]]]", "-o", "x.json"],
+        ["construct", PAIR_DOC, "parseval", "theta", "--l2", "xx", "-o", "x.json"],
+        ["construct", LIFT_DOC, "lift-example", "f", "g", "--l1", "[[[1, 0]]]", "-o", "x.json"],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning beside the error line breaks the contract

@@ -9,6 +9,7 @@ from gframes import (
     PreconditionError,
     ShapeError,
     SingularOperatorError,
+    analysis_matrix,
     classify,
     delta_family,
     frame_bounds,
@@ -17,6 +18,7 @@ from gframes import (
     kernel_triviality,
     strong_disjointness_converse_check,
 )
+from gframes._linalg import svd_rank
 
 GOLDEN = (3.0 - np.sqrt(5.0)) / 2.0, (3.0 + np.sqrt(5.0)) / 2.0
 
@@ -140,3 +142,44 @@ def test_kernel_triviality(lam_family, ortho_family, theta_family, tol):
         space=MeasureSpace([1.0]), domain_dim=2, blocks=([[1.0, 0.0]],)
     )
     assert not kernel_triviality(single, tol)
+
+
+def _cgauss(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _pair_with_intersection(rng, rows: int, dim_a: int, dim_b: int, shared: int):
+    """Two frames over one space whose analysis ranges meet in ``shared`` dimensions."""
+    basis = np.linalg.qr(_cgauss(rng, (rows, dim_a + dim_b - shared)))[0]
+    weights = rng.uniform(0.5, 2.0, rows)
+
+    def family(columns):
+        mixed = columns @ _cgauss(rng, (columns.shape[1],) * 2)
+        return GFrameFamily.from_rows(
+            MeasureSpace(weights), mixed / np.sqrt(weights)[:, None], (1,) * rows
+        )
+
+    return family(basis[:, :dim_a]), family(basis[:, dim_a - shared :])
+
+
+def test_classify_ranks_match_the_svd_of_the_stacked_matrix(tol):
+    rng = np.random.default_rng(31)
+    for shared in range(4):
+        for rows, dim_a, dim_b in ((12, 3, 4), (40, 5, 5), (400, 8, 12), (1500, 24, 24)):
+            lam, theta = _pair_with_intersection(rng, rows, dim_a, dim_b, shared)
+            a, b = analysis_matrix(lam), analysis_matrix(theta)
+            report = classify(lam, theta, tol)
+            rank_ab = svd_rank(np.hstack([a, b]), tol)
+            intersection = svd_rank(a, tol) + svd_rank(b, tol) - rank_ab
+            assert report.range_sum_dim == rank_ab, (rows, shared)
+            assert report.range_intersection_dim == intersection == shared, (rows, shared)
+            assert report.weakly_disjoint == report.disjoint == (shared == 0)
+
+
+def test_kernel_triviality_matches_the_svd_near_the_cutoff(tol):
+    # sigma(A) = (1, s) while the frame operator's eigenvalues are (1, s^2): the
+    # Gram certificate cannot decide the small s, and the SVD must
+    space = MeasureSpace([1.0, 1.0, 1.0])
+    for s in np.logspace(-9, -7, 41):
+        fam = GFrameFamily(space, 2, ([[1.0, 0.0]], [[0.0, s]], [[0.0, 0.0]]))
+        assert kernel_triviality(fam, tol) == (svd_rank(analysis_matrix(fam), tol) == 2), s
