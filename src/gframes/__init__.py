@@ -35,6 +35,7 @@ from .disjointness import (
     delta_family,
     gamma_family,
     kernel_triviality,
+    pair_equivalences,
     strong_disjointness_converse_check,
 )
 from .documents import (
@@ -71,7 +72,6 @@ from .model import (
     khat_norm,
     right_compose,
     unembed,
-    validate_family,
 )
 from .riesz import (
     MixedConstruction,

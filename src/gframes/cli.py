@@ -34,7 +34,7 @@ from .constructions import (
     random_strongly_disjoint_parseval_pair,
     strongly_disjoint_sum,
 )
-from .disjointness import classify, delta_family, gamma_family, kernel_triviality
+from .disjointness import classify, delta_family, gamma_family, pair_equivalences
 from .documents import FORMAT_VERSION, FrameDocument, load_document, parse_matrix, save_document
 from .errors import (
     DocumentError,
@@ -167,49 +167,11 @@ def _cmd_analyze(args, tol) -> dict:
 
 def _cmd_disjoint(args, tol) -> dict:
     doc = load_document(args.file)
-    lam = _family(doc, args.family_a)
-    theta = _family(doc, args.family_b)
-    report = classify(lam, theta, tol)
-    gamma = gamma_family(lam, theta)
-    gamma_rep = frame_bounds(gamma, tol)
-    gamma_riesz = gamma_rep.is_frame and riesz_check(gamma, tol).is_riesz_type
-    kernel_trivial = kernel_triviality(gamma, tol)
-    reports = {"relations": asdict(report), "pair_family": _frame_numbers(gamma_rep)}
-    checks = [
-        _check(
-            "pair-family-frame-iff-disjoint",
-            report.disjoint == gamma_rep.is_frame,
-            disjoint=report.disjoint,
-            pair_family_is_frame=gamma_rep.is_frame,
-        ),
-        _check(
-            "complementary-iff-pair-riesz",
-            report.complementary_pair == gamma_riesz,
-            complementary_pair=report.complementary_pair,
-            pair_family_riesz=gamma_riesz,
-        ),
-        _check(
-            "strongly-complementary-decomposition",
-            report.strongly_complementary_pair == (report.strongly_disjoint and gamma_riesz),
-            strongly_complementary_pair=report.strongly_complementary_pair,
-            strongly_disjoint=report.strongly_disjoint,
-            pair_family_riesz=gamma_riesz,
-        ),
-        _check(
-            "weak-iff-trivial-kernel",
-            report.weakly_disjoint == kernel_trivial,
-            weakly_disjoint=report.weakly_disjoint,
-            kernel_trivial=kernel_trivial,
-        ),
-        _check(
-            "hierarchy",
-            (not report.strongly_disjoint or report.disjoint)
-            and (not report.disjoint or report.weakly_disjoint),
-            strongly_disjoint=report.strongly_disjoint,
-            disjoint=report.disjoint,
-            weakly_disjoint=report.weakly_disjoint,
-        ),
-    ]
+    relations, pair_rep, checks = pair_equivalences(
+        _family(doc, args.family_a), _family(doc, args.family_b), tol
+    )
+    reports = {"relations": asdict(relations), "pair_family": _frame_numbers(pair_rep)}
+    checks = [_check(name, passed, **numbers) for name, passed, numbers in checks]
     return {"reports": reports, "checks": checks}
 
 

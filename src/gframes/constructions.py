@@ -410,6 +410,8 @@ def random_strongly_disjoint_parseval_pair(
     the triangular factor's diagonal so replays are bit-stable.
     """
     dims = tuple(int(d) for d in block_dims)
+    if any(d < 1 for d in dims):
+        raise GenerationError(f"invalid shape request: block_dims={dims}")
     total = sum(dims)
     if dim_first < 1 or dim_second < 1 or dim_first + dim_second > total:
         raise GenerationError(

@@ -7,6 +7,8 @@ full rank is certified by Gram eigenvalues (for [A|B]: [[S_A, A^H B], [B^H A,
 S_B]]) and only an uncertified pair takes the SVD of [A|B].  The sum of two
 subspaces is closed in finite dimension, so "disjoint" and "weakly disjoint"
 coincide; two routes (rank identity vs kernel test) compute them as a check.
+``pair_equivalences`` states the theorems that tie the relations to the pair
+family, once, for the ``disjoint`` command and the ``verify`` suite alike.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import gram_certifies_full_column_rank, operator_norm, svd_rank
-from .analysis import analysis_rank, frame_bounds, parseval_normalize
+from .analysis import FrameReport, analysis_rank, frame_bounds, parseval_normalize
 from .errors import PreconditionError, ShapeError
 from .model import (
     DEFAULT_TOL,
@@ -24,9 +26,9 @@ from .model import (
     TolerancePolicy,
     analysis_matrix,
     require_same_khat,
-    require_valid,
     right_compose,
 )
+from .riesz import riesz_check
 
 
 @dataclass(frozen=True)
@@ -105,8 +107,6 @@ def gamma_family(lam: GFrameFamily, theta: GFrameFamily) -> GFrameFamily:
     left-to-right reading of (h, k) -> lam_i h + theta_i k.
     """
     require_same_khat(lam, theta)
-    require_valid(lam)
-    require_valid(theta)
     return GFrameFamily.from_rows(lam.space, np.hstack([lam.rows, theta.rows]), lam.block_dims)
 
 
@@ -159,3 +159,55 @@ def strong_disjointness_converse_check(
 def kernel_triviality(gamma: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """True when only the zero vector is annihilated by every block."""
     return analysis_rank(gamma, tol) == gamma.domain_dim
+
+
+def pair_equivalences(
+    lam: GFrameFamily, theta: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL
+) -> tuple[DisjointnessReport, FrameReport, tuple[tuple[str, bool, dict], ...]]:
+    """The pair theorems checked on one pair of frames.
+
+    Returns the pair's relations, the frame report of its pair family Gamma
+    and five ``(name, passed, numbers)`` checks, each with the quantities it
+    compares: disjoint iff Gamma is a frame; complementary iff Gamma is
+    Riesz-type; strongly complementary iff strongly disjoint and Gamma
+    Riesz-type; weakly disjoint iff Gamma has a trivial kernel; and strongly
+    disjoint => disjoint => weakly disjoint.
+    """
+    report = classify(lam, theta, tol)
+    gamma = gamma_family(lam, theta)
+    gamma_rep = frame_bounds(gamma, tol)
+    gamma_riesz = gamma_rep.is_frame and riesz_check(gamma, tol).is_riesz_type
+    kernel_trivial = kernel_triviality(gamma, tol)
+    strong, disjoint, weak = report.strongly_disjoint, report.disjoint, report.weakly_disjoint
+    checks = (
+        (
+            "pair-family-frame-iff-disjoint",
+            disjoint == gamma_rep.is_frame,
+            {"disjoint": disjoint, "pair_family_is_frame": gamma_rep.is_frame},
+        ),
+        (
+            "complementary-iff-pair-riesz",
+            report.complementary_pair == gamma_riesz,
+            {"complementary_pair": report.complementary_pair, "pair_family_riesz": gamma_riesz},
+        ),
+        (
+            "strongly-complementary-decomposition",
+            report.strongly_complementary_pair == (strong and gamma_riesz),
+            {
+                "strongly_complementary_pair": report.strongly_complementary_pair,
+                "strongly_disjoint": strong,
+                "pair_family_riesz": gamma_riesz,
+            },
+        ),
+        (
+            "weak-iff-trivial-kernel",
+            weak == kernel_trivial,
+            {"weakly_disjoint": weak, "kernel_trivial": kernel_trivial},
+        ),
+        (
+            "hierarchy",
+            (not strong or disjoint) and (not disjoint or weak),
+            {"strongly_disjoint": strong, "disjoint": disjoint, "weakly_disjoint": weak},
+        ),
+    )
+    return report, gamma_rep, checks

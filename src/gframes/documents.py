@@ -18,8 +18,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DocumentError, FamilyValidationError, ShapeError
-from .model import GFrameFamily, MeasureSpace, require_valid
+from .errors import DocumentError, ShapeError
+from .model import GFrameFamily, MeasureSpace
 
 FORMAT_VERSION = "1"
 
@@ -260,7 +260,6 @@ def parse_document(text: str) -> FrameDocument:
 
 def _family_json(name: str, fam: GFrameFamily, space: MeasureSpace) -> str:
     """One family as indented JSON, each block on one line."""
-    require_valid(fam)
     if fam.space != space:
         raise ShapeError(f"family '{name}' lives over another measure space than the document")
     # one %s per number in a layout of nested arrays; repr is the shortest
@@ -279,13 +278,9 @@ def _family_json(name: str, fam: GFrameFamily, space: MeasureSpace) -> str:
 def serialize_document(doc: FrameDocument) -> str:
     """The document as strict JSON, indented, with each block on one line.
 
-    Raises FamilyValidationError for an invalid measure space or a family
-    that violates its invariants, and ShapeError for a family over another
-    measure space than the document's, since the text would not read back as
-    the document.
+    Raises ShapeError for a family over another measure space than the
+    document's, since the text would not read back as the document.
     """
-    if doc.space.violations():
-        raise FamilyValidationError(doc.space.violations())
     members = ",\n".join(
         f"    {json.dumps(name)}: {_family_json(name, fam, doc.space)}"
         for name, fam in doc.families.items()

@@ -84,11 +84,8 @@ DEFAULT_TOL = TolerancePolicy()
 
 @dataclass(frozen=True, eq=False)
 class MeasureSpace:
-    """Finite set of atoms with strictly positive weights.
-
-    Construction is permissive so that invalid data can be inspected;
-    :func:`validate_family` reports weight violations as data.
-    """
+    """Finite set of atoms with strictly positive weights; construction raises
+    FamilyValidationError naming every atom whose weight is not finite and > 0."""
 
     weights: np.ndarray
 
@@ -97,54 +94,16 @@ class MeasureSpace:
         found = [] if arr.size else ["atom_count must be >= 1"]
         bad = np.flatnonzero(~(np.isfinite(arr) & (arr > 0)))
         found += [f"weights[{i}] = {arr[i]} not > 0" for i in bad]
+        if found:
+            raise FamilyValidationError(found)
         object.__setattr__(self, "weights", arr)
-        object.__setattr__(self, "_violations", tuple(found))
 
     @property
     def atom_count(self) -> int:
         return int(self.weights.size)
 
-    def violations(self) -> list[str]:
-        return list(self._violations)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, MeasureSpace) and np.array_equal(self.weights, other.weights)
-
-
-def _violations(space, domain_dim, block_dims, rows, blocks) -> tuple[str, ...]:
-    """Every violated structural invariant of a family.  ``blocks`` is given
-    only when they do not fit ``block_dims`` x ``domain_dim`` (``rows`` is None)."""
-    found = space.violations()
-    if int(domain_dim) < 1:
-        found.append(f"domain_dim = {domain_dim} not >= 1")
-    if blocks is None:
-        bad_rows = ~np.isfinite(rows.view(float)).all(axis=1)
-        if bad_rows.any():
-            atoms = np.unique(np.repeat(np.arange(len(block_dims)), block_dims)[bad_rows])
-            found += [f"block {i} contains non-finite entries" for i in atoms]
-    else:
-        n = space.atom_count
-        if len(blocks) != n:
-            found.append(f"blocks.length = {len(blocks)} != atom_count = {n}")
-        if len(block_dims) != len(blocks):
-            found.append(
-                f"block_dims.length = {len(block_dims)} != blocks.length = {len(blocks)}"
-            )
-        for i, block in enumerate(blocks):
-            if i < len(block_dims) and block.shape[0] != block_dims[i]:
-                found.append(
-                    f"block {i} has {block.shape[0]} rows, "
-                    f"expected block_dims[{i}] = {block_dims[i]}"
-                )
-            if block.shape[1] != domain_dim:
-                found.append(
-                    f"block {i} has {block.shape[1]} columns, expected domain_dim = {domain_dim}"
-                )
-            if not np.all(np.isfinite(block)):
-                found.append(f"block {i} contains non-finite entries")
-    if sum(block_dims) < 1:
-        found.append("total codomain dimension must be >= 1")
-    return tuple(found)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -154,14 +113,14 @@ class GFrameFamily:
     ``blocks[i]`` maps the shared ``domain_dim``-dimensional domain into the
     atom's codomain of dimension ``block_dims[i]``. ``block_dims`` may be
     omitted, in which case it is read off the blocks; passing it explicitly
-    lets :func:`validate_family` catch mismatches.
+    checks the blocks against it.
 
     The family stores ``rows``: the raw blocks stacked in atom order, one
     read-only C-contiguous N x ``domain_dim`` matrix (unweighted, so the
     blocks stay bit-exact), and ``blocks`` are read-only views into it.  The
-    structural invariants are checked once, here.  Construction is
-    permissive: blocks that do not fit ``block_dims`` x ``domain_dim`` are
-    kept as given, with ``rows = None``, for inspection.
+    structural invariants are checked once, here, so every family is valid:
+    construction raises FamilyValidationError naming the violations (the
+    blocks' shape faults, or else every other fault of the stacked rows).
 
     Since a family never changes, its spectral data (the d x d frame
     operator, one frame report per tolerance, the singular values of the
@@ -172,20 +131,30 @@ class GFrameFamily:
     space: MeasureSpace
     domain_dim: int
     block_dims: tuple[int, ...]
-    rows: np.ndarray | None = field(repr=False)
+    rows: np.ndarray = field(repr=False)
 
     def __init__(self, space, domain_dim, blocks, block_dims=None):
         blocks = tuple(_as_block(b) for b in blocks)
         dims = (
             tuple(b.shape[0] for b in blocks) if block_dims is None else tuple(map(int, block_dims))
         )
-        fits = bool(blocks) and len(blocks) == len(dims) == space.atom_count and all(
-            b.shape == (d, domain_dim) for b, d in zip(blocks, dims)
-        )
-        if fits:
-            self._set(space, domain_dim, dims, _freeze(np.vstack(blocks)), None)
-        else:
-            self._set(space, domain_dim, dims, None, tuple(_freeze(b.copy()) for b in blocks))
+        found = []
+        if len(blocks) != space.atom_count:
+            found.append(f"blocks.length = {len(blocks)} != atom_count = {space.atom_count}")
+        if len(dims) != len(blocks):
+            found.append(f"block_dims.length = {len(dims)} != blocks.length = {len(blocks)}")
+        for i, block in enumerate(blocks):
+            if i < len(dims) and block.shape[0] != dims[i]:
+                found.append(
+                    f"block {i} has {block.shape[0]} rows, expected block_dims[{i}] = {dims[i]}"
+                )
+            if block.shape[1] != domain_dim:
+                found.append(
+                    f"block {i} has {block.shape[1]} columns, expected domain_dim = {domain_dim}"
+                )
+        if found:
+            raise FamilyValidationError(found)
+        self._set(space, domain_dim, dims, np.vstack(blocks))
 
     @classmethod
     def from_rows(cls, space: MeasureSpace, rows: np.ndarray, block_dims) -> "GFrameFamily":
@@ -203,14 +172,24 @@ class GFrameFamily:
         if len(dims) != space.atom_count:
             raise ShapeError("block_dims do not match the measure space")
         family = cls.__new__(cls)
-        family._set(space, rows.shape[1], dims, _freeze(rows), None)
+        family._set(space, rows.shape[1], dims, rows)
         return family
 
-    def _set(self, space, domain_dim, block_dims, rows, blocks) -> None:
-        found = _violations(space, domain_dim, block_dims, rows, blocks)
+    def _set(self, space, domain_dim, block_dims, rows) -> None:
+        """Adopt ``rows`` (read-only from now on) once the invariants hold."""
+        found = [] if domain_dim >= 1 else [f"domain_dim = {domain_dim} not >= 1"]
+        found += [f"block_dims[{i}] = {d} not >= 1" for i, d in enumerate(block_dims) if d < 1]
+        if not found and not np.isfinite(rows.view(float)).all():
+            bad_rows = ~np.isfinite(rows.view(float)).all(axis=1)
+            atoms = np.unique(np.repeat(np.arange(len(block_dims)), block_dims)[bad_rows])
+            found += [f"block {i} contains non-finite entries" for i in atoms]
+        if sum(block_dims) < 1:
+            found.append("total codomain dimension must be >= 1")
+        if found:
+            raise FamilyValidationError(found)
         for name, value in zip(
-            ("space", "domain_dim", "block_dims", "rows", "_blocks", "_violations", "_memo"),
-            (space, domain_dim, block_dims, rows, blocks, found, {}),
+            ("space", "domain_dim", "block_dims", "rows", "_blocks", "_memo"),
+            (space, domain_dim, block_dims, _freeze(rows), None, {}),
         ):
             object.__setattr__(self, name, value)
 
@@ -239,17 +218,11 @@ class GFrameFamily:
         return int(sum(self.block_dims))
 
     def __eq__(self, other) -> bool:
-        if not (
+        return (
             isinstance(other, GFrameFamily)
             and self.space == other.space
-            and self.domain_dim == other.domain_dim
             and self.block_dims == other.block_dims
-        ):
-            return False
-        if self.rows is not None and other.rows is not None:
-            return np.array_equal(self.rows, other.rows)
-        return len(self.blocks) == len(other.blocks) and all(
-            np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks)
+            and np.array_equal(self.rows, other.rows)
         )
 
 
@@ -303,19 +276,6 @@ class KHatVector:
             and self.block_dims == other.block_dims
             and np.array_equal(self.data, other.data)
         )
-
-
-def validate_family(fam: GFrameFamily) -> list[str]:
-    """Return every violated structural invariant; an empty list means valid.
-
-    The invariants are checked when the family is built; this reads the result.
-    """
-    return list(fam._violations)
-
-
-def require_valid(fam: GFrameFamily) -> None:
-    if fam._violations:
-        raise FamilyValidationError(fam._violations)
 
 
 def require_same_khat(first: GFrameFamily, second: GFrameFamily) -> None:
@@ -379,7 +339,6 @@ def analysis_matrix(fam: GFrameFamily) -> np.ndarray:
     The synthesis operator's matrix is the conjugate transpose.  It is formed
     on each call, never stored beside the family's rows.
     """
-    require_valid(fam)
     return fam.rows * _row_roots(fam.space, fam.block_dims)[:, np.newaxis]
 
 
@@ -398,7 +357,6 @@ def apply_analysis(fam: GFrameFamily, h: np.ndarray) -> KHatVector:
     h = np.asarray(h, dtype=complex).reshape(-1)
     if h.size != fam.domain_dim:
         raise ShapeError(f"vector length {h.size} != domain_dim {fam.domain_dim}")
-    require_valid(fam)
     return KHatVector.from_array(fam.rows @ h, fam.block_dims)
 
 
@@ -408,7 +366,6 @@ def apply_synthesis(fam: GFrameFamily, phi: KHatVector) -> np.ndarray:
         raise ShapeError(
             f"vector block dims {phi.block_dims} != family block dims {fam.block_dims}"
         )
-    require_valid(fam)
     return fam.rows.conj().T @ (phi.data * np.repeat(fam.space.weights, fam.block_dims))
 
 
@@ -419,5 +376,4 @@ def right_compose(fam: GFrameFamily, operator: np.ndarray) -> GFrameFamily:
         raise ShapeError(
             f"operator shape {operator.shape} does not act on domain of dim {fam.domain_dim}"
         )
-    require_valid(fam)
     return GFrameFamily.from_rows(fam.space, fam.rows @ operator, fam.block_dims)

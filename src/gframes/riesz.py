@@ -163,14 +163,19 @@ def mixed_construction(
 
     riesz_report = riesz_check(combined, tol)
 
-    # Independent route (ii): rank of the combined analysis operator (< N when tall).
-    combined_analysis = analysis_matrix(lam) @ l1 + analysis_matrix(theta) @ l2
+    # Independent routes (ii), the rank of the combined analysis operator, and
+    # (iii), the lower bound of the combined synthesis operator.  When N > d
+    # the shape decides both: a tall analysis operator is not surjective and
+    # a wide synthesis operator has a kernel, so neither matrix is formed.
+    surjective, gain, positive_lower = False, 0.0, False
     n = combined.codomain_dim
-    surjective = n <= d and svd_rank(combined_analysis, tol) == n
-
-    # Independent route (iii): lower bound of the combined synthesis operator.
-    combined_synthesis = l1.conj().T @ synthesis_matrix(lam) + l2.conj().T @ synthesis_matrix(theta)
-    gain, positive_lower, _ = bounded_below(combined_synthesis, tol)
+    if n <= d:
+        combined_analysis = analysis_matrix(lam) @ l1 + analysis_matrix(theta) @ l2
+        surjective = svd_rank(combined_analysis, tol) == n
+        combined_synthesis = (
+            l1.conj().T @ synthesis_matrix(lam) + l2.conj().T @ synthesis_matrix(theta)
+        )
+        gain, positive_lower, _ = bounded_below(combined_synthesis, tol)
 
     return MixedConstruction(
         family=combined,

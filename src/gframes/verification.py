@@ -1,9 +1,11 @@
 """Randomized property suite: every construction theorem and operator identity
 in the package, exercised on seed-deterministic generated instances.
 
-``run_suite`` is what the ``verify`` CLI command executes; each named check
-draws its own child seed from the master seed, so the verdict is a pure
-function of (seed, cases, tolerance).
+``run_suite`` is what the ``verify`` CLI command executes.  Each check
+draws one case and yields its failures; ``_per_case`` runs it ``cases``
+times on the generator of its child seed of the master seed and labels each
+failure with its case, so the verdict is a pure function of
+(seed, cases, tolerance).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .disjointness import (
     classify,
     delta_family,
     gamma_family,
-    kernel_triviality,
+    pair_equivalences,
     strong_disjointness_converse_check,
 )
 from .documents import FORMAT_VERSION, FrameDocument, parse_document, serialize_document
@@ -214,182 +216,136 @@ def _blockwise_synthesis(fam) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# checks: each returns a list of failure descriptions (empty = pass)
+# checks: each draws one case from ``rng`` and yields its failure descriptions
 # ---------------------------------------------------------------------------
 
 
-def _check_embedding_isometry(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        dims = _random_dims(rng)
-        space = MeasureSpace(rng.uniform(0.25, 4.0, len(dims)))
-        f = _random_khat(rng, dims)
-        g = _random_khat(rng, dims)
-        weighted = khat_inner(f, g, space)
-        embedded = inner(embed(f, space), embed(g, space))
-        if not _tiny(abs(weighted - embedded), tol, abs(weighted)):
-            failures.append(f"case {case}: isometry defect {abs(weighted - embedded):.3e}")
-        if not _tiny(abs(weighted - np.conj(khat_inner(g, f, space))), tol, abs(weighted)):
-            failures.append(f"case {case}: conjugate symmetry broken")
-        self_ip = khat_inner(f, f, space)
-        if self_ip.real < 0 or abs(self_ip.imag) > tol.rel_eps * max(1.0, self_ip.real):
-            failures.append(f"case {case}: <F,F> not real nonnegative: {self_ip}")
-    return failures
+def _check_embedding_isometry(rng, tol):
+    dims = _random_dims(rng)
+    space = MeasureSpace(rng.uniform(0.25, 4.0, len(dims)))
+    f = _random_khat(rng, dims)
+    g = _random_khat(rng, dims)
+    weighted = khat_inner(f, g, space)
+    embedded = inner(embed(f, space), embed(g, space))
+    if not _tiny(abs(weighted - embedded), tol, abs(weighted)):
+        yield f"isometry defect {abs(weighted - embedded):.3e}"
+    if not _tiny(abs(weighted - np.conj(khat_inner(g, f, space))), tol, abs(weighted)):
+        yield "conjugate symmetry broken"
+    self_ip = khat_inner(f, f, space)
+    if self_ip.real < 0 or abs(self_ip.imag) > tol.rel_eps * max(1.0, self_ip.real):
+        yield f"<F,F> not real nonnegative: {self_ip}"
 
 
-def _check_analysis_blockwise(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        fam = _random_frame(rng, tol)
-        h = _cgauss(rng, (fam.domain_dim,))
-        via_matrix = unembed(analysis_matrix(fam) @ h, fam.space, fam.block_dims)
-        applied = apply_analysis(fam, h)
-        for i, block in enumerate(fam.blocks):
-            direct = block @ h
-            if not (
-                matrices_close(via_matrix.blocks[i], direct, tol.rel_eps)
-                and matrices_close(applied.blocks[i], direct, tol.rel_eps)
-            ):
-                failures.append(f"case {case}: block {i} mismatch")
-    return failures
-
-
-def _check_defining_inequality(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        fam = _random_frame(rng, tol)
-        rep = frame_bounds(fam, tol)
-        mat = analysis_matrix(fam)
-        h = _cgauss(rng, (fam.domain_dim, 100))
-        values = np.sum(np.abs(mat @ h) ** 2, axis=0)
-        norms = np.sum(np.abs(h) ** 2, axis=0)
-        slack = tol.rel_eps * rep.upper_bound * norms
-        if np.any(values < rep.lower_bound * norms - slack) or np.any(
-            values > rep.upper_bound * norms + slack
+def _check_analysis_blockwise(rng, tol):
+    fam = _random_frame(rng, tol)
+    h = _cgauss(rng, (fam.domain_dim,))
+    via_matrix = unembed(analysis_matrix(fam) @ h, fam.space, fam.block_dims)
+    applied = apply_analysis(fam, h)
+    for i, block in enumerate(fam.blocks):
+        direct = block @ h
+        if not (
+            matrices_close(via_matrix.blocks[i], direct, tol.rel_eps)
+            and matrices_close(applied.blocks[i], direct, tol.rel_eps)
         ):
-            failures.append(f"case {case}: defining inequality violated")
-    return failures
+            yield f"block {i} mismatch"
 
 
-def _check_reconstruction(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        fam = _random_frame(rng, tol)
-        s_inv = hermitian_power(frame_operator(fam), -1.0, tol)
-        f = _cgauss(rng, (fam.domain_dim,))
-        g = _cgauss(rng, (fam.domain_dim,))
-        s_inv_f = s_inv @ f
-        total = 0.0 + 0.0j
-        for w, block in zip(fam.space.weights, fam.blocks):
-            total += w * inner(s_inv_f, block.conj().T @ (block @ g))
-        expected = inner(f, g)
-        if not _tiny(abs(total - expected), tol, abs(expected)):
-            failures.append(f"case {case}: reconstruction defect {abs(total - expected):.3e}")
-    return failures
+def _check_defining_inequality(rng, tol):
+    fam = _random_frame(rng, tol)
+    rep = frame_bounds(fam, tol)
+    mat = analysis_matrix(fam)
+    h = _cgauss(rng, (fam.domain_dim, 100))
+    values = np.sum(np.abs(mat @ h) ** 2, axis=0)
+    norms = np.sum(np.abs(h) ** 2, axis=0)
+    slack = tol.rel_eps * rep.upper_bound * norms
+    if np.any(values < rep.lower_bound * norms - slack) or np.any(
+        values > rep.upper_bound * norms + slack
+    ):
+        yield "defining inequality violated"
 
 
-def _check_synthesis_norm(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        fam = _random_frame(rng, tol)
-        rep = frame_bounds(fam, tol)
-        synth = synthesis_matrix(fam)
-        if not matrices_close(synth, _blockwise_synthesis(fam), tol.rel_eps):
-            failures.append(f"case {case}: synthesis matrix != blockwise columns")
-        sigma = operator_norm(synth)
-        root = np.sqrt(rep.upper_bound)
-        if sigma > root + tol.rel_eps:
-            failures.append(f"case {case}: synthesis norm {sigma} exceeds sqrt(B) {root}")
-        if not _tiny(abs(sigma - root), tol, root):
-            failures.append(f"case {case}: spectral identity broken ({sigma} vs {root})")
-    return failures
+def _check_reconstruction(rng, tol):
+    fam = _random_frame(rng, tol)
+    s_inv = hermitian_power(frame_operator(fam), -1.0, tol)
+    f = _cgauss(rng, (fam.domain_dim,))
+    g = _cgauss(rng, (fam.domain_dim,))
+    s_inv_f = s_inv @ f
+    total = 0.0 + 0.0j
+    for w, block in zip(fam.space.weights, fam.blocks):
+        total += w * inner(s_inv_f, block.conj().T @ (block @ g))
+    expected = inner(f, g)
+    if not _tiny(abs(total - expected), tol, abs(expected)):
+        yield f"reconstruction defect {abs(total - expected):.3e}"
 
 
-def _check_gram_identity(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        fam = _random_frame(rng, tol)
-        if not matrices_close(frame_operator(fam), _blockwise_frame_operator(fam), tol.rel_eps):
-            failures.append(f"case {case}: frame operator != blockwise sum of block grams")
-    return failures
+def _check_synthesis_norm(rng, tol):
+    fam = _random_frame(rng, tol)
+    rep = frame_bounds(fam, tol)
+    synth = synthesis_matrix(fam)
+    if not matrices_close(synth, _blockwise_synthesis(fam), tol.rel_eps):
+        yield "synthesis matrix != blockwise columns"
+    sigma = operator_norm(synth)
+    root = np.sqrt(rep.upper_bound)
+    if sigma > root + tol.rel_eps:
+        yield f"synthesis norm {sigma} exceeds sqrt(B) {root}"
+    if not _tiny(abs(sigma - root), tol, root):
+        yield f"spectral identity broken ({sigma} vs {root})"
 
 
-def _check_canonical_dual(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        fam = _random_frame(rng, tol)
-        dual = canonical_dual(fam, tol)
-        if not is_dual_pair(fam, dual, tol):
-            failures.append(f"case {case}: family and canonical dual fail the pairing")
-        double = canonical_dual(dual, tol)
-        for i, (a, b) in enumerate(zip(double.blocks, fam.blocks)):
-            if not matrices_close(a, b, tol.rel_eps):
-                failures.append(f"case {case}: dual involution broken at block {i}")
-        normalized = parseval_normalize(fam, tol)
-        if not frame_bounds(normalized, tol).is_parseval:
-            failures.append(f"case {case}: normalization is not Parseval")
-    return failures
+def _check_gram_identity(rng, tol):
+    fam = _random_frame(rng, tol)
+    if not matrices_close(frame_operator(fam), _blockwise_frame_operator(fam), tol.rel_eps):
+        yield "frame operator != blockwise sum of block grams"
 
 
-def _check_pair_parseval(rng, cases, tol):
+def _check_canonical_dual(rng, tol):
+    fam = _random_frame(rng, tol)
+    dual = canonical_dual(fam, tol)
+    if not is_dual_pair(fam, dual, tol):
+        yield "family and canonical dual fail the pairing"
+    double = canonical_dual(dual, tol)
+    for i, (a, b) in enumerate(zip(double.blocks, fam.blocks)):
+        if not matrices_close(a, b, tol.rel_eps):
+            yield f"dual involution broken at block {i}"
+    normalized = parseval_normalize(fam, tol)
+    if not frame_bounds(normalized, tol).is_parseval:
+        yield "normalization is not Parseval"
+
+
+def _check_pair_parseval(rng, tol):
     """Strong disjointness <-> the normalized pair family is Parseval."""
-    failures = []
-    for case in range(cases):
-        lam, theta = _random_strongly_disjoint(rng, tol)
-        delta = delta_family(lam, theta, tol)
-        if not frame_bounds(delta, tol).is_parseval:
-            failures.append(
-                f"case {case}: normalized pair of a strongly disjoint pair not Parseval"
-            )
-        if not matrices_close(frame_operator(delta), np.eye(delta.domain_dim), tol.rel_eps):
-            failures.append(f"case {case}: frame operator of the normalized pair is not I")
-        l1 = hermitian_power(frame_operator(lam), -0.5, tol)
-        l2 = hermitian_power(frame_operator(theta), -0.5, tol)
-        if not strong_disjointness_converse_check(lam, theta, l1, l2, tol):
-            failures.append(f"case {case}: canonical witnesses rejected")
-        lam2, theta2 = _random_pair(rng, tol)
-        if not classify(lam2, theta2, tol).strongly_disjoint:
-            w1 = hermitian_power(frame_operator(lam2), -0.5, tol)
-            w2 = hermitian_power(frame_operator(theta2), -0.5, tol)
-            if strong_disjointness_converse_check(lam2, theta2, w1, w2, tol):
-                failures.append(
-                    f"case {case}: converse check passed a non-strongly-disjoint pair"
-                )
-    return failures
+    lam, theta = _random_strongly_disjoint(rng, tol)
+    delta = delta_family(lam, theta, tol)
+    if not frame_bounds(delta, tol).is_parseval:
+        yield "normalized pair of a strongly disjoint pair not Parseval"
+    if not matrices_close(frame_operator(delta), np.eye(delta.domain_dim), tol.rel_eps):
+        yield "frame operator of the normalized pair is not I"
+    l1 = hermitian_power(frame_operator(lam), -0.5, tol)
+    l2 = hermitian_power(frame_operator(theta), -0.5, tol)
+    if not strong_disjointness_converse_check(lam, theta, l1, l2, tol):
+        yield "canonical witnesses rejected"
+    lam2, theta2 = _random_pair(rng, tol)
+    if not classify(lam2, theta2, tol).strongly_disjoint:
+        w1 = hermitian_power(frame_operator(lam2), -0.5, tol)
+        w2 = hermitian_power(frame_operator(theta2), -0.5, tol)
+        if strong_disjointness_converse_check(lam2, theta2, w1, w2, tol):
+            yield "converse check passed a non-strongly-disjoint pair"
 
 
-def _check_pair_frame_iff_disjoint(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        lam, theta = _random_pair(rng, tol)
-        report = classify(lam, theta, tol)
-        gamma_is_frame = frame_bounds(gamma_family(lam, theta), tol).is_frame
-        if report.disjoint != gamma_is_frame:
-            failures.append(
-                f"case {case}: disjoint={report.disjoint} but pair family frame={gamma_is_frame}"
-            )
-    return failures
+def _failed_equivalences(checks):
+    for name, passed, numbers in checks:
+        if not passed:
+            yield f"{name} broken (" + " ".join(f"{k}={v}" for k, v in numbers.items()) + ")"
 
 
-def _check_pair_riesz_equivalences(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        lam, theta = _random_pair(rng, tol)
-        report = classify(lam, theta, tol)
-        gamma = gamma_family(lam, theta)
-        gamma_riesz = frame_bounds(gamma, tol).is_frame and riesz_check(gamma, tol).is_riesz_type
-        if report.complementary_pair != gamma_riesz:
-            failures.append(f"case {case}: complementary vs pair-family Riesz mismatch")
-        expected_strong_comp = report.strongly_disjoint and gamma_riesz
-        if report.strongly_complementary_pair != expected_strong_comp:
-            failures.append(f"case {case}: strongly-complementary equivalence mismatch")
-        if report.weakly_disjoint != kernel_triviality(gamma, tol):
-            failures.append(f"case {case}: weak disjointness vs kernel test mismatch")
-        if report.strongly_disjoint and not report.disjoint:
-            failures.append(f"case {case}: hierarchy broken (strong but not disjoint)")
-        if report.disjoint and not report.weakly_disjoint:
-            failures.append(f"case {case}: hierarchy broken (disjoint but not weak)")
-    return failures
+def _check_pair_frame_iff_disjoint(rng, tol):
+    _, _, checks = pair_equivalences(*_random_pair(rng, tol), tol)
+    yield from _failed_equivalences(checks[:1])
+
+
+def _check_pair_riesz_equivalences(rng, tol):
+    _, _, checks = pair_equivalences(*_random_pair(rng, tol), tol)
+    yield from _failed_equivalences(checks[1:])
 
 
 def _orthonormal_range_basis(matrix, tol):
@@ -398,261 +354,227 @@ def _orthonormal_range_basis(matrix, tol):
     return u[:, s > cutoff]
 
 
-def _check_pair_bound_sandwich(rng, cases, tol):
+def _check_pair_bound_sandwich(rng, tol):
     """Bounds of the pair family against the sum-map estimate on disjoint pairs."""
-    failures = []
-    for case in range(cases):
-        lam, theta = _random_pair(rng, tol)
-        report = classify(lam, theta, tol)
-        if not report.disjoint:
-            continue
-        basis = np.hstack(
-            [
-                _orthonormal_range_basis(analysis_matrix(lam), tol),
-                _orthonormal_range_basis(analysis_matrix(theta), tol),
-            ]
+    lam, theta = _random_pair(rng, tol)
+    report = classify(lam, theta, tol)
+    if not report.disjoint:
+        return
+    basis = np.hstack(
+        [
+            _orthonormal_range_basis(analysis_matrix(lam), tol),
+            _orthonormal_range_basis(analysis_matrix(theta), tol),
+        ]
+    )
+    norm_sq = operator_norm(basis) ** 2
+    gain_sq = bounded_below(basis, tol)[0] ** 2
+    if norm_sq > 2.0 * (1.0 + tol.rel_eps):
+        yield f"sum map norm^2 {norm_sq} exceeds 2"
+    rep_l = frame_bounds(lam, tol)
+    rep_t = frame_bounds(theta, tol)
+    rep_g = frame_bounds(gamma_family(lam, theta), tol)
+    lower_guard = gain_sq * min(rep_l.lower_bound, rep_t.lower_bound)
+    upper_guard = norm_sq * max(rep_l.upper_bound, rep_t.upper_bound)
+    if rep_g.lower_bound < lower_guard * (1.0 - tol.rel_eps) - tol.rel_eps:
+        yield "pair lower bound below sum-map estimate"
+    if rep_g.upper_bound > upper_guard * (1.0 + tol.rel_eps) + tol.rel_eps:
+        yield "pair upper bound above sum-map estimate"
+
+
+def _check_riesz_criteria(rng, tol):
+    fam = _random_fit_or_overcomplete_frame(rng, tol)
+    by_rank, by_bound, by_kernel = riesz_criteria(fam, tol)
+    if not (by_rank == by_bound == by_kernel):
+        yield f"criteria disagree (rank={by_rank}, bound={by_bound}, kernel={by_kernel})"
+    report = riesz_check(fam, tol)
+    if report.is_riesz_type and report.khat_dim > fam.domain_dim:
+        yield "Riesz verdict with target dim > domain dim"
+    if report.is_riesz_type != (report.analysis_rank == report.khat_dim):
+        yield "verdict inconsistent with rank fields"
+    if report.is_riesz_type and report.synthesis_lower_bound <= 0:
+        yield "Riesz verdict with vanishing synthesis bound"
+    b_upper = frame_bounds(fam, tol).upper_bound
+    if report.synthesis_upper_bound > b_upper * (1.0 + tol.rel_eps):
+        yield "synthesis upper bound exceeds frame bound"
+    if report.is_riesz_type:
+        a_lower = frame_bounds(fam, tol).lower_bound
+        if a_lower > report.synthesis_lower_bound * (1.0 + tol.rel_eps):
+            yield "lower frame bound exceeds synthesis gain"
+
+
+def _check_synthesis_kernel(rng, tol):
+    fam = _random_fit_or_overcomplete_frame(rng, tol)
+    report = riesz_check(fam, tol)
+    zero = KHatVector.zeros(fam.block_dims)
+    if not synthesis_kernel_test(fam, zero, tol):
+        yield "zero vector rejected by kernel test"
+    if report.is_riesz_type:
+        phi = _random_khat(rng, fam.block_dims)
+        if synthesis_kernel_test(fam, phi, tol):
+            yield "random vector in kernel of a Riesz-type family"
+    else:
+        synth = synthesis_matrix(fam)
+        _, _, vh = np.linalg.svd(synth)
+        phi = unembed(vh[-1].conj(), fam.space, fam.block_dims)
+        if not synthesis_kernel_test(fam, phi, tol):
+            yield "SVD kernel vector rejected"
+
+
+def _check_cross_surjectivity(rng, tol):
+    fam = _random_frame(rng, tol)
+    dual = canonical_dual(fam, tol)
+    theta_frame, surjective = cross_surjectivity(fam, dual, tol)
+    if not (theta_frame and surjective):
+        yield "canonical dual pair not surjective"
+    # surjective cross operator must force the second family to be a frame
+    lam2, theta2 = _random_pair(rng, tol)
+    frame2, surj2 = cross_surjectivity(lam2, theta2, tol)
+    if surj2 and not frame2:
+        yield "surjective cross operator with non-frame family"
+    # compress through a rank-one projector: never surjective for dim >= 2
+    if fam.domain_dim >= 2:
+        vec = _cgauss(rng, (fam.domain_dim,))
+        vec = vec / np.linalg.norm(vec)
+        compressed = right_compose(fam, np.outer(vec, vec.conj()))
+        _, surj3 = cross_surjectivity(fam, compressed, tol)
+        if surj3:
+            yield "rank-deficient compression declared surjective"
+    # Riesz-type first family + any frame second family -> surjective
+    dims = _random_dims(rng)
+    total = sum(dims)
+    riesz_fam = _random_frame(rng, tol, dims=dims, domain_dim=total)
+    other = _conditioned_from_embedded(
+        rng, riesz_fam, _cgauss(rng, (total, int(rng.integers(1, total + 1)))), tol
+    )
+    if other is not None:
+        _, surj4 = cross_surjectivity(riesz_fam, other, tol)
+        if not surj4:
+            yield "Riesz-type + frame pair not surjective"
+
+
+def _check_perturbation(rng, tol):
+    lam = _random_fit_or_overcomplete_frame(rng, tol)
+    domain = lam.domain_dim
+    rep = frame_bounds(lam, tol)
+    noise = GFrameFamily(
+        space=lam.space,
+        domain_dim=domain,
+        blocks=tuple(_cgauss(rng, b.shape) for b in lam.blocks),
+    )
+    scale = 0.4 * rep.lower_bound / max(operator_norm(cross_operator(noise, lam)), 1e-12)
+    theta = GFrameFamily.from_rows(lam.space, lam.rows + scale * noise.rows, lam.block_dims)
+    result = perturbation_riesz_transfer(lam, theta, tol)
+    if not result.criterion_met:
+        yield "constructed perturbation misses the criterion"
+        return
+    if not result.equivalence_verified:
+        yield "Riesz verdicts differ under the criterion"
+    cross = cross_operator(theta, lam)
+    f = _cgauss(rng, (domain,))
+    lhs = float(np.linalg.norm(cross @ f))
+    rhs = (rep.lower_bound - result.lambda_gap) * float(np.linalg.norm(f))
+    if lhs < rhs * (1.0 - tol.rel_eps) - tol.rel_eps:
+        yield "injectivity chain violated"
+    # gross perturbation: criterion must not fire
+    big = GFrameFamily.from_rows(
+        lam.space, (1.0 + 2.0 * rep.upper_bound / rep.lower_bound) * lam.rows, lam.block_dims
+    )
+    if perturbation_riesz_transfer(lam, big, tol).criterion_met:
+        yield "oversized perturbation passed the criterion"
+
+
+def _check_mixed_construction(rng, tol):
+    lam = _random_fit_or_overcomplete_frame(rng, tol)
+    theta = canonical_dual(lam, tol)
+    l1 = _random_invertible(rng, lam.domain_dim)
+    l2 = np.linalg.inv(l1).conj().T
+    result = mixed_construction(lam, theta, l1, l2, tol)
+    if not result.sandwich_ok:
+        yield (
+            f"bounds [{result.lower_bound}, {result.upper_bound}] escape "
+            f"[2, {result.upper_certificate}]"
         )
-        norm_sq = operator_norm(basis) ** 2
-        gain_sq = bounded_below(basis, tol)[0] ** 2
-        if norm_sq > 2.0 * (1.0 + tol.rel_eps):
-            failures.append(f"case {case}: sum map norm^2 {norm_sq} exceeds 2")
-        rep_l = frame_bounds(lam, tol)
-        rep_t = frame_bounds(theta, tol)
-        rep_g = frame_bounds(gamma_family(lam, theta), tol)
-        lower_guard = gain_sq * min(rep_l.lower_bound, rep_t.lower_bound)
-        upper_guard = norm_sq * max(rep_l.upper_bound, rep_t.upper_bound)
-        if rep_g.lower_bound < lower_guard * (1.0 - tol.rel_eps) - tol.rel_eps:
-            failures.append(f"case {case}: pair lower bound below sum-map estimate")
-        if rep_g.upper_bound > upper_guard * (1.0 + tol.rel_eps) + tol.rel_eps:
-            failures.append(f"case {case}: pair upper bound above sum-map estimate")
-    return failures
+    if not result.criteria_agree:
+        yield "equivalent Riesz criteria disagree"
+    if result.riesz_report.is_riesz_type != riesz_check(lam, tol).is_riesz_type:
+        yield "combined family changes the Riesz verdict"
 
 
-def _check_riesz_criteria(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        fam = _random_fit_or_overcomplete_frame(rng, tol)
-        by_rank, by_bound, by_kernel = riesz_criteria(fam, tol)
-        if not (by_rank == by_bound == by_kernel):
-            failures.append(
-                f"case {case}: criteria disagree "
-                f"(rank={by_rank}, bound={by_bound}, kernel={by_kernel})"
-            )
-        report = riesz_check(fam, tol)
-        if report.is_riesz_type and report.khat_dim > fam.domain_dim:
-            failures.append(f"case {case}: Riesz verdict with target dim > domain dim")
-        if report.is_riesz_type != (report.analysis_rank == report.khat_dim):
-            failures.append(f"case {case}: verdict inconsistent with rank fields")
-        if report.is_riesz_type and report.synthesis_lower_bound <= 0:
-            failures.append(f"case {case}: Riesz verdict with vanishing synthesis bound")
-        b_upper = frame_bounds(fam, tol).upper_bound
-        if report.synthesis_upper_bound > b_upper * (1.0 + tol.rel_eps):
-            failures.append(f"case {case}: synthesis upper bound exceeds frame bound")
-        if report.is_riesz_type:
-            a_lower = frame_bounds(fam, tol).lower_bound
-            if a_lower > report.synthesis_lower_bound * (1.0 + tol.rel_eps):
-                failures.append(f"case {case}: lower frame bound exceeds synthesis gain")
-    return failures
+def _check_disjoint_sum(rng, tol):
+    lam, theta = _random_disjoint_equal_domain(rng, tol)
+    d = lam.domain_dim
+    for pair in (
+        OperatorPair(np.eye(d), np.eye(d)),
+        OperatorPair(_random_invertible(rng, d), _cgauss(rng, (d, d))),
+    ):
+        result = disjoint_sum_family(lam, theta, pair, tol)
+        if not result.report.is_frame:
+            yield "sum of a disjoint pair is not a frame"
+        if not result.certificate_ok:
+            yield "certificate sandwich failed"
 
 
-def _check_synthesis_kernel(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        fam = _random_fit_or_overcomplete_frame(rng, tol)
-        report = riesz_check(fam, tol)
-        zero = KHatVector.zeros(fam.block_dims)
-        if not synthesis_kernel_test(fam, zero, tol):
-            failures.append(f"case {case}: zero vector rejected by kernel test")
-        if report.is_riesz_type:
-            phi = _random_khat(rng, fam.block_dims)
-            if synthesis_kernel_test(fam, phi, tol):
-                failures.append(f"case {case}: random vector in kernel of a Riesz-type family")
-        else:
-            synth = synthesis_matrix(fam)
-            _, _, vh = np.linalg.svd(synth)
-            phi = unembed(vh[-1].conj(), fam.space, fam.block_dims)
-            if not synthesis_kernel_test(fam, phi, tol):
-                failures.append(f"case {case}: SVD kernel vector rejected")
-    return failures
+def _check_strong_sum(rng, tol):
+    lam, theta = _random_strongly_disjoint(rng, tol, equal_domains=True)
+    d = lam.domain_dim
+    c1, c2 = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0))
+    pair = OperatorPair(c1 * _random_unitary(rng, d), c2 * _random_unitary(rng, d))
+    expected_scale = c1**2 + c2**2
+    result = strongly_disjoint_sum(lam, theta, pair, tol)
+    if abs(result.scale - expected_scale) > tol.rel_eps * expected_scale:
+        yield f"recovered scale {result.scale} != {expected_scale}"
+    rep_l = frame_bounds(lam, tol)
+    rep_t = frame_bounds(theta, tol)
+    guaranteed = result.scale * min(rep_l.lower_bound, rep_t.lower_bound)
+    if result.report.lower_bound < guaranteed * (1.0 - tol.rel_eps) - tol.rel_eps:
+        yield "lower bound below the guaranteed multiple"
+    roof = rep_l.upper_bound * c1**2 + rep_t.upper_bound * c2**2
+    if result.report.upper_bound > roof * (1.0 + tol.rel_eps) + tol.rel_eps:
+        yield "upper bound above the Bessel roof"
 
 
-def _check_cross_surjectivity(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        fam = _random_frame(rng, tol)
-        dual = canonical_dual(fam, tol)
-        theta_frame, surjective = cross_surjectivity(fam, dual, tol)
-        if not (theta_frame and surjective):
-            failures.append(f"case {case}: canonical dual pair not surjective")
-        # surjective cross operator must force the second family to be a frame
-        lam2, theta2 = _random_pair(rng, tol)
-        frame2, surj2 = cross_surjectivity(lam2, theta2, tol)
-        if surj2 and not frame2:
-            failures.append(f"case {case}: surjective cross operator with non-frame family")
-        # compress through a rank-one projector: never surjective for dim >= 2
-        if fam.domain_dim >= 2:
-            vec = _cgauss(rng, (fam.domain_dim,))
-            vec = vec / np.linalg.norm(vec)
-            compressed = right_compose(fam, np.outer(vec, vec.conj()))
-            _, surj3 = cross_surjectivity(fam, compressed, tol)
-            if surj3:
-                failures.append(f"case {case}: rank-deficient compression declared surjective")
-        # Riesz-type first family + any frame second family -> surjective
-        dims = _random_dims(rng)
-        total = sum(dims)
-        riesz_fam = _random_frame(rng, tol, dims=dims, domain_dim=total)
-        other = _conditioned_from_embedded(
-            rng, riesz_fam, _cgauss(rng, (total, int(rng.integers(1, total + 1)))), tol
-        )
-        if other is not None:
-            _, surj4 = cross_surjectivity(riesz_fam, other, tol)
-            if not surj4:
-                failures.append(f"case {case}: Riesz-type + frame pair not surjective")
-    return failures
-
-
-def _check_perturbation(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        lam = _random_fit_or_overcomplete_frame(rng, tol)
-        domain = lam.domain_dim
-        rep = frame_bounds(lam, tol)
-        noise = GFrameFamily(
-            space=lam.space,
-            domain_dim=domain,
-            blocks=tuple(_cgauss(rng, b.shape) for b in lam.blocks),
-        )
-        scale = 0.4 * rep.lower_bound / max(operator_norm(cross_operator(noise, lam)), 1e-12)
-        theta = GFrameFamily.from_rows(lam.space, lam.rows + scale * noise.rows, lam.block_dims)
-        result = perturbation_riesz_transfer(lam, theta, tol)
-        if not result.criterion_met:
-            failures.append(f"case {case}: constructed perturbation misses the criterion")
-            continue
-        if not result.equivalence_verified:
-            failures.append(f"case {case}: Riesz verdicts differ under the criterion")
-        cross = cross_operator(theta, lam)
-        f = _cgauss(rng, (domain,))
-        lhs = float(np.linalg.norm(cross @ f))
-        rhs = (rep.lower_bound - result.lambda_gap) * float(np.linalg.norm(f))
-        if lhs < rhs * (1.0 - tol.rel_eps) - tol.rel_eps:
-            failures.append(f"case {case}: injectivity chain violated")
-        # gross perturbation: criterion must not fire
-        big = GFrameFamily.from_rows(
-            lam.space, (1.0 + 2.0 * rep.upper_bound / rep.lower_bound) * lam.rows, lam.block_dims
-        )
-        if perturbation_riesz_transfer(lam, big, tol).criterion_met:
-            failures.append(f"case {case}: oversized perturbation passed the criterion")
-    return failures
-
-
-def _check_mixed_construction(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        lam = _random_fit_or_overcomplete_frame(rng, tol)
-        theta = canonical_dual(lam, tol)
-        l1 = _random_invertible(rng, lam.domain_dim)
-        l2 = np.linalg.inv(l1).conj().T
-        result = mixed_construction(lam, theta, l1, l2, tol)
-        if not result.sandwich_ok:
-            failures.append(
-                f"case {case}: bounds [{result.lower_bound}, {result.upper_bound}] escape "
-                f"[2, {result.upper_certificate}]"
-            )
-        if not result.criteria_agree:
-            failures.append(f"case {case}: equivalent Riesz criteria disagree")
-        if result.riesz_report.is_riesz_type != riesz_check(lam, tol).is_riesz_type:
-            failures.append(f"case {case}: combined family changes the Riesz verdict")
-    return failures
-
-
-def _check_disjoint_sum(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        lam, theta = _random_disjoint_equal_domain(rng, tol)
-        d = lam.domain_dim
-        for pair in (
-            OperatorPair(np.eye(d), np.eye(d)),
-            OperatorPair(_random_invertible(rng, d), _cgauss(rng, (d, d))),
-        ):
-            result = disjoint_sum_family(lam, theta, pair, tol)
-            if not result.report.is_frame:
-                failures.append(f"case {case}: sum of a disjoint pair is not a frame")
-            if not result.certificate_ok:
-                failures.append(f"case {case}: certificate sandwich failed")
-    return failures
-
-
-def _check_strong_sum(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        lam, theta = _random_strongly_disjoint(rng, tol, equal_domains=True)
-        d = lam.domain_dim
-        c1, c2 = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0))
-        pair = OperatorPair(c1 * _random_unitary(rng, d), c2 * _random_unitary(rng, d))
-        expected_scale = c1**2 + c2**2
-        result = strongly_disjoint_sum(lam, theta, pair, tol)
-        if abs(result.scale - expected_scale) > tol.rel_eps * expected_scale:
-            failures.append(f"case {case}: recovered scale {result.scale} != {expected_scale}")
-        rep_l = frame_bounds(lam, tol)
-        rep_t = frame_bounds(theta, tol)
-        guaranteed = result.scale * min(rep_l.lower_bound, rep_t.lower_bound)
-        if result.report.lower_bound < guaranteed * (1.0 - tol.rel_eps) - tol.rel_eps:
-            failures.append(f"case {case}: lower bound below the guaranteed multiple")
-        roof = rep_l.upper_bound * c1**2 + rep_t.upper_bound * c2**2
-        if result.report.upper_bound > roof * (1.0 + tol.rel_eps) + tol.rel_eps:
-            failures.append(f"case {case}: upper bound above the Bessel roof")
-    return failures
-
-
-def _check_strong_sum_tightness(rng, cases, tol):
+def _check_strong_sum_tightness(rng, tol):
     """On Parseval strongly disjoint pairs: tight with bound A <-> the operator
     squares sum to A * identity (both directions)."""
-    failures = []
-    for case in range(cases):
-        lam, theta = _random_strongly_disjoint(rng, tol, parseval=True, equal_domains=True)
-        d = lam.domain_dim
-        if rng.integers(0, 2):
-            c1, c2 = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0))
-            l1, l2 = c1 * _random_unitary(rng, d), c2 * _random_unitary(rng, d)
-        else:
-            l1, l2 = _cgauss(rng, (d, d)), _cgauss(rng, (d, d))
-        gram = l1.conj().T @ l1 + l2.conj().T @ l2
-        scale = float(np.trace(gram).real) / d
-        hypothesis = scale > 0 and matrices_close(gram, scale * np.eye(d), tol.rel_eps)
-        summed = GFrameFamily.from_rows(lam.space, lam.rows @ l1 + theta.rows @ l2, lam.block_dims)
-        rep = frame_bounds(summed, tol)
-        if rep.is_tight != hypothesis:
-            failures.append(
-                f"case {case}: tight={rep.is_tight} but identity hypothesis={hypothesis}"
-            )
-        defect = max(abs(rep.lower_bound - scale), abs(rep.upper_bound - scale))
-        if hypothesis and defect > tol.rel_eps * scale:
-            failures.append(
-                f"case {case}: tight bounds [{rep.lower_bound}, {rep.upper_bound}] != scale {scale}"
-            )
-        if rep.is_tight:
-            # converse direction on random vectors: the operator squares must
-            # distribute the tight bound exactly
-            h = _cgauss(rng, (d,))
-            lhs = float(np.linalg.norm(l1 @ h) ** 2 + np.linalg.norm(l2 @ h) ** 2)
-            rhs = rep.upper_bound * float(np.linalg.norm(h) ** 2)
-            if abs(lhs - rhs) > tol.rel_eps * max(1.0, rhs):
-                failures.append(f"case {case}: tight sum violates the square identity")
-        # scalar corollary: Parseval result <-> |a|^2 + |b|^2 = 1
-        alpha, beta = complex(_cgauss(rng, ())), complex(_cgauss(rng, ()))
+    lam, theta = _random_strongly_disjoint(rng, tol, parseval=True, equal_domains=True)
+    d = lam.domain_dim
+    if rng.integers(0, 2):
+        c1, c2 = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0))
+        l1, l2 = c1 * _random_unitary(rng, d), c2 * _random_unitary(rng, d)
+    else:
+        l1, l2 = _cgauss(rng, (d, d)), _cgauss(rng, (d, d))
+    gram = l1.conj().T @ l1 + l2.conj().T @ l2
+    scale = float(np.trace(gram).real) / d
+    hypothesis = scale > 0 and matrices_close(gram, scale * np.eye(d), tol.rel_eps)
+    summed = GFrameFamily.from_rows(lam.space, lam.rows @ l1 + theta.rows @ l2, lam.block_dims)
+    rep = frame_bounds(summed, tol)
+    if rep.is_tight != hypothesis:
+        yield f"tight={rep.is_tight} but identity hypothesis={hypothesis}"
+    defect = max(abs(rep.lower_bound - scale), abs(rep.upper_bound - scale))
+    if hypothesis and defect > tol.rel_eps * scale:
+        yield f"tight bounds [{rep.lower_bound}, {rep.upper_bound}] != scale {scale}"
+    if rep.is_tight:
+        # converse direction on random vectors: the operator squares must
+        # distribute the tight bound exactly
+        h = _cgauss(rng, (d,))
+        lhs = float(np.linalg.norm(l1 @ h) ** 2 + np.linalg.norm(l2 @ h) ** 2)
+        rhs = rep.upper_bound * float(np.linalg.norm(h) ** 2)
+        if abs(lhs - rhs) > tol.rel_eps * max(1.0, rhs):
+            yield "tight sum violates the square identity"
+    # scalar corollary: Parseval result <-> |a|^2 + |b|^2 = 1
+    alpha, beta = complex(_cgauss(rng, ())), complex(_cgauss(rng, ()))
+    weight = abs(alpha) ** 2 + abs(beta) ** 2
+    if weight == 0:
+        return
+    if rng.integers(0, 2):
+        alpha, beta = alpha / np.sqrt(weight), beta / np.sqrt(weight)
         weight = abs(alpha) ** 2 + abs(beta) ** 2
-        if weight == 0:
-            continue
-        if rng.integers(0, 2):
-            alpha, beta = alpha / np.sqrt(weight), beta / np.sqrt(weight)
-            weight = abs(alpha) ** 2 + abs(beta) ** 2
-        scalar_sum = GFrameFamily.from_rows(
-            lam.space, alpha * lam.rows + beta * theta.rows, lam.block_dims
-        )
-        scalar_rep = frame_bounds(scalar_sum, tol)
-        if scalar_rep.is_parseval != bool(abs(weight - 1.0) <= tol.rel_eps):
-            failures.append(f"case {case}: scalar Parseval criterion mismatch")
-    return failures
+    scalar_sum = GFrameFamily.from_rows(
+        lam.space, alpha * lam.rows + beta * theta.rows, lam.block_dims
+    )
+    scalar_rep = frame_bounds(scalar_sum, tol)
+    if scalar_rep.is_parseval != bool(abs(weight - 1.0) <= tol.rel_eps):
+        yield "scalar Parseval criterion mismatch"
 
 
 def _glued_pairing_defect(rng, glued, dim_h: int, dim_k: int, tol):
@@ -668,137 +590,135 @@ def _glued_pairing_defect(rng, glued, dim_h: int, dim_k: int, tol):
     return None if _tiny(defect, tol, abs(expected)) else defect
 
 
-def _check_direct_sum_duals(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        lam, psi = _random_strongly_disjoint(rng, tol)
-        theta, phi = canonical_dual(lam, tol), canonical_dual(psi, tol)
-        result = direct_sum_duals(lam, theta, psi, phi, tol)
-        if not result.dual_verified:
-            failures.append(f"case {case}: glued families fail the dual pairing")
-        defect = _glued_pairing_defect(rng, result, lam.domain_dim, psi.domain_dim, tol)
-        if defect is not None:
-            failures.append(f"case {case}: glued pairing defect {defect:.3e}")
-    return failures
+def _check_direct_sum_duals(rng, tol):
+    lam, psi = _random_strongly_disjoint(rng, tol)
+    theta, phi = canonical_dual(lam, tol), canonical_dual(psi, tol)
+    result = direct_sum_duals(lam, theta, psi, phi, tol)
+    if not result.dual_verified:
+        yield "glued families fail the dual pairing"
+    defect = _glued_pairing_defect(rng, result, lam.domain_dim, psi.domain_dim, tol)
+    if defect is not None:
+        yield f"glued pairing defect {defect:.3e}"
 
 
-def _check_pseudo_dual(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        lam, theta = _random_strongly_disjoint(rng, tol, equal_domains=True)
-        d = lam.domain_dim
-        pairs = [
-            OperatorPair(np.eye(d), np.eye(d)),
-            OperatorPair(_random_invertible(rng, d), _cgauss(rng, (d, d))),
-        ]
-        if d >= 2:
-            rows = int(rng.integers(1, d))
-            wide = _cgauss(rng, (rows, d))
-            if singular_values(wide)[-1] > 1e-2 * singular_values(wide)[0]:
-                pairs.append(OperatorPair(wide, _cgauss(rng, (rows, d))))
-        for pair in pairs:
-            result = pseudo_dual(lam, theta, pair, tol)
-            if not result.dual_of_sum:
-                failures.append(f"case {case}: candidate is not a dual of the sum")
-            if not result.dual_of_single:
-                failures.append(f"case {case}: candidate is not a dual of the single family")
-    return failures
+def _check_pseudo_dual(rng, tol):
+    lam, theta = _random_strongly_disjoint(rng, tol, equal_domains=True)
+    d = lam.domain_dim
+    pairs = [
+        OperatorPair(np.eye(d), np.eye(d)),
+        OperatorPair(_random_invertible(rng, d), _cgauss(rng, (d, d))),
+    ]
+    if d >= 2:
+        rows = int(rng.integers(1, d))
+        wide = _cgauss(rng, (rows, d))
+        if singular_values(wide)[-1] > 1e-2 * singular_values(wide)[0]:
+            pairs.append(OperatorPair(wide, _cgauss(rng, (rows, d))))
+    for pair in pairs:
+        result = pseudo_dual(lam, theta, pair, tol)
+        if not result.dual_of_sum:
+            yield "candidate is not a dual of the sum"
+        if not result.dual_of_single:
+            yield "candidate is not a dual of the single family"
 
 
-def _check_lift_pipeline(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        atoms = int(rng.integers(2, 6))
-        space = MeasureSpace(rng.uniform(0.25, 4.0, atoms))
-        dim_h = int(rng.integers(1, min(atoms, 3) + 1))
-        dim_k = int(rng.integers(1, min(atoms, 3) + 1))
-        f_spec = ContinuousFrameSpec(
-            space=space, dim=dim_h, vectors=tuple(_cgauss(rng, (dim_h,)) for _ in range(atoms))
+def _check_lift_pipeline(rng, tol):
+    atoms = int(rng.integers(2, 6))
+    space = MeasureSpace(rng.uniform(0.25, 4.0, atoms))
+    dim_h = int(rng.integers(1, min(atoms, 3) + 1))
+    dim_k = int(rng.integers(1, min(atoms, 3) + 1))
+    f_spec = ContinuousFrameSpec(
+        space=space, dim=dim_h, vectors=tuple(_cgauss(rng, (dim_h,)) for _ in range(atoms))
+    )
+    g_spec = ContinuousFrameSpec(
+        space=space, dim=dim_k, vectors=tuple(_cgauss(rng, (dim_k,)) for _ in range(atoms))
+    )
+    sf = singular_values(f_spec.frame_operator())
+    sg = singular_values(g_spec.frame_operator())
+    if sf[-1] < 1e-3 * sf[0] or sg[-1] < 1e-3 * sg[0]:
+        return
+    lifted = lift_continuous_frame(f_spec, g_spec, tol)
+    if not is_dual_pair(lifted.theta, lifted.lam, tol):
+        yield "first lifted pair is not dual"
+    if not is_dual_pair(lifted.psi, lifted.phi, tol):
+        yield "second lifted pair is not dual"
+    if not classify(lifted.lam, lifted.phi, tol).strongly_disjoint:
+        yield "lam/phi not strongly disjoint"
+    if not classify(lifted.theta, lifted.psi, tol).strongly_disjoint:
+        yield "theta/psi not strongly disjoint"
+    glued = direct_sum_duals(lifted.lam, lifted.theta, lifted.psi, lifted.phi, tol)
+    if not glued.dual_verified:
+        yield "glued lifted families fail the dual pairing"
+    defect = _glued_pairing_defect(rng, glued, dim_h, dim_k, tol)
+    if defect is not None:
+        yield f"lifted pairing defect {defect:.3e}"
+
+
+def _check_pseudo_inverse(rng, tol):
+    cols = int(rng.integers(1, 6))
+    rows = int(rng.integers(1, cols + 1))
+    matrix = _cgauss(rng, (rows, cols))
+    svals = singular_values(matrix)
+    if svals[-1] < 1e-3 * svals[0]:
+        return
+    product = matrix @ pseudo_inverse(matrix, tol)
+    if not matrices_close(product, np.eye(rows), tol.rel_eps):
+        yield "pseudo-inverse is not a right inverse"
+
+
+def _check_document_roundtrip(rng, tol):
+    dims = _random_dims(rng, max_atoms=4)
+    space = MeasureSpace(rng.uniform(0.25, 4.0, len(dims)))
+    families = {}
+    for idx in range(int(rng.integers(1, 4))):
+        domain = int(rng.integers(1, 4))
+        families[f"family_{idx}"] = GFrameFamily(
+            space=space,
+            domain_dim=domain,
+            blocks=tuple(_cgauss(rng, (d, domain)) for d in dims),
         )
-        g_spec = ContinuousFrameSpec(
-            space=space, dim=dim_k, vectors=tuple(_cgauss(rng, (dim_k,)) for _ in range(atoms))
-        )
-        sf = singular_values(f_spec.frame_operator())
-        sg = singular_values(g_spec.frame_operator())
-        if sf[-1] < 1e-3 * sf[0] or sg[-1] < 1e-3 * sg[0]:
-            continue
-        lifted = lift_continuous_frame(f_spec, g_spec, tol)
-        if not is_dual_pair(lifted.theta, lifted.lam, tol):
-            failures.append(f"case {case}: first lifted pair is not dual")
-        if not is_dual_pair(lifted.psi, lifted.phi, tol):
-            failures.append(f"case {case}: second lifted pair is not dual")
-        if not classify(lifted.lam, lifted.phi, tol).strongly_disjoint:
-            failures.append(f"case {case}: lam/phi not strongly disjoint")
-        if not classify(lifted.theta, lifted.psi, tol).strongly_disjoint:
-            failures.append(f"case {case}: theta/psi not strongly disjoint")
-        glued = direct_sum_duals(lifted.lam, lifted.theta, lifted.psi, lifted.phi, tol)
-        if not glued.dual_verified:
-            failures.append(f"case {case}: glued lifted families fail the dual pairing")
-        defect = _glued_pairing_defect(rng, glued, dim_h, dim_k, tol)
-        if defect is not None:
-            failures.append(f"case {case}: lifted pairing defect {defect:.3e}")
-    return failures
+    doc = FrameDocument(format_version=FORMAT_VERSION, space=space, families=families)
+    if parse_document(serialize_document(doc)) != doc:
+        yield "document round trip is not exact"
 
 
-def _check_pseudo_inverse(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        cols = int(rng.integers(1, 6))
-        rows = int(rng.integers(1, cols + 1))
-        matrix = _cgauss(rng, (rows, cols))
-        svals = singular_values(matrix)
-        if svals[-1] < 1e-3 * svals[0]:
-            continue
-        product = matrix @ pseudo_inverse(matrix, tol)
-        if not matrices_close(product, np.eye(rows), tol.rel_eps):
-            failures.append(f"case {case}: pseudo-inverse is not a right inverse")
-    return failures
+def _per_case(check):
+    """The suite form ``fn(rng, cases, tol)`` of a one-case check: ``cases``
+    cases drawn in turn from ``rng``, each failure labelled with its case."""
+
+    def run(rng, cases, tol):
+        return [f"case {case}: {fault}" for case in range(cases) for fault in check(rng, tol)]
+
+    return run
 
 
-def _check_document_roundtrip(rng, cases, tol):
-    failures = []
-    for case in range(cases):
-        dims = _random_dims(rng, max_atoms=4)
-        space = MeasureSpace(rng.uniform(0.25, 4.0, len(dims)))
-        families = {}
-        for idx in range(int(rng.integers(1, 4))):
-            domain = int(rng.integers(1, 4))
-            families[f"family_{idx}"] = GFrameFamily(
-                space=space,
-                domain_dim=domain,
-                blocks=tuple(_cgauss(rng, (d, domain)) for d in dims),
-            )
-        doc = FrameDocument(format_version=FORMAT_VERSION, space=space, families=families)
-        if parse_document(serialize_document(doc)) != doc:
-            failures.append(f"case {case}: document round trip is not exact")
-    return failures
-
-
-CHECKS = (
-    ("embedding-isometry", _check_embedding_isometry),
-    ("analysis-blockwise", _check_analysis_blockwise),
-    ("defining-inequality", _check_defining_inequality),
-    ("reconstruction-identity", _check_reconstruction),
-    ("synthesis-norm-bound", _check_synthesis_norm),
-    ("frame-operator-gram", _check_gram_identity),
-    ("canonical-dual", _check_canonical_dual),
-    ("pair-parseval", _check_pair_parseval),
-    ("pair-frame-iff-disjoint", _check_pair_frame_iff_disjoint),
-    ("pair-riesz-equivalences", _check_pair_riesz_equivalences),
-    ("pair-bound-sandwich", _check_pair_bound_sandwich),
-    ("riesz-criteria-agree", _check_riesz_criteria),
-    ("synthesis-kernel", _check_synthesis_kernel),
-    ("cross-surjectivity", _check_cross_surjectivity),
-    ("perturbation-transfer", _check_perturbation),
-    ("mixed-construction", _check_mixed_construction),
-    ("disjoint-sum", _check_disjoint_sum),
-    ("strong-sum-bounds", _check_strong_sum),
-    ("strong-sum-tightness", _check_strong_sum_tightness),
-    ("direct-sum-duals", _check_direct_sum_duals),
-    ("pseudo-dual", _check_pseudo_dual),
-    ("lift-pipeline", _check_lift_pipeline),
-    ("pseudo-inverse", _check_pseudo_inverse),
-    ("document-roundtrip", _check_document_roundtrip),
+CHECKS = tuple(
+    (name, _per_case(check))
+    for name, check in (
+        ("embedding-isometry", _check_embedding_isometry),
+        ("analysis-blockwise", _check_analysis_blockwise),
+        ("defining-inequality", _check_defining_inequality),
+        ("reconstruction-identity", _check_reconstruction),
+        ("synthesis-norm-bound", _check_synthesis_norm),
+        ("frame-operator-gram", _check_gram_identity),
+        ("canonical-dual", _check_canonical_dual),
+        ("pair-parseval", _check_pair_parseval),
+        ("pair-frame-iff-disjoint", _check_pair_frame_iff_disjoint),
+        ("pair-riesz-equivalences", _check_pair_riesz_equivalences),
+        ("pair-bound-sandwich", _check_pair_bound_sandwich),
+        ("riesz-criteria-agree", _check_riesz_criteria),
+        ("synthesis-kernel", _check_synthesis_kernel),
+        ("cross-surjectivity", _check_cross_surjectivity),
+        ("perturbation-transfer", _check_perturbation),
+        ("mixed-construction", _check_mixed_construction),
+        ("disjoint-sum", _check_disjoint_sum),
+        ("strong-sum-bounds", _check_strong_sum),
+        ("strong-sum-tightness", _check_strong_sum_tightness),
+        ("direct-sum-duals", _check_direct_sum_duals),
+        ("pseudo-dual", _check_pseudo_dual),
+        ("lift-pipeline", _check_lift_pipeline),
+        ("pseudo-inverse", _check_pseudo_inverse),
+        ("document-roundtrip", _check_document_roundtrip),
+    )
 )
 
 

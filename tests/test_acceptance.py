@@ -52,6 +52,35 @@ def _suite(name: str, criterion: int, *checks: str) -> None:
     _verdict(name, not failures, "; ".join([detail, *failures[:3]]))
 
 
+def test_suite_driver_labels_each_case_in_order(monkeypatch):
+    import gframes.verification as verification
+
+    def toy(rng, tol):
+        draw = int(rng.integers(0, 4))
+        if draw % 2:
+            yield f"odd draw {draw}"
+            yield "second fault"
+
+    run = verification._per_case(toy)
+    faults = run(np.random.default_rng(5), 12, TOL)
+    replay = run(np.random.default_rng(5), 12, TOL)
+    draws = np.random.default_rng(5).integers(0, 4, 12)
+    expected = [
+        line
+        for case, draw in enumerate(draws)
+        if draw % 2
+        for line in (f"case {case}: odd draw {draw}", f"case {case}: second fault")
+    ]
+    assert faults == replay == expected and expected
+    monkeypatch.setattr(verification, "CHECKS", (("toy", run),))
+    report = verification.run_suite(3, 12, TOL)
+    rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
+    assert [(r.name, r.cases, r.failures) for r in report.results] == [
+        ("toy", 12, tuple(run(rng, 12, TOL)))
+    ]
+    assert not report.passed
+
+
 def test_criterion_01_frame_axioms():
     _suite("criterion-01 frame-axioms", 1, "defining-inequality")
 

@@ -160,8 +160,8 @@ _GOLDEN = ((3.0 - 5.0**0.5) / 2.0, (3.0 + 5.0**0.5) / 2.0)
 
 def _bounds(lower, upper, tight=True, parseval=False):
     return {
-        "is_frame": True, "is_tight": tight, "is_parseval": parseval,
         "lower_bound": lower, "upper_bound": upper,
+        "is_frame": True, "is_tight": tight, "is_parseval": parseval,
     }
 
 
@@ -257,6 +257,88 @@ def test_construct_recipe_report(recipe, tmp_path, capsys):
         assert actual[name] == pytest.approx(expected, rel=1e-12), name
 
 
+def _relations(strong, disjoint, complementary, cross_norm, intersection, sum_dim):
+    return {
+        "strongly_disjoint": strong, "disjoint": disjoint, "weakly_disjoint": disjoint,
+        "complementary_pair": complementary,
+        "strongly_complementary_pair": strong and complementary,
+        "cross_operator_norm": cross_norm, "range_intersection_dim": intersection,
+        "range_sum_dim": sum_dim, "khat_dim": 2,
+    }
+
+
+# sample pair: relations, pair family bounds, (pair family Riesz-type, kernel trivial)
+_DISJOINT_CASES = {
+    ("lam", "theta"): (_relations(False, True, True, 1.0, 0, 2), _bounds(*_GOLDEN, tight=False),
+                       (True, True)),
+    ("lam", "ortho"): (_relations(True, True, True, 0.0, 0, 2), _bounds(1.0, 1.0, parseval=True),
+                       (True, True)),
+    ("theta", "theta"): (_relations(False, False, False, 2.0, 1, 1),
+                         {**_bounds(0.0, 4.0, tight=False), "is_frame": False}, (False, False)),
+    ("identity", "identity"): (_relations(False, False, False, 1.0, 2, 2),
+                               {**_bounds(0.0, 2.0, tight=False), "is_frame": False},
+                               (False, False)),
+}
+
+# every check of the disjoint report, in order, with the names of its numbers
+_DISJOINT_CHECKS = (
+    ("pair-family-frame-iff-disjoint", ("disjoint", "pair_family_is_frame")),
+    ("complementary-iff-pair-riesz", ("complementary_pair", "pair_family_riesz")),
+    (
+        "strongly-complementary-decomposition",
+        ("strongly_complementary_pair", "strongly_disjoint", "pair_family_riesz"),
+    ),
+    ("weak-iff-trivial-kernel", ("weakly_disjoint", "kernel_trivial")),
+    ("hierarchy", ("strongly_disjoint", "disjoint", "weakly_disjoint")),
+)
+
+
+def _human_numbers(text: str) -> list[tuple[str, str]]:
+    return [tuple(item.split("=", 1)) for item in text.split()]
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+@pytest.mark.parametrize("pair", sorted(_DISJOINT_CASES))
+def test_disjoint_report(pair, fmt, capsys):
+    relations, pair_family, (riesz, kernel_trivial) = _DISJOINT_CASES[pair]
+    known = {
+        **relations, "pair_family_is_frame": pair_family["is_frame"],
+        "pair_family_riesz": riesz, "kernel_trivial": kernel_trivial,
+    }
+    reports = {"relations": relations, "pair_family": pair_family}
+    checks = [(name, {key: known[key] for key in keys}) for name, keys in _DISJOINT_CHECKS]
+    assert run_command(["disjoint", PAIR_DOC, *pair, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        assert payload["reports"].keys() == reports.keys()
+        for name, expected in reports.items():
+            assert payload["reports"][name] == pytest.approx(expected, rel=1e-12), name
+        assert [(c["name"], c["passed"]) for c in payload["checks"]] == [
+            (name, True) for name, _ in checks
+        ]
+        for check, (_, expected) in zip(payload["checks"], checks):
+            assert {k: v for k, v in check.items() if k not in ("name", "passed")} == expected
+        return
+
+    def rendered(numbers):
+        return [(k, f"{v:.12g}" if type(v) is float else str(v)) for k, v in numbers.items()]
+
+    lines = out.splitlines()
+    assert lines[-1] == "overall: PASS"
+    report_lines = [line for line in lines if line.startswith("report ")]
+    assert [line.split(":", 1)[0] for line in report_lines] == [f"report {n}" for n in reports]
+    for line, expected in zip(report_lines, reports.values()):
+        assert _human_numbers(line.split(": ", 1)[1]) == rendered(expected)
+    check_lines = [line for line in lines if line.startswith("check ")]
+    assert len(check_lines) == len(checks)
+    for line, (name, expected) in zip(check_lines, checks):
+        head, body = line.split(" (", 1)
+        assert head == f"check {name}: PASS"
+        assert _human_numbers(body.rstrip(")")) == rendered(expected)
+
+
 def test_generate_frame_round_trips(tmp_path, capsys):
     out_path = tmp_path / "gen.json"
     args = [
@@ -335,6 +417,12 @@ def test_json_reports_of_disjoint_and_delta_parse(tmp_path, capsys):
         ["construct", PAIR_DOC, "canonical-dual", "theta", "--l1", "[[[1, 0]]]", "-o", "x.json"],
         ["construct", PAIR_DOC, "parseval", "theta", "--l2", "xx", "-o", "x.json"],
         ["construct", LIFT_DOC, "lift-example", "f", "g", "--l1", "[[[1, 0]]]", "-o", "x.json"],
+        # block dims below 1 for a generated pair
+        *(
+            ["generate", "--kind", "strongly-disjoint-pair", *dims, "--dim-first", "1",
+             "--dim-second", "1", "-o", "x.json"]
+            for dims in (["--block-dims", "0,2"], ["--block-dims=-1,3"])
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning beside the error line breaks the contract

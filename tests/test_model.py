@@ -1,4 +1,4 @@
-"""Core model: validation, the weighted inner product, and the embedding."""
+"""Core model: validation at construction, the weighted inner product, and the embedding."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gframes import (
+    FamilyValidationError,
     GFrameFamily,
     KHatVector,
     MeasureSpace,
@@ -23,7 +24,6 @@ from gframes import (
     right_compose,
     synthesis_matrix,
     unembed,
-    validate_family,
 )
 from gframes._linalg import singular_values
 
@@ -35,30 +35,33 @@ def test_tolerance_policy_rejects_bad_values():
         TolerancePolicy(rank_eps_factor=0.5)
 
 
+def _violations(build) -> list[str]:
+    """The violations named by the FamilyValidationError that ``build()`` raises."""
+    with pytest.raises(FamilyValidationError) as err:
+        build()
+    return err.value.violations
+
+
 def test_validate_minimal_family_ok():
     fam = GFrameFamily(space=MeasureSpace([1.0]), domain_dim=1, blocks=([1.0],))
-    assert validate_family(fam) == []
+    assert fam.rows.tolist() == [[1.0]] and fam.block_dims == (1,)
 
 
 def test_validate_reports_block_count_mismatch(space2):
-    fam = GFrameFamily(space=space2, domain_dim=1, blocks=([1.0],))
-    violations = validate_family(fam)
+    violations = _violations(lambda: GFrameFamily(space=space2, domain_dim=1, blocks=([1.0],)))
     assert any("blocks.length" in v for v in violations)
 
 
 def test_validate_reports_nonpositive_weight():
-    fam = GFrameFamily(
-        space=MeasureSpace([1.0, 0.0]), domain_dim=1, blocks=([1.0], [1.0])
-    )
-    violations = validate_family(fam)
+    violations = _violations(lambda: MeasureSpace([1.0, 0.0]))
     assert any("weights[1]" in v for v in violations)
 
 
 def test_validate_reports_declared_dim_mismatch(space2):
-    fam = GFrameFamily(
-        space=space2, domain_dim=1, blocks=([1.0], [1.0]), block_dims=(1, 2)
+    violations = _violations(
+        lambda: GFrameFamily(space=space2, domain_dim=1, blocks=([1.0], [1.0]), block_dims=(1, 2))
     )
-    assert any("block 1" in v for v in validate_family(fam))
+    assert any("block 1" in v for v in violations)
 
 
 def test_khat_inner_unit_vector():
@@ -233,13 +236,22 @@ def test_tolerance_policy_rejects_non_finite_values():
             TolerancePolicy(**kwargs)
 
 
-def test_invalid_blocks_still_construct_and_are_named(space2):
-    ragged = GFrameFamily(space=space2, domain_dim=2, blocks=([[1.0, 0.0]], [[1.0, 0.0, 2.0]]))
-    assert any("block 1 has 3 columns" in v for v in validate_family(ragged))
-    assert ragged.rows is None and ragged.blocks[1].shape == (1, 3)
-    nonfinite = GFrameFamily(space=space2, domain_dim=1, blocks=([1.0], [np.inf]))
-    assert validate_family(nonfinite) == ["block 1 contains non-finite entries"]
-    assert np.isinf(nonfinite.blocks[1][0, 0])
+def test_invalid_blocks_are_named_at_construction(space2):
+    ragged = _violations(
+        lambda: GFrameFamily(space=space2, domain_dim=2, blocks=([[1.0, 0.0]], [[1.0, 0.0, 2.0]]))
+    )
+    assert any("block 1 has 3 columns" in v for v in ragged)
+    nonfinite = _violations(lambda: GFrameFamily(space=space2, domain_dim=1, blocks=([1.0], [np.inf])))
+    assert nonfinite == ["block 1 contains non-finite entries"]
+    rows = np.array([[1.0], [2.0], [np.nan]])
+    assert _violations(lambda: GFrameFamily.from_rows(space2, rows, (1, 2))) == nonfinite
+
+
+def test_zero_row_block_is_rejected(space2):
+    empty = np.zeros((0, 1))
+    expected = ["block_dims[0] = 0 not >= 1"]
+    assert _violations(lambda: GFrameFamily(space2, 1, (empty, [1.0]))) == expected
+    assert _violations(lambda: GFrameFamily.from_rows(space2, [[1.0]], (0, 1))) == expected
 
 
 def _random_family(rng, space, dims, domain_dim):

@@ -107,6 +107,37 @@ def test_mixed_construction_diagonal_operators(identity_family, tol):
     assert result.adjoint_combination_surjective == result.riesz_report.is_riesz_type
 
 
+@pytest.mark.parametrize("tall", [True, False])
+def test_mixed_construction_forms_combined_matrices_only_when_not_tall(tall, monkeypatch, tol):
+    import gframes.riesz
+
+    rng = np.random.default_rng(8)
+    atoms = 6 if tall else 2
+    lam = GFrameFamily.from_rows(
+        MeasureSpace(rng.uniform(0.5, 2.0, atoms)),
+        rng.standard_normal((atoms, 2)) + 1j * rng.standard_normal((atoms, 2)),
+        (1,) * atoms,
+    )
+    dual = canonical_dual(lam, tol)
+    calls = []
+    for name in ("analysis_matrix", "synthesis_matrix"):
+        original = getattr(gframes.riesz, name)
+        monkeypatch.setattr(
+            gframes.riesz, name, lambda fam, _f=original, _n=name: calls.append(_n) or _f(fam)
+        )
+    l1 = np.array([[2.0, 1.0], [0.0, 1.0]], dtype=complex)
+    result = mixed_construction(lam, dual, l1, np.linalg.inv(l1).conj().T, tol)
+    assert result.criteria_agree and result.riesz_report.is_riesz_type == (not tall)
+    assert result.adjoint_combination_surjective == (not tall)
+    if tall:
+        # the shape decides both routes: not surjective, and gain 0
+        assert calls == []
+        assert result.synthesis_combination_lower_bound == 0.0
+    else:
+        assert set(calls) == {"analysis_matrix", "synthesis_matrix"}
+        assert result.synthesis_combination_lower_bound > 0.0
+
+
 def test_cross_surjectivity_dual_pair(theta_family, tol):
     dual = canonical_dual(theta_family, tol)
     theta_frame, surjective = cross_surjectivity(theta_family, dual, tol)
