@@ -7,9 +7,11 @@ from .analysis import (
     FrameReport,
     canonical_dual,
     cross_operator,
+    dual_check,
     frame_bounds,
     frame_operator,
     is_dual_pair,
+    parseval_check,
     parseval_normalize,
 )
 from .constructions import (
@@ -35,6 +37,7 @@ from .disjointness import (
     delta_family,
     gamma_family,
     kernel_triviality,
+    normalized_pair,
     pair_equivalences,
     strong_disjointness_converse_check,
 )

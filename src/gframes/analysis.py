@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,6 +45,15 @@ class FrameReport:
     is_frame: bool
     is_tight: bool
     is_parseval: bool
+
+    def numbers(self) -> dict:
+        """The bounds and flags, without the frame operator."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "frame_operator"}
+
+
+# A theorem checked on one instance: its name, whether it held, and the
+# quantities it compared.  ``construct`` prints these and ``verify`` asserts them.
+Check = tuple[str, bool, dict]
 
 
 def frame_operator(fam: GFrameFamily) -> np.ndarray:
@@ -160,3 +169,17 @@ def is_dual_pair(
     return matrices_close(cross_operator(theta, lam), eye, tol.rel_eps) and matrices_close(
         cross_operator(lam, theta), eye, tol.rel_eps
     )
+
+
+def dual_check(name: str, theta: GFrameFamily, lam: GFrameFamily, tol: TolerancePolicy) -> Check:
+    """Whether ``theta`` is a dual of ``lam``, with the distance of their mixed
+    pairing from the identity (Frobenius)."""
+    passed = is_dual_pair(theta, lam, tol)  # checks the domains first
+    defect = np.linalg.norm(cross_operator(theta, lam) - np.eye(lam.domain_dim))
+    return name, passed, {"identity_defect": float(defect)}
+
+
+def parseval_check(fam: GFrameFamily, tol: TolerancePolicy) -> Check:
+    """Whether ``fam`` is Parseval, with its bounds and flags."""
+    rep = frame_bounds(fam, tol)
+    return "is-parseval", rep.is_parseval, rep.numbers()

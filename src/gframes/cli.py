@@ -15,14 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from ._linalg import operator_norm
-from .analysis import (
-    canonical_dual,
-    cross_operator,
-    frame_bounds,
-    is_dual_pair,
-    parseval_normalize,
-)
+from .analysis import canonical_dual, dual_check, frame_bounds, parseval_check, parseval_normalize
 from .constructions import (
     ContinuousFrameSpec,
     OperatorPair,
@@ -34,7 +27,7 @@ from .constructions import (
     random_strongly_disjoint_parseval_pair,
     strongly_disjoint_sum,
 )
-from .disjointness import classify, delta_family, gamma_family, pair_equivalences
+from .disjointness import classify, normalized_pair, pair_equivalences
 from .documents import FORMAT_VERSION, FrameDocument, load_document, parse_matrix, save_document
 from .errors import (
     DocumentError,
@@ -130,20 +123,13 @@ def _operator_pair(args, dim: int) -> OperatorPair:
     return OperatorPair(l1, l2)
 
 
-def _frame_numbers(rep) -> dict:
-    return {k: v for k, v in asdict(rep).items() if k != "frame_operator"}
-
-
 def _check(name: str, passed: bool, **numbers) -> dict:
     return {"name": name, "passed": bool(passed), **numbers}
 
 
-def _dual_check(name: str, theta: GFrameFamily, lam: GFrameFamily, tol) -> dict:
-    """Whether ``theta`` is a dual of ``lam``, with the distance of their mixed
-    pairing from the identity (Frobenius)."""
-    passed = is_dual_pair(theta, lam, tol)
-    defect = np.linalg.norm(cross_operator(theta, lam) - np.eye(lam.domain_dim))
-    return _check(name, passed, identity_defect=float(defect))
+def _checks(checks) -> list[dict]:
+    """Report entries of library ``(name, passed, numbers)`` checks."""
+    return [_check(name, passed, **numbers) for name, passed, numbers in checks]
 
 
 def _write_document(path: str, families: dict[str, GFrameFamily]) -> dict:
@@ -158,8 +144,8 @@ def _cmd_analyze(args, tol) -> dict:
     doc = load_document(args.file)
     fam = _family(doc, args.family)
     rep = frame_bounds(fam, tol)
-    reports = {"frame": _frame_numbers(rep)}
-    checks = [_check("is-frame", rep.is_frame, **_frame_numbers(rep))]
+    reports = {"frame": rep.numbers()}
+    checks = [_check("is-frame", rep.is_frame, **rep.numbers())]
     if rep.is_frame:
         reports["riesz"] = asdict(riesz_check(fam, tol))
     return {"reports": reports, "checks": checks}
@@ -167,12 +153,11 @@ def _cmd_analyze(args, tol) -> dict:
 
 def _cmd_disjoint(args, tol) -> dict:
     doc = load_document(args.file)
-    relations, pair_rep, checks = pair_equivalences(
+    relations, gamma, checks = pair_equivalences(
         _family(doc, args.family_a), _family(doc, args.family_b), tol
     )
-    reports = {"relations": asdict(relations), "pair_family": _frame_numbers(pair_rep)}
-    checks = [_check(name, passed, **numbers) for name, passed, numbers in checks]
-    return {"reports": reports, "checks": checks}
+    reports = {"relations": asdict(relations), "pair_family": frame_bounds(gamma, tol).numbers()}
+    return {"reports": reports, "checks": _checks(checks)}
 
 
 def _spec_from_family(fam: GFrameFamily, name: str) -> ContinuousFrameSpec:
@@ -185,76 +170,28 @@ def _spec_from_family(fam: GFrameFamily, name: str) -> ContinuousFrameSpec:
 
 # Construction recipes.  Each takes the first and the last named family (one
 # and the same for one-family recipes) and returns the families to write, the
-# frame numbers of the result (or None) and its checks.
+# frame numbers of the result (or None) and the checks its construction returns.
 
 
 def _recipe_gamma(lam, theta, args, tol):
-    gamma = gamma_family(lam, theta)
-    rep = frame_bounds(gamma, tol)
-    disjoint = classify(lam, theta, tol).disjoint
-    check = _check(
-        "pair-family-frame-iff-disjoint",
-        disjoint == rep.is_frame,
-        disjoint=disjoint,
-        is_frame=rep.is_frame,
-    )
-    return {"gamma": gamma}, _frame_numbers(rep), [check]
+    _, gamma, checks = pair_equivalences(lam, theta, tol)
+    return {"gamma": gamma}, frame_bounds(gamma, tol).numbers(), checks[:1]
 
 
 def _recipe_delta(lam, theta, args, tol):
-    delta = delta_family(lam, theta, tol)
-    rep = frame_bounds(delta, tol)
-    strongly = classify(lam, theta, tol).strongly_disjoint
-    check = _check(
-        "parseval-when-strongly-disjoint",
-        (not strongly) or rep.is_parseval,
-        strongly_disjoint=strongly,
-        is_parseval=rep.is_parseval,
-    )
-    return {"delta": delta}, _frame_numbers(rep), [check]
+    delta, check = normalized_pair(lam, theta, tol)
+    return {"delta": delta}, frame_bounds(delta, tol).numbers(), [check]
 
 
 def _recipe_sum_disjoint(lam, theta, args, tol):
     result = disjoint_sum_family(lam, theta, _operator_pair(args, lam.domain_dim), tol)
-    numbers = _frame_numbers(result.report)
-    checks = [
-        _check("is-frame", result.report.is_frame, **numbers),
-        _check(
-            "certificate-sandwich",
-            result.certificate_ok,
-            certified_lower=result.certified_lower,
-            certified_upper=result.certified_upper,
-            lower_bound=result.report.lower_bound,
-            upper_bound=result.report.upper_bound,
-        ),
-    ]
-    return {"sum": result.family}, numbers, checks
+    return {"sum": result.family}, result.report.numbers(), result.checks
 
 
 def _recipe_sum_strong(lam, theta, args, tol):
     result = strongly_disjoint_sum(lam, theta, _operator_pair(args, lam.domain_dim), tol)
-    rep, scale = result.report, result.scale
-    rep_l, rep_t = frame_bounds(lam, tol), frame_bounds(theta, tol)
-    guaranteed = scale * min(rep_l.lower_bound, rep_t.lower_bound)
-    checks = [
-        _check(
-            "lower-bound-guarantee",
-            rep.lower_bound >= guaranteed * (1.0 - tol.rel_eps),
-            lower_bound=rep.lower_bound,
-            guaranteed=guaranteed,
-        )
-    ]
-    if rep_l.is_parseval and rep_t.is_parseval:
-        checks.append(
-            _check(
-                "tight-with-hypothesis-scale",
-                rep.is_tight and abs(rep.upper_bound - scale) <= tol.rel_eps * max(1.0, scale),
-                is_tight=rep.is_tight,
-                bound=rep.upper_bound,
-                scale=scale,
-            )
-        )
-    return {"sum": result.family}, {**_frame_numbers(rep), "scale": scale}, checks
+    numbers = {**result.report.numbers(), "scale": result.scale}
+    return {"sum": result.family}, numbers, result.checks
 
 
 def _recipe_pseudo_dual(lam, theta, args, tol):
@@ -264,24 +201,18 @@ def _recipe_pseudo_dual(lam, theta, args, tol):
         "sum": result.sum_family,
         "single": result.single_family,
     }
-    checks = [
-        _dual_check("dual-of-sum", result.dual_candidate, result.sum_family, tol),
-        _dual_check("dual-of-single", result.dual_candidate, result.single_family, tol),
-    ]
-    return families, None, checks
+    return families, None, result.checks
 
 
 def _recipe_canonical_dual(lam, theta, args, tol):
     dual = canonical_dual(lam, tol)
-    check = _dual_check("dual-pairing", dual, lam, tol)
-    return {"canonical_dual": dual}, _frame_numbers(frame_bounds(dual, tol)), [check]
+    check = dual_check("dual-pairing", dual, lam, tol)
+    return {"canonical_dual": dual}, frame_bounds(dual, tol).numbers(), [check]
 
 
 def _recipe_parseval(lam, theta, args, tol):
     normalized = parseval_normalize(lam, tol)
-    rep = frame_bounds(normalized, tol)
-    check = _check("is-parseval", rep.is_parseval, **_frame_numbers(rep))
-    return {"parseval": normalized}, None, [check]
+    return {"parseval": normalized}, None, [parseval_check(normalized, tol)]
 
 
 def _recipe_lift_example(lam, theta, args, tol):
@@ -294,20 +225,8 @@ def _recipe_lift_example(lam, theta, args, tol):
         "lifted_phi": lifted.phi,
         "lifted_psi": lifted.psi,
     }
-    checks = [
-        _dual_check("first-dual-pair", lifted.theta, lifted.lam, tol),
-        _dual_check("second-dual-pair", lifted.psi, lifted.phi, tol),
-        _check(
-            "cross-strong-disjointness",
-            classify(lifted.lam, lifted.phi, tol).strongly_disjoint
-            and classify(lifted.theta, lifted.psi, tol).strongly_disjoint,
-            first_cross_norm=operator_norm(cross_operator(lifted.phi, lifted.lam)),
-            second_cross_norm=operator_norm(cross_operator(lifted.psi, lifted.theta)),
-        ),
-    ]
     glued = direct_sum_duals(lifted.lam, lifted.theta, lifted.psi, lifted.phi, tol)
-    checks.append(_dual_check("glued-dual-pair", glued.gamma, glued.delta, tol))
-    return families, None, checks
+    return families, None, glued.checks
 
 
 # recipe name: (number of family names, recipe, takes --l1/--l2), in the order --help lists them
@@ -334,7 +253,7 @@ def _cmd_construct(args, tol) -> dict:
     families, result, checks = recipe(_family(doc, names[0]), _family(doc, names[-1]), args, tol)
     reports = {} if result is None else {"result": result}
     reports["output"] = _write_document(args.output, families)
-    return {"reports": reports, "checks": checks}
+    return {"reports": reports, "checks": _checks(checks)}
 
 
 def _cmd_generate(args, tol) -> dict:
@@ -350,7 +269,7 @@ def _cmd_generate(args, tol) -> dict:
         fam = random_gframe(args.seed, dims, args.domain_dim, weight_range=weight_range, tol=tol)
         rep = frame_bounds(fam, tol)
         families = {"frame": fam}
-        checks.append(_check("is-frame", rep.is_frame, **_frame_numbers(rep)))
+        checks.append(_check("is-frame", rep.is_frame, **rep.numbers()))
     else:
         if args.dim_first is None or args.dim_second is None:
             raise UsageError("--kind strongly-disjoint-pair requires --dim-first and --dim-second")

@@ -14,11 +14,12 @@ from ._linalg import (
     hermitian_power,
     hermitize,
     matrices_close,
-    operator_norm,
+    rank_from_singular_values,
     require_finite,
+    singular_values,
     svd_rank,
 )
-from .analysis import FrameReport, canonical_dual, frame_bounds, is_dual_pair
+from .analysis import Check, FrameReport, canonical_dual, dual_check, frame_bounds
 from .disjointness import classify, gamma_family
 from .errors import GenerationError, PreconditionError, ShapeError, SingularOperatorError
 from .model import (
@@ -110,14 +111,12 @@ def _adjoint_sum(lam: GFrameFamily, theta: GFrameFamily, pair: OperatorPair) -> 
 
 @dataclass(frozen=True)
 class DisjointSumResult:
-    """Sum of a disjoint pair through operator adjoints, with the bound
-    certificate inherited from the pair family."""
+    """Sum of a disjoint pair through operator adjoints, with its checks: it is
+    a frame, and its bounds sit inside the certificate from the pair family."""
 
     family: GFrameFamily
     report: FrameReport
-    certified_lower: float
-    certified_upper: float
-    certificate_ok: bool
+    checks: tuple[Check, ...]
 
 
 def disjoint_sum_family(
@@ -138,45 +137,53 @@ def disjoint_sum_family(
     if not report.disjoint:
         raise PreconditionError("families are not disjoint")
     _require_adjoint_pair_shapes(pair, lam.domain_dim)
-    surj1 = svd_rank(pair.l1, tol) == pair.l1.shape[0]
-    surj2 = svd_rank(pair.l2, tol) == pair.l2.shape[0]
+    svals1, svals2 = singular_values(pair.l1), singular_values(pair.l2)
+    surj1 = rank_from_singular_values(svals1, pair.l1.shape, tol) == pair.l1.shape[0]
+    surj2 = rank_from_singular_values(svals2, pair.l2.shape, tol) == pair.l2.shape[0]
     if not (surj1 or surj2):
         raise PreconditionError("neither L1 nor L2 is surjective")
 
     family = _adjoint_sum(lam, theta, pair)
-
-    pair_report = frame_bounds(gamma_family(lam, theta), tol)
-    witness = pair.l1 if surj1 else pair.l2
-    pinv_norm = operator_norm(pseudo_inverse(witness, tol))
-    certified_lower = pair_report.lower_bound / pinv_norm**2
-    certified_upper = (
-        2.0
-        * pair_report.upper_bound
-        * max(operator_norm(pair.l1) ** 2, operator_norm(pair.l2) ** 2)
-    )
     result_report = frame_bounds(family, tol)
+    pair_report = frame_bounds(gamma_family(lam, theta), tol)
+    # For a surjective L, ||L_pinv|| = 1 / sigma_min(L).  The squares are
+    # numpy floats, which go to 0 or inf past the float range instead of raising.
+    witness = svals1 if surj1 else svals2
+    with np.errstate(over="ignore", under="ignore"):
+        certified_lower = float(pair_report.lower_bound * witness[-1] ** 2)
+        certified_upper = float(2.0 * pair_report.upper_bound * max(svals1[0], svals2[0]) ** 2)
     certificate_ok = (
         result_report.is_frame
         and result_report.lower_bound >= certified_lower * (1.0 - tol.rel_eps)
         and result_report.upper_bound <= certified_upper * (1.0 + tol.rel_eps)
     )
-    return DisjointSumResult(
-        family=family,
-        report=result_report,
-        certified_lower=float(certified_lower),
-        certified_upper=float(certified_upper),
-        certificate_ok=certificate_ok,
+    checks = (
+        ("is-frame", result_report.is_frame, result_report.numbers()),
+        (
+            "certificate-sandwich",
+            certificate_ok,
+            {
+                "certified_lower": certified_lower,
+                "certified_upper": certified_upper,
+                "lower_bound": result_report.lower_bound,
+                "upper_bound": result_report.upper_bound,
+            },
+        ),
     )
+    return DisjointSumResult(family=family, report=result_report, checks=checks)
 
 
 @dataclass(frozen=True)
 class StrongSumResult:
     """Sum of a strongly disjoint pair through operators whose squares add to
-    a positive multiple of the identity; ``scale`` is that multiple."""
+    a positive multiple of the identity; ``scale`` is that multiple.  Its checks:
+    the lower bound is at least ``scale`` times the smaller input lower bound,
+    and for Parseval inputs the sum is tight with bound ``scale``."""
 
     family: GFrameFamily
     report: FrameReport
     scale: float
+    checks: tuple[Check, ...]
 
 
 def strongly_disjoint_sum(
@@ -205,14 +212,35 @@ def strongly_disjoint_sum(
             "L1^H L1 + L2^H L2 is not a positive multiple of the identity"
         )
     family = GFrameFamily.from_rows(lam.space, lam.rows @ l1 + theta.rows @ l2, lam.block_dims)
-    return StrongSumResult(family=family, report=frame_bounds(family, tol), scale=scale)
+    rep = frame_bounds(family, tol)
+    rep_l, rep_t = frame_bounds(lam, tol), frame_bounds(theta, tol)
+    guaranteed = scale * min(rep_l.lower_bound, rep_t.lower_bound)
+    checks = [
+        (
+            "lower-bound-guarantee",
+            rep.lower_bound >= guaranteed * (1.0 - tol.rel_eps),
+            {"lower_bound": rep.lower_bound, "guaranteed": guaranteed},
+        )
+    ]
+    if rep_l.is_parseval and rep_t.is_parseval:
+        checks.append(
+            (
+                "tight-with-hypothesis-scale",
+                rep.is_tight and abs(rep.upper_bound - scale) <= tol.rel_eps * scale,
+                {"is_tight": rep.is_tight, "bound": rep.upper_bound, "scale": scale},
+            )
+        )
+    return StrongSumResult(family=family, report=rep, scale=scale, checks=tuple(checks))
 
 
 @dataclass(frozen=True)
 class DirectSumDuals:
+    """The glued dual pair, with the checks of the three hypotheses and of
+    the glued pairing."""
+
     gamma: GFrameFamily
     delta: GFrameFamily
-    dual_verified: bool
+    checks: tuple[Check, ...]
 
 
 def direct_sum_duals(
@@ -227,30 +255,44 @@ def direct_sum_duals(
     ``lam`` must be a dual of ``theta`` (both on the first domain) and ``psi``
     a dual of ``phi`` (both on the second); additionally ``lam``/``phi`` and
     ``theta``/``psi`` must be strongly disjoint.  The glued families have
-    blocks [lam_i | psi_i] and [theta_i | phi_i].
+    blocks [lam_i | psi_i] and [theta_i | phi_i].  A failed hypothesis raises
+    PreconditionError; ``checks`` holds the three hypotheses with their
+    numbers, then the glued pairing.
     """
-    if not is_dual_pair(lam, theta, tol):
+    first = dual_check("first-dual-pair", theta, lam, tol)
+    if not first[1]:
         raise PreconditionError("lam is not a dual of theta")
-    if not is_dual_pair(psi, phi, tol):
+    second = dual_check("second-dual-pair", psi, phi, tol)
+    if not second[1]:
         raise PreconditionError("psi is not a dual of phi")
-    if not classify(lam, phi, tol).strongly_disjoint:
+    lam_phi, theta_psi = classify(lam, phi, tol), classify(theta, psi, tol)
+    if not lam_phi.strongly_disjoint:
         raise PreconditionError("lam and phi are not strongly disjoint")
-    if not classify(theta, psi, tol).strongly_disjoint:
+    if not theta_psi.strongly_disjoint:
         raise PreconditionError("theta and psi are not strongly disjoint")
+    cross = (
+        "cross-strong-disjointness",
+        lam_phi.strongly_disjoint and theta_psi.strongly_disjoint,
+        {
+            "first_cross_norm": lam_phi.cross_operator_norm,
+            "second_cross_norm": theta_psi.cross_operator_norm,
+        },
+    )
     gamma = gamma_family(lam, psi)
     delta = gamma_family(theta, phi)
-    return DirectSumDuals(
-        gamma=gamma, delta=delta, dual_verified=is_dual_pair(gamma, delta, tol)
-    )
+    glued = dual_check("glued-dual-pair", gamma, delta, tol)
+    return DirectSumDuals(gamma=gamma, delta=delta, checks=(first, second, cross, glued))
 
 
 @dataclass(frozen=True)
 class PseudoDualResult:
+    """The dual candidate, the two families it should be a dual of, and the
+    checks that it is."""
+
     dual_candidate: GFrameFamily
     sum_family: GFrameFamily
     single_family: GFrameFamily
-    dual_of_sum: bool
-    dual_of_single: bool
+    checks: tuple[Check, ...]
 
 
 def pseudo_dual(
@@ -280,8 +322,10 @@ def pseudo_dual(
         dual_candidate=candidate,
         sum_family=sum_family,
         single_family=single_family,
-        dual_of_sum=is_dual_pair(candidate, sum_family, tol),
-        dual_of_single=is_dual_pair(candidate, single_family, tol),
+        checks=(
+            dual_check("dual-of-sum", candidate, sum_family, tol),
+            dual_check("dual-of-single", candidate, single_family, tol),
+        ),
     )
 
 
@@ -363,36 +407,37 @@ def _seeded_space(seed: int, atoms: int, weight_range):
     return rng, MeasureSpace(rng.uniform(low, high, atoms))
 
 
+_FRAME_DRAWS = 8
+
+
 def random_gframe(
     seed: int,
     block_dims,
     domain_dim: int,
     weight_range=(0.5, 2.0),
-    ensure_frame: bool = True,
-    max_retries: int = 8,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> GFrameFamily:
-    """Seed-deterministic family with complex-Gaussian blocks.
+    """Seed-deterministic frame with complex-Gaussian blocks.
 
-    With ``ensure_frame`` (the default) the draw is repeated until the result
-    is a frame, which is almost sure when the total codomain dimension reaches
-    the domain dimension, and impossible otherwise (raises GenerationError).
+    The draw is repeated until the result is a frame, which is almost sure
+    when the total codomain dimension reaches the domain dimension, and
+    impossible otherwise (raises GenerationError).
     """
     dims = tuple(int(d) for d in block_dims)
     if not dims or any(d < 1 for d in dims) or domain_dim < 1:
         raise GenerationError(f"invalid shape request: block_dims={dims}, domain_dim={domain_dim}")
     rng, space = _seeded_space(seed, len(dims), weight_range)
     total = sum(dims)
-    if ensure_frame and total < domain_dim:
+    if total < domain_dim:
         raise GenerationError(
             f"total codomain dimension {total} < domain dimension {domain_dim}: no frame exists"
         )
-    for _ in range(max_retries):
+    for _ in range(_FRAME_DRAWS):
         blocks = tuple(_complex_gaussian(rng, (d, domain_dim)) for d in dims)
         family = GFrameFamily(space=space, domain_dim=domain_dim, blocks=blocks)
-        if not ensure_frame or frame_bounds(family, tol).is_frame:
+        if frame_bounds(family, tol).is_frame:
             return family
-    raise GenerationError(f"could not draw a frame in {max_retries} attempts")
+    raise GenerationError(f"could not draw a frame in {_FRAME_DRAWS} attempts")
 
 
 def random_strongly_disjoint_parseval_pair(

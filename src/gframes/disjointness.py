@@ -7,8 +7,8 @@ full rank is certified by Gram eigenvalues (for [A|B]: [[S_A, A^H B], [B^H A,
 S_B]]) and only an uncertified pair takes the SVD of [A|B].  The sum of two
 subspaces is closed in finite dimension, so "disjoint" and "weakly disjoint"
 coincide; two routes (rank identity vs kernel test) compute them as a check.
-``pair_equivalences`` states the theorems that tie the relations to the pair
-family, once, for the ``disjoint`` command and the ``verify`` suite alike.
+``pair_equivalences`` and ``normalized_pair`` state the theorems that tie the
+relations to the pair family, once, for the CLI and the ``verify`` suite alike.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import gram_certifies_full_column_rank, operator_norm, svd_rank
-from .analysis import FrameReport, analysis_rank, frame_bounds, parseval_normalize
+from .analysis import Check, analysis_rank, frame_bounds, parseval_normalize
 from .errors import PreconditionError, ShapeError
 from .model import (
     DEFAULT_TOL,
@@ -121,6 +121,21 @@ def delta_family(
     return gamma_family(parseval_normalize(lam, tol), parseval_normalize(theta, tol))
 
 
+def normalized_pair(
+    lam: GFrameFamily, theta: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL
+) -> tuple[GFrameFamily, Check]:
+    """``delta_family(lam, theta)`` and the check that it is Parseval when the
+    pair is strongly disjoint, with both facts as its numbers."""
+    delta = delta_family(lam, theta, tol)
+    parseval = frame_bounds(delta, tol).is_parseval
+    strongly = classify(lam, theta, tol).strongly_disjoint
+    return delta, (
+        "parseval-when-strongly-disjoint",
+        (not strongly) or parseval,
+        {"strongly_disjoint": strongly, "is_parseval": parseval},
+    )
+
+
 def _require_invertible(name: str, operator: np.ndarray, dim: int, tol: TolerancePolicy) -> None:
     operator = np.asarray(operator, dtype=complex)
     if operator.shape != (dim, dim):
@@ -163,11 +178,11 @@ def kernel_triviality(gamma: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -
 
 def pair_equivalences(
     lam: GFrameFamily, theta: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL
-) -> tuple[DisjointnessReport, FrameReport, tuple[tuple[str, bool, dict], ...]]:
+) -> tuple[DisjointnessReport, GFrameFamily, tuple[Check, ...]]:
     """The pair theorems checked on one pair of frames.
 
-    Returns the pair's relations, the frame report of its pair family Gamma
-    and five ``(name, passed, numbers)`` checks, each with the quantities it
+    Returns the pair's relations, its pair family Gamma and five
+    ``(name, passed, numbers)`` checks, each with the quantities it
     compares: disjoint iff Gamma is a frame; complementary iff Gamma is
     Riesz-type; strongly complementary iff strongly disjoint and Gamma
     Riesz-type; weakly disjoint iff Gamma has a trivial kernel; and strongly
@@ -210,4 +225,4 @@ def pair_equivalences(
             {"strongly_disjoint": strong, "disjoint": disjoint, "weakly_disjoint": weak},
         ),
     )
-    return report, gamma_rep, checks
+    return report, gamma, checks

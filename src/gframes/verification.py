@@ -25,9 +25,10 @@ from ._linalg import (
 from .analysis import (
     canonical_dual,
     cross_operator,
+    dual_check,
     frame_bounds,
     frame_operator,
-    is_dual_pair,
+    parseval_check,
     parseval_normalize,
 )
 from .constructions import (
@@ -46,8 +47,8 @@ from .constructions import _complex_gaussian as _cgauss
 from .constructions import _orthonormal_columns
 from .disjointness import (
     classify,
-    delta_family,
     gamma_family,
+    normalized_pair,
     pair_equivalences,
     strong_disjointness_converse_check,
 )
@@ -298,26 +299,32 @@ def _check_gram_identity(rng, tol):
         yield "frame operator != blockwise sum of block grams"
 
 
+def _failed_equivalences(checks):
+    """The failures among library ``(name, passed, numbers)`` checks."""
+    for name, passed, numbers in checks:
+        if not passed:
+            yield f"{name} broken (" + " ".join(f"{k}={v}" for k, v in numbers.items()) + ")"
+
+
 def _check_canonical_dual(rng, tol):
     fam = _random_frame(rng, tol)
     dual = canonical_dual(fam, tol)
-    if not is_dual_pair(fam, dual, tol):
-        yield "family and canonical dual fail the pairing"
+    yield from _failed_equivalences([dual_check("dual-pairing", dual, fam, tol)])
     double = canonical_dual(dual, tol)
     for i, (a, b) in enumerate(zip(double.blocks, fam.blocks)):
         if not matrices_close(a, b, tol.rel_eps):
             yield f"dual involution broken at block {i}"
-    normalized = parseval_normalize(fam, tol)
-    if not frame_bounds(normalized, tol).is_parseval:
-        yield "normalization is not Parseval"
+    yield from _failed_equivalences([parseval_check(parseval_normalize(fam, tol), tol)])
 
 
 def _check_pair_parseval(rng, tol):
     """Strong disjointness <-> the normalized pair family is Parseval."""
     lam, theta = _random_strongly_disjoint(rng, tol)
-    delta = delta_family(lam, theta, tol)
-    if not frame_bounds(delta, tol).is_parseval:
-        yield "normalized pair of a strongly disjoint pair not Parseval"
+    delta, check = normalized_pair(lam, theta, tol)
+    yield from _failed_equivalences([check])
+    numbers = check[2]
+    if not (numbers["strongly_disjoint"] and numbers["is_parseval"]):
+        yield f"pair drawn strongly disjoint: {numbers}"
     if not matrices_close(frame_operator(delta), np.eye(delta.domain_dim), tol.rel_eps):
         yield "frame operator of the normalized pair is not I"
     l1 = hermitian_power(frame_operator(lam), -0.5, tol)
@@ -330,12 +337,6 @@ def _check_pair_parseval(rng, tol):
         w2 = hermitian_power(frame_operator(theta2), -0.5, tol)
         if strong_disjointness_converse_check(lam2, theta2, w1, w2, tol):
             yield "converse check passed a non-strongly-disjoint pair"
-
-
-def _failed_equivalences(checks):
-    for name, passed, numbers in checks:
-        if not passed:
-            yield f"{name} broken (" + " ".join(f"{k}={v}" for k, v in numbers.items()) + ")"
 
 
 def _check_pair_frame_iff_disjoint(rng, tol):
@@ -507,11 +508,7 @@ def _check_disjoint_sum(rng, tol):
         OperatorPair(np.eye(d), np.eye(d)),
         OperatorPair(_random_invertible(rng, d), _cgauss(rng, (d, d))),
     ):
-        result = disjoint_sum_family(lam, theta, pair, tol)
-        if not result.report.is_frame:
-            yield "sum of a disjoint pair is not a frame"
-        if not result.certificate_ok:
-            yield "certificate sandwich failed"
+        yield from _failed_equivalences(disjoint_sum_family(lam, theta, pair, tol).checks)
 
 
 def _check_strong_sum(rng, tol):
@@ -523,11 +520,8 @@ def _check_strong_sum(rng, tol):
     result = strongly_disjoint_sum(lam, theta, pair, tol)
     if abs(result.scale - expected_scale) > tol.rel_eps * expected_scale:
         yield f"recovered scale {result.scale} != {expected_scale}"
-    rep_l = frame_bounds(lam, tol)
-    rep_t = frame_bounds(theta, tol)
-    guaranteed = result.scale * min(rep_l.lower_bound, rep_t.lower_bound)
-    if result.report.lower_bound < guaranteed * (1.0 - tol.rel_eps) - tol.rel_eps:
-        yield "lower bound below the guaranteed multiple"
+    yield from _failed_equivalences(result.checks)
+    rep_l, rep_t = frame_bounds(lam, tol), frame_bounds(theta, tol)
     roof = rep_l.upper_bound * c1**2 + rep_t.upper_bound * c2**2
     if result.report.upper_bound > roof * (1.0 + tol.rel_eps) + tol.rel_eps:
         yield "upper bound above the Bessel roof"
@@ -550,9 +544,11 @@ def _check_strong_sum_tightness(rng, tol):
     rep = frame_bounds(summed, tol)
     if rep.is_tight != hypothesis:
         yield f"tight={rep.is_tight} but identity hypothesis={hypothesis}"
-    defect = max(abs(rep.lower_bound - scale), abs(rep.upper_bound - scale))
-    if hypothesis and defect > tol.rel_eps * scale:
-        yield f"tight bounds [{rep.lower_bound}, {rep.upper_bound}] != scale {scale}"
+    if hypothesis:
+        result = strongly_disjoint_sum(lam, theta, OperatorPair(l1, l2), tol)
+        yield from _failed_equivalences(result.checks)
+        if "tight-with-hypothesis-scale" not in (name for name, _, _ in result.checks):
+            yield "no tightness check on Parseval inputs"
     if rep.is_tight:
         # converse direction on random vectors: the operator squares must
         # distribute the tight bound exactly
@@ -594,8 +590,7 @@ def _check_direct_sum_duals(rng, tol):
     lam, psi = _random_strongly_disjoint(rng, tol)
     theta, phi = canonical_dual(lam, tol), canonical_dual(psi, tol)
     result = direct_sum_duals(lam, theta, psi, phi, tol)
-    if not result.dual_verified:
-        yield "glued families fail the dual pairing"
+    yield from _failed_equivalences(result.checks)
     defect = _glued_pairing_defect(rng, result, lam.domain_dim, psi.domain_dim, tol)
     if defect is not None:
         yield f"glued pairing defect {defect:.3e}"
@@ -614,11 +609,7 @@ def _check_pseudo_dual(rng, tol):
         if singular_values(wide)[-1] > 1e-2 * singular_values(wide)[0]:
             pairs.append(OperatorPair(wide, _cgauss(rng, (rows, d))))
     for pair in pairs:
-        result = pseudo_dual(lam, theta, pair, tol)
-        if not result.dual_of_sum:
-            yield "candidate is not a dual of the sum"
-        if not result.dual_of_single:
-            yield "candidate is not a dual of the single family"
+        yield from _failed_equivalences(pseudo_dual(lam, theta, pair, tol).checks)
 
 
 def _check_lift_pipeline(rng, tol):
@@ -637,17 +628,8 @@ def _check_lift_pipeline(rng, tol):
     if sf[-1] < 1e-3 * sf[0] or sg[-1] < 1e-3 * sg[0]:
         return
     lifted = lift_continuous_frame(f_spec, g_spec, tol)
-    if not is_dual_pair(lifted.theta, lifted.lam, tol):
-        yield "first lifted pair is not dual"
-    if not is_dual_pair(lifted.psi, lifted.phi, tol):
-        yield "second lifted pair is not dual"
-    if not classify(lifted.lam, lifted.phi, tol).strongly_disjoint:
-        yield "lam/phi not strongly disjoint"
-    if not classify(lifted.theta, lifted.psi, tol).strongly_disjoint:
-        yield "theta/psi not strongly disjoint"
     glued = direct_sum_duals(lifted.lam, lifted.theta, lifted.psi, lifted.phi, tol)
-    if not glued.dual_verified:
-        yield "glued lifted families fail the dual pairing"
+    yield from _failed_equivalences(glued.checks)
     defect = _glued_pairing_defect(rng, glued, dim_h, dim_k, tol)
     if defect is not None:
         yield f"lifted pairing defect {defect:.3e}"

@@ -8,6 +8,7 @@ tolerances are relative 1e-9 (the default policy), and every criterion draws
 from a fixed seed so the verdict is reproducible.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -79,6 +80,43 @@ def test_suite_driver_labels_each_case_in_order(monkeypatch):
         ("toy", 12, tuple(run(rng, 12, TOL)))
     ]
     assert not report.passed
+
+
+# suite check: the library function whose (name, passed, numbers) checks it asserts
+_CONSTRUCTION_CHECKS = (
+    ("canonical-dual", "dual_check"),
+    ("canonical-dual", "parseval_check"),
+    ("pair-parseval", "normalized_pair"),
+    ("disjoint-sum", "disjoint_sum_family"),
+    ("strong-sum-bounds", "strongly_disjoint_sum"),
+    ("strong-sum-tightness", "strongly_disjoint_sum"),
+    ("direct-sum-duals", "direct_sum_duals"),
+    ("pseudo-dual", "pseudo_dual"),
+    ("lift-pipeline", "direct_sum_duals"),
+)
+
+
+def _refuted(output):
+    """``output`` of a library function with every check it carries failed."""
+
+    def refute(check):
+        return check[0], False, check[2]
+
+    if dataclasses.is_dataclass(output):
+        return dataclasses.replace(output, checks=tuple(map(refute, output.checks)))
+    if isinstance(output[0], str):  # one check
+        return refute(output)
+    return output[0], refute(output[1])  # a family and its check
+
+
+@pytest.mark.parametrize("check, function", _CONSTRUCTION_CHECKS)
+def test_suite_check_fails_with_its_construction_check(check, function, monkeypatch):
+    import gframes.verification as verification
+
+    real = getattr(verification, function)
+    monkeypatch.setattr(verification, function, lambda *args: _refuted(real(*args)))
+    faults = dict(CHECKS)[check](np.random.default_rng(0), 10, TOL)
+    assert any(" broken (" in fault for fault in faults), faults
 
 
 def test_criterion_01_frame_axioms():

@@ -1,11 +1,15 @@
 """End-to-end CLI behavior on the shipped sample documents."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gframes import is_dual_pair, load_document
 from gframes.cli import run_command
@@ -181,7 +185,7 @@ _RECIPE_CASES = {
         [("pair-family-frame-iff-disjoint", True)],
         {
             "result": _bounds(*_GOLDEN, tight=False),
-            "pair-family-frame-iff-disjoint": {"disjoint": True, "is_frame": True},
+            "pair-family-frame-iff-disjoint": {"disjoint": True, "pair_family_is_frame": True},
         },
     ),
     "delta": (
@@ -433,6 +437,39 @@ def test_bad_input_or_option_is_usage_error(argv, tmp_path, monkeypatch, capsys)
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# the recipes that take --l1/--l2, with a sample pair that meets their hypotheses
+_OPERATOR_RECIPES = {"sum-disjoint": ("lam", "theta"), "sum-strong": ("lam", "ortho"),
+                     "pseudo-dual": ("lam", "ortho")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    recipe=st.sampled_from(sorted(_OPERATOR_RECIPES)),
+    flag=st.sampled_from(["--l1", "--l2"]),
+    entry=st.builds(
+        "{}{!r}e{}".format,
+        st.sampled_from(["", "-"]),
+        st.floats(1.0, 10.0, exclude_max=True),
+        st.integers(-323, 308),
+    ),
+)
+@example(recipe="sum-disjoint", flag="--l1", entry="1e200")
+@example(recipe="sum-disjoint", flag="--l1", entry="1e-200")
+@example(recipe="sum-disjoint", flag="--l1", entry="1e-320")
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy warnings break the contract
+def test_operator_magnitudes_keep_the_exit_contract(recipe, flag, entry, tmp_path_factory):
+    out_path = str(tmp_path_factory.getbasetemp() / "operator-magnitudes.json")
+    argv = ["construct", PAIR_DOC, recipe, *_OPERATOR_RECIPES[recipe],
+            flag, f"[[[{entry}, 0]]]", "-o", out_path]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))
+    assert (out.getvalue() == "") == (lines != [])  # a report or the error line, not both
 
 
 def _document(weights, blocks) -> str:

@@ -8,6 +8,7 @@ from gframes import (
     GenerationError,
     GFrameFamily,
     MeasureSpace,
+    NumericalRangeError,
     OperatorPair,
     PreconditionError,
     canonical_dual,
@@ -24,6 +25,10 @@ from gframes import (
     random_strongly_disjoint_parseval_pair,
     strongly_disjoint_sum,
 )
+
+
+def _verdicts(result) -> dict:
+    return {name: passed for name, passed, _ in result.checks}
 
 
 def test_pseudo_inverse_wide_matrix(tol):
@@ -48,7 +53,7 @@ def test_disjoint_sum_identity_operators(lam_family, theta_family, tol):
     assert np.allclose(result.family.blocks[1], [[1.0]])
     assert np.allclose(frame_operator(result.family), [[5.0]])
     assert result.report.is_frame
-    assert result.certificate_ok
+    assert _verdicts(result) == {"is-frame": True, "certificate-sandwich": True}
 
 
 def test_disjoint_sum_degenerate_second_operator(lam_family, ortho_family, tol):
@@ -56,7 +61,7 @@ def test_disjoint_sum_degenerate_second_operator(lam_family, ortho_family, tol):
     result = disjoint_sum_family(lam_family, ortho_family, pair, tol)
     for block, original in zip(result.family.blocks, lam_family.blocks):
         assert np.allclose(block, original)
-    assert result.report.is_frame and result.certificate_ok
+    assert _verdicts(result) == {"is-frame": True, "certificate-sandwich": True}
 
 
 def test_disjoint_sum_rectangular_surjection(tol):
@@ -74,7 +79,27 @@ def test_disjoint_sum_rectangular_surjection(tol):
     pair = OperatorPair(np.array([[1.0, 0.0]]), np.array([[0.3, 0.7]]))
     result = disjoint_sum_family(lam, theta, pair, tol)
     assert result.family.domain_dim == 1
-    assert result.report.is_frame and result.certificate_ok
+    assert _verdicts(result) == {"is-frame": True, "certificate-sandwich": True}
+
+
+@pytest.mark.parametrize("tiny", [1e-200, 1e-320])
+def test_disjoint_sum_certificate_of_a_tiny_surjection(tiny, lam_family, theta_family, tol):
+    # ||L1_pinv||^2 = 1 / tiny^2 is past the float range; the certified lower
+    # bound A_pair * tiny^2 underflows to 0 instead of raising
+    pair = OperatorPair(np.array([[tiny]]), np.eye(1))
+    result = disjoint_sum_family(lam_family, theta_family, pair, tol)
+    assert _verdicts(result) == {"is-frame": True, "certificate-sandwich": True}
+    numbers = result.checks[1][2]
+    assert numbers["certified_lower"] == 0.0
+    assert numbers["certified_upper"] == pytest.approx(2.0 * (3.0 + 5.0**0.5) / 2.0)
+
+
+@pytest.mark.parametrize("operators", [([[1e200]], [[1.0]]), ([[1.0]], [[1e155]])])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_disjoint_sum_overflowing_operator_raises(operators, lam_family, theta_family, tol):
+    with pytest.raises(NumericalRangeError):
+        disjoint_sum_family(lam_family, theta_family, OperatorPair(*operators), tol)
 
 
 def test_disjoint_sum_rejects_overlapping_pair(theta_family, tol):
@@ -136,11 +161,17 @@ def test_direct_sum_duals_requires_strong_disjointness(identity_family, tol):
         )
 
 
+# the three hypotheses of direct_sum_duals and its glued pairing
+_GLUED_CHECKS = (
+    "first-dual-pair", "second-dual-pair", "cross-strong-disjointness", "glued-dual-pair"
+)
+
+
 def test_direct_sum_duals_on_orthogonal_split(tol):
     lam, psi = random_strongly_disjoint_parseval_pair(21, (1, 1, 1, 2), 2, 2)
     theta, phi = canonical_dual(lam, tol), canonical_dual(psi, tol)
     result = direct_sum_duals(lam, theta, psi, phi, tol)
-    assert result.dual_verified
+    assert _verdicts(result) == dict.fromkeys(_GLUED_CHECKS, True)
     assert result.gamma.domain_dim == lam.domain_dim + psi.domain_dim
 
 
@@ -150,7 +181,7 @@ def test_pseudo_dual_identity_operators(lam_family, ortho_family, tol):
     dual = canonical_dual(lam_family, tol)
     for a, b in zip(result.dual_candidate.blocks, dual.blocks):
         assert np.allclose(a, b)
-    assert result.dual_of_sum and result.dual_of_single
+    assert _verdicts(result) == {"dual-of-sum": True, "dual-of-single": True}
 
 
 def test_pseudo_dual_scaled_operator(lam_family, ortho_family, tol):
@@ -159,7 +190,7 @@ def test_pseudo_dual_scaled_operator(lam_family, ortho_family, tol):
     dual = canonical_dual(lam_family, tol)
     for a, b in zip(result.dual_candidate.blocks, dual.blocks):
         assert np.allclose(a, 0.5 * b)
-    assert result.dual_of_sum and result.dual_of_single
+    assert _verdicts(result) == {"dual-of-sum": True, "dual-of-single": True}
 
 
 def test_pseudo_dual_rejects_singular_first_operator(lam_family, ortho_family, tol):
@@ -179,7 +210,8 @@ def test_lift_standard_basis(tol):
     assert is_dual_pair(lifted.psi, lifted.phi, tol)
     assert classify(lifted.lam, lifted.phi, tol).strongly_disjoint
     assert classify(lifted.theta, lifted.psi, tol).strongly_disjoint
-    assert direct_sum_duals(lifted.lam, lifted.theta, lifted.psi, lifted.phi, tol).dual_verified
+    glued = direct_sum_duals(lifted.lam, lifted.theta, lifted.psi, lifted.phi, tol)
+    assert _verdicts(glued) == dict.fromkeys(_GLUED_CHECKS, True)
 
 
 def test_lift_scalar_frame_halves_dual_coefficients(tol):
@@ -209,11 +241,6 @@ def test_random_gframe_is_deterministic():
 def test_random_gframe_rejects_impossible_frame_request():
     with pytest.raises(GenerationError):
         random_gframe(1, (1, 1), 3)
-
-
-def test_random_gframe_undersized_without_enforcement():
-    fam = random_gframe(1, (1, 1), 3, ensure_frame=False)
-    assert not frame_bounds(fam).is_frame
 
 
 def test_random_pair_split_full_is_strongly_complementary(tol):
