@@ -9,13 +9,13 @@ from .analysis import (
     cross_operator,
     dual_check,
     frame_bounds,
+    frame_check,
     frame_operator,
     is_dual_pair,
     parseval_check,
     parseval_normalize,
 )
 from .constructions import (
-    ContinuousFrameSpec,
     DirectSumDuals,
     DisjointSumResult,
     LiftedFamilies,

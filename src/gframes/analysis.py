@@ -16,6 +16,7 @@ from ._linalg import (
     require_finite,
     singular_values,
 )
+from .errors import NumericalRangeError
 from .model import (
     DEFAULT_TOL,
     GFrameFamily,
@@ -61,10 +62,11 @@ def frame_operator(fam: GFrameFamily) -> np.ndarray:
     i.e. A^H A for the embedded analysis matrix A.
 
     Read-only, and computed once per family object.  Raises
-    NumericalRangeError when it overflows (on every call: an error is never
-    stored).  A finite frame operator implies a finite A (its diagonal holds
-    A's squared column norms), so the operations that bound a family first
-    never see an overflowed A.
+    NumericalRangeError when it overflows, or underflows to below the
+    smallest normal float for a nonzero family (on every call: an error is
+    never stored).  A finite frame operator implies a finite A (its diagonal
+    holds A's squared column norms), so the operations that bound a family
+    first never see an overflowed A.
     """
     return fam._memoized("frame_operator", _frame_operator)
 
@@ -72,6 +74,8 @@ def frame_operator(fam: GFrameFamily) -> np.ndarray:
 def _frame_operator(fam: GFrameFamily) -> np.ndarray:
     a = analysis_matrix(fam)
     op = require_finite(hermitize(a.conj().T @ a), "frame operator")
+    if op.diagonal().real.max() < np.finfo(float).tiny and fam.rows.any():
+        raise NumericalRangeError("frame operator underflows: entries or weights too small")
     op.setflags(write=False)
     return op
 
@@ -156,27 +160,28 @@ def cross_operator(left: GFrameFamily, right: GFrameFamily) -> np.ndarray:
 def is_dual_pair(
     theta: GFrameFamily, lam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL
 ) -> bool:
-    """True when ``theta`` is a dual of ``lam``: both are frames and the mixed
-    pairing reproduces the identity.
-
-    Both orderings of the cross operator are checked; they are conjugate
-    transposes of each other, so the verdict is symmetric.
-    """
-    require_same_domain(theta, lam)
-    if not frame_bounds(theta, tol).is_frame or not frame_bounds(lam, tol).is_frame:
-        return False
-    eye = np.eye(lam.domain_dim)
-    return matrices_close(cross_operator(theta, lam), eye, tol.rel_eps) and matrices_close(
-        cross_operator(lam, theta), eye, tol.rel_eps
-    )
+    """True when ``theta`` is a dual of ``lam``; the verdict of :func:`dual_check`."""
+    return dual_check("dual-pair", theta, lam, tol)[1]
 
 
 def dual_check(name: str, theta: GFrameFamily, lam: GFrameFamily, tol: TolerancePolicy) -> Check:
-    """Whether ``theta`` is a dual of ``lam``, with the distance of their mixed
-    pairing from the identity (Frobenius)."""
-    passed = is_dual_pair(theta, lam, tol)  # checks the domains first
-    defect = np.linalg.norm(cross_operator(theta, lam) - np.eye(lam.domain_dim))
-    return name, passed, {"identity_defect": float(defect)}
+    """Whether ``theta`` is a dual of ``lam``: both are frames and their mixed
+    pairing reproduces the identity, with the distance of the pairing from the
+    identity (Frobenius).  One pairing decides: the other order is its
+    conjugate transpose, at the same distance from the identity, so the
+    verdict is symmetric."""
+    require_same_domain(theta, lam)
+    frames = frame_bounds(theta, tol).is_frame and frame_bounds(lam, tol).is_frame
+    pairing = cross_operator(theta, lam)
+    eye = np.eye(lam.domain_dim)
+    passed = frames and matrices_close(pairing, eye, tol.rel_eps)
+    return name, passed, {"identity_defect": float(np.linalg.norm(pairing - eye))}
+
+
+def frame_check(fam: GFrameFamily, tol: TolerancePolicy) -> Check:
+    """Whether ``fam`` is a frame, with its bounds and flags."""
+    rep = frame_bounds(fam, tol)
+    return "is-frame", rep.is_frame, rep.numbers()
 
 
 def parseval_check(fam: GFrameFamily, tol: TolerancePolicy) -> Check:

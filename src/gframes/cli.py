@@ -15,9 +15,15 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .analysis import canonical_dual, dual_check, frame_bounds, parseval_check, parseval_normalize
+from .analysis import (
+    canonical_dual,
+    dual_check,
+    frame_bounds,
+    frame_check,
+    parseval_check,
+    parseval_normalize,
+)
 from .constructions import (
-    ContinuousFrameSpec,
     OperatorPair,
     direct_sum_duals,
     disjoint_sum_family,
@@ -145,10 +151,9 @@ def _cmd_analyze(args, tol) -> dict:
     fam = _family(doc, args.family)
     rep = frame_bounds(fam, tol)
     reports = {"frame": rep.numbers()}
-    checks = [_check("is-frame", rep.is_frame, **rep.numbers())]
     if rep.is_frame:
         reports["riesz"] = asdict(riesz_check(fam, tol))
-    return {"reports": reports, "checks": checks}
+    return {"reports": reports, "checks": _checks([frame_check(fam, tol)])}
 
 
 def _cmd_disjoint(args, tol) -> dict:
@@ -158,14 +163,6 @@ def _cmd_disjoint(args, tol) -> dict:
     )
     reports = {"relations": asdict(relations), "pair_family": frame_bounds(gamma, tol).numbers()}
     return {"reports": reports, "checks": _checks(checks)}
-
-
-def _spec_from_family(fam: GFrameFamily, name: str) -> ContinuousFrameSpec:
-    if any(d != 1 for d in fam.block_dims):
-        raise UsageError(
-            f"family '{name}' must have all block dims equal to 1 to act as a vector frame"
-        )
-    return ContinuousFrameSpec(space=fam.space, dim=fam.domain_dim, vectors=fam.rows.conj())
 
 
 # Construction recipes.  Each takes the first and the last named family (one
@@ -216,9 +213,7 @@ def _recipe_parseval(lam, theta, args, tol):
 
 
 def _recipe_lift_example(lam, theta, args, tol):
-    f_spec = _spec_from_family(lam, args.families[0])
-    g_spec = _spec_from_family(theta, args.families[1])
-    lifted = lift_continuous_frame(f_spec, g_spec, tol)
+    lifted = lift_continuous_frame(lam, theta, tol)
     families = {
         "lifted_lambda": lifted.lam,
         "lifted_theta": lifted.theta,
@@ -267,9 +262,8 @@ def _cmd_generate(args, tol) -> dict:
         if args.domain_dim is None:
             raise UsageError("--kind frame requires --domain-dim")
         fam = random_gframe(args.seed, dims, args.domain_dim, weight_range=weight_range, tol=tol)
-        rep = frame_bounds(fam, tol)
         families = {"frame": fam}
-        checks.append(_check("is-frame", rep.is_frame, **rep.numbers()))
+        checks += _checks([frame_check(fam, tol)])
     else:
         if args.dim_first is None or args.dim_second is None:
             raise UsageError("--kind strongly-disjoint-pair requires --dim-first and --dim-second")

@@ -5,21 +5,19 @@ random generators that feed the property suites."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import (
     MACHINE_EPS,
-    hermitian_power,
-    hermitize,
     matrices_close,
     rank_from_singular_values,
     require_finite,
     singular_values,
     svd_rank,
 )
-from .analysis import Check, FrameReport, canonical_dual, dual_check, frame_bounds
+from .analysis import Check, FrameReport, canonical_dual, dual_check, frame_bounds, frame_check
 from .disjointness import classify, gamma_family
 from .errors import GenerationError, PreconditionError, ShapeError, SingularOperatorError
 from .model import (
@@ -47,37 +45,6 @@ class OperatorPair:
                 raise ShapeError(f"{name} must be a 2-D matrix")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True, eq=False)
-class ContinuousFrameSpec:
-    """An ordinary (vector-valued) continuous frame over the same atom set:
-    one vector per atom in a ``dim``-dimensional space.  ``matrix`` stacks
-    them as rows; ``vectors`` are read-only views of those rows."""
-
-    space: MeasureSpace
-    dim: int
-    vectors: tuple[np.ndarray, ...]
-    matrix: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        vecs = tuple(np.array(v, dtype=complex).reshape(-1) for v in self.vectors)
-        if len(vecs) != self.space.atom_count:
-            raise ShapeError(
-                f"{len(vecs)} vectors supplied for {self.space.atom_count} atoms"
-            )
-        for i, v in enumerate(vecs):
-            if v.size != self.dim:
-                raise ShapeError(f"vector {i} has length {v.size}, expected {self.dim}")
-        matrix = np.array(vecs, dtype=complex).reshape(len(vecs), self.dim)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "vectors", tuple(matrix))
-
-    def frame_operator(self) -> np.ndarray:
-        """Sum of w_i * v_i v_i^H; raises NumericalRangeError when it overflows."""
-        op = hermitize((self.matrix.T * self.space.weights) @ self.matrix.conj())
-        return require_finite(op, "frame operator")
 
 
 def pseudo_inverse(matrix: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -158,7 +125,7 @@ def disjoint_sum_family(
         and result_report.upper_bound <= certified_upper * (1.0 + tol.rel_eps)
     )
     checks = (
-        ("is-frame", result_report.is_frame, result_report.numbers()),
+        frame_check(family, tol),
         (
             "certificate-sandwich",
             certificate_ok,
@@ -205,7 +172,7 @@ def strongly_disjoint_sum(
     l1, l2 = pair.l1, pair.l2
     if l1.shape != (d, d) or l2.shape != (d, d):
         raise ShapeError(f"L1 and L2 must be {d} x {d}")
-    gram = l1.conj().T @ l1 + l2.conj().T @ l2
+    gram = require_finite(l1.conj().T @ l1 + l2.conj().T @ l2, "L1^H L1 + L2^H L2")
     scale = float(np.trace(gram).real) / d
     if not (scale > 0 and matrices_close(gram, scale * np.eye(d), tol.rel_eps)):
         raise PreconditionError(
@@ -342,40 +309,42 @@ class LiftedFamilies:
 
 
 def lift_continuous_frame(
-    f_spec: ContinuousFrameSpec,
-    g_spec: ContinuousFrameSpec,
-    tol: TolerancePolicy = DEFAULT_TOL,
+    f: GFrameFamily, g: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL
 ) -> LiftedFamilies:
-    """Lift two vector-valued continuous frames to operator families with
+    """Lift two ordinary continuous frames to operator families with
     2-dimensional blocks.
 
-    Per atom, the first lifted pair writes the frame coefficient (and its
-    canonical-dual coefficient) into the first block coordinate; the second
-    pair uses the second coordinate, which makes the cross pairs strongly
-    disjoint and (lam, theta), (psi, phi) dual pairs.
+    An ordinary frame {f_w} is the g-frame h -> <h, f_w>, whose block at atom w
+    is the one row f_w^H; ``f`` and ``g`` are such unit-block families over one
+    measure space (ShapeError otherwise).  Per atom, lam and theta write the
+    rows of ``f`` and of its canonical dual into the first block row, psi and
+    phi those of ``g`` and of its canonical dual into the second, which makes
+    the cross pairs strongly disjoint and (lam, theta), (psi, phi) dual pairs.
     """
-    if f_spec.space != g_spec.space:
-        raise ShapeError("both continuous frame specs must share the measure space")
+    if f.space != g.space:
+        raise ShapeError("both continuous frames must share the measure space")
+    for which, fam in (("first", f), ("second", g)):
+        if any(d != 1 for d in fam.block_dims):
+            raise ShapeError(f"{which} continuous frame has blocks of dims {fam.block_dims}, not 1")
 
-    def _inverse(spec: ContinuousFrameSpec, which: str) -> np.ndarray:
+    def _dual(fam: GFrameFamily, which: str) -> GFrameFamily:
         try:
-            return hermitian_power(spec.frame_operator(), -1.0, tol)
+            return canonical_dual(fam, tol)
         except SingularOperatorError:
             raise PreconditionError(
-                f"{which} continuous frame spec is degenerate (singular frame operator)"
+                f"{which} continuous frame is degenerate (singular frame operator)"
             ) from None
 
-    def _lift(vectors: np.ndarray, row: int) -> GFrameFamily:
-        """Blocks with the conjugated vector in block row ``row`` and zeros in the other."""
-        rows = np.zeros((2 * vectors.shape[0], vectors.shape[1]), dtype=complex)
-        rows[row::2] = vectors.conj()
-        return GFrameFamily.from_rows(f_spec.space, rows, (2,) * vectors.shape[0])
+    def _lift(fam: GFrameFamily, row: int) -> GFrameFamily:
+        """Blocks with the family's row in block row ``row`` and zeros in the other."""
+        rows = np.zeros((2 * fam.atom_count, fam.domain_dim), dtype=complex)
+        rows[row::2] = fam.rows
+        return GFrameFamily.from_rows(fam.space, rows, (2,) * fam.atom_count)
 
-    f, g = f_spec.matrix, g_spec.matrix
     return LiftedFamilies(
         lam=_lift(f, 0),
-        theta=_lift(f @ _inverse(f_spec, "first").T, 0),
-        phi=_lift(g @ _inverse(g_spec, "second").T, 1),
+        theta=_lift(_dual(f, "first"), 0),
+        phi=_lift(_dual(g, "second"), 1),
         psi=_lift(g, 1),
     )
 

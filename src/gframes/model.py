@@ -111,9 +111,7 @@ class GFrameFamily:
     """A measure space plus one complex operator block per atom.
 
     ``blocks[i]`` maps the shared ``domain_dim``-dimensional domain into the
-    atom's codomain of dimension ``block_dims[i]``. ``block_dims`` may be
-    omitted, in which case it is read off the blocks; passing it explicitly
-    checks the blocks against it.
+    atom's codomain of dimension ``block_dims[i]``, its row count.
 
     The family stores ``rows``: the raw blocks stacked in atom order, one
     read-only C-contiguous N x ``domain_dim`` matrix (unweighted, so the
@@ -133,28 +131,19 @@ class GFrameFamily:
     block_dims: tuple[int, ...]
     rows: np.ndarray = field(repr=False)
 
-    def __init__(self, space, domain_dim, blocks, block_dims=None):
+    def __init__(self, space, domain_dim, blocks):
         blocks = tuple(_as_block(b) for b in blocks)
-        dims = (
-            tuple(b.shape[0] for b in blocks) if block_dims is None else tuple(map(int, block_dims))
-        )
         found = []
         if len(blocks) != space.atom_count:
             found.append(f"blocks.length = {len(blocks)} != atom_count = {space.atom_count}")
-        if len(dims) != len(blocks):
-            found.append(f"block_dims.length = {len(dims)} != blocks.length = {len(blocks)}")
         for i, block in enumerate(blocks):
-            if i < len(dims) and block.shape[0] != dims[i]:
-                found.append(
-                    f"block {i} has {block.shape[0]} rows, expected block_dims[{i}] = {dims[i]}"
-                )
             if block.shape[1] != domain_dim:
                 found.append(
                     f"block {i} has {block.shape[1]} columns, expected domain_dim = {domain_dim}"
                 )
         if found:
             raise FamilyValidationError(found)
-        self._set(space, domain_dim, dims, np.vstack(blocks))
+        self._set(space, domain_dim, tuple(b.shape[0] for b in blocks), np.vstack(blocks))
 
     @classmethod
     def from_rows(cls, space: MeasureSpace, rows: np.ndarray, block_dims) -> "GFrameFamily":

@@ -32,7 +32,6 @@ from .analysis import (
     parseval_normalize,
 )
 from .constructions import (
-    ContinuousFrameSpec,
     OperatorPair,
     direct_sum_duals,
     disjoint_sum_family,
@@ -617,17 +616,17 @@ def _check_lift_pipeline(rng, tol):
     space = MeasureSpace(rng.uniform(0.25, 4.0, atoms))
     dim_h = int(rng.integers(1, min(atoms, 3) + 1))
     dim_k = int(rng.integers(1, min(atoms, 3) + 1))
-    f_spec = ContinuousFrameSpec(
-        space=space, dim=dim_h, vectors=tuple(_cgauss(rng, (dim_h,)) for _ in range(atoms))
+    # an ordinary frame {f_w} as the family with one-row blocks f_w^H
+    f, g = (
+        GFrameFamily.from_rows(
+            space, np.array([_cgauss(rng, (dim,)) for _ in range(atoms)]).conj(), (1,) * atoms
+        )
+        for dim in (dim_h, dim_k)
     )
-    g_spec = ContinuousFrameSpec(
-        space=space, dim=dim_k, vectors=tuple(_cgauss(rng, (dim_k,)) for _ in range(atoms))
-    )
-    sf = singular_values(f_spec.frame_operator())
-    sg = singular_values(g_spec.frame_operator())
-    if sf[-1] < 1e-3 * sf[0] or sg[-1] < 1e-3 * sg[0]:
+    spectra = [singular_values(frame_operator(fam)) for fam in (f, g)]
+    if any(s[-1] < 1e-3 * s[0] for s in spectra):
         return
-    lifted = lift_continuous_frame(f_spec, g_spec, tol)
+    lifted = lift_continuous_frame(f, g, tol)
     glued = direct_sum_duals(lifted.lam, lifted.theta, lifted.psi, lifted.phi, tol)
     yield from _failed_equivalences(glued.checks)
     defect = _glued_pairing_defect(rng, glued, dim_h, dim_k, tol)

@@ -14,7 +14,9 @@ from gframes import (
     canonical_dual,
     classify,
     cross_operator,
+    dual_check,
     frame_bounds,
+    frame_check,
     frame_operator,
     inner,
     is_dual_pair,
@@ -23,6 +25,7 @@ from gframes import (
     riesz_check,
     riesz_criteria,
 )
+from gframes import analysis
 from gframes._linalg import (
     gram_certifies_full_column_rank,
     rank_from_singular_values,
@@ -145,6 +148,30 @@ def test_is_dual_pair_rejects_orthogonal(lam_family, ortho_family, tol):
     assert not is_dual_pair(ortho_family, lam_family, tol)
 
 
+def test_dual_check_forms_one_pairing(monkeypatch, theta_family, tol):
+    dual = canonical_dual(theta_family, tol)
+    calls = []
+
+    def counting(left, right):
+        calls.append((left, right))
+        return cross_operator(left, right)
+
+    monkeypatch.setattr(analysis, "cross_operator", counting)
+    name, passed, numbers = dual_check("dual-pairing", dual, theta_family, tol)
+    assert calls == [(dual, theta_family)]
+    assert passed and numbers["identity_defect"] < 1e-12
+    assert is_dual_pair(dual, theta_family, tol) and is_dual_pair(theta_family, dual, tol)
+    assert len(calls) == 3
+
+
+def test_frame_check_states_the_frame_report(space2, theta_family, tol):
+    zero = GFrameFamily(space=space2, domain_dim=1, blocks=([0.0], [0.0]))
+    for fam in (theta_family, zero):
+        rep = frame_bounds(fam, tol)
+        assert frame_check(fam, tol) == ("is-frame", rep.is_frame, rep.numbers())
+    assert frame_check(theta_family, tol)[1] and not frame_check(zero, tol)[1]
+
+
 def test_defining_inequality_and_norm_bound_on_random_frames(tol):
     rng = np.random.default_rng(17)
     for _ in range(20):
@@ -201,6 +228,18 @@ def test_overflowing_frame_operator_raises(weights, blocks):
             operation(fam)
     with pytest.raises(NumericalRangeError, match="cross operator is not finite"):
         cross_operator(fam, fam)
+
+
+@pytest.mark.parametrize(
+    "weights, blocks",
+    [([1e-320, 1e-320], ([1.0], [1.0])), ([1.0, 1.0], ([1e-160], [1e-160]))],
+    ids=["weights", "entries"],
+)
+def test_underflowing_frame_operator_raises(weights, blocks):
+    fam = GFrameFamily(space=MeasureSpace(weights), domain_dim=1, blocks=blocks)
+    for operation in (frame_bounds, frame_operator, canonical_dual, riesz_check):
+        with pytest.raises(NumericalRangeError, match="frame operator underflows"):
+            operation(fam)
 
 
 def _count_linalg_calls(monkeypatch, name):

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gframes import is_dual_pair, load_document
+from gframes import (
+    FORMAT_VERSION,
+    FrameDocument,
+    GFrameFamily,
+    MeasureSpace,
+    is_dual_pair,
+    load_document,
+    save_document,
+)
 from gframes.cli import run_command
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
@@ -157,6 +165,18 @@ def test_construct_lift_example(tmp_path, capsys):
         "lifted_psi",
     }
     assert all(d == 2 for d in produced.families["lifted_lambda"].block_dims)
+
+
+def test_lift_example_of_wider_blocks_is_usage_error(tmp_path, capsys):
+    space = MeasureSpace([1.0, 1.0])
+    wide = GFrameFamily(space=space, domain_dim=1, blocks=([[1.0], [0.0]], [[0.0], [1.0]]))
+    doc_path = str(tmp_path / "wide.json")
+    save_document(FrameDocument(FORMAT_VERSION, space, {"f": wide, "g": wide}), doc_path)
+    out_path = str(tmp_path / "lifted.json")
+    assert run_command(["construct", doc_path, "lift-example", "f", "g", "-o", out_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not os.path.exists(out_path)
+    assert captured.err == "error: first continuous frame has blocks of dims (2, 2), not 1\n"
 
 
 _GOLDEN = ((3.0 - 5.0**0.5) / 2.0, (3.0 + 5.0**0.5) / 2.0)
@@ -427,6 +447,9 @@ def test_json_reports_of_disjoint_and_delta_parse(tmp_path, capsys):
              "--dim-second", "1", "-o", "x.json"]
             for dims in (["--block-dims", "0,2"], ["--block-dims=-1,3"])
         ),
+        # L1^H L1 + L2^H L2 overflows; the dual candidate's frame operator underflows
+        ["construct", PAIR_DOC, "sum-strong", "lam", "ortho", "--l1", "[[[1e155,0]]]", "-o", "x.json"],
+        ["construct", PAIR_DOC, "pseudo-dual", "lam", "ortho", "--l1", "[[[1e200,0]]]", "-o", "x.json"],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning beside the error line breaks the contract

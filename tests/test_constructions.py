@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from gframes import (
-    ContinuousFrameSpec,
     GenerationError,
     GFrameFamily,
     MeasureSpace,
     NumericalRangeError,
     OperatorPair,
     PreconditionError,
+    ShapeError,
     canonical_dual,
     classify,
     direct_sum_duals,
@@ -199,12 +199,16 @@ def test_pseudo_dual_rejects_singular_first_operator(lam_family, ortho_family, t
         pseudo_dual(lam_family, ortho_family, pair, tol)
 
 
+def _unit_family(space, vectors):
+    """The ordinary frame {v}: one-row blocks v^H."""
+    rows = np.conj(np.array(vectors, dtype=complex))
+    return GFrameFamily.from_rows(space, rows, (1,) * space.atom_count)
+
+
 def test_lift_standard_basis(tol):
     space = MeasureSpace([1.0, 1.0])
-    basis = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    f_spec = ContinuousFrameSpec(space=space, dim=2, vectors=basis)
-    g_spec = ContinuousFrameSpec(space=space, dim=2, vectors=basis)
-    lifted = lift_continuous_frame(f_spec, g_spec, tol)
+    basis = ([1.0, 0.0], [0.0, 1.0])
+    lifted = lift_continuous_frame(_unit_family(space, basis), _unit_family(space, basis), tol)
     assert all(d == 2 for d in lifted.lam.block_dims)
     assert is_dual_pair(lifted.theta, lifted.lam, tol)
     assert is_dual_pair(lifted.psi, lifted.phi, tol)
@@ -216,19 +220,47 @@ def test_lift_standard_basis(tol):
 
 def test_lift_scalar_frame_halves_dual_coefficients(tol):
     space = MeasureSpace([1.0, 1.0])
-    f_spec = ContinuousFrameSpec(space=space, dim=1, vectors=([1.0], [1.0]))
-    g_spec = ContinuousFrameSpec(space=space, dim=1, vectors=([1.0], [0.0]))
-    lifted = lift_continuous_frame(f_spec, g_spec, tol)
+    f = _unit_family(space, ([1.0], [1.0]))
+    lifted = lift_continuous_frame(f, _unit_family(space, ([1.0], [0.0])), tol)
     assert np.allclose(lifted.theta.blocks[0], [[0.5], [0.0]])
     assert is_dual_pair(lifted.theta, lifted.lam, tol)
 
 
+def test_lift_writes_each_frame_and_its_dual_into_one_block_row(tol):
+    rng = np.random.default_rng(8)
+    space = MeasureSpace(rng.uniform(0.5, 2.0, 4))
+    f = _unit_family(space, rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+    g = _unit_family(space, rng.standard_normal((4, 3)) - 1j * rng.standard_normal((4, 3)))
+    lifted = lift_continuous_frame(f, g, tol)
+    assert np.array_equal(lifted.lam.rows[0::2], f.rows)
+    assert np.array_equal(lifted.theta.rows[0::2], canonical_dual(f, tol).rows)
+    assert np.array_equal(lifted.psi.rows[1::2], g.rows)
+    assert np.array_equal(lifted.phi.rows[1::2], canonical_dual(g, tol).rows)
+    for fam in (lifted.lam, lifted.theta):
+        assert not fam.rows[1::2].any()
+    for fam in (lifted.psi, lifted.phi):
+        assert not fam.rows[0::2].any()
+
+
 def test_lift_rejects_degenerate_spec(tol):
     space = MeasureSpace([1.0, 1.0])
-    f_spec = ContinuousFrameSpec(space=space, dim=1, vectors=([0.0], [0.0]))
-    g_spec = ContinuousFrameSpec(space=space, dim=1, vectors=([1.0], [0.0]))
-    with pytest.raises(PreconditionError):
-        lift_continuous_frame(f_spec, g_spec, tol)
+    f = _unit_family(space, ([0.0], [0.0]))
+    g = _unit_family(space, ([1.0], [0.0]))
+    with pytest.raises(PreconditionError, match="first continuous frame is degenerate"):
+        lift_continuous_frame(f, g, tol)
+    with pytest.raises(PreconditionError, match="second continuous frame is degenerate"):
+        lift_continuous_frame(g, f, tol)
+
+
+def test_lift_rejects_wider_blocks_and_other_spaces(tol):
+    space = MeasureSpace([1.0, 1.0])
+    f = _unit_family(space, ([1.0], [1.0]))
+    wide = GFrameFamily(space=space, domain_dim=1, blocks=([[1.0], [0.0]], [1.0]))
+    with pytest.raises(ShapeError, match="second continuous frame has blocks of dims"):
+        lift_continuous_frame(f, wide, tol)
+    other = _unit_family(MeasureSpace([1.0, 2.0]), ([1.0], [1.0]))
+    with pytest.raises(ShapeError, match="share the measure space"):
+        lift_continuous_frame(f, other, tol)
 
 
 def test_random_gframe_is_deterministic():

@@ -57,11 +57,10 @@ def test_validate_reports_nonpositive_weight():
     assert any("weights[1]" in v for v in violations)
 
 
-def test_validate_reports_declared_dim_mismatch(space2):
-    violations = _violations(
-        lambda: GFrameFamily(space=space2, domain_dim=1, blocks=([1.0], [1.0]), block_dims=(1, 2))
-    )
-    assert any("block 1" in v for v in violations)
+def test_block_dims_are_the_row_counts_of_the_blocks(space2):
+    fam = GFrameFamily(space=space2, domain_dim=1, blocks=([1.0], [[1.0], [2.0]]))
+    assert fam.block_dims == (1, 2)
+    assert fam.codomain_dim == 3
 
 
 def test_khat_inner_unit_vector():
