@@ -6,7 +6,7 @@ import cmath
 
 import numpy as np
 
-from .errors import NumericalRangeError, SingularOperatorError
+from .errors import NumericalRangeError
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
 
@@ -73,15 +73,17 @@ def svd_rank(matrix: np.ndarray, tol) -> int:
 def bounded_below(matrix: np.ndarray, tol) -> tuple[float, bool, bool]:
     """The smallest gain min ||M x|| over unit x in the whole domain, whether
     it clears the rank cutoff, and whether the kernel is trivial, all from one
-    decomposition.  A wide matrix has a nontrivial kernel, so its gain is 0
-    and it is not decomposed at all."""
+    decomposition.  For a tall or square matrix the last two are one
+    comparison, sigma_min > cutoff (full column rank), returned twice.  A wide
+    matrix has a nontrivial kernel, so its gain is 0 and it is not decomposed
+    at all."""
     rows, cols = matrix.shape
     if cols > rows:
         return 0.0, False, False
     svals = singular_values(matrix)
     gain = float(svals[-1])
-    cutoff = rank_cutoff(matrix.shape, float(svals[0]), tol)
-    return gain, gain > cutoff, rank_from_singular_values(svals, matrix.shape, tol) == cols
+    full_column_rank = gain > rank_cutoff(matrix.shape, float(svals[0]), tol)
+    return gain, full_column_rank, full_column_rank
 
 
 def matrices_close(a: np.ndarray, b: np.ndarray, rel_eps: float) -> bool:
@@ -93,19 +95,20 @@ def matrices_close(a: np.ndarray, b: np.ndarray, rel_eps: float) -> bool:
 
 
 def hermitian_power(matrix: np.ndarray, power: float, tol) -> np.ndarray:
-    """``matrix ** power`` for a Hermitian PSD matrix via eigendecomposition.
+    """``matrix ** power`` for a Hermitian positive definite matrix via
+    eigendecomposition; only used with negative powers of a frame operator.
 
-    Only used with negative powers (inverse, inverse square root), which
-    require the whole spectrum to clear the rank cutoff.
+    Whether a family is a frame is decided from sigma(A), never here.  Raises
+    NumericalRangeError when the smallest eigenvalue is at or below the rank
+    cutoff of the largest: the computed matrix holds no digit of its inverse.
     """
     sym = hermitize(np.asarray(matrix, dtype=complex))
     evals, vecs = np.linalg.eigh(sym)
-    if power < 0:
-        cutoff = rank_cutoff(sym.shape, float(evals[-1]), tol) if evals.size else 0.0
-        if evals.size == 0 or float(evals[0]) <= cutoff:
-            smallest = float(evals[0]) if evals.size else 0.0
-            raise SingularOperatorError(
-                f"operator is singular at tolerance (min eigenvalue {smallest:.3e})"
-            )
+    smallest, largest = float(evals[0]), float(evals[-1])
+    if smallest <= rank_cutoff(sym.shape, largest, tol):
+        raise NumericalRangeError(
+            f"frame operator cannot be inverted in floating point "
+            f"(eigenvalues {smallest:.3e} to {largest:.3e})"
+        )
     powered = (vecs * np.power(evals, power)) @ vecs.conj().T
     return hermitize(powered)

@@ -11,12 +11,11 @@ from ._linalg import (
     hermitian_power,
     hermitize,
     matrices_close,
-    rank_cutoff,
     rank_from_singular_values,
     require_finite,
     singular_values,
 )
-from .errors import NumericalRangeError
+from .errors import NumericalRangeError, SingularOperatorError
 from .model import (
     DEFAULT_TOL,
     GFrameFamily,
@@ -32,12 +31,15 @@ from .model import (
 class FrameReport:
     """Frame operator with its spectral bounds and classification flags.
 
-    ``lower_bound`` and ``upper_bound`` are the extreme eigenvalues of the
-    frame operator; they are the optimal constants in the defining
-    inequality. ``is_frame`` holds when the lower bound clears the rank
-    cutoff, ``is_tight`` when the bounds agree relatively, ``is_parseval``
-    when additionally the common bound is 1.  ``frame_operator`` is
-    read-only.
+    ``is_frame`` states the package's one rank rule: the embedded analysis
+    matrix A has full column rank under the singular-value cutoff
+    (``rank_cutoff``), certified from the frame operator's extreme
+    eigenvalues when they can, else counted from sigma(A).  ``lower_bound``
+    and ``upper_bound`` are the optimal frame bounds: those eigenvalues,
+    except that an uncertified frame takes sigma_min(A)^2 as its lower bound,
+    keeping the digits that squaring A loses.  ``is_tight`` holds when the
+    bounds agree relatively, ``is_parseval`` when additionally the common
+    bound is 1.  ``frame_operator`` is read-only.
     """
 
     frame_operator: np.ndarray
@@ -81,7 +83,7 @@ def _frame_operator(fam: GFrameFamily) -> np.ndarray:
 
 
 def frame_bounds(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> FrameReport:
-    """Optimal frame bounds and flags from the spectrum of the frame operator.
+    """Optimal frame bounds and the frame verdict of :class:`FrameReport`.
 
     Computed once per family object and tolerance values.
     """
@@ -93,7 +95,12 @@ def _frame_report(fam: GFrameFamily, tol: TolerancePolicy) -> FrameReport:
     evals = np.linalg.eigvalsh(op)
     lower = float(evals[0])
     upper = float(evals[-1])
-    is_frame = lower > rank_cutoff(op.shape, upper, tol)
+    is_frame = gram_certifies_full_column_rank(lower, upper, fam.rows.shape, tol)
+    if not is_frame:
+        svals = analysis_singular_values(fam)
+        is_frame = rank_from_singular_values(svals, fam.rows.shape, tol) == fam.domain_dim
+        if is_frame:
+            lower = float(svals[-1]) ** 2
     is_tight = is_frame and (upper - lower) <= tol.rel_eps * upper
     is_parseval = (
         is_tight
@@ -123,26 +130,36 @@ def _analysis_singular_values(fam: GFrameFamily) -> np.ndarray:
 
 
 def analysis_rank(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> int:
-    """Numerical rank of A: certified full by the frame bounds, else counted from σ(A)."""
-    rep = frame_bounds(fam, tol)
-    if gram_certifies_full_column_rank(rep.lower_bound, rep.upper_bound, fam.rows.shape, tol):
+    """Numerical rank of A: the domain dim for a frame, else counted from σ(A)."""
+    if frame_bounds(fam, tol).is_frame:
         return fam.domain_dim
     return rank_from_singular_values(analysis_singular_values(fam), fam.rows.shape, tol)
+
+
+def _frame_operator_power(fam: GFrameFamily, power: float, tol: TolerancePolicy) -> GFrameFamily:
+    """Family with blocks block_i @ S^power for a negative ``power``."""
+    rep = frame_bounds(fam, tol)
+    if not rep.is_frame:
+        raise SingularOperatorError(f"family is not a frame (min eigenvalue {rep.lower_bound:.3e})")
+    return right_compose(fam, hermitian_power(rep.frame_operator, power, tol))
 
 
 def canonical_dual(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> GFrameFamily:
     """Family with blocks block_i @ S^{-1}; the unique dual built from the frame operator.
 
-    Raises SingularOperatorError when the family is not a frame.
+    Raises SingularOperatorError exactly when the family is not a frame, and
+    NumericalRangeError for a frame whose frame operator cannot be inverted
+    in floating point.
     """
-    inverse = hermitian_power(frame_operator(fam), -1.0, tol)
-    return right_compose(fam, inverse)
+    return _frame_operator_power(fam, -1.0, tol)
 
 
 def parseval_normalize(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> GFrameFamily:
-    """Family with blocks block_i @ S^{-1/2}; always Parseval for a frame input."""
-    inv_root = hermitian_power(frame_operator(fam), -0.5, tol)
-    return right_compose(fam, inv_root)
+    """Family with blocks block_i @ S^{-1/2}; always Parseval for a frame input.
+
+    Raises as :func:`canonical_dual` does.
+    """
+    return _frame_operator_power(fam, -0.5, tol)
 
 
 def cross_operator(left: GFrameFamily, right: GFrameFamily) -> np.ndarray:

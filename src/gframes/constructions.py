@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
-    MACHINE_EPS,
     matrices_close,
+    rank_cutoff,
     rank_from_singular_values,
     require_finite,
     singular_values,
@@ -53,8 +53,8 @@ def pseudo_inverse(matrix: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np
     For a surjective input this is a right inverse: matrix @ result = identity.
     """
     matrix = np.asarray(matrix, dtype=complex)
-    rcond = tol.rank_eps_factor * max(matrix.shape) * MACHINE_EPS
-    return np.linalg.pinv(matrix, rcond=rcond)
+    # pinv drops the singular values at or below rcond * sigma_max
+    return np.linalg.pinv(matrix, rcond=rank_cutoff(matrix.shape, 1.0, tol))
 
 
 def _require_adjoint_pair_shapes(pair: OperatorPair, domain_dim: int) -> None:

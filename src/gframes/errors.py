@@ -18,11 +18,14 @@ class FamilyValidationError(GFrameError):
 
 
 class SingularOperatorError(GFrameError):
-    """An operator that must be inverted is singular at the working tolerance."""
+    """An operator that must be inverted is singular at the working tolerance:
+    for a frame operator, the family is not a frame."""
 
 
 class NumericalRangeError(GFrameError):
-    """A result computed from finite input left the floating-point range."""
+    """A result computed from finite input left the floating-point range: a
+    frame operator that overflows or underflows, or that of a frame which
+    cannot be inverted (smallest eigenvalue at or below the rank cutoff)."""
 
 
 class PreconditionError(GFrameError):

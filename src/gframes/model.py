@@ -62,9 +62,12 @@ class TolerancePolicy:
     """Numeric tolerances used by every comparison in the package.
 
     ``rel_eps`` controls relative equality of scalars and matrices;
-    ``rank_eps_factor`` scales the SVD rank cutoff
-    (singular values below factor * max(rows, cols) * sigma_max * machine_eps
-    count as zero).  Both must be finite.
+    ``rank_eps_factor`` scales the one rank cutoff of the package: singular
+    values at or below factor * max(rows, cols) * sigma_max * machine_eps
+    count as zero.  Every rank-type verdict (frame, Riesz-type, disjointness,
+    kernel) counts singular values against it; eigenvalues of a frame
+    operator meet it only as the range guard before an inversion.  Both must
+    be finite.
     """
 
     rel_eps: float = 1e-9

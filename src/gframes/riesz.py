@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import bounded_below, matrices_close, operator_norm, svd_rank
-from .analysis import (
-    analysis_rank,
-    analysis_singular_values,
-    cross_operator,
-    frame_bounds,
-    frame_operator,
-)
+from .analysis import cross_operator, frame_bounds, frame_operator
 from .errors import PreconditionError, ShapeError
 from .model import (
     DEFAULT_TOL,
@@ -55,23 +49,23 @@ def synthesis_matrix(fam: GFrameFamily) -> np.ndarray:
 def riesz_check(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> RieszReport:
     """Riesz-type verdict for a frame, from the rank of its analysis matrix.
 
-    ``synthesis_lower_bound`` is the square of the smallest gain of the
-    synthesis operator over the whole target space (zero when the kernel is
-    nontrivial); ``synthesis_upper_bound`` is the square of its largest
-    singular value: the upper frame bound.  A tall analysis matrix (N > d) is
-    decomposed only when the frame bounds do not certify its rank.
+    A frame's N x d analysis matrix has rank d <= N, so it fills the target
+    exactly when it is square; nothing is decomposed beyond the frame
+    verdict.  ``synthesis_lower_bound`` is the square of the smallest gain of
+    the synthesis operator over the whole target space: the lower frame bound
+    for a square frame, zero otherwise (the kernel is nontrivial);
+    ``synthesis_upper_bound`` is the square of its largest singular value:
+    the upper frame bound.
     """
     report = frame_bounds(fam, tol)
     if not report.is_frame:
         raise PreconditionError("family is not a frame")
-    khat_dim = fam.codomain_dim
-    rank = analysis_rank(fam, tol)
-    lower = float(analysis_singular_values(fam)[-1]) ** 2 if khat_dim <= fam.domain_dim else 0.0
+    square = fam.codomain_dim == fam.domain_dim
     return RieszReport(
-        is_riesz_type=rank == khat_dim,
-        analysis_rank=rank,
-        khat_dim=int(khat_dim),
-        synthesis_lower_bound=lower,
+        is_riesz_type=square,
+        analysis_rank=fam.domain_dim,
+        khat_dim=int(fam.codomain_dim),
+        synthesis_lower_bound=report.lower_bound if square else 0.0,
         synthesis_upper_bound=report.upper_bound,
     )
 

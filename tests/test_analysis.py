@@ -20,6 +20,7 @@ from gframes import (
     frame_operator,
     inner,
     is_dual_pair,
+    kernel_triviality,
     mixed_construction,
     parseval_normalize,
     riesz_check,
@@ -27,9 +28,12 @@ from gframes import (
 )
 from gframes import analysis
 from gframes._linalg import (
+    bounded_below,
     gram_certifies_full_column_rank,
+    rank_cutoff,
     rank_from_singular_values,
     singular_values,
+    svd_rank,
 )
 from gframes.analysis import analysis_rank
 from gframes.verification import _random_frame
@@ -298,12 +302,13 @@ def test_riesz_routes_decompose_the_synthesis_matrix_at_most_once(monkeypatch):
     dual = canonical_dual(tall)
     svds = _count_linalg_calls(monkeypatch, "svd")
     assert riesz_criteria(square) == (True, True, True)
-    # the analysis matrix (for the synthesis lower bound) and the synthesis matrix
-    assert len(svds) == 2
+    # only the synthesis matrix: a square frame's synthesis lower bound is its
+    # lower frame bound
+    assert svds == [(3, 3)]
     assert riesz_criteria(tall) == (False, False, False)
     # the tall analysis matrix's rank is certified from the frame operator and
     # the wide synthesis matrix has a kernel: neither is decomposed
-    assert len(svds) == 2
+    assert len(svds) == 1
     svds.clear()
     result = mixed_construction(tall, dual, np.eye(2), np.eye(2))
     assert result.criteria_agree and not result.riesz_report.is_riesz_type
@@ -350,6 +355,44 @@ def test_analysis_rank_matches_the_svd_on_planted_spectra(tol):
 def test_analysis_rank_of_a_tall_family_matches_the_svd(tol):
     fam = _planted_family(np.random.default_rng(29), 20_000, np.geomspace(1.0, 1e-3, 12))
     assert analysis_rank(fam, tol) == _svd_rank_reference(fam, tol) == 12
+
+
+def test_every_rank_verdict_reads_the_singular_values_near_the_cutoff(tol):
+    # sigma(A) = (1, s) while the frame operator's eigenvalues are (1, s^2): every
+    # s clears the singular-value cutoff, but most s^2 sit below the eigenvalue one
+    space = MeasureSpace([1.0, 1.0, 1.0])
+    raised = 0
+    for s in np.logspace(-9, -7, 41):
+        fam = GFrameFamily(space, 2, ([[1.0, 0.0]], [[0.0, s]], [[0.0, 0.0]]))
+        rep = frame_bounds(fam, tol)
+        assert rep.is_frame and analysis_rank(fam, tol) == 2, s
+        assert kernel_triviality(fam, tol) and svd_rank(analysis_matrix(fam), tol) == 2, s
+        sigma_min = singular_values(analysis_matrix(fam))[-1]
+        assert rep.lower_bound == pytest.approx(sigma_min**2, rel=1e-12, abs=0.0), s
+        # a frame whose S = diag(1, s^2) holds no digit of its inverse is a
+        # range error, never a singular operator
+        invertible = s**2 > rank_cutoff((2, 2), 1.0, tol)
+        for operation, verdict in (
+            (canonical_dual, lambda dual: is_dual_pair(dual, fam, tol)),
+            (parseval_normalize, lambda normalized: frame_bounds(normalized, tol).is_parseval),
+        ):
+            if invertible:
+                assert verdict(operation(fam, tol)), s
+            else:
+                with pytest.raises(NumericalRangeError, match="cannot be inverted"):
+                    operation(fam, tol)
+                raised += 1
+    assert raised == 2 * 37
+
+
+def test_bounded_below_states_full_column_rank_once_near_the_cutoff(tol):
+    rng = np.random.default_rng(37)
+    cutoff = rank_cutoff((9, 3), 1.0, tol)
+    for smallest in (4.0 * cutoff, 0.25 * cutoff):
+        matrix = analysis_matrix(_planted_family(rng, 9, np.array([1.0, 0.5, smallest])))
+        gain, clears, kernel_trivial = bounded_below(matrix, tol)
+        assert clears == kernel_trivial == (svd_rank(matrix, tol) == 3) == (smallest > cutoff)
+        assert gain == pytest.approx(singular_values(matrix)[-1], rel=1e-12)
 
 
 def test_other_tolerance_values_get_their_own_frame_report():

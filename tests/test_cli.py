@@ -25,6 +25,7 @@ from gframes.cli import run_command
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 PAIR_DOC = os.path.join(SAMPLES, "pair.json")
 LIFT_DOC = os.path.join(SAMPLES, "lift.json")
+NEAR_CUTOFF_DOC = os.path.join(SAMPLES, "near_cutoff.json")
 
 
 def test_analyze_identity_family(capsys):
@@ -59,6 +60,13 @@ def test_analyze_non_frame_family_exits_one(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run_command(["analyze", str(path), "flat"]) == 1
     assert "overall: FAIL" in capsys.readouterr().out
+
+
+def test_analyze_near_cutoff_sample_is_a_frame(capsys):
+    # sigma(A) = (1, 1e-8) clears the singular-value cutoff; S = diag(1, 1e-16)
+    assert run_command(["analyze", NEAR_CUTOFF_DOC, "near"]) == 0
+    out = capsys.readouterr().out
+    assert "is_frame=True" in out and "analysis_rank=2" in out
 
 
 def test_unknown_family_is_usage_error(capsys):
@@ -450,6 +458,9 @@ def test_json_reports_of_disjoint_and_delta_parse(tmp_path, capsys):
         # L1^H L1 + L2^H L2 overflows; the dual candidate's frame operator underflows
         ["construct", PAIR_DOC, "sum-strong", "lam", "ortho", "--l1", "[[[1e155,0]]]", "-o", "x.json"],
         ["construct", PAIR_DOC, "pseudo-dual", "lam", "ortho", "--l1", "[[[1e200,0]]]", "-o", "x.json"],
+        # a frame whose frame operator cannot be inverted in floating point
+        ["construct", NEAR_CUTOFF_DOC, "canonical-dual", "near", "-o", "x.json"],
+        ["construct", NEAR_CUTOFF_DOC, "parseval", "near", "-o", "x.json"],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning beside the error line breaks the contract

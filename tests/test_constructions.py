@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from gframes._linalg import rank_cutoff, rank_from_singular_values, singular_values
+
 from gframes import (
     GenerationError,
     GFrameFamily,
@@ -44,6 +46,23 @@ def test_pseudo_inverse_identity(tol):
 
 def test_pseudo_inverse_scalar(tol):
     assert np.allclose(pseudo_inverse(np.array([[2.0]]), tol), [[0.5]])
+
+
+def test_pseudo_inverse_keeps_the_singular_values_the_rank_rule_keeps(tol):
+    rng = np.random.default_rng(41)
+    for rows, cols in ((6, 4), (4, 6)):
+        cutoff = rank_cutoff((rows, cols), 1.0, tol)
+        planted = np.array([1.0, 0.25, 2.0 * cutoff, 0.5 * cutoff])
+        u, v = (
+            np.linalg.qr(rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4)))[0]
+            for n in (rows, cols)
+        )
+        matrix = (u * planted) @ v.conj().T
+        kept = rank_from_singular_values(singular_values(matrix), matrix.shape, tol)
+        assert kept == 3
+        # a kept sigma <= 1 becomes 1/sigma >= 1; a dropped one becomes 0
+        inverse_svals = singular_values(pseudo_inverse(matrix, tol))
+        assert np.count_nonzero(inverse_svals > 0.5) == kept
 
 
 def test_disjoint_sum_identity_operators(lam_family, theta_family, tol):

@@ -174,12 +174,3 @@ def test_classify_ranks_match_the_svd_of_the_stacked_matrix(tol):
             assert report.range_sum_dim == rank_ab, (rows, shared)
             assert report.range_intersection_dim == intersection == shared, (rows, shared)
             assert report.weakly_disjoint == report.disjoint == (shared == 0)
-
-
-def test_kernel_triviality_matches_the_svd_near_the_cutoff(tol):
-    # sigma(A) = (1, s) while the frame operator's eigenvalues are (1, s^2): the
-    # Gram certificate cannot decide the small s, and the SVD must
-    space = MeasureSpace([1.0, 1.0, 1.0])
-    for s in np.logspace(-9, -7, 41):
-        fam = GFrameFamily(space, 2, ([[1.0, 0.0]], [[0.0, s]], [[0.0, 0.0]]))
-        assert kernel_triviality(fam, tol) == (svd_rank(analysis_matrix(fam), tol) == 2), s
