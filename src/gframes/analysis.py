@@ -20,7 +20,9 @@ from .model import (
     DEFAULT_TOL,
     GFrameFamily,
     TolerancePolicy,
+    _freeze,
     analysis_matrix,
+    memoized,
     require_same_domain,
     require_same_khat,
     right_compose,
@@ -70,16 +72,52 @@ def frame_operator(fam: GFrameFamily) -> np.ndarray:
     holds A's squared column norms), so the operations that bound a family
     first never see an overflowed A.
     """
-    return fam._memoized("frame_operator", _frame_operator)
+    return memoized(fam._memo, "frame_operator", _frame_operator, fam)
 
 
 def _frame_operator(fam: GFrameFamily) -> np.ndarray:
-    a = analysis_matrix(fam)
-    op = require_finite(hermitize(a.conj().T @ a), "frame operator")
+    op = require_finite(hermitize(_gram(fam)), "frame operator")
     if op.diagonal().real.max() < np.finfo(float).tiny and fam.rows.any():
         raise NumericalRangeError("frame operator underflows: entries or weights too small")
-    op.setflags(write=False)
-    return op
+    return _freeze(op)
+
+
+def _gram(fam: GFrameFamily) -> np.ndarray:
+    """A^H A as computed, before any range check; read-only, once per family."""
+    return memoized(fam._memo, "gram", _raw_gram, fam)
+
+
+def _raw_gram(fam: GFrameFamily) -> np.ndarray:
+    a = analysis_matrix(fam)
+    return _freeze(a.conj().T @ a)
+
+
+def pair_memo(lam: GFrameFamily, theta: GFrameFamily) -> dict:
+    """The pair's record, kept in ``lam``'s memo while ``theta`` lives: first the cross
+    operator C = B^H A, then ``classify``'s data; the pair family takes it as its memo."""
+    return lam._pair_memo(theta, _cross)
+
+
+def _cross(lam: GFrameFamily, theta: GFrameFamily) -> dict:
+    return {"cross": _freeze(analysis_matrix(theta).conj().T @ analysis_matrix(lam))}
+
+
+def pair_gram(lam: GFrameFamily, theta: GFrameFamily, record: dict) -> np.ndarray:
+    """The pair family's Gram G = [[S_lam, C^H], [C, S_theta]], before any range check."""
+    return memoized(record, "gram", _pair_gram, lam, theta, record["cross"])
+
+
+def _pair_gram(lam: GFrameFamily, theta: GFrameFamily, cross: np.ndarray) -> np.ndarray:
+    d = lam.domain_dim
+    gram = np.empty((d + theta.domain_dim,) * 2, dtype=complex)
+    gram[:d, :d], gram[d:, d:] = hermitize(_gram(lam)), hermitize(_gram(theta))
+    gram[d:, :d], gram[:d, d:] = cross, cross.conj().T
+    return _freeze(gram)
+
+
+def frame_eigenvalues(memo: dict, op: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of ``op``, the frame operator of the family with ``memo``; once."""
+    return memoized(memo, "eigenvalues", lambda: _freeze(np.linalg.eigvalsh(op)))
 
 
 def frame_bounds(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> FrameReport:
@@ -87,12 +125,13 @@ def frame_bounds(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> Frame
 
     Computed once per family object and tolerance values.
     """
-    return fam._memoized(("frame_report", tol.rel_eps, tol.rank_eps_factor), _frame_report, tol)
+    key = ("frame_report", tol.rel_eps, tol.rank_eps_factor)
+    return memoized(fam._memo, key, _frame_report, fam, tol)
 
 
 def _frame_report(fam: GFrameFamily, tol: TolerancePolicy) -> FrameReport:
     op = frame_operator(fam)
-    evals = np.linalg.eigvalsh(op)
+    evals = frame_eigenvalues(fam._memo, op)
     lower = float(evals[0])
     upper = float(evals[-1])
     is_frame = gram_certifies_full_column_rank(lower, upper, fam.rows.shape, tol)
@@ -120,13 +159,11 @@ def _frame_report(fam: GFrameFamily, tol: TolerancePolicy) -> FrameReport:
 def analysis_singular_values(fam: GFrameFamily) -> np.ndarray:
     """Singular values of the analysis matrix in descending order (also those
     of the synthesis matrix); read-only, and computed once per family object."""
-    return fam._memoized("singular_values", _analysis_singular_values)
+    return memoized(fam._memo, "singular_values", _analysis_singular_values, fam)
 
 
 def _analysis_singular_values(fam: GFrameFamily) -> np.ndarray:
-    svals = singular_values(analysis_matrix(fam))
-    svals.setflags(write=False)
-    return svals
+    return _freeze(singular_values(analysis_matrix(fam)))
 
 
 def analysis_rank(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> int:
@@ -167,10 +204,10 @@ def cross_operator(left: GFrameFamily, right: GFrameFamily) -> np.ndarray:
 
     Maps the domain of ``right`` into the domain of ``left``; swapping the
     arguments yields the conjugate transpose.  With both arguments equal it
-    reduces to :func:`frame_operator`.
+    reduces to :func:`frame_operator`.  Read-only, once per :func:`pair_memo`.
     """
     require_same_khat(left, right)
-    cross = analysis_matrix(left).conj().T @ analysis_matrix(right)
+    cross = _gram(left) if left is right else pair_memo(right, left)["cross"]
     return require_finite(cross, "cross operator")
 
 

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import gram_certifies_full_column_rank, operator_norm, svd_rank
-from .analysis import Check, analysis_rank, frame_bounds, parseval_normalize
+from .analysis import Check, analysis_rank, frame_bounds, frame_eigenvalues, pair_gram, pair_memo
+from .analysis import parseval_normalize
 from .errors import PreconditionError, ShapeError
 from .model import (
     DEFAULT_TOL,
     GFrameFamily,
     TolerancePolicy,
-    analysis_matrix,
+    memoized,
     require_same_khat,
     right_compose,
 )
@@ -52,40 +53,38 @@ def classify(
     """Decide which disjointness relations hold for a pair of frames.
 
     Both families must be frames over the same measure space and block
-    dimensions; their domains may differ.
+    dimensions; their domains may differ.  Computed once per pair and tolerance.
     """
     require_same_khat(lam, theta)
-    rep_lam = frame_bounds(lam, tol)
-    rep_theta = frame_bounds(theta, tol)
-    if not rep_lam.is_frame:
+    if not frame_bounds(lam, tol).is_frame:
         raise PreconditionError("first family is not a frame")
-    if not rep_theta.is_frame:
+    if not frame_bounds(theta, tol).is_frame:
         raise PreconditionError("second family is not a frame")
+    record = pair_memo(lam, theta)
+    key = ("classify", tol.rel_eps, tol.rank_eps_factor)
+    return memoized(record, key, _classify, lam, theta, record, tol)
 
-    a = analysis_matrix(lam)
-    b = analysis_matrix(theta)
-    khat_dim = a.shape[0]
 
-    # the cross operator of (theta, lam), from the matrices already formed
-    cross = b.conj().T @ a
-    cross_norm = operator_norm(cross)
-    bessel = np.sqrt(rep_lam.upper_bound * rep_theta.upper_bound)
+def _classify(lam, theta, record: dict, tol: TolerancePolicy) -> DisjointnessReport:
+    khat_dim = lam.codomain_dim
+    cross_norm = operator_norm(record["cross"])
+    bessel = np.sqrt(frame_bounds(lam, tol).upper_bound * frame_bounds(theta, tol).upper_bound)
     strongly = bool(cross_norm <= tol.rel_eps * bessel)
 
-    rank_a = analysis_rank(lam, tol)
-    rank_b = analysis_rank(theta, tol)
+    # both are frames, so rank A + rank B is the pair's domain dim
     pair_dim = lam.domain_dim + theta.domain_dim
-    gram = np.block([[rep_lam.frame_operator, cross.conj().T], [cross, rep_theta.frame_operator]])
-    evals = np.linalg.eigvalsh(gram)
+    # G is the pair family's frame operator: its eigenvalues are that family's
+    evals = frame_eigenvalues(record, pair_gram(lam, theta, record))
     certified = gram_certifies_full_column_rank(evals[0], evals[-1], (khat_dim, pair_dim), tol)
-    rank_ab = pair_dim if certified else svd_rank(np.hstack([a, b]), tol)
-    intersection = rank_a + rank_b - rank_ab
+    # else the pair family counts sigma([A|B]) and keeps it in the record
+    rank_ab = pair_dim if certified else analysis_rank(gamma_family(lam, theta), tol)
+    intersection = pair_dim - rank_ab
 
     disjoint = intersection == 0
     # Independent route: trivial kernel of the stacked pair map.
     weakly = rank_ab == pair_dim
     complementary = intersection == 0 and rank_ab == khat_dim
-    strongly_complementary = strongly and (rank_a + rank_b == khat_dim)
+    strongly_complementary = strongly and (pair_dim == khat_dim)
 
     return DisjointnessReport(
         strongly_disjoint=strongly,
@@ -104,10 +103,15 @@ def gamma_family(lam: GFrameFamily, theta: GFrameFamily) -> GFrameFamily:
     """Pair family on the direct-sum domain: blocks are [lam_i | theta_i].
 
     Domain coordinates are ordered first-family-first, matching the
-    left-to-right reading of (h, k) -> lam_i h + theta_i k.
+    left-to-right reading of (h, k) -> lam_i h + theta_i k.  Its memo is the
+    pair's record, whose Gram is its frame operator: [A|B]^H [A|B] is never formed.
     """
     require_same_khat(lam, theta)
-    return GFrameFamily.from_rows(lam.space, np.hstack([lam.rows, theta.rows]), lam.block_dims)
+    gamma = GFrameFamily.from_rows(lam.space, np.hstack([lam.rows, theta.rows]), lam.block_dims)
+    record = pair_memo(lam, theta)
+    pair_gram(lam, theta, record)
+    object.__setattr__(gamma, "_memo", record)
+    return gamma
 
 
 def delta_family(

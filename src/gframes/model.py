@@ -18,6 +18,7 @@ the second. All adjoints are conjugate transposes under this convention.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,15 +32,20 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _as_block(values) -> np.ndarray:
-    """Coerce to a 2-D complex matrix (no copy if it is one); 1-D input is a single row."""
+    """Coerce to a 2-D complex matrix (no copy if it is one); 0-D or 1-D input is a single row."""
     arr = np.asarray(values, dtype=complex)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    elif arr.ndim != 2:
+    if arr.ndim > 2:
         raise ShapeError(f"operator block must be 2-D, got ndim={arr.ndim}")
-    return arr
+    return arr if arr.ndim == 2 else arr.reshape(1, -1)
+
+
+def memoized(memo: dict, key, compute, *args):
+    """``memo[key]``, set to ``compute(*args)`` on the first call.  An exception from
+    ``compute`` is raised and nothing is stored, so every later call raises it again."""
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute(*args)
+    return value
 
 
 def _split_rows(matrix: np.ndarray, block_dims) -> list[np.ndarray]:
@@ -123,10 +129,10 @@ class GFrameFamily:
     construction raises FamilyValidationError naming the violations (the
     blocks' shape faults, or else every other fault of the stacked rows).
 
-    Since a family never changes, its spectral data (the d x d frame
-    operator, one frame report per tolerance, the singular values of the
-    analysis matrix) is computed on first use and kept in a private memo for
-    as long as the family lives.  No N x d matrix is kept there.
+    Since a family never changes, its spectral data (Gram, frame operator,
+    eigenvalues, one frame report per tolerance, singular values of the
+    analysis matrix, one record per live partner family) is computed on first
+    use and kept in a private memo.  It holds only d x d-sized data.
     """
 
     space: MeasureSpace
@@ -135,18 +141,19 @@ class GFrameFamily:
     rows: np.ndarray = field(repr=False)
 
     def __init__(self, space, domain_dim, blocks):
-        blocks = tuple(_as_block(b) for b in blocks)
+        blocks = [_as_block(b) for b in blocks]
+        shapes = [b.shape for b in blocks]
         found = []
         if len(blocks) != space.atom_count:
             found.append(f"blocks.length = {len(blocks)} != atom_count = {space.atom_count}")
-        for i, block in enumerate(blocks):
-            if block.shape[1] != domain_dim:
-                found.append(
-                    f"block {i} has {block.shape[1]} columns, expected domain_dim = {domain_dim}"
-                )
+        found += [
+            f"block {i} has {cols} columns, expected domain_dim = {domain_dim}"
+            for i, (_, cols) in enumerate(shapes)
+            if cols != domain_dim
+        ]
         if found:
             raise FamilyValidationError(found)
-        self._set(space, domain_dim, tuple(b.shape[0] for b in blocks), np.vstack(blocks))
+        self._set(space, domain_dim, tuple(dims for dims, _ in shapes), np.concatenate(blocks))
 
     @classmethod
     def from_rows(cls, space: MeasureSpace, rows: np.ndarray, block_dims) -> "GFrameFamily":
@@ -185,14 +192,25 @@ class GFrameFamily:
         ):
             object.__setattr__(self, name, value)
 
-    def _memoized(self, key, compute, *args):
-        """``compute(self, *args)``, computed on the first call with ``key`` and
-        returned as is afterwards.  An exception from ``compute`` is raised and
-        nothing is stored, so every later call raises it again."""
-        value = self._memo.get(key)
-        if value is None:
-            value = self._memo[key] = compute(self, *args)
-        return value
+    def _pair_memo(self, partner: "GFrameFamily", start) -> dict:
+        """The dict ``start(self, partner)``, made once per live ``partner``: keyed by ``id``
+        (a family is unhashable), an entry of a dead partner is never returned, then dropped."""
+        key = ("pair", id(partner))
+        entry = self._memo.get(key)
+        if entry is None or entry[0]() is not partner:
+            owner = weakref.ref(self)
+
+            def drop(ref):
+                fam = owner()
+                if fam is not None and fam._memo.get(key, (None,))[0] is ref:
+                    del fam._memo[key]
+
+            entry = self._memo[key] = (weakref.ref(partner, drop), start(self, partner))
+        return entry[1]
+
+    def __reduce__(self):
+        # pickled without the memo, whose pair entries hold weak references
+        return GFrameFamily.from_rows, (self.space, self.rows, self.block_dims)
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:

@@ -22,6 +22,7 @@ from gframes import (
     is_dual_pair,
     kernel_triviality,
     mixed_construction,
+    pair_equivalences,
     parseval_normalize,
     riesz_check,
     riesz_criteria,
@@ -269,26 +270,46 @@ def test_spectra_are_computed_once_per_family(monkeypatch):
     riesz_check(f)
     first = classify(f, g)
     second = classify(f, g)
-    assert first == second and first.range_sum_dim == 5
+    assert first is second and first.range_sum_dim == 5
     # the Gram eigenvalues certify every rank: no tall matrix is decomposed and
-    # [A|B] is never stacked; only the 3 x 2 cross operator's norm takes an SVD
-    assert svds == [(3, 2), (3, 2)]
-    # once per family, and the 5 x 5 pair Gram on every call
-    assert eigs == [(2, 2), (3, 3), (5, 5), (5, 5)]
+    # [A|B] is never stacked; only the 3 x 2 cross operator's norm takes an SVD,
+    # and the second call decomposes nothing
+    assert svds == [(3, 2)]
+    # once per family, and once for the 5 x 5 pair Gram
+    assert eigs == [(2, 2), (3, 3), (5, 5)]
 
 
-def test_uncertified_pair_falls_back_to_the_svd_of_the_stacked_matrix(monkeypatch):
+def _uncertified_pair():
+    """Two frames over 6 unit-block atoms (domains 2 and 3) whose ranges share
+    the direction of the first one's first column."""
     rng = np.random.default_rng(5)
     space = MeasureSpace(rng.uniform(0.5, 2.0, 6))
     f = GFrameFamily.from_rows(space, rng.standard_normal((6, 2)) + 1j, (1,) * 6)
-    # the ranges of f and g share the direction of f's first column
     g_rows = np.column_stack([f.rows[:, 0], rng.standard_normal((6, 2)) - 1j])
-    g = GFrameFamily.from_rows(space, g_rows, (1,) * 6)
+    return f, GFrameFamily.from_rows(space, g_rows, (1,) * 6)
+
+
+def test_uncertified_pair_falls_back_to_the_svd_of_the_stacked_matrix(monkeypatch):
+    f, g = _uncertified_pair()
     svds = _count_linalg_calls(monkeypatch, "svd")
     report = classify(f, g)
     assert report.range_intersection_dim == 1 and not report.weakly_disjoint
     assert svds.count((6, 5)) == 1
     assert svds.count((6, 2)) == 0 and svds.count((6, 3)) == 0
+
+
+def test_pair_theorems_decompose_an_uncertified_pair_once(monkeypatch):
+    f, g = _uncertified_pair()
+    svds = _count_linalg_calls(monkeypatch, "svd")
+    eigs = _count_linalg_calls(monkeypatch, "eigvalsh")
+    report, gamma, checks = pair_equivalences(f, g)
+    assert all(passed for _, passed, _ in checks) and not report.disjoint
+    assert not frame_bounds(gamma).is_frame and analysis_rank(gamma) == 4
+    # the pair family reads the pair Gram's eigenvalues and sigma([A|B]) from
+    # the record that classify filled: the cross operator's norm and [A|B] are
+    # decomposed once, and each Gram once
+    assert svds == [(3, 2), (6, 5)]
+    assert eigs == [(2, 2), (3, 3), (5, 5)]
 
 
 def test_riesz_routes_decompose_the_synthesis_matrix_at_most_once(monkeypatch):

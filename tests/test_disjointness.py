@@ -1,16 +1,22 @@
 """The five disjointness relations and the pair-family equivalences."""
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from gframes import (
     GFrameFamily,
     MeasureSpace,
+    NumericalRangeError,
     PreconditionError,
     ShapeError,
     SingularOperatorError,
     analysis_matrix,
     classify,
+    cross_operator,
     delta_family,
     frame_bounds,
     frame_operator,
@@ -18,7 +24,9 @@ from gframes import (
     kernel_triviality,
     strong_disjointness_converse_check,
 )
+from gframes import model
 from gframes._linalg import svd_rank
+from gframes.analysis import analysis_rank
 
 GOLDEN = (3.0 - np.sqrt(5.0)) / 2.0, (3.0 + np.sqrt(5.0)) / 2.0
 
@@ -174,3 +182,88 @@ def test_classify_ranks_match_the_svd_of_the_stacked_matrix(tol):
             assert report.range_sum_dim == rank_ab, (rows, shared)
             assert report.range_intersection_dim == intersection == shared, (rows, shared)
             assert report.weakly_disjoint == report.disjoint == (shared == 0)
+
+
+def _memo_contents(value):
+    """The arrays reachable from a memo value, failing on any family reached."""
+    assert not isinstance(value, GFrameFamily)
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (dict, tuple)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _memo_contents(item)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _memo_contents(getattr(value, field.name))
+
+
+def test_pair_memo_holds_no_tall_matrix_and_keeps_no_partner_alive():
+    lam, theta = _pair_with_intersection(np.random.default_rng(43), 60, 2, 3, 1)
+    report = classify(lam, theta)
+    gamma = gamma_family(lam, theta)
+    assert not frame_bounds(gamma).is_frame and analysis_rank(gamma) == 4
+    cross_operator(lam, theta), cross_operator(theta, lam), cross_operator(lam, lam)
+    for memo in (lam._memo, theta._memo, gamma._memo):
+        # everything is d x d-sized, sigma([A|B]) included: no axis reaches N
+        assert max(max(a.shape, default=0) for a in _memo_contents(memo)) <= 5
+    partner = weakref.ref(theta)
+    del theta
+    gc.collect()
+    assert partner() is None
+    # the dead partner's entry is dropped; the pair family keeps its numbers
+    assert not any(isinstance(key, tuple) and key[0] == "pair" for key in lam._memo)
+    assert analysis_rank(gamma) == 4 and report.range_intersection_dim == 1
+
+
+def test_pair_family_outlives_its_pair():
+    lam, theta = _pair_with_intersection(np.random.default_rng(47), 50, 3, 2, 0)
+    stacked = GFrameFamily.from_rows(lam.space, np.hstack([lam.rows, theta.rows]), lam.block_dims)
+    gamma = gamma_family(lam, theta)
+    assert gamma == stacked
+    refs = weakref.ref(lam), weakref.ref(theta)
+    del lam, theta
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    # the same frame operator (to rounding) and verdicts as the N x 2d product
+    op, expected_op = frame_operator(gamma), frame_operator(stacked)
+    assert np.linalg.norm(op - expected_op) <= 1e-13 * np.linalg.norm(expected_op)
+    rep, expected = frame_bounds(gamma), frame_bounds(stacked)
+    assert (rep.is_frame, rep.is_tight) == (expected.is_frame, expected.is_tight) == (True, False)
+    assert rep.lower_bound == pytest.approx(expected.lower_bound, rel=1e-12)
+
+
+def test_a_new_partner_gets_its_own_report_even_under_a_reused_id(monkeypatch):
+    rng = np.random.default_rng(53)
+    lam, theta = _pair_with_intersection(rng, 30, 2, 2, 0)
+    shared_rows = np.column_stack([lam.rows[:, 0], theta.rows[:, 1]])
+    shared = GFrameFamily.from_rows(lam.space, shared_rows, lam.block_dims)
+    first = classify(lam, theta)
+    assert first.disjoint and first is classify(lam, theta)
+    # every partner of every family under one key, as when an id is reused
+    monkeypatch.setattr(model, "id", lambda obj: 0, raising=False)
+    for _ in range(2):
+        other = classify(lam, shared)
+        assert other.range_intersection_dim == 1 and not other.disjoint
+        assert classify(lam, theta).disjoint
+        expected = analysis_matrix(shared).conj().T @ analysis_matrix(lam)
+        assert np.array_equal(cross_operator(shared, lam), expected)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_pair_family_range_errors_follow_its_own_frame_operator():
+    space = MeasureSpace([1.0, 1.0])
+    normal = GFrameFamily(space, 1, ([1.0], [1.0]))
+    tiny = GFrameFamily(space, 1, ([1e-160], [1e-160]))
+    huge = GFrameFamily(space, 1, ([1e200], [1.0]))
+    # building the pair family never raises: its frame operator does
+    overflowing = gamma_family(huge, normal)
+    for _ in range(2):
+        with pytest.raises(NumericalRangeError, match="frame operator is not finite"):
+            frame_bounds(overflowing)
+    # a tiny family underflows alone, not beside a normal one
+    with pytest.raises(NumericalRangeError, match="frame operator underflows"):
+        frame_operator(tiny)
+    assert frame_bounds(gamma_family(tiny, normal)).upper_bound == pytest.approx(2.0)
+    with pytest.raises(NumericalRangeError, match="frame operator underflows"):
+        frame_bounds(gamma_family(tiny, tiny))

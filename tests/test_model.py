@@ -1,5 +1,8 @@
 """Core model: validation at construction, the weighted inner product, and the embedding."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,6 +256,47 @@ def test_zero_row_block_is_rejected(space2):
     assert _violations(lambda: GFrameFamily.from_rows(space2, [[1.0]], (0, 1))) == expected
 
 
+def test_blocks_are_stacked_bit_for_bit_in_one_pass():
+    rng = np.random.default_rng(41)
+    dims = rng.integers(1, 5, 8000)
+    blocks = [
+        rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3)) if i % 3 else
+        rng.standard_normal((d, 3)).tolist()
+        for i, d in enumerate(dims)
+    ]
+    fam = GFrameFamily(MeasureSpace(np.ones(dims.size)), 3, blocks)
+    expected = np.vstack([np.asarray(b, dtype=complex) for b in blocks])
+    assert fam.rows.tobytes() == expected.tobytes() and fam.rows.shape == expected.shape
+    assert fam.block_dims == tuple(dims.tolist())
+
+
+def test_one_and_zero_dimensional_blocks_are_single_rows():
+    fam = GFrameFamily(MeasureSpace([1.0, 1.0]), 1, (2.0, [3.0]))
+    assert fam.rows.tolist() == [[2.0], [3.0]] and fam.block_dims == (1, 1)
+    wide = GFrameFamily(MeasureSpace([1.0, 1.0]), 3, ([1, 2, 3], [[4, 5, 6], [7, 8, 9]]))
+    assert wide.block_dims == (1, 2) and wide.rows[0].tolist() == [1.0, 2.0, 3.0]
+
+
+def test_three_dimensional_block_names_its_ndim(space2):
+    with pytest.raises(ShapeError, match="must be 2-D, got ndim=3"):
+        GFrameFamily(space2, 2, ([[1.0, 0.0]], np.zeros((1, 1, 2))))
+
+
+def test_shape_faults_are_listed_in_atom_order():
+    space = MeasureSpace([1.0, 2.0, 3.0])
+    four = ([[1, 0]], [[1, 0, 2]], [[1, 0]], [3.0])
+    assert _violations(lambda: GFrameFamily(space, 2, four)) == [
+        "blocks.length = 4 != atom_count = 3",
+        "block 1 has 3 columns, expected domain_dim = 2",
+        "block 3 has 1 columns, expected domain_dim = 2",
+    ]
+    three = ([[1, 0]], [[1, 0, 2]], [3.0])
+    assert _violations(lambda: GFrameFamily(space, 2, three)) == [
+        "block 1 has 3 columns, expected domain_dim = 2",
+        "block 2 has 1 columns, expected domain_dim = 2",
+    ]
+
+
 def _random_family(rng, space, dims, domain_dim):
     return GFrameFamily(
         space=space,
@@ -326,3 +370,15 @@ def test_singular_values_match_numpy_and_take_the_tall_path(shape, monkeypatch):
     scale = expected[0] if expected.size else 1.0
     assert np.all(np.abs(actual - expected) <= 1e-12 * scale)
     assert all(rows >= cols for rows, cols in decomposed)
+
+
+def test_a_paired_family_pickles_without_its_memo():
+    space = MeasureSpace([1.0, 2.0, 3.0])
+    lam = GFrameFamily(space, 1, ([1.0], [0.0], [0.0]))
+    theta = GFrameFamily(space, 1, ([0.0], [1.0], [1.0]))
+    gamma = gamma_family(lam, theta)
+    cross_operator(lam, theta)
+    for fam in (lam, theta, gamma):
+        for copied in (pickle.loads(pickle.dumps(fam)), copy.deepcopy(fam)):
+            assert copied == fam and not copied.rows.flags.writeable
+            assert np.array_equal(frame_operator(copied), frame_operator(fam))
