@@ -15,7 +15,7 @@ from ._linalg import (
     require_finite,
     singular_values,
 )
-from .errors import NumericalRangeError, SingularOperatorError
+from .errors import NumericalRangeError, PreconditionError, SingularOperatorError
 from .model import (
     DEFAULT_TOL,
     GFrameFamily,
@@ -154,6 +154,14 @@ def _frame_report(fam: GFrameFamily, tol: TolerancePolicy) -> FrameReport:
         is_tight=is_tight,
         is_parseval=is_parseval,
     )
+
+
+def require_frame(fam: GFrameFamily, tol: TolerancePolicy, which: str) -> FrameReport:
+    """The frame report of ``fam``; PreconditionError "``which`` is not a frame" if it is none."""
+    report = frame_bounds(fam, tol)
+    if not report.is_frame:
+        raise PreconditionError(f"{which} is not a frame")
+    return report
 
 
 def analysis_singular_values(fam: GFrameFamily) -> np.ndarray:

@@ -3,7 +3,7 @@
 Every command emits a run report (human-readable lines or ``--format json``)
 in which each boolean verdict is accompanied by the numbers it was derived
 from.  Exit status: 0 when all verdicts pass, 1 on a failed check or failed
-construction hypothesis, 2 on usage or document errors.
+hypothesis (``PreconditionError``), 2 on any other error (``GFrameError``, ``OSError``).
 """
 
 from __future__ import annotations
@@ -35,16 +35,7 @@ from .constructions import (
 )
 from .disjointness import classify, normalized_pair, pair_equivalences
 from .documents import FORMAT_VERSION, FrameDocument, load_document, parse_matrix, save_document
-from .errors import (
-    DocumentError,
-    FamilyValidationError,
-    GenerationError,
-    GFrameError,
-    NumericalRangeError,
-    PreconditionError,
-    ShapeError,
-    SingularOperatorError,
-)
+from .errors import GFrameError, PreconditionError
 from .model import DEFAULT_TOL, GFrameFamily, TolerancePolicy
 from .riesz import riesz_check
 
@@ -366,20 +357,12 @@ def run_command(argv: list[str]) -> int:
         # an overflow ends the command with NumericalRangeError, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             body = _COMMANDS[args.command](args, tol)
-    except (
-        UsageError,
-        DocumentError,
-        GenerationError,
-        ShapeError,
-        FamilyValidationError,
-        NumericalRangeError,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PreconditionError, SingularOperatorError) as exc:
+    except PreconditionError as exc:
         print(f"error: failed hypothesis: {exc}", file=sys.stderr)
         return 1
+    except (GFrameError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = {
         "command": list(argv),
         "tolerance": {"rel_eps": tol.rel_eps, "rank_eps_factor": tol.rank_eps_factor},

@@ -25,9 +25,11 @@ from .model import (
     GFrameFamily,
     MeasureSpace,
     TolerancePolicy,
+    compose_sum,
     family_from_analysis_matrix,
     require_same_domain,
     right_compose,
+    square_operator_pair,
 )
 
 
@@ -70,12 +72,6 @@ def _require_adjoint_pair_shapes(pair: OperatorPair, domain_dim: int) -> None:
         )
 
 
-def _adjoint_sum(lam: GFrameFamily, theta: GFrameFamily, pair: OperatorPair) -> GFrameFamily:
-    """Family with blocks lam_i @ L1^H + theta_i @ L2^H."""
-    rows = lam.rows @ pair.l1.conj().T + theta.rows @ pair.l2.conj().T
-    return GFrameFamily.from_rows(lam.space, rows, lam.block_dims)
-
-
 @dataclass(frozen=True)
 class DisjointSumResult:
     """Sum of a disjoint pair through operator adjoints, with its checks: it is
@@ -110,7 +106,7 @@ def disjoint_sum_family(
     if not (surj1 or surj2):
         raise PreconditionError("neither L1 nor L2 is surjective")
 
-    family = _adjoint_sum(lam, theta, pair)
+    family = compose_sum(lam, theta, pair.l1.conj().T, pair.l2.conj().T)
     result_report = frame_bounds(family, tol)
     pair_report = frame_bounds(gamma_family(lam, theta), tol)
     # For a surjective L, ||L_pinv|| = 1 / sigma_min(L).  The squares are
@@ -169,16 +165,14 @@ def strongly_disjoint_sum(
     if not report.strongly_disjoint:
         raise PreconditionError("families are not strongly disjoint")
     d = lam.domain_dim
-    l1, l2 = pair.l1, pair.l2
-    if l1.shape != (d, d) or l2.shape != (d, d):
-        raise ShapeError(f"L1 and L2 must be {d} x {d}")
+    l1, l2 = square_operator_pair(pair.l1, pair.l2, d)
     gram = require_finite(l1.conj().T @ l1 + l2.conj().T @ l2, "L1^H L1 + L2^H L2")
     scale = float(np.trace(gram).real) / d
     if not (scale > 0 and matrices_close(gram, scale * np.eye(d), tol.rel_eps)):
         raise PreconditionError(
             "L1^H L1 + L2^H L2 is not a positive multiple of the identity"
         )
-    family = GFrameFamily.from_rows(lam.space, lam.rows @ l1 + theta.rows @ l2, lam.block_dims)
+    family = compose_sum(lam, theta, l1, l2)
     rep = frame_bounds(family, tol)
     rep_l, rep_t = frame_bounds(lam, tol), frame_bounds(theta, tol)
     guaranteed = scale * min(rep_l.lower_bound, rep_t.lower_bound)
@@ -283,7 +277,7 @@ def pseudo_dual(
         raise PreconditionError("L1 is not surjective")
 
     candidate = right_compose(canonical_dual(lam, tol), pseudo_inverse(pair.l1, tol))
-    sum_family = _adjoint_sum(lam, theta, pair)
+    sum_family = compose_sum(lam, theta, pair.l1.conj().T, pair.l2.conj().T)
     single_family = right_compose(lam, pair.l1.conj().T)
     return PseudoDualResult(
         dual_candidate=candidate,

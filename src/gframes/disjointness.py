@@ -6,7 +6,7 @@ intersection dimensions by dim(U cap V) = rank A + rank B - rank [A|B], where a
 full rank is certified by Gram eigenvalues (for [A|B]: [[S_A, A^H B], [B^H A,
 S_B]]) and only an uncertified pair takes the SVD of [A|B].  The sum of two
 subspaces is closed in finite dimension, so "disjoint" and "weakly disjoint"
-coincide; two routes (rank identity vs kernel test) compute them as a check.
+coincide: both read the one rank [A|B] of the pair's record.
 ``pair_equivalences`` and ``normalized_pair`` state the theorems that tie the
 relations to the pair family, once, for the CLI and the ``verify`` suite alike.
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from ._linalg import gram_certifies_full_column_rank, operator_norm, svd_rank
 from .analysis import Check, analysis_rank, frame_bounds, frame_eigenvalues, pair_gram, pair_memo
-from .analysis import parseval_normalize
+from .analysis import parseval_normalize, require_frame
 from .errors import PreconditionError, ShapeError
 from .model import (
     DEFAULT_TOL,
@@ -56,10 +56,8 @@ def classify(
     dimensions; their domains may differ.  Computed once per pair and tolerance.
     """
     require_same_khat(lam, theta)
-    if not frame_bounds(lam, tol).is_frame:
-        raise PreconditionError("first family is not a frame")
-    if not frame_bounds(theta, tol).is_frame:
-        raise PreconditionError("second family is not a frame")
+    require_frame(lam, tol, "first family")
+    require_frame(theta, tol, "second family")
     record = pair_memo(lam, theta)
     key = ("classify", tol.rel_eps, tol.rank_eps_factor)
     return memoized(record, key, _classify, lam, theta, record, tol)
@@ -81,7 +79,7 @@ def _classify(lam, theta, record: dict, tol: TolerancePolicy) -> DisjointnessRep
     intersection = pair_dim - rank_ab
 
     disjoint = intersection == 0
-    # Independent route: trivial kernel of the stacked pair map.
+    # trivial kernel of the stacked pair map: the same rank as ``disjoint``
     weakly = rank_ab == pair_dim
     complementary = intersection == 0 and rank_ab == khat_dim
     strongly_complementary = strongly and (pair_dim == khat_dim)
@@ -162,8 +160,6 @@ def strong_disjointness_converse_check(
     the two frame operators.
     """
     require_same_khat(lam, theta)
-    l1 = np.asarray(l1, dtype=complex)
-    l2 = np.asarray(l2, dtype=complex)
     _require_invertible("L1", l1, lam.domain_dim, tol)
     _require_invertible("L2", l2, theta.domain_dim, tol)
     fam1 = right_compose(lam, l1)

@@ -24,20 +24,11 @@ from .model import GFrameFamily, MeasureSpace
 FORMAT_VERSION = "1"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FrameDocument:
     format_version: str
     space: MeasureSpace
     families: dict[str, GFrameFamily]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FrameDocument)
-            and self.format_version == other.format_version
-            and self.space == other.space
-            and set(self.families) == set(other.families)
-            and all(self.families[k] == other.families[k] for k in self.families)
-        )
 
 
 class _JSONObject(dict):
@@ -61,12 +52,12 @@ def _require_object(obj, path):
         raise DocumentError(f"{path}.{obj.duplicate}", "duplicate key")
 
 
-def _require_keys(obj, allowed, required, path):
+def _require_keys(obj, keys: tuple, path):  # names the first missing key in ``keys`` order
     _require_object(obj, path)
     for key in obj:
-        if key not in allowed:
+        if key not in keys:
             raise DocumentError(f"{path}.{key}", "unknown field")
-    for key in required:
+    for key in keys:
         if key not in obj:
             raise DocumentError(path, f"missing required field '{key}'")
 
@@ -117,7 +108,7 @@ def _as_positive_int(value, path) -> int:
 
 
 def _parse_space(obj, path) -> MeasureSpace:
-    _require_keys(obj, {"weights"}, {"weights"}, path)
+    _require_keys(obj, ("weights",), path)
     weights = obj["weights"]
     if not isinstance(weights, list) or not weights:
         raise DocumentError(f"{path}.weights", "expected a non-empty array")
@@ -189,9 +180,7 @@ def parse_matrix(text: str, name: str) -> np.ndarray:
 
 
 def _parse_family(name, obj, space, shared_dims, path) -> GFrameFamily:
-    _require_keys(
-        obj, {"domain_dim", "block_dims", "blocks"}, {"domain_dim", "block_dims", "blocks"}, path
-    )
+    _require_keys(obj, ("domain_dim", "block_dims", "blocks"), path)
     domain_dim = _as_positive_int(obj["domain_dim"], f"{path}.domain_dim")
     dims_obj = obj["block_dims"]
     if not isinstance(dims_obj, list):
@@ -237,12 +226,7 @@ def parse_document(text: str) -> FrameDocument:
         # ValueError covers JSONDecodeError and an integer literal longer
         # than the interpreter converts; RecursionError, nesting too deep
         raise DocumentError("$", f"not valid JSON: {exc}") from None
-    _require_keys(
-        root,
-        {"format_version", "measure_space", "families"},
-        {"format_version", "measure_space", "families"},
-        "$",
-    )
+    _require_keys(root, ("format_version", "measure_space", "families"), "$")
     version = root["format_version"]
     if version != FORMAT_VERSION:
         raise DocumentError("$.format_version", f"unrecognized version {version!r}")

@@ -17,7 +17,11 @@ class FamilyValidationError(GFrameError):
         super().__init__("invalid operator family: " + "; ".join(self.violations))
 
 
-class SingularOperatorError(GFrameError):
+class PreconditionError(GFrameError):
+    """A named hypothesis of a construction failed; the message names it."""
+
+
+class SingularOperatorError(PreconditionError):
     """An operator that must be inverted is singular at the working tolerance:
     for a frame operator, the family is not a frame."""
 
@@ -26,10 +30,6 @@ class NumericalRangeError(GFrameError):
     """A result computed from finite input left the floating-point range: a
     frame operator that overflows or underflows, or that of a frame which
     cannot be inverted (smallest eigenvalue at or below the rank cutoff)."""
-
-
-class PreconditionError(GFrameError):
-    """A named hypothesis of a construction failed; the message names it."""
 
 
 class GenerationError(GFrameError):

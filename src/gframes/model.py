@@ -53,9 +53,11 @@ def _split_rows(matrix: np.ndarray, block_dims) -> list[np.ndarray]:
     return np.split(matrix, np.cumsum(block_dims)[:-1])
 
 
-def _row_roots(space: "MeasureSpace", block_dims) -> np.ndarray:
-    """sqrt(weight) of the atom owning each stacked row."""
-    return np.repeat(np.sqrt(space.weights), block_dims)
+def _row_weights(space: "MeasureSpace", block_dims) -> np.ndarray:
+    """Weight of the atom owning each stacked row; ShapeError unless one block dim per atom."""
+    if len(block_dims) != space.atom_count:  # np.repeat would broadcast a single block dim
+        raise ShapeError(f"{len(block_dims)} block dims for {space.atom_count} atoms")
+    return np.repeat(space.weights, block_dims)
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> complex:
@@ -112,7 +114,9 @@ class MeasureSpace:
         return int(self.weights.size)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MeasureSpace) and np.array_equal(self.weights, other.weights)
+        return self is other or (
+            isinstance(other, MeasureSpace) and np.array_equal(self.weights, other.weights)
+        )
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -305,19 +309,11 @@ def require_same_domain(first: GFrameFamily, second: GFrameFamily) -> None:
         raise ShapeError(f"domain dims differ: {first.domain_dim} vs {second.domain_dim}")
 
 
-def _require_atoms(f: KHatVector, space: MeasureSpace) -> None:
-    if len(f.block_dims) != space.atom_count:
-        raise ShapeError(
-            f"vector has {len(f.block_dims)} blocks but space has {space.atom_count} atoms"
-        )
-
-
 def khat_inner(f: KHatVector, g: KHatVector, space: MeasureSpace) -> complex:
     """Weighted inner product: sum over atoms of weight * <F_i, G_i>."""
     if f.block_dims != g.block_dims:
         raise ShapeError(f"block dims differ: {f.block_dims} vs {g.block_dims}")
-    _require_atoms(f, space)
-    return complex(np.vdot(g.data, np.repeat(space.weights, f.block_dims) * f.data))
+    return complex(np.vdot(g.data, _row_weights(space, f.block_dims) * f.data))
 
 
 def khat_norm(f: KHatVector, space: MeasureSpace) -> float:
@@ -326,19 +322,14 @@ def khat_norm(f: KHatVector, space: MeasureSpace) -> float:
 
 def embed(f: KHatVector, space: MeasureSpace) -> np.ndarray:
     """Stack sqrt(weight) * F_i in atom order; isometric onto standard coordinates."""
-    _require_atoms(f, space)
-    return f.data * _row_roots(space, f.block_dims)
+    return f.data * np.sqrt(_row_weights(space, f.block_dims))
 
 
 def unembed(vector: np.ndarray, space: MeasureSpace, block_dims) -> KHatVector:
     """Inverse of :func:`embed`: undo the square-root weighting of each row."""
-    vector = np.asarray(vector, dtype=complex).reshape(-1)
-    dims = tuple(int(d) for d in block_dims)
-    if vector.size != sum(dims):
-        raise ShapeError(f"vector length {vector.size} != total block dim {sum(dims)}")
-    if len(dims) != space.atom_count:
-        raise ShapeError("block_dims do not match the measure space")
-    return KHatVector.from_array(vector / _row_roots(space, dims), dims)
+    embedded = KHatVector.from_array(np.ravel(vector), block_dims)
+    roots = np.sqrt(_row_weights(space, embedded.block_dims))
+    return KHatVector.from_array(embedded.data / roots, embedded.block_dims)
 
 
 def analysis_matrix(fam: GFrameFamily) -> np.ndarray:
@@ -349,15 +340,15 @@ def analysis_matrix(fam: GFrameFamily) -> np.ndarray:
     The synthesis operator's matrix is the conjugate transpose.  It is formed
     on each call, never stored beside the family's rows.
     """
-    return fam.rows * _row_roots(fam.space, fam.block_dims)[:, np.newaxis]
+    return fam.rows * np.sqrt(_row_weights(fam.space, fam.block_dims))[:, np.newaxis]
 
 
 def family_from_analysis_matrix(matrix: np.ndarray, space: MeasureSpace, block_dims) -> GFrameFamily:
     """Rebuild the family whose embedded analysis matrix is ``matrix``."""
     matrix = np.asarray(matrix, dtype=complex)
     dims = tuple(int(d) for d in block_dims)
-    if matrix.ndim == 2 and matrix.shape[0] == sum(dims) and len(dims) == space.atom_count:
-        matrix = matrix / _row_roots(space, dims)[:, np.newaxis]
+    if matrix.ndim == 2 and matrix.shape[0] == sum(dims):
+        matrix = matrix / np.sqrt(_row_weights(space, dims))[:, np.newaxis]
     # any other shape is rejected by from_rows
     return GFrameFamily.from_rows(space, matrix, dims)
 
@@ -376,7 +367,7 @@ def apply_synthesis(fam: GFrameFamily, phi: KHatVector) -> np.ndarray:
         raise ShapeError(
             f"vector block dims {phi.block_dims} != family block dims {fam.block_dims}"
         )
-    return fam.rows.conj().T @ (phi.data * np.repeat(fam.space.weights, fam.block_dims))
+    return fam.rows.conj().T @ (phi.data * _row_weights(fam.space, fam.block_dims))
 
 
 def right_compose(fam: GFrameFamily, operator: np.ndarray) -> GFrameFamily:
@@ -387,3 +378,16 @@ def right_compose(fam: GFrameFamily, operator: np.ndarray) -> GFrameFamily:
             f"operator shape {operator.shape} does not act on domain of dim {fam.domain_dim}"
         )
     return GFrameFamily.from_rows(fam.space, fam.rows @ operator, fam.block_dims)
+
+
+def square_operator_pair(l1, l2, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``l1`` and ``l2`` as complex matrices; ShapeError unless both are ``dim`` x ``dim``."""
+    l1, l2 = np.asarray(l1, dtype=complex), np.asarray(l2, dtype=complex)
+    if l1.shape != (dim, dim) or l2.shape != (dim, dim):
+        raise ShapeError(f"L1 and L2 must be {dim} x {dim}")
+    return l1, l2
+
+
+def compose_sum(lam: GFrameFamily, theta: GFrameFamily, l1, l2) -> GFrameFamily:
+    """Family with blocks lam_i @ l1 + theta_i @ l2, over ``lam``'s space and block dims."""
+    return GFrameFamily.from_rows(lam.space, lam.rows @ l1 + theta.rows @ l2, lam.block_dims)

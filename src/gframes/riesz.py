@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import bounded_below, matrices_close, operator_norm, svd_rank
-from .analysis import cross_operator, frame_bounds, frame_operator
-from .errors import PreconditionError, ShapeError
+from .analysis import cross_operator, frame_bounds, frame_operator, require_frame
+from .errors import PreconditionError
 from .model import (
     DEFAULT_TOL,
     GFrameFamily,
@@ -23,9 +23,11 @@ from .model import (
     TolerancePolicy,
     analysis_matrix,
     apply_synthesis,
+    compose_sum,
     khat_norm,
     require_same_domain,
     require_same_khat,
+    square_operator_pair,
 )
 
 
@@ -57,9 +59,7 @@ def riesz_check(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> RieszR
     ``synthesis_upper_bound`` is the square of its largest singular value:
     the upper frame bound.
     """
-    report = frame_bounds(fam, tol)
-    if not report.is_frame:
-        raise PreconditionError("family is not a frame")
+    report = require_frame(fam, tol, "family")
     square = fam.codomain_dim == fam.domain_dim
     return RieszReport(
         is_riesz_type=square,
@@ -135,17 +135,14 @@ def mixed_construction(
     """
     require_same_domain(lam, theta)
     d = lam.domain_dim
-    l1 = np.asarray(l1, dtype=complex)
-    l2 = np.asarray(l2, dtype=complex)
-    if l1.shape != (d, d) or l2.shape != (d, d):
-        raise ShapeError(f"L1 and L2 must be {d} x {d}")
+    l1, l2 = square_operator_pair(l1, l2, d)
     eye = np.eye(d)
     if not matrices_close(cross_operator(lam, theta), eye, tol.rel_eps):
         raise PreconditionError("cross operator of the pair is not the identity")
     if not matrices_close(l1.conj().T @ l2, eye, tol.rel_eps):
         raise PreconditionError("L1^H L2 is not the identity")
 
-    combined = GFrameFamily.from_rows(lam.space, lam.rows @ l1 + theta.rows @ l2, lam.block_dims)
+    combined = compose_sum(lam, theta, l1, l2)
     report = frame_bounds(combined, tol)
     b_lam = frame_bounds(lam, tol).upper_bound
     b_theta = frame_bounds(theta, tol).upper_bound
@@ -195,8 +192,7 @@ def cross_surjectivity(
     surjectivity.
     """
     require_same_khat(lam, theta)
-    if not frame_bounds(lam, tol).is_frame:
-        raise PreconditionError("first family is not a frame")
+    require_frame(lam, tol, "first family")
     cross = cross_operator(theta, lam)
     surjective = svd_rank(cross, tol) == theta.domain_dim
     theta_frame = frame_bounds(theta, tol).is_frame
@@ -221,9 +217,7 @@ def perturbation_riesz_transfer(
     ``equivalence_verified`` is only meaningful when ``criterion_met``.
     """
     require_same_domain(lam, theta)
-    rep = frame_bounds(lam, tol)
-    if not rep.is_frame:
-        raise PreconditionError("first family is not a frame")
+    rep = require_frame(lam, tol, "first family")
     gap = operator_norm(cross_operator(theta, lam) - frame_operator(lam))
     criterion_met = gap < rep.lower_bound * (1.0 - tol.rel_eps)
     if criterion_met:

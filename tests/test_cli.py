@@ -14,12 +14,16 @@ from hypothesis import strategies as st
 from gframes import (
     FORMAT_VERSION,
     FrameDocument,
+    GFrameError,
     GFrameFamily,
     MeasureSpace,
+    PreconditionError,
+    SingularOperatorError,
     is_dual_pair,
     load_document,
     save_document,
 )
+from gframes import cli
 from gframes.cli import run_command
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
@@ -471,6 +475,30 @@ def test_bad_input_or_option_is_usage_error(argv, tmp_path, monkeypatch, capsys)
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_every_package_error_is_a_usage_error(monkeypatch, capsys):
+    class NewFault(GFrameError):
+        pass
+
+    def command(args, tol):
+        raise NewFault("a fault of a new kind")
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", command)
+    assert run_command(["analyze", PAIR_DOC, "lam"]) == 2
+    assert capsys.readouterr() == ("", "error: a fault of a new kind\n")
+
+
+def test_singular_frame_operator_is_a_failed_hypothesis(tmp_path, monkeypatch, capsys):
+    assert issubclass(SingularOperatorError, PreconditionError)
+    monkeypatch.chdir(tmp_path)
+    space = MeasureSpace([1.0, 2.0])
+    flat = GFrameFamily(space, 2, ([[1.0, 0.0]], [[2.0, 0.0]]))  # no frame: rank 1 < 2
+    save_document(FrameDocument(FORMAT_VERSION, space, {"flat": flat}), "flat.json")
+    assert run_command(["construct", "flat.json", "canonical-dual", "flat", "-o", "x.json"]) == 1
+    err = "error: failed hypothesis: family is not a frame (min eigenvalue 0.000e+00)\n"
+    assert capsys.readouterr() == ("", err)
+    assert not (tmp_path / "x.json").exists()
 
 
 # the recipes that take --l1/--l2, with a sample pair that meets their hypotheses

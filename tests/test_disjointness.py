@@ -2,6 +2,8 @@
 
 import dataclasses
 import gc
+import itertools
+import os
 import weakref
 
 import numpy as np
@@ -22,11 +24,14 @@ from gframes import (
     frame_operator,
     gamma_family,
     kernel_triviality,
+    load_document,
     strong_disjointness_converse_check,
 )
-from gframes import model
+from gframes import model, verification
 from gframes._linalg import svd_rank
 from gframes.analysis import analysis_rank
+
+PAIR_DOC = os.path.join(os.path.dirname(__file__), "..", "samples", "pair.json")
 
 GOLDEN = (3.0 - np.sqrt(5.0)) / 2.0, (3.0 + np.sqrt(5.0)) / 2.0
 
@@ -182,6 +187,23 @@ def test_classify_ranks_match_the_svd_of_the_stacked_matrix(tol):
             assert report.range_sum_dim == rank_ab, (rows, shared)
             assert report.range_intersection_dim == intersection == shared, (rows, shared)
             assert report.weakly_disjoint == report.disjoint == (shared == 0)
+
+
+def test_intersection_dim_matches_the_range_bases_of_each_family(tol):
+    # classify, the pair family's frame verdict and kernel_triviality all read
+    # one rank [A|B]; this route reads each family's own range basis (its SVD)
+    sample = list(load_document(PAIR_DOC).families.values())
+    rng = np.random.default_rng(1802)
+    drawn = [verification._random_pair(rng, tol) for _ in range(400)]
+    found = []
+    for lam, theta in [*itertools.product(sample, repeat=2), *drawn]:
+        q_a, q_b = (
+            verification._orthonormal_range_basis(analysis_matrix(fam), tol) for fam in (lam, theta)
+        )
+        expected = q_a.shape[1] + q_b.shape[1] - svd_rank(np.hstack([q_a, q_b]), tol)
+        assert classify(lam, theta, tol).range_intersection_dim == expected
+        found.append(expected)
+    assert min(found) == 0 and max(found) >= 2
 
 
 def _memo_contents(value):

@@ -3,6 +3,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -202,7 +205,7 @@ def _reference_complex(value, path) -> complex:
 
 
 def _reference_space(obj, path) -> MeasureSpace:
-    documents._require_keys(obj, {"weights"}, {"weights"}, path)
+    documents._require_keys(obj, ("weights",), path)
     weights = obj["weights"]
     if not isinstance(weights, list) or not weights:
         raise DocumentError(f"{path}.weights", "expected a non-empty array")
@@ -216,8 +219,8 @@ def _reference_space(obj, path) -> MeasureSpace:
 
 
 def _reference_family(name, obj, space, shared_dims, path) -> GFrameFamily:
-    keys = {"domain_dim", "block_dims", "blocks"}
-    documents._require_keys(obj, keys, keys, path)
+    keys = ("domain_dim", "block_dims", "blocks")
+    documents._require_keys(obj, keys, path)
     domain_dim = documents._as_positive_int(obj["domain_dim"], f"{path}.domain_dim")
     dims_obj = obj["block_dims"]
     if not isinstance(dims_obj, list):
@@ -256,8 +259,8 @@ def _reference_family(name, obj, space, shared_dims, path) -> GFrameFamily:
 
 def reference_parse(text: str) -> FrameDocument:
     root = json.loads(text, object_pairs_hook=documents._json_object)
-    keys = {"format_version", "measure_space", "families"}
-    documents._require_keys(root, keys, keys, "$")
+    keys = ("format_version", "measure_space", "families")
+    documents._require_keys(root, keys, "$")
     if root["format_version"] != FORMAT_VERSION:
         raise DocumentError("$.format_version", f"unrecognized version {root['format_version']!r}")
     space = _reference_space(root["measure_space"], "$.measure_space")
@@ -414,3 +417,29 @@ def test_arbitrary_text_raises_only_document_error(text):
         parse_document(text)
     except DocumentError:
         pass
+
+
+def test_missing_fields_are_named_in_format_order_under_any_hash_seed():
+    # with the keys in a set, the field named depended on the interpreter's hash seed
+    code = (
+        "import sys, gframes\n"
+        "for text in sys.argv[1:]:\n"
+        "    try:\n"
+        "        gframes.parse_document(text)\n"
+        "    except gframes.DocumentError as exc:\n"
+        "        print(exc)\n"
+    )
+    texts = [
+        '{"format_version": "1"}',
+        '{"format_version": "1", "measure_space": {"weights": [1]}, "families": {"a": {}}}',
+    ]
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    for seed in ("0", "1", "4"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", code, *texts], env=env, capture_output=True, text=True
+        )
+        assert done.stdout.splitlines() == [
+            "$: missing required field 'measure_space'",
+            "$.families.a: missing required field 'domain_dim'",
+        ], seed

@@ -29,6 +29,7 @@ from gframes import (
     unembed,
 )
 from gframes._linalg import singular_values
+from gframes.model import require_same_khat
 
 
 def test_tolerance_policy_rejects_bad_values():
@@ -119,6 +120,31 @@ def test_unembed_inverts_embed():
     space = MeasureSpace([0.5, 3.0])
     f = KHatVector(([1.0 + 1.0j, 2.0], [0.25]))
     assert unembed(embed(f, space), space, f.block_dims) == f
+
+
+def test_row_layout_needs_one_block_dim_per_atom(space2):
+    # np.repeat would broadcast the one block dim over both atoms
+    one_block = KHatVector(([1.0, 2.0],))
+    for operation in (
+        lambda: embed(one_block, space2),
+        lambda: khat_inner(one_block, one_block, space2),
+        lambda: unembed(np.ones(2), space2, (2,)),
+        lambda: family_from_analysis_matrix(np.ones((2, 1)), space2, (2,)),
+    ):
+        with pytest.raises(ShapeError, match="1 block dims for 2 atoms"):
+            operation()
+
+
+def test_families_over_one_space_object_compare_no_weights(monkeypatch):
+    space = MeasureSpace([1.0, 2.0, 3.0])
+    first = GFrameFamily(space, 1, ([1.0], [0.0], [1.0]))
+    second = GFrameFamily(space, 1, ([0.0], [1.0], [1.0]))
+    compared = []
+    array_equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda *a: compared.append(a) or array_equal(*a))
+    require_same_khat(first, second)
+    assert compared == []
+    assert MeasureSpace([1.0, 2.0, 3.0]) == space and len(compared) == 1
 
 
 @st.composite
