@@ -19,7 +19,6 @@ from .constructions import (
     DirectSumDuals,
     DisjointSumResult,
     LiftedFamilies,
-    OperatorPair,
     PseudoDualResult,
     StrongSumResult,
     direct_sum_duals,
@@ -64,6 +63,7 @@ from .model import (
     GFrameFamily,
     KHatVector,
     MeasureSpace,
+    OperatorPair,
     TolerancePolicy,
     analysis_matrix,
     apply_analysis,

@@ -54,6 +54,12 @@ def rank_from_singular_values(svals: np.ndarray, shape: tuple[int, int], tol) ->
     return int(np.count_nonzero(svals > rank_cutoff(shape, float(svals[0]), tol)))
 
 
+def full_row_rank(svals: np.ndarray, shape: tuple[int, int], tol) -> bool:
+    """Whether the ``shape`` matrix with descending singular values ``svals`` has
+    rank equal to its row count: it is surjective, and invertible when square."""
+    return rank_from_singular_values(svals, shape, tol) == shape[0]
+
+
 def gram_certifies_full_column_rank(smallest: float, largest: float, shape, tol) -> bool:
     """True when the extreme eigenvalues of a computed Gram matrix fl(M^H M) prove
     that the ``shape`` matrix M has full column rank at the singular-value cutoff.
@@ -64,10 +70,6 @@ def gram_certifies_full_column_rank(smallest: float, largest: float, shape, tol)
     if cols > rows or smallest <= delta:
         return False
     return (smallest - delta) ** 0.5 > 2.0 * rank_cutoff(shape, (largest + delta) ** 0.5, tol)
-
-
-def svd_rank(matrix: np.ndarray, tol) -> int:
-    return rank_from_singular_values(singular_values(matrix), matrix.shape, tol)
 
 
 def bounded_below(matrix: np.ndarray, tol) -> tuple[float, bool, bool]:

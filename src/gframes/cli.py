@@ -24,7 +24,6 @@ from .analysis import (
     parseval_normalize,
 )
 from .constructions import (
-    OperatorPair,
     direct_sum_duals,
     disjoint_sum_family,
     lift_continuous_frame,
@@ -36,7 +35,7 @@ from .constructions import (
 from .disjointness import classify, normalized_pair, pair_equivalences
 from .documents import FORMAT_VERSION, FrameDocument, load_document, parse_matrix, save_document
 from .errors import GFrameError, PreconditionError
-from .model import DEFAULT_TOL, GFrameFamily, TolerancePolicy
+from .model import DEFAULT_TOL, GFrameFamily, OperatorPair, TolerancePolicy
 from .riesz import riesz_check
 
 

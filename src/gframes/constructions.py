@@ -9,44 +9,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (
-    matrices_close,
-    rank_cutoff,
-    rank_from_singular_values,
-    require_finite,
-    singular_values,
-    svd_rank,
-)
+from ._linalg import full_row_rank, rank_cutoff, singular_values
 from .analysis import Check, FrameReport, canonical_dual, dual_check, frame_bounds, frame_check
-from .disjointness import classify, gamma_family
+from .disjointness import gamma_family, require_relation
 from .errors import GenerationError, PreconditionError, ShapeError, SingularOperatorError
 from .model import (
     DEFAULT_TOL,
     GFrameFamily,
     MeasureSpace,
+    OperatorPair,
     TolerancePolicy,
     compose_sum,
     family_from_analysis_matrix,
     require_same_domain,
     right_compose,
-    square_operator_pair,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorPair:
-    """Two operators acting on the shared domain of a family pair."""
-
-    l1: np.ndarray
-    l2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("l1", "l2"):
-            arr = np.array(getattr(self, name), dtype=complex)
-            if arr.ndim != 2:
-                raise ShapeError(f"{name} must be a 2-D matrix")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 def pseudo_inverse(matrix: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -57,19 +34,6 @@ def pseudo_inverse(matrix: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np
     matrix = np.asarray(matrix, dtype=complex)
     # pinv drops the singular values at or below rcond * sigma_max
     return np.linalg.pinv(matrix, rcond=rank_cutoff(matrix.shape, 1.0, tol))
-
-
-def _require_adjoint_pair_shapes(pair: OperatorPair, domain_dim: int) -> None:
-    """Both operators must map the shared domain somewhere common."""
-    l1, l2 = pair.l1, pair.l2
-    if l1.shape[1] != domain_dim or l2.shape[1] != domain_dim:
-        raise ShapeError(
-            f"operators must have {domain_dim} columns, got {l1.shape} and {l2.shape}"
-        )
-    if l1.shape[0] != l2.shape[0]:
-        raise ShapeError(
-            f"operators must have the same row count, got {l1.shape[0]} and {l2.shape[0]}"
-        )
 
 
 @dataclass(frozen=True)
@@ -96,17 +60,15 @@ def disjoint_sum_family(
     the pair family and Lk is the surjective operator.
     """
     require_same_domain(lam, theta)
-    report = classify(lam, theta, tol)
-    if not report.disjoint:
-        raise PreconditionError("families are not disjoint")
-    _require_adjoint_pair_shapes(pair, lam.domain_dim)
+    require_relation(lam, theta, "disjoint", tol)
+    l1_adj, l2_adj = pair.adjoint_operators(lam.domain_dim)
     svals1, svals2 = singular_values(pair.l1), singular_values(pair.l2)
-    surj1 = rank_from_singular_values(svals1, pair.l1.shape, tol) == pair.l1.shape[0]
-    surj2 = rank_from_singular_values(svals2, pair.l2.shape, tol) == pair.l2.shape[0]
+    surj1 = full_row_rank(svals1, pair.l1.shape, tol)
+    surj2 = full_row_rank(svals2, pair.l2.shape, tol)
     if not (surj1 or surj2):
         raise PreconditionError("neither L1 nor L2 is surjective")
 
-    family = compose_sum(lam, theta, pair.l1.conj().T, pair.l2.conj().T)
+    family = compose_sum(lam, theta, l1_adj, l2_adj)
     result_report = frame_bounds(family, tol)
     pair_report = frame_bounds(gamma_family(lam, theta), tol)
     # For a surjective L, ||L_pinv|| = 1 / sigma_min(L).  The squares are
@@ -161,17 +123,11 @@ def strongly_disjoint_sum(
     Parseval inputs the result is tight with exactly that multiple as bound.
     """
     require_same_domain(lam, theta)
-    report = classify(lam, theta, tol)
-    if not report.strongly_disjoint:
-        raise PreconditionError("families are not strongly disjoint")
-    d = lam.domain_dim
-    l1, l2 = square_operator_pair(pair.l1, pair.l2, d)
-    gram = require_finite(l1.conj().T @ l1 + l2.conj().T @ l2, "L1^H L1 + L2^H L2")
-    scale = float(np.trace(gram).real) / d
-    if not (scale > 0 and matrices_close(gram, scale * np.eye(d), tol.rel_eps)):
-        raise PreconditionError(
-            "L1^H L1 + L2^H L2 is not a positive multiple of the identity"
-        )
+    require_relation(lam, theta, "strongly disjoint", tol)
+    l1, l2 = pair.square_operators(lam.domain_dim, lam.domain_dim)
+    scale, held = pair.identity_multiple(tol)
+    if not held:
+        raise PreconditionError("L1^H L1 + L2^H L2 is not a positive multiple of the identity")
     family = compose_sum(lam, theta, l1, l2)
     rep = frame_bounds(family, tol)
     rep_l, rep_t = frame_bounds(lam, tol), frame_bounds(theta, tol)
@@ -226,14 +182,11 @@ def direct_sum_duals(
     second = dual_check("second-dual-pair", psi, phi, tol)
     if not second[1]:
         raise PreconditionError("psi is not a dual of phi")
-    lam_phi, theta_psi = classify(lam, phi, tol), classify(theta, psi, tol)
-    if not lam_phi.strongly_disjoint:
-        raise PreconditionError("lam and phi are not strongly disjoint")
-    if not theta_psi.strongly_disjoint:
-        raise PreconditionError("theta and psi are not strongly disjoint")
+    lam_phi = require_relation(lam, phi, "strongly disjoint", tol, "lam and phi")
+    theta_psi = require_relation(theta, psi, "strongly disjoint", tol, "theta and psi")
     cross = (
         "cross-strong-disjointness",
-        lam_phi.strongly_disjoint and theta_psi.strongly_disjoint,
+        True,  # require_relation raised otherwise
         {
             "first_cross_norm": lam_phi.cross_operator_norm,
             "second_cross_norm": theta_psi.cross_operator_norm,
@@ -269,16 +222,14 @@ def pseudo_dual(
     {lam_i @ L1^H + theta_i @ L2^H}.
     """
     require_same_domain(lam, theta)
-    report = classify(lam, theta, tol)
-    if not report.strongly_disjoint:
-        raise PreconditionError("families are not strongly disjoint")
-    _require_adjoint_pair_shapes(pair, lam.domain_dim)
-    if svd_rank(pair.l1, tol) != pair.l1.shape[0]:
+    require_relation(lam, theta, "strongly disjoint", tol)
+    l1_adj, l2_adj = pair.adjoint_operators(lam.domain_dim)
+    if not full_row_rank(singular_values(pair.l1), pair.l1.shape, tol):
         raise PreconditionError("L1 is not surjective")
 
     candidate = right_compose(canonical_dual(lam, tol), pseudo_inverse(pair.l1, tol))
-    sum_family = compose_sum(lam, theta, pair.l1.conj().T, pair.l2.conj().T)
-    single_family = right_compose(lam, pair.l1.conj().T)
+    sum_family = compose_sum(lam, theta, l1_adj, l2_adj)
+    single_family = right_compose(lam, l1_adj)
     return PseudoDualResult(
         dual_candidate=candidate,
         sum_family=sum_family,

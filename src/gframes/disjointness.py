@@ -17,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import gram_certifies_full_column_rank, operator_norm, svd_rank
+from ._linalg import full_row_rank, gram_certifies_full_column_rank, operator_norm, singular_values
 from .analysis import Check, analysis_rank, frame_bounds, frame_eigenvalues, pair_gram, pair_memo
 from .analysis import parseval_normalize, require_frame
-from .errors import PreconditionError, ShapeError
+from .errors import PreconditionError
 from .model import (
     DEFAULT_TOL,
     GFrameFamily,
+    OperatorPair,
     TolerancePolicy,
     memoized,
     require_same_khat,
@@ -61,6 +62,17 @@ def classify(
     record = pair_memo(lam, theta)
     key = ("classify", tol.rel_eps, tol.rank_eps_factor)
     return memoized(record, key, _classify, lam, theta, record, tol)
+
+
+def require_relation(
+    lam: GFrameFamily, theta: GFrameFamily, relation: str, tol: TolerancePolicy, which="families"
+) -> DisjointnessReport:
+    """The pair's report; PreconditionError "``which`` are not ``relation``" unless
+    the relation (a report field, spaces for underscores) holds."""
+    report = classify(lam, theta, tol)
+    if not getattr(report, relation.replace(" ", "_")):
+        raise PreconditionError(f"{which} are not {relation}")
+    return report
 
 
 def _classify(lam, theta, record: dict, tol: TolerancePolicy) -> DisjointnessReport:
@@ -138,14 +150,6 @@ def normalized_pair(
     )
 
 
-def _require_invertible(name: str, operator: np.ndarray, dim: int, tol: TolerancePolicy) -> None:
-    operator = np.asarray(operator, dtype=complex)
-    if operator.shape != (dim, dim):
-        raise ShapeError(f"{name} must be {dim} x {dim}, got {operator.shape}")
-    if svd_rank(operator, tol) != dim:
-        raise PreconditionError(f"{name} is not invertible at tolerance")
-
-
 def strong_disjointness_converse_check(
     lam: GFrameFamily,
     theta: GFrameFamily,
@@ -160,8 +164,10 @@ def strong_disjointness_converse_check(
     the two frame operators.
     """
     require_same_khat(lam, theta)
-    _require_invertible("L1", l1, lam.domain_dim, tol)
-    _require_invertible("L2", l2, theta.domain_dim, tol)
+    l1, l2 = OperatorPair(l1, l2).square_operators(lam.domain_dim, theta.domain_dim)
+    for name, operator in (("L1", l1), ("L2", l2)):
+        if not full_row_rank(singular_values(operator), operator.shape, tol):
+            raise PreconditionError(f"{name} is not invertible at tolerance")
     fam1 = right_compose(lam, l1)
     fam2 = right_compose(theta, l2)
     return (

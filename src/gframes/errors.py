@@ -27,9 +27,9 @@ class SingularOperatorError(PreconditionError):
 
 
 class NumericalRangeError(GFrameError):
-    """A result computed from finite input left the floating-point range: a
-    frame operator that overflows or underflows, or that of a frame which
-    cannot be inverted (smallest eigenvalue at or below the rank cutoff)."""
+    """A value outside the floating-point range: a non-finite operator entry, a
+    result of finite input that overflows or underflows (a frame operator), or
+    the frame operator of a frame that cannot be inverted in floating point."""
 
 
 class GenerationError(GFrameError):

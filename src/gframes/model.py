@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FamilyValidationError, ShapeError
+from ._linalg import matrices_close, require_finite
+from .errors import FamilyValidationError, NumericalRangeError, ShapeError
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -53,10 +54,15 @@ def _split_rows(matrix: np.ndarray, block_dims) -> list[np.ndarray]:
     return np.split(matrix, np.cumsum(block_dims)[:-1])
 
 
-def _row_weights(space: "MeasureSpace", block_dims) -> np.ndarray:
-    """Weight of the atom owning each stacked row; ShapeError unless one block dim per atom."""
+def _require_layout(space: "MeasureSpace", block_dims) -> None:
+    """ShapeError unless there is one block dim per atom."""
     if len(block_dims) != space.atom_count:  # np.repeat would broadcast a single block dim
         raise ShapeError(f"{len(block_dims)} block dims for {space.atom_count} atoms")
+
+
+def _row_weights(space: "MeasureSpace", block_dims) -> np.ndarray:
+    """Weight of the atom owning each stacked row; ShapeError unless one block dim per atom."""
+    _require_layout(space, block_dims)
     return np.repeat(space.weights, block_dims)
 
 
@@ -172,8 +178,7 @@ class GFrameFamily:
             raise ShapeError(
                 f"matrix has {rows.shape[0]} rows, expected total block dim {sum(dims)}"
             )
-        if len(dims) != space.atom_count:
-            raise ShapeError("block_dims do not match the measure space")
+        _require_layout(space, dims)
         family = cls.__new__(cls)
         family._set(space, rows.shape[1], dims, rows)
         return family
@@ -346,11 +351,10 @@ def analysis_matrix(fam: GFrameFamily) -> np.ndarray:
 def family_from_analysis_matrix(matrix: np.ndarray, space: MeasureSpace, block_dims) -> GFrameFamily:
     """Rebuild the family whose embedded analysis matrix is ``matrix``."""
     matrix = np.asarray(matrix, dtype=complex)
-    dims = tuple(int(d) for d in block_dims)
-    if matrix.ndim == 2 and matrix.shape[0] == sum(dims):
-        matrix = matrix / np.sqrt(_row_weights(space, dims))[:, np.newaxis]
+    if matrix.ndim == 2 and matrix.shape[0] == sum(block_dims):
+        matrix = matrix / np.sqrt(_row_weights(space, block_dims))[:, np.newaxis]
     # any other shape is rejected by from_rows
-    return GFrameFamily.from_rows(space, matrix, dims)
+    return GFrameFamily.from_rows(space, matrix, block_dims)
 
 
 def apply_analysis(fam: GFrameFamily, h: np.ndarray) -> KHatVector:
@@ -380,14 +384,52 @@ def right_compose(fam: GFrameFamily, operator: np.ndarray) -> GFrameFamily:
     return GFrameFamily.from_rows(fam.space, fam.rows @ operator, fam.block_dims)
 
 
-def square_operator_pair(l1, l2, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """``l1`` and ``l2`` as complex matrices; ShapeError unless both are ``dim`` x ``dim``."""
-    l1, l2 = np.asarray(l1, dtype=complex), np.asarray(l2, dtype=complex)
-    if l1.shape != (dim, dim) or l2.shape != (dim, dim):
-        raise ShapeError(f"L1 and L2 must be {dim} x {dim}")
-    return l1, l2
-
-
 def compose_sum(lam: GFrameFamily, theta: GFrameFamily, l1, l2) -> GFrameFamily:
     """Family with blocks lam_i @ l1 + theta_i @ l2, over ``lam``'s space and block dims."""
     return GFrameFamily.from_rows(lam.space, lam.rows @ l1 + theta.rows @ l2, lam.block_dims)
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorPair:
+    """Operators L1, L2 for the families of a pair: read-only, finite, non-empty 2-D
+    complex matrices (ShapeError or NumericalRangeError naming the operator otherwise).
+    A construction takes them through the shape rule it needs, as
+    ``square_operators`` or as ``adjoint_operators``."""
+
+    l1: np.ndarray
+    l2: np.ndarray
+
+    def __post_init__(self):
+        for name in ("l1", "l2"):
+            arr = np.array(getattr(self, name), dtype=complex)
+            if arr.ndim != 2 or arr.size == 0:
+                raise ShapeError(f"{name.upper()} must be a non-empty 2-D matrix, got {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise NumericalRangeError(f"{name.upper()} has non-finite entries")
+            object.__setattr__(self, name, _freeze(arr))
+
+    def square_operators(self, dim1: int, dim2: int) -> tuple[np.ndarray, np.ndarray]:
+        """(L1, L2), for blocks lam_i @ L1 + theta_i @ L2: the square rule, ShapeError
+        unless L1 is ``dim1`` x ``dim1`` and L2 is ``dim2`` x ``dim2``."""
+        for name, op, dim in (("L1", self.l1, dim1), ("L2", self.l2, dim2)):
+            if op.shape != (dim, dim):
+                raise ShapeError(f"{name} must be {dim} x {dim}, got {op.shape}")
+        return self.l1, self.l2
+
+    def adjoint_operators(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """(L1^H, L2^H), for blocks lam_i @ L1^H + theta_i @ L2^H: the adjoint rule,
+        ShapeError unless both are r x ``dim``, r the row count of L1."""
+        shape = (self.l1.shape[0], dim)
+        for name, op in (("L1", self.l1), ("L2", self.l2)):
+            if op.shape != shape:
+                raise ShapeError(f"{name} must be {shape[0]} x {dim}, got {op.shape}")
+        return self.l1.conj().T, self.l2.conj().T
+
+    def identity_multiple(self, tol: TolerancePolicy) -> tuple[float, bool]:
+        """(c, whether L1^H L1 + L2^H L2 = c I with c > 0): the strong sum's hypothesis,
+        c the trace over the dim.  NumericalRangeError when the sum overflows."""
+        l1, l2 = self.l1, self.l2
+        gram = require_finite(l1.conj().T @ l1 + l2.conj().T @ l2, "L1^H L1 + L2^H L2")
+        dim = l1.shape[1]
+        scale = float(np.trace(gram).real) / dim
+        return scale, scale > 0 and matrices_close(gram, scale * np.eye(dim), tol.rel_eps)

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import bounded_below, matrices_close, operator_norm, svd_rank
+from ._linalg import bounded_below, full_row_rank, matrices_close, operator_norm, singular_values
 from .analysis import cross_operator, frame_bounds, frame_operator, require_frame
 from .errors import PreconditionError
 from .model import (
     DEFAULT_TOL,
     GFrameFamily,
     KHatVector,
+    OperatorPair,
     TolerancePolicy,
     analysis_matrix,
     apply_synthesis,
@@ -27,7 +28,6 @@ from .model import (
     khat_norm,
     require_same_domain,
     require_same_khat,
-    square_operator_pair,
 )
 
 
@@ -135,7 +135,7 @@ def mixed_construction(
     """
     require_same_domain(lam, theta)
     d = lam.domain_dim
-    l1, l2 = square_operator_pair(l1, l2, d)
+    l1, l2 = OperatorPair(l1, l2).square_operators(d, d)
     eye = np.eye(d)
     if not matrices_close(cross_operator(lam, theta), eye, tol.rel_eps):
         raise PreconditionError("cross operator of the pair is not the identity")
@@ -162,7 +162,7 @@ def mixed_construction(
     n = combined.codomain_dim
     if n <= d:
         combined_analysis = analysis_matrix(lam) @ l1 + analysis_matrix(theta) @ l2
-        surjective = svd_rank(combined_analysis, tol) == n
+        surjective = full_row_rank(singular_values(combined_analysis), combined_analysis.shape, tol)
         combined_synthesis = (
             l1.conj().T @ synthesis_matrix(lam) + l2.conj().T @ synthesis_matrix(theta)
         )
@@ -194,7 +194,7 @@ def cross_surjectivity(
     require_same_khat(lam, theta)
     require_frame(lam, tol, "first family")
     cross = cross_operator(theta, lam)
-    surjective = svd_rank(cross, tol) == theta.domain_dim
+    surjective = full_row_rank(singular_values(cross), cross.shape, tol)
     theta_frame = frame_bounds(theta, tol).is_frame
     return theta_frame, surjective
 

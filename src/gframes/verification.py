@@ -32,7 +32,6 @@ from .analysis import (
     parseval_normalize,
 )
 from .constructions import (
-    OperatorPair,
     direct_sum_duals,
     disjoint_sum_family,
     lift_continuous_frame,
@@ -57,9 +56,11 @@ from .model import (
     GFrameFamily,
     KHatVector,
     MeasureSpace,
+    OperatorPair,
     TolerancePolicy,
     analysis_matrix,
     apply_analysis,
+    compose_sum,
     embed,
     family_from_analysis_matrix,
     inner,
@@ -536,15 +537,13 @@ def _check_strong_sum_tightness(rng, tol):
         l1, l2 = c1 * _random_unitary(rng, d), c2 * _random_unitary(rng, d)
     else:
         l1, l2 = _cgauss(rng, (d, d)), _cgauss(rng, (d, d))
-    gram = l1.conj().T @ l1 + l2.conj().T @ l2
-    scale = float(np.trace(gram).real) / d
-    hypothesis = scale > 0 and matrices_close(gram, scale * np.eye(d), tol.rel_eps)
-    summed = GFrameFamily.from_rows(lam.space, lam.rows @ l1 + theta.rows @ l2, lam.block_dims)
-    rep = frame_bounds(summed, tol)
+    pair = OperatorPair(l1, l2)
+    _, hypothesis = pair.identity_multiple(tol)
+    rep = frame_bounds(compose_sum(lam, theta, l1, l2), tol)
     if rep.is_tight != hypothesis:
         yield f"tight={rep.is_tight} but identity hypothesis={hypothesis}"
     if hypothesis:
-        result = strongly_disjoint_sum(lam, theta, OperatorPair(l1, l2), tol)
+        result = strongly_disjoint_sum(lam, theta, pair, tol)
         yield from _failed_equivalences(result.checks)
         if "tight-with-hypothesis-scale" not in (name for name, _, _ in result.checks):
             yield "no tightness check on Parseval inputs"

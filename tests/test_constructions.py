@@ -1,5 +1,8 @@
 """Sum constructions, pseudo-inverse duals, lifting, and the generators."""
 
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -21,10 +24,12 @@ from gframes import (
     frame_operator,
     is_dual_pair,
     lift_continuous_frame,
+    mixed_construction,
     pseudo_dual,
     pseudo_inverse,
     random_gframe,
     random_strongly_disjoint_parseval_pair,
+    strong_disjointness_converse_check,
     strongly_disjoint_sum,
 )
 
@@ -317,3 +322,52 @@ def test_random_pair_replay_is_identical():
 def test_random_pair_rejects_infeasible_split():
     with pytest.raises(GenerationError):
         random_strongly_disjoint_parseval_pair(1, (1, 1), 2, 1)
+
+
+# Each function that takes L1 and L2: its call on the sample families, operators
+# it accepts, and a wrong-shaped pair under its own shape rule with the message.
+_OPERATOR_TAKERS = {
+    "disjoint_sum_family": (
+        lambda f, l1, l2, tol: disjoint_sum_family(f.lam, f.theta, OperatorPair(l1, l2), tol),
+        np.eye(1), ([[1.0]], [[1.0], [0.0]]), "L2 must be 1 x 1, got (2, 1)",
+    ),
+    "pseudo_dual": (
+        lambda f, l1, l2, tol: pseudo_dual(f.lam, f.ortho, OperatorPair(l1, l2), tol),
+        np.eye(1), ([[1.0, 0.0]], [[1.0]]), "L1 must be 1 x 1, got (1, 2)",
+    ),
+    "strongly_disjoint_sum": (
+        lambda f, l1, l2, tol: strongly_disjoint_sum(f.lam, f.ortho, OperatorPair(l1, l2), tol),
+        np.eye(1), ([[1.0, 0.0]], [[1.0]]), "L1 must be 1 x 1, got (1, 2)",
+    ),
+    "mixed_construction": (
+        lambda f, l1, l2, tol: mixed_construction(f.identity, f.identity, l1, l2, tol),
+        np.eye(2), (np.eye(2), np.eye(3)), "L2 must be 2 x 2, got (3, 3)",
+    ),
+    "strong_disjointness_converse_check": (
+        lambda f, l1, l2, tol: strong_disjointness_converse_check(f.lam, f.ortho, l1, l2, tol),
+        np.eye(1), ([[1.0]], [[1.0, 0.0]]), "L2 must be 1 x 1, got (1, 2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OPERATOR_TAKERS))
+def test_operator_faults_raise_one_exit_2_error(
+    name, lam_family, theta_family, ortho_family, identity_family, tol
+):
+    # a non-finite entry must reach neither an SVD (LinAlgError) nor a hypothesis
+    # (exit 1): each fault is one exit-2 error that names the operator
+    call, accepted, wrong, message = _OPERATOR_TAKERS[name]
+    families = SimpleNamespace(
+        lam=lam_family, theta=theta_family, ortho=ortho_family, identity=identity_family
+    )
+    for value in (np.nan, np.inf):
+        for which in (0, 1):
+            operators = [accepted.astype(complex), accepted.astype(complex)]
+            operators[which][0, 0] = value
+            with pytest.raises(NumericalRangeError, match=f"^L{which + 1} has non-finite entries$"):
+                call(families, *operators, tol)
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        call(families, *wrong, tol)
+    # an empty operator would pass for surjective and build a family of domain dim 0
+    with pytest.raises(ShapeError, match=r"^L2 must be a non-empty 2-D matrix, got \(0, 1\)$"):
+        call(families, accepted, np.zeros((0, 1)), tol)

@@ -28,7 +28,7 @@ from gframes import (
     strong_disjointness_converse_check,
 )
 from gframes import model, verification
-from gframes._linalg import svd_rank
+from gframes._linalg import rank_from_singular_values, singular_values
 from gframes.analysis import analysis_rank
 
 PAIR_DOC = os.path.join(os.path.dirname(__file__), "..", "samples", "pair.json")
@@ -173,6 +173,10 @@ def _pair_with_intersection(rng, rows: int, dim_a: int, dim_b: int, shared: int)
         )
 
     return family(basis[:, :dim_a]), family(basis[:, dim_a - shared :])
+
+
+def svd_rank(matrix, tol) -> int:
+    return rank_from_singular_values(singular_values(matrix), matrix.shape, tol)
 
 
 def test_classify_ranks_match_the_svd_of_the_stacked_matrix(tol):

@@ -130,6 +130,7 @@ def test_row_layout_needs_one_block_dim_per_atom(space2):
         lambda: khat_inner(one_block, one_block, space2),
         lambda: unembed(np.ones(2), space2, (2,)),
         lambda: family_from_analysis_matrix(np.ones((2, 1)), space2, (2,)),
+        lambda: GFrameFamily.from_rows(space2, np.ones((2, 1)), (2,)),
     ):
         with pytest.raises(ShapeError, match="1 block dims for 2 atoms"):
             operation()
