@@ -72,20 +72,17 @@ def gram_certifies_full_column_rank(smallest: float, largest: float, shape, tol)
     return (smallest - delta) ** 0.5 > 2.0 * rank_cutoff(shape, (largest + delta) ** 0.5, tol)
 
 
-def bounded_below(matrix: np.ndarray, tol) -> tuple[float, bool, bool]:
-    """The smallest gain min ||M x|| over unit x in the whole domain, whether
-    it clears the rank cutoff, and whether the kernel is trivial, all from one
-    decomposition.  For a tall or square matrix the last two are one
-    comparison, sigma_min > cutoff (full column rank), returned twice.  A wide
-    matrix has a nontrivial kernel, so its gain is 0 and it is not decomposed
-    at all."""
-    rows, cols = matrix.shape
-    if cols > rows:
-        return 0.0, False, False
-    svals = singular_values(matrix)
-    gain = float(svals[-1])
-    full_column_rank = gain > rank_cutoff(matrix.shape, float(svals[0]), tol)
-    return gain, full_column_rank, full_column_rank
+def invert_kept(factors, rank: int, what: str) -> np.ndarray:
+    """Pseudo-inverse of M from the thin SVD ``factors`` of conj(M), by numpy's pinv
+    formula over its ``rank`` largest singular values (pinv's bits when all are
+    kept); NumericalRangeError naming ``what`` when it leaves the float range."""
+    u, svals, vh = factors
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = vh[:rank].T @ ((1.0 / svals[:rank])[:, np.newaxis] * u[:, :rank].T)
+    if not cmath.isfinite(result.sum()):
+        sigma = f"{svals[rank - 1]:.3e}"
+        raise NumericalRangeError(f"{what} cannot be inverted in floating point (sigma {sigma})")
+    return result
 
 
 def matrices_close(a: np.ndarray, b: np.ndarray, rel_eps: float) -> bool:

@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._linalg import (
+    full_row_rank,
     gram_certifies_full_column_rank,
     hermitian_power,
     hermitize,
@@ -179,6 +180,16 @@ def analysis_rank(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     if frame_bounds(fam, tol).is_frame:
         return fam.domain_dim
     return rank_from_singular_values(analysis_singular_values(fam), fam.rows.shape, tol)
+
+
+def synthesis_gain(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[float, bool]:
+    """(σ_min of the synthesis matrix A^H over the whole target, whether A is
+    onto), from the memoized σ(A) = σ(A^H): onto means rank N.  When N > d the
+    shape decides, gain 0 and not onto, and nothing is decomposed."""
+    if fam.codomain_dim > fam.domain_dim:
+        return 0.0, False
+    svals = analysis_singular_values(fam)
+    return float(svals[-1]), full_row_rank(svals, fam.rows.shape, tol)
 
 
 def _frame_operator_power(fam: GFrameFamily, power: float, tol: TolerancePolicy) -> GFrameFamily:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import full_row_rank, rank_cutoff, singular_values
+from ._linalg import full_row_rank, invert_kept, rank_from_singular_values, singular_values
 from .analysis import Check, FrameReport, canonical_dual, dual_check, frame_bounds, frame_check
 from .disjointness import gamma_family, require_relation
 from .errors import GenerationError, PreconditionError, ShapeError, SingularOperatorError
@@ -27,13 +27,12 @@ from .model import (
 
 
 def pseudo_inverse(matrix: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with the package-wide rank cutoff.
-
-    For a surjective input this is a right inverse: matrix @ result = identity.
-    """
+    """Moore-Penrose pseudo-inverse from one SVD, inverting exactly the singular
+    values the rank rule keeps: for a surjective input a right inverse, matrix
+    @ result = identity.  NumericalRangeError when it leaves the float range."""
     matrix = np.asarray(matrix, dtype=complex)
-    # pinv drops the singular values at or below rcond * sigma_max
-    return np.linalg.pinv(matrix, rcond=rank_cutoff(matrix.shape, 1.0, tol))
+    svd = np.linalg.svd(matrix.conj(), full_matrices=False)
+    return invert_kept(svd, rank_from_singular_values(svd[1], matrix.shape, tol), "matrix")
 
 
 @dataclass(frozen=True)
@@ -224,10 +223,12 @@ def pseudo_dual(
     require_same_domain(lam, theta)
     require_relation(lam, theta, "strongly disjoint", tol)
     l1_adj, l2_adj = pair.adjoint_operators(lam.domain_dim)
-    if not full_row_rank(singular_values(pair.l1), pair.l1.shape, tol):
+    # one SVD of L1 judges it onto, and then inverts all of its singular values
+    svd = np.linalg.svd(pair.l1.conj(), full_matrices=False)
+    if not full_row_rank(svd[1], pair.l1.shape, tol):
         raise PreconditionError("L1 is not surjective")
 
-    candidate = right_compose(canonical_dual(lam, tol), pseudo_inverse(pair.l1, tol))
+    candidate = right_compose(canonical_dual(lam, tol), invert_kept(svd, len(svd[1]), "L1"))
     sum_family = compose_sum(lam, theta, l1_adj, l2_adj)
     single_family = right_compose(lam, l1_adj)
     return PseudoDualResult(

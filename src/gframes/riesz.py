@@ -4,7 +4,8 @@ A frame is Riesz-type exactly when its analysis operator fills the whole
 weighted direct-sum target, i.e. the embedded analysis matrix has full row
 rank.  Three equivalent certificates are computed (analysis rank, two-sided
 synthesis bound, synthesis kernel) so the equivalence can be verified
-numerically; the last two read one decomposition of the synthesis matrix.
+numerically.  The synthesis matrix A^H has the singular values of A, so the
+last two read the family's memoized sigma(A) and decompose nothing of their own.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import bounded_below, full_row_rank, matrices_close, operator_norm, singular_values
-from .analysis import cross_operator, frame_bounds, frame_operator, require_frame
+from ._linalg import full_row_rank, matrices_close, operator_norm, singular_values
+from .analysis import cross_operator, frame_bounds, frame_operator, require_frame, synthesis_gain
 from .errors import PreconditionError
 from .model import (
     DEFAULT_TOL,
@@ -90,12 +91,14 @@ def riesz_criteria(
     """The three equivalent Riesz-type certificates.
 
     (range test, two-sided synthesis bound test, synthesis kernel test);
-    all three must agree on every frame.  The range test reads the analysis
-    rank of ``riesz_check``; the other two share one decomposition of the
-    synthesis matrix, and none when it is wide (N > d).
+    all three must agree on every frame.  The range test is the verdict of
+    ``riesz_check``, taken first (it raises unless ``fam`` is a frame).  The
+    synthesis matrix is bounded below exactly when its kernel is trivial: the
+    other two are one comparison, read from ``synthesis_gain``.
     """
-    _, bound_ok, kernel_trivial = bounded_below(synthesis_matrix(fam), tol)
-    return riesz_check(fam, tol).is_riesz_type, bound_ok, kernel_trivial
+    is_riesz_type = riesz_check(fam, tol).is_riesz_type
+    bounded_below = synthesis_gain(fam, tol)[1]
+    return is_riesz_type, bounded_below, bounded_below
 
 
 @dataclass(frozen=True)
@@ -104,9 +107,10 @@ class MixedConstruction:
 
     ``adjoint_combination_surjective`` and ``synthesis_combination_lower_bound``
     re-derive the Riesz-type verdict through the combined analysis and
-    synthesis operators; ``criteria_agree`` records that all three routes
-    concur.  ``sandwich_ok`` flags whether the constructed family's bounds sit
-    inside the guaranteed window [2, upper_certificate].
+    synthesis operators, from the combined family's memoized singular values
+    (``synthesis_gain``); ``criteria_agree`` records that they concur with
+    ``riesz_report``.  ``sandwich_ok`` flags whether the constructed family's
+    bounds sit inside the guaranteed window [2, upper_certificate].
     """
 
     family: GFrameFamily
@@ -153,27 +157,15 @@ def mixed_construction(
     )
 
     riesz_report = riesz_check(combined, tol)
-
-    # Independent routes (ii), the rank of the combined analysis operator, and
-    # (iii), the lower bound of the combined synthesis operator.  When N > d
-    # the shape decides both: a tall analysis operator is not surjective and
-    # a wide synthesis operator has a kernel, so neither matrix is formed.
-    surjective, gain, positive_lower = False, 0.0, False
-    n = combined.codomain_dim
-    if n <= d:
-        combined_analysis = analysis_matrix(lam) @ l1 + analysis_matrix(theta) @ l2
-        surjective = full_row_rank(singular_values(combined_analysis), combined_analysis.shape, tol)
-        combined_synthesis = (
-            l1.conj().T @ synthesis_matrix(lam) + l2.conj().T @ synthesis_matrix(theta)
-        )
-        gain, positive_lower, _ = bounded_below(combined_synthesis, tol)
+    # routes (ii) and (iii): the rank and the synthesis gain of one sigma(A)
+    gain, surjective = synthesis_gain(combined, tol)
 
     return MixedConstruction(
         family=combined,
         riesz_report=riesz_report,
         adjoint_combination_surjective=surjective,
-        synthesis_combination_lower_bound=float(gain**2),
-        criteria_agree=(riesz_report.is_riesz_type == surjective == positive_lower),
+        synthesis_combination_lower_bound=gain**2,
+        criteria_agree=(riesz_report.is_riesz_type == surjective),
         lower_bound=report.lower_bound,
         upper_bound=report.upper_bound,
         upper_certificate=float(upper_cert),

@@ -7,6 +7,7 @@ from gframes import (
     GFrameFamily,
     MeasureSpace,
     NumericalRangeError,
+    PreconditionError,
     ShapeError,
     SingularOperatorError,
     TolerancePolicy,
@@ -26,16 +27,16 @@ from gframes import (
     parseval_normalize,
     riesz_check,
     riesz_criteria,
+    synthesis_matrix,
 )
 from gframes import analysis
 from gframes._linalg import (
-    bounded_below,
     gram_certifies_full_column_rank,
     rank_cutoff,
     rank_from_singular_values,
     singular_values,
 )
-from gframes.analysis import analysis_rank
+from gframes.analysis import analysis_rank, synthesis_gain
 from gframes.verification import _random_frame
 
 
@@ -322,8 +323,8 @@ def test_riesz_routes_decompose_the_synthesis_matrix_at_most_once(monkeypatch):
     dual = canonical_dual(tall)
     svds = _count_linalg_calls(monkeypatch, "svd")
     assert riesz_criteria(square) == (True, True, True)
-    # only the synthesis matrix: a square frame's synthesis lower bound is its
-    # lower frame bound
+    # only sigma(A), which is sigma of the synthesis matrix: the frame verdict
+    # was certified from the frame operator
     assert svds == [(3, 3)]
     assert riesz_criteria(tall) == (False, False, False)
     # the tall analysis matrix's rank is certified from the frame operator and
@@ -408,14 +409,20 @@ def test_every_rank_verdict_reads_the_singular_values_near_the_cutoff(tol):
     assert raised == 2 * 37
 
 
-def test_bounded_below_states_full_column_rank_once_near_the_cutoff(tol):
+def test_synthesis_gain_states_bounded_below_once_near_the_cutoff(tol):
     rng = np.random.default_rng(37)
-    cutoff = rank_cutoff((9, 3), 1.0, tol)
+    cutoff = rank_cutoff((3, 3), 1.0, tol)
     for smallest in (4.0 * cutoff, 0.25 * cutoff):
-        matrix = analysis_matrix(_planted_family(rng, 9, np.array([1.0, 0.5, smallest])))
-        gain, clears, kernel_trivial = bounded_below(matrix, tol)
-        assert clears == kernel_trivial == (svd_rank(matrix, tol) == 3) == (smallest > cutoff)
-        assert gain == pytest.approx(singular_values(matrix)[-1], rel=1e-12)
+        fam = _planted_family(rng, 3, np.array([1.0, 0.5, smallest]))
+        gain, onto = synthesis_gain(fam, tol)
+        assert onto == (svd_rank(synthesis_matrix(fam), tol) == 3) == (smallest > cutoff)
+        assert gain == singular_values(analysis_matrix(fam))[-1]
+        # the Riesz routes take the frame verdict first, then read the same sigma
+        if onto:
+            assert riesz_criteria(fam, tol) == (True, True, True)
+        else:
+            with pytest.raises(PreconditionError, match="not a frame"):
+                riesz_criteria(fam, tol)
 
 
 def test_other_tolerance_values_get_their_own_frame_report():

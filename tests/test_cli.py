@@ -19,6 +19,8 @@ from gframes import (
     MeasureSpace,
     PreconditionError,
     SingularOperatorError,
+    classify,
+    frame_bounds,
     is_dual_pair,
     load_document,
     save_document,
@@ -396,6 +398,25 @@ def test_generate_frame_round_trips(tmp_path, capsys):
     assert load_document(str(out_path)) == first
 
 
+def test_generate_strongly_disjoint_pair_round_trips(tmp_path, capsys):
+    out_path = tmp_path / "pair.json"
+    args = [
+        "generate", "--kind", "strongly-disjoint-pair", "--seed", "5", "--block-dims", "1,1,2",
+        "--dim-first", "2", "--dim-second", "2", "-o", str(out_path), "--format", "json",
+    ]
+    assert run_command(args) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(check["name"], check["passed"]) for check in checks] == [
+        ("strongly-disjoint", True), ("parseval", True)
+    ]
+    doc = load_document(str(out_path))
+    first, second = doc.families["first"], doc.families["second"]
+    assert frame_bounds(first).is_parseval and frame_bounds(second).is_parseval
+    assert classify(first, second).strongly_disjoint
+    assert run_command(args) == 0
+    assert load_document(str(out_path)) == doc
+
+
 def test_verify_is_deterministic_and_passes(capsys):
     args = ["verify", "--seed", "7", "--cases", "5", "--format", "json"]
     assert run_command(args) == 0
@@ -453,6 +474,13 @@ def test_json_reports_of_disjoint_and_delta_parse(tmp_path, capsys):
         ["construct", PAIR_DOC, "canonical-dual", "theta", "--l1", "[[[1, 0]]]", "-o", "x.json"],
         ["construct", PAIR_DOC, "parseval", "theta", "--l2", "xx", "-o", "x.json"],
         ["construct", LIFT_DOC, "lift-example", "f", "g", "--l1", "[[[1, 0]]]", "-o", "x.json"],
+        # a recipe given the wrong number of family names
+        ["construct", PAIR_DOC, "gamma", "lam", "-o", "x.json"],
+        # unparsable block dims, and a generated kind without its dimensions
+        ["generate", "--kind", "frame", "--block-dims", "1,x", "--domain-dim", "1",
+         "-o", "x.json"],
+        ["generate", "--kind", "frame", "--block-dims", "1,1", "-o", "x.json"],
+        ["generate", "--kind", "strongly-disjoint-pair", "--block-dims", "1,1", "-o", "x.json"],
         # block dims below 1 for a generated pair
         *(
             ["generate", "--kind", "strongly-disjoint-pair", *dims, "--dim-first", "1",
@@ -498,6 +526,19 @@ def test_singular_frame_operator_is_a_failed_hypothesis(tmp_path, monkeypatch, c
     assert run_command(["construct", "flat.json", "canonical-dual", "flat", "-o", "x.json"]) == 1
     err = "error: failed hypothesis: family is not a frame (min eigenvalue 0.000e+00)\n"
     assert capsys.readouterr() == ("", err)
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.filterwarnings("error")  # a warning beside the error line breaks the contract
+def test_tiny_surjective_first_operator_is_a_range_error_naming_it(tmp_path, monkeypatch, capsys):
+    # sigma(L1) = 1e-320 clears the rank cutoff, but its reciprocal is past the float range
+    monkeypatch.chdir(tmp_path)
+    argv = ["construct", PAIR_DOC, "pseudo-dual", "lam", "ortho", "--l1", "[[[1e-320,0]]]",
+            "-o", "x.json"]
+    assert run_command(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: L1 cannot be inverted in floating point (sigma 1.000e-320)\n"
     assert not (tmp_path / "x.json").exists()
 
 

@@ -70,6 +70,21 @@ def test_pseudo_inverse_keeps_the_singular_values_the_rank_rule_keeps(tol):
         assert np.count_nonzero(inverse_svals > 0.5) == kept
 
 
+def test_pseudo_inverse_is_numpy_pinv_at_the_rank_cutoff(tol):
+    rng = np.random.default_rng(43)
+    for shape in ((1, 1), (3, 5), (5, 3), (4, 4)):
+        matrix = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expected = np.linalg.pinv(matrix, rank_cutoff(shape, 1.0, tol))
+        assert np.array_equal(pseudo_inverse(matrix, tol), expected)
+
+
+@pytest.mark.filterwarnings("error")  # raises instead of warning and returning inf
+def test_pseudo_inverse_past_the_float_range_raises(tol):
+    # sigma = 1e-320 clears the rank cutoff of a 1 x 2 matrix, but 1/sigma overflows
+    with pytest.raises(NumericalRangeError, match="^matrix cannot be inverted in floating point"):
+        pseudo_inverse(np.array([[1e-320, 0.0]]), tol)
+
+
 def test_disjoint_sum_identity_operators(lam_family, theta_family, tol):
     pair = OperatorPair(np.eye(1), np.eye(1))
     result = disjoint_sum_family(lam_family, theta_family, pair, tol)
@@ -197,6 +212,22 @@ def test_direct_sum_duals_on_orthogonal_split(tol):
     result = direct_sum_duals(lam, theta, psi, phi, tol)
     assert _verdicts(result) == dict.fromkeys(_GLUED_CHECKS, True)
     assert result.gamma.domain_dim == lam.domain_dim + psi.domain_dim
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [("theta", "lam is not a dual of theta"), ("phi", "psi is not a dual of phi")],
+)
+def test_direct_sum_duals_names_the_failed_dual_hypothesis(broken, message, tol):
+    lam, psi = random_strongly_disjoint_parseval_pair(21, (1, 1, 1, 2), 2, 2)
+    families = {
+        "lam": lam, "theta": canonical_dual(lam, tol), "psi": psi, "phi": canonical_dual(psi, tol)
+    }
+    # twice a canonical dual is a frame whose pairing is 2I: no dual
+    dual = families[broken]
+    families[broken] = GFrameFamily.from_rows(dual.space, 2.0 * dual.rows, dual.block_dims)
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        direct_sum_duals(**families, tol=tol)
 
 
 def test_pseudo_dual_identity_operators(lam_family, ortho_family, tol):

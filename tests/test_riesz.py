@@ -108,9 +108,9 @@ def test_mixed_construction_diagonal_operators(identity_family, tol):
 
 
 @pytest.mark.parametrize("tall", [True, False])
-def test_mixed_construction_forms_combined_matrices_only_when_not_tall(tall, monkeypatch, tol):
-    import gframes.riesz
-
+def test_mixed_construction_decomposes_the_combined_family_only_when_not_tall(
+    tall, monkeypatch, tol
+):
     rng = np.random.default_rng(8)
     atoms = 6 if tall else 2
     lam = GFrameFamily.from_rows(
@@ -119,22 +119,24 @@ def test_mixed_construction_forms_combined_matrices_only_when_not_tall(tall, mon
         (1,) * atoms,
     )
     dual = canonical_dual(lam, tol)
-    calls = []
-    for name in ("analysis_matrix", "synthesis_matrix"):
-        original = getattr(gframes.riesz, name)
-        monkeypatch.setattr(
-            gframes.riesz, name, lambda fam, _f=original, _n=name: calls.append(_n) or _f(fam)
-        )
+    svds = []
+    original = np.linalg.svd
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda m, *a, **k: svds.append(np.shape(m)) or original(m, *a, **k)
+    )
     l1 = np.array([[2.0, 1.0], [0.0, 1.0]], dtype=complex)
     result = mixed_construction(lam, dual, l1, np.linalg.inv(l1).conj().T, tol)
     assert result.criteria_agree and result.riesz_report.is_riesz_type == (not tall)
     assert result.adjoint_combination_surjective == (not tall)
+    # the norms of L1 and L2, then at most the combined family's sigma(A)
+    assert svds[:2] == [(2, 2), (2, 2)]
     if tall:
         # the shape decides both routes: not surjective, and gain 0
-        assert calls == []
+        assert svds[2:] == []
         assert result.synthesis_combination_lower_bound == 0.0
     else:
-        assert set(calls) == {"analysis_matrix", "synthesis_matrix"}
+        # one decomposition of the square combined analysis matrix serves both routes
+        assert svds[2:] == [(2, 2)]
         assert result.synthesis_combination_lower_bound > 0.0
 
 
