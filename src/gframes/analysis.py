@@ -10,7 +10,6 @@ from ._linalg import (
     full_row_rank,
     gram_certifies_full_column_rank,
     hermitian_power,
-    hermitize,
     matrices_close,
     rank_from_singular_values,
     require_finite,
@@ -22,6 +21,7 @@ from .model import (
     GFrameFamily,
     TolerancePolicy,
     _freeze,
+    _row_weights,
     analysis_matrix,
     memoized,
     require_same_domain,
@@ -62,25 +62,34 @@ class FrameReport:
 Check = tuple[str, bool, dict]
 
 
+# Row chunks of the streamed Gram products hold about this many bytes of complex rows.
+CHUNK_BYTES = 1 << 18
+
+# Folds the real (p, q, 4) products [xx, xy, yx, yy] of the streamed kernel into p x q
+# complex entries xx + yy + i(xy - yx).
+_FOLD = np.array([1.0, 1.0j, -1.0j, 1.0])
+
+
 def frame_operator(fam: GFrameFamily) -> np.ndarray:
     """Hermitian positive semidefinite d x d matrix: sum of w_i * block_i^H block_i,
     i.e. A^H A for the embedded analysis matrix A.
 
-    Read-only, and computed once per family object.  Raises
-    NumericalRangeError when it overflows, or underflows to below the
-    smallest normal float for a nonzero family (on every call: an error is
-    never stored).  A finite frame operator implies a finite A (its diagonal
-    holds A's squared column norms), so the operations that bound a family
-    first never see an overflowed A.
+    Streamed from the family's rows in O(chunk x d) extra memory (A is never
+    formed) and exactly Hermitian.  Read-only, and computed once per family
+    object.  Raises NumericalRangeError when it overflows, or underflows to
+    below the smallest normal float for a nonzero family (on every call: an
+    error is never stored).  A finite frame operator implies a finite A (its
+    diagonal holds A's squared column norms), so the operations that bound a
+    family first never see an overflowed A.
     """
     return memoized(fam._memo, "frame_operator", _frame_operator, fam)
 
 
 def _frame_operator(fam: GFrameFamily) -> np.ndarray:
-    op = require_finite(hermitize(_gram(fam)), "frame operator")
+    op = require_finite(_gram(fam), "frame operator")
     if op.diagonal().real.max() < np.finfo(float).tiny and fam.rows.any():
         raise NumericalRangeError("frame operator underflows: entries or weights too small")
-    return _freeze(op)
+    return op
 
 
 def _gram(fam: GFrameFamily) -> np.ndarray:
@@ -89,8 +98,32 @@ def _gram(fam: GFrameFamily) -> np.ndarray:
 
 
 def _raw_gram(fam: GFrameFamily) -> np.ndarray:
-    a = analysis_matrix(fam)
-    return _freeze(a.conj().T @ a)
+    return _weighted_product(fam.rows, fam.rows, _row_weights(fam.space, fam.block_dims))
+
+
+def _weighted_product(left: np.ndarray, right: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """left^H diag(weights) right for two row matrices of one row layout, read-only;
+    exactly Hermitian when ``right`` is ``left``.
+
+    Streamed over row chunks of about CHUNK_BYTES, so no N-row temporary is
+    made.  The chunks' products are summed in real arithmetic over their
+    interleaved float views, and the 2p x 2q sum is folded into complex
+    entries once.  Rounding stays within the bound that
+    ``gram_certifies_full_column_rank`` allows for any summation order.
+    """
+    step = max(1, CHUNK_BYTES // (16 * max(left.shape[1], right.shape[1])))
+    total = 0.0
+    for start in range(0, len(left), step):
+        rows = slice(start, start + step)
+        if right is left:  # a symmetric rank-k update of sqrt(w) * rows
+            part = (left[rows] * np.sqrt(weights[rows, np.newaxis])).view(float)
+            part = part.T @ part
+        else:
+            weighted = right[rows] * weights[rows, np.newaxis]
+            part = left[rows].view(float).T @ weighted.view(float)
+        total += part  # a new array on the first chunk, in place after
+    p, q = total.shape[0] // 2, total.shape[1] // 2
+    return _freeze(total.reshape(p, 2, q, 2).transpose(0, 2, 1, 3).reshape(p, q, 4) @ _FOLD)
 
 
 def pair_memo(lam: GFrameFamily, theta: GFrameFamily) -> dict:
@@ -100,7 +133,8 @@ def pair_memo(lam: GFrameFamily, theta: GFrameFamily) -> dict:
 
 
 def _cross(lam: GFrameFamily, theta: GFrameFamily) -> dict:
-    return {"cross": _freeze(analysis_matrix(theta).conj().T @ analysis_matrix(lam))}
+    weights = _row_weights(lam.space, lam.block_dims)
+    return {"cross": _weighted_product(theta.rows, lam.rows, weights)}
 
 
 def pair_gram(lam: GFrameFamily, theta: GFrameFamily, record: dict) -> np.ndarray:
@@ -109,9 +143,10 @@ def pair_gram(lam: GFrameFamily, theta: GFrameFamily, record: dict) -> np.ndarra
 
 
 def _pair_gram(lam: GFrameFamily, theta: GFrameFamily, cross: np.ndarray) -> np.ndarray:
+    """Exactly Hermitian, as its diagonal blocks are: [A|B]^H [A|B] is never formed."""
     d = lam.domain_dim
     gram = np.empty((d + theta.domain_dim,) * 2, dtype=complex)
-    gram[:d, :d], gram[d:, d:] = hermitize(_gram(lam)), hermitize(_gram(theta))
+    gram[:d, :d], gram[d:, d:] = _gram(lam), _gram(theta)
     gram[d:, :d], gram[:d, d:] = cross, cross.conj().T
     return _freeze(gram)
 

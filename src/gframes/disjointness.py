@@ -117,11 +117,11 @@ def gamma_family(lam: GFrameFamily, theta: GFrameFamily) -> GFrameFamily:
     pair's record, whose Gram is its frame operator: [A|B]^H [A|B] is never formed.
     """
     require_same_khat(lam, theta)
-    gamma = GFrameFamily.from_rows(lam.space, np.hstack([lam.rows, theta.rows]), lam.block_dims)
     record = pair_memo(lam, theta)
     pair_gram(lam, theta, record)
-    object.__setattr__(gamma, "_memo", record)
-    return gamma
+    # both halves passed their finiteness scans, so the stack is not scanned again
+    rows = np.hstack([lam.rows, theta.rows])
+    return GFrameFamily._from_valid_rows(lam.space, rows, lam.block_dims, record)
 
 
 def delta_family(

@@ -134,7 +134,9 @@ class GFrameFamily:
 
     The family stores ``rows``: the raw blocks stacked in atom order, one
     read-only C-contiguous N x ``domain_dim`` matrix (unweighted, so the
-    blocks stay bit-exact), and ``blocks`` are read-only views into it.  The
+    blocks stay bit-exact), and ``blocks`` are read-only views into it.
+    Well-formed 2-D blocks are stacked in one call; any other input takes the
+    block-by-block route, which also reads a 0-D or 1-D block as one row.  The
     structural invariants are checked once, here, so every family is valid:
     construction raises FamilyValidationError naming the violations (the
     blocks' shape faults, or else every other fault of the stacked rows).
@@ -151,6 +153,19 @@ class GFrameFamily:
     rows: np.ndarray = field(repr=False)
 
     def __init__(self, space, domain_dim, blocks):
+        blocks = list(blocks)
+        try:  # one call stacks well-formed 2-D blocks
+            rows = np.concatenate(blocks, dtype=complex)
+        except (ValueError, TypeError):
+            rows = None
+        stacked = rows is not None and rows.ndim == 2 and rows.shape[1] == domain_dim
+        if stacked and len(blocks) == space.atom_count:
+            self._set(space, domain_dim, tuple(len(b) for b in blocks), rows)
+        else:
+            self._stack_blockwise(space, domain_dim, blocks)
+
+    def _stack_blockwise(self, space, domain_dim, blocks) -> None:
+        """Coerce the blocks one by one, naming every shape violation, then ``_set``."""
         blocks = [_as_block(b) for b in blocks]
         shapes = [b.shape for b in blocks]
         found = []
@@ -183,10 +198,19 @@ class GFrameFamily:
         family._set(space, rows.shape[1], dims, rows)
         return family
 
+    @classmethod
+    def _from_valid_rows(cls, space, rows: np.ndarray, block_dims, memo: dict) -> "GFrameFamily":
+        """Family adopting complex ``rows`` that already meet every invariant (stacked
+        from valid families' rows), with ``memo`` as its memo: nothing is scanned again."""
+        family = cls.__new__(cls)
+        family._adopt(space, rows.shape[1], block_dims, rows, memo)
+        return family
+
     def _set(self, space, domain_dim, block_dims, rows) -> None:
         """Adopt ``rows`` (read-only from now on) once the invariants hold."""
         found = [] if domain_dim >= 1 else [f"domain_dim = {domain_dim} not >= 1"]
-        found += [f"block_dims[{i}] = {d} not >= 1" for i, d in enumerate(block_dims) if d < 1]
+        if min(block_dims) < 1:
+            found += [f"block_dims[{i}] = {d} not >= 1" for i, d in enumerate(block_dims) if d < 1]
         if not found and not np.isfinite(rows.view(float)).all():
             bad_rows = ~np.isfinite(rows.view(float)).all(axis=1)
             atoms = np.unique(np.repeat(np.arange(len(block_dims)), block_dims)[bad_rows])
@@ -195,9 +219,12 @@ class GFrameFamily:
             found.append("total codomain dimension must be >= 1")
         if found:
             raise FamilyValidationError(found)
+        self._adopt(space, domain_dim, block_dims, rows, {})
+
+    def _adopt(self, space, domain_dim, block_dims, rows, memo: dict) -> None:
         for name, value in zip(
             ("space", "domain_dim", "block_dims", "rows", "_blocks", "_memo"),
-            (space, domain_dim, block_dims, _freeze(rows), None, {}),
+            (space, domain_dim, block_dims, _freeze(rows), None, memo),
         ):
             object.__setattr__(self, name, value)
 
@@ -343,7 +370,9 @@ def analysis_matrix(fam: GFrameFamily) -> np.ndarray:
     Rows are the blocks sqrt(weight_i) * block_i stacked in atom order, so that
     for any h the product equals the embedding of the blockwise application.
     The synthesis operator's matrix is the conjugate transpose.  It is formed
-    on each call, never stored beside the family's rows.
+    on each call, never stored beside the family's rows, and only where an
+    N-row matrix is needed (an SVD, synthesis): the frame and cross operators
+    are streamed from the rows without it.
     """
     return fam.rows * np.sqrt(_row_weights(fam.space, fam.block_dims))[:, np.newaxis]
 
@@ -386,7 +415,9 @@ def right_compose(fam: GFrameFamily, operator: np.ndarray) -> GFrameFamily:
 
 def compose_sum(lam: GFrameFamily, theta: GFrameFamily, l1, l2) -> GFrameFamily:
     """Family with blocks lam_i @ l1 + theta_i @ l2, over ``lam``'s space and block dims."""
-    return GFrameFamily.from_rows(lam.space, lam.rows @ l1 + theta.rows @ l2, lam.block_dims)
+    rows = lam.rows @ l1
+    rows += theta.rows @ l2
+    return GFrameFamily.from_rows(lam.space, rows, lam.block_dims)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,7 @@
 """Frame operator, bounds, duals, and cross operators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from gframes import (
     frame_bounds,
     frame_check,
     frame_operator,
+    gamma_family,
     inner,
     is_dual_pair,
     kernel_triviality,
@@ -454,3 +457,53 @@ def test_overflow_is_raised_on_every_call_and_never_stored():
             with pytest.raises(NumericalRangeError, match="frame operator is not finite"):
                 operation(fam)
     assert not any(isinstance(value, BaseException) for value in fam._memo.values())
+
+
+def _ragged_pair(rng, atoms: int, dim_a: int, dim_b: int):
+    """Two complex families with blocks of 1-4 rows over one varied-weight space."""
+    dims = tuple(int(d) for d in rng.integers(1, 5, atoms))
+    space = MeasureSpace(rng.uniform(0.1, 5.0, atoms))
+
+    def rows(dim):
+        return rng.standard_normal((sum(dims), dim)) + 1j * rng.standard_normal((sum(dims), dim))
+
+    return (GFrameFamily.from_rows(space, rows(dim), dims) for dim in (dim_a, dim_b))
+
+
+def _relative_error(actual, expected) -> float:
+    return float(np.linalg.norm(actual - expected) / np.linalg.norm(expected))
+
+
+@pytest.mark.parametrize("chunk_bytes", [analysis.CHUNK_BYTES, 16 * 6 * 7])
+def test_streamed_gram_and_cross_match_the_dense_products(chunk_bytes, monkeypatch):
+    monkeypatch.setattr(analysis, "CHUNK_BYTES", chunk_bytes)
+    lam, theta = _ragged_pair(np.random.default_rng(61), 3000, 6, 4)
+    # more rows than one chunk of either family
+    assert lam.rows.shape[0] > analysis.CHUNK_BYTES // (16 * lam.domain_dim)
+    a, b = analysis_matrix(lam), analysis_matrix(theta)
+    for fam, dense in ((lam, a), (theta, b)):
+        gram = frame_operator(fam)
+        assert _relative_error(gram, dense.conj().T @ dense) <= 1e-13
+        # summed in real arithmetic from a symmetric update: Hermitian to the bit
+        assert np.array_equal(gram, gram.conj().T)
+    assert _relative_error(cross_operator(theta, lam), b.conj().T @ a) <= 1e-13
+    assert _relative_error(cross_operator(lam, theta), a.conj().T @ b) <= 1e-13
+    pair_gram = frame_operator(gamma_family(lam, theta))
+    assert np.array_equal(pair_gram, pair_gram.conj().T)
+
+
+def test_bounds_and_classify_form_no_row_sized_temporary():
+    rng = np.random.default_rng(67)
+    lam, theta = _ragged_pair(rng, 40_000, 8, 8)
+    assert lam.rows.shape[0] > 90_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert frame_bounds(lam).is_frame and frame_bounds(theta).is_frame
+        assert classify(lam, theta).disjoint
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # one N x d analysis matrix would be lam.rows.nbytes
+    assert peak < lam.rows.nbytes / 4

@@ -626,3 +626,23 @@ def test_unknown_package_attribute_is_an_attribute_error():
 
     with pytest.raises(AttributeError, match="no_such_name"):
         gframes.no_such_name
+
+
+EXPECTED = os.path.join(SAMPLES, "expected")
+GOLDEN_RUNS = [
+    *((f"analyze-{name}.json", ["analyze", "samples/pair.json", name]) for name in
+      ("identity", "lam", "theta", "ortho")),
+    ("analyze-near.json", ["analyze", "samples/near_cutoff.json", "near"]),
+    *((f"disjoint-lam-{name}.json", ["disjoint", "samples/pair.json", "lam", name]) for name in
+      ("theta", "ortho")),
+    ("verify-seed0-cases20.json", ["verify", "--seed", "0", "--cases", "20"]),
+]
+
+
+@pytest.mark.parametrize("expected, argv", GOLDEN_RUNS, ids=[name for name, _ in GOLDEN_RUNS])
+def test_json_reports_match_the_golden_outputs_byte_for_byte(expected, argv, capsys, monkeypatch):
+    # the reports echo their argv, so the documents are named as from the repository root
+    monkeypatch.chdir(os.path.join(SAMPLES, ".."))
+    assert run_command([*argv, "--format", "json"]) == 0
+    with open(os.path.join(EXPECTED, expected), encoding="utf-8") as handle:
+        assert capsys.readouterr().out == handle.read()

@@ -258,6 +258,35 @@ def test_pair_family_outlives_its_pair():
     assert rep.lower_bound == pytest.approx(expected.lower_bound, rel=1e-12)
 
 
+def test_pair_family_gram_holds_the_conjugate_cross_block():
+    rng = np.random.default_rng(59)
+    space = MeasureSpace(rng.uniform(0.5, 2.0, 40))
+    lam, theta = (GFrameFamily.from_rows(space, _cgauss(rng, (40, d)), (1,) * 40) for d in (3, 2))
+    # a generic complex pair, far from strongly disjoint: C = B^H A is not small
+    cross = cross_operator(theta, lam)
+    scale = np.sqrt(frame_bounds(lam).upper_bound * frame_bounds(theta).upper_bound)
+    assert np.linalg.norm(cross.imag) > 0.1 * scale
+    stacked = np.hstack([analysis_matrix(lam), analysis_matrix(theta)])
+    expected = stacked.conj().T @ stacked
+    op = frame_operator(gamma_family(lam, theta))
+    assert np.linalg.norm(op - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("multiple, strongly", [(0.5, True), (2.0, False)])
+def test_strong_disjointness_flips_at_its_threshold(multiple, strongly, tol):
+    # bounds B_lam = 4 and B_theta = 9, so the threshold is rel_eps * 6, and C = 6 c
+    c = multiple * tol.rel_eps * np.exp(0.7j)
+    space = MeasureSpace([1.0, 1.0])
+    lam = GFrameFamily(space, 1, ([2.0], [0.0]))
+    theta = GFrameFamily(space, 1, ([3.0 * c], [3.0 * np.sqrt(1.0 - abs(c) ** 2)]))
+    assert frame_bounds(lam).upper_bound == 4.0
+    assert frame_bounds(theta).upper_bound == pytest.approx(9.0, rel=1e-15)
+    report = classify(lam, theta, tol)
+    assert report.cross_operator_norm == pytest.approx(multiple * 6.0 * tol.rel_eps, rel=1e-12)
+    assert report.strongly_disjoint is strongly
+    assert report.disjoint and report.weakly_disjoint
+
+
 def test_a_new_partner_gets_its_own_report_even_under_a_reused_id(monkeypatch):
     rng = np.random.default_rng(53)
     lam, theta = _pair_with_intersection(rng, 30, 2, 2, 0)
@@ -265,13 +294,15 @@ def test_a_new_partner_gets_its_own_report_even_under_a_reused_id(monkeypatch):
     shared = GFrameFamily.from_rows(lam.space, shared_rows, lam.block_dims)
     first = classify(lam, theta)
     assert first.disjoint and first is classify(lam, theta)
+    # the reference: a fresh copy of the pair, whose ids nothing else shares
+    copies = [GFrameFamily.from_rows(f.space, f.rows.copy(), f.block_dims) for f in (shared, lam)]
+    expected = cross_operator(*copies)
     # every partner of every family under one key, as when an id is reused
     monkeypatch.setattr(model, "id", lambda obj: 0, raising=False)
     for _ in range(2):
         other = classify(lam, shared)
         assert other.range_intersection_dim == 1 and not other.disjoint
         assert classify(lam, theta).disjoint
-        expected = analysis_matrix(shared).conj().T @ analysis_matrix(lam)
         assert np.array_equal(cross_operator(shared, lam), expected)
 
 

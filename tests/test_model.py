@@ -324,6 +324,57 @@ def test_shape_faults_are_listed_in_atom_order():
     ]
 
 
+def _blockwise(space, domain_dim, blocks) -> GFrameFamily:
+    """The family built by the per-block path, which names shape violations."""
+    family = GFrameFamily.__new__(GFrameFamily)
+    family._stack_blockwise(space, domain_dim, blocks)
+    return family
+
+
+def test_one_call_stacking_matches_the_blockwise_path_bit_for_bit():
+    rng = np.random.default_rng(43)
+    dims = rng.integers(1, 5, 50)
+    space = MeasureSpace(rng.uniform(0.5, 2.0, dims.size))
+    arrays = [rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3)) for d in dims]
+    for make in (
+        lambda: arrays,
+        lambda: [block.tolist() for block in arrays],
+        lambda: (block for block in arrays),
+        lambda: [block.real.astype(np.float32) for block in arrays],
+    ):
+        fam, expected = GFrameFamily(space, 3, make()), _blockwise(space, 3, make())
+        assert fam.rows.tobytes() == expected.rows.tobytes()
+        assert fam.rows.shape == expected.rows.shape
+        assert fam.block_dims == expected.block_dims == tuple(dims.tolist())
+
+
+def test_malformed_blocks_keep_their_violation_lines():
+    space = MeasureSpace([1.0, 2.0, 3.0])
+    zero_d = (2.0, [[1, 2]], np.array(4.0))
+    assert _violations(lambda: GFrameFamily(space, 2, zero_d)) == [
+        "block 0 has 1 columns, expected domain_dim = 2",
+        "block 2 has 1 columns, expected domain_dim = 2",
+    ]
+    one_d = ([1, 2, 3], [3, 4], [5])
+    assert _violations(lambda: GFrameFamily(space, 2, one_d)) == [
+        "block 0 has 3 columns, expected domain_dim = 2",
+        "block 2 has 1 columns, expected domain_dim = 2",
+    ]
+    wrong_columns = (np.ones((2, 3)),) * 3
+    assert _violations(lambda: GFrameFamily(space, 2, wrong_columns)) == [
+        f"block {i} has 3 columns, expected domain_dim = 2" for i in range(3)
+    ]
+    assert _violations(lambda: GFrameFamily(space, 2, (np.ones((2, 2)),) * 4)) == [
+        "blocks.length = 4 != atom_count = 3"
+    ]
+    for three_d in ((np.zeros((1, 1, 2)),) * 3, ([[1, 0]], np.zeros((1, 1, 2)), [[1, 1]])):
+        with pytest.raises(ShapeError, match="must be 2-D, got ndim=3"):
+            GFrameFamily(space, 2, three_d)
+    # well-formed 0-D and 1-D blocks are single rows on either path
+    fam = GFrameFamily(space, 2, ([1, 2], [[3, 4]], np.array([5, 6])))
+    assert fam.rows.tolist() == [[1, 2], [3, 4], [5, 6]] and fam.block_dims == (1, 1, 1)
+
+
 def _random_family(rng, space, dims, domain_dim):
     return GFrameFamily(
         space=space,
