@@ -31,17 +31,8 @@ def pseudo_inverse(matrix: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np
     values the rank rule keeps: for a surjective input a right inverse, matrix
     @ result = identity.  NumericalRangeError when it leaves the float range."""
     matrix = np.asarray(matrix, dtype=complex)
-    return pseudo_inverse_from_svd(conj_svd(matrix), matrix.shape, tol)
-
-
-def conj_svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD of conj(``matrix``); its singular values are those of ``matrix``."""
-    return np.linalg.svd(np.conj(matrix), full_matrices=False)
-
-
-def pseudo_inverse_from_svd(svd, shape: tuple[int, int], tol: TolerancePolicy) -> np.ndarray:
-    """:func:`pseudo_inverse` of the ``shape`` matrix whose :func:`conj_svd` is ``svd``."""
-    return invert_kept(svd, rank_from_singular_values(svd[1], shape, tol), "matrix")
+    svd = np.linalg.svd(np.conj(matrix), full_matrices=False)
+    return invert_kept(svd, rank_from_singular_values(svd[1], matrix.shape, tol), "matrix")
 
 
 @dataclass(frozen=True)
@@ -233,7 +224,7 @@ def pseudo_dual(
     require_relation(lam, theta, "strongly disjoint", tol)
     l1_adj, l2_adj = pair.adjoint_operators(lam.domain_dim)
     # one SVD of L1 judges it onto, and then inverts all of its singular values
-    svd = conj_svd(pair.l1)
+    svd = np.linalg.svd(np.conj(pair.l1), full_matrices=False)
     if not full_row_rank(svd[1], pair.l1.shape, tol):
         raise PreconditionError("L1 is not surjective")
 

@@ -76,6 +76,9 @@ def require_relation(
 
 
 def _classify(lam, theta, record: dict, tol: TolerancePolicy) -> DisjointnessReport:
+    """The report, with ``weakly_disjoint`` set to ``disjoint``: in finite
+    dimension the range sum is closed, so a trivial kernel of the pair map and a
+    trivial range intersection are the same rank statement, rank [A|B] = d1 + d2."""
     khat_dim = lam.codomain_dim
     cross_norm = operator_norm(record["cross"])
     bessel = np.sqrt(frame_bounds(lam, tol).upper_bound * frame_bounds(theta, tol).upper_bound)
@@ -91,15 +94,13 @@ def _classify(lam, theta, record: dict, tol: TolerancePolicy) -> DisjointnessRep
     intersection = pair_dim - rank_ab
 
     disjoint = intersection == 0
-    # trivial kernel of the stacked pair map: the same rank as ``disjoint``
-    weakly = rank_ab == pair_dim
-    complementary = intersection == 0 and rank_ab == khat_dim
+    complementary = disjoint and rank_ab == khat_dim
     strongly_complementary = strongly and (pair_dim == khat_dim)
 
     return DisjointnessReport(
         strongly_disjoint=strongly,
         disjoint=disjoint,
-        weakly_disjoint=weakly,
+        weakly_disjoint=disjoint,
         complementary_pair=complementary,
         strongly_complementary_pair=strongly_complementary,
         cross_operator_norm=cross_norm,
@@ -178,8 +179,10 @@ def strong_disjointness_converse_check(
 
 
 def kernel_triviality(gamma: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """True when only the zero vector is annihilated by every block."""
-    return analysis_rank(gamma, tol) == gamma.domain_dim
+    """True when only the zero vector is annihilated by every block: in finite
+    dimension, exactly when ``gamma`` is a frame (its analysis matrix has full
+    column rank)."""
+    return frame_bounds(gamma, tol).is_frame
 
 
 def pair_equivalences(

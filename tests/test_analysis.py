@@ -183,7 +183,7 @@ def test_frame_check_states_the_frame_report(space2, theta_family, tol):
 def test_defining_inequality_and_norm_bound_on_random_frames(tol):
     rng = np.random.default_rng(17)
     for _ in range(20):
-        fam = _random_frame(rng, tol)
+        fam = _random_frame(rng)
         rep = frame_bounds(fam, tol)
         mat = analysis_matrix(fam)
         h = rng.standard_normal((fam.domain_dim, 100)) + 1j * rng.standard_normal(
@@ -201,7 +201,7 @@ def test_defining_inequality_and_norm_bound_on_random_frames(tol):
 def test_reconstruction_identity_on_random_frames(tol):
     rng = np.random.default_rng(18)
     for _ in range(20):
-        fam = _random_frame(rng, tol)
+        fam = _random_frame(rng)
         d = fam.domain_dim
         s_inv = np.linalg.inv(frame_operator(fam))
         f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -216,7 +216,7 @@ def test_reconstruction_identity_on_random_frames(tol):
 def test_canonical_dual_is_involution(tol):
     rng = np.random.default_rng(19)
     for _ in range(10):
-        fam = _random_frame(rng, tol)
+        fam = _random_frame(rng)
         double = canonical_dual(canonical_dual(fam, tol), tol)
         for a, b in zip(double.blocks, fam.blocks):
             assert np.allclose(a, b, rtol=1e-8, atol=1e-10)

@@ -198,7 +198,7 @@ def test_intersection_dim_matches_the_range_bases_of_each_family(tol):
     # one rank [A|B]; this route reads each family's own range basis (its SVD)
     sample = list(load_document(PAIR_DOC).families.values())
     rng = np.random.default_rng(1802)
-    drawn = [verification._random_pair(rng, tol) for _ in range(400)]
+    drawn = [verification._random_pair(rng) for _ in range(400)]
     found = []
     for lam, theta in [*itertools.product(sample, repeat=2), *drawn]:
         q_a, q_b = (
