@@ -94,17 +94,17 @@ def matrices_close(a: np.ndarray, b: np.ndarray, rel_eps: float) -> bool:
 
 
 def hermitian_power(matrix: np.ndarray, power: float, tol) -> np.ndarray:
-    """``matrix ** power`` for a Hermitian positive definite matrix via
-    eigendecomposition; only used with negative powers of a frame operator.
+    """``matrix ** power`` for an exactly Hermitian positive definite matrix (as
+    every frame operator is) via eigendecomposition; only used with negative
+    powers of a frame operator.
 
     Whether a family is a frame is decided from sigma(A), never here.  Raises
     NumericalRangeError when the smallest eigenvalue is at or below the rank
     cutoff of the largest: the computed matrix holds no digit of its inverse.
     """
-    sym = hermitize(np.asarray(matrix, dtype=complex))
-    evals, vecs = np.linalg.eigh(sym)
+    evals, vecs = np.linalg.eigh(matrix)
     smallest, largest = float(evals[0]), float(evals[-1])
-    if smallest <= rank_cutoff(sym.shape, largest, tol):
+    if smallest <= rank_cutoff(matrix.shape, largest, tol):
         raise NumericalRangeError(
             f"frame operator cannot be inverted in floating point "
             f"(eigenvalues {smallest:.3e} to {largest:.3e})"

@@ -33,7 +33,7 @@ from .constructions import (
     strongly_disjoint_sum,
 )
 from .disjointness import classify, normalized_pair, pair_equivalences
-from .documents import FORMAT_VERSION, FrameDocument, load_document, parse_matrix, save_document
+from .documents import FrameDocument, load_document, parse_matrix, save_document
 from .errors import GFrameError, PreconditionError
 from .model import DEFAULT_TOL, GFrameFamily, OperatorPair, TolerancePolicy
 from .riesz import riesz_check
@@ -131,8 +131,7 @@ def _checks(checks) -> list[dict]:
 def _write_document(path: str, families: dict[str, GFrameFamily]) -> dict:
     """Save ``families`` as one document over their shared space; the output report."""
     space = next(iter(families.values())).space
-    doc = FrameDocument(format_version=FORMAT_VERSION, space=space, families=families)
-    save_document(doc, path)
+    save_document(FrameDocument(space, families), path)
     return {"path": path, "families": sorted(families)}
 
 
@@ -251,7 +250,7 @@ def _cmd_generate(args, tol) -> dict:
     if args.kind == "frame":
         if args.domain_dim is None:
             raise UsageError("--kind frame requires --domain-dim")
-        fam = random_gframe(args.seed, dims, args.domain_dim, weight_range=weight_range, tol=tol)
+        fam = random_gframe(args.seed, dims, args.domain_dim, weight_range=weight_range)
         families = {"frame": fam}
         checks += _checks([frame_check(fam, tol)])
     else:

@@ -21,6 +21,7 @@ from .model import (
     TolerancePolicy,
     compose_sum,
     family_from_analysis_matrix,
+    operator_matrix,
     require_same_domain,
     right_compose,
 )
@@ -29,8 +30,9 @@ from .model import (
 def pseudo_inverse(matrix: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse from one SVD, inverting exactly the singular
     values the rank rule keeps: for a surjective input a right inverse, matrix
-    @ result = identity.  NumericalRangeError when it leaves the float range."""
-    matrix = np.asarray(matrix, dtype=complex)
+    @ result = identity.  ``matrix`` is read by ``operator_matrix``;
+    NumericalRangeError also when the result leaves the float range."""
+    matrix = operator_matrix(matrix, "matrix")
     svd = np.linalg.svd(np.conj(matrix), full_matrices=False)
     return invert_kept(svd, rank_from_singular_values(svd[1], matrix.shape, tol), "matrix")
 
@@ -322,21 +324,11 @@ def _seeded_space(seed: int, atoms: int, weight_range):
     return rng, MeasureSpace(rng.uniform(low, high, atoms))
 
 
-_FRAME_DRAWS = 8
+def random_gframe(seed: int, block_dims, domain_dim: int, weight_range=(0.5, 2.0)) -> GFrameFamily:
+    """Seed-deterministic family with complex-Gaussian blocks, drawn once.
 
-
-def random_gframe(
-    seed: int,
-    block_dims,
-    domain_dim: int,
-    weight_range=(0.5, 2.0),
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> GFrameFamily:
-    """Seed-deterministic frame with complex-Gaussian blocks.
-
-    The draw is repeated until the result is a frame, which is almost sure
-    when the total codomain dimension reaches the domain dimension, and
-    impossible otherwise (raises GenerationError).
+    It is almost surely a frame when the total codomain dimension reaches the
+    domain dimension; otherwise no frame exists (raises GenerationError).
     """
     dims = tuple(int(d) for d in block_dims)
     if not dims or any(d < 1 for d in dims) or domain_dim < 1:
@@ -347,12 +339,8 @@ def random_gframe(
         raise GenerationError(
             f"total codomain dimension {total} < domain dimension {domain_dim}: no frame exists"
         )
-    for _ in range(_FRAME_DRAWS):
-        blocks = tuple(_complex_gaussian(rng, (d, domain_dim)) for d in dims)
-        family = GFrameFamily(space=space, domain_dim=domain_dim, blocks=blocks)
-        if frame_bounds(family, tol).is_frame:
-            return family
-    raise GenerationError(f"could not draw a frame in {_FRAME_DRAWS} attempts")
+    blocks = tuple(_complex_gaussian(rng, (d, domain_dim)) for d in dims)
+    return GFrameFamily(space=space, domain_dim=domain_dim, blocks=blocks)
 
 
 def random_strongly_disjoint_parseval_pair(

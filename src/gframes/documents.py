@@ -26,7 +26,8 @@ FORMAT_VERSION = "1"
 
 @dataclass(frozen=True)
 class FrameDocument:
-    format_version: str
+    """A measure space and named families over it, in format ``FORMAT_VERSION``."""
+
     space: MeasureSpace
     families: dict[str, GFrameFamily]
 
@@ -239,7 +240,7 @@ def parse_document(text: str) -> FrameDocument:
         fam = _parse_family(name, fam_obj, space, shared_dims, f"$.families.{name}")
         shared_dims = fam.block_dims
         families[name] = fam
-    return FrameDocument(format_version=version, space=space, families=families)
+    return FrameDocument(space=space, families=families)
 
 
 def _family_json(name: str, fam: GFrameFamily, space: MeasureSpace) -> str:
@@ -253,7 +254,7 @@ def _family_json(name: str, fam: GFrameFamily, space: MeasureSpace) -> str:
     layout = ",\n        ".join([block[b] for b in fam.block_dims])
     blocks = layout % tuple(map(repr, fam.rows.view(float).ravel().tolist()))
     return (
-        f'{{\n      "domain_dim": {int(fam.domain_dim)},\n'
+        f'{{\n      "domain_dim": {fam.domain_dim},\n'
         f'      "block_dims": {json.dumps(fam.block_dims)},\n'
         f'      "blocks": [\n        {blocks}\n      ]\n    }}'
     )
@@ -271,7 +272,7 @@ def serialize_document(doc: FrameDocument) -> str:
     )
     families = f"{{\n{members}\n  }}" if members else "{}"
     return (
-        f'{{\n  "format_version": {json.dumps(doc.format_version)},\n'
+        f'{{\n  "format_version": {json.dumps(FORMAT_VERSION)},\n'
         f'  "measure_space": {{"weights": {json.dumps(doc.space.weights.tolist())}}},\n'
         f'  "families": {families}\n}}'
     )

@@ -134,9 +134,11 @@ class GFrameFamily:
 
     The family stores ``rows``: the raw blocks stacked in atom order, one
     read-only C-contiguous N x ``domain_dim`` matrix (unweighted, so the
-    blocks stay bit-exact), and ``blocks`` are read-only views into it.
-    Well-formed 2-D blocks are stacked in one call; any other input takes the
-    block-by-block route, which also reads a 0-D or 1-D block as one row.  The
+    blocks stay bit-exact), and ``blocks`` are read-only views into it;
+    ``domain_dim`` (an ``int``) and ``codomain_dim`` are its column and row counts.
+    Well-formed 2-D blocks as wide as the constructor's ``domain_dim`` are
+    stacked in one call; any other input takes the block-by-block route,
+    which also reads a 0-D or 1-D block as one row.  The
     structural invariants are checked once, here, so every family is valid:
     construction raises FamilyValidationError naming the violations (the
     blocks' shape faults, or else every other fault of the stacked rows).
@@ -160,7 +162,7 @@ class GFrameFamily:
             rows = None
         stacked = rows is not None and rows.ndim == 2 and rows.shape[1] == domain_dim
         if stacked and len(blocks) == space.atom_count:
-            self._set(space, domain_dim, tuple(len(b) for b in blocks), rows)
+            self._set(space, tuple(len(b) for b in blocks), rows)
         else:
             self._stack_blockwise(space, domain_dim, blocks)
 
@@ -178,7 +180,7 @@ class GFrameFamily:
         ]
         if found:
             raise FamilyValidationError(found)
-        self._set(space, domain_dim, tuple(dims for dims, _ in shapes), np.concatenate(blocks))
+        self._set(space, tuple(dims for dims, _ in shapes), np.concatenate(blocks))
 
     @classmethod
     def from_rows(cls, space: MeasureSpace, rows: np.ndarray, block_dims) -> "GFrameFamily":
@@ -195,7 +197,7 @@ class GFrameFamily:
             )
         _require_layout(space, dims)
         family = cls.__new__(cls)
-        family._set(space, rows.shape[1], dims, rows)
+        family._set(space, dims, rows)
         return family
 
     @classmethod
@@ -203,28 +205,26 @@ class GFrameFamily:
         """Family adopting complex ``rows`` that already meet every invariant (stacked
         from valid families' rows), with ``memo`` as its memo: nothing is scanned again."""
         family = cls.__new__(cls)
-        family._adopt(space, rows.shape[1], block_dims, rows, memo)
+        family._adopt(space, block_dims, rows, memo)
         return family
 
-    def _set(self, space, domain_dim, block_dims, rows) -> None:
+    def _set(self, space, block_dims, rows) -> None:
         """Adopt ``rows`` (read-only from now on) once the invariants hold."""
-        found = [] if domain_dim >= 1 else [f"domain_dim = {domain_dim} not >= 1"]
+        found = [] if rows.shape[1] >= 1 else [f"domain_dim = {rows.shape[1]} not >= 1"]
         if min(block_dims) < 1:
             found += [f"block_dims[{i}] = {d} not >= 1" for i, d in enumerate(block_dims) if d < 1]
         if not found and not np.isfinite(rows.view(float)).all():
             bad_rows = ~np.isfinite(rows.view(float)).all(axis=1)
             atoms = np.unique(np.repeat(np.arange(len(block_dims)), block_dims)[bad_rows])
             found += [f"block {i} contains non-finite entries" for i in atoms]
-        if sum(block_dims) < 1:
-            found.append("total codomain dimension must be >= 1")
         if found:
             raise FamilyValidationError(found)
-        self._adopt(space, domain_dim, block_dims, rows, {})
+        self._adopt(space, block_dims, rows, {})
 
-    def _adopt(self, space, domain_dim, block_dims, rows, memo: dict) -> None:
+    def _adopt(self, space, block_dims, rows, memo: dict) -> None:
         for name, value in zip(
             ("space", "domain_dim", "block_dims", "rows", "_blocks", "_memo"),
-            (space, domain_dim, block_dims, _freeze(rows), None, memo),
+            (space, rows.shape[1], block_dims, _freeze(rows), None, memo),
         ):
             object.__setattr__(self, name, value)
 
@@ -260,8 +260,8 @@ class GFrameFamily:
 
     @property
     def codomain_dim(self) -> int:
-        """Total dimension N of the weighted direct-sum target space."""
-        return int(sum(self.block_dims))
+        """Total dimension N of the weighted direct-sum target space: the row count."""
+        return self.rows.shape[0]
 
     def __eq__(self, other) -> bool:
         return (
@@ -420,10 +420,20 @@ def compose_sum(lam: GFrameFamily, theta: GFrameFamily, l1, l2) -> GFrameFamily:
     return GFrameFamily.from_rows(lam.space, rows, lam.block_dims)
 
 
+def operator_matrix(values, name: str) -> np.ndarray:
+    """``values`` as a read-only complex copy under the operator rule: ShapeError
+    unless a non-empty 2-D matrix, NumericalRangeError unless finite, each naming it."""
+    arr = np.array(values, dtype=complex)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ShapeError(f"{name} must be a non-empty 2-D matrix, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NumericalRangeError(f"{name} has non-finite entries")
+    return _freeze(arr)
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorPair:
-    """Operators L1, L2 for the families of a pair: read-only, finite, non-empty 2-D
-    complex matrices (ShapeError or NumericalRangeError naming the operator otherwise).
+    """Operators L1, L2 for the families of a pair, each read by ``operator_matrix``.
     A construction takes them through the shape rule it needs, as
     ``square_operators`` or as ``adjoint_operators``."""
 
@@ -432,12 +442,7 @@ class OperatorPair:
 
     def __post_init__(self):
         for name in ("l1", "l2"):
-            arr = np.array(getattr(self, name), dtype=complex)
-            if arr.ndim != 2 or arr.size == 0:
-                raise ShapeError(f"{name.upper()} must be a non-empty 2-D matrix, got {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise NumericalRangeError(f"{name.upper()} has non-finite entries")
-            object.__setattr__(self, name, _freeze(arr))
+            object.__setattr__(self, name, operator_matrix(getattr(self, name), name.upper()))
 
     def square_operators(self, dim1: int, dim2: int) -> tuple[np.ndarray, np.ndarray]:
         """(L1, L2), for blocks lam_i @ L1 + theta_i @ L2: the square rule, ShapeError

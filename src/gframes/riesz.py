@@ -2,10 +2,10 @@
 
 A frame is Riesz-type exactly when its analysis operator fills the whole
 weighted direct-sum target, i.e. the embedded analysis matrix has full row
-rank.  Three equivalent certificates are computed (analysis rank, two-sided
-synthesis bound, synthesis kernel) so the equivalence can be verified
-numerically.  The synthesis matrix A^H has the singular values of A, so the
-last two read the family's memoized sigma(A) and decompose nothing of their own.
+rank.  Two routes decide it (analysis rank; the synthesis matrix A^H bounded
+below, the same comparison as a trivial synthesis kernel), so the equivalence
+can be verified numerically.  A^H has the singular values of A, so the second
+reads the family's memoized sigma(A) and decomposes nothing of its own.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def riesz_check(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> RieszR
     return RieszReport(
         is_riesz_type=square,
         analysis_rank=fam.domain_dim,
-        khat_dim=int(fam.codomain_dim),
+        khat_dim=fam.codomain_dim,
         synthesis_lower_bound=report.lower_bound if square else 0.0,
         synthesis_upper_bound=report.upper_bound,
     )
@@ -85,20 +85,15 @@ def synthesis_kernel_test(
     return float(np.linalg.norm(image)) <= tol.rel_eps * scale
 
 
-def riesz_criteria(
-    fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL
-) -> tuple[bool, bool, bool]:
-    """The three equivalent Riesz-type certificates.
+def riesz_criteria(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[bool, bool]:
+    """The two Riesz-type routes, (by rank, by synthesis), which must agree on every frame.
 
-    (range test, two-sided synthesis bound test, synthesis kernel test);
-    all three must agree on every frame.  The range test is the verdict of
-    ``riesz_check``, taken first (it raises unless ``fam`` is a frame).  The
-    synthesis matrix is bounded below exactly when its kernel is trivial: the
-    other two are one comparison, read from ``synthesis_gain``.
+    The rank route is the verdict of ``riesz_check``, taken first (it raises
+    unless ``fam`` is a frame).  The synthesis route reads ``synthesis_gain``:
+    the synthesis matrix is bounded below exactly when its kernel is trivial,
+    so the two-sided bound and the kernel certificate are this one comparison.
     """
-    is_riesz_type = riesz_check(fam, tol).is_riesz_type
-    bounded_below = synthesis_gain(fam, tol)[1]
-    return is_riesz_type, bounded_below, bounded_below
+    return riesz_check(fam, tol).is_riesz_type, synthesis_gain(fam, tol)[1]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gframes import (
-    FORMAT_VERSION,
     FrameDocument,
     GFrameError,
     GFrameFamily,
@@ -185,7 +184,7 @@ def test_lift_example_of_wider_blocks_is_usage_error(tmp_path, capsys):
     space = MeasureSpace([1.0, 1.0])
     wide = GFrameFamily(space=space, domain_dim=1, blocks=([[1.0], [0.0]], [[0.0], [1.0]]))
     doc_path = str(tmp_path / "wide.json")
-    save_document(FrameDocument(FORMAT_VERSION, space, {"f": wide, "g": wide}), doc_path)
+    save_document(FrameDocument(space, {"f": wide, "g": wide}), doc_path)
     out_path = str(tmp_path / "lifted.json")
     assert run_command(["construct", doc_path, "lift-example", "f", "g", "-o", out_path]) == 2
     captured = capsys.readouterr()
@@ -493,6 +492,8 @@ def test_json_reports_of_disjoint_and_delta_parse(tmp_path, capsys):
         # a frame whose frame operator cannot be inverted in floating point
         ["construct", NEAR_CUTOFF_DOC, "canonical-dual", "near", "-o", "x.json"],
         ["construct", NEAR_CUTOFF_DOC, "parseval", "near", "-o", "x.json"],
+        # an operator flag without a row
+        ["construct", PAIR_DOC, "sum-strong", "lam", "ortho", "--l1", "[]", "-o", "x.json"],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning beside the error line breaks the contract
@@ -503,6 +504,24 @@ def test_bad_input_or_option_is_usage_error(argv, tmp_path, monkeypatch, capsys)
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_help_exits_zero(capsys):
+    assert run_command(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: gframes ") and err == ""
+
+
+def test_generated_non_frame_is_a_failed_check(tmp_path, capsys):
+    # the rank cutoff of --rank-factor 1e300 rejects every draw; the draw is
+    # written and reported, not redrawn
+    out_path = tmp_path / "gen.json"
+    argv = ["generate", "--kind", "frame", "--seed", "3", "--block-dims", "1,1,2",
+            "--domain-dim", "3", "--rank-factor", "1e300", "-o", str(out_path)]
+    assert run_command(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and "check is-frame: FAIL (" in out and out.endswith("overall: FAIL\n")
+    assert load_document(str(out_path)).families["frame"].domain_dim == 3
 
 
 def test_every_package_error_is_a_usage_error(monkeypatch, capsys):
@@ -522,7 +541,7 @@ def test_singular_frame_operator_is_a_failed_hypothesis(tmp_path, monkeypatch, c
     monkeypatch.chdir(tmp_path)
     space = MeasureSpace([1.0, 2.0])
     flat = GFrameFamily(space, 2, ([[1.0, 0.0]], [[2.0, 0.0]]))  # no frame: rank 1 < 2
-    save_document(FrameDocument(FORMAT_VERSION, space, {"flat": flat}), "flat.json")
+    save_document(FrameDocument(space, {"flat": flat}), "flat.json")
     assert run_command(["construct", "flat.json", "canonical-dual", "flat", "-o", "x.json"]) == 1
     err = "error: failed hypothesis: family is not a frame (min eigenvalue 0.000e+00)\n"
     assert capsys.readouterr() == ("", err)

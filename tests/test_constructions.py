@@ -85,6 +85,24 @@ def test_pseudo_inverse_past_the_float_range_raises(tol):
         pseudo_inverse(np.array([[1e-320, 0.0]]), tol)
 
 
+@pytest.mark.parametrize(
+    "matrix, error, message",
+    [
+        # past the rule, [[inf, 1]] comes back from the SVD as a 2 x 1 zero matrix,
+        # [[nan, 1]] and a 1-D input raise numpy's LinAlgError, a 3-D input TypeError
+        ([[np.inf, 1.0]], NumericalRangeError, "matrix has non-finite entries"),
+        ([[np.nan, 1.0]], NumericalRangeError, "matrix has non-finite entries"),
+        ([1.0, 2.0], ShapeError, "matrix must be a non-empty 2-D matrix, got (2,)"),
+        (np.ones((1, 1, 2)), ShapeError, "matrix must be a non-empty 2-D matrix, got (1, 1, 2)"),
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_pseudo_inverse_reads_its_matrix_by_the_operator_rule(matrix, error, message, tol):
+    with pytest.raises(error) as err:
+        pseudo_inverse(matrix, tol)
+    assert str(err.value) == message
+
+
 def test_disjoint_sum_identity_operators(lam_family, theta_family, tol):
     pair = OperatorPair(np.eye(1), np.eye(1))
     result = disjoint_sum_family(lam_family, theta_family, pair, tol)
@@ -328,6 +346,16 @@ def test_random_gframe_is_deterministic():
 def test_random_gframe_rejects_impossible_frame_request():
     with pytest.raises(GenerationError):
         random_gframe(1, (1, 1), 3)
+
+
+@pytest.mark.parametrize(
+    "block_dims, domain_dim, shown",
+    [((), 1, "()"), ((1, 0), 1, "(1, 0)"), ((1, 1), 0, "(1, 1)")],
+)
+def test_random_gframe_names_an_invalid_shape_request(block_dims, domain_dim, shown):
+    with pytest.raises(GenerationError) as err:
+        random_gframe(1, block_dims, domain_dim)
+    assert str(err.value) == f"invalid shape request: block_dims={shown}, domain_dim={domain_dim}"
 
 
 def test_random_pair_split_full_is_strongly_complementary(tol):

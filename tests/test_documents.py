@@ -123,8 +123,52 @@ def test_round_trip_is_exact():
         )
         for name in ("one", "two")
     }
-    doc = FrameDocument(format_version=FORMAT_VERSION, space=space, families=families)
+    doc = FrameDocument(space=space, families=families)
     assert parse_document(serialize_document(doc)) == doc
+
+
+_LONE = ("families", "lone")
+
+
+@pytest.mark.parametrize(
+    "keys, value, path, message",
+    [
+        ((*_LONE, "domain_dim"), 0, "$.families.lone.domain_dim",
+         "expected a positive integer, got 0"),
+        ((*_LONE, "domain_dim"), True, "$.families.lone.domain_dim",
+         "expected a positive integer, got True"),
+        (("measure_space", "weights"), [], "$.measure_space.weights",
+         "expected a non-empty array"),
+        (("measure_space", "weights"), 1.0, "$.measure_space.weights",
+         "expected a non-empty array"),
+        ((*_LONE, "block_dims"), 1, "$.families.lone.block_dims", "expected an array"),
+        ((*_LONE, "block_dims"), [0], "$.families.lone.block_dims[0]",
+         "expected a positive integer, got 0"),
+        ((*_LONE, "block_dims"), [1.0], "$.families.lone.block_dims[0]",
+         "expected a positive integer, got 1.0"),
+        ((*_LONE, "block_dims"), [1, 1], "$.families.lone.block_dims",
+         "2 block dims for 1 atoms"),
+        ((*_LONE, "blocks"), {}, "$.families.lone.blocks", "expected 1 blocks (one per atom)"),
+        ((*_LONE, "blocks"), [], "$.families.lone.blocks", "expected 1 blocks (one per atom)"),
+    ],
+)
+def test_structural_faults_name_their_path(keys, value, path, message):
+    payload = json.loads(MINIMAL)
+    *outer, last = keys
+    target = payload
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(payload))
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+
+
+@pytest.mark.parametrize("text", ["[]", "[[]]", "[1]", "{}", "3"])
+def test_matrix_flag_must_be_non_empty_rows(text):
+    with pytest.raises(DocumentError) as err:
+        documents.parse_matrix(text, "--l1")
+    assert str(err.value) == "--l1: expected a non-empty array of non-empty rows"
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
@@ -173,7 +217,7 @@ def test_serialize_rejects_invalid_measure_space():
 def test_serialize_rejects_family_over_another_space():
     fam = GFrameFamily(MeasureSpace([2.0, 3.0]), 1, ([1.0], [1.0]))
     space = MeasureSpace([1.0, 1.0])
-    doc = FrameDocument(format_version=FORMAT_VERSION, space=space, families={"x": fam})
+    doc = FrameDocument(space=space, families={"x": fam})
     with pytest.raises(ShapeError, match="family 'x'"):
         serialize_document(doc)
 
@@ -270,7 +314,7 @@ def reference_parse(text: str) -> FrameDocument:
     for name, fam_obj in root["families"].items():
         families[name] = _reference_family(name, fam_obj, space, shared_dims, f"$.families.{name}")
         shared_dims = families[name].block_dims
-    return FrameDocument(format_version=FORMAT_VERSION, space=space, families=families)
+    return FrameDocument(space=space, families=families)
 
 
 def _same_bits(first: FrameDocument, second: FrameDocument) -> bool:

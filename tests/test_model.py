@@ -17,13 +17,16 @@ from gframes import (
     TolerancePolicy,
     analysis_matrix,
     apply_analysis,
+    canonical_dual,
     cross_operator,
+    dual_check,
     embed,
     family_from_analysis_matrix,
     frame_operator,
     gamma_family,
     inner,
     khat_inner,
+    lift_continuous_frame,
     right_compose,
     synthesis_matrix,
     unembed,
@@ -65,6 +68,37 @@ def test_block_dims_are_the_row_counts_of_the_blocks(space2):
     fam = GFrameFamily(space=space2, domain_dim=1, blocks=([1.0], [[1.0], [2.0]]))
     assert fam.block_dims == (1, 2)
     assert fam.codomain_dim == 3
+
+
+@pytest.mark.parametrize("domain_dim", [2.0, np.int64(2), True])
+def test_dims_are_read_off_the_rows(domain_dim, tol):
+    # the stored domain dim is the column count: a stored 2.0 would make
+    # np.eye(2.0) raise TypeError in dual_check and lift_continuous_frame
+    width = int(domain_dim)
+    space = MeasureSpace([1.0, 2.0, 3.0])
+    blocks = [np.eye(width)[i % width] for i in range(3)]
+    fam = GFrameFamily(space, domain_dim, blocks)
+    assert type(fam.domain_dim) is int and fam.domain_dim == width and fam.codomain_dim == 3
+    assert dual_check("dual", canonical_dual(fam, tol), fam, tol)[1]
+    lifted = lift_continuous_frame(fam, fam, tol)
+    assert lifted.lam.domain_dim == width and lifted.lam.codomain_dim == 6
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GFrameFamily.from_rows(MeasureSpace([1.0, 1.0]), np.ones((3, 1)), (1, 1)),
+         "matrix has 3 rows, expected total block dim 2"),
+        (lambda: KHatVector.from_array(np.zeros(3), (1, 1)),
+         "vector of shape (3,) != total block dim 2"),
+        (lambda: apply_analysis(GFrameFamily(MeasureSpace([1.0]), 1, ([1.0],)), np.ones(3)),
+         "vector length 3 != domain_dim 1"),
+    ],
+)
+def test_size_mismatches_name_both_sizes(build, message):
+    with pytest.raises(ShapeError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_khat_inner_unit_vector():

@@ -69,8 +69,8 @@ def test_synthesis_kernel_shape_error(theta_family, tol):
 
 
 def test_riesz_criteria_agree_on_hand_families(identity_family, theta_family, tol):
-    assert riesz_criteria(identity_family, tol) == (True, True, True)
-    assert riesz_criteria(theta_family, tol) == (False, False, False)
+    assert riesz_criteria(identity_family, tol) == (True, True)
+    assert riesz_criteria(theta_family, tol) == (False, False)
 
 
 def test_mixed_construction_rejects_bad_operator_pairing(identity_family, tol):

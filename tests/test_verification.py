@@ -138,6 +138,18 @@ def test_a_zero_cross_operator_is_reported_by_the_checks_it_breaks(monkeypatch, 
     assert any(": raised PreconditionError: " in line for line in failed["mixed-construction"])
 
 
+def test_a_tripled_pair_cross_block_breaks_the_pair_upper_bound(monkeypatch, tol):
+    """Planted fault: the pair family's Gram carries 3C for its cross block C.  Its
+    upper bound is checked on every pair, not only on disjoint ones."""
+    original = analysis._pair_gram
+    monkeypatch.setattr(
+        analysis, "_pair_gram", lambda lam, theta, cross: original(lam, theta, 3 * cross)
+    )
+    report = run_suite(0, 10, tol)
+    faults = {result.name: result.failures for result in report.results}["pair-bound-sandwich"]
+    assert faults and all(f.endswith(": pair upper bound above sum-map estimate") for f in faults)
+
+
 def test_verify_reports_every_check_under_a_tolerance_nothing_meets(capsys):
     argv = ["verify", "--seed", "0", "--cases", "2", "--tol", "1e-300", "--format", "json"]
     assert run_command(argv) == 1
