@@ -56,6 +56,13 @@ class FrameReport:
         """The bounds and flags, without the frame operator."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "frame_operator"}
 
+    def within(self, lower: float, upper: float, tol: TolerancePolicy) -> bool:
+        """Whether the bounds sit inside the window [lower, upper], each end widened
+        relatively by ``tol.rel_eps``: the one window rule of the construction theorems."""
+        eps = tol.rel_eps
+        above = self.lower_bound >= lower * (1.0 - eps)
+        return above and self.upper_bound <= upper * (1.0 + eps)
+
 
 # A theorem checked on one instance: its name, whether it held, and the
 # quantities it compared.  ``construct`` prints these and ``verify`` asserts them.

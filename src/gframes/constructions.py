@@ -11,6 +11,7 @@ import numpy as np
 
 from ._linalg import full_row_rank, invert_kept, rank_from_singular_values, singular_values
 from .analysis import Check, FrameReport, canonical_dual, dual_check, frame_bounds, frame_check
+from .analysis import is_dual_pair
 from .disjointness import gamma_family, require_relation
 from .errors import GenerationError, PreconditionError, ShapeError, SingularOperatorError
 from .model import (
@@ -22,6 +23,8 @@ from .model import (
     compose_sum,
     family_from_analysis_matrix,
     operator_matrix,
+    read_dim,
+    read_dims,
     require_same_domain,
     right_compose,
 )
@@ -78,16 +81,11 @@ def disjoint_sum_family(
     with np.errstate(over="ignore", under="ignore"):
         certified_lower = float(pair_report.lower_bound * witness[-1] ** 2)
         certified_upper = float(2.0 * pair_report.upper_bound * max(svals1[0], svals2[0]) ** 2)
-    certificate_ok = (
-        result_report.is_frame
-        and result_report.lower_bound >= certified_lower * (1.0 - tol.rel_eps)
-        and result_report.upper_bound <= certified_upper * (1.0 + tol.rel_eps)
-    )
     checks = (
         frame_check(family, tol),
         (
             "certificate-sandwich",
-            certificate_ok,
+            result_report.is_frame and result_report.within(certified_lower, certified_upper, tol),
             {
                 "certified_lower": certified_lower,
                 "certified_upper": certified_upper,
@@ -136,7 +134,7 @@ def strongly_disjoint_sum(
     checks = [
         (
             "lower-bound-guarantee",
-            rep.lower_bound >= guaranteed * (1.0 - tol.rel_eps),
+            rep.within(guaranteed, math.inf, tol),
             {"lower_bound": rep.lower_bound, "guaranteed": guaranteed},
         )
     ]
@@ -153,8 +151,7 @@ def strongly_disjoint_sum(
 
 @dataclass(frozen=True)
 class DirectSumDuals:
-    """The glued dual pair, with the checks of the three hypotheses and of
-    the glued pairing."""
+    """The glued dual pair, with the check of the glued pairing."""
 
     gamma: GFrameFamily
     delta: GFrameFamily
@@ -174,29 +171,19 @@ def direct_sum_duals(
     a dual of ``phi`` (both on the second); additionally ``lam``/``phi`` and
     ``theta``/``psi`` must be strongly disjoint.  The glued families have
     blocks [lam_i | psi_i] and [theta_i | phi_i].  A failed hypothesis raises
-    PreconditionError; ``checks`` holds the three hypotheses with their
-    numbers, then the glued pairing.
+    PreconditionError, so ``checks`` holds only the conclusion: the glued
+    pairing, with its distance from the identity.
     """
-    first = dual_check("first-dual-pair", theta, lam, tol)
-    if not first[1]:
+    if not is_dual_pair(theta, lam, tol):
         raise PreconditionError("lam is not a dual of theta")
-    second = dual_check("second-dual-pair", psi, phi, tol)
-    if not second[1]:
+    if not is_dual_pair(psi, phi, tol):
         raise PreconditionError("psi is not a dual of phi")
-    lam_phi = require_relation(lam, phi, "strongly disjoint", tol, "lam and phi")
-    theta_psi = require_relation(theta, psi, "strongly disjoint", tol, "theta and psi")
-    cross = (
-        "cross-strong-disjointness",
-        True,  # require_relation raised otherwise
-        {
-            "first_cross_norm": lam_phi.cross_operator_norm,
-            "second_cross_norm": theta_psi.cross_operator_norm,
-        },
-    )
+    require_relation(lam, phi, "strongly disjoint", tol, "lam and phi")
+    require_relation(theta, psi, "strongly disjoint", tol, "theta and psi")
     gamma = gamma_family(lam, psi)
     delta = gamma_family(theta, phi)
     glued = dual_check("glued-dual-pair", gamma, delta, tol)
-    return DirectSumDuals(gamma=gamma, delta=delta, checks=(first, second, cross, glued))
+    return DirectSumDuals(gamma=gamma, delta=delta, checks=(glued,))
 
 
 @dataclass(frozen=True)
@@ -330,7 +317,8 @@ def random_gframe(seed: int, block_dims, domain_dim: int, weight_range=(0.5, 2.0
     It is almost surely a frame when the total codomain dimension reaches the
     domain dimension; otherwise no frame exists (raises GenerationError).
     """
-    dims = tuple(int(d) for d in block_dims)
+    dims = read_dims(block_dims, "block_dims", GenerationError)
+    domain_dim = read_dim(domain_dim, "domain_dim", GenerationError)
     if not dims or any(d < 1 for d in dims) or domain_dim < 1:
         raise GenerationError(f"invalid shape request: block_dims={dims}, domain_dim={domain_dim}")
     rng, space = _seeded_space(seed, len(dims), weight_range)
@@ -357,7 +345,9 @@ def random_strongly_disjoint_parseval_pair(
     fill the whole target space.  The QR orthonormalization fixes the signs of
     the triangular factor's diagonal so replays are bit-stable.
     """
-    dims = tuple(int(d) for d in block_dims)
+    dims = read_dims(block_dims, "block_dims", GenerationError)
+    dim_first = read_dim(dim_first, "dim_first", GenerationError)
+    dim_second = read_dim(dim_second, "dim_second", GenerationError)
     if any(d < 1 for d in dims):
         raise GenerationError(f"invalid shape request: block_dims={dims}")
     total = sum(dims)

@@ -195,7 +195,8 @@ def pair_equivalences(
     compares: disjoint iff Gamma is a frame; complementary iff Gamma is
     Riesz-type; strongly complementary iff strongly disjoint and Gamma
     Riesz-type; weakly disjoint iff Gamma has a trivial kernel; and strongly
-    disjoint => disjoint => weakly disjoint.
+    disjoint => disjoint (``hierarchy``, whose numbers also show weakly
+    disjoint, which is disjoint by :func:`_classify`).
     """
     report = classify(lam, theta, tol)
     gamma = gamma_family(lam, theta)
@@ -230,7 +231,7 @@ def pair_equivalences(
         ),
         (
             "hierarchy",
-            (not strong or disjoint) and (not disjoint or weak),
+            not strong or disjoint,
             {"strongly_disjoint": strong, "disjoint": disjoint, "weakly_disjoint": weak},
         ),
     )

@@ -243,10 +243,15 @@ def parse_document(text: str) -> FrameDocument:
     return FrameDocument(space=space, families=families)
 
 
-def _family_json(name: str, fam: GFrameFamily, space: MeasureSpace) -> str:
+def _family_json(name: str, fam: GFrameFamily, space: MeasureSpace, shared_dims) -> str:
     """One family as indented JSON, each block on one line."""
     if fam.space != space:
         raise ShapeError(f"family '{name}' lives over another measure space than the document")
+    if fam.block_dims != shared_dims:
+        raise ShapeError(
+            f"family '{name}' has block dims {list(fam.block_dims)}, not the first family's "
+            f"{list(shared_dims)}: families must share block dims"
+        )
     # one %s per number in a layout of nested arrays; repr is the shortest
     # text that reads back bit-exactly, as in json.dumps
     row = "[" + ", ".join(["[%s, %s]"] * fam.domain_dim) + "]"
@@ -264,10 +269,12 @@ def serialize_document(doc: FrameDocument) -> str:
     """The document as strict JSON, indented, with each block on one line.
 
     Raises ShapeError for a family over another measure space than the
-    document's, since the text would not read back as the document.
+    document's, or with other block dims than the first family's, since the
+    text would not read back as the document.
     """
+    shared_dims = next((fam.block_dims for fam in doc.families.values()), None)
     members = ",\n".join(
-        f"    {json.dumps(name)}: {_family_json(name, fam, doc.space)}"
+        f"    {json.dumps(name)}: {_family_json(name, fam, doc.space, shared_dims)}"
         for name, fam in doc.families.items()
     )
     families = f"{{\n{members}\n  }}" if members else "{}"

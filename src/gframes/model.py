@@ -18,6 +18,8 @@ the second. All adjoints are conjugate transposes under this convention.
 
 from __future__ import annotations
 
+import math
+import numbers
 import weakref
 from dataclasses import dataclass, field
 
@@ -38,6 +40,31 @@ def _as_block(values) -> np.ndarray:
     if arr.ndim > 2:
         raise ShapeError(f"operator block must be 2-D, got ndim={arr.ndim}")
     return arr if arr.ndim == 2 else arr.reshape(1, -1)
+
+
+def _shown(value) -> str:
+    """``value`` as a message shows it: a string quoted, a number as it prints."""
+    return repr(value) if isinstance(value, str) else str(value)
+
+
+def read_dim(value, name: str, error: type[Exception] = ShapeError) -> int:
+    """``value`` as an ``int`` under the package's one rule for dims: Python and numpy
+    integers and floats of integral value are read as ``int``; anything else (a
+    string, a bool, a non-integral number) raises ``error`` naming ``name`` and ``value``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):  # numpy bools are not Real
+        if isinstance(value, numbers.Integral) or (
+            math.isfinite(value) and float(value).is_integer()
+        ):
+            return int(value)
+    raise error(f"{name}: {_shown(value)} is not an integer")
+
+
+def read_dims(values, name: str, error: type[Exception] = ShapeError) -> tuple[int, ...]:
+    """``values`` as a tuple of ``int``, each entry read by :func:`read_dim`."""
+    dims = tuple(values)
+    if set(map(type, dims)) <= {int}:  # the common case, without a call per entry
+        return dims
+    return tuple(read_dim(value, name, error) for value in dims)
 
 
 def memoized(memo: dict, key, compute, *args):
@@ -174,7 +201,7 @@ class GFrameFamily:
         if len(blocks) != space.atom_count:
             found.append(f"blocks.length = {len(blocks)} != atom_count = {space.atom_count}")
         found += [
-            f"block {i} has {cols} columns, expected domain_dim = {domain_dim}"
+            f"block {i} has {cols} columns, expected domain_dim = {_shown(domain_dim)}"
             for i, (_, cols) in enumerate(shapes)
             if cols != domain_dim
         ]
@@ -190,7 +217,7 @@ class GFrameFamily:
         complex matrix, and becomes read-only.
         """
         rows = np.ascontiguousarray(rows, dtype=complex)
-        dims = tuple(map(int, block_dims))
+        dims = read_dims(block_dims, "block_dims")
         if rows.ndim != 2 or rows.shape[0] != sum(dims):
             raise ShapeError(
                 f"matrix has {rows.shape[0]} rows, expected total block dim {sum(dims)}"
@@ -294,7 +321,7 @@ class KHatVector:
         """Vector whose blocks, stacked in atom order, are the 1-D array
         ``data``; a complex array is adopted without a copy and becomes read-only."""
         data = np.asarray(data, dtype=complex)
-        dims = tuple(map(int, block_dims))
+        dims = read_dims(block_dims, "block_dims")
         if data.ndim != 1 or data.size != sum(dims):
             raise ShapeError(f"vector of shape {data.shape} != total block dim {sum(dims)}")
         vector = cls.__new__(cls)
@@ -303,7 +330,8 @@ class KHatVector:
 
     @classmethod
     def zeros(cls, block_dims) -> "KHatVector":
-        return cls.from_array(np.zeros(sum(map(int, block_dims)), dtype=complex), block_dims)
+        dims = read_dims(block_dims, "block_dims")
+        return cls.from_array(np.zeros(sum(dims), dtype=complex), dims)
 
     def _set(self, data, block_dims) -> None:
         object.__setattr__(self, "data", _freeze(data))
@@ -380,10 +408,11 @@ def analysis_matrix(fam: GFrameFamily) -> np.ndarray:
 def family_from_analysis_matrix(matrix: np.ndarray, space: MeasureSpace, block_dims) -> GFrameFamily:
     """Rebuild the family whose embedded analysis matrix is ``matrix``."""
     matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim == 2 and matrix.shape[0] == sum(block_dims):
-        matrix = matrix / np.sqrt(_row_weights(space, block_dims))[:, np.newaxis]
+    dims = read_dims(block_dims, "block_dims")
+    if matrix.ndim == 2 and matrix.shape[0] == sum(dims):
+        matrix = matrix / np.sqrt(_row_weights(space, dims))[:, np.newaxis]
     # any other shape is rejected by from_rows
-    return GFrameFamily.from_rows(space, matrix, block_dims)
+    return GFrameFamily.from_rows(space, matrix, dims)
 
 
 def apply_analysis(fam: GFrameFamily, h: np.ndarray) -> KHatVector:

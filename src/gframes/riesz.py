@@ -146,10 +146,6 @@ def mixed_construction(
     b_lam = frame_bounds(lam, tol).upper_bound
     b_theta = frame_bounds(theta, tol).upper_bound
     upper_cert = b_lam * operator_norm(l1) ** 2 + 2.0 + b_theta * operator_norm(l2) ** 2
-    sandwich_ok = (
-        report.lower_bound >= 2.0 * (1.0 - tol.rel_eps)
-        and report.upper_bound <= upper_cert * (1.0 + tol.rel_eps)
-    )
 
     riesz_report = riesz_check(combined, tol)
     # routes (ii) and (iii): the rank and the synthesis gain of one sigma(A)
@@ -164,7 +160,7 @@ def mixed_construction(
         lower_bound=report.lower_bound,
         upper_bound=report.upper_bound,
         upper_certificate=float(upper_cert),
-        sandwich_ok=sandwich_ok,
+        sandwich_ok=report.within(2.0, upper_cert, tol),
     )
 
 

@@ -259,16 +259,8 @@ _RECIPE_CASES = {
     "lift-example": (
         [LIFT_DOC, "lift-example", "f", "g"],
         ["lifted_lambda", "lifted_phi", "lifted_psi", "lifted_theta"],
-        [
-            ("first-dual-pair", True), ("second-dual-pair", True),
-            ("cross-strong-disjointness", True), ("glued-dual-pair", True),
-        ],
-        {
-            "first-dual-pair": {"identity_defect": 0.0},
-            "second-dual-pair": {"identity_defect": 0.0},
-            "cross-strong-disjointness": {"first_cross_norm": 0.0, "second_cross_norm": 0.0},
-            "glued-dual-pair": {"identity_defect": 0.0},
-        },
+        [("glued-dual-pair", True)],
+        {"glued-dual-pair": {"identity_defect": 0.0}},
     ),
 }
 

@@ -218,10 +218,8 @@ def test_direct_sum_duals_requires_strong_disjointness(identity_family, tol):
         )
 
 
-# the three hypotheses of direct_sum_duals and its glued pairing
-_GLUED_CHECKS = (
-    "first-dual-pair", "second-dual-pair", "cross-strong-disjointness", "glued-dual-pair"
-)
+# direct_sum_duals raises on a failed hypothesis, so its one check is the glued pairing
+_GLUED_CHECKS = ("glued-dual-pair",)
 
 
 def test_direct_sum_duals_on_orthogonal_split(tol):
@@ -356,6 +354,30 @@ def test_random_gframe_names_an_invalid_shape_request(block_dims, domain_dim, sh
     with pytest.raises(GenerationError) as err:
         random_gframe(1, block_dims, domain_dim)
     assert str(err.value) == f"invalid shape request: block_dims={shown}, domain_dim={domain_dim}"
+
+
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        (lambda: random_gframe(1, (1.5, 1), 1), "block_dims: 1.5 is not an integer"),
+        (lambda: random_gframe(1, (1, 1), "2"), "domain_dim: '2' is not an integer"),
+        (lambda: random_strongly_disjoint_parseval_pair(1, (1, 1, 2), 1.5, 1),
+         "dim_first: 1.5 is not an integer"),
+        (lambda: random_strongly_disjoint_parseval_pair(1, (1, 1, 2), 1, True),
+         "dim_second: True is not an integer"),
+    ],
+    ids=["block-float", "domain-str", "first-float", "second-bool"],
+)
+def test_generators_name_a_dim_that_is_not_an_integer(draw, message):
+    with pytest.raises(GenerationError) as err:
+        draw()
+    assert str(err.value) == message
+
+
+def test_generators_read_integral_float_dims_as_int():
+    assert random_gframe(1, (1, 1), 2.0) == random_gframe(1, (1, 1), 2)
+    floats = random_strongly_disjoint_parseval_pair(1, (1.0, 1, 2), 1.0, 1)
+    assert floats == random_strongly_disjoint_parseval_pair(1, (1, 1, 2), 1, 1)
 
 
 def test_random_pair_split_full_is_strongly_complementary(tol):

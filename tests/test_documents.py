@@ -222,6 +222,19 @@ def test_serialize_rejects_family_over_another_space():
         serialize_document(doc)
 
 
+def test_serialize_rejects_families_with_other_block_dims():
+    # the reader requires every family to share the first family's block dims
+    space = MeasureSpace([1.0, 1.0])
+    first = GFrameFamily.from_rows(space, np.eye(2), (1, 1))
+    other = GFrameFamily.from_rows(space, np.ones((3, 2)), (2, 1))
+    with pytest.raises(ShapeError) as err:
+        serialize_document(FrameDocument(space, {"a": first, "b": other}))
+    assert str(err.value) == (
+        "family 'b' has block dims [2, 1], not the first family's [1, 1]: "
+        "families must share block dims"
+    )
+
+
 # ---------------------------------------------------------------------------
 # The per-entry parser that whole-array parsing replaced, kept as the
 # reference for every fault's path and message.

@@ -87,6 +87,45 @@ def test_dims_are_read_off_the_rows(domain_dim, tol):
 @pytest.mark.parametrize(
     "build, message",
     [
+        (lambda: GFrameFamily.from_rows(MeasureSpace([1.0, 1.0]), np.eye(2), (1.5, 1.2)),
+         "block_dims: 1.5 is not an integer"),
+        (lambda: GFrameFamily.from_rows(MeasureSpace([1.0, 1.0]), np.eye(2), ("1", "1")),
+         "block_dims: '1' is not an integer"),
+        (lambda: KHatVector.from_array(np.zeros(2), (True, 1)),
+         "block_dims: True is not an integer"),
+        (lambda: KHatVector.zeros((1.5, 0.7)), "block_dims: 1.5 is not an integer"),
+        (lambda: family_from_analysis_matrix(np.eye(2), MeasureSpace([1.0, 1.0]), (1.5, 0.5)),
+         "block_dims: 1.5 is not an integer"),
+    ],
+    ids=["from_rows-float", "from_rows-str", "from_array-bool", "zeros-float", "analysis-float"],
+)
+def test_a_block_dim_that_is_not_an_integer_is_named(build, message):
+    with pytest.raises(ShapeError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_integral_block_dims_of_any_number_type_are_read_as_int():
+    fam = GFrameFamily.from_rows(MeasureSpace([1.0, 1.0]), np.eye(3), (np.int64(1), 2.0))
+    vector = KHatVector.zeros((np.float64(1.0), np.int32(2)))
+    for dims in (fam.block_dims, vector.block_dims):
+        assert dims == (1, 2) and all(type(d) is int for d in dims)
+
+
+@pytest.mark.parametrize(
+    "domain_dim, width, shown", [("2", 2, "'2'"), (2, 3, "2"), (np.int64(2), 3, "2")]
+)
+def test_a_width_violation_shows_the_domain_dim_as_given(domain_dim, width, shown):
+    with pytest.raises(FamilyValidationError) as err:
+        GFrameFamily(MeasureSpace([1.0]), domain_dim, ([list(range(1, width + 1))],))
+    assert err.value.violations == [
+        f"block 0 has {width} columns, expected domain_dim = {shown}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
         (lambda: GFrameFamily.from_rows(MeasureSpace([1.0, 1.0]), np.ones((3, 1)), (1, 1)),
          "matrix has 3 rows, expected total block dim 2"),
         (lambda: KHatVector.from_array(np.zeros(3), (1, 1)),

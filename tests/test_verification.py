@@ -15,6 +15,7 @@ from gframes import (
     PreconditionError,
     analysis,
     classify,
+    disjointness,
     frame_bounds,
     pair_equivalences,
     right_compose,
@@ -148,6 +149,31 @@ def test_a_tripled_pair_cross_block_breaks_the_pair_upper_bound(monkeypatch, tol
     report = run_suite(0, 10, tol)
     faults = {result.name: result.failures for result in report.results}["pair-bound-sandwich"]
     assert faults and all(f.endswith(": pair upper bound above sum-map estimate") for f in faults)
+
+
+def _always_true(*args, **kwargs):
+    return True
+
+
+# Planted faults and the one check of ``run_suite(0, 10)`` that each breaks: M3, a
+# Gram certificate that always passes; M9, a pair-family kernel that is always trivial.
+_PLANTED = {
+    "M3": (
+        [(analysis, "gram_certifies_full_column_rank"),
+         (disjointness, "gram_certifies_full_column_rank")],
+        "pair-bound-sandwich",
+    ),
+    "M9": ([(disjointness, "kernel_triviality")], "pair-riesz-equivalences"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_PLANTED))
+def test_a_planted_fault_fails_exactly_the_check_that_catches_it(fault, monkeypatch, tol):
+    targets, catcher = _PLANTED[fault]
+    for module, name in targets:
+        monkeypatch.setattr(module, name, _always_true)
+    report = run_suite(0, 10, tol)
+    assert [result.name for result in report.results if not result.passed] == [catcher]
 
 
 def test_verify_reports_every_check_under_a_tolerance_nothing_meets(capsys):
