@@ -22,11 +22,12 @@ from .model import (
     TolerancePolicy,
     _freeze,
     _row_weights,
-    analysis_matrix,
     memoized,
     require_same_domain,
     require_same_khat,
     right_compose,
+    row_chunks,
+    stacked_rows,
 )
 
 
@@ -69,9 +70,6 @@ class FrameReport:
 Check = tuple[str, bool, dict]
 
 
-# Row chunks of the streamed Gram products hold about this many bytes of complex rows.
-CHUNK_BYTES = 1 << 18
-
 # Folds the real (p, q, 4) products [xx, xy, yx, yy] of the streamed kernel into p x q
 # complex entries xx + yy + i(xy - yx).
 _FOLD = np.array([1.0, 1.0j, -1.0j, 1.0])
@@ -94,7 +92,7 @@ def frame_operator(fam: GFrameFamily) -> np.ndarray:
 
 def _frame_operator(fam: GFrameFamily) -> np.ndarray:
     op = require_finite(_gram(fam), "frame operator")
-    if op.diagonal().real.max() < np.finfo(float).tiny and fam.rows.any():
+    if op.diagonal().real.max() < np.finfo(float).tiny and any(p.any() for p in fam._parts):
         raise NumericalRangeError("frame operator underflows: entries or weights too small")
     return op
 
@@ -105,29 +103,35 @@ def _gram(fam: GFrameFamily) -> np.ndarray:
 
 
 def _raw_gram(fam: GFrameFamily) -> np.ndarray:
-    return _weighted_product(fam.rows, fam.rows, _row_weights(fam.space, fam.block_dims))
+    return _weighted_product(fam, fam)
 
 
-def _weighted_product(left: np.ndarray, right: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """left^H diag(weights) right for two row matrices of one row layout, read-only;
-    exactly Hermitian when ``right`` is ``left``.
+def _shape(fam: GFrameFamily) -> tuple[int, int]:
+    """The N x d shape of the analysis matrix, read off the dims: nothing is stacked."""
+    return fam.codomain_dim, fam.domain_dim
 
-    Streamed over row chunks of about CHUNK_BYTES, so no N-row temporary is
-    made.  The chunks' products are summed in real arithmetic over their
+
+def _weighted_product(left: GFrameFamily, right: GFrameFamily) -> np.ndarray:
+    """left.rows^H diag(w) right.rows for two families of one row layout, w the
+    row weights, read-only; exactly Hermitian when ``right`` is ``left``.
+
+    Streamed over ``row_chunks``, each read from the families' column parts,
+    so no N-row temporary is made and no parts are stacked beyond a chunk.
+    The chunks' products are summed in real arithmetic over their
     interleaved float views, and the 2p x 2q sum is folded into complex
     entries once.  Rounding stays within the bound that
     ``gram_certifies_full_column_rank`` allows for any summation order.
     """
-    step = max(1, CHUNK_BYTES // (16 * max(left.shape[1], right.shape[1])))
+    weights = _row_weights(left.space, left.block_dims)
     total = 0.0
-    for start in range(0, len(left), step):
-        rows = slice(start, start + step)
+    for rows in row_chunks(len(weights), max(left.domain_dim, right.domain_dim)):
+        chunk = stacked_rows(left._parts, rows)
         if right is left:  # a symmetric rank-k update of sqrt(w) * rows
-            part = (left[rows] * np.sqrt(weights[rows, np.newaxis])).view(float)
+            part = (chunk * np.sqrt(weights[rows, np.newaxis])).view(float)
             part = part.T @ part
         else:
-            weighted = right[rows] * weights[rows, np.newaxis]
-            part = left[rows].view(float).T @ weighted.view(float)
+            weighted = stacked_rows(right._parts, rows) * weights[rows, np.newaxis]
+            part = chunk.view(float).T @ weighted.view(float)
         total += part  # a new array on the first chunk, in place after
     p, q = total.shape[0] // 2, total.shape[1] // 2
     return _freeze(total.reshape(p, 2, q, 2).transpose(0, 2, 1, 3).reshape(p, q, 4) @ _FOLD)
@@ -140,8 +144,7 @@ def pair_memo(lam: GFrameFamily, theta: GFrameFamily) -> dict:
 
 
 def _cross(lam: GFrameFamily, theta: GFrameFamily) -> dict:
-    weights = _row_weights(lam.space, lam.block_dims)
-    return {"cross": _weighted_product(theta.rows, lam.rows, weights)}
+    return {"cross": _weighted_product(theta, lam)}
 
 
 def pair_gram(lam: GFrameFamily, theta: GFrameFamily, record: dict) -> np.ndarray:
@@ -177,10 +180,10 @@ def _frame_report(fam: GFrameFamily, tol: TolerancePolicy) -> FrameReport:
     evals = frame_eigenvalues(fam._memo, op)
     lower = float(evals[0])
     upper = float(evals[-1])
-    is_frame = gram_certifies_full_column_rank(lower, upper, fam.rows.shape, tol)
+    is_frame = gram_certifies_full_column_rank(lower, upper, _shape(fam), tol)
     if not is_frame:
         svals = analysis_singular_values(fam)
-        is_frame = rank_from_singular_values(svals, fam.rows.shape, tol) == fam.domain_dim
+        is_frame = rank_from_singular_values(svals, _shape(fam), tol) == fam.domain_dim
         if is_frame:
             lower = float(svals[-1]) ** 2
     is_tight = is_frame and (upper - lower) <= tol.rel_eps * upper
@@ -208,20 +211,34 @@ def require_frame(fam: GFrameFamily, tol: TolerancePolicy, which: str) -> FrameR
 
 
 def analysis_singular_values(fam: GFrameFamily) -> np.ndarray:
-    """Singular values of the analysis matrix in descending order (also those
-    of the synthesis matrix); read-only, and computed once per family object."""
+    """Singular values of the analysis matrix A in descending order (also those
+    of the synthesis matrix); read-only, and computed once per family object.
+
+    A is never formed beyond one row chunk (``row_chunks``), each read from the
+    family's column parts, so a pair family [A|B] is never stacked.  An A of
+    one chunk is decomposed directly.  A taller A is reduced to its R factor by
+    a tall-skinny QR streamed over the chunks (Demmel, Grigori, Hoemmen &
+    Langou, 2012): R is the R factor of [R; sqrt(w) * chunk], chunk after
+    chunk, and sigma(A) = sigma(R) (Golub & Van Loan, sec. 5.4).
+    """
     return memoized(fam._memo, "singular_values", _analysis_singular_values, fam)
 
 
 def _analysis_singular_values(fam: GFrameFamily) -> np.ndarray:
-    return _freeze(singular_values(analysis_matrix(fam)))
+    roots = np.sqrt(_row_weights(fam.space, fam.block_dims))[:, np.newaxis]
+    factor = None
+    for rows in row_chunks(fam.codomain_dim, fam.domain_dim):
+        chunk = stacked_rows(fam._parts, rows) * roots[rows]
+        # the first chunk is A itself when it is the only one
+        factor = chunk if factor is None else np.linalg.qr(np.vstack([factor, chunk]), mode="r")
+    return _freeze(singular_values(factor))
 
 
 def analysis_rank(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Numerical rank of A: the domain dim for a frame, else counted from σ(A)."""
     if frame_bounds(fam, tol).is_frame:
         return fam.domain_dim
-    return rank_from_singular_values(analysis_singular_values(fam), fam.rows.shape, tol)
+    return rank_from_singular_values(analysis_singular_values(fam), _shape(fam), tol)
 
 
 def synthesis_gain(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[float, bool]:
@@ -231,7 +248,7 @@ def synthesis_gain(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> tup
     if fam.codomain_dim > fam.domain_dim:
         return 0.0, False
     svals = analysis_singular_values(fam)
-    return float(svals[-1]), full_row_rank(svals, fam.rows.shape, tol)
+    return float(svals[-1]), full_row_rank(svals, _shape(fam), tol)
 
 
 def _frame_operator_power(fam: GFrameFamily, power: float, tol: TolerancePolicy) -> GFrameFamily:

@@ -4,7 +4,8 @@ Two families over the same weighted direct-sum target are compared through
 their embedded analysis ranges: strong disjointness by the cross operator,
 intersection dimensions by dim(U cap V) = rank A + rank B - rank [A|B], where a
 full rank is certified by Gram eigenvalues (for [A|B]: [[S_A, A^H B], [B^H A,
-S_B]]) and only an uncertified pair takes the SVD of [A|B].  The sum of two
+S_B]]) and only an uncertified pair counts sigma([A|B]), from the R factor
+streamed over both families' rows: [A|B] is never stacked.  The sum of two
 subspaces is closed in finite dimension, so "disjoint" and "weakly disjoint"
 coincide: both read the one rank [A|B] of the pair's record.
 ``pair_equivalences`` and ``normalized_pair`` state the theorems that tie the
@@ -116,13 +117,14 @@ def gamma_family(lam: GFrameFamily, theta: GFrameFamily) -> GFrameFamily:
     Domain coordinates are ordered first-family-first, matching the
     left-to-right reading of (h, k) -> lam_i h + theta_i k.  Its memo is the
     pair's record, whose Gram is its frame operator: [A|B]^H [A|B] is never formed.
+    It holds both families' rows as column parts, not the families, and stacks
+    them only when its ``rows`` are asked for.
     """
     require_same_khat(lam, theta)
     record = pair_memo(lam, theta)
     pair_gram(lam, theta, record)
-    # both halves passed their finiteness scans, so the stack is not scanned again
-    rows = np.hstack([lam.rows, theta.rows])
-    return GFrameFamily._from_valid_rows(lam.space, rows, lam.block_dims, record)
+    # both halves passed their finiteness scans, so the parts are not scanned again
+    return GFrameFamily._from_parts(lam.space, lam._parts + theta._parts, lam.block_dims, record)
 
 
 def delta_family(

@@ -32,14 +32,14 @@ from gframes import (
     riesz_criteria,
     synthesis_matrix,
 )
-from gframes import analysis
+from gframes import analysis, model
 from gframes._linalg import (
     gram_certifies_full_column_rank,
     rank_cutoff,
     rank_from_singular_values,
     singular_values,
 )
-from gframes.analysis import analysis_rank, synthesis_gain
+from gframes.analysis import analysis_rank, analysis_singular_values, synthesis_gain
 from gframes.verification import _random_frame
 
 
@@ -474,12 +474,12 @@ def _relative_error(actual, expected) -> float:
     return float(np.linalg.norm(actual - expected) / np.linalg.norm(expected))
 
 
-@pytest.mark.parametrize("chunk_bytes", [analysis.CHUNK_BYTES, 16 * 6 * 7])
+@pytest.mark.parametrize("chunk_bytes", [model.CHUNK_BYTES, 16 * 6 * 7])
 def test_streamed_gram_and_cross_match_the_dense_products(chunk_bytes, monkeypatch):
-    monkeypatch.setattr(analysis, "CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(model, "CHUNK_BYTES", chunk_bytes)
     lam, theta = _ragged_pair(np.random.default_rng(61), 3000, 6, 4)
     # more rows than one chunk of either family
-    assert lam.rows.shape[0] > analysis.CHUNK_BYTES // (16 * lam.domain_dim)
+    assert lam.rows.shape[0] > model.CHUNK_BYTES // (16 * lam.domain_dim)
     a, b = analysis_matrix(lam), analysis_matrix(theta)
     for fam, dense in ((lam, a), (theta, b)):
         gram = frame_operator(fam)
@@ -507,3 +507,49 @@ def test_bounds_and_classify_form_no_row_sized_temporary():
         tracemalloc.stop()
     # one N x d analysis matrix would be lam.rows.nbytes
     assert peak < lam.rows.nbytes / 4
+
+
+@pytest.mark.parametrize("factor", [None, 0.5, 2.0], ids=["shared-column", "0.5x", "2x"])
+def test_streamed_singular_values_match_the_dense_svd(factor, tol):
+    # a family of 12 columns over many row chunks and its column split (lam, theta):
+    # theta's first column is lam's fourth, or sigma_min is planted at a multiple
+    # of the rank cutoff; neither Gram can certify a full rank
+    rows, dim = 100_000, 12
+    rng = np.random.default_rng(73)
+    if factor is None:
+        planted = _planted_family(rng, rows, np.linspace(1.0, 0.5, dim))
+        stacked = planted.rows.copy()
+        stacked[:, 7] = stacked[:, 3]
+        fam = GFrameFamily.from_rows(planted.space, stacked, planted.block_dims)
+    else:
+        smallest = factor * rank_cutoff((rows, dim), 1.0, tol)
+        fam = _planted_family(rng, rows, np.append(np.linspace(1.0, 0.5, dim - 1), smallest))
+    lam, theta = (
+        GFrameFamily.from_rows(fam.space, np.ascontiguousarray(fam.rows[:, cols]), fam.block_dims)
+        for cols in (slice(0, 7), slice(7, None))
+    )
+    assert len(model.row_chunks(rows, dim)) > 50
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        streamed = analysis_singular_values(fam)
+        report = classify(lam, theta, tol)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    gamma = gamma_family(lam, theta)
+    # classify counted sigma([A|B]) into the record, the pair family's memo
+    assert "singular_values" in gamma._memo
+    stacked = np.hstack([analysis_matrix(lam), analysis_matrix(theta)])
+    expected_rank = dim if factor == 2.0 else dim - 1
+    for svals, dense in (
+        (streamed, singular_values(analysis_matrix(fam))),
+        (analysis_singular_values(gamma), singular_values(stacked)),
+    ):
+        assert np.abs(svals - dense).max() <= 1e-13 * dense[0]
+        ranks = {rank_from_singular_values(s, (rows, dim), tol) for s in (svals, dense)}
+        assert ranks == {expected_rank}
+    assert report.range_sum_dim == analysis_rank(fam, tol) == expected_rank
+    # the dense route would form one N x d analysis matrix: fam.rows.nbytes
+    assert peak < fam.rows.nbytes / 4

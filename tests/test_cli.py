@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -657,3 +658,36 @@ def test_json_reports_match_the_golden_outputs_byte_for_byte(expected, argv, cap
     assert run_command([*argv, "--format", "json"]) == 0
     with open(os.path.join(EXPECTED, expected), encoding="utf-8") as handle:
         assert capsys.readouterr().out == handle.read()
+
+
+GOLDEN_CONSTRUCTIONS = [
+    (
+        ["construct", "samples/pair.json", "gamma", "lam", "theta", "--format", "json",
+         "-o", "gamma.json"],
+        {"construct-gamma.json": None, "construct-gamma-document.json": "gamma.json"},
+    ),
+    (
+        ["construct", "samples/pair.json", "sum-strong", "lam", "ortho",
+         "--l1", "[[[3,0]]]", "--l2", "[[[4,0]]]", "-o", "sum.json"],
+        {"construct-sum-strong-document.json": "sum.json"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, goldens", GOLDEN_CONSTRUCTIONS, ids=[argv[2] for argv, _ in GOLDEN_CONSTRUCTIONS]
+)
+def test_constructions_match_the_golden_outputs_byte_for_byte(
+    argv, goldens, tmp_path, capsys, monkeypatch
+):
+    # the report echoes its argv and the output path, so both are named as from a
+    # directory holding samples/pair.json; None stands for the report itself
+    (tmp_path / "samples").mkdir()
+    shutil.copy(PAIR_DOC, tmp_path / "samples")
+    monkeypatch.chdir(tmp_path)
+    assert run_command(argv) == 0
+    report = capsys.readouterr().out
+    for expected, path in goldens.items():
+        actual = report if path is None else (tmp_path / path).read_text(encoding="utf-8")
+        with open(os.path.join(EXPECTED, expected), encoding="utf-8") as handle:
+            assert actual == handle.read(), expected

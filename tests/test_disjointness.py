@@ -4,6 +4,8 @@ import dataclasses
 import gc
 import itertools
 import os
+import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -25,6 +27,8 @@ from gframes import (
     gamma_family,
     kernel_triviality,
     load_document,
+    pair_equivalences,
+    riesz_check,
     strong_disjointness_converse_check,
 )
 from gframes import model, verification
@@ -324,3 +328,42 @@ def test_pair_family_range_errors_follow_its_own_frame_operator():
     assert frame_bounds(gamma_family(tiny, normal)).upper_bound == pytest.approx(2.0)
     with pytest.raises(NumericalRangeError, match="frame operator underflows"):
         frame_bounds(gamma_family(tiny, tiny))
+
+
+def test_a_tall_pair_family_is_stacked_only_when_its_rows_are_asked_for():
+    rng = np.random.default_rng(79)
+    atoms = 24_000
+    dims = tuple(int(d) for d in rng.integers(1, 5, atoms))
+    space = MeasureSpace(rng.uniform(0.5, 2.0, atoms))
+    lam, theta = (GFrameFamily.from_rows(space, _cgauss(rng, (sum(dims), d)), dims) for d in (6, 4))
+    gamma_bytes = lam.rows.nbytes + theta.rows.nbytes
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        gamma = gamma_family(lam, theta)
+        report = frame_bounds(gamma)
+        riesz = riesz_check(gamma)
+        relations, _, checks = pair_equivalences(lam, theta)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert report.is_frame and not riesz.is_riesz_type and relations.disjoint
+    assert all(passed for _, passed, _ in checks)
+    # the Gram certified every rank: no singular value was computed
+    assert "singular_values" not in gamma._memo
+    # one stacked copy of [A|B] would be gamma_bytes
+    assert peak < gamma_bytes / 4
+    assert (gamma.codomain_dim, gamma.domain_dim) == (sum(dims), 10)
+    stacked = np.hstack([lam.rows, theta.rows])
+    assert gamma.rows.tobytes() == stacked.tobytes() and gamma.rows.shape == stacked.shape
+    assert np.vstack(gamma.blocks).tobytes() == stacked.tobytes()
+    assert gamma == GFrameFamily.from_rows(space, stacked, dims)
+    copied = pickle.loads(pickle.dumps(gamma))
+    assert copied.rows.tobytes() == stacked.tobytes() and copied == gamma
+    # a product streamed from the parts, in their order: the pair family's cross operator
+    dense = analysis_matrix(gamma).conj().T @ analysis_matrix(lam)
+    assert np.linalg.norm(cross_operator(gamma, lam) - dense) <= 1e-13 * np.linalg.norm(dense)
+    # a pair family of a pair family reads the parts of both
+    nested = gamma_family(gamma, lam)
+    assert nested.rows.tobytes() == np.hstack([stacked, lam.rows]).tobytes()

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,8 +32,9 @@ from gframes import (
     synthesis_matrix,
     unembed,
 )
+from gframes import model
 from gframes._linalg import singular_values
-from gframes.model import require_same_khat
+from gframes.model import compose_sum, require_same_khat
 
 
 def test_tolerance_policy_rejects_bad_values():
@@ -533,3 +535,34 @@ def test_a_paired_family_pickles_without_its_memo():
         for copied in (pickle.loads(pickle.dumps(fam)), copy.deepcopy(fam)):
             assert copied == fam and not copied.rows.flags.writeable
             assert np.array_equal(frame_operator(copied), frame_operator(fam))
+
+
+@pytest.mark.parametrize("width", [5, 3, 9], ids=["square", "narrow", "wide"])
+@pytest.mark.parametrize("same", [False, True], ids=["pair", "lam-is-theta"])
+def test_compose_sum_adds_the_second_product_one_chunk_at_a_time(width, same):
+    rng = np.random.default_rng(83 + width)
+    atoms = 24_000
+    dims = tuple(int(d) for d in rng.integers(1, 5, atoms))
+    space = MeasureSpace(rng.uniform(0.5, 2.0, atoms))
+
+    def cgauss(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    lam = GFrameFamily.from_rows(space, cgauss((sum(dims), 5)), dims)
+    theta = lam if same else GFrameFamily.from_rows(space, cgauss((sum(dims), 5)), dims)
+    # L2 as an adjoint view, the layout the adjoint rule hands over
+    l1, l2 = cgauss((5, width)), cgauss((width, 5)).conj().T
+    expected = lam.rows @ l1 + theta.rows @ l2
+    assert len(model.row_chunks(sum(dims), max(5, width))) > 10
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        composed = compose_sum(lam, theta, l1, l2)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert composed.rows.tobytes() == expected.tobytes()
+    assert composed.rows.shape == expected.shape and composed.block_dims == dims
+    # the result plus one chunk of the second product, not a second N-row array
+    assert peak < composed.rows.nbytes + 1.1 * model.CHUNK_BYTES
