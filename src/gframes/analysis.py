@@ -22,12 +22,12 @@ from .model import (
     TolerancePolicy,
     _freeze,
     _row_weights,
+    chunk_rows,
     memoized,
     require_same_domain,
     require_same_khat,
     right_compose,
     row_chunks,
-    stacked_rows,
 )
 
 
@@ -39,11 +39,11 @@ class FrameReport:
     matrix A has full column rank under the singular-value cutoff
     (``rank_cutoff``), certified from the frame operator's extreme
     eigenvalues when they can, else counted from sigma(A).  ``lower_bound``
-    and ``upper_bound`` are the optimal frame bounds: those eigenvalues,
-    except that an uncertified frame takes sigma_min(A)^2 as its lower bound,
-    keeping the digits that squaring A loses.  ``is_tight`` holds when the
-    bounds agree relatively, ``is_parseval`` when additionally the common
-    bound is 1.  ``frame_operator`` is read-only.
+    and ``upper_bound`` are the optimal frame bounds: those eigenvalues, but
+    when they certify no rank the lower bound is sigma_d(A)^2 (0 for N < d
+    rows), which keeps the digits that squaring A loses and is never negative.
+    ``is_tight`` holds when the bounds agree relatively, ``is_parseval`` when
+    additionally the common bound is 1.  ``frame_operator`` is read-only.
     """
 
     frame_operator: np.ndarray
@@ -92,18 +92,14 @@ def frame_operator(fam: GFrameFamily) -> np.ndarray:
 
 def _frame_operator(fam: GFrameFamily) -> np.ndarray:
     op = require_finite(_gram(fam), "frame operator")
-    if op.diagonal().real.max() < np.finfo(float).tiny and any(p.any() for p in fam._parts):
+    if op.diagonal().real.max() < np.finfo(float).tiny and not fam.is_zero():
         raise NumericalRangeError("frame operator underflows: entries or weights too small")
     return op
 
 
 def _gram(fam: GFrameFamily) -> np.ndarray:
     """A^H A as computed, before any range check; read-only, once per family."""
-    return memoized(fam._memo, "gram", _raw_gram, fam)
-
-
-def _raw_gram(fam: GFrameFamily) -> np.ndarray:
-    return _weighted_product(fam, fam)
+    return memoized(fam._memo, "gram", _weighted_product, fam, fam)
 
 
 def _shape(fam: GFrameFamily) -> tuple[int, int]:
@@ -115,22 +111,22 @@ def _weighted_product(left: GFrameFamily, right: GFrameFamily) -> np.ndarray:
     """left.rows^H diag(w) right.rows for two families of one row layout, w the
     row weights, read-only; exactly Hermitian when ``right`` is ``left``.
 
-    Streamed over ``row_chunks``, each read from the families' column parts,
-    so no N-row temporary is made and no parts are stacked beyond a chunk.
+    Streamed over ``row_chunks``, each read by ``chunk_rows``, so no N-row
+    temporary is made and no column parts are stacked beyond a chunk.
     The chunks' products are summed in real arithmetic over their
     interleaved float views, and the 2p x 2q sum is folded into complex
-    entries once.  Rounding stays within the bound that
-    ``gram_certifies_full_column_rank`` allows for any summation order.
+    entries once.  Rounding stays within the bound that the Gram rank
+    certificate allows for any summation order.
     """
     weights = _row_weights(left.space, left.block_dims)
     total = 0.0
     for rows in row_chunks(len(weights), max(left.domain_dim, right.domain_dim)):
-        chunk = stacked_rows(left._parts, rows)
+        chunk = chunk_rows(left, rows)
         if right is left:  # a symmetric rank-k update of sqrt(w) * rows
             part = (chunk * np.sqrt(weights[rows, np.newaxis])).view(float)
             part = part.T @ part
         else:
-            weighted = stacked_rows(right._parts, rows) * weights[rows, np.newaxis]
+            weighted = chunk_rows(right, rows) * weights[rows, np.newaxis]
             part = chunk.view(float).T @ weighted.view(float)
         total += part  # a new array on the first chunk, in place after
     p, q = total.shape[0] // 2, total.shape[1] // 2
@@ -139,7 +135,7 @@ def _weighted_product(left: GFrameFamily, right: GFrameFamily) -> np.ndarray:
 
 def pair_memo(lam: GFrameFamily, theta: GFrameFamily) -> dict:
     """The pair's record, kept in ``lam``'s memo while ``theta`` lives: first the cross
-    operator C = B^H A, then ``classify``'s data; the pair family takes it as its memo."""
+    operator C = B^H A, then ``classify``'s reports; the pair family takes it as its memo."""
     return lam._pair_memo(theta, _cross)
 
 
@@ -147,23 +143,14 @@ def _cross(lam: GFrameFamily, theta: GFrameFamily) -> dict:
     return {"cross": _weighted_product(theta, lam)}
 
 
-def pair_gram(lam: GFrameFamily, theta: GFrameFamily, record: dict) -> np.ndarray:
-    """The pair family's Gram G = [[S_lam, C^H], [C, S_theta]], before any range check."""
-    return memoized(record, "gram", _pair_gram, lam, theta, record["cross"])
-
-
 def _pair_gram(lam: GFrameFamily, theta: GFrameFamily, cross: np.ndarray) -> np.ndarray:
-    """Exactly Hermitian, as its diagonal blocks are: [A|B]^H [A|B] is never formed."""
+    """The pair family's Gram G = [[S_lam, C^H], [C, S_theta]] before any range
+    check; exactly Hermitian, as its diagonal blocks are: [A|B]^H [A|B] is never formed."""
     d = lam.domain_dim
     gram = np.empty((d + theta.domain_dim,) * 2, dtype=complex)
     gram[:d, :d], gram[d:, d:] = _gram(lam), _gram(theta)
     gram[d:, :d], gram[:d, d:] = cross, cross.conj().T
     return _freeze(gram)
-
-
-def frame_eigenvalues(memo: dict, op: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of ``op``, the frame operator of the family with ``memo``; once."""
-    return memoized(memo, "eigenvalues", lambda: _freeze(np.linalg.eigvalsh(op)))
 
 
 def frame_bounds(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> FrameReport:
@@ -177,15 +164,14 @@ def frame_bounds(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> Frame
 
 def _frame_report(fam: GFrameFamily, tol: TolerancePolicy) -> FrameReport:
     op = frame_operator(fam)
-    evals = frame_eigenvalues(fam._memo, op)
+    evals = memoized(fam._memo, "eigenvalues", lambda: _freeze(np.linalg.eigvalsh(op)))
     lower = float(evals[0])
     upper = float(evals[-1])
     is_frame = gram_certifies_full_column_rank(lower, upper, _shape(fam), tol)
     if not is_frame:
         svals = analysis_singular_values(fam)
         is_frame = rank_from_singular_values(svals, _shape(fam), tol) == fam.domain_dim
-        if is_frame:
-            lower = float(svals[-1]) ** 2
+        lower = float(svals[-1]) ** 2 if fam.codomain_dim >= fam.domain_dim else 0.0
     is_tight = is_frame and (upper - lower) <= tol.rel_eps * upper
     is_parseval = (
         is_tight
@@ -228,7 +214,7 @@ def _analysis_singular_values(fam: GFrameFamily) -> np.ndarray:
     roots = np.sqrt(_row_weights(fam.space, fam.block_dims))[:, np.newaxis]
     factor = None
     for rows in row_chunks(fam.codomain_dim, fam.domain_dim):
-        chunk = stacked_rows(fam._parts, rows) * roots[rows]
+        chunk = chunk_rows(fam, rows) * roots[rows]
         # the first chunk is A itself when it is the only one
         factor = chunk if factor is None else np.linalg.qr(np.vstack([factor, chunk]), mode="r")
     return _freeze(singular_values(factor))

@@ -296,6 +296,15 @@ def _orthonormal_columns(raw: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[np.newaxis, :]
 
 
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max  # numpy refuses a larger array before allocating
+
+
+def _require_array_size(rows: int, cols: int) -> None:
+    """GenerationError for a rows x cols complex array that numpy refuses to make."""
+    if rows * cols * 16 > _MAX_ARRAY_BYTES:
+        raise GenerationError(f"requested {rows} x {cols} complex matrix is too large")
+
+
 def _seeded_space(seed: int, atoms: int, weight_range):
     """The generator for ``seed`` and a measure space drawn from it, weights
     uniform in ``weight_range``; GenerationError for a negative seed or a
@@ -327,6 +336,7 @@ def random_gframe(seed: int, block_dims, domain_dim: int, weight_range=(0.5, 2.0
         raise GenerationError(
             f"total codomain dimension {total} < domain dimension {domain_dim}: no frame exists"
         )
+    _require_array_size(total, domain_dim)
     blocks = tuple(_complex_gaussian(rng, (d, domain_dim)) for d in dims)
     return GFrameFamily(space=space, domain_dim=domain_dim, blocks=blocks)
 
@@ -355,6 +365,7 @@ def random_strongly_disjoint_parseval_pair(
         raise GenerationError(
             f"need 1 <= dim_first, dim_second with sum <= {total}, got {dim_first} + {dim_second}"
         )
+    _require_array_size(total, dim_first + dim_second)
     rng, space = _seeded_space(seed, len(dims), weight_range)
     raw = _complex_gaussian(rng, (total, dim_first + dim_second))
     q = _orthonormal_columns(raw)

@@ -2,12 +2,12 @@
 
 Two families over the same weighted direct-sum target are compared through
 their embedded analysis ranges: strong disjointness by the cross operator,
-intersection dimensions by dim(U cap V) = rank A + rank B - rank [A|B], where a
-full rank is certified by Gram eigenvalues (for [A|B]: [[S_A, A^H B], [B^H A,
-S_B]]) and only an uncertified pair counts sigma([A|B]), from the R factor
-streamed over both families' rows: [A|B] is never stacked.  The sum of two
-subspaces is closed in finite dimension, so "disjoint" and "weakly disjoint"
-coincide: both read the one rank [A|B] of the pair's record.
+intersection dimensions by dim(U cap V) = rank A + rank B - rank [A|B].  The
+pair family Gamma has analysis matrix [A|B], so rank [A|B] is its
+``analysis_rank``: the frame verdict of ``frame_bounds(Gamma)`` decides a full
+rank, and only a pair that is no frame counts sigma([A|B]).  [A|B] is never
+stacked.  The sum of two subspaces is closed in finite dimension, so
+"disjoint" and "weakly disjoint" coincide: both read the one rank [A|B].
 ``pair_equivalences`` and ``normalized_pair`` state the theorems that tie the
 relations to the pair family, once, for the CLI and the ``verify`` suite alike.
 """
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import full_row_rank, gram_certifies_full_column_rank, operator_norm, singular_values
-from .analysis import Check, analysis_rank, frame_bounds, frame_eigenvalues, pair_gram, pair_memo
+from ._linalg import full_row_rank, operator_norm, singular_values
+from .analysis import Check, _pair_gram, analysis_rank, frame_bounds, pair_memo
 from .analysis import parseval_normalize, require_frame
 from .errors import PreconditionError
 from .model import (
@@ -60,9 +60,8 @@ def classify(
     require_same_khat(lam, theta)
     require_frame(lam, tol, "first family")
     require_frame(theta, tol, "second family")
-    record = pair_memo(lam, theta)
     key = ("classify", tol.rel_eps, tol.rank_eps_factor)
-    return memoized(record, key, _classify, lam, theta, record, tol)
+    return memoized(pair_memo(lam, theta), key, _classify, lam, theta, tol)
 
 
 def require_relation(
@@ -76,22 +75,19 @@ def require_relation(
     return report
 
 
-def _classify(lam, theta, record: dict, tol: TolerancePolicy) -> DisjointnessReport:
+def _classify(lam, theta, tol: TolerancePolicy) -> DisjointnessReport:
     """The report, with ``weakly_disjoint`` set to ``disjoint``: in finite
     dimension the range sum is closed, so a trivial kernel of the pair map and a
     trivial range intersection are the same rank statement, rank [A|B] = d1 + d2."""
     khat_dim = lam.codomain_dim
-    cross_norm = operator_norm(record["cross"])
+    cross_norm = operator_norm(pair_memo(lam, theta)["cross"])
     bessel = np.sqrt(frame_bounds(lam, tol).upper_bound * frame_bounds(theta, tol).upper_bound)
     strongly = bool(cross_norm <= tol.rel_eps * bessel)
 
     # both are frames, so rank A + rank B is the pair's domain dim
     pair_dim = lam.domain_dim + theta.domain_dim
-    # G is the pair family's frame operator: its eigenvalues are that family's
-    evals = frame_eigenvalues(record, pair_gram(lam, theta, record))
-    certified = gram_certifies_full_column_rank(evals[0], evals[-1], (khat_dim, pair_dim), tol)
-    # else the pair family counts sigma([A|B]) and keeps it in the record
-    rank_ab = pair_dim if certified else analysis_rank(gamma_family(lam, theta), tol)
+    # [A|B] is the pair family's analysis matrix: its frame verdict decides a full rank
+    rank_ab = analysis_rank(gamma_family(lam, theta), tol)
     intersection = pair_dim - rank_ab
 
     disjoint = intersection == 0
@@ -116,15 +112,15 @@ def gamma_family(lam: GFrameFamily, theta: GFrameFamily) -> GFrameFamily:
 
     Domain coordinates are ordered first-family-first, matching the
     left-to-right reading of (h, k) -> lam_i h + theta_i k.  Its memo is the
-    pair's record, whose Gram is its frame operator: [A|B]^H [A|B] is never formed.
-    It holds both families' rows as column parts, not the families, and stacks
-    them only when its ``rows`` are asked for.
+    pair's record, whose Gram [[S_lam, C^H], [C, S_theta]] is its frame
+    operator: [A|B]^H [A|B] is never formed.  It holds both families' rows as
+    column parts, not the families, and stacks them only when its ``rows`` are
+    asked for.
     """
     require_same_khat(lam, theta)
     record = pair_memo(lam, theta)
-    pair_gram(lam, theta, record)
-    # both halves passed their finiteness scans, so the parts are not scanned again
-    return GFrameFamily._from_parts(lam.space, lam._parts + theta._parts, lam.block_dims, record)
+    memoized(record, "gram", _pair_gram, lam, theta, record["cross"])
+    return GFrameFamily.side_by_side(lam, theta, record)
 
 
 def delta_family(

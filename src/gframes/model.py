@@ -88,9 +88,10 @@ def row_chunks(count: int, width: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def stacked_rows(parts: tuple, rows: slice) -> np.ndarray:
-    """Rows ``rows`` of the matrix whose column parts are ``parts``: a view of a
-    lone part, else a copy of only those rows, the parts side by side."""
+def chunk_rows(fam: "GFrameFamily", rows: slice) -> np.ndarray:
+    """Rows ``rows`` of ``fam.rows``, read from the family's column parts: a view
+    of a lone part, else a copy of only those rows, the parts side by side."""
+    parts = fam._parts
     return parts[0][rows] if len(parts) == 1 else np.hstack([part[rows] for part in parts])
 
 
@@ -196,8 +197,8 @@ class GFrameFamily:
     [lam_i | theta_i] keeps its parents' read-only row arrays side by side,
     and stacks them into ``rows`` only on first access (``blocks``, ``==``,
     pickling, documents, composition), keeping that copy outside the memo.
-    The streamed products and singular values read the parts a row chunk at a
-    time, so they never stack them.
+    Only this module reads the parts: other modules read a row chunk at a time
+    through :func:`chunk_rows`, so the streamed products never stack them.
     Well-formed 2-D blocks as wide as the constructor's ``domain_dim`` are
     stacked in one call; any other input takes the block-by-block route,
     which also reads a 0-D or 1-D block as one row.  The
@@ -262,12 +263,12 @@ class GFrameFamily:
         return family
 
     @classmethod
-    def _from_parts(cls, space, parts: tuple, block_dims, memo: dict) -> "GFrameFamily":
-        """Family whose rows are the column parts ``parts`` side by side, each the
-        read-only rows of a valid family over ``space`` and ``block_dims``, with
-        ``memo`` as its memo: nothing is scanned again, and nothing is stacked."""
+    def side_by_side(cls, first, second, memo: dict) -> "GFrameFamily":
+        """Family with blocks [first_i | second_i] (``second`` shares ``first``'s space
+        and block dims) and ``memo`` as its memo.  It holds both families' rows as
+        column parts: nothing is scanned again, nor stacked before ``rows``."""
         family = cls.__new__(cls)
-        family._adopt(space, block_dims, parts, memo)
+        family._adopt(first.space, first.block_dims, first._parts + second._parts, memo)
         return family
 
     def _set(self, space, block_dims, rows) -> None:
@@ -328,6 +329,10 @@ class GFrameFamily:
     @property
     def atom_count(self) -> int:
         return self.space.atom_count
+
+    def is_zero(self) -> bool:
+        """Whether every block entry is zero."""
+        return not any(part.any() for part in self._parts)
 
     @property
     def codomain_dim(self) -> int:

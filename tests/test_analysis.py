@@ -71,9 +71,24 @@ def test_frame_bounds_parseval(identity_family, tol):
 def test_frame_bounds_rank_deficient(tol):
     fam = GFrameFamily(space=MeasureSpace([1.0]), domain_dim=2, blocks=([[1.0, 1.0]],))
     rep = frame_bounds(fam, tol)
-    assert rep.lower_bound == pytest.approx(0.0, abs=1e-12)
+    assert rep.lower_bound == 0.0  # fewer rows than columns
     assert rep.upper_bound == pytest.approx(2.0)
     assert not rep.is_frame
+
+
+def test_a_non_frame_lower_bound_comes_from_the_singular_values(tol):
+    """A rank-one family is no frame, and its smallest Gram eigenvalue rounds to
+    either side of 0: the lower bound is sigma_d(A)^2 (0 below d rows), never negative."""
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        rows, domain_dim = int(rng.integers(3, 8)), int(rng.integers(2, 5))
+        vectors = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in (rows, domain_dim)]
+        space = MeasureSpace(rng.uniform(0.5, 2.0, rows))
+        fam = GFrameFamily.from_rows(space, np.outer(*vectors), (1,) * rows)
+        rep = frame_bounds(fam, tol)
+        svals = singular_values(analysis_matrix(fam))
+        assert not rep.is_frame
+        assert rep.lower_bound == (svals[-1] ** 2 if rows >= domain_dim else 0.0)
 
 
 def test_canonical_dual_scalar_pair(theta_family, tol):

@@ -517,6 +517,24 @@ def test_generated_non_frame_is_a_failed_check(tmp_path, capsys):
     assert load_document(str(out_path)).families["frame"].domain_dim == 3
 
 
+@pytest.mark.parametrize("size", ["99999999999999999999", "9223372036854775807"])
+@pytest.mark.parametrize(
+    "kind",
+    [
+        ["frame", "--domain-dim", "1"],
+        ["strongly-disjoint-pair", "--dim-first", "1", "--dim-second", "1"],
+    ],
+    ids=["frame", "pair"],
+)
+def test_an_oversized_generate_request_is_a_usage_error(size, kind, tmp_path, capsys):
+    # numpy rejects each of these sizes before it allocates anything
+    argv = ["generate", "--kind", *kind, "--block-dims", size, "-o", str(tmp_path / "x.json")]
+    assert run_command(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: requested ") and err.count("\n") == 1
+    assert size in err and not (tmp_path / "x.json").exists()
+
+
 def test_every_package_error_is_a_usage_error(monkeypatch, capsys):
     class NewFault(GFrameError):
         pass

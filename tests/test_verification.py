@@ -6,19 +6,23 @@ its case instead of ending the suite.
 """
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from gframes import (
+    DEFAULT_TOL,
     PreconditionError,
     analysis,
     classify,
     disjointness,
     frame_bounds,
     pair_equivalences,
+    riesz,
     right_compose,
+    verification,
 )
 from gframes._linalg import singular_values
 from gframes.cli import run_command
@@ -34,6 +38,8 @@ from gframes.verification import (
     _random_strongly_disjoint,
     run_suite,
 )
+
+import test_disjointness
 
 DRAWS = 300
 
@@ -126,54 +132,124 @@ def test_a_check_that_raises_fails_its_case_and_the_suite_goes_on(tol):
     assert faults == expected and any(draws % 2)
 
 
-def test_a_zero_cross_operator_is_reported_by_the_checks_it_breaks(monkeypatch, tol):
-    """Planted fault: every pair's cross operator reads 0."""
+def _failed(tol) -> dict:
+    """The failure lines of each failing check of ``run_suite(0, 10)``."""
+    report = run_suite(0, 10, tol)
+    assert len(report.results) == 24
+    return {result.name: result.failures for result in report.results if not result.passed}
 
-    def zero_cross(lam, theta):
-        return {"cross": np.zeros((theta.domain_dim, lam.domain_dim), dtype=complex)}
 
-    monkeypatch.setattr(analysis, "_cross", zero_cross)
-    report = run_suite(0, 5, tol)
-    failed = {result.name: result.failures for result in report.results if not result.passed}
-    assert len(report.results) == 24 and "mixed-construction" in failed
+def _fails_exactly(*names):
+    """Catcher: ``run_suite(0, 10)`` fails exactly the checks ``names``."""
+
+    def catch(tol):
+        assert sorted(_failed(tol)) == sorted(names)
+
+    return catch
+
+
+def _raises_in_mixed_construction(tol):
+    failed = _failed(tol)
+    assert "mixed-construction" in failed
     assert any(": raised PreconditionError: " in line for line in failed["mixed-construction"])
 
 
-def test_a_tripled_pair_cross_block_breaks_the_pair_upper_bound(monkeypatch, tol):
-    """Planted fault: the pair family's Gram carries 3C for its cross block C.  Its
-    upper bound is checked on every pair, not only on disjoint ones."""
-    original = analysis._pair_gram
-    monkeypatch.setattr(
-        analysis, "_pair_gram", lambda lam, theta, cross: original(lam, theta, 3 * cross)
-    )
-    report = run_suite(0, 10, tol)
-    faults = {result.name: result.failures for result in report.results}["pair-bound-sandwich"]
+def _breaks_the_pair_upper_bound(tol):
+    """The pair family's upper bound is checked on every pair, not only on disjoint ones."""
+    faults = _failed(tol).get("pair-bound-sandwich")
     assert faults and all(f.endswith(": pair upper bound above sum-map estimate") for f in faults)
+
+
+def _fails_the_conjugate_cross_block_test(tol):
+    """``verify`` misses a transposed cross block; one fixture-free test does not."""
+    with pytest.raises(AssertionError):
+        test_disjointness.test_pair_family_gram_holds_the_conjugate_cross_block()
 
 
 def _always_true(*args, **kwargs):
     return True
 
 
-# Planted faults and the one check of ``run_suite(0, 10)`` that each breaks: M3, a
-# Gram certificate that always passes; M9, a pair-family kernel that is always trivial.
+def _zero_cross(lam, theta):
+    return {"cross": np.zeros((theta.domain_dim, lam.domain_dim), dtype=complex)}
+
+
+_PAIR_GRAM = analysis._pair_gram
+
+
+def _tripled_cross(lam, theta, cross):
+    return _PAIR_GRAM(lam, theta, 3 * cross)
+
+
+def _transposed_cross(lam, theta, cross):
+    gram = np.array(_PAIR_GRAM(lam, theta, cross))
+    d = lam.domain_dim
+    gram[:d, d:] = cross.T
+    return gram
+
+
+def _riesz_verdict(value):
+    """Patches forcing ``riesz_check``'s verdict to ``value`` where each module binds it."""
+    original = riesz.riesz_check
+
+    def forced(fam, tol=DEFAULT_TOL):
+        return dataclasses.replace(original(fam, tol), is_riesz_type=value)
+
+    return [(module, "riesz_check", forced) for module in (riesz, disjointness, verification)]
+
+
+def _always_onto(fam, tol=DEFAULT_TOL):
+    return analysis.synthesis_gain(fam, tol)[0], True
+
+
+# Planted faults (mutation analysis: DeMillo, Lipton & Sayward, 1978): the
+# (module, name, value) patches that plant each, and the catcher that notices it.
+# M3: the Gram certificate always passes; M5: C^T in the pair Gram where C^H belongs;
+# M9: the pair family's kernel is always trivial.
 _PLANTED = {
     "M3": (
-        [(analysis, "gram_certifies_full_column_rank"),
-         (disjointness, "gram_certifies_full_column_rank")],
-        "pair-bound-sandwich",
+        [(analysis, "gram_certifies_full_column_rank", _always_true)],
+        _fails_exactly("pair-bound-sandwich"),
     ),
-    "M9": ([(disjointness, "kernel_triviality")], "pair-riesz-equivalences"),
+    "M5": (
+        [(disjointness, "_pair_gram", _transposed_cross)],
+        _fails_the_conjugate_cross_block_test,
+    ),
+    "M9": (
+        [(disjointness, "kernel_triviality", _always_true)],
+        _fails_exactly("pair-riesz-equivalences"),
+    ),
+    "riesz-verdict-true": (
+        _riesz_verdict(True),
+        _fails_exactly("mixed-construction", "pair-riesz-equivalences", "riesz-criteria-agree"),
+    ),
+    "riesz-verdict-false": (
+        _riesz_verdict(False),
+        _fails_exactly(
+            "mixed-construction",
+            "pair-riesz-equivalences",
+            "riesz-criteria-agree",
+            "synthesis-kernel",
+        ),
+    ),
+    "synthesis-always-onto": (
+        [(riesz, "synthesis_gain", _always_onto)],
+        _fails_exactly("mixed-construction", "riesz-criteria-agree"),
+    ),
+    "tripled-pair-cross-block": (
+        [(disjointness, "_pair_gram", _tripled_cross)],
+        _breaks_the_pair_upper_bound,
+    ),
+    "zero-cross-operator": ([(analysis, "_cross", _zero_cross)], _raises_in_mixed_construction),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(_PLANTED))
-def test_a_planted_fault_fails_exactly_the_check_that_catches_it(fault, monkeypatch, tol):
-    targets, catcher = _PLANTED[fault]
-    for module, name in targets:
-        monkeypatch.setattr(module, name, _always_true)
-    report = run_suite(0, 10, tol)
-    assert [result.name for result in report.results if not result.passed] == [catcher]
+def test_a_planted_fault_is_caught_by_its_catcher(fault, monkeypatch, tol):
+    patches, catcher = _PLANTED[fault]
+    for module, name, value in patches:
+        monkeypatch.setattr(module, name, value)
+    catcher(tol)
 
 
 def test_verify_reports_every_check_under_a_tolerance_nothing_meets(capsys):
