@@ -10,7 +10,9 @@ package happens in those embedded coordinates.
 A family stores its blocks stacked in atom order as one N x d row matrix, and
 a vector of the direct sum its blocks as one length-N array in the same row
 layout, so every operation is a single matrix or vector product rather than a
-loop over atoms.
+loop over atoms.  A family built from others (a pair family, a composition
+taller than one row chunk) holds their parts instead, and the streamed
+products read its rows a chunk at a time through :func:`chunk_rows`.
 
 Inner product convention: linear in the FIRST argument, conjugate-linear in
 the second. All adjoints are conjugate transposes under this convention.
@@ -81,18 +83,66 @@ def memoized(memo: dict, key, compute, *args):
 CHUNK_BYTES = 1 << 18
 
 
+def _chunk_step(width: int) -> int:
+    """Rows per chunk of a ``width``-column complex matrix: about CHUNK_BYTES, at least one."""
+    return max(1, CHUNK_BYTES // (16 * width))
+
+
 def row_chunks(count: int, width: int) -> list[slice]:
     """Consecutive slices covering ``count`` rows of a ``width``-column complex
     matrix, each about CHUNK_BYTES of it and at least one row."""
-    step = max(1, CHUNK_BYTES // (16 * width))
+    step = _chunk_step(width)
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def chunk_rows(fam: "GFrameFamily", rows: slice) -> np.ndarray:
-    """Rows ``rows`` of ``fam.rows``, read from the family's column parts: a view
-    of a lone part, else a copy of only those rows, the parts side by side."""
-    parts = fam._parts
+    """Rows ``rows`` of ``fam.rows``, read from what the family holds: a view of
+    its stacked rows once made, else its column parts side by side, each a
+    stored row array or a product computed for those rows alone
+    (:class:`_Product`).  This is the one chunk source of the streamed
+    products: it needs no stored rows, and makes none."""
+    return _part_rows(_held_parts(fam), rows)
+
+
+def _part_rows(parts: tuple, rows: slice) -> np.ndarray:
     return parts[0][rows] if len(parts) == 1 else np.hstack([part[rows] for part in parts])
+
+
+def _held_parts(fam: "GFrameFamily") -> tuple:
+    """What ``fam``'s rows are read from, and what a family built from it holds:
+    ``fam``'s stacked rows once made, else its own parts, never ``fam`` itself."""
+    return fam._parts if fam._rows is None else (fam._rows,)
+
+
+class _Product:
+    """A column part held as the sum of ``source @ operator`` over its ``terms``,
+    each source given by its column parts, and computed a row chunk at a time.
+
+    ``shape`` is the part's N x m shape and ``bound`` bounds the 2-norm of each
+    of its rows (inf when none is known).  Every row comes out with the bits of
+    the N-row product: a one-row chunk would take numpy's vector path instead
+    of the matrix product every other row takes, so it is computed as one of
+    two equal rows.
+    """
+
+    __slots__ = ("terms", "shape", "bound")
+
+    def __init__(self, terms: tuple, shape: tuple[int, int], bound: float):
+        self.terms, self.shape, self.bound = terms, shape, bound
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        total = None
+        for parts, operator in self.terms:
+            chunk = _part_rows(parts, rows)
+            if len(chunk) == 1:
+                product = (np.vstack([chunk, chunk]) @ operator)[:1]
+            else:
+                product = chunk @ operator
+            if total is None:
+                total = product
+            else:
+                total += product
+        return total
 
 
 def _all_finite(rows: np.ndarray) -> bool:
@@ -104,6 +154,35 @@ def _all_finite(rows: np.ndarray) -> bool:
             if cmath.isfinite(rows.sum()):
                 return True
     return bool(np.isfinite(rows.view(float)).all())
+
+
+def _nonfinite_blocks(block_dims, bad_rows) -> list[str]:
+    """The violations of the blocks owning the rows ``bad_rows`` (a mask or indices)."""
+    atoms = np.unique(np.repeat(np.arange(len(block_dims)), block_dims)[bad_rows])
+    return [f"block {i} contains non-finite entries" for i in atoms]
+
+
+# A bound below this proves a product's entries finite: the factor 16 covers the
+# rounding of the product and of the bound.
+_PROVEN_FINITE = float(np.finfo(float).max) / 16
+_TINY = float(np.finfo(float).tiny)
+
+
+def _row_bound(fam: "GFrameFamily") -> float:
+    """A bound on the 2-norm of every row of ``fam.rows`` from d x d data alone.
+
+    With the family's Gram at hand (the analysis module memoizes it as
+    ``"gram"``), a row of atom i has w_i ||row||^2 <= trace(A^H A); the trace is
+    widened by 1 % for its rounding and by the smallest normal float for its
+    underflows.  Otherwise the bound of its product parts, and inf for a
+    stored part.
+    """
+    gram = fam._memo.get("gram")
+    if gram is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = float(np.trace(gram).real)
+        return math.sqrt((1.01 * trace + _TINY) / float(fam.space.weights.min()))
+    return math.hypot(*(getattr(part, "bound", math.inf) for part in fam._parts))
 
 
 def _split_rows(matrix: np.ndarray, block_dims) -> list[np.ndarray]:
@@ -193,12 +272,17 @@ class GFrameFamily:
     read-only C-contiguous N x ``domain_dim`` matrix (unweighted, so the
     blocks stay bit-exact), and ``blocks`` are read-only views into it;
     ``domain_dim`` (an ``int``) and ``codomain_dim`` are its column and row counts.
-    A family may hold its rows as column parts instead: the pair family
-    [lam_i | theta_i] keeps its parents' read-only row arrays side by side,
-    and stacks them into ``rows`` only on first access (``blocks``, ``==``,
-    pickling, documents, composition), keeping that copy outside the memo.
-    Only this module reads the parts: other modules read a row chunk at a time
-    through :func:`chunk_rows`, so the streamed products never stack them.
+    A family may hold its rows as column parts instead, and stack them into
+    ``rows`` only on first access (``blocks``, ``==``, pickling, documents),
+    keeping that copy outside the memo.  The pair family [lam_i | theta_i]
+    keeps its parents' parts side by side.  A composition taller than one row
+    chunk (``right_compose``, ``compose_sum``, so the duals, the Parseval
+    normalization and the operator sums) keeps one product part: its sources'
+    parts and the d x d operators, whose product it computes for the rows
+    asked for, with the bits of the N-row product.  Only this module reads the
+    parts: other modules read a row chunk at a time through
+    :func:`chunk_rows`, so the streamed products never stack them, and
+    composing a family reads its parts, not its ``rows``.
     Well-formed 2-D blocks as wide as the constructor's ``domain_dim`` are
     stacked in one call; any other input takes the block-by-block route,
     which also reads a 0-D or 1-D block as one row.  The
@@ -268,8 +352,48 @@ class GFrameFamily:
         and block dims) and ``memo`` as its memo.  It holds both families' rows as
         column parts: nothing is scanned again, nor stacked before ``rows``."""
         family = cls.__new__(cls)
-        family._adopt(first.space, first.block_dims, first._parts + second._parts, memo)
+        family._adopt(first.space, first.block_dims, _held_parts(first) + _held_parts(second), memo)
         return family
+
+    @classmethod
+    def _composed(cls, space, block_dims, terms: tuple) -> "GFrameFamily":
+        """Family whose rows are the sum of ``source.rows @ operator`` over ``terms``,
+        each source over ``space`` and ``block_dims``, which the family takes.
+
+        A result of one row chunk is computed and kept now, as any family is.  A
+        taller one holds its sources' parts and the operators (a :class:`_Product`)
+        and makes its rows a chunk at a time.  Its rows are finite when a bound
+        from d x d data proves it (:func:`_row_bound`); else they are scanned a
+        chunk at a time, with the violations a stored result would name.
+        """
+        first, operator = terms[0]
+        count, width = first.codomain_dim, operator.shape[1]
+        if width < 1 or count <= _chunk_step(width):
+            rows = chunk_rows(first, slice(None)) @ operator
+            for source, other in terms[1:]:
+                rows += chunk_rows(source, slice(None)) @ other
+            return cls.from_rows(space, rows, block_dims)
+        # |row @ L| <= |row| sqrt(k m) max|L_ij| for a k x m operator L
+        with np.errstate(over="ignore"):
+            scales = [math.sqrt(op.size) * float(np.abs(op).max()) for _, op in terms]
+        bound = sum(_row_bound(source) * scale for (source, _), scale in zip(terms, scales))
+        part = _Product(tuple((_held_parts(s), op) for s, op in terms), (count, width), bound)
+        family = cls.__new__(cls)
+        family._adopt(space, block_dims, (part,), {})
+        if not bound < _PROVEN_FINITE:  # also when the bound is inf or NaN
+            family._scan_finite()
+        return family
+
+    def _scan_finite(self) -> None:
+        """FamilyValidationError naming every block with a non-finite entry, the rows
+        read a chunk at a time."""
+        bad = []
+        for rows in row_chunks(self.codomain_dim, self.domain_dim):
+            chunk = chunk_rows(self, rows)
+            if not _all_finite(chunk):
+                bad.append(rows.start + np.flatnonzero(~np.isfinite(chunk.view(float)).all(axis=1)))
+        if bad:
+            raise FamilyValidationError(_nonfinite_blocks(self.block_dims, np.concatenate(bad)))
 
     def _set(self, space, block_dims, rows) -> None:
         """Adopt ``rows`` (read-only from now on) once the invariants hold."""
@@ -277,15 +401,13 @@ class GFrameFamily:
         if min(block_dims) < 1:
             found += [f"block_dims[{i}] = {d} not >= 1" for i, d in enumerate(block_dims) if d < 1]
         if not found and not _all_finite(rows):
-            bad_rows = ~np.isfinite(rows.view(float)).all(axis=1)
-            atoms = np.unique(np.repeat(np.arange(len(block_dims)), block_dims)[bad_rows])
-            found += [f"block {i} contains non-finite entries" for i in atoms]
+            found += _nonfinite_blocks(block_dims, ~np.isfinite(rows.view(float)).all(axis=1))
         if found:
             raise FamilyValidationError(found)
-        self._adopt(space, block_dims, (_freeze(rows),), {})
+        self._adopt(space, block_dims, (_freeze(rows),), {}, rows)
 
-    def _adopt(self, space, block_dims, parts: tuple, memo: dict) -> None:
-        whole = parts[0] if len(parts) == 1 else None  # else stacked by ``rows``
+    def _adopt(self, space, block_dims, parts: tuple, memo: dict, whole=None) -> None:
+        """Take the parts, with ``whole`` the stored rows (else stacked by ``rows``)."""
         width = whole.shape[1] if whole is not None else sum(part.shape[1] for part in parts)
         for name, value in zip(
             ("space", "domain_dim", "block_dims", "_parts", "_rows", "_blocks", "_memo"),
@@ -315,9 +437,12 @@ class GFrameFamily:
 
     @property
     def rows(self) -> np.ndarray:
-        """The blocks stacked in atom order; column parts are stacked here, once."""
+        """The blocks stacked in atom order; parts are stacked here, once, a chunk at a time."""
         if self._rows is None:
-            object.__setattr__(self, "_rows", _freeze(np.hstack(self._parts)))
+            stacked = np.empty((self.codomain_dim, self.domain_dim), dtype=complex)
+            for rows in row_chunks(*stacked.shape):
+                stacked[rows] = _part_rows(self._parts, rows)
+            object.__setattr__(self, "_rows", _freeze(stacked))
         return self._rows
 
     @property
@@ -331,8 +456,10 @@ class GFrameFamily:
         return self.space.atom_count
 
     def is_zero(self) -> bool:
-        """Whether every block entry is zero."""
-        return not any(part.any() for part in self._parts)
+        """Whether every block entry is zero, read a chunk at a time."""
+        return not any(
+            chunk_rows(self, rows).any() for rows in row_chunks(self.codomain_dim, self.domain_dim)
+        )
 
     @property
     def codomain_dim(self) -> int:
@@ -482,23 +609,21 @@ def apply_synthesis(fam: GFrameFamily, phi: KHatVector) -> np.ndarray:
 
 
 def right_compose(fam: GFrameFamily, operator: np.ndarray) -> GFrameFamily:
-    """Family with blocks block_i @ operator; the domain becomes operator's."""
+    """Family with blocks block_i @ operator; the domain becomes operator's.
+    Taller than one row chunk, it makes its rows a chunk at a time, on demand."""
     operator = np.asarray(operator, dtype=complex)
     if operator.ndim != 2 or operator.shape[0] != fam.domain_dim:
         raise ShapeError(
             f"operator shape {operator.shape} does not act on domain of dim {fam.domain_dim}"
         )
-    return GFrameFamily.from_rows(fam.space, fam.rows @ operator, fam.block_dims)
+    return GFrameFamily._composed(fam.space, fam.block_dims, ((fam, operator),))
 
 
 def compose_sum(lam: GFrameFamily, theta: GFrameFamily, l1, l2) -> GFrameFamily:
     """Family with blocks lam_i @ l1 + theta_i @ l2, over ``lam``'s space and block dims.
-    ``theta``'s product is added one row chunk at a time, so the only N-row
-    array made is the result."""
-    rows = lam.rows @ l1
-    for chunk in row_chunks(len(rows), max(theta.domain_dim, rows.shape[1])):
-        rows[chunk] += theta.rows[chunk] @ l2
-    return GFrameFamily.from_rows(lam.space, rows, lam.block_dims)
+    Taller than one row chunk, it makes its rows a chunk at a time, on demand,
+    so no N-row array is made."""
+    return GFrameFamily._composed(lam.space, lam.block_dims, ((lam, l1), (theta, l2)))
 
 
 def operator_matrix(values, name: str) -> np.ndarray:
