@@ -60,13 +60,28 @@ def full_row_rank(svals: np.ndarray, shape: tuple[int, int], tol) -> bool:
     return rank_from_singular_values(svals, shape, tol) == shape[0]
 
 
-def gram_certifies_full_column_rank(smallest: float, largest: float, shape, tol) -> bool:
-    """True when the extreme eigenvalues of a computed Gram matrix fl(M^H M) prove
-    that the ``shape`` matrix M has full column rank at the singular-value cutoff.
-    delta bounds the rounding of the product and the eigensolver (Higham, ch. 3);
-    the factor 2 covers the SVD's own.  False means only "not certified"."""
+def gram_rounding_bound(shape, scale: float) -> float:
+    """delta = (rows + cols) * cols * eps * ``scale``: how far a computed Gram of a
+    ``shape`` matrix M, and its computed eigenvalues, may sit from those of M^H M
+    when ``scale`` is the Gram's rounding scale (see the next function)."""
     rows, cols = shape
-    delta = (rows + cols) * cols * MACHINE_EPS * largest
+    return (rows + cols) * cols * MACHINE_EPS * scale
+
+
+def gram_certifies_full_column_rank(smallest: float, largest: float, shape, tol) -> bool:
+    """True when the extreme eigenvalues of a computed Gram matrix G of the
+    ``shape`` matrix M prove that M has full column rank at the singular-value
+    cutoff.  False means only "not certified".
+
+    ``largest`` is G's rounding scale: its largest eigenvalue for a Gram
+    fl(M^H M) summed from M's rows, where delta (:func:`gram_rounding_bound`)
+    bounds the rounding of the product and the eigensolver (Higham, ch. 3); and
+    a larger scale for a Gram derived in d x d algebra, chosen so that the same
+    delta bounds its distance from fl(M^H M) for the computed rows M (derived
+    in ``analysis._composed_gram``).  The factor 2 covers the SVD's own rounding.
+    """
+    rows, cols = shape
+    delta = gram_rounding_bound(shape, largest)
     if cols > rows or smallest <= delta:
         return False
     return (smallest - delta) ** 0.5 > 2.0 * rank_cutoff(shape, (largest + delta) ** 0.5, tol)

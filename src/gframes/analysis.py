@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -9,7 +11,9 @@ import numpy as np
 from ._linalg import (
     full_row_rank,
     gram_certifies_full_column_rank,
+    gram_rounding_bound,
     hermitian_power,
+    hermitize,
     matrices_close,
     rank_from_singular_values,
     require_finite,
@@ -23,6 +27,7 @@ from .model import (
     _freeze,
     _row_weights,
     chunk_rows,
+    composition_terms,
     memoized,
     require_same_domain,
     require_same_khat,
@@ -80,7 +85,11 @@ def frame_operator(fam: GFrameFamily) -> np.ndarray:
     i.e. A^H A for the embedded analysis matrix A.
 
     Streamed from the family's rows in O(chunk x d) extra memory (A is never
-    formed) and exactly Hermitian.  Read-only, and computed once per family
+    formed) and exactly Hermitian.  A composition taller than one row chunk
+    (``right_compose``, ``compose_sum``) takes it from d x d algebra instead,
+    L^H G L over its terms (:func:`_composed_gram`), when the rounding bound
+    of that route leaves its smallest eigenvalue clear; else it streams it as
+    any family does, with the same bits.  Read-only, and computed once per family
     object.  Raises NumericalRangeError when it overflows, or underflows to
     below the smallest normal float for a nonzero family (on every call: an
     error is never stored).  A finite frame operator implies a finite A (its
@@ -98,8 +107,111 @@ def _frame_operator(fam: GFrameFamily) -> np.ndarray:
 
 
 def _gram(fam: GFrameFamily) -> np.ndarray:
-    """A^H A as computed, before any range check; read-only, once per family."""
-    return memoized(fam._memo, "gram", _weighted_product, fam, fam)
+    """A^H A as computed, before any range check; read-only, once per family.
+
+    A composition's Gram derived from d x d data (:func:`_derived_gram`) comes
+    with its rounding scale, memoized beside it as ``"scale"``; a streamed
+    Gram's scale is its largest eigenvalue."""
+    return memoized(fam._memo, "gram", _computed_gram, fam)
+
+
+def _computed_gram(fam: GFrameFamily) -> np.ndarray:
+    terms = composition_terms(fam)
+    derived = None if terms is None else _derived_gram(fam, terms)
+    return _weighted_product(fam, fam) if derived is None else derived
+
+
+_TINY = float(np.finfo(float).tiny)
+
+
+def _derived_gram(fam: GFrameFamily, terms: tuple) -> np.ndarray | None:
+    """The composition's Gram from :func:`_composed_gram`, its scale and eigenvalues
+    memoized; None, so that the Gram is streamed, when the route cannot vouch for
+    it: a source wider than N/4 columns or without a finite frame operator, a
+    scale outside the normal float range, or a smallest eigenvalue at or below
+    the rounding bound delta (for instance when L2 nearly cancels L1)."""
+    if fam.codomain_dim < 4 * sum(operator.shape[0] for _, operator in terms):
+        return None
+    try:
+        gram, scale = _composed_gram(terms)
+    except NumericalRangeError:
+        return None
+    if not (_TINY <= scale < math.inf and cmath.isfinite(gram.sum())):
+        return None
+    evals = np.linalg.eigvalsh(gram)
+    if evals[0] <= gram_rounding_bound(_shape(fam), max(float(evals[-1]), scale)):
+        return None
+    fam._memo["eigenvalues"], fam._memo["scale"] = _freeze(evals), scale
+    return _freeze(gram)
+
+
+def _composed_gram(terms: tuple) -> tuple[np.ndarray, float]:
+    """(G~, s): the Gram hermitize(L^H G L) of the composition M = X L with these
+    terms, and its rounding scale s = c ||L||_F^2 s_X, c = 2 max(1, k / m), for
+    a k x m operator L.
+
+    One term (X, L) is a ``right_compose``: G is X's memoized Gram.  Two terms
+    (lam, L1), (theta, L2) are a ``compose_sum``: X = [lam | theta], L = [L1; L2]
+    and G is the pair Gram [[S_lam, C^H], [C, S_theta]] (:func:`_pair_gram`),
+    [[S, S], [S, S]] when lam is theta.  s_X is X's scale (:func:`_scale`), for
+    a pair the sum of both families' scales.  A source's frame operator out of
+    range raises NumericalRangeError.
+
+    Why delta(s) = (N + m) m eps s (``gram_rounding_bound``) bounds the distance
+    of G~ from fl(M~^H W M~), M~ = fl(X~ L) the computed rows, to first order in
+    eps = 2u (Higham, ch. 3), for N >= 4k.  With ell = ||L||_F^2 and
+    ||X~^H W X~|| <= s_X, the distance is at most the sum of
+    - ||L^H (G - X~^H W X~) L|| <= ||L||_2^2 delta_X(s_X) <= (N + k) k eps ell s_X,
+      by the same bound on X's own Gram (a pair's cross block C adds at most
+      N eps sqrt(k1 s1 k2 s2) to its diagonal blocks' bounds, inside the pair's);
+    - the rounding of L^H G L: at most 2k u ||L||_F^2 ||G||_F <= k^1.5 eps ell s_X;
+    - the rounding of the rows, |M~ - X~ L| <= gamma_(k+1) |X~| |L|, which moves
+      M~^H W M~ by at most (k + 1) k^0.5 eps ell s_X;
+    - the rounding of fl(M~^H W M~), at most (N + 1) u ell s_X, and that of the
+      eigensolver on G~, of order m u ||G~||.
+    Their sum stays below 2 (N + m) max(k, m) eps ell s_X = delta(s).  Each
+    nesting level multiplies the scale by c ||L||_F^2 again, so a composed
+    source's own scale feeds the next.
+    """
+    if len(terms) == 1:
+        ((source, operator),) = terms
+        gram, scale = _gram(source), _scale(source)
+    else:
+        (lam, l1), (theta, l2) = terms
+        cross = _gram(lam) if lam is theta else pair_memo(lam, theta)["cross"]
+        gram, scale = _pair_gram(lam, theta, cross), _scale(lam) + _scale(theta)
+        operator = np.vstack([l1, l2])
+    k, m = operator.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale *= 2.0 * max(1.0, k / m) * float(np.vdot(operator, operator).real)
+        return _congruence(gram, operator), scale
+
+
+def _congruence(gram: np.ndarray, operator: np.ndarray) -> np.ndarray:
+    """L^H G L for L = ``operator``, exactly Hermitian."""
+    return hermitize(operator.conj().T @ (gram @ operator))
+
+
+def _eigenvalues(fam: GFrameFamily) -> np.ndarray:
+    """Ascending eigenvalues of the frame operator; read-only, once per family."""
+    op = frame_operator(fam)
+    return memoized(fam._memo, "eigenvalues", lambda: _freeze(np.linalg.eigvalsh(op)))
+
+
+def _scale(fam: GFrameFamily) -> float:
+    """The rounding scale of the family's Gram: its largest eigenvalue, or the
+    larger scale memoized beside a Gram derived from d x d data."""
+    largest = float(_eigenvalues(fam)[-1])
+    return max(largest, fam._memo.get("scale", largest))
+
+
+def pair_scale(lam: GFrameFamily, theta: GFrameFamily) -> float:
+    """The rounding scale a pair family's Gram takes beyond its largest
+    eigenvalue: the sum of both families' scales when either family's Gram was
+    derived from d x d data, else none (0)."""
+    if max(lam._memo.get("scale", 0.0), theta._memo.get("scale", 0.0)) <= 0.0:
+        return 0.0
+    return _scale(lam) + _scale(theta)
 
 
 def _shape(fam: GFrameFamily) -> tuple[int, int]:
@@ -164,10 +276,11 @@ def frame_bounds(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> Frame
 
 def _frame_report(fam: GFrameFamily, tol: TolerancePolicy) -> FrameReport:
     op = frame_operator(fam)
-    evals = memoized(fam._memo, "eigenvalues", lambda: _freeze(np.linalg.eigvalsh(op)))
+    evals = _eigenvalues(fam)
     lower = float(evals[0])
     upper = float(evals[-1])
-    is_frame = gram_certifies_full_column_rank(lower, upper, _shape(fam), tol)
+    # the certificate's delta reads the Gram's rounding scale, not only its largest eigenvalue
+    is_frame = gram_certifies_full_column_rank(lower, _scale(fam), _shape(fam), tol)
     if not is_frame:
         svals = analysis_singular_values(fam)
         is_frame = rank_from_singular_values(svals, _shape(fam), tol) == fam.domain_dim

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._linalg import full_row_rank, operator_norm, singular_values
 from .analysis import Check, _pair_gram, analysis_rank, frame_bounds, pair_memo
-from .analysis import parseval_normalize, require_frame
+from .analysis import pair_scale, parseval_normalize, require_frame
 from .errors import PreconditionError
 from .model import (
     DEFAULT_TOL,
@@ -113,13 +113,15 @@ def gamma_family(lam: GFrameFamily, theta: GFrameFamily) -> GFrameFamily:
     Domain coordinates are ordered first-family-first, matching the
     left-to-right reading of (h, k) -> lam_i h + theta_i k.  Its memo is the
     pair's record, whose Gram [[S_lam, C^H], [C, S_theta]] is its frame
-    operator: [A|B]^H [A|B] is never formed.  It holds both families' rows as
-    column parts, not the families, and stacks them only when its ``rows`` are
-    asked for.
+    operator: [A|B]^H [A|B] is never formed.  When either diagonal block was
+    derived from d x d data, the record also holds the Gram's rounding scale
+    (``pair_scale``).  It holds both families' rows as column parts, not the
+    families, and stacks them only when its ``rows`` are asked for.
     """
     require_same_khat(lam, theta)
     record = pair_memo(lam, theta)
     memoized(record, "gram", _pair_gram, lam, theta, record["cross"])
+    memoized(record, "scale", pair_scale, lam, theta)
     return GFrameFamily.side_by_side(lam, theta, record)
 
 

@@ -10,9 +10,10 @@ package happens in those embedded coordinates.
 A family stores its blocks stacked in atom order as one N x d row matrix, and
 a vector of the direct sum its blocks as one length-N array in the same row
 layout, so every operation is a single matrix or vector product rather than a
-loop over atoms.  A family built from others (a pair family, a composition
-taller than one row chunk) holds their parts instead, and the streamed
-products read its rows a chunk at a time through :func:`chunk_rows`.
+loop over atoms.  A family built from others holds their parts instead (a
+pair family) or them and the operators applied (a composition taller than
+one row chunk), and the streamed products read its rows a chunk at a time
+through :func:`chunk_rows`.
 
 Inner product convention: linear in the FIRST argument, conjugate-linear in
 the second. All adjoints are conjugate transposes under this convention.
@@ -109,14 +110,14 @@ def _part_rows(parts: tuple, rows: slice) -> np.ndarray:
 
 
 def _held_parts(fam: "GFrameFamily") -> tuple:
-    """What ``fam``'s rows are read from, and what a family built from it holds:
-    ``fam``'s stacked rows once made, else its own parts, never ``fam`` itself."""
+    """What ``fam``'s rows are read from, and what a pair family built from it
+    holds: ``fam``'s stacked rows once made, else its own parts, never ``fam`` itself."""
     return fam._parts if fam._rows is None else (fam._rows,)
 
 
 class _Product:
-    """A column part held as the sum of ``source @ operator`` over its ``terms``,
-    each source given by its column parts, and computed a row chunk at a time.
+    """A column part held as the sum of ``source.rows @ operator`` over its ``terms``,
+    each a (source family, operator) pair, and computed a row chunk at a time.
 
     ``shape`` is the part's N x m shape and ``bound`` bounds the 2-norm of each
     of its rows (inf when none is known).  Every row comes out with the bits of
@@ -132,8 +133,8 @@ class _Product:
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         total = None
-        for parts, operator in self.terms:
-            chunk = _part_rows(parts, rows)
+        for source, operator in self.terms:
+            chunk = chunk_rows(source, rows)
             if len(chunk) == 1:
                 product = (np.vstack([chunk, chunk]) @ operator)[:1]
             else:
@@ -143,6 +144,15 @@ class _Product:
             else:
                 total += product
         return total
+
+
+def composition_terms(fam: "GFrameFamily") -> tuple | None:
+    """The (source family, operator) terms of a composition taller than one row
+    chunk, whose rows are the sum of ``source.rows @ operator`` over them; None
+    for any other family (stored rows, or parts side by side).  The terms stay
+    the same once the family's rows are stacked."""
+    (part, *others) = fam._parts
+    return part.terms if isinstance(part, _Product) and not others else None
 
 
 def _all_finite(rows: np.ndarray) -> bool:
@@ -172,15 +182,16 @@ def _row_bound(fam: "GFrameFamily") -> float:
     """A bound on the 2-norm of every row of ``fam.rows`` from d x d data alone.
 
     With the family's Gram at hand (the analysis module memoizes it as
-    ``"gram"``), a row of atom i has w_i ||row||^2 <= trace(A^H A); the trace is
-    widened by 1 % for its rounding and by the smallest normal float for its
-    underflows.  Otherwise the bound of its product parts, and inf for a
-    stored part.
+    ``"gram"``), a row of atom i has w_i ||row||^2 <= trace(A^H A); the trace,
+    or the Gram's rounding ``"scale"`` when one is memoized beside a Gram
+    derived from d x d data (it bounds that trace too), is widened by 1 % for
+    its rounding and by the smallest normal float for its underflows.
+    Otherwise the bound of its product parts, and inf for a stored part.
     """
     gram = fam._memo.get("gram")
     if gram is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            trace = float(np.trace(gram).real)
+            trace = max(float(np.trace(gram).real), fam._memo.get("scale", 0.0))
         return math.sqrt((1.01 * trace + _TINY) / float(fam.space.weights.min()))
     return math.hypot(*(getattr(part, "bound", math.inf) for part in fam._parts))
 
@@ -277,12 +288,13 @@ class GFrameFamily:
     keeping that copy outside the memo.  The pair family [lam_i | theta_i]
     keeps its parents' parts side by side.  A composition taller than one row
     chunk (``right_compose``, ``compose_sum``, so the duals, the Parseval
-    normalization and the operator sums) keeps one product part: its sources'
-    parts and the d x d operators, whose product it computes for the rows
+    normalization and the operator sums) keeps one product part: its source
+    families and the d x d operators, whose product it computes for the rows
     asked for, with the bits of the N-row product.  Only this module reads the
     parts: other modules read a row chunk at a time through
-    :func:`chunk_rows`, so the streamed products never stack them, and
-    composing a family reads its parts, not its ``rows``.
+    :func:`chunk_rows`, so the streamed products never stack them, and a
+    composition's (source, operator) terms through :func:`composition_terms`,
+    from which the analysis module derives its Gram in d x d algebra.
     Well-formed 2-D blocks as wide as the constructor's ``domain_dim`` are
     stacked in one call; any other input takes the block-by-block route,
     which also reads a 0-D or 1-D block as one row.  The
@@ -361,10 +373,11 @@ class GFrameFamily:
         each source over ``space`` and ``block_dims``, which the family takes.
 
         A result of one row chunk is computed and kept now, as any family is.  A
-        taller one holds its sources' parts and the operators (a :class:`_Product`)
-        and makes its rows a chunk at a time.  Its rows are finite when a bound
-        from d x d data proves it (:func:`_row_bound`); else they are scanned a
-        chunk at a time, with the violations a stored result would name.
+        taller one holds the terms (a :class:`_Product`, handed out by
+        :func:`composition_terms`) and makes its rows a chunk at a time.  Its
+        rows are finite when a bound from d x d data proves it
+        (:func:`_row_bound`); else they are scanned a chunk at a time, with the
+        violations a stored result would name.
         """
         first, operator = terms[0]
         count, width = first.codomain_dim, operator.shape[1]
@@ -377,7 +390,7 @@ class GFrameFamily:
         with np.errstate(over="ignore"):
             scales = [math.sqrt(op.size) * float(np.abs(op).max()) for _, op in terms]
         bound = sum(_row_bound(source) * scale for (source, _), scale in zip(terms, scales))
-        part = _Product(tuple((_held_parts(s), op) for s, op in terms), (count, width), bound)
+        part = _Product(tuple(terms), (count, width), bound)
         family = cls.__new__(cls)
         family._adopt(space, block_dims, (part,), {})
         if not bound < _PROVEN_FINITE:  # also when the bound is inf or NaN
@@ -592,25 +605,37 @@ def family_from_analysis_matrix(matrix: np.ndarray, space: MeasureSpace, block_d
 
 
 def apply_analysis(fam: GFrameFamily, h: np.ndarray) -> KHatVector:
-    """Blockwise application: atom i carries block_i @ h."""
+    """Blockwise application: atom i carries block_i @ h.  The rows are read a
+    chunk at a time (:func:`chunk_rows`), so a composed or pair family is not stacked."""
     h = np.asarray(h, dtype=complex).reshape(-1)
     if h.size != fam.domain_dim:
         raise ShapeError(f"vector length {h.size} != domain_dim {fam.domain_dim}")
-    return KHatVector.from_array(fam.rows @ h, fam.block_dims)
+    data = np.empty(fam.codomain_dim, dtype=complex)
+    for rows in row_chunks(fam.codomain_dim, fam.domain_dim):
+        data[rows] = chunk_rows(fam, rows) @ h
+    return KHatVector.from_array(data, fam.block_dims)
 
 
 def apply_synthesis(fam: GFrameFamily, phi: KHatVector) -> np.ndarray:
-    """Adjoint of the analysis operator: sum of weight_i * block_i^H @ phi_i."""
+    """Adjoint of the analysis operator: sum of weight_i * block_i^H @ phi_i, the
+    chunks' sums added in row order; no rows are stacked, as in :func:`apply_analysis`."""
     if phi.block_dims != fam.block_dims:
         raise ShapeError(
             f"vector block dims {phi.block_dims} != family block dims {fam.block_dims}"
         )
-    return fam.rows.conj().T @ (phi.data * _row_weights(fam.space, fam.block_dims))
+    weighted = phi.data * _row_weights(fam.space, fam.block_dims)
+    total = None
+    for rows in row_chunks(fam.codomain_dim, fam.domain_dim):
+        part = chunk_rows(fam, rows).conj().T @ weighted[rows]
+        total = part if total is None else total + part
+    return total
 
 
 def right_compose(fam: GFrameFamily, operator: np.ndarray) -> GFrameFamily:
     """Family with blocks block_i @ operator; the domain becomes operator's.
-    Taller than one row chunk, it makes its rows a chunk at a time, on demand."""
+    Taller than one row chunk, it makes its rows a chunk at a time, on demand,
+    and holds the term (fam, operator), from which its frame operator is
+    derived as operator^H S_fam operator (``analysis.frame_operator``)."""
     operator = np.asarray(operator, dtype=complex)
     if operator.ndim != 2 or operator.shape[0] != fam.domain_dim:
         raise ShapeError(
@@ -622,7 +647,9 @@ def right_compose(fam: GFrameFamily, operator: np.ndarray) -> GFrameFamily:
 def compose_sum(lam: GFrameFamily, theta: GFrameFamily, l1, l2) -> GFrameFamily:
     """Family with blocks lam_i @ l1 + theta_i @ l2, over ``lam``'s space and block dims.
     Taller than one row chunk, it makes its rows a chunk at a time, on demand,
-    so no N-row array is made."""
+    so no N-row array is made, and holds the terms (lam, l1), (theta, l2), from
+    which its frame operator is derived as [l1; l2]^H G [l1; l2], G the pair's
+    Gram (``analysis.frame_operator``)."""
     return GFrameFamily._composed(lam.space, lam.block_dims, ((lam, l1), (theta, l2)))
 
 

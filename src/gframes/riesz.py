@@ -141,10 +141,11 @@ def mixed_construction(
     if not matrices_close(l1.conj().T @ l2, eye, tol.rel_eps):
         raise PreconditionError("L1^H L2 is not the identity")
 
-    combined = compose_sum(lam, theta, l1, l2)
-    report = frame_bounds(combined, tol)
+    # both inputs bounded first: their Grams bound the combined rows, which are then not scanned
     b_lam = frame_bounds(lam, tol).upper_bound
     b_theta = frame_bounds(theta, tol).upper_bound
+    combined = compose_sum(lam, theta, l1, l2)
+    report = frame_bounds(combined, tol)
     upper_cert = b_lam * operator_norm(l1) ** 2 + 2.0 + b_theta * operator_norm(l2) ** 2
 
     riesz_report = riesz_check(combined, tol)

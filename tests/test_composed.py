@@ -1,7 +1,11 @@
 """Composed families: the results of ``right_compose`` and ``compose_sum`` taller
-than one row chunk make their rows a chunk at a time, with the bits, bounds,
-singular values and validation errors of the stored product."""
+than one row chunk make their rows a chunk at a time, with the bits, singular
+values and validation errors of the stored product.  Their frame operator
+comes from d x d algebra, L^H G L, within the rounding bound delta of the
+stored product's, and from the rows, with its bits, when delta cannot vouch
+for that route."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from gframes import (
     FamilyValidationError,
     GFrameFamily,
+    KHatVector,
     MeasureSpace,
     NumericalRangeError,
     OperatorPair,
@@ -23,11 +28,17 @@ from gframes import (
     random_strongly_disjoint_parseval_pair,
     right_compose,
     strongly_disjoint_sum,
+    synthesis_kernel_test,
 )
-from gframes import model
-from gframes._linalg import hermitian_power
+from gframes import analysis, model
+from gframes._linalg import (
+    gram_rounding_bound,
+    hermitian_power,
+    rank_from_singular_values,
+    singular_values,
+)
 from gframes.analysis import analysis_singular_values, frame_operator
-from gframes.model import compose_sum
+from gframes.model import analysis_matrix, apply_analysis, apply_synthesis, compose_sum
 
 DIM = 6
 STEP = model.CHUNK_BYTES // (16 * DIM)  # rows per chunk of a DIM-column family
@@ -66,6 +77,41 @@ def _spectral_bytes(fam):
     )
 
 
+def _delta(fam) -> float:
+    """The rounding bound of ``fam``'s Gram: how far its frame operator, and each
+    of its eigenvalues, may sit from those of the stored product's."""
+    return gram_rounding_bound((fam.codomain_dim, fam.domain_dim), analysis._scale(fam))
+
+
+def _assert_within_rounding(composed, reference, name):
+    """The composed family's frame operator and bounds lie within delta of the
+    stored product's, with the same flags."""
+    got, want, delta = frame_bounds(composed), frame_bounds(reference), _delta(composed)
+    assert np.linalg.norm(got.frame_operator - want.frame_operator, 2) <= delta, name
+    for field in ("lower_bound", "upper_bound"):
+        assert abs(getattr(got, field) - getattr(want, field)) <= delta, (name, field)
+    for field in ("is_frame", "is_tight", "is_parseval"):
+        assert getattr(got, field) == getattr(want, field), (name, field)
+
+
+@contextlib.contextmanager
+def _counted_row_reads():
+    """A list that records every row chunk read while the block runs: of a product
+    part's sources (``model.chunk_rows``) and of the streamed kernels."""
+    reads = []
+
+    def counting(fam, rows):
+        reads.append(rows)
+        return original(fam, rows)
+
+    original = model.chunk_rows
+    try:
+        model.chunk_rows = analysis.chunk_rows = counting
+        yield reads
+    finally:
+        model.chunk_rows = analysis.chunk_rows = original
+
+
 @pytest.mark.parametrize(
     "rows",
     [STEP - 7, 10 * STEP + 100, 10 * STEP + 1],
@@ -88,12 +134,18 @@ def test_composed_families_match_their_stored_products_bit_for_bit(rows):
         # pseudo_dual's candidate: a composition of a composition
         "nested": (lambda: right_compose(canonical_dual(lam), pinv), dual_rows @ pinv),
     }
-    assert len(model.row_chunks(rows, DIM)) == (1 if rows < STEP else 11)
+    one_chunk = rows < STEP
+    assert len(model.row_chunks(rows, DIM)) == (1 if one_chunk else 11)
     for name, (build, product) in cases.items():
         reference = GFrameFamily.from_rows(lam.space, product, lam.block_dims)
         composed = build()
         # the spectral data first, so that it is read from chunks, not stacked rows
-        assert _spectral_bytes(composed) == _spectral_bytes(reference), name
+        if one_chunk:  # a stored product, bit for bit
+            assert _spectral_bytes(composed) == _spectral_bytes(reference), name
+        else:  # a frame operator from d x d algebra, within the rounding bound
+            _assert_within_rounding(composed, reference, name)
+        svals = analysis_singular_values(composed).tobytes()
+        assert svals == analysis_singular_values(reference).tobytes(), name
         assert composed.rows.tobytes() == product.tobytes(), name
         assert composed == reference and build().rows.tobytes() == product.tobytes(), name
 
@@ -204,3 +256,93 @@ def test_a_tall_composition_underflows_unless_it_is_zero():
     zero = right_compose(lam, np.zeros((DIM, DIM)))
     assert zero.is_zero() and not tiny.is_zero()
     assert not frame_bounds(zero).is_frame and frame_bounds(zero).upper_bound == 0.0
+
+
+def _strong_sum_and_mixed(lam, theta, rng):
+    """The two tall sums of the quadrature benchmark's shape: a strong sum through
+    c1 U1, c2 U2, and the mixed construction of lam with itself through a U, U / a;
+    with the bound each should have."""
+    u1, u2 = (np.linalg.qr(_cgauss(rng, (DIM, DIM)))[0] for _ in range(2))
+    c1, c2, a = rng.uniform(0.5, 2.0, 3)
+    strong = strongly_disjoint_sum(lam, theta, OperatorPair(c1 * u1, c2 * u2))
+    mixed = mixed_construction(lam, lam, a * u1, u1 / a)
+    return strong, c1**2 + c2**2, mixed, (a + 1.0 / a) ** 2
+
+
+def test_tall_sums_read_no_rows_once_their_sources_are_bounded():
+    lam, theta = random_strongly_disjoint_parseval_pair(131, (1,) * (12 * STEP), DIM, DIM)
+    assert classify(lam, theta).strongly_disjoint  # bounds both, and keeps the cross operator
+    with _counted_row_reads() as reads:
+        strong, scale, mixed, bound = _strong_sum_and_mixed(lam, theta, np.random.default_rng(137))
+    assert reads == []
+    assert strong.report.is_tight and abs(strong.report.upper_bound - scale) <= 1e-9 * scale
+    assert mixed.sandwich_ok and abs(mixed.upper_bound - bound) <= 1e-9 * bound
+    assert abs(mixed.lower_bound - bound) <= 1e-9 * bound
+
+
+@pytest.mark.parametrize("rank", [DIM - 2, DIM], ids=["rank-deficient", "full-rank"])
+def test_a_planted_cancellation_is_decided_from_the_rows(rank):
+    """lam @ L1 + lam @ L2 with L2 = -L1 + 2^-33 E: the d x d route cancels to noise,
+    so the verdict must come from the rows, and match the dense SVD's rank."""
+    rng = np.random.default_rng(139 + rank)
+    rows = 10 * STEP
+    # small integer entries and a power-of-two perturbation: every product row is exact
+    entries = rng.integers(-3, 4, (rows, DIM)) + 1j * rng.integers(-3, 4, (rows, DIM))
+    lam = GFrameFamily.from_rows(MeasureSpace(rng.uniform(0.5, 2.0, rows)), entries, (1,) * rows)
+    planted = rng.integers(-3, 4, (DIM, rank)) @ rng.integers(-3, 4, (rank, DIM))
+    l1 = np.eye(DIM)
+    l2 = -l1 + 2.0**-33 * planted
+    summed = compose_sum(lam, lam, l1, l2)
+    reference = GFrameFamily.from_rows(lam.space, lam.rows @ l1 + lam.rows @ l2, lam.block_dims)
+    svals = singular_values(analysis_matrix(reference))
+    dense_rank = rank_from_singular_values(svals, (rows, DIM), model.DEFAULT_TOL)
+    assert dense_rank == rank == np.linalg.matrix_rank(planted)
+    assert frame_bounds(summed).is_frame == (dense_rank == DIM)
+    _assert_within_rounding(summed, reference, rank)
+    # the rounding bound also holds for the d x d Gram that was set aside
+    gram, scale = analysis._composed_gram(model.composition_terms(summed))
+    delta = gram_rounding_bound((rows, DIM), max(scale, float(np.linalg.eigvalsh(gram)[-1])))
+    assert np.linalg.norm(gram - frame_operator(reference), 2) <= delta
+
+
+def test_mixed_construction_bounds_both_inputs_before_composing(monkeypatch):
+    rng = np.random.default_rng(149)
+    (lam,) = _pair(rng, 30_000, (DIM,))
+    theta = GFrameFamily.from_rows(lam.space, canonical_dual(lam).rows, lam.block_dims)
+    scans = []
+    original = GFrameFamily._scan_finite
+    monkeypatch.setattr(GFrameFamily, "_scan_finite", lambda fam: scans.append(original(fam)))
+    unitary = np.linalg.qr(_cgauss(rng, (DIM, DIM)))[0]
+    result = mixed_construction(lam, theta, unitary, unitary)
+    assert scans == [] and result.sandwich_ok
+
+
+def test_applying_a_tall_composition_stacks_nothing():
+    rng = np.random.default_rng(151)
+    (lam,) = _pair(rng, 30_000, (DIM,))
+    frame_bounds(lam)
+    phi = KHatVector.from_array(_cgauss(rng, lam.codomain_dim), lam.block_dims)
+    h = _cgauss(rng, DIM)
+
+    def build():
+        dual = canonical_dual(lam)
+        return dual, synthesis_kernel_test(dual, phi), apply_analysis(dual, h)
+
+    (dual, in_kernel, applied), _, held = _measured(build)
+    # the applied vector is N entries of the 6N the stacked rows would hold
+    assert held < lam.rows.nbytes / 4 and not in_kernel
+    assert np.allclose(applied.data, dual.rows @ h)
+
+
+def test_applying_a_one_chunk_family_keeps_its_bits():
+    rng = np.random.default_rng(157)
+    lam, theta = _pair(rng, STEP // 2 - 7)  # one chunk of the pair family, too
+    phi = KHatVector.from_array(_cgauss(rng, lam.codomain_dim), lam.block_dims)
+    h = _cgauss(rng, 2 * DIM)
+    weights = np.repeat(lam.space.weights, lam.block_dims)
+    for fam in (lam, gamma_family(lam, theta)):
+        assert len(model.row_chunks(fam.codomain_dim, fam.domain_dim)) == 1
+        vector = h[: fam.domain_dim]
+        assert apply_analysis(fam, vector).data.tobytes() == (fam.rows @ vector).tobytes()
+        image = fam.rows.conj().T @ (phi.data * weights)
+        assert apply_synthesis(fam, phi).tobytes() == image.tobytes()

@@ -24,7 +24,7 @@ from gframes import (
     right_compose,
     verification,
 )
-from gframes._linalg import singular_values
+from gframes._linalg import hermitize, singular_values
 from gframes.cli import run_command
 from gframes.verification import (
     _MAX_CONDITION,
@@ -39,6 +39,7 @@ from gframes.verification import (
     run_suite,
 )
 
+import test_composed
 import test_disjointness
 
 DRAWS = 300
@@ -160,12 +161,6 @@ def _breaks_the_pair_upper_bound(tol):
     assert faults and all(f.endswith(": pair upper bound above sum-map estimate") for f in faults)
 
 
-def _fails_the_conjugate_cross_block_test(tol):
-    """``verify`` misses a transposed cross block; one fixture-free test does not."""
-    with pytest.raises(AssertionError):
-        test_disjointness.test_pair_family_gram_holds_the_conjugate_cross_block()
-
-
 def _always_true(*args, **kwargs):
     return True
 
@@ -202,10 +197,40 @@ def _always_onto(fam, tol=DEFAULT_TOL):
     return analysis.synthesis_gain(fam, tol)[0], True
 
 
+def _transposed_congruence(gram, operator):
+    return hermitize(operator.T @ (gram @ operator))
+
+
+def _sum_gram_without_cross_blocks(lam, theta, cross):
+    return _PAIR_GRAM(lam, theta, np.zeros_like(cross))
+
+
+_COMPOSED_GRAM = analysis._composed_gram
+
+
+def _scale_of_largest_eigenvalue(terms):
+    gram, _ = _COMPOSED_GRAM(terms)
+    return gram, float(np.linalg.eigvalsh(gram)[-1])
+
+
+def _fails(test, *args):
+    """The catcher that runs one fixture-free tier-1 test, which must fail: for
+    faults that ``verify`` misses, such as a transposed cross block, or that its
+    one-chunk draws never reach, such as those of the composed Gram."""
+
+    def catcher(tol):
+        with pytest.raises(AssertionError):
+            test(*args)
+
+    return catcher
+
+
 # Planted faults (mutation analysis: DeMillo, Lipton & Sayward, 1978): the
 # (module, name, value) patches that plant each, and the catcher that notices it.
 # M3: the Gram certificate always passes; M5: C^T in the pair Gram where C^H belongs;
-# M9: the pair family's kernel is always trivial.
+# M9: the pair family's kernel is always trivial.  The composed-Gram faults plant
+# L^T for L^H, a sum's pair Gram without its cross blocks, and the rounding scale
+# of a composed Gram cut to its largest eigenvalue.
 _PLANTED = {
     "M3": (
         [(analysis, "gram_certifies_full_column_rank", _always_true)],
@@ -213,7 +238,7 @@ _PLANTED = {
     ),
     "M5": (
         [(disjointness, "_pair_gram", _transposed_cross)],
-        _fails_the_conjugate_cross_block_test,
+        _fails(test_disjointness.test_pair_family_gram_holds_the_conjugate_cross_block),
     ),
     "M9": (
         [(disjointness, "kernel_triviality", _always_true)],
@@ -241,6 +266,24 @@ _PLANTED = {
         _breaks_the_pair_upper_bound,
     ),
     "zero-cross-operator": ([(analysis, "_cross", _zero_cross)], _raises_in_mixed_construction),
+    "composed-gram-transposed-operator": (
+        [(analysis, "_congruence", _transposed_congruence)],
+        _fails(test_composed.test_tall_sums_read_no_rows_once_their_sources_are_bounded),
+    ),
+    "composed-sum-gram-without-cross-blocks": (
+        [(analysis, "_pair_gram", _sum_gram_without_cross_blocks)],
+        _fails(
+            test_composed.test_composed_families_match_their_stored_products_bit_for_bit,
+            10 * test_composed.STEP + 100,
+        ),
+    ),
+    "composed-scale-of-largest-eigenvalue": (
+        [(analysis, "_composed_gram", _scale_of_largest_eigenvalue)],
+        _fails(
+            test_composed.test_a_planted_cancellation_is_decided_from_the_rows,
+            test_composed.DIM,
+        ),
+    ),
 }
 
 
