@@ -205,7 +205,7 @@ def _scale(fam: GFrameFamily) -> float:
     return max(largest, fam._memo.get("scale", largest))
 
 
-def pair_scale(lam: GFrameFamily, theta: GFrameFamily) -> float:
+def _pair_scale(lam: GFrameFamily, theta: GFrameFamily) -> float:
     """The rounding scale a pair family's Gram takes beyond its largest
     eigenvalue: the sum of both families' scales when either family's Gram was
     derived from d x d data, else none (0)."""
@@ -263,6 +263,25 @@ def _pair_gram(lam: GFrameFamily, theta: GFrameFamily, cross: np.ndarray) -> np.
     gram[:d, :d], gram[d:, d:] = _gram(lam), _gram(theta)
     gram[d:, :d], gram[:d, d:] = cross, cross.conj().T
     return _freeze(gram)
+
+
+def gamma_family(lam: GFrameFamily, theta: GFrameFamily) -> GFrameFamily:
+    """Pair family on the direct-sum domain: blocks are [lam_i | theta_i].
+
+    Domain coordinates are ordered first-family-first, matching the
+    left-to-right reading of (h, k) -> lam_i h + theta_i k.  Its memo is the
+    pair's record (:func:`pair_memo`), which this module alone lays out: the
+    cross operator C, and the Gram [[S_lam, C^H], [C, S_theta]] that is the
+    pair family's frame operator ([A|B]^H [A|B] is never formed), with its
+    rounding scale when either diagonal block was derived from d x d data
+    (:func:`_pair_scale`).  It holds both families' rows as column parts, not
+    the families, and stacks them only when its ``rows`` are asked for.
+    """
+    require_same_khat(lam, theta)
+    record = pair_memo(lam, theta)
+    memoized(record, "gram", _pair_gram, lam, theta, record["cross"])
+    memoized(record, "scale", _pair_scale, lam, theta)
+    return GFrameFamily.side_by_side(lam, theta, record)
 
 
 def frame_bounds(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> FrameReport:

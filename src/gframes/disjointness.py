@@ -10,6 +10,9 @@ stacked.  The sum of two subspaces is closed in finite dimension, so
 "disjoint" and "weakly disjoint" coincide: both read the one rank [A|B].
 ``pair_equivalences`` and ``normalized_pair`` state the theorems that tie the
 relations to the pair family, once, for the CLI and the ``verify`` suite alike.
+The pair family itself is built by ``analysis.gamma_family``, as the analysis
+module owns the pair record that is its memo; it is imported here, so
+``disjointness.gamma_family`` names it too.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import full_row_rank, operator_norm, singular_values
-from .analysis import Check, _pair_gram, analysis_rank, frame_bounds, pair_memo
-from .analysis import pair_scale, parseval_normalize, require_frame
+from .analysis import Check, analysis_rank, cross_operator, frame_bounds, gamma_family
+from .analysis import pair_memo, parseval_normalize, require_frame
 from .errors import PreconditionError
 from .model import (
     DEFAULT_TOL,
@@ -80,7 +83,7 @@ def _classify(lam, theta, tol: TolerancePolicy) -> DisjointnessReport:
     dimension the range sum is closed, so a trivial kernel of the pair map and a
     trivial range intersection are the same rank statement, rank [A|B] = d1 + d2."""
     khat_dim = lam.codomain_dim
-    cross_norm = operator_norm(pair_memo(lam, theta)["cross"])
+    cross_norm = operator_norm(cross_operator(theta, lam))
     bessel = np.sqrt(frame_bounds(lam, tol).upper_bound * frame_bounds(theta, tol).upper_bound)
     strongly = bool(cross_norm <= tol.rel_eps * bessel)
 
@@ -105,24 +108,6 @@ def _classify(lam, theta, tol: TolerancePolicy) -> DisjointnessReport:
         range_sum_dim=int(rank_ab),
         khat_dim=int(khat_dim),
     )
-
-
-def gamma_family(lam: GFrameFamily, theta: GFrameFamily) -> GFrameFamily:
-    """Pair family on the direct-sum domain: blocks are [lam_i | theta_i].
-
-    Domain coordinates are ordered first-family-first, matching the
-    left-to-right reading of (h, k) -> lam_i h + theta_i k.  Its memo is the
-    pair's record, whose Gram [[S_lam, C^H], [C, S_theta]] is its frame
-    operator: [A|B]^H [A|B] is never formed.  When either diagonal block was
-    derived from d x d data, the record also holds the Gram's rounding scale
-    (``pair_scale``).  It holds both families' rows as column parts, not the
-    families, and stacks them only when its ``rows`` are asked for.
-    """
-    require_same_khat(lam, theta)
-    record = pair_memo(lam, theta)
-    memoized(record, "gram", _pair_gram, lam, theta, record["cross"])
-    memoized(record, "scale", pair_scale, lam, theta)
-    return GFrameFamily.side_by_side(lam, theta, record)
 
 
 def delta_family(

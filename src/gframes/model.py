@@ -21,7 +21,6 @@ the second. All adjoints are conjugate transposes under this convention.
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 import weakref
@@ -119,30 +118,26 @@ class _Product:
     """A column part held as the sum of ``source.rows @ operator`` over its ``terms``,
     each a (source family, operator) pair, and computed a row chunk at a time.
 
-    ``shape`` is the part's N x m shape and ``bound`` bounds the 2-norm of each
-    of its rows (inf when none is known).  Every row comes out with the bits of
-    the N-row product: a one-row chunk would take numpy's vector path instead
-    of the matrix product every other row takes, so it is computed as one of
-    two equal rows.
+    ``shape`` is the part's N x m shape.  Every row comes out with the bits of
+    the N-row product: a one-row chunk of a taller part would take numpy's
+    vector path instead of the matrix product every other row takes, so it is
+    computed as one of two equal rows.
     """
 
-    __slots__ = ("terms", "shape", "bound")
+    __slots__ = ("terms", "shape")
 
-    def __init__(self, terms: tuple, shape: tuple[int, int], bound: float):
-        self.terms, self.shape, self.bound = terms, shape, bound
+    def __init__(self, terms: tuple, shape: tuple[int, int]):
+        self.terms, self.shape = terms, shape
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         total = None
         for source, operator in self.terms:
             chunk = chunk_rows(source, rows)
-            if len(chunk) == 1:
+            if len(chunk) == 1 < self.shape[0]:
                 product = (np.vstack([chunk, chunk]) @ operator)[:1]
             else:
                 product = chunk @ operator
-            if total is None:
-                total = product
-            else:
-                total += product
+            total = product if total is None else np.add(total, product, out=total)
         return total
 
 
@@ -155,19 +150,25 @@ def composition_terms(fam: "GFrameFamily") -> tuple | None:
     return part.terms if isinstance(part, _Product) and not others else None
 
 
-def _all_finite(rows: np.ndarray) -> bool:
-    """Whether every entry is finite, with no temporary beyond a chunk's size.  A
-    larger matrix is summed first: the sum is finite unless an entry is not (or
-    the entries add up past the float range), and only then is each entry tested."""
-    if rows.nbytes > CHUNK_BYTES:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if cmath.isfinite(rows.sum()):
-                return True
-    return bool(np.isfinite(rows.view(float)).all())
+_NO_ROWS = np.empty(0, dtype=int)
 
 
-def _nonfinite_blocks(block_dims, bad_rows) -> list[str]:
-    """The violations of the blocks owning the rows ``bad_rows`` (a mask or indices)."""
+def _squares(rows: np.ndarray) -> tuple[float, np.ndarray]:
+    """(||rows||_F^2, the indices of the rows with a non-finite entry) from one pass
+    over the entries' real view.  The sum is NaN or inf when an entry is not
+    finite, and inf also when finite entries' squares pass the float range: only
+    then is each entry tested."""
+    flat = rows.view(float).reshape(-1)
+    squares = float(np.vdot(flat, flat))
+    if squares < math.inf:
+        return squares, _NO_ROWS
+    return squares, np.flatnonzero(~np.isfinite(rows.view(float)).all(axis=1))
+
+
+def _nonfinite_blocks(block_dims, bad_rows: np.ndarray) -> list[str]:
+    """The violations of the blocks owning the rows ``bad_rows`` (indices); none for none."""
+    if not bad_rows.size:
+        return []
     atoms = np.unique(np.repeat(np.arange(len(block_dims)), block_dims)[bad_rows])
     return [f"block {i} contains non-finite entries" for i in atoms]
 
@@ -175,25 +176,6 @@ def _nonfinite_blocks(block_dims, bad_rows) -> list[str]:
 # A bound below this proves a product's entries finite: the factor 16 covers the
 # rounding of the product and of the bound.
 _PROVEN_FINITE = float(np.finfo(float).max) / 16
-_TINY = float(np.finfo(float).tiny)
-
-
-def _row_bound(fam: "GFrameFamily") -> float:
-    """A bound on the 2-norm of every row of ``fam.rows`` from d x d data alone.
-
-    With the family's Gram at hand (the analysis module memoizes it as
-    ``"gram"``), a row of atom i has w_i ||row||^2 <= trace(A^H A); the trace,
-    or the Gram's rounding ``"scale"`` when one is memoized beside a Gram
-    derived from d x d data (it bounds that trace too), is widened by 1 % for
-    its rounding and by the smallest normal float for its underflows.
-    Otherwise the bound of its product parts, and inf for a stored part.
-    """
-    gram = fam._memo.get("gram")
-    if gram is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = max(float(np.trace(gram).real), fam._memo.get("scale", 0.0))
-        return math.sqrt((1.01 * trace + _TINY) / float(fam.space.weights.min()))
-    return math.hypot(*(getattr(part, "bound", math.inf) for part in fam._parts))
 
 
 def _split_rows(matrix: np.ndarray, block_dims) -> list[np.ndarray]:
@@ -302,10 +284,19 @@ class GFrameFamily:
     construction raises FamilyValidationError naming the violations (the
     blocks' shape faults, or else every other fault of the stacked rows).
 
+    The pass that proves the rows finite also measures ||rows||_F, which the
+    family keeps as its bound (inf when the squares of finite entries pass the
+    float range).  A pair family's bound is the ``hypot`` of its two sources',
+    and a composition's the sum of ||source||_F ||operator||_F over its terms,
+    or the norm its scan measured.  Each bounds the family's ||rows||_F, so a
+    composition whose bound stays below the float range (with a margin for
+    rounding) is proved finite without a row being read.
+
     Since a family never changes, its spectral data (Gram, frame operator,
     eigenvalues, one frame report per tolerance, singular values of the
     analysis matrix, one record per live partner family) is computed on first
-    use and kept in a private memo.  It holds only d x d-sized data.
+    use and kept in a private memo.  It holds only d x d-sized data, laid out
+    by the analysis module; this module keeps only its pair entries.
     """
 
     space: MeasureSpace
@@ -362,9 +353,12 @@ class GFrameFamily:
     def side_by_side(cls, first, second, memo: dict) -> "GFrameFamily":
         """Family with blocks [first_i | second_i] (``second`` shares ``first``'s space
         and block dims) and ``memo`` as its memo.  It holds both families' rows as
-        column parts: nothing is scanned again, nor stacked before ``rows``."""
+        column parts: nothing is scanned again, nor stacked before ``rows``, and
+        its bound is the ``hypot`` of theirs."""
         family = cls.__new__(cls)
-        family._adopt(first.space, first.block_dims, _held_parts(first) + _held_parts(second), memo)
+        parts = _held_parts(first) + _held_parts(second)
+        bound = math.hypot(first._bound, second._bound)
+        family._adopt(first.space, first.block_dims, parts, memo, bound)
         return family
 
     @classmethod
@@ -375,56 +369,56 @@ class GFrameFamily:
         A result of one row chunk is computed and kept now, as any family is.  A
         taller one holds the terms (a :class:`_Product`, handed out by
         :func:`composition_terms`) and makes its rows a chunk at a time.  Its
-        rows are finite when a bound from d x d data proves it
-        (:func:`_row_bound`); else they are scanned a chunk at a time, with the
-        violations a stored result would name.
+        bound is the sum of ||source||_F ||operator||_F over the terms: by
+        Cauchy-Schwarz it bounds ||rows||_F and so every entry, the factor 16 of
+        ``_PROVEN_FINITE`` covering the rounding (Higham, ch. 3), so a bound
+        below that proves every entry finite with no row read.  Else the rows
+        are scanned a chunk at a time, with the violations a stored result
+        would name, and the family keeps the norm the scan measured.
         """
         first, operator = terms[0]
         count, width = first.codomain_dim, operator.shape[1]
+        part = _Product(tuple(terms), (count, width))
         if width < 1 or count <= _chunk_step(width):
-            rows = chunk_rows(first, slice(None)) @ operator
-            for source, other in terms[1:]:
-                rows += chunk_rows(source, slice(None)) @ other
-            return cls.from_rows(space, rows, block_dims)
-        # |row @ L| <= |row| sqrt(k m) max|L_ij| for a k x m operator L
-        with np.errstate(over="ignore"):
-            scales = [math.sqrt(op.size) * float(np.abs(op).max()) for _, op in terms]
-        bound = sum(_row_bound(source) * scale for (source, _), scale in zip(terms, scales))
-        part = _Product(tuple(terms), (count, width), bound)
+            return cls.from_rows(space, part[:], block_dims)
+        bound = sum(source._bound * math.sqrt(np.vdot(op, op).real) for source, op in terms)
         family = cls.__new__(cls)
-        family._adopt(space, block_dims, (part,), {})
-        if not bound < _PROVEN_FINITE:  # also when the bound is inf or NaN
+        family._adopt(space, block_dims, (part,), {}, bound)
+        if not bound <= _PROVEN_FINITE:  # also when the bound is NaN (inf times 0)
             family._scan_finite()
         return family
 
     def _scan_finite(self) -> None:
         """FamilyValidationError naming every block with a non-finite entry, the rows
-        read a chunk at a time."""
-        bad = []
+        read a chunk at a time; else their norm becomes the family's bound."""
+        squares, bad = 0.0, []
         for rows in row_chunks(self.codomain_dim, self.domain_dim):
-            chunk = chunk_rows(self, rows)
-            if not _all_finite(chunk):
-                bad.append(rows.start + np.flatnonzero(~np.isfinite(chunk.view(float)).all(axis=1)))
-        if bad:
-            raise FamilyValidationError(_nonfinite_blocks(self.block_dims, np.concatenate(bad)))
+            chunk_squares, chunk_bad = _squares(chunk_rows(self, rows))
+            squares += chunk_squares
+            bad.append(rows.start + chunk_bad)
+        found = _nonfinite_blocks(self.block_dims, np.concatenate(bad))
+        if found:
+            raise FamilyValidationError(found)
+        object.__setattr__(self, "_bound", math.sqrt(squares))
 
     def _set(self, space, block_dims, rows) -> None:
-        """Adopt ``rows`` (read-only from now on) once the invariants hold."""
+        """Adopt ``rows`` (read-only from now on) once the invariants hold, and their
+        norm ||rows||_F as the family's bound."""
         found = [] if rows.shape[1] >= 1 else [f"domain_dim = {rows.shape[1]} not >= 1"]
         if min(block_dims) < 1:
             found += [f"block_dims[{i}] = {d} not >= 1" for i, d in enumerate(block_dims) if d < 1]
-        if not found and not _all_finite(rows):
-            found += _nonfinite_blocks(block_dims, ~np.isfinite(rows.view(float)).all(axis=1))
+        squares, bad = (0.0, _NO_ROWS) if found else _squares(rows)
+        found += _nonfinite_blocks(block_dims, bad)
         if found:
             raise FamilyValidationError(found)
-        self._adopt(space, block_dims, (_freeze(rows),), {}, rows)
+        self._adopt(space, block_dims, (_freeze(rows),), {}, math.sqrt(squares), rows)
 
-    def _adopt(self, space, block_dims, parts: tuple, memo: dict, whole=None) -> None:
-        """Take the parts, with ``whole`` the stored rows (else stacked by ``rows``)."""
+    def _adopt(self, space, block_dims, parts: tuple, memo: dict, bound, whole=None) -> None:
+        """Take the parts and the bound, ``whole`` the stored rows (else stacked by ``rows``)."""
         width = whole.shape[1] if whole is not None else sum(part.shape[1] for part in parts)
         for name, value in zip(
-            ("space", "domain_dim", "block_dims", "_parts", "_rows", "_blocks", "_memo"),
-            (space, width, block_dims, parts, whole, None, memo),
+            ("space", "domain_dim", "block_dims", "_parts", "_rows", "_blocks", "_memo", "_bound"),
+            (space, width, block_dims, parts, whole, None, memo, bound),
         ):
             object.__setattr__(self, name, value)
 

@@ -130,18 +130,21 @@ def mixed_construction(
 
     Requires the mixed cross operator of the pair to be the identity and
     L1^H L2 = I.  The result is always a frame with lower bound >= 2 and
-    upper bound <= B_lam ||L1||^2 + 2 + B_theta ||L2||^2.
+    upper bound <= B_lam ||L1||^2 + 2 + B_theta ||L2||^2.  The hypothesis is
+    checked on theta^H lam (``cross_operator(theta, lam)``), the conjugate
+    transpose of lam^H theta, which is the identity exactly when that is: it
+    is the cross block that the combined family's Gram reads, so the pair's
+    cross operator is streamed once.
     """
     require_same_domain(lam, theta)
     d = lam.domain_dim
     l1, l2 = OperatorPair(l1, l2).square_operators(d, d)
     eye = np.eye(d)
-    if not matrices_close(cross_operator(lam, theta), eye, tol.rel_eps):
+    if not matrices_close(cross_operator(theta, lam), eye, tol.rel_eps):
         raise PreconditionError("cross operator of the pair is not the identity")
     if not matrices_close(l1.conj().T @ l2, eye, tol.rel_eps):
         raise PreconditionError("L1^H L2 is not the identity")
 
-    # both inputs bounded first: their Grams bound the combined rows, which are then not scanned
     b_lam = frame_bounds(lam, tol).upper_bound
     b_theta = frame_bounds(theta, tol).upper_bound
     combined = compose_sum(lam, theta, l1, l2)

@@ -6,6 +6,7 @@ stored product's, and from the rows, with its bits, when delta cannot vouch
 for that route."""
 
 import contextlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -315,6 +316,41 @@ def test_mixed_construction_bounds_both_inputs_before_composing(monkeypatch):
     unitary = np.linalg.qr(_cgauss(rng, (DIM, DIM)))[0]
     result = mixed_construction(lam, theta, unitary, unitary)
     assert scans == [] and result.sandwich_ok
+
+
+def test_mixed_construction_streams_the_pair_cross_operator_once():
+    rng = np.random.default_rng(149)
+    (lam,) = _pair(rng, 30_000, (DIM,))
+    theta = canonical_dual(lam)  # a composition: each of its chunks reads one of lam's
+    unitary = np.linalg.qr(_cgauss(rng, (DIM, DIM)))[0]
+    with _counted_row_reads() as reads:
+        result = mixed_construction(lam, theta, unitary, unitary)
+    # one cross pass: a chunk of lam, a chunk of theta and the chunk of lam it reads;
+    # theta's Gram and the combined family's come from d x d algebra
+    assert len(reads) == 3 * len(model.row_chunks(lam.codomain_dim, DIM))
+    assert result.sandwich_ok
+
+
+def test_a_tall_composition_is_proved_finite_by_the_norms_of_its_terms(monkeypatch):
+    rng = np.random.default_rng(163)
+    lam, theta = _pair(rng, 10 * STEP)  # stored, with no Gram yet
+    scans = []
+    original = GFrameFamily._scan_finite
+    monkeypatch.setattr(GFrameFamily, "_scan_finite", lambda fam: scans.append(original(fam)))
+    l1, l2 = _cgauss(rng, (DIM, DIM)), _cgauss(rng, (DIM, DIM))
+    composed = right_compose(lam, l1)
+    assert scans == []
+    nested = right_compose(canonical_dual(lam), l2)
+    summed = compose_sum(lam, theta, l1, l2)
+    gamma = gamma_family(lam, theta)
+    assert scans == []
+    for fam in (lam, composed, nested, summed, gamma, canonical_dual(gamma)):
+        assert np.linalg.norm(fam.rows) <= fam._bound * (1 + 1e-12)
+    # a bound past the float range is replaced by the norm the scan measures
+    huge = GFrameFamily.from_rows(lam.space, 1e200 * lam.rows, lam.block_dims)
+    scaled = right_compose(huge, 1e-200 * np.eye(DIM))
+    assert huge._bound == math.inf and len(scans) == 1
+    assert scaled._bound == pytest.approx(np.linalg.norm(scaled.rows), rel=1e-12)
 
 
 def test_applying_a_tall_composition_stacks_nothing():

@@ -1,6 +1,7 @@
 """Core model: validation at construction, the weighted inner product, and the embedding."""
 
 import copy
+import math
 import pickle
 import tracemalloc
 
@@ -349,6 +350,33 @@ def test_invalid_blocks_are_named_at_construction(space2):
     assert nonfinite == ["block 1 contains non-finite entries"]
     rows = np.array([[1.0], [2.0], [np.nan]])
     assert _violations(lambda: GFrameFamily.from_rows(space2, rows, (1, 2))) == nonfinite
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (20_000, 24)], ids=["one-chunk", "many-chunks"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_a_non_finite_entry_names_its_block_wherever_it_sits(shape, where, value):
+    """The norm pass finds the entry, on rows below and above the chunk size."""
+    rng = np.random.default_rng(59)
+    dims = (1, 3) * (shape[0] // 4)
+    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flat = rows.view(float).reshape(-1)
+    # the real part of the first entry, the imaginary parts of a middle and the last one
+    index = {"first": 0, "middle": flat.size // 2 + 1, "last": flat.size - 1}[where]
+    flat[index] = value
+    block = int(np.searchsorted(np.cumsum(dims), index // (2 * shape[1]), side="right"))
+    space = MeasureSpace(np.ones(len(dims)))
+    expected = [f"block {block} contains non-finite entries"]
+    assert _violations(lambda: GFrameFamily.from_rows(space, rows, dims)) == expected
+
+
+def test_finite_entries_whose_squares_overflow_make_a_family_with_an_infinite_bound():
+    space = MeasureSpace(np.ones(4))
+    rows = np.full((4, 3), 1e200 - 1e200j)
+    fam = GFrameFamily.from_rows(space, rows, (1,) * 4)
+    assert fam._bound == math.inf and np.array_equal(fam.rows, rows)
+    small = GFrameFamily.from_rows(space, rows * 1e-200, (1,) * 4)
+    assert small._bound == pytest.approx(math.sqrt(24.0), rel=1e-15)
 
 
 def test_zero_row_block_is_rejected(space2):

@@ -8,6 +8,7 @@ its case instead of ending the suite.
 import copy
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gframes import (
     classify,
     disjointness,
     frame_bounds,
+    model,
     pair_equivalences,
     riesz,
     right_compose,
@@ -214,15 +216,22 @@ def _scale_of_largest_eigenvalue(terms):
 
 
 def _fails(test, *args):
-    """The catcher that runs one fixture-free tier-1 test, which must fail: for
-    faults that ``verify`` misses, such as a transposed cross block, or that its
-    one-chunk draws never reach, such as those of the composed Gram."""
+    """The catcher that runs one fixture-free tier-1 test, which must fail, by an
+    assertion or by a ``pytest.raises`` that sees nothing raised: for faults that
+    ``verify`` misses, such as a transposed cross block, or that its one-chunk
+    draws never reach, such as those of the composed Gram and its finiteness proof."""
 
     def catcher(tol):
-        with pytest.raises(AssertionError):
+        with pytest.raises((AssertionError, pytest.fail.Exception)):
             test(*args)
 
     return catcher
+
+
+def _overflowing_atoms_named(bounded):
+    """The overflow test as its mark runs it, with the matmul's warnings off."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        test_composed.test_an_operator_overflowing_some_atoms_names_exactly_their_blocks(bounded)
 
 
 # Planted faults (mutation analysis: DeMillo, Lipton & Sayward, 1978): the
@@ -230,14 +239,15 @@ def _fails(test, *args):
 # M3: the Gram certificate always passes; M5: C^T in the pair Gram where C^H belongs;
 # M9: the pair family's kernel is always trivial.  The composed-Gram faults plant
 # L^T for L^H, a sum's pair Gram without its cross blocks, and the rounding scale
-# of a composed Gram cut to its largest eigenvalue.
+# of a composed Gram cut to its largest eigenvalue; the finiteness proof of a
+# composition, made to accept any bound, lets an overflowing product through.
 _PLANTED = {
     "M3": (
         [(analysis, "gram_certifies_full_column_rank", _always_true)],
         _fails_exactly("pair-bound-sandwich"),
     ),
     "M5": (
-        [(disjointness, "_pair_gram", _transposed_cross)],
+        [(analysis, "_pair_gram", _transposed_cross)],
         _fails(test_disjointness.test_pair_family_gram_holds_the_conjugate_cross_block),
     ),
     "M9": (
@@ -262,7 +272,7 @@ _PLANTED = {
         _fails_exactly("mixed-construction", "riesz-criteria-agree"),
     ),
     "tripled-pair-cross-block": (
-        [(disjointness, "_pair_gram", _tripled_cross)],
+        [(analysis, "_pair_gram", _tripled_cross)],
         _breaks_the_pair_upper_bound,
     ),
     "zero-cross-operator": ([(analysis, "_cross", _zero_cross)], _raises_in_mixed_construction),
@@ -276,6 +286,10 @@ _PLANTED = {
             test_composed.test_composed_families_match_their_stored_products_bit_for_bit,
             10 * test_composed.STEP + 100,
         ),
+    ),
+    "composition-proven-finite-at-any-bound": (
+        [(model, "_PROVEN_FINITE", math.inf)],
+        _fails(_overflowing_atoms_named, False),
     ),
     "composed-scale-of-largest-eigenvalue": (
         [(analysis, "_composed_gram", _scale_of_largest_eigenvalue)],
