@@ -19,7 +19,7 @@ from ._linalg import (
     require_finite,
     singular_values,
 )
-from .errors import NumericalRangeError, PreconditionError, SingularOperatorError
+from .errors import NumericalRangeError, PreconditionError, ShapeError, SingularOperatorError
 from .model import (
     DEFAULT_TOL,
     GFrameFamily,
@@ -27,7 +27,7 @@ from .model import (
     _freeze,
     _row_weights,
     chunk_rows,
-    composition_terms,
+    composition,
     memoized,
     require_same_domain,
     require_same_khat,
@@ -86,15 +86,16 @@ def frame_operator(fam: GFrameFamily) -> np.ndarray:
 
     Streamed from the family's rows in O(chunk x d) extra memory (A is never
     formed) and exactly Hermitian.  A composition taller than one row chunk
-    (``right_compose``, ``compose_sum``) takes it from d x d algebra instead,
-    L^H G L over its terms (:func:`_composed_gram`), when the rounding bound
-    of that route leaves its smallest eigenvalue clear; else it streams it as
-    any family does, with the same bits.  Read-only, and computed once per family
-    object.  Raises NumericalRangeError when it overflows, or underflows to
-    below the smallest normal float for a nonzero family (on every call: an
-    error is never stored).  A finite frame operator implies a finite A (its
-    diagonal holds A's squared column norms), so the operations that bound a
-    family first never see an overflowed A.
+    (``right_compose``, and so ``compose_sum``) takes it from d x d algebra
+    instead, L^H G L with G its source's Gram (:func:`_composed_gram`), when
+    the rounding bound of that route leaves its smallest eigenvalue clear;
+    else it streams it as any family does, with the same bits.  Read-only,
+    and computed once per family object.  Raises NumericalRangeError when it
+    overflows, or underflows to below the smallest normal float for a
+    nonzero family (on every call: an error is never stored).  A finite frame
+    operator implies a finite A (its diagonal holds A's squared column
+    norms), so the operations that bound a family first never see an
+    overflowed A.
     """
     return memoized(fam._memo, "frame_operator", _frame_operator, fam)
 
@@ -116,24 +117,27 @@ def _gram(fam: GFrameFamily) -> np.ndarray:
 
 
 def _computed_gram(fam: GFrameFamily) -> np.ndarray:
-    terms = composition_terms(fam)
-    derived = None if terms is None else _derived_gram(fam, terms)
+    composed = composition(fam)
+    derived = None if composed is None else _derived_gram(fam, *composed)
     return _weighted_product(fam, fam) if derived is None else derived
 
 
 _TINY = float(np.finfo(float).tiny)
 
 
-def _derived_gram(fam: GFrameFamily, terms: tuple) -> np.ndarray | None:
-    """The composition's Gram from :func:`_composed_gram`, its scale and eigenvalues
-    memoized; None, so that the Gram is streamed, when the route cannot vouch for
-    it: a source wider than N/4 columns or without a finite frame operator, a
-    scale outside the normal float range, or a smallest eigenvalue at or below
-    the rounding bound delta (for instance when L2 nearly cancels L1)."""
-    if fam.codomain_dim < 4 * sum(operator.shape[0] for _, operator in terms):
+def _derived_gram(
+    fam: GFrameFamily, source: GFrameFamily, operator: np.ndarray
+) -> np.ndarray | None:
+    """The Gram of ``fam`` = ``source`` composed with ``operator``, from
+    :func:`_composed_gram`, its scale and eigenvalues memoized; None, so that the
+    Gram is streamed, when the route cannot vouch for it: a source wider than
+    N/4 columns or without a finite frame operator, a scale outside the normal
+    float range, or a smallest eigenvalue at or below the rounding bound delta
+    (for instance when a sum's L2 nearly cancels its L1)."""
+    if fam.codomain_dim < 4 * operator.shape[0]:
         return None
     try:
-        gram, scale = _composed_gram(terms)
+        gram, scale = _composed_gram(source, operator)
     except NumericalRangeError:
         return None
     if not (_TINY <= scale < math.inf and cmath.isfinite(gram.sum())):
@@ -145,17 +149,15 @@ def _derived_gram(fam: GFrameFamily, terms: tuple) -> np.ndarray | None:
     return _freeze(gram)
 
 
-def _composed_gram(terms: tuple) -> tuple[np.ndarray, float]:
-    """(G~, s): the Gram hermitize(L^H G L) of the composition M = X L with these
-    terms, and its rounding scale s = c ||L||_F^2 s_X, c = 2 max(1, k / m), for
-    a k x m operator L.
-
-    One term (X, L) is a ``right_compose``: G is X's memoized Gram.  Two terms
-    (lam, L1), (theta, L2) are a ``compose_sum``: X = [lam | theta], L = [L1; L2]
-    and G is the pair Gram [[S_lam, C^H], [C, S_theta]] (:func:`_pair_gram`),
-    [[S, S], [S, S]] when lam is theta.  s_X is X's scale (:func:`_scale`), for
-    a pair the sum of both families' scales.  A source's frame operator out of
-    range raises NumericalRangeError.
+def _composed_gram(source: GFrameFamily, operator: np.ndarray) -> tuple[np.ndarray, float]:
+    """(G~, s): the Gram hermitize(L^H G L) of the composition M = X L of the
+    source X with the k x m operator L, G X's memoized Gram, and its rounding
+    scale s = c ||L||_F^2 s_X, c = 2 max(1, k / m), s_X X's scale
+    (:func:`_scale`).  A sum of a pair (:func:`compose_sum`) is the pair family
+    composed with L = [L1; L2], so its G is the pair Gram [[S_lam, C^H], [C,
+    S_theta]] of the pair record and its s_X the scale that the pair family's
+    own certificate reads.  A source's frame operator out of range raises
+    NumericalRangeError.
 
     Why delta(s) = (N + m) m eps s (``gram_rounding_bound``) bounds the distance
     of G~ from fl(M~^H W M~), M~ = fl(X~ L) the computed rows, to first order in
@@ -173,14 +175,7 @@ def _composed_gram(terms: tuple) -> tuple[np.ndarray, float]:
     nesting level multiplies the scale by c ||L||_F^2 again, so a composed
     source's own scale feeds the next.
     """
-    if len(terms) == 1:
-        ((source, operator),) = terms
-        gram, scale = _gram(source), _scale(source)
-    else:
-        (lam, l1), (theta, l2) = terms
-        cross = _gram(lam) if lam is theta else pair_memo(lam, theta)["cross"]
-        gram, scale = _pair_gram(lam, theta, cross), _scale(lam) + _scale(theta)
-        operator = np.vstack([l1, l2])
+    gram, scale = _gram(source), _scale(source)
     k, m = operator.shape
     with np.errstate(over="ignore", invalid="ignore"):
         scale *= 2.0 * max(1.0, k / m) * float(np.vdot(operator, operator).real)
@@ -252,7 +247,8 @@ def pair_memo(lam: GFrameFamily, theta: GFrameFamily) -> dict:
 
 
 def _cross(lam: GFrameFamily, theta: GFrameFamily) -> dict:
-    return {"cross": _weighted_product(theta, lam)}
+    """The record's first entry, C = B^H A: a family's own Gram when paired with itself."""
+    return {"cross": _gram(lam) if lam is theta else _weighted_product(theta, lam)}
 
 
 def _pair_gram(lam: GFrameFamily, theta: GFrameFamily, cross: np.ndarray) -> np.ndarray:
@@ -282,6 +278,22 @@ def gamma_family(lam: GFrameFamily, theta: GFrameFamily) -> GFrameFamily:
     memoized(record, "gram", _pair_gram, lam, theta, record["cross"])
     memoized(record, "scale", _pair_scale, lam, theta)
     return GFrameFamily.side_by_side(lam, theta, record)
+
+
+def compose_sum(lam: GFrameFamily, theta: GFrameFamily, l1, l2) -> GFrameFamily:
+    """Family with blocks lam_i @ l1 + theta_i @ l2: the pair family [lam_i | theta_i]
+    composed with [l1; l2].
+
+    So a sum is one more ``right_compose``: ShapeError unless lam and theta
+    share a space and block dims and l1 has lam's domain dim of rows (else
+    [l1; l2] would be split at another column of the pair family), its bound
+    is the pair family's (the ``hypot`` of theirs) times ||[l1; l2]||_F, and
+    a tall sum's frame operator is derived from the pair Gram of the pair
+    record, which is formed, when it is not yet, as the sum is built.
+    """
+    if len(l1) != lam.domain_dim:
+        raise ShapeError(f"L1 has {len(l1)} rows, expected domain_dim {lam.domain_dim}")
+    return right_compose(gamma_family(lam, theta), np.vstack([l1, l2]))
 
 
 def frame_bounds(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> FrameReport:

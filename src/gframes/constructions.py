@@ -11,7 +11,7 @@ import numpy as np
 
 from ._linalg import full_row_rank, invert_kept, rank_from_singular_values, singular_values
 from .analysis import Check, FrameReport, canonical_dual, dual_check, frame_bounds, frame_check
-from .analysis import is_dual_pair
+from .analysis import compose_sum, is_dual_pair
 from .disjointness import gamma_family, require_relation
 from .errors import GenerationError, PreconditionError, ShapeError, SingularOperatorError
 from .model import (
@@ -20,7 +20,6 @@ from .model import (
     MeasureSpace,
     OperatorPair,
     TolerancePolicy,
-    compose_sum,
     family_from_analysis_matrix,
     operator_matrix,
     read_dim,

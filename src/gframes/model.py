@@ -11,9 +11,9 @@ A family stores its blocks stacked in atom order as one N x d row matrix, and
 a vector of the direct sum its blocks as one length-N array in the same row
 layout, so every operation is a single matrix or vector product rather than a
 loop over atoms.  A family built from others holds their parts instead (a
-pair family) or them and the operators applied (a composition taller than
-one row chunk), and the streamed products read its rows a chunk at a time
-through :func:`chunk_rows`.
+pair family) or its source and the operator applied (a composition taller
+than one row chunk), and the streamed products read its rows a chunk at a
+time through :func:`chunk_rows`.
 
 Inner product convention: linear in the FIRST argument, conjugate-linear in
 the second. All adjoints are conjugate transposes under this convention.
@@ -115,8 +115,7 @@ def _held_parts(fam: "GFrameFamily") -> tuple:
 
 
 class _Product:
-    """A column part held as the sum of ``source.rows @ operator`` over its ``terms``,
-    each a (source family, operator) pair, and computed a row chunk at a time.
+    """A column part held as ``source.rows @ operator`` and computed a row chunk at a time.
 
     ``shape`` is the part's N x m shape.  Every row comes out with the bits of
     the N-row product: a one-row chunk of a taller part would take numpy's
@@ -124,30 +123,25 @@ class _Product:
     computed as one of two equal rows.
     """
 
-    __slots__ = ("terms", "shape")
+    __slots__ = ("source", "operator", "shape")
 
-    def __init__(self, terms: tuple, shape: tuple[int, int]):
-        self.terms, self.shape = terms, shape
+    def __init__(self, source: "GFrameFamily", operator: np.ndarray):
+        self.source, self.operator = source, operator
+        self.shape = (source.codomain_dim, operator.shape[1])
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        total = None
-        for source, operator in self.terms:
-            chunk = chunk_rows(source, rows)
-            if len(chunk) == 1 < self.shape[0]:
-                product = (np.vstack([chunk, chunk]) @ operator)[:1]
-            else:
-                product = chunk @ operator
-            total = product if total is None else np.add(total, product, out=total)
-        return total
+        chunk = chunk_rows(self.source, rows)
+        if len(chunk) == 1 < self.shape[0]:
+            return (np.vstack([chunk, chunk]) @ self.operator)[:1]
+        return chunk @ self.operator
 
 
-def composition_terms(fam: "GFrameFamily") -> tuple | None:
-    """The (source family, operator) terms of a composition taller than one row
-    chunk, whose rows are the sum of ``source.rows @ operator`` over them; None
-    for any other family (stored rows, or parts side by side).  The terms stay
-    the same once the family's rows are stacked."""
+def composition(fam: "GFrameFamily") -> tuple | None:
+    """(source family, operator) of a composition taller than one row chunk, whose
+    rows are ``source.rows @ operator``; None for any other family (stored rows,
+    or parts side by side).  They stay the same once the family's rows are stacked."""
     (part, *others) = fam._parts
-    return part.terms if isinstance(part, _Product) and not others else None
+    return (part.source, part.operator) if isinstance(part, _Product) and not others else None
 
 
 _NO_ROWS = np.empty(0, dtype=int)
@@ -269,14 +263,14 @@ class GFrameFamily:
     ``rows`` only on first access (``blocks``, ``==``, pickling, documents),
     keeping that copy outside the memo.  The pair family [lam_i | theta_i]
     keeps its parents' parts side by side.  A composition taller than one row
-    chunk (``right_compose``, ``compose_sum``, so the duals, the Parseval
-    normalization and the operator sums) keeps one product part: its source
-    families and the d x d operators, whose product it computes for the rows
+    chunk (``right_compose``, so the duals, the Parseval normalization and,
+    over a pair family, the operator sums) keeps one product part: its source
+    family and the d x d operator, whose product it computes for the rows
     asked for, with the bits of the N-row product.  Only this module reads the
     parts: other modules read a row chunk at a time through
     :func:`chunk_rows`, so the streamed products never stack them, and a
-    composition's (source, operator) terms through :func:`composition_terms`,
-    from which the analysis module derives its Gram in d x d algebra.
+    composition's source and operator through :func:`composition`, from
+    which the analysis module derives its Gram in d x d algebra.
     Well-formed 2-D blocks as wide as the constructor's ``domain_dim`` are
     stacked in one call; any other input takes the block-by-block route,
     which also reads a 0-D or 1-D block as one row.  The
@@ -287,10 +281,10 @@ class GFrameFamily:
     The pass that proves the rows finite also measures ||rows||_F, which the
     family keeps as its bound (inf when the squares of finite entries pass the
     float range).  A pair family's bound is the ``hypot`` of its two sources',
-    and a composition's the sum of ||source||_F ||operator||_F over its terms,
-    or the norm its scan measured.  Each bounds the family's ||rows||_F, so a
-    composition whose bound stays below the float range (with a margin for
-    rounding) is proved finite without a row being read.
+    and a composition's ||source||_F ||operator||_F, or the norm its scan
+    measured.  Each bounds the family's ||rows||_F, so a composition whose
+    bound stays below the float range (with a margin for rounding) is proved
+    finite without a row being read.
 
     Since a family never changes, its spectral data (Gram, frame operator,
     eigenvalues, one frame report per tolerance, singular values of the
@@ -362,26 +356,25 @@ class GFrameFamily:
         return family
 
     @classmethod
-    def _composed(cls, space, block_dims, terms: tuple) -> "GFrameFamily":
-        """Family whose rows are the sum of ``source.rows @ operator`` over ``terms``,
-        each source over ``space`` and ``block_dims``, which the family takes.
+    def _composed(cls, source, operator: np.ndarray) -> "GFrameFamily":
+        """Family whose rows are ``source.rows @ operator``, over ``source``'s space
+        and block dims; ``operator`` is a finite, non-empty matrix.
 
         A result of one row chunk is computed and kept now, as any family is.  A
-        taller one holds the terms (a :class:`_Product`, handed out by
-        :func:`composition_terms`) and makes its rows a chunk at a time.  Its
-        bound is the sum of ||source||_F ||operator||_F over the terms: by
-        Cauchy-Schwarz it bounds ||rows||_F and so every entry, the factor 16 of
+        taller one holds the source and the operator (a :class:`_Product`,
+        handed out by :func:`composition`) and makes its rows a chunk at a
+        time.  Its bound is ||source||_F ||operator||_F: by Cauchy-Schwarz it
+        bounds ||rows||_F and so every entry, the factor 16 of
         ``_PROVEN_FINITE`` covering the rounding (Higham, ch. 3), so a bound
         below that proves every entry finite with no row read.  Else the rows
         are scanned a chunk at a time, with the violations a stored result
         would name, and the family keeps the norm the scan measured.
         """
-        first, operator = terms[0]
-        count, width = first.codomain_dim, operator.shape[1]
-        part = _Product(tuple(terms), (count, width))
-        if width < 1 or count <= _chunk_step(width):
+        space, block_dims = source.space, source.block_dims
+        part = _Product(source, operator)
+        if part.shape[0] <= _chunk_step(part.shape[1]):
             return cls.from_rows(space, part[:], block_dims)
-        bound = sum(source._bound * math.sqrt(np.vdot(op, op).real) for source, op in terms)
+        bound = source._bound * math.sqrt(np.vdot(operator, operator).real)
         family = cls.__new__(cls)
         family._adopt(space, block_dims, (part,), {}, bound)
         if not bound <= _PROVEN_FINITE:  # also when the bound is NaN (inf times 0)
@@ -625,26 +618,22 @@ def apply_synthesis(fam: GFrameFamily, phi: KHatVector) -> np.ndarray:
     return total
 
 
-def right_compose(fam: GFrameFamily, operator: np.ndarray) -> GFrameFamily:
+def right_compose(fam: GFrameFamily, operator) -> GFrameFamily:
     """Family with blocks block_i @ operator; the domain becomes operator's.
-    Taller than one row chunk, it makes its rows a chunk at a time, on demand,
-    and holds the term (fam, operator), from which its frame operator is
-    derived as operator^H S_fam operator (``analysis.frame_operator``)."""
-    operator = np.asarray(operator, dtype=complex)
-    if operator.ndim != 2 or operator.shape[0] != fam.domain_dim:
+
+    ``operator`` is read by :func:`operator_matrix` (a read-only finite copy,
+    else ShapeError or NumericalRangeError naming it) and must act on ``fam``'s
+    domain.  Taller than one row chunk, the family makes its rows a chunk at a
+    time, on demand, and holds ``fam`` and the operator, from which its frame
+    operator is derived as operator^H S_fam operator (``analysis.frame_operator``).
+    This is the one composition: the sums of a pair compose its pair family
+    (``analysis.compose_sum``)."""
+    operator = operator_matrix(operator, "operator")
+    if operator.shape[0] != fam.domain_dim:
         raise ShapeError(
             f"operator shape {operator.shape} does not act on domain of dim {fam.domain_dim}"
         )
-    return GFrameFamily._composed(fam.space, fam.block_dims, ((fam, operator),))
-
-
-def compose_sum(lam: GFrameFamily, theta: GFrameFamily, l1, l2) -> GFrameFamily:
-    """Family with blocks lam_i @ l1 + theta_i @ l2, over ``lam``'s space and block dims.
-    Taller than one row chunk, it makes its rows a chunk at a time, on demand,
-    so no N-row array is made, and holds the terms (lam, l1), (theta, l2), from
-    which its frame operator is derived as [l1; l2]^H G [l1; l2], G the pair's
-    Gram (``analysis.frame_operator``)."""
-    return GFrameFamily._composed(lam.space, lam.block_dims, ((lam, l1), (theta, l2)))
+    return GFrameFamily._composed(fam, operator)
 
 
 def operator_matrix(values, name: str) -> np.ndarray:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import full_row_rank, matrices_close, operator_norm, singular_values
-from .analysis import cross_operator, frame_bounds, frame_operator, require_frame, synthesis_gain
+from .analysis import compose_sum, cross_operator, frame_bounds, frame_operator, require_frame
+from .analysis import synthesis_gain
 from .errors import PreconditionError
 from .model import (
     DEFAULT_TOL,
@@ -25,7 +26,6 @@ from .model import (
     TolerancePolicy,
     analysis_matrix,
     apply_synthesis,
-    compose_sum,
     khat_norm,
     require_same_domain,
     require_same_khat,

@@ -26,6 +26,7 @@ from ._linalg import (
 )
 from .analysis import (
     canonical_dual,
+    compose_sum,
     cross_operator,
     dual_check,
     frame_bounds,
@@ -62,7 +63,6 @@ from .model import (
     TolerancePolicy,
     analysis_matrix,
     apply_analysis,
-    compose_sum,
     embed,
     family_from_analysis_matrix,
     inner,

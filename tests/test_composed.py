@@ -19,6 +19,7 @@ from gframes import (
     MeasureSpace,
     NumericalRangeError,
     OperatorPair,
+    ShapeError,
     canonical_dual,
     classify,
     disjoint_sum_family,
@@ -38,8 +39,8 @@ from gframes._linalg import (
     rank_from_singular_values,
     singular_values,
 )
-from gframes.analysis import analysis_singular_values, frame_operator
-from gframes.model import analysis_matrix, apply_analysis, apply_synthesis, compose_sum
+from gframes.analysis import analysis_singular_values, compose_sum, frame_operator
+from gframes.model import analysis_matrix, apply_analysis, apply_synthesis
 
 DIM = 6
 STEP = model.CHUNK_BYTES // (16 * DIM)  # rows per chunk of a DIM-column family
@@ -127,10 +128,14 @@ def test_composed_families_match_their_stored_products_bit_for_bit(rows):
     dual_rows = lam.rows @ hermitian_power(frame_operator(lam), -1.0, model.DEFAULT_TOL)
     cases = {
         "right_compose": (lambda: right_compose(lam, l1), lam.rows @ l1),
-        "compose_sum": (lambda: compose_sum(lam, theta, l1, l2), lam.rows @ l1 + theta.rows @ l2),
+        # a sum is the pair family composed with [L1; L2]
+        "compose_sum": (
+            lambda: compose_sum(lam, theta, l1, l2),
+            np.hstack([lam.rows, theta.rows]) @ np.vstack([l1, l2]),
+        ),
         "compose_sum-lam-is-theta": (
             lambda: compose_sum(lam, lam, l1, l2),
-            lam.rows @ l1 + lam.rows @ l2,
+            np.hstack([lam.rows, lam.rows]) @ np.vstack([l1, l2]),
         ),
         # pseudo_dual's candidate: a composition of a composition
         "nested": (lambda: right_compose(canonical_dual(lam), pinv), dual_rows @ pinv),
@@ -171,7 +176,8 @@ def test_composing_a_pair_family_leaves_it_unstacked():
     stacked = np.hstack([lam.rows, theta.rows])
     inverse = hermitian_power(frame_operator(gamma), -1.0, model.DEFAULT_TOL)
     assert dual.rows.tobytes() == (stacked @ inverse).tobytes()
-    assert summed.rows.tobytes() == (stacked @ l1 + stacked @ l2).tobytes()
+    doubled = np.hstack([stacked, stacked]) @ np.vstack([l1, l2])
+    assert summed.rows.tobytes() == doubled.tobytes()
     assert normalized.rows.shape == stacked.shape and frame_bounds(normalized).is_parseval
 
 
@@ -301,7 +307,7 @@ def test_a_planted_cancellation_is_decided_from_the_rows(rank):
     assert frame_bounds(summed).is_frame == (dense_rank == DIM)
     _assert_within_rounding(summed, reference, rank)
     # the rounding bound also holds for the d x d Gram that was set aside
-    gram, scale = analysis._composed_gram(model.composition_terms(summed))
+    gram, scale = analysis._composed_gram(*model.composition(summed))
     delta = gram_rounding_bound((rows, DIM), max(scale, float(np.linalg.eigvalsh(gram)[-1])))
     assert np.linalg.norm(gram - frame_operator(reference), 2) <= delta
 
@@ -382,3 +388,93 @@ def test_applying_a_one_chunk_family_keeps_its_bits():
         assert apply_analysis(fam, vector).data.tobytes() == (fam.rows @ vector).tobytes()
         image = fam.rows.conj().T @ (phi.data * weights)
         assert apply_synthesis(fam, phi).tobytes() == image.tobytes()
+
+
+@pytest.mark.parametrize(
+    "operator, error, message",
+    [
+        (np.full((DIM, DIM), np.nan), NumericalRangeError, "operator has non-finite entries"),
+        (np.eye(DIM)[:, :0], ShapeError, r"operator must be a non-empty 2-D matrix, got \(6, 0\)"),
+    ],
+    ids=["nan", "no-columns"],
+)
+def test_right_compose_reads_its_operator_by_the_operator_rule(operator, error, message):
+    (lam,) = _pair(np.random.default_rng(167), 3 * STEP, (DIM,))
+    with pytest.raises(error, match=message):
+        right_compose(lam, operator)
+
+
+def test_a_tall_composition_keeps_its_own_copy_of_the_operator():
+    rng = np.random.default_rng(173)
+    (lam,) = _pair(rng, 20_000, (3,))
+    operator = _cgauss(rng, (3, 3))
+    product = lam.rows @ operator
+    composed = right_compose(lam, operator)
+    report = frame_bounds(composed)
+    operator[:] = 0  # the caller's array, not the family's
+    assert len(model.row_chunks(composed.codomain_dim, 3)) > 1
+    assert not composed.is_zero() and composed.rows.tobytes() == product.tobytes()
+    assert report.upper_bound == pytest.approx(np.linalg.norm(analysis_matrix(composed), 2) ** 2)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (((1.0, 1.0, 1.0), (1, 1, 1)), ((5.0, 5.0, 5.0), (1, 1, 1))),
+        (((1.0, 1.0), (2, 1)), ((1.0, 1.0), (1, 2))),
+        (((1.0, 1.0, 1.0), (1, 1, 1)), ((1.0, 1.0, 1.0, 1.0), (1, 1, 1, 1))),
+    ],
+    ids=["weights", "block-dims", "row-counts"],
+)
+def test_a_sum_over_two_target_spaces_is_a_shape_error(first, second):
+    lam, theta = (
+        GFrameFamily.from_rows(MeasureSpace(weights), np.ones((sum(dims), 2)), dims)
+        for weights, dims in (first, second)
+    )
+    with pytest.raises(ShapeError):
+        compose_sum(lam, theta, np.eye(2), np.eye(2))
+    with pytest.raises(ShapeError):
+        gamma_family(lam, theta)
+
+
+def test_a_sum_whose_operators_split_the_pair_domain_elsewhere_is_a_shape_error():
+    space = MeasureSpace(np.ones(3))
+    lam, theta = (
+        GFrameFamily.from_rows(space, np.eye(3)[:, cols], (1, 1, 1))
+        for cols in (slice(0, 2), slice(1, 3))
+    )
+    # [L1; L2] is 4 x 2 and acts on the pair family's domain, split 3 + 1 instead of 2 + 2
+    with pytest.raises(ShapeError, match="L1 has 3 rows, expected domain_dim 2"):
+        compose_sum(lam, theta, np.ones((3, 2)), np.ones((1, 2)))
+
+
+def test_a_pair_family_of_a_composition_with_itself_reads_its_derived_gram():
+    (lam,) = _pair(np.random.default_rng(179), 30_000, (DIM,))
+    dual = canonical_dual(lam)
+    assert len(model.row_chunks(dual.codomain_dim, DIM)) == 11
+    with _counted_row_reads() as reads:
+        gamma = gamma_family(dual, dual)
+        pair_gram = frame_operator(gamma)
+    assert reads == []
+    gram = frame_operator(dual)
+    assert np.array_equal(pair_gram, np.block([[gram, gram], [gram, gram]]))
+
+
+def test_a_sum_of_two_tall_compositions_inherits_their_rounding_scales():
+    rng = np.random.default_rng(181)
+    lam, theta = _pair(rng, 10 * STEP)
+    unitaries = [np.linalg.qr(_cgauss(rng, (DIM, DIM)))[0] for _ in range(4)]
+    first, second = right_compose(lam, unitaries[0]), right_compose(theta, unitaries[1])
+    for fam in (first, second):
+        frame_bounds(fam)
+        assert analysis._scale(fam) > frame_bounds(fam).upper_bound  # derived, not streamed
+    l1, l2 = 0.6 * unitaries[2], 0.8 * unitaries[3]
+    summed = compose_sum(first, second, l1, l2)
+    with _counted_row_reads() as reads:
+        report = frame_bounds(summed)
+    assert reads == [] and report.is_frame  # the sum's Gram, too, is derived
+    operator = np.vstack([l1, l2])
+    k, m = operator.shape
+    inherited = analysis._scale(first) + analysis._scale(second)
+    factor = 2.0 * max(1.0, k / m) * np.linalg.norm(operator) ** 2
+    assert analysis._scale(summed) >= factor * inherited * (1 - 1e-12)

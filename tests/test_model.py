@@ -35,7 +35,8 @@ from gframes import (
 )
 from gframes import model
 from gframes._linalg import singular_values
-from gframes.model import compose_sum, require_same_khat
+from gframes.analysis import compose_sum
+from gframes.model import require_same_khat
 
 
 def test_tolerance_policy_rejects_bad_values():
@@ -567,7 +568,7 @@ def test_a_paired_family_pickles_without_its_memo():
 
 @pytest.mark.parametrize("width", [5, 3, 9], ids=["square", "narrow", "wide"])
 @pytest.mark.parametrize("same", [False, True], ids=["pair", "lam-is-theta"])
-def test_compose_sum_adds_the_second_product_one_chunk_at_a_time(width, same):
+def test_compose_sum_composes_the_pair_family_one_chunk_at_a_time(width, same):
     rng = np.random.default_rng(83 + width)
     atoms = 24_000
     dims = tuple(int(d) for d in rng.integers(1, 5, atoms))
@@ -580,7 +581,7 @@ def test_compose_sum_adds_the_second_product_one_chunk_at_a_time(width, same):
     theta = lam if same else GFrameFamily.from_rows(space, cgauss((sum(dims), 5)), dims)
     # L2 as an adjoint view, the layout the adjoint rule hands over
     l1, l2 = cgauss((5, width)), cgauss((width, 5)).conj().T
-    expected = lam.rows @ l1 + theta.rows @ l2
+    expected = np.hstack([lam.rows, theta.rows]) @ np.vstack([l1, l2])
     assert len(model.row_chunks(sum(dims), max(5, width))) > 10
     tracemalloc.start()
     try:
@@ -592,5 +593,5 @@ def test_compose_sum_adds_the_second_product_one_chunk_at_a_time(width, same):
         tracemalloc.stop()
     assert composed.rows.tobytes() == expected.tobytes()
     assert composed.rows.shape == expected.shape and composed.block_dims == dims
-    # the result plus one chunk of the second product, not a second N-row array
+    # building the sum streams the pair Gram a chunk at a time: no second N-row array
     assert peak < composed.rows.nbytes + 1.1 * model.CHUNK_BYTES

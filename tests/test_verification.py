@@ -210,9 +210,13 @@ def _sum_gram_without_cross_blocks(lam, theta, cross):
 _COMPOSED_GRAM = analysis._composed_gram
 
 
-def _scale_of_largest_eigenvalue(terms):
-    gram, _ = _COMPOSED_GRAM(terms)
+def _scale_of_largest_eigenvalue(source, operator):
+    gram, _ = _COMPOSED_GRAM(source, operator)
     return gram, float(np.linalg.eigvalsh(gram)[-1])
+
+
+def _no_pair_scale(lam, theta):
+    return 0.0
 
 
 def _fails(test, *args):
@@ -239,7 +243,8 @@ def _overflowing_atoms_named(bounded):
 # M3: the Gram certificate always passes; M5: C^T in the pair Gram where C^H belongs;
 # M9: the pair family's kernel is always trivial.  The composed-Gram faults plant
 # L^T for L^H, a sum's pair Gram without its cross blocks, and the rounding scale
-# of a composed Gram cut to its largest eigenvalue; the finiteness proof of a
+# of a composed Gram cut to its largest eigenvalue, or a pair's cut to its own, so
+# that a sum of compositions forgets theirs; the finiteness proof of a
 # composition, made to accept any bound, lets an overflowing product through.
 _PLANTED = {
     "M3": (
@@ -297,6 +302,10 @@ _PLANTED = {
             test_composed.test_a_planted_cancellation_is_decided_from_the_rows,
             test_composed.DIM,
         ),
+    ),
+    "pair-scale-of-largest-eigenvalue": (
+        [(analysis, "_pair_scale", _no_pair_scale)],
+        _fails(test_composed.test_a_sum_of_two_tall_compositions_inherits_their_rounding_scales),
     ),
 }
 
