@@ -35,7 +35,6 @@ from .disjointness import (
     classify,
     delta_family,
     gamma_family,
-    kernel_triviality,
     normalized_pair,
     pair_equivalences,
     strong_disjointness_converse_check,

@@ -161,7 +161,7 @@ def _cmd_disjoint(args, tol) -> dict:
 
 def _recipe_gamma(lam, theta, args, tol):
     _, gamma, checks = pair_equivalences(lam, theta, tol)
-    return {"gamma": gamma}, frame_bounds(gamma, tol).numbers(), checks[:1]
+    return {"gamma": gamma}, frame_bounds(gamma, tol).numbers(), checks
 
 
 def _recipe_delta(lam, theta, args, tol):

@@ -19,10 +19,10 @@ from gframes import (
     KHatVector,
     OperatorPair,
     TolerancePolicy,
+    analysis_matrix,
     classify,
     frame_bounds,
     gamma_family,
-    kernel_triviality,
     parse_document,
     perturbation_riesz_transfer,
     riesz_check,
@@ -30,6 +30,7 @@ from gframes import (
     strongly_disjoint_sum,
     synthesis_kernel_test,
 )
+from gframes._linalg import rank_from_singular_values, singular_values
 from gframes.cli import run_command
 from gframes.verification import CHECKS
 
@@ -149,7 +150,10 @@ def test_criterion_06_pair_riesz_equivalences(theta_family):
     riesz = frame_bounds(gamma, TOL).is_frame and riesz_check(gamma, TOL).is_riesz_type
     assert report.complementary_pair == riesz
     assert report.strongly_complementary_pair == (report.strongly_disjoint and riesz)
-    assert report.weakly_disjoint == kernel_triviality(gamma, TOL)
+    # a trivial kernel of the pair family: [A|B] of full column rank in its dense SVD
+    stacked = analysis_matrix(gamma)
+    full = rank_from_singular_values(singular_values(stacked), stacked.shape, TOL) == 2
+    assert report.weakly_disjoint == full
     assert not report.strongly_disjoint or report.disjoint
     assert not report.disjoint or report.weakly_disjoint
 

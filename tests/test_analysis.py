@@ -24,7 +24,6 @@ from gframes import (
     gamma_family,
     inner,
     is_dual_pair,
-    kernel_triviality,
     mixed_construction,
     pair_equivalences,
     parseval_normalize,
@@ -408,7 +407,7 @@ def test_every_rank_verdict_reads_the_singular_values_near_the_cutoff(tol):
         fam = GFrameFamily(space, 2, ([[1.0, 0.0]], [[0.0, s]], [[0.0, 0.0]]))
         rep = frame_bounds(fam, tol)
         assert rep.is_frame and analysis_rank(fam, tol) == 2, s
-        assert kernel_triviality(fam, tol) and svd_rank(analysis_matrix(fam), tol) == 2, s
+        assert svd_rank(analysis_matrix(fam), tol) == 2, s
         sigma_min = singular_values(analysis_matrix(fam))[-1]
         assert rep.lower_bound == pytest.approx(sigma_min**2, rel=1e-12, abs=0.0), s
         # a frame whose S = diag(1, s^2) holds no digit of its inverse is a

@@ -92,7 +92,7 @@ def test_disjoint_cross_checks_pass(capsys):
     out = capsys.readouterr().out
     assert "strongly_disjoint=False" in out
     assert "disjoint=True" in out
-    assert "check pair-family-frame-iff-disjoint: PASS" in out
+    assert "check hierarchy: PASS" in out
 
 
 def test_construct_canonical_dual_writes_document(tmp_path, capsys):
@@ -216,10 +216,10 @@ _RECIPE_CASES = {
     ),
     "gamma": (
         [PAIR_DOC, "gamma", "lam", "theta"], ["gamma"],
-        [("pair-family-frame-iff-disjoint", True)],
+        [("hierarchy", True)],
         {
             "result": _bounds(*_GOLDEN, tight=False),
-            "pair-family-frame-iff-disjoint": {"disjoint": True, "pair_family_is_frame": True},
+            "hierarchy": {"strongly_disjoint": False, "disjoint": True, "weakly_disjoint": True},
         },
     ),
     "delta": (
@@ -297,30 +297,19 @@ def _relations(strong, disjoint, complementary, cross_norm, intersection, sum_di
     }
 
 
-# sample pair: relations, pair family bounds, (pair family Riesz-type, kernel trivial)
+# sample pair: relations and pair family bounds
 _DISJOINT_CASES = {
-    ("lam", "theta"): (_relations(False, True, True, 1.0, 0, 2), _bounds(*_GOLDEN, tight=False),
-                       (True, True)),
-    ("lam", "ortho"): (_relations(True, True, True, 0.0, 0, 2), _bounds(1.0, 1.0, parseval=True),
-                       (True, True)),
+    ("lam", "theta"): (_relations(False, True, True, 1.0, 0, 2), _bounds(*_GOLDEN, tight=False)),
+    ("lam", "ortho"): (_relations(True, True, True, 0.0, 0, 2), _bounds(1.0, 1.0, parseval=True)),
     ("theta", "theta"): (_relations(False, False, False, 2.0, 1, 1),
-                         {**_bounds(0.0, 4.0, tight=False), "is_frame": False}, (False, False)),
+                         {**_bounds(0.0, 4.0, tight=False), "is_frame": False}),
     ("identity", "identity"): (_relations(False, False, False, 1.0, 2, 2),
-                               {**_bounds(0.0, 2.0, tight=False), "is_frame": False},
-                               (False, False)),
+                               {**_bounds(0.0, 2.0, tight=False), "is_frame": False}),
 }
 
-# every check of the disjoint report, in order, with the names of its numbers
-_DISJOINT_CHECKS = (
-    ("pair-family-frame-iff-disjoint", ("disjoint", "pair_family_is_frame")),
-    ("complementary-iff-pair-riesz", ("complementary_pair", "pair_family_riesz")),
-    (
-        "strongly-complementary-decomposition",
-        ("strongly_complementary_pair", "strongly_disjoint", "pair_family_riesz"),
-    ),
-    ("weak-iff-trivial-kernel", ("weakly_disjoint", "kernel_trivial")),
-    ("hierarchy", ("strongly_disjoint", "disjoint", "weakly_disjoint")),
-)
+# every check of the disjoint report, in order, with the names of its numbers: the
+# one pair theorem whose sides come from two computations (cross norm, rank [A|B])
+_DISJOINT_CHECKS = (("hierarchy", ("strongly_disjoint", "disjoint", "weakly_disjoint")),)
 
 
 def _human_numbers(text: str) -> list[tuple[str, str]]:
@@ -330,13 +319,9 @@ def _human_numbers(text: str) -> list[tuple[str, str]]:
 @pytest.mark.parametrize("fmt", ["human", "json"])
 @pytest.mark.parametrize("pair", sorted(_DISJOINT_CASES))
 def test_disjoint_report(pair, fmt, capsys):
-    relations, pair_family, (riesz, kernel_trivial) = _DISJOINT_CASES[pair]
-    known = {
-        **relations, "pair_family_is_frame": pair_family["is_frame"],
-        "pair_family_riesz": riesz, "kernel_trivial": kernel_trivial,
-    }
+    relations, pair_family = _DISJOINT_CASES[pair]
     reports = {"relations": relations, "pair_family": pair_family}
-    checks = [(name, {key: known[key] for key in keys}) for name, keys in _DISJOINT_CHECKS]
+    checks = [(name, {key: relations[key] for key in keys}) for name, keys in _DISJOINT_CHECKS]
     assert run_command(["disjoint", PAIR_DOC, *pair, "--format", fmt]) == 0
     out = capsys.readouterr().out
     if fmt == "json":
@@ -367,6 +352,23 @@ def test_disjoint_report(pair, fmt, capsys):
         head, body = line.split(" (", 1)
         assert head == f"check {name}: PASS"
         assert _human_numbers(body.rstrip(")")) == rendered(expected)
+
+
+def test_a_pair_that_is_not_disjoint_prints_its_one_check(tmp_path, capsys):
+    # theta theta: the pair family is no frame, and the one printed check holds
+    hierarchy = {
+        "name": "hierarchy", "passed": True,
+        "strongly_disjoint": False, "disjoint": False, "weakly_disjoint": False,
+    }
+    out_path = str(tmp_path / "gamma.json")
+    for argv in (
+        ["disjoint", PAIR_DOC, "theta", "theta"],
+        ["construct", PAIR_DOC, "gamma", "theta", "theta", "-o", out_path],
+    ):
+        assert run_command([*argv, "--format", "json"]) == 0, argv
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is True and payload["checks"] == [hierarchy], argv
+    assert not frame_bounds(load_document(out_path).families["gamma"]).is_frame
 
 
 def test_generate_frame_round_trips(tmp_path, capsys):

@@ -18,17 +18,19 @@ from gframes import (
     PreconditionError,
     ShapeError,
     SingularOperatorError,
+    TolerancePolicy,
     analysis_matrix,
     classify,
     cross_operator,
     delta_family,
+    family_from_analysis_matrix,
     frame_bounds,
     frame_operator,
     gamma_family,
-    kernel_triviality,
     load_document,
     pair_equivalences,
     riesz_check,
+    right_compose,
     strong_disjointness_converse_check,
 )
 from gframes import model, verification
@@ -63,6 +65,14 @@ def test_classify_identical_family_not_weakly_disjoint(theta_family, tol):
     assert not report.weakly_disjoint
     assert not report.disjoint and not report.strongly_disjoint
     assert report.range_intersection_dim == 1
+
+
+def test_strongly_complementary_needs_a_complementary_pair(theta_family):
+    # at rel_eps = 10 theta is strongly disjoint from itself (cross norm 2 against
+    # 10 * 2), while its two ranges meet in one dimension: never complementary
+    report = classify(theta_family, theta_family, TolerancePolicy(rel_eps=10.0))
+    assert report.strongly_disjoint and not report.complementary_pair
+    assert not report.strongly_complementary_pair
 
 
 def test_classify_rejects_non_frame(lam_family, tol):
@@ -153,12 +163,16 @@ def test_converse_check_rejects_singular_operator(lam_family, ortho_family, tol)
 
 
 def test_kernel_triviality(lam_family, ortho_family, theta_family, tol):
-    assert kernel_triviality(gamma_family(lam_family, ortho_family), tol)
-    assert not kernel_triviality(gamma_family(theta_family, theta_family), tol)
-    single = GFrameFamily(
-        space=MeasureSpace([1.0]), domain_dim=2, blocks=([[1.0, 0.0]],)
-    )
-    assert not kernel_triviality(single, tol)
+    # in finite dimension a trivial kernel of the analysis map is the frame verdict:
+    # each family that is no frame has a nonzero vector that every block annihilates
+    assert frame_bounds(gamma_family(lam_family, ortho_family), tol).is_frame
+    single = GFrameFamily(space=MeasureSpace([1.0]), domain_dim=2, blocks=([[1.0, 0.0]],))
+    for fam, kernel in (
+        (gamma_family(theta_family, theta_family), [1.0, -1.0]),
+        (single, [0.0, 1.0]),
+    ):
+        assert not frame_bounds(fam, tol).is_frame
+        assert not any(np.any(block @ kernel) for block in fam.blocks)
 
 
 def _cgauss(rng, shape):
@@ -198,8 +212,8 @@ def test_classify_ranks_match_the_svd_of_the_stacked_matrix(tol):
 
 
 def test_intersection_dim_matches_the_range_bases_of_each_family(tol):
-    # classify, the pair family's frame verdict and kernel_triviality all read
-    # one rank [A|B]; this route reads each family's own range basis (its SVD)
+    # classify and the pair family's frame verdict read one rank [A|B]; this
+    # route reads each family's own range basis (its SVD)
     sample = list(load_document(PAIR_DOC).families.values())
     rng = np.random.default_rng(1802)
     drawn = [verification._random_pair(rng) for _ in range(400)]
@@ -212,6 +226,23 @@ def test_intersection_dim_matches_the_range_bases_of_each_family(tol):
         assert classify(lam, theta, tol).range_intersection_dim == expected
         found.append(expected)
     assert min(found) == 0 and max(found) >= 2
+
+
+def test_identical_ranges_meet_in_full(tol):
+    # a frame and its invertible right composition share one range at any
+    # conditioning; orthonormal bases of the two ranges, computed apart, differ by
+    # about eps times the condition number, so rank [Q_A | Q_B] is no reference here
+    rng = np.random.default_rng(2803)
+    for draw in range(200):
+        dims = verification._random_dims(rng)
+        space = MeasureSpace(rng.uniform(0.5, 2.0, len(dims)))
+        domain = int(rng.integers(1, sum(dims) + 1))
+        # sigma_min / sigma_max = 1e-3 on generic singular vectors
+        u = np.linalg.qr(_cgauss(rng, (sum(dims), domain)))[0]
+        v = np.linalg.qr(_cgauss(rng, (domain, domain)))[0]
+        lam = family_from_analysis_matrix((u * np.geomspace(1.0, 1e-3, domain)) @ v, space, dims)
+        theta = right_compose(lam, verification._random_operator(rng, domain, domain))
+        assert classify(lam, theta, tol).range_intersection_dim == domain, draw
 
 
 def _memo_contents(value):

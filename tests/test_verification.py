@@ -17,6 +17,7 @@ from gframes import (
     DEFAULT_TOL,
     PreconditionError,
     analysis,
+    analysis_matrix,
     classify,
     disjointness,
     frame_bounds,
@@ -26,7 +27,7 @@ from gframes import (
     right_compose,
     verification,
 )
-from gframes._linalg import hermitize, singular_values
+from gframes._linalg import hermitize, rank_from_singular_values, singular_values
 from gframes.cli import run_command
 from gframes.verification import (
     _MAX_CONDITION,
@@ -108,7 +109,7 @@ def test_draws_stay_conditioned_at_scale(tol):
     same_range = right_compose(riesz, _random_operator(rng, 160, 160))
     assert _within_condition_bound(riesz, tol)
     assert classify(riesz, same_range, tol).range_intersection_dim == 160
-    # 60 + 60 <= 160 generic directions: disjoint, and no pair theorem is broken
+    # 60 + 60 <= 160 generic directions: disjoint, as the dense SVD counts it too
     lam = _random_frame(rng, dims=dims, domain_dim=60)
     raw = rng.standard_normal((160, 60)) + 1j * rng.standard_normal((160, 60))
     theta = _frame_over(rng, lam.space, dims, raw)
@@ -116,6 +117,8 @@ def test_draws_stay_conditioned_at_scale(tol):
     report, _, checks = pair_equivalences(lam, theta, tol)
     assert report.disjoint and not report.strongly_disjoint
     assert all(passed for _, passed, _ in checks), checks
+    stacked = np.hstack([analysis_matrix(lam), analysis_matrix(theta)])
+    assert rank_from_singular_values(singular_values(stacked), stacked.shape, tol) == 120
 
 
 def test_a_check_that_raises_fails_its_case_and_the_suite_goes_on(tol):
@@ -192,7 +195,11 @@ def _riesz_verdict(value):
     def forced(fam, tol=DEFAULT_TOL):
         return dataclasses.replace(original(fam, tol), is_riesz_type=value)
 
-    return [(module, "riesz_check", forced) for module in (riesz, disjointness, verification)]
+    return [(module, "riesz_check", forced) for module in (riesz, verification)]
+
+
+def _full_rank(fam, tol=DEFAULT_TOL):
+    return fam.domain_dim
 
 
 def _always_onto(fam, tol=DEFAULT_TOL):
@@ -241,23 +248,23 @@ def _overflowing_atoms_named(bounded):
 # Planted faults (mutation analysis: DeMillo, Lipton & Sayward, 1978): the
 # (module, name, value) patches that plant each, and the catcher that notices it.
 # M3: the Gram certificate always passes; M5: C^T in the pair Gram where C^H belongs;
-# M9: the pair family's kernel is always trivial.  The composed-Gram faults plant
-# L^T for L^H, a sum's pair Gram without its cross blocks, and the rounding scale
-# of a composed Gram cut to its largest eigenvalue, or a pair's cut to its own, so
-# that a sum of compositions forgets theirs; the finiteness proof of a
-# composition, made to accept any bound, lets an overflowing product through.
+# pair-rank-always-full: classify reads every rank [A|B] as full.  The composed-Gram
+# faults plant L^T for L^H, a sum's pair Gram without its cross blocks, and the
+# rounding scale of a composed Gram cut to its largest eigenvalue, or a pair's cut
+# to its own, so that a sum of compositions forgets theirs; the finiteness proof of
+# a composition, made to accept any bound, lets an overflowing product through.
 _PLANTED = {
     "M3": (
         [(analysis, "gram_certifies_full_column_rank", _always_true)],
-        _fails_exactly("pair-bound-sandwich"),
+        _fails_exactly("pair-bound-sandwich", "pair-frame-iff-disjoint"),
     ),
     "M5": (
         [(analysis, "_pair_gram", _transposed_cross)],
         _fails(test_disjointness.test_pair_family_gram_holds_the_conjugate_cross_block),
     ),
-    "M9": (
-        [(disjointness, "kernel_triviality", _always_true)],
-        _fails_exactly("pair-riesz-equivalences"),
+    "pair-rank-always-full": (
+        [(disjointness, "analysis_rank", _full_rank)],
+        _fails_exactly("pair-bound-sandwich", "pair-frame-iff-disjoint"),
     ),
     "riesz-verdict-true": (
         _riesz_verdict(True),
