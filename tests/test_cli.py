@@ -644,6 +644,7 @@ def test_cli_import_leaves_the_verify_suite_unloaded():
     code = (
         "import sys, gframes.cli\n"
         "assert 'gframes.verification' not in sys.modules, 'verification loaded'\n"
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing loaded'\n"
         "import gframes\n"
         "from gframes import SuiteReport\n"
         "assert gframes.run_suite.__module__ == 'gframes.verification'\n"

@@ -211,21 +211,26 @@ def test_classify_ranks_match_the_svd_of_the_stacked_matrix(tol):
             assert report.weakly_disjoint == report.disjoint == (shared == 0)
 
 
-def test_intersection_dim_matches_the_range_bases_of_each_family(tol):
-    # classify and the pair family's frame verdict read one rank [A|B]; this
-    # route reads each family's own range basis (its SVD)
+def test_intersection_dim_matches_the_dense_svd_on_drawn_pairs(tol):
+    # classify reads rank [A|B] from Gram certificates and streamed factors; the
+    # reference is the dense SVD rank of A, of B and of the stacked [A|B], as in
+    # verify's pair checks
     sample = list(load_document(PAIR_DOC).families.values())
     rng = np.random.default_rng(1802)
     drawn = [verification._random_pair(rng) for _ in range(400)]
+    # case 37 of run_suite(5, ...)'s pair-frame-iff-disjoint (check 8): identical
+    # 8 x 7 ranges of condition number 122, which orthonormal range bases
+    # computed apart meet in 6
+    suite_rng = np.random.default_rng(np.random.SeedSequence(5).spawn(24)[8])
+    ill = [verification._random_pair(suite_rng) for _ in range(38)][-1]
+    assert [analysis_matrix(fam).shape for fam in ill] == [(8, 7), (8, 7)]
     found = []
-    for lam, theta in [*itertools.product(sample, repeat=2), *drawn]:
-        q_a, q_b = (
-            verification._orthonormal_range_basis(analysis_matrix(fam), tol) for fam in (lam, theta)
-        )
-        expected = q_a.shape[1] + q_b.shape[1] - svd_rank(np.hstack([q_a, q_b]), tol)
+    for lam, theta in [*itertools.product(sample, repeat=2), *drawn, ill]:
+        a, b = analysis_matrix(lam), analysis_matrix(theta)
+        expected = svd_rank(a, tol) + svd_rank(b, tol) - svd_rank(np.hstack([a, b]), tol)
         assert classify(lam, theta, tol).range_intersection_dim == expected
         found.append(expected)
-    assert min(found) == 0 and max(found) >= 2
+    assert min(found) == 0 and max(found) >= 2 and found[-1] == 7
 
 
 def test_identical_ranges_meet_in_full(tol):

@@ -9,6 +9,8 @@ import copy
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from gframes import (
     DEFAULT_TOL,
     PreconditionError,
+    TolerancePolicy,
     analysis,
     analysis_matrix,
     classify,
@@ -344,3 +347,43 @@ def test_verify_names_each_failure_under_an_extreme_rank_factor(factor, capsys):
     assert run_command(["verify", "--seed", "0", "--cases", "5", "--rank-factor", factor]) == 1
     out, err = capsys.readouterr()
     assert err == "" and "overall: FAIL" in out and ": raised " in out
+
+
+def _with_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+@pytest.mark.parametrize("seed, rel_eps", [(0, 1e-9), (1, 1e-9), (2, 1e-9), (0, 1e-300)])
+def test_the_suite_report_equals_a_one_cpu_run(seed, rel_eps, monkeypatch):
+    # the checks run in forked workers over the usable CPUs and in turn on one;
+    # under rel_eps = 1e-300 checks fail, and the same lines come back in order
+    tol = TolerancePolicy(rel_eps=rel_eps)
+    cases = verification._POOL_MIN_CASES
+    _with_cpus(monkeypatch, {0, 1})
+    pooled = run_suite(seed, cases, tol)
+    _with_cpus(monkeypatch, {0})
+    assert run_suite(seed, cases, tol) == pooled
+    assert pooled.passed == (rel_eps == 1e-9) and len(pooled.results) == 24
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_no_worker_outlives_the_suite(cpus, monkeypatch, tol):
+    _with_cpus(monkeypatch, cpus)
+    assert run_suite(3, verification._POOL_MIN_CASES, tol).passed
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_an_error_from_outside_the_package_ends_the_suite_with_its_type(cpus, monkeypatch, tol):
+    # only package errors fail a case; any other exception reaches the caller as
+    # itself, from a worker too, and takes no worker with it
+    def divide(rng, cases, tol):
+        return [f"{1 / 0}"]
+
+    checks = list(verification.CHECKS)
+    checks[5] = (checks[5][0], divide)
+    monkeypatch.setattr(verification, "CHECKS", tuple(checks))
+    _with_cpus(monkeypatch, cpus)
+    with pytest.raises(ZeroDivisionError):
+        run_suite(3, verification._POOL_MIN_CASES, tol)
+    assert multiprocessing.active_children() == []
