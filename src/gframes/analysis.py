@@ -23,6 +23,7 @@ from .errors import NumericalRangeError, PreconditionError, ShapeError, Singular
 from .model import (
     DEFAULT_TOL,
     GFrameFamily,
+    OperatorPair,
     TolerancePolicy,
     _freeze,
     _row_weights,
@@ -285,15 +286,18 @@ def compose_sum(lam: GFrameFamily, theta: GFrameFamily, l1, l2) -> GFrameFamily:
     composed with [l1; l2].
 
     So a sum is one more ``right_compose``: ShapeError unless lam and theta
-    share a space and block dims and l1 has lam's domain dim of rows (else
-    [l1; l2] would be split at another column of the pair family), its bound
+    share a space and block dims, l1 and l2 are matrices of one width (read as
+    an ``OperatorPair``), and l1 has lam's domain dim of rows (else [l1; l2]
+    would be split at another column of the pair family), its bound
     is the pair family's (the ``hypot`` of theirs) times ||[l1; l2]||_F, and
     a tall sum's frame operator is derived from the pair Gram of the pair
     record, which is formed, when it is not yet, as the sum is built.
     """
-    if len(l1) != lam.domain_dim:
-        raise ShapeError(f"L1 has {len(l1)} rows, expected domain_dim {lam.domain_dim}")
-    return right_compose(gamma_family(lam, theta), np.vstack([l1, l2]))
+    pair = OperatorPair(l1, l2)
+    if len(pair.l1) != lam.domain_dim:
+        raise ShapeError(f"L1 has {len(pair.l1)} rows, expected domain_dim {lam.domain_dim}")
+    pair.width()
+    return right_compose(gamma_family(lam, theta), np.vstack([pair.l1, pair.l2]))
 
 
 def frame_bounds(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> FrameReport:

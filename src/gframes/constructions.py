@@ -306,9 +306,11 @@ def _require_array_size(rows: int, cols: int) -> None:
 
 def _seeded_space(seed: int, atoms: int, weight_range):
     """The generator for ``seed`` and a measure space drawn from it, weights
-    uniform in ``weight_range``; GenerationError for a negative seed or a
-    range that is not finite with 0 < low <= high."""
+    uniform in ``weight_range``; GenerationError for a seed that is not a
+    non-negative integer by :func:`read_dim` or a range that is not finite with
+    0 < low <= high."""
     low, high = weight_range
+    seed = read_dim(seed, "seed", GenerationError)
     if seed < 0:
         raise GenerationError(f"seed must be >= 0, got {seed}")
     if not (math.isfinite(low) and math.isfinite(high) and 0 < low <= high):

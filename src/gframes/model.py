@@ -475,6 +475,15 @@ class GFrameFamily:
         )
 
 
+def _vector_dims(block_dims) -> tuple[int, ...]:
+    """``block_dims`` of a vector, read by :func:`read_dims`: ShapeError for a negative one
+    (a vector may have an empty block, a family may not)."""
+    dims = read_dims(block_dims, "block_dims")
+    if min(dims, default=0) < 0:
+        raise ShapeError(f"block_dims: {min(dims)} is negative")
+    return dims
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class KHatVector:
     """An element of the weighted direct sum: one complex vector per atom.
@@ -497,7 +506,7 @@ class KHatVector:
         """Vector whose blocks, stacked in atom order, are the 1-D array
         ``data``; a complex array is adopted without a copy and becomes read-only."""
         data = np.asarray(data, dtype=complex)
-        dims = read_dims(block_dims, "block_dims")
+        dims = _vector_dims(block_dims)
         if data.ndim != 1 or data.size != sum(dims):
             raise ShapeError(f"vector of shape {data.shape} != total block dim {sum(dims)}")
         vector = cls.__new__(cls)
@@ -506,7 +515,7 @@ class KHatVector:
 
     @classmethod
     def zeros(cls, block_dims) -> "KHatVector":
-        dims = read_dims(block_dims, "block_dims")
+        dims = _vector_dims(block_dims)
         return cls.from_array(np.zeros(sum(dims), dtype=complex), dims)
 
     def _set(self, data, block_dims) -> None:
@@ -677,11 +686,18 @@ class OperatorPair:
                 raise ShapeError(f"{name} must be {shape[0]} x {dim}, got {op.shape}")
         return self.l1.conj().T, self.l2.conj().T
 
+    def width(self) -> int:
+        """The column count that L1 and L2 share: ShapeError naming L2 unless it has L1's."""
+        width = self.l1.shape[1]
+        if self.l2.shape[1] != width:
+            raise ShapeError(f"L2 must have L1's {width} columns, got {self.l2.shape}")
+        return width
+
     def identity_multiple(self, tol: TolerancePolicy) -> tuple[float, bool]:
         """(c, whether L1^H L1 + L2^H L2 = c I with c > 0): the strong sum's hypothesis,
-        c the trace over the dim.  NumericalRangeError when the sum overflows."""
-        l1, l2 = self.l1, self.l2
+        c the trace over the dim.  ShapeError unless L1 and L2 share their width,
+        NumericalRangeError when the sum overflows."""
+        l1, l2, dim = self.l1, self.l2, self.width()
         gram = require_finite(l1.conj().T @ l1 + l2.conj().T @ l2, "L1^H L1 + L2^H L2")
-        dim = l1.shape[1]
         scale = float(np.trace(gram).real) / dim
         return scale, scale > 0 and matrices_close(gram, scale * np.eye(dim), tol.rel_eps)

@@ -335,15 +335,27 @@ def _check_pair_parseval(rng, tol):
             yield "converse check passed a non-strongly-disjoint pair"
 
 
+def _dense_rank(matrix, tol):
+    """The numerical rank of ``matrix`` and its singular values, from its dense SVD
+    (Golub & Van Loan, 5.4): the reference for the rank and Riesz verdicts, which
+    the library reads from Gram certificates, streamed factors and shapes."""
+    svals = singular_values(matrix)
+    return rank_from_singular_values(svals, matrix.shape, tol), svals
+
+
+def _dense_riesz(fam, tol):
+    """Whether a frame is Riesz-type by the dense SVD of its analysis matrix A
+    (rank A == N), and sigma(A)."""
+    rank, svals = _dense_rank(analysis_matrix(fam), tol)
+    return rank == fam.codomain_dim, svals
+
+
 def _pair_with_dense_ranks(rng, tol):
     """A drawn pair's report and pair family, with rank A + rank B and rank [A|B]
-    counted from the SVDs of the stacked matrices (Golub & Van Loan, 5.4): the
-    reference for the pair verdicts, which the library reads from Gram
-    certificates and streamed factors."""
+    from the dense SVDs of the stacked matrices: the reference for the pair verdicts."""
     lam, theta = _random_pair(rng)
     a, b = analysis_matrix(lam), analysis_matrix(theta)
-    stacked = (a, b, np.hstack([a, b]))
-    ranks = [rank_from_singular_values(singular_values(m), m.shape, tol) for m in stacked]
+    ranks = [_dense_rank(m, tol)[0] for m in (a, b, np.hstack([a, b]))]
     return classify(lam, theta, tol), gamma_family(lam, theta), ranks[0] + ranks[1], ranks[2]
 
 
@@ -352,6 +364,17 @@ def _against_dense(**verdicts):
     for name, (verdict, reference) in verdicts.items():
         if verdict != reference:
             yield f"{name}={verdict} but the dense SVD gives {reference}"
+
+
+def _riesz_against_dense(fam, tol, synthesis_lower_bound, **verdicts):
+    """A fault for each Riesz-type verdict of the frame ``fam`` that differs from
+    the dense SVD's, and one unless ``synthesis_lower_bound`` is sigma_min(A)^2
+    when it is Riesz-type and 0 otherwise, to rel_eps of sigma_max(A)^2."""
+    riesz, svals = _dense_riesz(fam, tol)
+    yield from _against_dense(**{name: (verdict, riesz) for name, verdict in verdicts.items()})
+    reference = float(svals[-1]) ** 2 if riesz else 0.0
+    if not _tiny(synthesis_lower_bound - reference, tol, float(svals[0]) ** 2):
+        yield f"synthesis lower bound {synthesis_lower_bound} but the dense SVD gives {reference}"
 
 
 def _check_pair_frame_iff_disjoint(rng, tol):
@@ -412,37 +435,24 @@ def _check_pair_bound_sandwich(rng, tol):
 
 
 def _check_riesz_criteria(rng, tol):
+    """Both Riesz routes and ``riesz_check``'s synthesis lower bound against the dense
+    SVD of the analysis matrix."""
     fam = _random_fit_or_overcomplete_frame(rng)
     by_rank, by_synthesis = riesz_criteria(fam, tol)
-    if by_rank != by_synthesis:
-        yield f"criteria disagree (rank={by_rank}, synthesis={by_synthesis})"
-    report = riesz_check(fam, tol)
-    if report.is_riesz_type and report.khat_dim > fam.domain_dim:
-        yield "Riesz verdict with target dim > domain dim"
-    if report.is_riesz_type != (report.analysis_rank == report.khat_dim):
-        yield "verdict inconsistent with rank fields"
-    if report.is_riesz_type and report.synthesis_lower_bound <= 0:
-        yield "Riesz verdict with vanishing synthesis bound"
-    bounds = frame_bounds(fam, tol)
-    if report.synthesis_upper_bound > bounds.upper_bound * (1.0 + tol.rel_eps):
-        yield "synthesis upper bound exceeds frame bound"
-    if report.is_riesz_type:
-        if bounds.lower_bound > report.synthesis_lower_bound * (1.0 + tol.rel_eps):
-            yield "lower frame bound exceeds synthesis gain"
+    lower = riesz_check(fam, tol).synthesis_lower_bound
+    yield from _riesz_against_dense(fam, tol, lower, by_rank=by_rank, by_synthesis=by_synthesis)
 
 
 def _check_synthesis_kernel(rng, tol):
+    """The kernel test on a random vector when the dense SVD finds A^H injective,
+    else on A^H's last right singular vector, which spans part of its kernel."""
     fam = _random_fit_or_overcomplete_frame(rng)
-    report = riesz_check(fam, tol)
-    zero = KHatVector.zeros(fam.block_dims)
-    if not synthesis_kernel_test(fam, zero, tol):
-        yield "zero vector rejected by kernel test"
-    if report.is_riesz_type:
+    synth = synthesis_matrix(fam)
+    if _dense_rank(synth, tol)[0] == fam.codomain_dim:
         phi = _random_khat(rng, fam.block_dims)
         if synthesis_kernel_test(fam, phi, tol):
             yield "random vector in kernel of a Riesz-type family"
     else:
-        synth = synthesis_matrix(fam)
         _, _, vh = np.linalg.svd(synth)
         phi = unembed(vh[-1].conj(), fam.space, fam.block_dims)
         if not synthesis_kernel_test(fam, phi, tol):
@@ -489,8 +499,8 @@ def _check_perturbation(rng, tol):
     if not result.criterion_met:
         yield "constructed perturbation misses the criterion"
         return
-    if not result.equivalence_verified:
-        yield "Riesz verdicts differ under the criterion"
+    same = _dense_riesz(lam, tol)[0] == _dense_riesz(theta, tol)[0]
+    yield from _against_dense(equivalence_verified=(result.equivalence_verified, same))
     cross = cross_operator(theta, lam)
     f = _cgauss(rng, (domain,))
     lhs = float(np.linalg.norm(cross @ f))
@@ -516,10 +526,13 @@ def _check_mixed_construction(rng, tol):
             f"bounds [{result.lower_bound}, {result.upper_bound}] escape "
             f"[2, {result.upper_certificate}]"
         )
-    if not result.criteria_agree:
-        yield "equivalent Riesz criteria disagree"
-    if result.riesz_report.is_riesz_type != riesz_check(lam, tol).is_riesz_type:
-        yield "combined family changes the Riesz verdict"
+    yield from _riesz_against_dense(
+        result.family,
+        tol,
+        result.synthesis_combination_lower_bound,
+        riesz_verdict=result.riesz_report.is_riesz_type,
+        onto=result.adjoint_combination_surjective,
+    )
 
 
 def _check_disjoint_sum(rng, tol):

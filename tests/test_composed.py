@@ -448,6 +448,12 @@ def test_a_sum_whose_operators_split_the_pair_domain_elsewhere_is_a_shape_error(
         compose_sum(lam, theta, np.ones((3, 2)), np.ones((1, 2)))
 
 
+def test_a_sum_whose_operators_differ_in_width_is_a_shape_error():
+    lam = GFrameFamily.from_rows(MeasureSpace(np.ones(3)), np.eye(3)[:, :2], (1, 1, 1))
+    with pytest.raises(ShapeError, match=r"^L2 must have L1's 2 columns, got \(2, 3\)$"):
+        compose_sum(lam, lam, np.eye(2), np.ones((2, 3)))
+
+
 def test_a_pair_family_of_a_composition_with_itself_reads_its_derived_gram():
     (lam,) = _pair(np.random.default_rng(179), 30_000, (DIM,))
     dual = canonical_dual(lam)

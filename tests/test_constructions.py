@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gframes._linalg import rank_cutoff, rank_from_singular_values, singular_values
+from gframes.analysis import compose_sum
 
 from gframes import (
     GenerationError,
@@ -365,8 +366,13 @@ def test_random_gframe_names_an_invalid_shape_request(block_dims, domain_dim, sh
          "dim_first: 1.5 is not an integer"),
         (lambda: random_strongly_disjoint_parseval_pair(1, (1, 1, 2), 1, True),
          "dim_second: True is not an integer"),
+        (lambda: random_gframe(1.5, (1, 1), 1), "seed: 1.5 is not an integer"),
+        (lambda: random_gframe(True, (1, 1), 1), "seed: True is not an integer"),
+        (lambda: random_strongly_disjoint_parseval_pair(1.5, (1, 1, 2), 1, 1),
+         "seed: 1.5 is not an integer"),
     ],
-    ids=["block-float", "domain-str", "first-float", "second-bool"],
+    ids=["block-float", "domain-str", "first-float", "second-bool", "seed-float", "seed-bool",
+         "pair-seed-float"],
 )
 def test_generators_name_a_dim_that_is_not_an_integer(draw, message):
     with pytest.raises(GenerationError) as err:
@@ -427,6 +433,14 @@ _OPERATOR_TAKERS = {
     "strong_disjointness_converse_check": (
         lambda f, l1, l2, tol: strong_disjointness_converse_check(f.lam, f.ortho, l1, l2, tol),
         np.eye(1), ([[1.0]], [[1.0, 0.0]]), "L2 must be 1 x 1, got (1, 2)",
+    ),
+    "compose_sum": (
+        lambda f, l1, l2, tol: compose_sum(f.lam, f.theta, l1, l2),
+        np.eye(1), (1.0, 1.0), "L1 must be a non-empty 2-D matrix, got ()",
+    ),
+    "identity_multiple": (
+        lambda f, l1, l2, tol: OperatorPair(l1, l2).identity_multiple(tol),
+        np.eye(1), (np.eye(2), np.eye(3)), "L2 must have L1's 2 columns, got (3, 3)",
     ),
 }
 

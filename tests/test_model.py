@@ -100,8 +100,11 @@ def test_dims_are_read_off_the_rows(domain_dim, tol):
         (lambda: KHatVector.zeros((1.5, 0.7)), "block_dims: 1.5 is not an integer"),
         (lambda: family_from_analysis_matrix(np.eye(2), MeasureSpace([1.0, 1.0]), (1.5, 0.5)),
          "block_dims: 1.5 is not an integer"),
+        (lambda: KHatVector.from_array(np.zeros(1), (2, -1)), "block_dims: -1 is negative"),
+        (lambda: KHatVector.zeros((1, -1)), "block_dims: -1 is negative"),
     ],
-    ids=["from_rows-float", "from_rows-str", "from_array-bool", "zeros-float", "analysis-float"],
+    ids=["from_rows-float", "from_rows-str", "from_array-bool", "zeros-float", "analysis-float",
+         "from_array-negative", "zeros-negative"],
 )
 def test_a_block_dim_that_is_not_an_integer_is_named(build, message):
     with pytest.raises(ShapeError) as err:

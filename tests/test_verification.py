@@ -191,14 +191,43 @@ def _transposed_cross(lam, theta, cross):
     return gram
 
 
-def _riesz_verdict(value):
-    """Patches forcing ``riesz_check``'s verdict to ``value`` where each module binds it."""
+def _riesz_report(change):
+    """Patches making ``riesz_check`` return ``change(report)`` where each module binds it."""
     original = riesz.riesz_check
 
-    def forced(fam, tol=DEFAULT_TOL):
-        return dataclasses.replace(original(fam, tol), is_riesz_type=value)
+    def changed(fam, tol=DEFAULT_TOL):
+        return change(original(fam, tol))
 
-    return [(module, "riesz_check", forced) for module in (riesz, verification)]
+    return [(module, "riesz_check", changed) for module in (riesz, verification)]
+
+
+def _riesz_verdict(value):
+    """Patches forcing ``riesz_check``'s verdict to ``value``."""
+    return _riesz_report(lambda report: dataclasses.replace(report, is_riesz_type=value))
+
+
+def _upper_bound_as_synthesis_lower_bound(report):
+    if not report.is_riesz_type:
+        return report
+    return dataclasses.replace(report, synthesis_lower_bound=report.synthesis_upper_bound)
+
+
+_SYNTHESIS_GAIN = analysis.synthesis_gain
+
+
+def _gain_of_the_largest_singular_value(fam, tol=DEFAULT_TOL):
+    gain, onto = _SYNTHESIS_GAIN(fam, tol)
+    return (float(analysis.analysis_singular_values(fam)[0]) if gain else 0.0), onto
+
+
+_PERTURBATION = riesz.perturbation_riesz_transfer
+
+
+def _equivalence_as_both_riesz(lam, theta, tol=DEFAULT_TOL):
+    """The perturbation result with "both Riesz-type" for "the same Riesz verdict"."""
+    result = _PERTURBATION(lam, theta, tol)
+    both = all(riesz.riesz_check(fam, tol).is_riesz_type for fam in (lam, theta))
+    return dataclasses.replace(result, equivalence_verified=result.criterion_met and both)
 
 
 def _full_rank(fam, tol=DEFAULT_TOL):
@@ -256,6 +285,9 @@ def _overflowing_atoms_named(bounded):
 # rounding scale of a composed Gram cut to its largest eigenvalue, or a pair's cut
 # to its own, so that a sum of compositions forgets theirs; the finiteness proof of
 # a composition, made to accept any bound, lets an overflowing product through.
+# The Riesz faults: riesz_check reports the upper frame bound as the synthesis lower
+# bound of a Riesz-type frame; synthesis_gain reads sigma_max where sigma_min belongs;
+# the perturbation result reads "both Riesz-type" for "the same Riesz verdict".
 _PLANTED = {
     "M3": (
         [(analysis, "gram_certifies_full_column_rank", _always_true)],
@@ -275,16 +307,23 @@ _PLANTED = {
     ),
     "riesz-verdict-false": (
         _riesz_verdict(False),
-        _fails_exactly(
-            "mixed-construction",
-            "pair-riesz-equivalences",
-            "riesz-criteria-agree",
-            "synthesis-kernel",
-        ),
+        _fails_exactly("mixed-construction", "pair-riesz-equivalences", "riesz-criteria-agree"),
+    ),
+    "riesz-upper-bound-as-synthesis-lower-bound": (
+        _riesz_report(_upper_bound_as_synthesis_lower_bound),
+        _fails_exactly("riesz-criteria-agree"),
     ),
     "synthesis-always-onto": (
         [(riesz, "synthesis_gain", _always_onto)],
         _fails_exactly("mixed-construction", "riesz-criteria-agree"),
+    ),
+    "synthesis-gain-of-the-largest-singular-value": (
+        [(riesz, "synthesis_gain", _gain_of_the_largest_singular_value)],
+        _fails_exactly("mixed-construction"),
+    ),
+    "perturbation-equivalence-as-both-riesz": (
+        [(verification, "perturbation_riesz_transfer", _equivalence_as_both_riesz)],
+        _fails_exactly("perturbation-transfer"),
     ),
     "tripled-pair-cross-block": (
         [(analysis, "_pair_gram", _tripled_cross)],
