@@ -10,9 +10,10 @@ stacked.  The sum of two subspaces is closed in finite dimension, so
 "disjoint" and "weakly disjoint" coincide: both read the one rank [A|B].
 So the theorems that tie the relations to Gamma (a frame, a trivial kernel,
 Riesz-type) hold here by construction; the ``verify`` suite checks them
-against the dense SVD of the stacked [A|B].  ``pair_equivalences`` and
-``normalized_pair`` state the pair checks whose sides come from two
-computations, once, for the CLI and the ``verify`` suite alike.
+against the dense SVD of the stacked [A|B].  ``pair_equivalences`` states
+the one pair check whose sides come from two computations, for the CLI's
+``disjoint`` and ``construct gamma``; ``normalized_pair`` states the Parseval
+check of the normalized pair, for the CLI and the ``verify`` suite alike.
 The pair family itself is built by ``analysis.gamma_family``, as the analysis
 module owns the pair record that is its memo; it is imported here, so
 ``disjointness.gamma_family`` names it too.

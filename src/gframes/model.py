@@ -695,9 +695,10 @@ class OperatorPair:
 
     def identity_multiple(self, tol: TolerancePolicy) -> tuple[float, bool]:
         """(c, whether L1^H L1 + L2^H L2 = c I with c > 0): the strong sum's hypothesis,
-        c the trace over the dim.  ShapeError unless L1 and L2 share their width,
-        NumericalRangeError when the sum overflows."""
+        c the trace over the dim.  The sum over c is compared with I, so the verdict
+        does not change when L1 and L2 are scaled together.  ShapeError unless L1 and
+        L2 share their width, NumericalRangeError when the sum overflows."""
         l1, l2, dim = self.l1, self.l2, self.width()
         gram = require_finite(l1.conj().T @ l1 + l2.conj().T @ l2, "L1^H L1 + L2^H L2")
         scale = float(np.trace(gram).real) / dim
-        return scale, scale > 0 and matrices_close(gram, scale * np.eye(dim), tol.rel_eps)
+        return scale, scale > 0 and matrices_close(gram / scale, np.eye(dim), tol.rel_eps)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import full_row_rank, matrices_close, operator_norm, singular_values
+from ._linalg import full_row_rank, matrices_close, operator_norm, rank_cutoff, singular_values
 from .analysis import compose_sum, cross_operator, frame_bounds, frame_operator, require_frame
 from .analysis import synthesis_gain
 from .errors import PreconditionError
@@ -74,15 +74,17 @@ def riesz_check(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> RieszR
 def synthesis_kernel_test(
     fam: GFrameFamily, phi: KHatVector, tol: TolerancePolicy = DEFAULT_TOL
 ) -> bool:
-    """True when the synthesis image of ``phi`` vanishes at tolerance.
+    """True when the synthesis image of ``phi`` vanishes at the rank cutoff:
+    ||A^H phi|| at or below the singular-value cutoff of A times ||phi||, the
+    cutoff that every rank and Riesz verdict reads.
 
     A True verdict for a nonzero ``phi`` certifies that the family is not
     Riesz-type.
     """
     image = apply_synthesis(fam, phi)
-    bessel = frame_bounds(fam, tol).upper_bound
-    scale = np.sqrt(max(bessel, 0.0)) * khat_norm(phi, fam.space)
-    return float(np.linalg.norm(image)) <= tol.rel_eps * scale
+    sigma_max = np.sqrt(max(frame_bounds(fam, tol).upper_bound, 0.0))
+    cutoff = rank_cutoff((fam.codomain_dim, fam.domain_dim), sigma_max, tol)
+    return float(np.linalg.norm(image)) <= cutoff * khat_norm(phi, fam.space)
 
 
 def riesz_criteria(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[bool, bool]:

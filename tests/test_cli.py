@@ -411,6 +411,44 @@ def test_generate_strongly_disjoint_pair_round_trips(tmp_path, capsys):
     assert load_document(str(out_path)) == doc
 
 
+def test_tall_constructions_report_the_bounds_that_analyze_reads_back(tmp_path, capsys):
+    # 5,000 atoms of block dim 2, taller than one row chunk: a construct report's
+    # bounds come from d x d algebra, and analyze streams them from the written rows
+    def passed_reports(argv):
+        assert run_command([*argv, "--format", "json"]) == 0, argv
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert err == "" and payload["passed"] is True, argv
+        return payload["reports"]
+
+    dims = ",".join(["2"] * 5000)
+    frame_doc, pair_doc = str(tmp_path / "tall.json"), str(tmp_path / "tall-pair.json")
+    passed_reports(["generate", "--kind", "frame", "--seed", "11", "--block-dims", dims,
+                    "--domain-dim", "8", "-o", frame_doc])
+    passed_reports(["generate", "--kind", "strongly-disjoint-pair", "--seed", "13",
+                    "--block-dims", dims, "--dim-first", "4", "--dim-second", "4",
+                    "-o", pair_doc])
+    # recipe, its document and families, and the family it writes that analyze reads
+    compared = []
+    for recipe, argv, written in (
+        ("canonical-dual", [frame_doc, "frame"], "canonical_dual"),
+        ("parseval", [frame_doc, "frame"], "parseval"),
+        ("sum-strong", [pair_doc, "first", "second"], "sum"),
+        ("sum-disjoint", [pair_doc, "first", "second"], "sum"),
+        ("pseudo-dual", [pair_doc, "first", "second"], None),
+    ):
+        out_path = str(tmp_path / f"{recipe}.json")
+        reports = passed_reports(["construct", argv[0], recipe, *argv[1:], "-o", out_path])
+        if written is None:
+            continue
+        frame = passed_reports(["analyze", out_path, written])["frame"]
+        if "result" in reports:
+            for key in ("lower_bound", "upper_bound"):
+                assert reports["result"][key] == pytest.approx(frame[key], rel=1e-9), recipe
+            compared.append(recipe)
+    assert compared == ["canonical-dual", "sum-strong", "sum-disjoint"]
+
+
 def test_verify_is_deterministic_and_passes(capsys):
     args = ["verify", "--seed", "7", "--cases", "5", "--format", "json"]
     assert run_command(args) == 0
@@ -421,6 +459,8 @@ def test_verify_is_deterministic_and_passes(capsys):
     payload = json.loads(first)
     assert payload["passed"] is True
     assert len(payload["checks"]) >= 20
+    assert run_command(args[:-2]) == 0
+    assert capsys.readouterr().out.endswith("overall: PASS\n")
 
 
 def test_json_reports_of_disjoint_and_delta_parse(tmp_path, capsys):
@@ -489,6 +529,17 @@ def test_json_reports_of_disjoint_and_delta_parse(tmp_path, capsys):
         ["construct", NEAR_CUTOFF_DOC, "parseval", "near", "-o", "x.json"],
         # an operator flag without a row
         ["construct", PAIR_DOC, "sum-strong", "lam", "ortho", "--l1", "[]", "-o", "x.json"],
+        # an overflowing operator
+        ["construct", PAIR_DOC, "sum-disjoint", "lam", "theta", "--l1", "[[[1e200,0]]]",
+         "-o", "x.json"],
+        # a 1x2 operator over the 1-dim samples breaks the square rule of sum-strong
+        # and the adjoint rule of sum-disjoint and pseudo-dual
+        *(
+            ["construct", PAIR_DOC, recipe, *names, "--l1", "[[[1,0],[0,0]]]", "-o", "x.json"]
+            for recipe, names in (("sum-strong", ("lam", "ortho")),
+                                  ("sum-disjoint", ("lam", "theta")),
+                                  ("pseudo-dual", ("lam", "ortho")))
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning beside the error line breaks the contract
@@ -669,6 +720,8 @@ GOLDEN_RUNS = [
     *((f"disjoint-lam-{name}.json", ["disjoint", "samples/pair.json", "lam", name]) for name in
       ("theta", "ortho")),
     ("verify-seed0-cases20.json", ["verify", "--seed", "0", "--cases", "20"]),
+    *((f"verify-seed{seed}-cases50.json", ["verify", "--seed", str(seed), "--cases", "50"])
+      for seed in (0, 7, 101)),
 ]
 
 

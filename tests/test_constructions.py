@@ -206,6 +206,20 @@ def test_strong_sum_rejects_bad_gram(tol):
         strongly_disjoint_sum(a, b, bad, tol)
 
 
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_the_identity_hypothesis_does_not_depend_on_the_operators_scale(s, tol):
+    # s * (diag(1, 2), diag(1, 0.5)) squares to s^2 diag(2, 4.25) at every s, and
+    # s * (I, a unitary) to 2 s^2 I: a tiny s must not pass the first for a multiple of I
+    far = OperatorPair(s * np.diag([1.0, 2.0]), s * np.diag([1.0, 0.5]))
+    assert not far.identity_multiple(tol)[1]
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    scale, held = OperatorPair(s * np.eye(2), s * swap).identity_multiple(tol)
+    assert held and scale == pytest.approx(2.0 * s**2, rel=1e-12)
+    lam, theta = random_strongly_disjoint_parseval_pair(1, (1, 1, 1, 1), 2, 2)
+    with pytest.raises(PreconditionError, match="not a positive multiple of the identity"):
+        strongly_disjoint_sum(lam, theta, far, tol)
+
+
 def test_strong_sum_rejects_non_strong_pair(lam_family, theta_family, tol):
     pair = OperatorPair(np.eye(1), np.eye(1))
     with pytest.raises(PreconditionError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gframes._linalg import rank_cutoff
 from gframes import (
     GFrameFamily,
     KHatVector,
@@ -61,6 +62,19 @@ def test_synthesis_kernel_detects_witness(theta_family, tol):
 def test_synthesis_kernel_rejects_random_vector_for_riesz_family(identity_family, tol):
     phi = KHatVector(([0.3 + 1.0j], [-0.7]))
     assert not synthesis_kernel_test(identity_family, phi, tol)
+
+
+@pytest.mark.parametrize("s", [1e-11, 1e-13, 1e-15, 1e-17])
+def test_the_kernel_test_reads_the_rank_cutoff(s, tol):
+    # sigma(A) = (1, s) with u_2 = e_2: above the cutoff both Riesz routes say
+    # Riesz-type, so u_2 is no kernel witness; at or below it the family is no frame
+    blocks = ([[1.0, 0.0]], [[0.0, s]])
+    fam = GFrameFamily(space=MeasureSpace([1.0, 1.0]), domain_dim=2, blocks=blocks)
+    riesz_type = s > rank_cutoff((2, 2), 1.0, tol)
+    assert synthesis_kernel_test(fam, KHatVector(([0.0], [1.0])), tol) == (not riesz_type)
+    assert frame_bounds(fam, tol).is_frame == riesz_type
+    if riesz_type:
+        assert riesz_criteria(fam, tol) == (True, True)
 
 
 def test_synthesis_kernel_shape_error(theta_family, tol):

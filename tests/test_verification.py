@@ -30,6 +30,7 @@ from gframes import (
     right_compose,
     verification,
 )
+from gframes import _linalg
 from gframes._linalg import hermitize, rank_from_singular_values, singular_values
 from gframes.cli import run_command
 from gframes.verification import (
@@ -45,6 +46,7 @@ from gframes.verification import (
     run_suite,
 )
 
+import test_analysis
 import test_composed
 import test_disjointness
 
@@ -258,6 +260,13 @@ def _no_pair_scale(lam, theta):
     return 0.0
 
 
+_RANK_CUTOFF = _linalg.rank_cutoff
+
+
+def _cutoff_a_million_times_higher(shape, sigma_max, tol):
+    return 1e6 * _RANK_CUTOFF(shape, sigma_max, tol)
+
+
 def _fails(test, *args):
     """The catcher that runs one fixture-free tier-1 test, which must fail, by an
     assertion or by a ``pytest.raises`` that sees nothing raised: for faults that
@@ -288,10 +297,16 @@ def _overflowing_atoms_named(bounded):
 # The Riesz faults: riesz_check reports the upper frame bound as the synthesis lower
 # bound of a Riesz-type frame; synthesis_gain reads sigma_max where sigma_min belongs;
 # the perturbation result reads "both Riesz-type" for "the same Riesz verdict".
+# M4: the singular-value cutoff of every rank rule sits 10^6 times too high.
 _PLANTED = {
     "M3": (
         [(analysis, "gram_certifies_full_column_rank", _always_true)],
         _fails_exactly("pair-bound-sandwich", "pair-frame-iff-disjoint"),
+    ),
+    "M4": (
+        [(_linalg, "rank_cutoff", _cutoff_a_million_times_higher)],
+        _fails(test_analysis.test_every_rank_verdict_reads_the_singular_values_near_the_cutoff,
+               DEFAULT_TOL),
     ),
     "M5": (
         [(analysis, "_pair_gram", _transposed_cross)],
