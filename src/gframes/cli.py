@@ -84,8 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain-dim", type=int, help="for --kind frame")
     p.add_argument("--dim-first", type=int, help="for --kind strongly-disjoint-pair")
     p.add_argument("--dim-second", type=int, help="for --kind strongly-disjoint-pair")
-    p.add_argument("--weight-low", type=float, default=0.5)
-    p.add_argument("--weight-high", type=float, default=2.0)
     p.add_argument("-o", "--output", required=True)
     common(p)
 
@@ -245,19 +243,18 @@ def _cmd_generate(args, tol) -> dict:
         dims = tuple(int(part) for part in args.block_dims.split(","))
     except ValueError:
         raise UsageError("--block-dims must be comma-separated integers") from None
-    weight_range = (args.weight_low, args.weight_high)
     checks = []
     if args.kind == "frame":
         if args.domain_dim is None:
             raise UsageError("--kind frame requires --domain-dim")
-        fam = random_gframe(args.seed, dims, args.domain_dim, weight_range=weight_range)
+        fam = random_gframe(args.seed, dims, args.domain_dim)
         families = {"frame": fam}
         checks += _checks([frame_check(fam, tol)])
     else:
         if args.dim_first is None or args.dim_second is None:
             raise UsageError("--kind strongly-disjoint-pair requires --dim-first and --dim-second")
         first, second = random_strongly_disjoint_parseval_pair(
-            args.seed, dims, args.dim_first, args.dim_second, weight_range=weight_range
+            args.seed, dims, args.dim_first, args.dim_second
         )
         families = {"first": first, "second": second}
         report = classify(first, second, tol)

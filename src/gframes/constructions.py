@@ -304,24 +304,18 @@ def _require_array_size(rows: int, cols: int) -> None:
         raise GenerationError(f"requested {rows} x {cols} complex matrix is too large")
 
 
-def _seeded_space(seed: int, atoms: int, weight_range):
+def _seeded_space(seed: int, atoms: int):
     """The generator for ``seed`` and a measure space drawn from it, weights
-    uniform in ``weight_range``; GenerationError for a seed that is not a
-    non-negative integer by :func:`read_dim` or a range that is not finite with
-    0 < low <= high."""
-    low, high = weight_range
+    uniform in [0.5, 2.0]; GenerationError for a seed that is not a
+    non-negative integer by :func:`read_dim`."""
     seed = read_dim(seed, "seed", GenerationError)
     if seed < 0:
         raise GenerationError(f"seed must be >= 0, got {seed}")
-    if not (math.isfinite(low) and math.isfinite(high) and 0 < low <= high):
-        raise GenerationError(
-            f"weight range must be finite with 0 < low <= high, got ({low}, {high})"
-        )
     rng = np.random.default_rng(seed)
-    return rng, MeasureSpace(rng.uniform(low, high, atoms))
+    return rng, MeasureSpace(rng.uniform(0.5, 2.0, atoms))
 
 
-def random_gframe(seed: int, block_dims, domain_dim: int, weight_range=(0.5, 2.0)) -> GFrameFamily:
+def random_gframe(seed: int, block_dims, domain_dim: int) -> GFrameFamily:
     """Seed-deterministic family with complex-Gaussian blocks, drawn once.
 
     It is almost surely a frame when the total codomain dimension reaches the
@@ -331,7 +325,7 @@ def random_gframe(seed: int, block_dims, domain_dim: int, weight_range=(0.5, 2.0
     domain_dim = read_dim(domain_dim, "domain_dim", GenerationError)
     if not dims or any(d < 1 for d in dims) or domain_dim < 1:
         raise GenerationError(f"invalid shape request: block_dims={dims}, domain_dim={domain_dim}")
-    rng, space = _seeded_space(seed, len(dims), weight_range)
+    rng, space = _seeded_space(seed, len(dims))
     total = sum(dims)
     if total < domain_dim:
         raise GenerationError(
@@ -347,7 +341,6 @@ def random_strongly_disjoint_parseval_pair(
     block_dims,
     dim_first: int,
     dim_second: int,
-    weight_range=(0.5, 2.0),
 ) -> tuple[GFrameFamily, GFrameFamily]:
     """Two Parseval families with orthogonal analysis ranges, from an
     orthonormal-column splitting in embedded coordinates.
@@ -367,7 +360,7 @@ def random_strongly_disjoint_parseval_pair(
             f"need 1 <= dim_first, dim_second with sum <= {total}, got {dim_first} + {dim_second}"
         )
     _require_array_size(total, dim_first + dim_second)
-    rng, space = _seeded_space(seed, len(dims), weight_range)
+    rng, space = _seeded_space(seed, len(dims))
     raw = _complex_gaussian(rng, (total, dim_first + dim_second))
     q = _orthonormal_columns(raw)
     first = family_from_analysis_matrix(q[:, :dim_first], space, dims)

@@ -265,6 +265,20 @@ def test_a_tall_composition_underflows_unless_it_is_zero():
     assert not frame_bounds(zero).is_frame and frame_bounds(zero).upper_bound == 0.0
 
 
+def test_a_composition_of_an_overflowing_source_streams_its_own_frame_operator():
+    # the source's frame operator overflows, so the d x d route has no Gram to read,
+    # and the composition's frame operator comes from its own rows, with their bits
+    (lam,) = _pair(np.random.default_rng(151), 2 * STEP, (DIM,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = GFrameFamily.from_rows(lam.space, 1e160 * lam.rows, lam.block_dims)
+        composed = right_compose(huge, 1e-200 * np.eye(DIM))
+        spectral = _spectral_bytes(composed)
+        reference = GFrameFamily.from_rows(lam.space, composed.rows, lam.block_dims)
+        assert spectral == _spectral_bytes(reference)
+        with pytest.raises(NumericalRangeError, match="frame operator is not finite"):
+            frame_bounds(huge)
+
+
 def _strong_sum_and_mixed(lam, theta, rng):
     """The two tall sums of the quadrature benchmark's shape: a strong sum through
     c1 U1, c2 U2, and the mixed construction of lam with itself through a U, U / a;
