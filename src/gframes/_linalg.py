@@ -10,6 +10,10 @@ from .errors import NumericalRangeError
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
 
+# The one rank cutoff of the package (``rank_cutoff``) is this many times
+# max(rows, cols) * sigma_max * machine_eps.  Read at call time.
+RANK_EPS_FACTOR = 10.0
+
 
 def hermitize(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (matrix + matrix.conj().T)
@@ -42,22 +46,22 @@ def operator_norm(matrix: np.ndarray) -> float:
     return float(svals[0]) if svals.size else 0.0
 
 
-def rank_cutoff(shape: tuple[int, int], sigma_max: float, tol) -> float:
+def rank_cutoff(shape: tuple[int, int], sigma_max: float) -> float:
     """Singular values at or below this value count as zero."""
-    return tol.rank_eps_factor * max(shape) * sigma_max * MACHINE_EPS
+    return RANK_EPS_FACTOR * max(shape) * sigma_max * MACHINE_EPS
 
 
-def rank_from_singular_values(svals: np.ndarray, shape: tuple[int, int], tol) -> int:
+def rank_from_singular_values(svals: np.ndarray, shape: tuple[int, int]) -> int:
     """Numerical rank of a ``shape`` matrix whose descending singular values are ``svals``."""
     if svals.size == 0:
         return 0
-    return int(np.count_nonzero(svals > rank_cutoff(shape, float(svals[0]), tol)))
+    return int(np.count_nonzero(svals > rank_cutoff(shape, float(svals[0]))))
 
 
-def full_row_rank(svals: np.ndarray, shape: tuple[int, int], tol) -> bool:
+def full_row_rank(svals: np.ndarray, shape: tuple[int, int]) -> bool:
     """Whether the ``shape`` matrix with descending singular values ``svals`` has
     rank equal to its row count: it is surjective, and invertible when square."""
-    return rank_from_singular_values(svals, shape, tol) == shape[0]
+    return rank_from_singular_values(svals, shape) == shape[0]
 
 
 def gram_rounding_bound(shape, scale: float) -> float:
@@ -68,7 +72,7 @@ def gram_rounding_bound(shape, scale: float) -> float:
     return (rows + cols) * cols * MACHINE_EPS * scale
 
 
-def gram_certifies_full_column_rank(smallest: float, largest: float, shape, tol) -> bool:
+def gram_certifies_full_column_rank(smallest: float, largest: float, shape) -> bool:
     """True when the extreme eigenvalues of a computed Gram matrix G of the
     ``shape`` matrix M prove that M has full column rank at the singular-value
     cutoff.  False means only "not certified".
@@ -84,7 +88,7 @@ def gram_certifies_full_column_rank(smallest: float, largest: float, shape, tol)
     delta = gram_rounding_bound(shape, largest)
     if cols > rows or smallest <= delta:
         return False
-    return (smallest - delta) ** 0.5 > 2.0 * rank_cutoff(shape, (largest + delta) ** 0.5, tol)
+    return (smallest - delta) ** 0.5 > 2.0 * rank_cutoff(shape, (largest + delta) ** 0.5)
 
 
 def invert_kept(factors, rank: int, what: str) -> np.ndarray:
@@ -108,7 +112,7 @@ def matrices_close(a: np.ndarray, b: np.ndarray, rel_eps: float) -> bool:
     return float(np.linalg.norm(a - b)) <= rel_eps * scale
 
 
-def hermitian_power(matrix: np.ndarray, power: float, tol) -> np.ndarray:
+def hermitian_power(matrix: np.ndarray, power: float) -> np.ndarray:
     """``matrix ** power`` for an exactly Hermitian positive definite matrix (as
     every frame operator is) via eigendecomposition; only used with negative
     powers of a frame operator.
@@ -119,7 +123,7 @@ def hermitian_power(matrix: np.ndarray, power: float, tol) -> np.ndarray:
     """
     evals, vecs = np.linalg.eigh(matrix)
     smallest, largest = float(evals[0]), float(evals[-1])
-    if smallest <= rank_cutoff(matrix.shape, largest, tol):
+    if smallest <= rank_cutoff(matrix.shape, largest):
         raise NumericalRangeError(
             f"frame operator cannot be inverted in floating point "
             f"(eigenvalues {smallest:.3e} to {largest:.3e})"

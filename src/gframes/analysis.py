@@ -303,9 +303,9 @@ def compose_sum(lam: GFrameFamily, theta: GFrameFamily, l1, l2) -> GFrameFamily:
 def frame_bounds(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> FrameReport:
     """Optimal frame bounds and the frame verdict of :class:`FrameReport`.
 
-    Computed once per family object and tolerance values.
+    Computed once per family object and ``rel_eps``.
     """
-    key = ("frame_report", tol.rel_eps, tol.rank_eps_factor)
+    key = ("frame_report", tol.rel_eps)
     return memoized(fam._memo, key, _frame_report, fam, tol)
 
 
@@ -315,10 +315,10 @@ def _frame_report(fam: GFrameFamily, tol: TolerancePolicy) -> FrameReport:
     lower = float(evals[0])
     upper = float(evals[-1])
     # the certificate's delta reads the Gram's rounding scale, not only its largest eigenvalue
-    is_frame = gram_certifies_full_column_rank(lower, _scale(fam), _shape(fam), tol)
+    is_frame = gram_certifies_full_column_rank(lower, _scale(fam), _shape(fam))
     if not is_frame:
         svals = analysis_singular_values(fam)
-        is_frame = rank_from_singular_values(svals, _shape(fam), tol) == fam.domain_dim
+        is_frame = rank_from_singular_values(svals, _shape(fam)) == fam.domain_dim
         lower = float(svals[-1]) ** 2 if fam.codomain_dim >= fam.domain_dim else 0.0
     is_tight = is_frame and (upper - lower) <= tol.rel_eps * upper
     is_parseval = (
@@ -372,17 +372,17 @@ def analysis_rank(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Numerical rank of A: the domain dim for a frame, else counted from σ(A)."""
     if frame_bounds(fam, tol).is_frame:
         return fam.domain_dim
-    return rank_from_singular_values(analysis_singular_values(fam), _shape(fam), tol)
+    return rank_from_singular_values(analysis_singular_values(fam), _shape(fam))
 
 
-def synthesis_gain(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[float, bool]:
+def synthesis_gain(fam: GFrameFamily) -> tuple[float, bool]:
     """(σ_min of the synthesis matrix A^H over the whole target, whether A is
     onto), from the memoized σ(A) = σ(A^H): onto means rank N.  When N > d the
     shape decides, gain 0 and not onto, and nothing is decomposed."""
     if fam.codomain_dim > fam.domain_dim:
         return 0.0, False
     svals = analysis_singular_values(fam)
-    return float(svals[-1]), full_row_rank(svals, _shape(fam), tol)
+    return float(svals[-1]), full_row_rank(svals, _shape(fam))
 
 
 def _frame_operator_power(fam: GFrameFamily, power: float, tol: TolerancePolicy) -> GFrameFamily:
@@ -390,7 +390,7 @@ def _frame_operator_power(fam: GFrameFamily, power: float, tol: TolerancePolicy)
     rep = frame_bounds(fam, tol)
     if not rep.is_frame:
         raise SingularOperatorError(f"family is not a frame (min eigenvalue {rep.lower_bound:.3e})")
-    return right_compose(fam, hermitian_power(rep.frame_operator, power, tol))
+    return right_compose(fam, hermitian_power(rep.frame_operator, power))
 
 
 def canonical_dual(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> GFrameFamily:

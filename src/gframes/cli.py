@@ -15,6 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from . import _linalg
 from .analysis import (
     canonical_dual,
     dual_check,
@@ -43,8 +44,16 @@ class UsageError(GFrameError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are UsageErrors, so that a bad command
+    line ends on one ``error:`` line like every other usage error."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gframes",
         description="Numerical workbench for g-frame families over finite weighted measure spaces.",
     )
@@ -53,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--tol", type=float, default=DEFAULT_TOL.rel_eps,
                        help="relative tolerance (default 1e-9)")
-        p.add_argument("--rank-factor", type=float, default=DEFAULT_TOL.rank_eps_factor,
-                       help="SVD rank cutoff factor (default 10)")
         p.add_argument("--format", choices=("human", "json"), default="human")
 
     p = sub.add_parser("analyze", help="frame bounds and Riesz-type report for one family")
@@ -97,9 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _tolerance(args) -> TolerancePolicy:
     try:
-        return TolerancePolicy(rel_eps=args.tol, rank_eps_factor=args.rank_factor)
+        return TolerancePolicy(rel_eps=args.tol)
     except ValueError as exc:
-        raise UsageError(f"--tol/--rank-factor: {exc}") from None
+        raise UsageError(f"--tol: {exc}") from None
 
 
 def _family(doc: FrameDocument, name: str) -> GFrameFamily:
@@ -342,16 +349,14 @@ def _print_report(report: dict, fmt: str) -> None:
 
 
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         tol = _tolerance(args)
         # an overflow ends the command with NumericalRangeError, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             body = _COMMANDS[args.command](args, tol)
+    except SystemExit as exc:  # --help; the parser's errors are UsageErrors
+        return int(exc.code) if exc.code else 0
     except PreconditionError as exc:
         print(f"error: failed hypothesis: {exc}", file=sys.stderr)
         return 1
@@ -360,7 +365,7 @@ def run_command(argv: list[str]) -> int:
         return 2
     report = {
         "command": list(argv),
-        "tolerance": {"rel_eps": tol.rel_eps, "rank_eps_factor": tol.rank_eps_factor},
+        "tolerance": {"rel_eps": tol.rel_eps, "rank_eps_factor": _linalg.RANK_EPS_FACTOR},
         **body,
     }
     report["passed"] = all(check["passed"] for check in report.get("checks", []))

@@ -29,14 +29,14 @@ from .model import (
 )
 
 
-def pseudo_inverse(matrix: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def pseudo_inverse(matrix: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse from one SVD, inverting exactly the singular
     values the rank rule keeps: for a surjective input a right inverse, matrix
     @ result = identity.  ``matrix`` is read by ``operator_matrix``;
     NumericalRangeError also when the result leaves the float range."""
     matrix = operator_matrix(matrix, "matrix")
     svd = np.linalg.svd(np.conj(matrix), full_matrices=False)
-    return invert_kept(svd, rank_from_singular_values(svd[1], matrix.shape, tol), "matrix")
+    return invert_kept(svd, rank_from_singular_values(svd[1], matrix.shape), "matrix")
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ def disjoint_sum_family(
     require_relation(lam, theta, "disjoint", tol)
     l1_adj, l2_adj = pair.adjoint_operators(lam.domain_dim)
     svals1, svals2 = singular_values(pair.l1), singular_values(pair.l2)
-    surj1 = full_row_rank(svals1, pair.l1.shape, tol)
-    surj2 = full_row_rank(svals2, pair.l2.shape, tol)
+    surj1 = full_row_rank(svals1, pair.l1.shape)
+    surj2 = full_row_rank(svals2, pair.l2.shape)
     if not (surj1 or surj2):
         raise PreconditionError("neither L1 nor L2 is surjective")
 
@@ -213,7 +213,7 @@ def pseudo_dual(
     l1_adj, l2_adj = pair.adjoint_operators(lam.domain_dim)
     # one SVD of L1 judges it onto, and then inverts all of its singular values
     svd = np.linalg.svd(np.conj(pair.l1), full_matrices=False)
-    if not full_row_rank(svd[1], pair.l1.shape, tol):
+    if not full_row_rank(svd[1], pair.l1.shape):
         raise PreconditionError("L1 is not surjective")
 
     candidate = right_compose(canonical_dual(lam, tol), invert_kept(svd, len(svd[1]), "L1"))

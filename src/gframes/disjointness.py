@@ -61,12 +61,12 @@ def classify(
     """Decide which disjointness relations hold for a pair of frames.
 
     Both families must be frames over the same measure space and block
-    dimensions; their domains may differ.  Computed once per pair and tolerance.
+    dimensions; their domains may differ.  Computed once per pair and ``rel_eps``.
     """
     require_same_khat(lam, theta)
     require_frame(lam, tol, "first family")
     require_frame(theta, tol, "second family")
-    key = ("classify", tol.rel_eps, tol.rank_eps_factor)
+    key = ("classify", tol.rel_eps)
     return memoized(pair_memo(lam, theta), key, _classify, lam, theta, tol)
 
 
@@ -155,7 +155,7 @@ def strong_disjointness_converse_check(
     require_same_khat(lam, theta)
     l1, l2 = OperatorPair(l1, l2).square_operators(lam.domain_dim, theta.domain_dim)
     for name, operator in (("L1", l1), ("L2", l2)):
-        if not full_row_rank(singular_values(operator), operator.shape, tol):
+        if not full_row_rank(singular_values(operator), operator.shape):
             raise PreconditionError(f"{name} is not invertible at tolerance")
     fam1 = right_compose(lam, l1)
     fam2 = right_compose(theta, l2)

@@ -198,25 +198,17 @@ def inner(x: np.ndarray, y: np.ndarray) -> complex:
 class TolerancePolicy:
     """Numeric tolerances used by every comparison in the package.
 
-    ``rel_eps`` controls relative equality of scalars and matrices;
-    ``rank_eps_factor`` scales the one rank cutoff of the package: singular
-    values at or below factor * max(rows, cols) * sigma_max * machine_eps
-    count as zero.  Every rank-type verdict (frame, Riesz-type, disjointness,
-    kernel) counts singular values against it; eigenvalues of a frame
-    operator meet it only as the range guard before an inversion.  Both must
-    be finite.
+    ``rel_eps`` controls relative equality of scalars and matrices.  Ranks
+    take no tolerance: every rank-type verdict (frame, Riesz-type,
+    disjointness, kernel) counts singular values above the one fixed cutoff
+    ``_linalg.rank_cutoff``, so it is a function of the matrix alone.
     """
 
     rel_eps: float = 1e-9
-    rank_eps_factor: float = 10.0
 
     def __post_init__(self):
         if not (np.isfinite(self.rel_eps) and self.rel_eps > 0):
             raise ValueError(f"rel_eps must be positive and finite, got {self.rel_eps}")
-        if not (np.isfinite(self.rank_eps_factor) and self.rank_eps_factor >= 1):
-            raise ValueError(
-                f"rank_eps_factor must be finite and >= 1, got {self.rank_eps_factor}"
-            )
 
 
 DEFAULT_TOL = TolerancePolicy()

@@ -83,7 +83,7 @@ def synthesis_kernel_test(
     """
     image = apply_synthesis(fam, phi)
     sigma_max = np.sqrt(max(frame_bounds(fam, tol).upper_bound, 0.0))
-    cutoff = rank_cutoff((fam.codomain_dim, fam.domain_dim), sigma_max, tol)
+    cutoff = rank_cutoff((fam.codomain_dim, fam.domain_dim), sigma_max)
     return float(np.linalg.norm(image)) <= cutoff * khat_norm(phi, fam.space)
 
 
@@ -95,7 +95,7 @@ def riesz_criteria(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> tup
     the synthesis matrix is bounded below exactly when its kernel is trivial,
     so the two-sided bound and the kernel certificate are this one comparison.
     """
-    return riesz_check(fam, tol).is_riesz_type, synthesis_gain(fam, tol)[1]
+    return riesz_check(fam, tol).is_riesz_type, synthesis_gain(fam)[1]
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def mixed_construction(
 
     riesz_report = riesz_check(combined, tol)
     # routes (ii) and (iii): the rank and the synthesis gain of one sigma(A)
-    gain, surjective = synthesis_gain(combined, tol)
+    gain, surjective = synthesis_gain(combined)
 
     return MixedConstruction(
         family=combined,
@@ -183,7 +183,7 @@ def cross_surjectivity(
     require_same_khat(lam, theta)
     require_frame(lam, tol, "first family")
     cross = cross_operator(theta, lam)
-    surjective = full_row_rank(singular_values(cross), cross.shape, tol)
+    surjective = full_row_rank(singular_values(cross), cross.shape)
     theta_frame = frame_bounds(theta, tol).is_frame
     return theta_frame, surjective
 

@@ -152,7 +152,7 @@ def test_criterion_06_pair_riesz_equivalences(theta_family):
     assert report.strongly_complementary_pair == (report.strongly_disjoint and riesz)
     # a trivial kernel of the pair family: [A|B] of full column rank in its dense SVD
     stacked = analysis_matrix(gamma)
-    full = rank_from_singular_values(singular_values(stacked), stacked.shape, TOL) == 2
+    full = rank_from_singular_values(singular_values(stacked), stacked.shape) == 2
     assert report.weakly_disjoint == full
     assert not report.strongly_disjoint or report.disjoint
     assert not report.disjoint or report.weakly_disjoint

@@ -26,7 +26,7 @@ from gframes import (
     load_document,
     save_document,
 )
-from gframes import cli
+from gframes import _linalg, cli
 from gframes.cli import run_command
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
@@ -513,7 +513,18 @@ def test_json_reports_of_disjoint_and_delta_parse(tmp_path, capsys):
         ["construct", PAIR_DOC, "canonical-dual", "theta", "-o", "no/such/dir/out.json"],
         ["analyze", PAIR_DOC, "theta", "--tol", "0"],
         ["analyze", PAIR_DOC, "theta", "--tol", "nan"],
-        ["analyze", PAIR_DOC, "theta", "--rank-factor", "inf"],
+        # the rank cutoff takes no factor: every command rejects the option
+        *(
+            [*argv, "--rank-factor", "10"]
+            for argv in (
+                ["analyze", PAIR_DOC, "theta"],
+                ["disjoint", PAIR_DOC, "lam", "theta"],
+                ["construct", PAIR_DOC, "gamma", "lam", "theta", "-o", "x.json"],
+                ["generate", "--kind", "frame", "--block-dims", "1,1,2", "--domain-dim", "3",
+                 "-o", "x.json"],
+                ["verify", "--cases", "1"],
+            )
+        ),
         ["verify", "--cases", "-3"],
         *(
             ["construct", PAIR_DOC, "sum-strong", "lam", "ortho", "--l1", flag, "-o", "x.json"]
@@ -586,12 +597,13 @@ def test_help_exits_zero(capsys):
     assert out.startswith("usage: gframes ") and err == ""
 
 
-def test_generated_non_frame_is_a_failed_check(tmp_path, capsys):
-    # the rank cutoff of --rank-factor 1e300 rejects every draw; the draw is
+def test_generated_non_frame_is_a_failed_check(tmp_path, monkeypatch, capsys):
+    # a rank cutoff 1e299 times the package's rejects every draw; the draw is
     # written and reported, not redrawn
+    monkeypatch.setattr(_linalg, "RANK_EPS_FACTOR", 1e300)
     out_path = tmp_path / "gen.json"
     argv = ["generate", "--kind", "frame", "--seed", "3", "--block-dims", "1,1,2",
-            "--domain-dim", "3", "--rank-factor", "1e300", "-o", str(out_path)]
+            "--domain-dim", "3", "-o", str(out_path)]
     assert run_command(argv) == 1
     out, err = capsys.readouterr()
     assert err == "" and "check is-frame: FAIL (" in out and out.endswith("overall: FAIL\n")

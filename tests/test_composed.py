@@ -125,7 +125,7 @@ def test_composed_families_match_their_stored_products_bit_for_bit(rows):
     # L2 as an adjoint view, the layout the adjoint rule hands over
     l1, l2 = _cgauss(rng, (DIM, DIM)), _cgauss(rng, (DIM, DIM)).conj().T
     pinv = _cgauss(rng, (DIM, DIM))
-    dual_rows = lam.rows @ hermitian_power(frame_operator(lam), -1.0, model.DEFAULT_TOL)
+    dual_rows = lam.rows @ hermitian_power(frame_operator(lam), -1.0)
     cases = {
         "right_compose": (lambda: right_compose(lam, l1), lam.rows @ l1),
         # a sum is the pair family composed with [L1; L2]
@@ -174,7 +174,7 @@ def test_composing_a_pair_family_leaves_it_unstacked():
     # one stacked [A|B] would be gamma_bytes, and each stored result as much again
     assert peak < gamma_bytes / 4 and held < gamma_bytes / 4
     stacked = np.hstack([lam.rows, theta.rows])
-    inverse = hermitian_power(frame_operator(gamma), -1.0, model.DEFAULT_TOL)
+    inverse = hermitian_power(frame_operator(gamma), -1.0)
     assert dual.rows.tobytes() == (stacked @ inverse).tobytes()
     doubled = np.hstack([stacked, stacked]) @ np.vstack([l1, l2])
     assert summed.rows.tobytes() == doubled.tobytes()
@@ -316,7 +316,7 @@ def test_a_planted_cancellation_is_decided_from_the_rows(rank):
     summed = compose_sum(lam, lam, l1, l2)
     reference = GFrameFamily.from_rows(lam.space, lam.rows @ l1 + lam.rows @ l2, lam.block_dims)
     svals = singular_values(analysis_matrix(reference))
-    dense_rank = rank_from_singular_values(svals, (rows, DIM), model.DEFAULT_TOL)
+    dense_rank = rank_from_singular_values(svals, (rows, DIM))
     assert dense_rank == rank == np.linalg.matrix_rank(planted)
     assert frame_bounds(summed).is_frame == (dense_rank == DIM)
     _assert_within_rounding(summed, reference, rank)

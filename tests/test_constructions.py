@@ -39,51 +39,51 @@ def _verdicts(result) -> dict:
     return {name: passed for name, passed, _ in result.checks}
 
 
-def test_pseudo_inverse_wide_matrix(tol):
+def test_pseudo_inverse_wide_matrix():
     t = np.array([[1.0, 0.0]])
-    dagger = pseudo_inverse(t, tol)
+    dagger = pseudo_inverse(t)
     assert np.allclose(dagger, [[1.0], [0.0]])
     assert np.allclose(t @ dagger, [[1.0]])
 
 
-def test_pseudo_inverse_identity(tol):
-    assert np.allclose(pseudo_inverse(np.eye(3), tol), np.eye(3))
+def test_pseudo_inverse_identity():
+    assert np.allclose(pseudo_inverse(np.eye(3)), np.eye(3))
 
 
-def test_pseudo_inverse_scalar(tol):
-    assert np.allclose(pseudo_inverse(np.array([[2.0]]), tol), [[0.5]])
+def test_pseudo_inverse_scalar():
+    assert np.allclose(pseudo_inverse(np.array([[2.0]])), [[0.5]])
 
 
-def test_pseudo_inverse_keeps_the_singular_values_the_rank_rule_keeps(tol):
+def test_pseudo_inverse_keeps_the_singular_values_the_rank_rule_keeps():
     rng = np.random.default_rng(41)
     for rows, cols in ((6, 4), (4, 6)):
-        cutoff = rank_cutoff((rows, cols), 1.0, tol)
+        cutoff = rank_cutoff((rows, cols), 1.0)
         planted = np.array([1.0, 0.25, 2.0 * cutoff, 0.5 * cutoff])
         u, v = (
             np.linalg.qr(rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4)))[0]
             for n in (rows, cols)
         )
         matrix = (u * planted) @ v.conj().T
-        kept = rank_from_singular_values(singular_values(matrix), matrix.shape, tol)
+        kept = rank_from_singular_values(singular_values(matrix), matrix.shape)
         assert kept == 3
         # a kept sigma <= 1 becomes 1/sigma >= 1; a dropped one becomes 0
-        inverse_svals = singular_values(pseudo_inverse(matrix, tol))
+        inverse_svals = singular_values(pseudo_inverse(matrix))
         assert np.count_nonzero(inverse_svals > 0.5) == kept
 
 
-def test_pseudo_inverse_is_numpy_pinv_at_the_rank_cutoff(tol):
+def test_pseudo_inverse_is_numpy_pinv_at_the_rank_cutoff():
     rng = np.random.default_rng(43)
     for shape in ((1, 1), (3, 5), (5, 3), (4, 4)):
         matrix = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        expected = np.linalg.pinv(matrix, rank_cutoff(shape, 1.0, tol))
-        assert np.array_equal(pseudo_inverse(matrix, tol), expected)
+        expected = np.linalg.pinv(matrix, rank_cutoff(shape, 1.0))
+        assert np.array_equal(pseudo_inverse(matrix), expected)
 
 
 @pytest.mark.filterwarnings("error")  # raises instead of warning and returning inf
-def test_pseudo_inverse_past_the_float_range_raises(tol):
+def test_pseudo_inverse_past_the_float_range_raises():
     # sigma = 1e-320 clears the rank cutoff of a 1 x 2 matrix, but 1/sigma overflows
     with pytest.raises(NumericalRangeError, match="^matrix cannot be inverted in floating point"):
-        pseudo_inverse(np.array([[1e-320, 0.0]]), tol)
+        pseudo_inverse(np.array([[1e-320, 0.0]]))
 
 
 @pytest.mark.parametrize(
@@ -98,9 +98,9 @@ def test_pseudo_inverse_past_the_float_range_raises(tol):
     ],
 )
 @pytest.mark.filterwarnings("error")
-def test_pseudo_inverse_reads_its_matrix_by_the_operator_rule(matrix, error, message, tol):
+def test_pseudo_inverse_reads_its_matrix_by_the_operator_rule(matrix, error, message):
     with pytest.raises(error) as err:
-        pseudo_inverse(matrix, tol)
+        pseudo_inverse(matrix)
     assert str(err.value) == message
 
 

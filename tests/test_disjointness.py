@@ -193,8 +193,8 @@ def _pair_with_intersection(rng, rows: int, dim_a: int, dim_b: int, shared: int)
     return family(basis[:, :dim_a]), family(basis[:, dim_a - shared :])
 
 
-def svd_rank(matrix, tol) -> int:
-    return rank_from_singular_values(singular_values(matrix), matrix.shape, tol)
+def svd_rank(matrix) -> int:
+    return rank_from_singular_values(singular_values(matrix), matrix.shape)
 
 
 def test_classify_ranks_match_the_svd_of_the_stacked_matrix(tol):
@@ -204,8 +204,8 @@ def test_classify_ranks_match_the_svd_of_the_stacked_matrix(tol):
             lam, theta = _pair_with_intersection(rng, rows, dim_a, dim_b, shared)
             a, b = analysis_matrix(lam), analysis_matrix(theta)
             report = classify(lam, theta, tol)
-            rank_ab = svd_rank(np.hstack([a, b]), tol)
-            intersection = svd_rank(a, tol) + svd_rank(b, tol) - rank_ab
+            rank_ab = svd_rank(np.hstack([a, b]))
+            intersection = svd_rank(a) + svd_rank(b) - rank_ab
             assert report.range_sum_dim == rank_ab, (rows, shared)
             assert report.range_intersection_dim == intersection == shared, (rows, shared)
             assert report.weakly_disjoint == report.disjoint == (shared == 0)
@@ -227,7 +227,7 @@ def test_intersection_dim_matches_the_dense_svd_on_drawn_pairs(tol):
     found = []
     for lam, theta in [*itertools.product(sample, repeat=2), *drawn, ill]:
         a, b = analysis_matrix(lam), analysis_matrix(theta)
-        expected = svd_rank(a, tol) + svd_rank(b, tol) - svd_rank(np.hstack([a, b]), tol)
+        expected = svd_rank(a) + svd_rank(b) - svd_rank(np.hstack([a, b]))
         assert classify(lam, theta, tol).range_intersection_dim == expected
         found.append(expected)
     assert min(found) == 0 and max(found) >= 2 and found[-1] == 7

@@ -70,7 +70,7 @@ def test_the_kernel_test_reads_the_rank_cutoff(s, tol):
     # Riesz-type, so u_2 is no kernel witness; at or below it the family is no frame
     blocks = ([[1.0, 0.0]], [[0.0, s]])
     fam = GFrameFamily(space=MeasureSpace([1.0, 1.0]), domain_dim=2, blocks=blocks)
-    riesz_type = s > rank_cutoff((2, 2), 1.0, tol)
+    riesz_type = s > rank_cutoff((2, 2), 1.0)
     assert synthesis_kernel_test(fam, KHatVector(([0.0], [1.0])), tol) == (not riesz_type)
     assert frame_bounds(fam, tol).is_frame == riesz_type
     if riesz_type:

@@ -123,7 +123,7 @@ def test_draws_stay_conditioned_at_scale(tol):
     assert report.disjoint and not report.strongly_disjoint
     assert all(passed for _, passed, _ in checks), checks
     stacked = np.hstack([analysis_matrix(lam), analysis_matrix(theta)])
-    assert rank_from_singular_values(singular_values(stacked), stacked.shape, tol) == 120
+    assert rank_from_singular_values(singular_values(stacked), stacked.shape) == 120
 
 
 def test_a_check_that_raises_fails_its_case_and_the_suite_goes_on(tol):
@@ -217,8 +217,8 @@ def _upper_bound_as_synthesis_lower_bound(report):
 _SYNTHESIS_GAIN = analysis.synthesis_gain
 
 
-def _gain_of_the_largest_singular_value(fam, tol=DEFAULT_TOL):
-    gain, onto = _SYNTHESIS_GAIN(fam, tol)
+def _gain_of_the_largest_singular_value(fam):
+    gain, onto = _SYNTHESIS_GAIN(fam)
     return (float(analysis.analysis_singular_values(fam)[0]) if gain else 0.0), onto
 
 
@@ -236,8 +236,8 @@ def _full_rank(fam, tol=DEFAULT_TOL):
     return fam.domain_dim
 
 
-def _always_onto(fam, tol=DEFAULT_TOL):
-    return analysis.synthesis_gain(fam, tol)[0], True
+def _always_onto(fam):
+    return analysis.synthesis_gain(fam)[0], True
 
 
 def _transposed_congruence(gram, operator):
@@ -263,8 +263,8 @@ def _no_pair_scale(lam, theta):
 _RANK_CUTOFF = _linalg.rank_cutoff
 
 
-def _cutoff_a_million_times_higher(shape, sigma_max, tol):
-    return 1e6 * _RANK_CUTOFF(shape, sigma_max, tol)
+def _cutoff_a_million_times_higher(shape, sigma_max):
+    return 1e6 * _RANK_CUTOFF(shape, sigma_max)
 
 
 def _fails(test, *args):
@@ -397,8 +397,10 @@ def test_verify_reports_every_check_under_a_tolerance_nothing_meets(capsys):
 
 
 @pytest.mark.parametrize("factor", ["1e12", "1e300"])
-def test_verify_names_each_failure_under_an_extreme_rank_factor(factor, capsys):
-    assert run_command(["verify", "--seed", "0", "--cases", "5", "--rank-factor", factor]) == 1
+def test_verify_names_each_failure_under_an_extreme_rank_factor(factor, monkeypatch, capsys):
+    # a rank cutoff that rejects every draw; the forked workers inherit it
+    monkeypatch.setattr(_linalg, "RANK_EPS_FACTOR", float(factor))
+    assert run_command(["verify", "--seed", "0", "--cases", "5"]) == 1
     out, err = capsys.readouterr()
     assert err == "" and "overall: FAIL" in out and ": raised " in out
 
