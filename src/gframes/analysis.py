@@ -48,8 +48,9 @@ class FrameReport:
     and ``upper_bound`` are the optimal frame bounds: those eigenvalues, but
     when they certify no rank the lower bound is sigma_d(A)^2 (0 for N < d
     rows), which keeps the digits that squaring A loses and is never negative.
-    ``is_tight`` holds when the bounds agree relatively, ``is_parseval`` when
-    additionally the common bound is 1.  ``frame_operator`` is read-only.
+    These three take no tolerance (:func:`optimal_bounds`).  ``is_tight`` holds
+    when the bounds agree to ``rel_eps``, ``is_parseval`` when additionally the
+    common bound is 1.  ``frame_operator`` is read-only.
     """
 
     frame_operator: np.ndarray
@@ -303,23 +304,16 @@ def compose_sum(lam: GFrameFamily, theta: GFrameFamily, l1, l2) -> GFrameFamily:
 def frame_bounds(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> FrameReport:
     """Optimal frame bounds and the frame verdict of :class:`FrameReport`.
 
-    Computed once per family object and ``rel_eps``.
+    Computed once per family object and ``rel_eps``: the bounds and the frame
+    verdict come from :func:`optimal_bounds`, and ``rel_eps`` decides only
+    ``is_tight`` and ``is_parseval``.
     """
     key = ("frame_report", tol.rel_eps)
     return memoized(fam._memo, key, _frame_report, fam, tol)
 
 
 def _frame_report(fam: GFrameFamily, tol: TolerancePolicy) -> FrameReport:
-    op = frame_operator(fam)
-    evals = _eigenvalues(fam)
-    lower = float(evals[0])
-    upper = float(evals[-1])
-    # the certificate's delta reads the Gram's rounding scale, not only its largest eigenvalue
-    is_frame = gram_certifies_full_column_rank(lower, _scale(fam), _shape(fam))
-    if not is_frame:
-        svals = analysis_singular_values(fam)
-        is_frame = rank_from_singular_values(svals, _shape(fam)) == fam.domain_dim
-        lower = float(svals[-1]) ** 2 if fam.codomain_dim >= fam.domain_dim else 0.0
+    lower, upper, is_frame = optimal_bounds(fam)
     is_tight = is_frame and (upper - lower) <= tol.rel_eps * upper
     is_parseval = (
         is_tight
@@ -327,7 +321,7 @@ def _frame_report(fam: GFrameFamily, tol: TolerancePolicy) -> FrameReport:
         and abs(lower - 1.0) <= tol.rel_eps
     )
     return FrameReport(
-        frame_operator=op,
+        frame_operator=frame_operator(fam),
         lower_bound=lower,
         upper_bound=upper,
         is_frame=is_frame,
@@ -336,12 +330,31 @@ def _frame_report(fam: GFrameFamily, tol: TolerancePolicy) -> FrameReport:
     )
 
 
-def require_frame(fam: GFrameFamily, tol: TolerancePolicy, which: str) -> FrameReport:
-    """The frame report of ``fam``; PreconditionError "``which`` is not a frame" if it is none."""
-    report = frame_bounds(fam, tol)
-    if not report.is_frame:
+def optimal_bounds(fam: GFrameFamily) -> tuple[float, float, bool]:
+    """(lower bound, upper bound, is a frame) of :class:`FrameReport`, which
+    read no tolerance; once per family object, and shared by its reports."""
+    return memoized(fam._memo, "bounds", _optimal_bounds, fam)
+
+
+def _optimal_bounds(fam: GFrameFamily) -> tuple[float, float, bool]:
+    evals = _eigenvalues(fam)
+    lower, upper = float(evals[0]), float(evals[-1])
+    # the certificate's delta reads the Gram's rounding scale, not only its largest eigenvalue
+    is_frame = gram_certifies_full_column_rank(lower, _scale(fam), _shape(fam))
+    if not is_frame:
+        svals = analysis_singular_values(fam)
+        is_frame = rank_from_singular_values(svals, _shape(fam)) == fam.domain_dim
+        lower = float(svals[-1]) ** 2 if fam.codomain_dim >= fam.domain_dim else 0.0
+    return lower, upper, is_frame
+
+
+def require_frame(fam: GFrameFamily, which: str) -> tuple[float, float]:
+    """The optimal (lower, upper) bounds of ``fam``; PreconditionError "``which``
+    is not a frame" if it is none."""
+    lower, upper, is_frame = optimal_bounds(fam)
+    if not is_frame:
         raise PreconditionError(f"{which} is not a frame")
-    return report
+    return lower, upper
 
 
 def analysis_singular_values(fam: GFrameFamily) -> np.ndarray:
@@ -368,9 +381,9 @@ def _analysis_singular_values(fam: GFrameFamily) -> np.ndarray:
     return _freeze(singular_values(factor))
 
 
-def analysis_rank(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> int:
+def analysis_rank(fam: GFrameFamily) -> int:
     """Numerical rank of A: the domain dim for a frame, else counted from σ(A)."""
-    if frame_bounds(fam, tol).is_frame:
+    if optimal_bounds(fam)[2]:
         return fam.domain_dim
     return rank_from_singular_values(analysis_singular_values(fam), _shape(fam))
 
@@ -385,30 +398,30 @@ def synthesis_gain(fam: GFrameFamily) -> tuple[float, bool]:
     return float(svals[-1]), full_row_rank(svals, _shape(fam))
 
 
-def _frame_operator_power(fam: GFrameFamily, power: float, tol: TolerancePolicy) -> GFrameFamily:
+def _frame_operator_power(fam: GFrameFamily, power: float) -> GFrameFamily:
     """Family with blocks block_i @ S^power for a negative ``power``."""
-    rep = frame_bounds(fam, tol)
-    if not rep.is_frame:
-        raise SingularOperatorError(f"family is not a frame (min eigenvalue {rep.lower_bound:.3e})")
-    return right_compose(fam, hermitian_power(rep.frame_operator, power))
+    lower, _, is_frame = optimal_bounds(fam)
+    if not is_frame:
+        raise SingularOperatorError(f"family is not a frame (min eigenvalue {lower:.3e})")
+    return right_compose(fam, hermitian_power(frame_operator(fam), power))
 
 
-def canonical_dual(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> GFrameFamily:
+def canonical_dual(fam: GFrameFamily) -> GFrameFamily:
     """Family with blocks block_i @ S^{-1}; the unique dual built from the frame operator.
 
     Raises SingularOperatorError exactly when the family is not a frame, and
     NumericalRangeError for a frame whose frame operator cannot be inverted
     in floating point.
     """
-    return _frame_operator_power(fam, -1.0, tol)
+    return _frame_operator_power(fam, -1.0)
 
 
-def parseval_normalize(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> GFrameFamily:
+def parseval_normalize(fam: GFrameFamily) -> GFrameFamily:
     """Family with blocks block_i @ S^{-1/2}; always Parseval for a frame input.
 
     Raises as :func:`canonical_dual` does.
     """
-    return _frame_operator_power(fam, -0.5, tol)
+    return _frame_operator_power(fam, -0.5)
 
 
 def cross_operator(left: GFrameFamily, right: GFrameFamily) -> np.ndarray:
@@ -437,7 +450,7 @@ def dual_check(name: str, theta: GFrameFamily, lam: GFrameFamily, tol: Tolerance
     conjugate transpose, at the same distance from the identity, so the
     verdict is symmetric."""
     require_same_domain(theta, lam)
-    frames = frame_bounds(theta, tol).is_frame and frame_bounds(lam, tol).is_frame
+    frames = optimal_bounds(theta)[2] and optimal_bounds(lam)[2]
     pairing = cross_operator(theta, lam)
     eye = np.eye(lam.domain_dim)
     passed = frames and matrices_close(pairing, eye, tol.rel_eps)

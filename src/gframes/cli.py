@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -146,7 +147,7 @@ def _cmd_analyze(args, tol) -> dict:
     rep = frame_bounds(fam, tol)
     reports = {"frame": rep.numbers()}
     if rep.is_frame:
-        reports["riesz"] = asdict(riesz_check(fam, tol))
+        reports["riesz"] = asdict(riesz_check(fam))
     return {"reports": reports, "checks": _checks([frame_check(fam, tol)])}
 
 
@@ -196,18 +197,18 @@ def _recipe_pseudo_dual(lam, theta, args, tol):
 
 
 def _recipe_canonical_dual(lam, theta, args, tol):
-    dual = canonical_dual(lam, tol)
+    dual = canonical_dual(lam)
     check = dual_check("dual-pairing", dual, lam, tol)
     return {"canonical_dual": dual}, frame_bounds(dual, tol).numbers(), [check]
 
 
 def _recipe_parseval(lam, theta, args, tol):
-    normalized = parseval_normalize(lam, tol)
+    normalized = parseval_normalize(lam)
     return {"parseval": normalized}, None, [parseval_check(normalized, tol)]
 
 
 def _recipe_lift_example(lam, theta, args, tol):
-    lifted = lift_continuous_frame(lam, theta, tol)
+    lifted = lift_continuous_frame(lam, theta)
     families = {
         "lifted_lambda": lifted.lam,
         "lifted_theta": lifted.theta,
@@ -369,7 +370,15 @@ def run_command(argv: list[str]) -> int:
         **body,
     }
     report["passed"] = all(check["passed"] for check in report.get("checks", []))
-    _print_report(report, args.format)
+    try:
+        _print_report(report, args.format)
+        sys.stdout.flush()
+    except OSError as exc:  # such as a reader that closed the pipe early
+        # what is left in the buffer goes nowhere, so the exit flush cannot fail again
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0 if report["passed"] else 1
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from ._linalg import full_row_rank, invert_kept, rank_from_singular_values, singular_values
 from .analysis import Check, FrameReport, canonical_dual, dual_check, frame_bounds, frame_check
-from .analysis import compose_sum, is_dual_pair
+from .analysis import compose_sum, is_dual_pair, optimal_bounds
 from .disjointness import gamma_family, require_relation
 from .errors import GenerationError, PreconditionError, ShapeError, SingularOperatorError
 from .model import (
@@ -73,13 +73,13 @@ def disjoint_sum_family(
 
     family = compose_sum(lam, theta, l1_adj, l2_adj)
     result_report = frame_bounds(family, tol)
-    pair_report = frame_bounds(gamma_family(lam, theta), tol)
+    pair_lower, pair_upper, _ = optimal_bounds(gamma_family(lam, theta))
     # For a surjective L, ||L_pinv|| = 1 / sigma_min(L).  The squares are
     # numpy floats, which go to 0 or inf past the float range instead of raising.
     witness = svals1 if surj1 else svals2
     with np.errstate(over="ignore", under="ignore"):
-        certified_lower = float(pair_report.lower_bound * witness[-1] ** 2)
-        certified_upper = float(2.0 * pair_report.upper_bound * max(svals1[0], svals2[0]) ** 2)
+        certified_lower = float(pair_lower * witness[-1] ** 2)
+        certified_upper = float(2.0 * pair_upper * max(svals1[0], svals2[0]) ** 2)
     checks = (
         frame_check(family, tol),
         (
@@ -216,7 +216,7 @@ def pseudo_dual(
     if not full_row_rank(svd[1], pair.l1.shape):
         raise PreconditionError("L1 is not surjective")
 
-    candidate = right_compose(canonical_dual(lam, tol), invert_kept(svd, len(svd[1]), "L1"))
+    candidate = right_compose(canonical_dual(lam), invert_kept(svd, len(svd[1]), "L1"))
     sum_family = compose_sum(lam, theta, l1_adj, l2_adj)
     single_family = right_compose(lam, l1_adj)
     return PseudoDualResult(
@@ -242,9 +242,7 @@ class LiftedFamilies:
     psi: GFrameFamily
 
 
-def lift_continuous_frame(
-    f: GFrameFamily, g: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL
-) -> LiftedFamilies:
+def lift_continuous_frame(f: GFrameFamily, g: GFrameFamily) -> LiftedFamilies:
     """Lift two ordinary continuous frames to operator families with
     2-dimensional blocks.
 
@@ -263,7 +261,7 @@ def lift_continuous_frame(
 
     def _dual(fam: GFrameFamily, which: str) -> GFrameFamily:
         try:
-            return canonical_dual(fam, tol)
+            return canonical_dual(fam)
         except SingularOperatorError:
             raise PreconditionError(
                 f"{which} continuous frame is degenerate (singular frame operator)"

@@ -4,17 +4,17 @@ Two families over the same weighted direct-sum target are compared through
 their embedded analysis ranges: strong disjointness by the cross operator,
 intersection dimensions by dim(U cap V) = rank A + rank B - rank [A|B].  The
 pair family Gamma has analysis matrix [A|B], so rank [A|B] is its
-``analysis_rank``: the frame verdict of ``frame_bounds(Gamma)`` decides a full
-rank, and only a pair that is no frame counts sigma([A|B]).  [A|B] is never
-stacked.  The sum of two subspaces is closed in finite dimension, so
-"disjoint" and "weakly disjoint" coincide: both read the one rank [A|B].
-So the theorems that tie the relations to Gamma (a frame, a trivial kernel,
-Riesz-type) hold here by construction; the ``verify`` suite checks them
-against the dense SVD of the stacked [A|B].  ``pair_equivalences`` states
-the one pair check whose sides come from two computations, for the CLI's
+``analysis_rank``: the frame verdict of ``optimal_bounds(Gamma)``, which reads
+no tolerance, decides a full rank, and only a pair that is no frame counts
+sigma([A|B]).  [A|B] is never stacked.  The sum of two subspaces is closed in
+finite dimension, so "disjoint" and "weakly disjoint" coincide: both read the
+one rank [A|B].  So the theorems that tie the relations to Gamma (a frame, a
+trivial kernel, Riesz-type) hold here by construction; the ``verify`` suite
+checks them against the dense SVD of the stacked [A|B].  ``pair_equivalences``
+states the one pair check whose sides come from two computations, for the CLI's
 ``disjoint`` and ``construct gamma``; ``normalized_pair`` states the Parseval
-check of the normalized pair, for the CLI and the ``verify`` suite alike.
-The pair family itself is built by ``analysis.gamma_family``, as the analysis
+check of the normalized pair, for the CLI and the ``verify`` suite alike.  The
+pair family itself is built by ``analysis.gamma_family``, as the analysis
 module owns the pair record that is its memo; it is imported here, so
 ``disjointness.gamma_family`` names it too.
 """
@@ -27,7 +27,7 @@ import numpy as np
 
 from ._linalg import full_row_rank, operator_norm, singular_values
 from .analysis import Check, analysis_rank, cross_operator, frame_bounds, gamma_family
-from .analysis import pair_memo, parseval_normalize, require_frame
+from .analysis import optimal_bounds, pair_memo, parseval_normalize, require_frame
 from .errors import PreconditionError
 from .model import (
     DEFAULT_TOL,
@@ -64,8 +64,8 @@ def classify(
     dimensions; their domains may differ.  Computed once per pair and ``rel_eps``.
     """
     require_same_khat(lam, theta)
-    require_frame(lam, tol, "first family")
-    require_frame(theta, tol, "second family")
+    require_frame(lam, "first family")
+    require_frame(theta, "second family")
     key = ("classify", tol.rel_eps)
     return memoized(pair_memo(lam, theta), key, _classify, lam, theta, tol)
 
@@ -87,13 +87,13 @@ def _classify(lam, theta, tol: TolerancePolicy) -> DisjointnessReport:
     trivial range intersection are the same rank statement, rank [A|B] = d1 + d2."""
     khat_dim = lam.codomain_dim
     cross_norm = operator_norm(cross_operator(theta, lam))
-    bessel = np.sqrt(frame_bounds(lam, tol).upper_bound * frame_bounds(theta, tol).upper_bound)
+    bessel = np.sqrt(optimal_bounds(lam)[1] * optimal_bounds(theta)[1])
     strongly = bool(cross_norm <= tol.rel_eps * bessel)
 
     # both are frames, so rank A + rank B is the pair's domain dim
     pair_dim = lam.domain_dim + theta.domain_dim
     # [A|B] is the pair family's analysis matrix: its frame verdict decides a full rank
-    rank_ab = analysis_rank(gamma_family(lam, theta), tol)
+    rank_ab = analysis_rank(gamma_family(lam, theta))
     intersection = pair_dim - rank_ab
 
     disjoint = intersection == 0
@@ -113,15 +113,13 @@ def _classify(lam, theta, tol: TolerancePolicy) -> DisjointnessReport:
     )
 
 
-def delta_family(
-    lam: GFrameFamily, theta: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL
-) -> GFrameFamily:
+def delta_family(lam: GFrameFamily, theta: GFrameFamily) -> GFrameFamily:
     """Pair family built from the Parseval normalizations of both inputs.
 
     For strongly disjoint inputs the result is Parseval; otherwise the
     surviving cross term shows up in its frame operator.
     """
-    return gamma_family(parseval_normalize(lam, tol), parseval_normalize(theta, tol))
+    return gamma_family(parseval_normalize(lam), parseval_normalize(theta))
 
 
 def normalized_pair(
@@ -129,7 +127,7 @@ def normalized_pair(
 ) -> tuple[GFrameFamily, Check]:
     """``delta_family(lam, theta)`` and the check that it is Parseval when the
     pair is strongly disjoint, with both facts as its numbers."""
-    delta = delta_family(lam, theta, tol)
+    delta = delta_family(lam, theta)
     parseval = frame_bounds(delta, tol).is_parseval
     strongly = classify(lam, theta, tol).strongly_disjoint
     return delta, (

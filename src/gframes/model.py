@@ -198,10 +198,15 @@ def inner(x: np.ndarray, y: np.ndarray) -> complex:
 class TolerancePolicy:
     """Numeric tolerances used by every comparison in the package.
 
-    ``rel_eps`` controls relative equality of scalars and matrices.  Ranks
-    take no tolerance: every rank-type verdict (frame, Riesz-type,
-    disjointness, kernel) counts singular values above the one fixed cutoff
-    ``_linalg.rank_cutoff``, so it is a function of the matrix alone.
+    ``rel_eps`` controls relative equality of scalars and matrices, and only
+    the verdicts that compare two numbers read it: tight, Parseval, strongly
+    disjoint, the dual and identity hypotheses, the bound windows and the
+    perturbation criterion.  Ranks take no tolerance: every rank-type verdict
+    (frame, Riesz-type, disjointness, kernel) counts singular values above the
+    one fixed cutoff ``_linalg.rank_cutoff``, so it is a function of the
+    matrix alone, and so are the optimal frame bounds.  The functions that
+    read only those (the duals, the Parseval normalization, the Riesz checks,
+    cross surjectivity, ``delta_family`` and ``lift_continuous_frame``) take none.
     """
 
     rel_eps: float = 1e-9
@@ -279,10 +284,11 @@ class GFrameFamily:
     finite without a row being read.
 
     Since a family never changes, its spectral data (Gram, frame operator,
-    eigenvalues, one frame report per tolerance, singular values of the
-    analysis matrix, one record per live partner family) is computed on first
-    use and kept in a private memo.  It holds only d x d-sized data, laid out
-    by the analysis module; this module keeps only its pair entries.
+    eigenvalues, optimal bounds, one frame report per tolerance, singular
+    values of the analysis matrix, one record per live partner family) is
+    computed on first use and kept in a private memo.  It holds only d x
+    d-sized data, laid out by the analysis module; this module keeps only its
+    pair entries.
     """
 
     space: MeasureSpace

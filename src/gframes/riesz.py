@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import full_row_rank, matrices_close, operator_norm, rank_cutoff, singular_values
-from .analysis import compose_sum, cross_operator, frame_bounds, frame_operator, require_frame
-from .analysis import synthesis_gain
+from .analysis import compose_sum, cross_operator, frame_bounds, frame_operator, optimal_bounds
+from .analysis import require_frame, synthesis_gain
 from .errors import PreconditionError
 from .model import (
     DEFAULT_TOL,
@@ -49,7 +49,7 @@ def synthesis_matrix(fam: GFrameFamily) -> np.ndarray:
     return analysis_matrix(fam).conj().T
 
 
-def riesz_check(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> RieszReport:
+def riesz_check(fam: GFrameFamily) -> RieszReport:
     """Riesz-type verdict for a frame, from the rank of its analysis matrix.
 
     A frame's N x d analysis matrix has rank d <= N, so it fills the target
@@ -60,20 +60,18 @@ def riesz_check(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> RieszR
     ``synthesis_upper_bound`` is the square of its largest singular value:
     the upper frame bound.
     """
-    report = require_frame(fam, tol, "family")
+    lower, upper = require_frame(fam, "family")
     square = fam.codomain_dim == fam.domain_dim
     return RieszReport(
         is_riesz_type=square,
         analysis_rank=fam.domain_dim,
         khat_dim=fam.codomain_dim,
-        synthesis_lower_bound=report.lower_bound if square else 0.0,
-        synthesis_upper_bound=report.upper_bound,
+        synthesis_lower_bound=lower if square else 0.0,
+        synthesis_upper_bound=upper,
     )
 
 
-def synthesis_kernel_test(
-    fam: GFrameFamily, phi: KHatVector, tol: TolerancePolicy = DEFAULT_TOL
-) -> bool:
+def synthesis_kernel_test(fam: GFrameFamily, phi: KHatVector) -> bool:
     """True when the synthesis image of ``phi`` vanishes at the rank cutoff:
     ||A^H phi|| at or below the singular-value cutoff of A times ||phi||, the
     cutoff that every rank and Riesz verdict reads.
@@ -82,12 +80,12 @@ def synthesis_kernel_test(
     Riesz-type.
     """
     image = apply_synthesis(fam, phi)
-    sigma_max = np.sqrt(max(frame_bounds(fam, tol).upper_bound, 0.0))
+    sigma_max = np.sqrt(max(optimal_bounds(fam)[1], 0.0))
     cutoff = rank_cutoff((fam.codomain_dim, fam.domain_dim), sigma_max)
     return float(np.linalg.norm(image)) <= cutoff * khat_norm(phi, fam.space)
 
 
-def riesz_criteria(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[bool, bool]:
+def riesz_criteria(fam: GFrameFamily) -> tuple[bool, bool]:
     """The two Riesz-type routes, (by rank, by synthesis), which must agree on every frame.
 
     The rank route is the verdict of ``riesz_check``, taken first (it raises
@@ -95,7 +93,7 @@ def riesz_criteria(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> tup
     the synthesis matrix is bounded below exactly when its kernel is trivial,
     so the two-sided bound and the kernel certificate are this one comparison.
     """
-    return riesz_check(fam, tol).is_riesz_type, synthesis_gain(fam)[1]
+    return riesz_check(fam).is_riesz_type, synthesis_gain(fam)[1]
 
 
 @dataclass(frozen=True)
@@ -147,13 +145,12 @@ def mixed_construction(
     if not matrices_close(l1.conj().T @ l2, eye, tol.rel_eps):
         raise PreconditionError("L1^H L2 is not the identity")
 
-    b_lam = frame_bounds(lam, tol).upper_bound
-    b_theta = frame_bounds(theta, tol).upper_bound
+    b_lam, b_theta = optimal_bounds(lam)[1], optimal_bounds(theta)[1]
     combined = compose_sum(lam, theta, l1, l2)
     report = frame_bounds(combined, tol)
     upper_cert = b_lam * operator_norm(l1) ** 2 + 2.0 + b_theta * operator_norm(l2) ** 2
 
-    riesz_report = riesz_check(combined, tol)
+    riesz_report = riesz_check(combined)
     # routes (ii) and (iii): the rank and the synthesis gain of one sigma(A)
     gain, surjective = synthesis_gain(combined)
 
@@ -170,9 +167,7 @@ def mixed_construction(
     )
 
 
-def cross_surjectivity(
-    lam: GFrameFamily, theta: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL
-) -> tuple[bool, bool]:
+def cross_surjectivity(lam: GFrameFamily, theta: GFrameFamily) -> tuple[bool, bool]:
     """(theta is a frame, mixed cross operator is surjective).
 
     ``lam`` must be a frame; ``theta`` only needs to be a well-formed family
@@ -181,11 +176,10 @@ def cross_surjectivity(
     surjectivity.
     """
     require_same_khat(lam, theta)
-    require_frame(lam, tol, "first family")
+    require_frame(lam, "first family")
     cross = cross_operator(theta, lam)
     surjective = full_row_rank(singular_values(cross), cross.shape)
-    theta_frame = frame_bounds(theta, tol).is_frame
-    return theta_frame, surjective
+    return optimal_bounds(theta)[2], surjective
 
 
 @dataclass(frozen=True)
@@ -206,13 +200,11 @@ def perturbation_riesz_transfer(
     ``equivalence_verified`` is only meaningful when ``criterion_met``.
     """
     require_same_domain(lam, theta)
-    rep = require_frame(lam, tol, "first family")
+    lower, _ = require_frame(lam, "first family")
     gap = operator_norm(cross_operator(theta, lam) - frame_operator(lam))
-    criterion_met = gap < rep.lower_bound * (1.0 - tol.rel_eps)
+    criterion_met = gap < lower * (1.0 - tol.rel_eps)
     if criterion_met:
-        equivalence = (
-            riesz_check(lam, tol).is_riesz_type == riesz_check(theta, tol).is_riesz_type
-        )
+        equivalence = riesz_check(lam).is_riesz_type == riesz_check(theta).is_riesz_type
     else:
         equivalence = False
     return PerturbationResult(

@@ -304,13 +304,13 @@ def _failed_equivalences(checks):
 
 def _check_canonical_dual(rng, tol):
     fam = _random_frame(rng)
-    dual = canonical_dual(fam, tol)
+    dual = canonical_dual(fam)
     yield from _failed_equivalences([dual_check("dual-pairing", dual, fam, tol)])
-    double = canonical_dual(dual, tol)
+    double = canonical_dual(dual)
     for i, (a, b) in enumerate(zip(double.blocks, fam.blocks)):
         if not matrices_close(a, b, tol.rel_eps):
             yield f"dual involution broken at block {i}"
-    yield from _failed_equivalences([parseval_check(parseval_normalize(fam, tol), tol)])
+    yield from _failed_equivalences([parseval_check(parseval_normalize(fam), tol)])
 
 
 def _check_pair_parseval(rng, tol):
@@ -395,7 +395,7 @@ def _check_pair_riesz_equivalences(rng, tol):
     ranks: complementary means rank A + rank B = rank [A|B] = N."""
     report, gamma, rank_sum, rank_ab = _pair_with_dense_ranks(rng, tol)
     complementary = rank_sum == rank_ab == gamma.codomain_dim
-    riesz = frame_bounds(gamma, tol).is_frame and riesz_check(gamma, tol).is_riesz_type
+    riesz = frame_bounds(gamma, tol).is_frame and riesz_check(gamma).is_riesz_type
     strongly_complementary = report.strongly_disjoint and complementary
     yield from _against_dense(
         pair_family_riesz=(riesz, complementary),
@@ -438,8 +438,8 @@ def _check_riesz_criteria(rng, tol):
     """Both Riesz routes and ``riesz_check``'s synthesis lower bound against the dense
     SVD of the analysis matrix."""
     fam = _random_fit_or_overcomplete_frame(rng)
-    by_rank, by_synthesis = riesz_criteria(fam, tol)
-    lower = riesz_check(fam, tol).synthesis_lower_bound
+    by_rank, by_synthesis = riesz_criteria(fam)
+    lower = riesz_check(fam).synthesis_lower_bound
     yield from _riesz_against_dense(fam, tol, lower, by_rank=by_rank, by_synthesis=by_synthesis)
 
 
@@ -450,24 +450,24 @@ def _check_synthesis_kernel(rng, tol):
     synth = synthesis_matrix(fam)
     if _dense_rank(synth)[0] == fam.codomain_dim:
         phi = _random_khat(rng, fam.block_dims)
-        if synthesis_kernel_test(fam, phi, tol):
+        if synthesis_kernel_test(fam, phi):
             yield "random vector in kernel of a Riesz-type family"
     else:
         _, _, vh = np.linalg.svd(synth)
         phi = unembed(vh[-1].conj(), fam.space, fam.block_dims)
-        if not synthesis_kernel_test(fam, phi, tol):
+        if not synthesis_kernel_test(fam, phi):
             yield "SVD kernel vector rejected"
 
 
 def _check_cross_surjectivity(rng, tol):
     fam = _random_frame(rng)
-    dual = canonical_dual(fam, tol)
-    theta_frame, surjective = cross_surjectivity(fam, dual, tol)
+    dual = canonical_dual(fam)
+    theta_frame, surjective = cross_surjectivity(fam, dual)
     if not (theta_frame and surjective):
         yield "canonical dual pair not surjective"
     # surjective cross operator must force the second family to be a frame
     lam2, theta2 = _random_pair(rng)
-    frame2, surj2 = cross_surjectivity(lam2, theta2, tol)
+    frame2, surj2 = cross_surjectivity(lam2, theta2)
     if surj2 and not frame2:
         yield "surjective cross operator with non-frame family"
     # compress through a rank-one projector: never surjective for dim >= 2
@@ -475,7 +475,7 @@ def _check_cross_surjectivity(rng, tol):
         vec = _cgauss(rng, (fam.domain_dim,))
         vec = vec / np.linalg.norm(vec)
         compressed = right_compose(fam, np.outer(vec, vec.conj()))
-        _, surj3 = cross_surjectivity(fam, compressed, tol)
+        _, surj3 = cross_surjectivity(fam, compressed)
         if surj3:
             yield "rank-deficient compression declared surjective"
     # Riesz-type first family + any frame second family -> surjective
@@ -483,7 +483,7 @@ def _check_cross_surjectivity(rng, tol):
     total = sum(dims)
     riesz_fam = _random_frame(rng, dims=dims, domain_dim=total)
     raw = _cgauss(rng, (total, int(rng.integers(1, total + 1))))
-    _, surj4 = cross_surjectivity(riesz_fam, _frame_over(rng, riesz_fam.space, dims, raw), tol)
+    _, surj4 = cross_surjectivity(riesz_fam, _frame_over(rng, riesz_fam.space, dims, raw))
     if not surj4:
         yield "Riesz-type + frame pair not surjective"
 
@@ -517,7 +517,7 @@ def _check_perturbation(rng, tol):
 
 def _check_mixed_construction(rng, tol):
     lam = _random_fit_or_overcomplete_frame(rng)
-    theta = canonical_dual(lam, tol)
+    theta = canonical_dual(lam)
     l1 = _random_operator(rng, lam.domain_dim, lam.domain_dim)
     l2 = np.linalg.inv(l1).conj().T
     result = mixed_construction(lam, theta, l1, l2, tol)
@@ -619,7 +619,7 @@ def _glued_pairing_faults(rng, glued, dim_h: int, dim_k: int, tol, which: str):
 
 def _check_direct_sum_duals(rng, tol):
     lam, psi = _random_strongly_disjoint(rng)
-    theta, phi = canonical_dual(lam, tol), canonical_dual(psi, tol)
+    theta, phi = canonical_dual(lam), canonical_dual(psi)
     result = direct_sum_duals(lam, theta, psi, phi, tol)
     yield from _failed_equivalences(result.checks)
     yield from _glued_pairing_faults(rng, result, lam.domain_dim, psi.domain_dim, tol, "glued")
@@ -648,7 +648,7 @@ def _check_lift_pipeline(rng, tol):
     f, g = (
         _frame_over(rng, space, (1,) * atoms, _cgauss(rng, (atoms, dim))) for dim in (dim_h, dim_k)
     )
-    lifted = lift_continuous_frame(f, g, tol)
+    lifted = lift_continuous_frame(f, g)
     glued = direct_sum_duals(lifted.lam, lifted.theta, lifted.psi, lifted.phi, tol)
     yield from _failed_equivalences(glued.checks)
     yield from _glued_pairing_faults(rng, glued, dim_h, dim_k, tol, "lifted")

@@ -147,7 +147,7 @@ def test_criterion_06_pair_riesz_equivalences(theta_family):
     _suite("criterion-06 pair-riesz-equivalences", 6, "pair-riesz-equivalences")
     report = classify(theta_family, theta_family, TOL)
     gamma = gamma_family(theta_family, theta_family)
-    riesz = frame_bounds(gamma, TOL).is_frame and riesz_check(gamma, TOL).is_riesz_type
+    riesz = frame_bounds(gamma, TOL).is_frame and riesz_check(gamma).is_riesz_type
     assert report.complementary_pair == riesz
     assert report.strongly_complementary_pair == (report.strongly_disjoint and riesz)
     # a trivial kernel of the pair family: [A|B] of full column rank in its dense SVD
@@ -183,8 +183,8 @@ def test_criterion_09_duality_constructions():
 def test_criterion_10_riesz_criteria_agree(theta_family):
     _suite("criterion-10 riesz-criteria-agree", 10, "riesz-criteria-agree", "synthesis-kernel")
     witness = KHatVector(([1.0], [-1.0]))
-    assert synthesis_kernel_test(theta_family, witness, TOL)
-    assert not riesz_check(theta_family, TOL).is_riesz_type
+    assert synthesis_kernel_test(theta_family, witness)
+    assert not riesz_check(theta_family).is_riesz_type
 
 
 def test_criterion_11_perturbation_criterion(identity_family):

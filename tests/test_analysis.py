@@ -10,6 +10,7 @@ from gframes import (
     MeasureSpace,
     NumericalRangeError,
     PreconditionError,
+    KHatVector,
     ShapeError,
     SingularOperatorError,
     TolerancePolicy,
@@ -17,6 +18,8 @@ from gframes import (
     canonical_dual,
     classify,
     cross_operator,
+    cross_surjectivity,
+    delta_family,
     dual_check,
     frame_bounds,
     frame_check,
@@ -24,11 +27,13 @@ from gframes import (
     gamma_family,
     inner,
     is_dual_pair,
+    lift_continuous_frame,
     mixed_construction,
     pair_equivalences,
     parseval_normalize,
     riesz_check,
     riesz_criteria,
+    synthesis_kernel_test,
     synthesis_matrix,
 )
 from gframes import analysis, model
@@ -38,7 +43,7 @@ from gframes._linalg import (
     rank_from_singular_values,
     singular_values,
 )
-from gframes.analysis import analysis_rank, analysis_singular_values, synthesis_gain
+from gframes.analysis import analysis_rank, analysis_singular_values, require_frame, synthesis_gain
 from gframes.verification import _random_frame
 
 
@@ -91,14 +96,14 @@ def test_a_non_frame_lower_bound_comes_from_the_singular_values(tol):
 
 
 def test_canonical_dual_scalar_pair(theta_family, tol):
-    dual = canonical_dual(theta_family, tol)
+    dual = canonical_dual(theta_family)
     for block in dual.blocks:
         assert np.allclose(block, [[0.5]])
     assert is_dual_pair(dual, theta_family, tol)
 
 
 def test_canonical_dual_of_parseval_is_itself(identity_family, tol):
-    dual = canonical_dual(identity_family, tol)
+    dual = canonical_dual(identity_family)
     for a, b in zip(dual.blocks, identity_family.blocks):
         assert np.allclose(a, b)
 
@@ -111,13 +116,13 @@ def test_canonical_dual_rejects_non_frame():
 
 def test_parseval_normalize_scalar(tol):
     fam = GFrameFamily(space=MeasureSpace([2.0]), domain_dim=1, blocks=([1.0],))
-    normalized = parseval_normalize(fam, tol)
+    normalized = parseval_normalize(fam)
     assert np.allclose(normalized.blocks[0], [[1.0 / np.sqrt(2.0)]])
     assert np.allclose(frame_operator(normalized), [[1.0]])
 
 
 def test_parseval_normalize_fixes_parseval_input(identity_family, tol):
-    normalized = parseval_normalize(identity_family, tol)
+    normalized = parseval_normalize(identity_family)
     for a, b in zip(normalized.blocks, identity_family.blocks):
         assert np.allclose(a, b)
 
@@ -125,7 +130,7 @@ def test_parseval_normalize_fixes_parseval_input(identity_family, tol):
 def test_parseval_normalize_diagonal_scaling(space2, tol):
     # frame operator diag(1, 4): the normalization right-multiplies by diag(1, 1/2)
     fam = GFrameFamily(space=space2, domain_dim=2, blocks=([[1.0, 0.0]], [[0.0, 2.0]]))
-    normalized = parseval_normalize(fam, tol)
+    normalized = parseval_normalize(fam)
     assert np.allclose(normalized.blocks[0], [[1.0, 0.0]])
     assert np.allclose(normalized.blocks[1], [[0.0, 1.0]])
 
@@ -171,7 +176,7 @@ def test_is_dual_pair_rejects_orthogonal(lam_family, ortho_family, tol):
 
 
 def test_dual_check_forms_one_pairing(monkeypatch, theta_family, tol):
-    dual = canonical_dual(theta_family, tol)
+    dual = canonical_dual(theta_family)
     calls = []
 
     def counting(left, right):
@@ -231,7 +236,7 @@ def test_canonical_dual_is_involution(tol):
     rng = np.random.default_rng(19)
     for _ in range(10):
         fam = _random_frame(rng)
-        double = canonical_dual(canonical_dual(fam, tol), tol)
+        double = canonical_dual(canonical_dual(fam))
         for a, b in zip(double.blocks, fam.blocks):
             assert np.allclose(a, b, rtol=1e-8, atol=1e-10)
 
@@ -385,7 +390,7 @@ def test_analysis_rank_matches_the_svd_on_planted_spectra(tol):
             spread = np.geomspace(1.0, 1.0 / kappa, cols)
             for svals in (spread, np.append(np.ones(cols - 1), 1.0 / kappa)):
                 fam = _planted_family(rng, rows, svals)
-                assert analysis_rank(fam, tol) == _svd_rank_reference(fam), (rows, svals)
+                assert analysis_rank(fam) == _svd_rank_reference(fam), (rows, svals)
                 rep = frame_bounds(fam, tol)
                 bounds = (rep.lower_bound, rep.upper_bound)
                 certified.add(gram_certifies_full_column_rank(*bounds, (rows, cols)))
@@ -395,7 +400,7 @@ def test_analysis_rank_matches_the_svd_on_planted_spectra(tol):
 
 def test_analysis_rank_of_a_tall_family_matches_the_svd(tol):
     fam = _planted_family(np.random.default_rng(29), 20_000, np.geomspace(1.0, 1e-3, 12))
-    assert analysis_rank(fam, tol) == _svd_rank_reference(fam) == 12
+    assert analysis_rank(fam) == _svd_rank_reference(fam) == 12
 
 
 def test_every_rank_verdict_reads_the_singular_values_near_the_cutoff(tol):
@@ -406,7 +411,7 @@ def test_every_rank_verdict_reads_the_singular_values_near_the_cutoff(tol):
     for s in np.logspace(-9, -7, 41):
         fam = GFrameFamily(space, 2, ([[1.0, 0.0]], [[0.0, s]], [[0.0, 0.0]]))
         rep = frame_bounds(fam, tol)
-        assert rep.is_frame and analysis_rank(fam, tol) == 2, s
+        assert rep.is_frame and analysis_rank(fam) == 2, s
         assert svd_rank(analysis_matrix(fam)) == 2, s
         sigma_min = singular_values(analysis_matrix(fam))[-1]
         assert rep.lower_bound == pytest.approx(sigma_min**2, rel=1e-12, abs=0.0), s
@@ -418,10 +423,10 @@ def test_every_rank_verdict_reads_the_singular_values_near_the_cutoff(tol):
             (parseval_normalize, lambda normalized: frame_bounds(normalized, tol).is_parseval),
         ):
             if invertible:
-                assert verdict(operation(fam, tol)), s
+                assert verdict(operation(fam)), s
             else:
                 with pytest.raises(NumericalRangeError, match="cannot be inverted"):
-                    operation(fam, tol)
+                    operation(fam)
                 raised += 1
     assert raised == 2 * 37
 
@@ -436,10 +441,10 @@ def test_synthesis_gain_states_bounded_below_once_near_the_cutoff(tol):
         assert gain == singular_values(analysis_matrix(fam))[-1]
         # the Riesz routes take the frame verdict first, then read the same sigma
         if onto:
-            assert riesz_criteria(fam, tol) == (True, True)
+            assert riesz_criteria(fam) == (True, True)
         else:
             with pytest.raises(PreconditionError, match="not a frame"):
-                riesz_criteria(fam, tol)
+                riesz_criteria(fam)
 
 
 def test_other_tolerance_values_get_their_own_frame_report():
@@ -452,6 +457,45 @@ def test_other_tolerance_values_get_their_own_frame_report():
     assert not report.is_tight and loose.is_tight
     assert frame_bounds(fam, TolerancePolicy(rel_eps=1e-6)) is not report
     assert loose.frame_operator is report.frame_operator
+
+
+def test_frame_reports_are_built_only_where_a_tolerance_is_read(
+    monkeypatch, lam_family, ortho_family, identity_family
+):
+    built, original = [], analysis.FrameReport
+
+    def counted(**fields):
+        built.append(fields)
+        return original(**fields)
+
+    monkeypatch.setattr(analysis, "FrameReport", counted)
+    classify(lam_family, ortho_family)
+    for operation in (riesz_check, canonical_dual, parseval_normalize):
+        operation(identity_family)
+    assert built == []
+    report = frame_bounds(identity_family)
+    other = frame_bounds(identity_family, TolerancePolicy(rel_eps=1e-6))
+    assert len(built) == 2 and other is not report
+    assert other.lower_bound is report.lower_bound and other.upper_bound is report.upper_bound
+
+
+def test_functions_that_compare_nothing_take_no_tolerance(lam_family, ortho_family, tol):
+    calls = (
+        (analysis_rank, lam_family),
+        (require_frame, lam_family, "family"),
+        (canonical_dual, lam_family),
+        (parseval_normalize, lam_family),
+        (riesz_check, lam_family),
+        (riesz_criteria, lam_family),
+        (synthesis_kernel_test, lam_family, KHatVector(([1.0], [0.0]))),
+        (cross_surjectivity, lam_family, ortho_family),
+        (delta_family, lam_family, ortho_family),
+        (lift_continuous_frame, lam_family, ortho_family),
+    )
+    for function, *args in calls:
+        function(*args)
+        with pytest.raises(TypeError):
+            function(*args, tol=tol)
 
 
 def test_frame_operator_and_report_operator_are_read_only(theta_family):
@@ -564,6 +608,6 @@ def test_streamed_singular_values_match_the_dense_svd(factor, tol):
         assert np.abs(svals - dense).max() <= 1e-13 * dense[0]
         ranks = {rank_from_singular_values(s, (rows, dim)) for s in (svals, dense)}
         assert ranks == {expected_rank}
-    assert report.range_sum_dim == analysis_rank(fam, tol) == expected_rank
+    assert report.range_sum_dim == analysis_rank(fam) == expected_rank
     # the dense route would form one N x d analysis matrix: fam.rows.nbytes
     assert peak < fam.rows.nbytes / 4

@@ -729,6 +729,24 @@ def test_unusable_document_is_usage_error(content, command, tmp_path, monkeypatc
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_stdout_closed_before_the_report_ends_on_one_error_line(unbuffered):
+    # the read end is closed before the child starts, so its first write or its
+    # flush of a buffered report meets a broken pipe, whatever the timing
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "gframes.cli", "analyze", PAIR_DOC, "lam"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "error: [Errno 32] Broken pipe\n")
+
+
 def test_cli_import_leaves_the_verify_suite_unloaded():
     env = _child_env()
     code = (

@@ -239,7 +239,7 @@ _GLUED_CHECKS = ("glued-dual-pair",)
 
 def test_direct_sum_duals_on_orthogonal_split(tol):
     lam, psi = random_strongly_disjoint_parseval_pair(21, (1, 1, 1, 2), 2, 2)
-    theta, phi = canonical_dual(lam, tol), canonical_dual(psi, tol)
+    theta, phi = canonical_dual(lam), canonical_dual(psi)
     result = direct_sum_duals(lam, theta, psi, phi, tol)
     assert _verdicts(result) == dict.fromkeys(_GLUED_CHECKS, True)
     assert result.gamma.domain_dim == lam.domain_dim + psi.domain_dim
@@ -252,7 +252,7 @@ def test_direct_sum_duals_on_orthogonal_split(tol):
 def test_direct_sum_duals_names_the_failed_dual_hypothesis(broken, message, tol):
     lam, psi = random_strongly_disjoint_parseval_pair(21, (1, 1, 1, 2), 2, 2)
     families = {
-        "lam": lam, "theta": canonical_dual(lam, tol), "psi": psi, "phi": canonical_dual(psi, tol)
+        "lam": lam, "theta": canonical_dual(lam), "psi": psi, "phi": canonical_dual(psi)
     }
     # twice a canonical dual is a frame whose pairing is 2I: no dual
     dual = families[broken]
@@ -264,7 +264,7 @@ def test_direct_sum_duals_names_the_failed_dual_hypothesis(broken, message, tol)
 def test_pseudo_dual_identity_operators(lam_family, ortho_family, tol):
     pair = OperatorPair(np.eye(1), np.eye(1))
     result = pseudo_dual(lam_family, ortho_family, pair, tol)
-    dual = canonical_dual(lam_family, tol)
+    dual = canonical_dual(lam_family)
     for a, b in zip(result.dual_candidate.blocks, dual.blocks):
         assert np.allclose(a, b)
     assert _verdicts(result) == {"dual-of-sum": True, "dual-of-single": True}
@@ -273,7 +273,7 @@ def test_pseudo_dual_identity_operators(lam_family, ortho_family, tol):
 def test_pseudo_dual_scaled_operator(lam_family, ortho_family, tol):
     pair = OperatorPair(2.0 * np.eye(1), np.eye(1))
     result = pseudo_dual(lam_family, ortho_family, pair, tol)
-    dual = canonical_dual(lam_family, tol)
+    dual = canonical_dual(lam_family)
     for a, b in zip(result.dual_candidate.blocks, dual.blocks):
         assert np.allclose(a, 0.5 * b)
     assert _verdicts(result) == {"dual-of-sum": True, "dual-of-single": True}
@@ -294,7 +294,7 @@ def _unit_family(space, vectors):
 def test_lift_standard_basis(tol):
     space = MeasureSpace([1.0, 1.0])
     basis = ([1.0, 0.0], [0.0, 1.0])
-    lifted = lift_continuous_frame(_unit_family(space, basis), _unit_family(space, basis), tol)
+    lifted = lift_continuous_frame(_unit_family(space, basis), _unit_family(space, basis))
     assert all(d == 2 for d in lifted.lam.block_dims)
     assert is_dual_pair(lifted.theta, lifted.lam, tol)
     assert is_dual_pair(lifted.psi, lifted.phi, tol)
@@ -307,7 +307,7 @@ def test_lift_standard_basis(tol):
 def test_lift_scalar_frame_halves_dual_coefficients(tol):
     space = MeasureSpace([1.0, 1.0])
     f = _unit_family(space, ([1.0], [1.0]))
-    lifted = lift_continuous_frame(f, _unit_family(space, ([1.0], [0.0])), tol)
+    lifted = lift_continuous_frame(f, _unit_family(space, ([1.0], [0.0])))
     assert np.allclose(lifted.theta.blocks[0], [[0.5], [0.0]])
     assert is_dual_pair(lifted.theta, lifted.lam, tol)
 
@@ -317,11 +317,11 @@ def test_lift_writes_each_frame_and_its_dual_into_one_block_row(tol):
     space = MeasureSpace(rng.uniform(0.5, 2.0, 4))
     f = _unit_family(space, rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
     g = _unit_family(space, rng.standard_normal((4, 3)) - 1j * rng.standard_normal((4, 3)))
-    lifted = lift_continuous_frame(f, g, tol)
+    lifted = lift_continuous_frame(f, g)
     assert np.array_equal(lifted.lam.rows[0::2], f.rows)
-    assert np.array_equal(lifted.theta.rows[0::2], canonical_dual(f, tol).rows)
+    assert np.array_equal(lifted.theta.rows[0::2], canonical_dual(f).rows)
     assert np.array_equal(lifted.psi.rows[1::2], g.rows)
-    assert np.array_equal(lifted.phi.rows[1::2], canonical_dual(g, tol).rows)
+    assert np.array_equal(lifted.phi.rows[1::2], canonical_dual(g).rows)
     for fam in (lifted.lam, lifted.theta):
         assert not fam.rows[1::2].any()
     for fam in (lifted.psi, lifted.phi):
@@ -333,9 +333,9 @@ def test_lift_rejects_degenerate_spec(tol):
     f = _unit_family(space, ([0.0], [0.0]))
     g = _unit_family(space, ([1.0], [0.0]))
     with pytest.raises(PreconditionError, match="first continuous frame is degenerate"):
-        lift_continuous_frame(f, g, tol)
+        lift_continuous_frame(f, g)
     with pytest.raises(PreconditionError, match="second continuous frame is degenerate"):
-        lift_continuous_frame(g, f, tol)
+        lift_continuous_frame(g, f)
 
 
 def test_lift_rejects_wider_blocks_and_other_spaces(tol):
@@ -343,10 +343,10 @@ def test_lift_rejects_wider_blocks_and_other_spaces(tol):
     f = _unit_family(space, ([1.0], [1.0]))
     wide = GFrameFamily(space=space, domain_dim=1, blocks=([[1.0], [0.0]], [1.0]))
     with pytest.raises(ShapeError, match="second continuous frame has blocks of dims"):
-        lift_continuous_frame(f, wide, tol)
+        lift_continuous_frame(f, wide)
     other = _unit_family(MeasureSpace([1.0, 2.0]), ([1.0], [1.0]))
     with pytest.raises(ShapeError, match="share the measure space"):
-        lift_continuous_frame(f, other, tol)
+        lift_continuous_frame(f, other)
 
 
 def test_random_gframe_is_deterministic():

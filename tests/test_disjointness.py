@@ -108,7 +108,7 @@ def test_gamma_of_identical_family_is_not_a_frame(theta_family, tol):
 
 
 def test_delta_equals_gamma_for_parseval_inputs(lam_family, ortho_family, tol):
-    delta = delta_family(lam_family, ortho_family, tol)
+    delta = delta_family(lam_family, ortho_family)
     gamma = gamma_family(lam_family, ortho_family)
     for a, b in zip(delta.blocks, gamma.blocks):
         assert np.allclose(a, b)
@@ -117,7 +117,7 @@ def test_delta_equals_gamma_for_parseval_inputs(lam_family, ortho_family, tol):
 
 def test_delta_normalizes_scaled_input(space2, ortho_family, tol):
     scaled = GFrameFamily(space=space2, domain_dim=1, blocks=([np.sqrt(2.0)], [0.0]))
-    delta = delta_family(scaled, ortho_family, tol)
+    delta = delta_family(scaled, ortho_family)
     assert np.allclose(delta.blocks[0], [[1.0, 0.0]])
     assert np.allclose(delta.blocks[1], [[0.0, 1.0]])
     assert frame_bounds(delta, tol).is_parseval
@@ -126,11 +126,11 @@ def test_delta_normalizes_scaled_input(space2, ortho_family, tol):
 def test_delta_rejects_non_frame_input(lam_family, tol):
     zero = GFrameFamily(space=lam_family.space, domain_dim=1, blocks=([0.0], [0.0]))
     with pytest.raises(SingularOperatorError):
-        delta_family(lam_family, zero, tol)
+        delta_family(lam_family, zero)
 
 
 def test_delta_keeps_cross_term_for_non_strong_pair(lam_family, theta_family, tol):
-    delta = delta_family(lam_family, theta_family, tol)
+    delta = delta_family(lam_family, theta_family)
     assert not np.allclose(frame_operator(delta), np.eye(2), atol=1e-12)
     assert not frame_bounds(delta, tol).is_parseval
 

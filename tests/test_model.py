@@ -83,8 +83,8 @@ def test_dims_are_read_off_the_rows(domain_dim, tol):
     blocks = [np.eye(width)[i % width] for i in range(3)]
     fam = GFrameFamily(space, domain_dim, blocks)
     assert type(fam.domain_dim) is int and fam.domain_dim == width and fam.codomain_dim == 3
-    assert dual_check("dual", canonical_dual(fam, tol), fam, tol)[1]
-    lifted = lift_continuous_frame(fam, fam, tol)
+    assert dual_check("dual", canonical_dual(fam), fam, tol)[1]
+    lifted = lift_continuous_frame(fam, fam)
     assert lifted.lam.domain_dim == width and lifted.lam.codomain_dim == 6
 
 

@@ -22,7 +22,7 @@ from gframes import (
 
 
 def test_riesz_check_identity_family(identity_family, tol):
-    report = riesz_check(identity_family, tol)
+    report = riesz_check(identity_family)
     assert report.is_riesz_type
     assert report.analysis_rank == report.khat_dim == 2
     assert report.synthesis_lower_bound == pytest.approx(1.0)
@@ -30,7 +30,7 @@ def test_riesz_check_identity_family(identity_family, tol):
 
 
 def test_riesz_check_overcomplete_family(theta_family, tol):
-    report = riesz_check(theta_family, tol)
+    report = riesz_check(theta_family)
     assert not report.is_riesz_type
     assert report.analysis_rank == 1
     assert report.khat_dim == 2
@@ -39,29 +39,29 @@ def test_riesz_check_overcomplete_family(theta_family, tol):
 
 def test_riesz_check_single_atom_identity(tol):
     fam = GFrameFamily(space=MeasureSpace([1.0]), domain_dim=3, blocks=(np.eye(3),))
-    assert riesz_check(fam, tol).is_riesz_type
+    assert riesz_check(fam).is_riesz_type
 
 
 def test_riesz_check_rejects_non_frame(tol):
     fam = GFrameFamily(space=MeasureSpace([1.0]), domain_dim=2, blocks=([[1.0, 1.0]],))
     with pytest.raises(PreconditionError):
-        riesz_check(fam, tol)
+        riesz_check(fam)
 
 
 def test_synthesis_kernel_zero_vector(theta_family, tol):
-    assert synthesis_kernel_test(theta_family, KHatVector(([0.0], [0.0])), tol)
+    assert synthesis_kernel_test(theta_family, KHatVector(([0.0], [0.0])))
 
 
 def test_synthesis_kernel_detects_witness(theta_family, tol):
     # nonzero vector synthesized to zero: certifies the family is not Riesz-type
     phi = KHatVector(([1.0], [-1.0]))
-    assert synthesis_kernel_test(theta_family, phi, tol)
-    assert not riesz_check(theta_family, tol).is_riesz_type
+    assert synthesis_kernel_test(theta_family, phi)
+    assert not riesz_check(theta_family).is_riesz_type
 
 
 def test_synthesis_kernel_rejects_random_vector_for_riesz_family(identity_family, tol):
     phi = KHatVector(([0.3 + 1.0j], [-0.7]))
-    assert not synthesis_kernel_test(identity_family, phi, tol)
+    assert not synthesis_kernel_test(identity_family, phi)
 
 
 @pytest.mark.parametrize("s", [1e-11, 1e-13, 1e-15, 1e-17])
@@ -71,20 +71,20 @@ def test_the_kernel_test_reads_the_rank_cutoff(s, tol):
     blocks = ([[1.0, 0.0]], [[0.0, s]])
     fam = GFrameFamily(space=MeasureSpace([1.0, 1.0]), domain_dim=2, blocks=blocks)
     riesz_type = s > rank_cutoff((2, 2), 1.0)
-    assert synthesis_kernel_test(fam, KHatVector(([0.0], [1.0])), tol) == (not riesz_type)
+    assert synthesis_kernel_test(fam, KHatVector(([0.0], [1.0]))) == (not riesz_type)
     assert frame_bounds(fam, tol).is_frame == riesz_type
     if riesz_type:
-        assert riesz_criteria(fam, tol) == (True, True)
+        assert riesz_criteria(fam) == (True, True)
 
 
 def test_synthesis_kernel_shape_error(theta_family, tol):
     with pytest.raises(ShapeError):
-        synthesis_kernel_test(theta_family, KHatVector(([1.0, 0.0], [0.0])), tol)
+        synthesis_kernel_test(theta_family, KHatVector(([1.0, 0.0], [0.0])))
 
 
 def test_riesz_criteria_agree_on_hand_families(identity_family, theta_family, tol):
-    assert riesz_criteria(identity_family, tol) == (True, True)
-    assert riesz_criteria(theta_family, tol) == (False, False)
+    assert riesz_criteria(identity_family) == (True, True)
+    assert riesz_criteria(theta_family) == (False, False)
 
 
 def test_mixed_construction_rejects_bad_operator_pairing(identity_family, tol):
@@ -109,7 +109,7 @@ def test_mixed_construction_identity_case(identity_family, tol):
     assert rep.upper_bound == pytest.approx(4.0)
     assert result.sandwich_ok
     assert result.criteria_agree
-    assert result.riesz_report.is_riesz_type == riesz_check(identity_family, tol).is_riesz_type
+    assert result.riesz_report.is_riesz_type == riesz_check(identity_family).is_riesz_type
 
 
 def test_mixed_construction_diagonal_operators(identity_family, tol):
@@ -132,7 +132,7 @@ def test_mixed_construction_decomposes_the_combined_family_only_when_not_tall(
         rng.standard_normal((atoms, 2)) + 1j * rng.standard_normal((atoms, 2)),
         (1,) * atoms,
     )
-    dual = canonical_dual(lam, tol)
+    dual = canonical_dual(lam)
     svds = []
     original = np.linalg.svd
     monkeypatch.setattr(
@@ -155,8 +155,8 @@ def test_mixed_construction_decomposes_the_combined_family_only_when_not_tall(
 
 
 def test_cross_surjectivity_dual_pair(theta_family, tol):
-    dual = canonical_dual(theta_family, tol)
-    theta_frame, surjective = cross_surjectivity(theta_family, dual, tol)
+    dual = canonical_dual(theta_family)
+    theta_frame, surjective = cross_surjectivity(theta_family, dual)
     assert theta_frame and surjective
 
 
@@ -167,21 +167,21 @@ def test_cross_surjectivity_compressed_family(identity_family, tol):
         domain_dim=2,
         blocks=tuple(b @ projector for b in identity_family.blocks),
     )
-    theta_frame, surjective = cross_surjectivity(identity_family, compressed, tol)
+    theta_frame, surjective = cross_surjectivity(identity_family, compressed)
     assert not surjective
     assert not theta_frame
 
 
 def test_cross_surjectivity_riesz_times_frame(identity_family, theta_family, tol):
     # Riesz-type first family composed against any frame: always onto
-    _, surjective = cross_surjectivity(identity_family, theta_family, tol)
+    _, surjective = cross_surjectivity(identity_family, theta_family)
     assert surjective
 
 
 def test_cross_surjectivity_requires_frame(lam_family, tol):
     zero = GFrameFamily(space=lam_family.space, domain_dim=1, blocks=([0.0], [0.0]))
     with pytest.raises(PreconditionError):
-        cross_surjectivity(zero, lam_family, tol)
+        cross_surjectivity(zero, lam_family)
 
 
 def test_perturbation_small_scaling(identity_family, tol):

@@ -197,8 +197,8 @@ def _riesz_report(change):
     """Patches making ``riesz_check`` return ``change(report)`` where each module binds it."""
     original = riesz.riesz_check
 
-    def changed(fam, tol=DEFAULT_TOL):
-        return change(original(fam, tol))
+    def changed(fam):
+        return change(original(fam))
 
     return [(module, "riesz_check", changed) for module in (riesz, verification)]
 
@@ -228,11 +228,11 @@ _PERTURBATION = riesz.perturbation_riesz_transfer
 def _equivalence_as_both_riesz(lam, theta, tol=DEFAULT_TOL):
     """The perturbation result with "both Riesz-type" for "the same Riesz verdict"."""
     result = _PERTURBATION(lam, theta, tol)
-    both = all(riesz.riesz_check(fam, tol).is_riesz_type for fam in (lam, theta))
+    both = all(riesz.riesz_check(fam).is_riesz_type for fam in (lam, theta))
     return dataclasses.replace(result, equivalence_verified=result.criterion_met and both)
 
 
-def _full_rank(fam, tol=DEFAULT_TOL):
+def _full_rank(fam):
     return fam.domain_dim
 
 
