@@ -58,12 +58,10 @@ from .errors import (
     SingularOperatorError,
 )
 from .model import (
-    DEFAULT_TOL,
     GFrameFamily,
     KHatVector,
     MeasureSpace,
     OperatorPair,
-    TolerancePolicy,
     analysis_matrix,
     apply_analysis,
     apply_synthesis,

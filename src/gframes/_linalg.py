@@ -14,6 +14,15 @@ MACHINE_EPS = float(np.finfo(np.float64).eps)
 # max(rows, cols) * sigma_max * machine_eps.  Read at call time.
 RANK_EPS_FACTOR = 10.0
 
+# The one relative tolerance of the package, read at call time.  Only the
+# verdicts that compare two numbers relatively read it: tight, Parseval,
+# strongly disjoint, the dual and identity hypotheses, the bound windows and
+# the perturbation criterion.  Ranks take no tolerance: every rank-type
+# verdict (frame, Riesz-type, disjointness, kernel) counts singular values
+# above ``rank_cutoff``, so it is a function of the matrix alone, and so are
+# the optimal frame bounds.
+REL_EPS = 1e-9
+
 
 def hermitize(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (matrix + matrix.conj().T)
@@ -104,12 +113,12 @@ def invert_kept(factors, rank: int, what: str) -> np.ndarray:
     return result
 
 
-def matrices_close(a: np.ndarray, b: np.ndarray, rel_eps: float) -> bool:
-    """Frobenius-norm equality with a relative tolerance (absolute floor 1)."""
+def matrices_close(a: np.ndarray, b: np.ndarray) -> bool:
+    """Frobenius-norm equality to ``REL_EPS`` relatively (absolute floor 1)."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-    return float(np.linalg.norm(a - b)) <= rel_eps * scale
+    return float(np.linalg.norm(a - b)) <= REL_EPS * scale
 
 
 def hermitian_power(matrix: np.ndarray, power: float) -> np.ndarray:

@@ -8,6 +8,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import _linalg
 from ._linalg import (
     full_row_rank,
     gram_certifies_full_column_rank,
@@ -21,10 +22,8 @@ from ._linalg import (
 )
 from .errors import NumericalRangeError, PreconditionError, ShapeError, SingularOperatorError
 from .model import (
-    DEFAULT_TOL,
     GFrameFamily,
     OperatorPair,
-    TolerancePolicy,
     _freeze,
     _row_weights,
     chunk_rows,
@@ -49,8 +48,8 @@ class FrameReport:
     when they certify no rank the lower bound is sigma_d(A)^2 (0 for N < d
     rows), which keeps the digits that squaring A loses and is never negative.
     These three take no tolerance (:func:`optimal_bounds`).  ``is_tight`` holds
-    when the bounds agree to ``rel_eps``, ``is_parseval`` when additionally the
-    common bound is 1.  ``frame_operator`` is read-only.
+    when the bounds agree to ``_linalg.REL_EPS``, ``is_parseval`` when
+    additionally the common bound is 1.  ``frame_operator`` is read-only.
     """
 
     frame_operator: np.ndarray
@@ -64,10 +63,10 @@ class FrameReport:
         """The bounds and flags, without the frame operator."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "frame_operator"}
 
-    def within(self, lower: float, upper: float, tol: TolerancePolicy) -> bool:
+    def within(self, lower: float, upper: float) -> bool:
         """Whether the bounds sit inside the window [lower, upper], each end widened
-        relatively by ``tol.rel_eps``: the one window rule of the construction theorems."""
-        eps = tol.rel_eps
+        relatively by ``_linalg.REL_EPS``: the one window rule of the construction theorems."""
+        eps = _linalg.REL_EPS
         above = self.lower_bound >= lower * (1.0 - eps)
         return above and self.upper_bound <= upper * (1.0 + eps)
 
@@ -244,7 +243,7 @@ def _weighted_product(left: GFrameFamily, right: GFrameFamily) -> np.ndarray:
 
 def pair_memo(lam: GFrameFamily, theta: GFrameFamily) -> dict:
     """The pair's record, kept in ``lam``'s memo while ``theta`` lives: first the cross
-    operator C = B^H A, then ``classify``'s reports; the pair family takes it as its memo."""
+    operator C = B^H A; the pair family takes it as its memo."""
     return lam._pair_memo(theta, _cross)
 
 
@@ -301,25 +300,17 @@ def compose_sum(lam: GFrameFamily, theta: GFrameFamily, l1, l2) -> GFrameFamily:
     return right_compose(gamma_family(lam, theta), np.vstack([pair.l1, pair.l2]))
 
 
-def frame_bounds(fam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL) -> FrameReport:
+def frame_bounds(fam: GFrameFamily) -> FrameReport:
     """Optimal frame bounds and the frame verdict of :class:`FrameReport`.
 
-    Computed once per family object and ``rel_eps``: the bounds and the frame
-    verdict come from :func:`optimal_bounds`, and ``rel_eps`` decides only
-    ``is_tight`` and ``is_parseval``.
+    Built on each call: the bounds and the frame verdict are the memoized
+    :func:`optimal_bounds`, and ``_linalg.REL_EPS`` decides only ``is_tight``
+    and ``is_parseval``.
     """
-    key = ("frame_report", tol.rel_eps)
-    return memoized(fam._memo, key, _frame_report, fam, tol)
-
-
-def _frame_report(fam: GFrameFamily, tol: TolerancePolicy) -> FrameReport:
     lower, upper, is_frame = optimal_bounds(fam)
-    is_tight = is_frame and (upper - lower) <= tol.rel_eps * upper
-    is_parseval = (
-        is_tight
-        and abs(upper - 1.0) <= tol.rel_eps
-        and abs(lower - 1.0) <= tol.rel_eps
-    )
+    eps = _linalg.REL_EPS
+    is_tight = is_frame and (upper - lower) <= eps * upper
+    is_parseval = is_tight and abs(upper - 1.0) <= eps and abs(lower - 1.0) <= eps
     return FrameReport(
         frame_operator=frame_operator(fam),
         lower_bound=lower,
@@ -332,7 +323,7 @@ def _frame_report(fam: GFrameFamily, tol: TolerancePolicy) -> FrameReport:
 
 def optimal_bounds(fam: GFrameFamily) -> tuple[float, float, bool]:
     """(lower bound, upper bound, is a frame) of :class:`FrameReport`, which
-    read no tolerance; once per family object, and shared by its reports."""
+    read no tolerance; once per family object."""
     return memoized(fam._memo, "bounds", _optimal_bounds, fam)
 
 
@@ -436,14 +427,12 @@ def cross_operator(left: GFrameFamily, right: GFrameFamily) -> np.ndarray:
     return require_finite(cross, "cross operator")
 
 
-def is_dual_pair(
-    theta: GFrameFamily, lam: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL
-) -> bool:
+def is_dual_pair(theta: GFrameFamily, lam: GFrameFamily) -> bool:
     """True when ``theta`` is a dual of ``lam``; the verdict of :func:`dual_check`."""
-    return dual_check("dual-pair", theta, lam, tol)[1]
+    return dual_check("dual-pair", theta, lam)[1]
 
 
-def dual_check(name: str, theta: GFrameFamily, lam: GFrameFamily, tol: TolerancePolicy) -> Check:
+def dual_check(name: str, theta: GFrameFamily, lam: GFrameFamily) -> Check:
     """Whether ``theta`` is a dual of ``lam``: both are frames and their mixed
     pairing reproduces the identity, with the distance of the pairing from the
     identity (Frobenius).  One pairing decides: the other order is its
@@ -453,17 +442,17 @@ def dual_check(name: str, theta: GFrameFamily, lam: GFrameFamily, tol: Tolerance
     frames = optimal_bounds(theta)[2] and optimal_bounds(lam)[2]
     pairing = cross_operator(theta, lam)
     eye = np.eye(lam.domain_dim)
-    passed = frames and matrices_close(pairing, eye, tol.rel_eps)
+    passed = frames and matrices_close(pairing, eye)
     return name, passed, {"identity_defect": float(np.linalg.norm(pairing - eye))}
 
 
-def frame_check(fam: GFrameFamily, tol: TolerancePolicy) -> Check:
+def frame_check(fam: GFrameFamily) -> Check:
     """Whether ``fam`` is a frame, with its bounds and flags."""
-    rep = frame_bounds(fam, tol)
+    rep = frame_bounds(fam)
     return "is-frame", rep.is_frame, rep.numbers()
 
 
-def parseval_check(fam: GFrameFamily, tol: TolerancePolicy) -> Check:
+def parseval_check(fam: GFrameFamily) -> Check:
     """Whether ``fam`` is Parseval, with its bounds and flags."""
-    rep = frame_bounds(fam, tol)
+    rep = frame_bounds(fam)
     return "is-parseval", rep.is_parseval, rep.numbers()

@@ -37,7 +37,7 @@ from .constructions import (
 from .disjointness import classify, normalized_pair, pair_equivalences
 from .documents import FrameDocument, load_document, parse_matrix, save_document
 from .errors import GFrameError, PreconditionError
-from .model import DEFAULT_TOL, GFrameFamily, OperatorPair, TolerancePolicy
+from .model import GFrameFamily, OperatorPair
 from .riesz import riesz_check
 
 
@@ -61,8 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL.rel_eps,
-                       help="relative tolerance (default 1e-9)")
         p.add_argument("--format", choices=("human", "json"), default="human")
 
     p = sub.add_parser("analyze", help="frame bounds and Riesz-type report for one family")
@@ -103,13 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tolerance(args) -> TolerancePolicy:
-    try:
-        return TolerancePolicy(rel_eps=args.tol)
-    except ValueError as exc:
-        raise UsageError(f"--tol: {exc}") from None
-
-
 def _family(doc: FrameDocument, name: str) -> GFrameFamily:
     if name not in doc.families:
         known = ", ".join(sorted(doc.families)) or "(none)"
@@ -141,22 +132,21 @@ def _write_document(path: str, families: dict[str, GFrameFamily]) -> dict:
     return {"path": path, "families": sorted(families)}
 
 
-def _cmd_analyze(args, tol) -> dict:
+def _cmd_analyze(args) -> dict:
     doc = load_document(args.file)
     fam = _family(doc, args.family)
-    rep = frame_bounds(fam, tol)
+    rep = frame_bounds(fam)
     reports = {"frame": rep.numbers()}
     if rep.is_frame:
         reports["riesz"] = asdict(riesz_check(fam))
-    return {"reports": reports, "checks": _checks([frame_check(fam, tol)])}
+    return {"reports": reports, "checks": _checks([frame_check(fam)])}
 
 
-def _cmd_disjoint(args, tol) -> dict:
+def _cmd_disjoint(args) -> dict:
     doc = load_document(args.file)
-    relations, gamma, checks = pair_equivalences(
-        _family(doc, args.family_a), _family(doc, args.family_b), tol
-    )
-    reports = {"relations": asdict(relations), "pair_family": frame_bounds(gamma, tol).numbers()}
+    lam, theta = _family(doc, args.family_a), _family(doc, args.family_b)
+    relations, gamma, checks = pair_equivalences(lam, theta)
+    reports = {"relations": asdict(relations), "pair_family": frame_bounds(gamma).numbers()}
     return {"reports": reports, "checks": _checks(checks)}
 
 
@@ -165,29 +155,29 @@ def _cmd_disjoint(args, tol) -> dict:
 # frame numbers of the result (or None) and the checks its construction returns.
 
 
-def _recipe_gamma(lam, theta, args, tol):
-    _, gamma, checks = pair_equivalences(lam, theta, tol)
-    return {"gamma": gamma}, frame_bounds(gamma, tol).numbers(), checks
+def _recipe_gamma(lam, theta, args):
+    _, gamma, checks = pair_equivalences(lam, theta)
+    return {"gamma": gamma}, frame_bounds(gamma).numbers(), checks
 
 
-def _recipe_delta(lam, theta, args, tol):
-    delta, check = normalized_pair(lam, theta, tol)
-    return {"delta": delta}, frame_bounds(delta, tol).numbers(), [check]
+def _recipe_delta(lam, theta, args):
+    delta, check = normalized_pair(lam, theta)
+    return {"delta": delta}, frame_bounds(delta).numbers(), [check]
 
 
-def _recipe_sum_disjoint(lam, theta, args, tol):
-    result = disjoint_sum_family(lam, theta, _operator_pair(args, lam.domain_dim), tol)
+def _recipe_sum_disjoint(lam, theta, args):
+    result = disjoint_sum_family(lam, theta, _operator_pair(args, lam.domain_dim))
     return {"sum": result.family}, result.report.numbers(), result.checks
 
 
-def _recipe_sum_strong(lam, theta, args, tol):
-    result = strongly_disjoint_sum(lam, theta, _operator_pair(args, lam.domain_dim), tol)
+def _recipe_sum_strong(lam, theta, args):
+    result = strongly_disjoint_sum(lam, theta, _operator_pair(args, lam.domain_dim))
     numbers = {**result.report.numbers(), "scale": result.scale}
     return {"sum": result.family}, numbers, result.checks
 
 
-def _recipe_pseudo_dual(lam, theta, args, tol):
-    result = pseudo_dual(lam, theta, _operator_pair(args, lam.domain_dim), tol)
+def _recipe_pseudo_dual(lam, theta, args):
+    result = pseudo_dual(lam, theta, _operator_pair(args, lam.domain_dim))
     families = {
         "pseudo_dual": result.dual_candidate,
         "sum": result.sum_family,
@@ -196,18 +186,18 @@ def _recipe_pseudo_dual(lam, theta, args, tol):
     return families, None, result.checks
 
 
-def _recipe_canonical_dual(lam, theta, args, tol):
+def _recipe_canonical_dual(lam, theta, args):
     dual = canonical_dual(lam)
-    check = dual_check("dual-pairing", dual, lam, tol)
-    return {"canonical_dual": dual}, frame_bounds(dual, tol).numbers(), [check]
+    check = dual_check("dual-pairing", dual, lam)
+    return {"canonical_dual": dual}, frame_bounds(dual).numbers(), [check]
 
 
-def _recipe_parseval(lam, theta, args, tol):
+def _recipe_parseval(lam, theta, args):
     normalized = parseval_normalize(lam)
-    return {"parseval": normalized}, None, [parseval_check(normalized, tol)]
+    return {"parseval": normalized}, None, [parseval_check(normalized)]
 
 
-def _recipe_lift_example(lam, theta, args, tol):
+def _recipe_lift_example(lam, theta, args):
     lifted = lift_continuous_frame(lam, theta)
     families = {
         "lifted_lambda": lifted.lam,
@@ -215,7 +205,7 @@ def _recipe_lift_example(lam, theta, args, tol):
         "lifted_phi": lifted.phi,
         "lifted_psi": lifted.psi,
     }
-    glued = direct_sum_duals(lifted.lam, lifted.theta, lifted.psi, lifted.phi, tol)
+    glued = direct_sum_duals(lifted.lam, lifted.theta, lifted.psi, lifted.phi)
     return families, None, glued.checks
 
 
@@ -232,7 +222,7 @@ _RECIPES = {
 }
 
 
-def _cmd_construct(args, tol) -> dict:
+def _cmd_construct(args) -> dict:
     doc = load_document(args.file)
     arity, recipe, takes_operators = _RECIPES[args.recipe]
     names = args.families
@@ -240,13 +230,13 @@ def _cmd_construct(args, tol) -> dict:
         raise UsageError(f"recipe '{args.recipe}' needs exactly {arity} family name(s)")
     if not takes_operators and (args.l1 is not None or args.l2 is not None):
         raise UsageError(f"recipe '{args.recipe}' takes no --l1/--l2 operators")
-    families, result, checks = recipe(_family(doc, names[0]), _family(doc, names[-1]), args, tol)
+    families, result, checks = recipe(_family(doc, names[0]), _family(doc, names[-1]), args)
     reports = {} if result is None else {"result": result}
     reports["output"] = _write_document(args.output, families)
     return {"reports": reports, "checks": _checks(checks)}
 
 
-def _cmd_generate(args, tol) -> dict:
+def _cmd_generate(args) -> dict:
     try:
         dims = tuple(int(part) for part in args.block_dims.split(","))
     except ValueError:
@@ -257,7 +247,7 @@ def _cmd_generate(args, tol) -> dict:
             raise UsageError("--kind frame requires --domain-dim")
         fam = random_gframe(args.seed, dims, args.domain_dim)
         families = {"frame": fam}
-        checks += _checks([frame_check(fam, tol)])
+        checks += _checks([frame_check(fam)])
     else:
         if args.dim_first is None or args.dim_second is None:
             raise UsageError("--kind strongly-disjoint-pair requires --dim-first and --dim-second")
@@ -265,7 +255,7 @@ def _cmd_generate(args, tol) -> dict:
             args.seed, dims, args.dim_first, args.dim_second
         )
         families = {"first": first, "second": second}
-        report = classify(first, second, tol)
+        report = classify(first, second)
         checks.append(
             _check(
                 "strongly-disjoint",
@@ -273,7 +263,7 @@ def _cmd_generate(args, tol) -> dict:
                 cross_operator_norm=report.cross_operator_norm,
             )
         )
-        rep_first, rep_second = frame_bounds(first, tol), frame_bounds(second, tol)
+        rep_first, rep_second = frame_bounds(first), frame_bounds(second)
         checks.append(
             _check(
                 "parseval",
@@ -291,14 +281,14 @@ def _cmd_generate(args, tol) -> dict:
     }
 
 
-def _cmd_verify(args, tol) -> dict:
+def _cmd_verify(args) -> dict:
     if args.cases < 1:
         raise UsageError(f"--cases must be >= 1, got {args.cases}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     from .verification import run_suite  # only this command loads the suite
 
-    suite = run_suite(args.seed, args.cases, tol)
+    suite = run_suite(args.seed, args.cases)
     checks = [
         _check(result.name, result.passed, cases=result.cases, failures=list(result.failures))
         for result in suite.results
@@ -330,8 +320,8 @@ def _print_report(report: dict, fmt: str) -> None:
         print(json.dumps(report, indent=2, sort_keys=True))
         return
     print("command:", " ".join(report["command"]))
-    tol = report["tolerance"]
-    print(f"tolerance: rel_eps={tol['rel_eps']:g} rank_eps_factor={tol['rank_eps_factor']:g}")
+    policy = report["tolerance"]
+    print(f"tolerance: rel_eps={policy['rel_eps']:g} rank_eps_factor={policy['rank_eps_factor']:g}")
     if "seed" in report:
         print(f"seed: {report['seed']}")
     for name, numbers in report.get("reports", {}).items():
@@ -352,10 +342,9 @@ def _print_report(report: dict, fmt: str) -> None:
 def run_command(argv: list[str]) -> int:
     try:
         args = build_parser().parse_args(argv)
-        tol = _tolerance(args)
         # an overflow ends the command with NumericalRangeError, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            body = _COMMANDS[args.command](args, tol)
+            body = _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help; the parser's errors are UsageErrors
         return int(exc.code) if exc.code else 0
     except PreconditionError as exc:
@@ -366,7 +355,7 @@ def run_command(argv: list[str]) -> int:
         return 2
     report = {
         "command": list(argv),
-        "tolerance": {"rel_eps": tol.rel_eps, "rank_eps_factor": _linalg.RANK_EPS_FACTOR},
+        "tolerance": {"rel_eps": _linalg.REL_EPS, "rank_eps_factor": _linalg.RANK_EPS_FACTOR},
         **body,
     }
     report["passed"] = all(check["passed"] for check in report.get("checks", []))

@@ -9,17 +9,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _linalg
 from ._linalg import full_row_rank, invert_kept, rank_from_singular_values, singular_values
 from .analysis import Check, FrameReport, canonical_dual, dual_check, frame_bounds, frame_check
 from .analysis import compose_sum, is_dual_pair, optimal_bounds
 from .disjointness import gamma_family, require_relation
 from .errors import GenerationError, PreconditionError, ShapeError, SingularOperatorError
 from .model import (
-    DEFAULT_TOL,
     GFrameFamily,
     MeasureSpace,
     OperatorPair,
-    TolerancePolicy,
     family_from_analysis_matrix,
     operator_matrix,
     read_dim,
@@ -50,10 +49,7 @@ class DisjointSumResult:
 
 
 def disjoint_sum_family(
-    lam: GFrameFamily,
-    theta: GFrameFamily,
-    pair: OperatorPair,
-    tol: TolerancePolicy = DEFAULT_TOL,
+    lam: GFrameFamily, theta: GFrameFamily, pair: OperatorPair
 ) -> DisjointSumResult:
     """Family with blocks lam_i @ L1^H + theta_i @ L2^H for a disjoint pair.
 
@@ -63,7 +59,7 @@ def disjoint_sum_family(
     the pair family and Lk is the surjective operator.
     """
     require_same_domain(lam, theta)
-    require_relation(lam, theta, "disjoint", tol)
+    require_relation(lam, theta, "disjoint")
     l1_adj, l2_adj = pair.adjoint_operators(lam.domain_dim)
     svals1, svals2 = singular_values(pair.l1), singular_values(pair.l2)
     surj1 = full_row_rank(svals1, pair.l1.shape)
@@ -72,7 +68,7 @@ def disjoint_sum_family(
         raise PreconditionError("neither L1 nor L2 is surjective")
 
     family = compose_sum(lam, theta, l1_adj, l2_adj)
-    result_report = frame_bounds(family, tol)
+    result_report = frame_bounds(family)
     pair_lower, pair_upper, _ = optimal_bounds(gamma_family(lam, theta))
     # For a surjective L, ||L_pinv|| = 1 / sigma_min(L).  The squares are
     # numpy floats, which go to 0 or inf past the float range instead of raising.
@@ -81,10 +77,10 @@ def disjoint_sum_family(
         certified_lower = float(pair_lower * witness[-1] ** 2)
         certified_upper = float(2.0 * pair_upper * max(svals1[0], svals2[0]) ** 2)
     checks = (
-        frame_check(family, tol),
+        frame_check(family),
         (
             "certificate-sandwich",
-            result_report.is_frame and result_report.within(certified_lower, certified_upper, tol),
+            result_report.is_frame and result_report.within(certified_lower, certified_upper),
             {
                 "certified_lower": certified_lower,
                 "certified_upper": certified_upper,
@@ -110,10 +106,7 @@ class StrongSumResult:
 
 
 def strongly_disjoint_sum(
-    lam: GFrameFamily,
-    theta: GFrameFamily,
-    pair: OperatorPair,
-    tol: TolerancePolicy = DEFAULT_TOL,
+    lam: GFrameFamily, theta: GFrameFamily, pair: OperatorPair
 ) -> StrongSumResult:
     """Family with blocks lam_i @ L1 + theta_i @ L2 for a strongly disjoint pair.
 
@@ -121,19 +114,19 @@ def strongly_disjoint_sum(
     Parseval inputs the result is tight with exactly that multiple as bound.
     """
     require_same_domain(lam, theta)
-    require_relation(lam, theta, "strongly disjoint", tol)
+    require_relation(lam, theta, "strongly disjoint")
     l1, l2 = pair.square_operators(lam.domain_dim, lam.domain_dim)
-    scale, held = pair.identity_multiple(tol)
+    scale, held = pair.identity_multiple()
     if not held:
         raise PreconditionError("L1^H L1 + L2^H L2 is not a positive multiple of the identity")
     family = compose_sum(lam, theta, l1, l2)
-    rep = frame_bounds(family, tol)
-    rep_l, rep_t = frame_bounds(lam, tol), frame_bounds(theta, tol)
+    rep = frame_bounds(family)
+    rep_l, rep_t = frame_bounds(lam), frame_bounds(theta)
     guaranteed = scale * min(rep_l.lower_bound, rep_t.lower_bound)
     checks = [
         (
             "lower-bound-guarantee",
-            rep.within(guaranteed, math.inf, tol),
+            rep.within(guaranteed, math.inf),
             {"lower_bound": rep.lower_bound, "guaranteed": guaranteed},
         )
     ]
@@ -141,7 +134,7 @@ def strongly_disjoint_sum(
         checks.append(
             (
                 "tight-with-hypothesis-scale",
-                rep.is_tight and abs(rep.upper_bound - scale) <= tol.rel_eps * scale,
+                rep.is_tight and abs(rep.upper_bound - scale) <= _linalg.REL_EPS * scale,
                 {"is_tight": rep.is_tight, "bound": rep.upper_bound, "scale": scale},
             )
         )
@@ -158,11 +151,7 @@ class DirectSumDuals:
 
 
 def direct_sum_duals(
-    lam: GFrameFamily,
-    theta: GFrameFamily,
-    psi: GFrameFamily,
-    phi: GFrameFamily,
-    tol: TolerancePolicy = DEFAULT_TOL,
+    lam: GFrameFamily, theta: GFrameFamily, psi: GFrameFamily, phi: GFrameFamily
 ) -> DirectSumDuals:
     """Glue two dual pairs on different domains into a dual pair on the direct sum.
 
@@ -173,15 +162,15 @@ def direct_sum_duals(
     PreconditionError, so ``checks`` holds only the conclusion: the glued
     pairing, with its distance from the identity.
     """
-    if not is_dual_pair(theta, lam, tol):
+    if not is_dual_pair(theta, lam):
         raise PreconditionError("lam is not a dual of theta")
-    if not is_dual_pair(psi, phi, tol):
+    if not is_dual_pair(psi, phi):
         raise PreconditionError("psi is not a dual of phi")
-    require_relation(lam, phi, "strongly disjoint", tol, "lam and phi")
-    require_relation(theta, psi, "strongly disjoint", tol, "theta and psi")
+    require_relation(lam, phi, "strongly disjoint", "lam and phi")
+    require_relation(theta, psi, "strongly disjoint", "theta and psi")
     gamma = gamma_family(lam, psi)
     delta = gamma_family(theta, phi)
-    glued = dual_check("glued-dual-pair", gamma, delta, tol)
+    glued = dual_check("glued-dual-pair", gamma, delta)
     return DirectSumDuals(gamma=gamma, delta=delta, checks=(glued,))
 
 
@@ -196,12 +185,7 @@ class PseudoDualResult:
     checks: tuple[Check, ...]
 
 
-def pseudo_dual(
-    lam: GFrameFamily,
-    theta: GFrameFamily,
-    pair: OperatorPair,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> PseudoDualResult:
+def pseudo_dual(lam: GFrameFamily, theta: GFrameFamily, pair: OperatorPair) -> PseudoDualResult:
     """Dual built from the canonical dual and the pseudo-inverse of L1.
 
     For a strongly disjoint pair and surjective L1, the family with blocks
@@ -209,7 +193,7 @@ def pseudo_dual(
     {lam_i @ L1^H + theta_i @ L2^H}.
     """
     require_same_domain(lam, theta)
-    require_relation(lam, theta, "strongly disjoint", tol)
+    require_relation(lam, theta, "strongly disjoint")
     l1_adj, l2_adj = pair.adjoint_operators(lam.domain_dim)
     # one SVD of L1 judges it onto, and then inverts all of its singular values
     svd = np.linalg.svd(np.conj(pair.l1), full_matrices=False)
@@ -224,8 +208,8 @@ def pseudo_dual(
         sum_family=sum_family,
         single_family=single_family,
         checks=(
-            dual_check("dual-of-sum", candidate, sum_family, tol),
-            dual_check("dual-of-single", candidate, single_family, tol),
+            dual_check("dual-of-sum", candidate, sum_family),
+            dual_check("dual-of-single", candidate, single_family),
         ),
     )
 

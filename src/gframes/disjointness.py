@@ -25,19 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _linalg
 from ._linalg import full_row_rank, operator_norm, singular_values
 from .analysis import Check, analysis_rank, cross_operator, frame_bounds, gamma_family
-from .analysis import optimal_bounds, pair_memo, parseval_normalize, require_frame
+from .analysis import parseval_normalize, require_frame
 from .errors import PreconditionError
-from .model import (
-    DEFAULT_TOL,
-    GFrameFamily,
-    OperatorPair,
-    TolerancePolicy,
-    memoized,
-    require_same_khat,
-    right_compose,
-)
+from .model import GFrameFamily, OperatorPair, require_same_khat, right_compose
 
 
 @dataclass(frozen=True)
@@ -55,40 +48,23 @@ class DisjointnessReport:
     khat_dim: int
 
 
-def classify(
-    lam: GFrameFamily, theta: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL
-) -> DisjointnessReport:
+def classify(lam: GFrameFamily, theta: GFrameFamily) -> DisjointnessReport:
     """Decide which disjointness relations hold for a pair of frames.
 
     Both families must be frames over the same measure space and block
-    dimensions; their domains may differ.  Computed once per pair and ``rel_eps``.
+    dimensions; their domains may differ.  Built on each call from the pair
+    record's cross operator and the pair family's rank, both memoized.
+    ``weakly_disjoint`` is ``disjoint``: in finite dimension the range sum is
+    closed, so a trivial kernel of the pair map and a trivial range
+    intersection are the same rank statement, rank [A|B] = d1 + d2.
     """
     require_same_khat(lam, theta)
-    require_frame(lam, "first family")
-    require_frame(theta, "second family")
-    key = ("classify", tol.rel_eps)
-    return memoized(pair_memo(lam, theta), key, _classify, lam, theta, tol)
-
-
-def require_relation(
-    lam: GFrameFamily, theta: GFrameFamily, relation: str, tol: TolerancePolicy, which="families"
-) -> DisjointnessReport:
-    """The pair's report; PreconditionError "``which`` are not ``relation``" unless
-    the relation (a report field, spaces for underscores) holds."""
-    report = classify(lam, theta, tol)
-    if not getattr(report, relation.replace(" ", "_")):
-        raise PreconditionError(f"{which} are not {relation}")
-    return report
-
-
-def _classify(lam, theta, tol: TolerancePolicy) -> DisjointnessReport:
-    """The report, with ``weakly_disjoint`` set to ``disjoint``: in finite
-    dimension the range sum is closed, so a trivial kernel of the pair map and a
-    trivial range intersection are the same rank statement, rank [A|B] = d1 + d2."""
+    _, upper_lam = require_frame(lam, "first family")
+    _, upper_theta = require_frame(theta, "second family")
     khat_dim = lam.codomain_dim
     cross_norm = operator_norm(cross_operator(theta, lam))
-    bessel = np.sqrt(optimal_bounds(lam)[1] * optimal_bounds(theta)[1])
-    strongly = bool(cross_norm <= tol.rel_eps * bessel)
+    bessel = np.sqrt(upper_lam * upper_theta)
+    strongly = bool(cross_norm <= _linalg.REL_EPS * bessel)
 
     # both are frames, so rank A + rank B is the pair's domain dim
     pair_dim = lam.domain_dim + theta.domain_dim
@@ -113,6 +89,17 @@ def _classify(lam, theta, tol: TolerancePolicy) -> DisjointnessReport:
     )
 
 
+def require_relation(
+    lam: GFrameFamily, theta: GFrameFamily, relation: str, which="families"
+) -> DisjointnessReport:
+    """The pair's report; PreconditionError "``which`` are not ``relation``" unless
+    the relation (a report field, spaces for underscores) holds."""
+    report = classify(lam, theta)
+    if not getattr(report, relation.replace(" ", "_")):
+        raise PreconditionError(f"{which} are not {relation}")
+    return report
+
+
 def delta_family(lam: GFrameFamily, theta: GFrameFamily) -> GFrameFamily:
     """Pair family built from the Parseval normalizations of both inputs.
 
@@ -122,14 +109,12 @@ def delta_family(lam: GFrameFamily, theta: GFrameFamily) -> GFrameFamily:
     return gamma_family(parseval_normalize(lam), parseval_normalize(theta))
 
 
-def normalized_pair(
-    lam: GFrameFamily, theta: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL
-) -> tuple[GFrameFamily, Check]:
+def normalized_pair(lam: GFrameFamily, theta: GFrameFamily) -> tuple[GFrameFamily, Check]:
     """``delta_family(lam, theta)`` and the check that it is Parseval when the
     pair is strongly disjoint, with both facts as its numbers."""
     delta = delta_family(lam, theta)
-    parseval = frame_bounds(delta, tol).is_parseval
-    strongly = classify(lam, theta, tol).strongly_disjoint
+    parseval = frame_bounds(delta).is_parseval
+    strongly = classify(lam, theta).strongly_disjoint
     return delta, (
         "parseval-when-strongly-disjoint",
         (not strongly) or parseval,
@@ -138,11 +123,7 @@ def normalized_pair(
 
 
 def strong_disjointness_converse_check(
-    lam: GFrameFamily,
-    theta: GFrameFamily,
-    l1: np.ndarray,
-    l2: np.ndarray,
-    tol: TolerancePolicy = DEFAULT_TOL,
+    lam: GFrameFamily, theta: GFrameFamily, l1: np.ndarray, l2: np.ndarray
 ) -> bool:
     """True when lam.l1, theta.l2 and their pair family are all Parseval.
 
@@ -158,14 +139,14 @@ def strong_disjointness_converse_check(
     fam1 = right_compose(lam, l1)
     fam2 = right_compose(theta, l2)
     return (
-        frame_bounds(fam1, tol).is_parseval
-        and frame_bounds(fam2, tol).is_parseval
-        and frame_bounds(gamma_family(fam1, fam2), tol).is_parseval
+        frame_bounds(fam1).is_parseval
+        and frame_bounds(fam2).is_parseval
+        and frame_bounds(gamma_family(fam1, fam2)).is_parseval
     )
 
 
 def pair_equivalences(
-    lam: GFrameFamily, theta: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL
+    lam: GFrameFamily, theta: GFrameFamily
 ) -> tuple[DisjointnessReport, GFrameFamily, tuple[Check, ...]]:
     """The pair's relations, its pair family Gamma and the one pair theorem
     whose two sides come from two computations: strongly disjoint, from the
@@ -176,7 +157,7 @@ def pair_equivalences(
     complementary iff it is Riesz-type) are not checked here: :func:`classify`
     reads rank [A|B] from Gamma's own frame verdict, so they cannot fail.
     """
-    report = classify(lam, theta, tol)
+    report = classify(lam, theta)
     strong, disjoint, weak = report.strongly_disjoint, report.disjoint, report.weakly_disjoint
     hierarchy = (
         "hierarchy",

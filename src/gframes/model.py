@@ -195,31 +195,6 @@ def inner(x: np.ndarray, y: np.ndarray) -> complex:
 
 
 @dataclass(frozen=True, eq=False)
-class TolerancePolicy:
-    """Numeric tolerances used by every comparison in the package.
-
-    ``rel_eps`` controls relative equality of scalars and matrices, and only
-    the verdicts that compare two numbers read it: tight, Parseval, strongly
-    disjoint, the dual and identity hypotheses, the bound windows and the
-    perturbation criterion.  Ranks take no tolerance: every rank-type verdict
-    (frame, Riesz-type, disjointness, kernel) counts singular values above the
-    one fixed cutoff ``_linalg.rank_cutoff``, so it is a function of the
-    matrix alone, and so are the optimal frame bounds.  The functions that
-    read only those (the duals, the Parseval normalization, the Riesz checks,
-    cross surjectivity, ``delta_family`` and ``lift_continuous_frame``) take none.
-    """
-
-    rel_eps: float = 1e-9
-
-    def __post_init__(self):
-        if not (np.isfinite(self.rel_eps) and self.rel_eps > 0):
-            raise ValueError(f"rel_eps must be positive and finite, got {self.rel_eps}")
-
-
-DEFAULT_TOL = TolerancePolicy()
-
-
-@dataclass(frozen=True, eq=False)
 class MeasureSpace:
     """Finite set of atoms with strictly positive weights; construction raises
     FamilyValidationError naming every atom whose weight is not finite and > 0."""
@@ -284,11 +259,11 @@ class GFrameFamily:
     finite without a row being read.
 
     Since a family never changes, its spectral data (Gram, frame operator,
-    eigenvalues, optimal bounds, one frame report per tolerance, singular
-    values of the analysis matrix, one record per live partner family) is
-    computed on first use and kept in a private memo.  It holds only d x
-    d-sized data, laid out by the analysis module; this module keeps only its
-    pair entries.
+    eigenvalues, optimal bounds, singular values of the analysis matrix, one
+    record per live partner family) is computed on first use and kept in a
+    private memo.  It holds only d x d-sized data, laid out by the analysis
+    module; this module keeps only its pair entries.  No entry reads the
+    tolerance: the reports that do are built on each call from these.
     """
 
     space: MeasureSpace
@@ -691,7 +666,7 @@ class OperatorPair:
             raise ShapeError(f"L2 must have L1's {width} columns, got {self.l2.shape}")
         return width
 
-    def identity_multiple(self, tol: TolerancePolicy) -> tuple[float, bool]:
+    def identity_multiple(self) -> tuple[float, bool]:
         """(c, whether L1^H L1 + L2^H L2 = c I with c > 0): the strong sum's hypothesis,
         c the trace over the dim.  The sum over c is compared with I, so the verdict
         does not change when L1 and L2 are scaled together.  ShapeError unless L1 and
@@ -699,4 +674,4 @@ class OperatorPair:
         l1, l2, dim = self.l1, self.l2, self.width()
         gram = require_finite(l1.conj().T @ l1 + l2.conj().T @ l2, "L1^H L1 + L2^H L2")
         scale = float(np.trace(gram).real) / dim
-        return scale, scale > 0 and matrices_close(gram / scale, np.eye(dim), tol.rel_eps)
+        return scale, scale > 0 and matrices_close(gram / scale, np.eye(dim))

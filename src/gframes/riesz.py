@@ -14,16 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _linalg
 from ._linalg import full_row_rank, matrices_close, operator_norm, rank_cutoff, singular_values
 from .analysis import compose_sum, cross_operator, frame_bounds, frame_operator, optimal_bounds
 from .analysis import require_frame, synthesis_gain
 from .errors import PreconditionError
 from .model import (
-    DEFAULT_TOL,
     GFrameFamily,
     KHatVector,
     OperatorPair,
-    TolerancePolicy,
     analysis_matrix,
     apply_synthesis,
     khat_norm,
@@ -120,11 +119,7 @@ class MixedConstruction:
 
 
 def mixed_construction(
-    lam: GFrameFamily,
-    theta: GFrameFamily,
-    l1: np.ndarray,
-    l2: np.ndarray,
-    tol: TolerancePolicy = DEFAULT_TOL,
+    lam: GFrameFamily, theta: GFrameFamily, l1: np.ndarray, l2: np.ndarray
 ) -> MixedConstruction:
     """Build the family with blocks lam_i @ L1 + theta_i @ L2 and certify it.
 
@@ -140,14 +135,14 @@ def mixed_construction(
     d = lam.domain_dim
     l1, l2 = OperatorPair(l1, l2).square_operators(d, d)
     eye = np.eye(d)
-    if not matrices_close(cross_operator(theta, lam), eye, tol.rel_eps):
+    if not matrices_close(cross_operator(theta, lam), eye):
         raise PreconditionError("cross operator of the pair is not the identity")
-    if not matrices_close(l1.conj().T @ l2, eye, tol.rel_eps):
+    if not matrices_close(l1.conj().T @ l2, eye):
         raise PreconditionError("L1^H L2 is not the identity")
 
     b_lam, b_theta = optimal_bounds(lam)[1], optimal_bounds(theta)[1]
     combined = compose_sum(lam, theta, l1, l2)
-    report = frame_bounds(combined, tol)
+    report = frame_bounds(combined)
     upper_cert = b_lam * operator_norm(l1) ** 2 + 2.0 + b_theta * operator_norm(l2) ** 2
 
     riesz_report = riesz_check(combined)
@@ -163,7 +158,7 @@ def mixed_construction(
         lower_bound=report.lower_bound,
         upper_bound=report.upper_bound,
         upper_certificate=float(upper_cert),
-        sandwich_ok=report.within(2.0, upper_cert, tol),
+        sandwich_ok=report.within(2.0, upper_cert),
     )
 
 
@@ -189,9 +184,7 @@ class PerturbationResult:
     equivalence_verified: bool
 
 
-def perturbation_riesz_transfer(
-    lam: GFrameFamily, theta: GFrameFamily, tol: TolerancePolicy = DEFAULT_TOL
-) -> PerturbationResult:
+def perturbation_riesz_transfer(lam: GFrameFamily, theta: GFrameFamily) -> PerturbationResult:
     """Perturbation criterion: when the mixed cross operator stays within the
     lower frame bound of ``lam``, the two families share their Riesz-type verdict.
 
@@ -202,7 +195,7 @@ def perturbation_riesz_transfer(
     require_same_domain(lam, theta)
     lower, _ = require_frame(lam, "first family")
     gap = operator_norm(cross_operator(theta, lam) - frame_operator(lam))
-    criterion_met = gap < lower * (1.0 - tol.rel_eps)
+    criterion_met = gap < lower * (1.0 - _linalg.REL_EPS)
     if criterion_met:
         equivalence = riesz_check(lam).is_riesz_type == riesz_check(theta).is_riesz_type
     else:

@@ -5,10 +5,11 @@ in the package, exercised on seed-deterministic generated instances.
 draws one case and yields its failures; ``_per_case`` runs it ``cases``
 times on the generator of its child seed of the master seed and labels each
 failure with its case, so the verdict is a pure function of
-(seed, cases, tolerance).  A check that raises a package error fails its
-case with ``case k: raised <class>: <message>``, and the next case runs.
-Instances are conditioned by construction (``_conditioned``), never drawn
-again, so every case tests something at any size.
+(seed, cases) under the one tolerance ``_linalg.REL_EPS``.  A check that
+raises a package error fails its case with ``case k: raised <class>:
+<message>``, and the next case runs.  Instances are conditioned by
+construction (``_conditioned``), never drawn again, so every case tests
+something at any size.
 
 The checks share no state, so ``run_suite`` runs them in forked workers, one
 per usable CPU, and collects their results in ``CHECKS`` order: the report is
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _linalg
 from ._linalg import (
     hermitian_power,
     matrices_close,
@@ -62,12 +64,10 @@ from .disjointness import (
 from .documents import FrameDocument, parse_document, serialize_document
 from .errors import GFrameError
 from .model import (
-    DEFAULT_TOL,
     GFrameFamily,
     KHatVector,
     MeasureSpace,
     OperatorPair,
-    TolerancePolicy,
     analysis_matrix,
     apply_analysis,
     embed,
@@ -93,8 +93,8 @@ from .riesz import (
 _MAX_CONDITION = 1e5
 
 
-def _tiny(value: float, tol: TolerancePolicy, scale: float = 1.0) -> bool:
-    return abs(value) <= tol.rel_eps * max(1.0, scale)
+def _tiny(value: float, scale: float = 1.0) -> bool:
+    return abs(value) <= _linalg.REL_EPS * max(1.0, scale)
 
 
 def _random_dims(rng: np.random.Generator, max_atoms: int = 6):
@@ -217,23 +217,23 @@ def _blockwise_synthesis(fam) -> np.ndarray:
 # Checks: each draws one case from ``rng`` and yields its failure descriptions.
 
 
-def _check_embedding_isometry(rng, tol):
+def _check_embedding_isometry(rng):
     dims = _random_dims(rng)
     space = MeasureSpace(rng.uniform(0.25, 4.0, len(dims)))
     f = _random_khat(rng, dims)
     g = _random_khat(rng, dims)
     weighted = khat_inner(f, g, space)
     embedded = inner(embed(f, space), embed(g, space))
-    if not _tiny(abs(weighted - embedded), tol, abs(weighted)):
+    if not _tiny(abs(weighted - embedded), abs(weighted)):
         yield f"isometry defect {abs(weighted - embedded):.3e}"
-    if not _tiny(abs(weighted - np.conj(khat_inner(g, f, space))), tol, abs(weighted)):
+    if not _tiny(abs(weighted - np.conj(khat_inner(g, f, space))), abs(weighted)):
         yield "conjugate symmetry broken"
     self_ip = khat_inner(f, f, space)
-    if self_ip.real < 0 or abs(self_ip.imag) > tol.rel_eps * max(1.0, self_ip.real):
+    if self_ip.real < 0 or not _tiny(self_ip.imag, self_ip.real):
         yield f"<F,F> not real nonnegative: {self_ip}"
 
 
-def _check_analysis_blockwise(rng, tol):
+def _check_analysis_blockwise(rng):
     fam = _random_frame(rng)
     h = _cgauss(rng, (fam.domain_dim,))
     via_matrix = unembed(analysis_matrix(fam) @ h, fam.space, fam.block_dims)
@@ -241,27 +241,27 @@ def _check_analysis_blockwise(rng, tol):
     for i, block in enumerate(fam.blocks):
         direct = block @ h
         if not (
-            matrices_close(via_matrix.blocks[i], direct, tol.rel_eps)
-            and matrices_close(applied.blocks[i], direct, tol.rel_eps)
+            matrices_close(via_matrix.blocks[i], direct)
+            and matrices_close(applied.blocks[i], direct)
         ):
             yield f"block {i} mismatch"
 
 
-def _check_defining_inequality(rng, tol):
+def _check_defining_inequality(rng):
     fam = _random_frame(rng)
-    rep = frame_bounds(fam, tol)
+    rep = frame_bounds(fam)
     mat = analysis_matrix(fam)
     h = _cgauss(rng, (fam.domain_dim, 100))
     values = np.sum(np.abs(mat @ h) ** 2, axis=0)
     norms = np.sum(np.abs(h) ** 2, axis=0)
-    slack = tol.rel_eps * rep.upper_bound * norms
+    slack = _linalg.REL_EPS * rep.upper_bound * norms
     if np.any(values < rep.lower_bound * norms - slack) or np.any(
         values > rep.upper_bound * norms + slack
     ):
         yield "defining inequality violated"
 
 
-def _check_reconstruction(rng, tol):
+def _check_reconstruction(rng):
     fam = _random_frame(rng)
     s_inv = hermitian_power(frame_operator(fam), -1.0)
     f = _cgauss(rng, (fam.domain_dim,))
@@ -271,27 +271,27 @@ def _check_reconstruction(rng, tol):
     for w, block in zip(fam.space.weights, fam.blocks):
         total += w * inner(s_inv_f, block.conj().T @ (block @ g))
     expected = inner(f, g)
-    if not _tiny(abs(total - expected), tol, abs(expected)):
+    if not _tiny(abs(total - expected), abs(expected)):
         yield f"reconstruction defect {abs(total - expected):.3e}"
 
 
-def _check_synthesis_norm(rng, tol):
+def _check_synthesis_norm(rng):
     fam = _random_frame(rng)
-    rep = frame_bounds(fam, tol)
+    rep = frame_bounds(fam)
     synth = synthesis_matrix(fam)
-    if not matrices_close(synth, _blockwise_synthesis(fam), tol.rel_eps):
+    if not matrices_close(synth, _blockwise_synthesis(fam)):
         yield "synthesis matrix != blockwise columns"
     sigma = operator_norm(synth)
     root = np.sqrt(rep.upper_bound)
-    if sigma > root + tol.rel_eps:
+    if sigma > root + _linalg.REL_EPS:
         yield f"synthesis norm {sigma} exceeds sqrt(B) {root}"
-    if not _tiny(abs(sigma - root), tol, root):
+    if not _tiny(abs(sigma - root), root):
         yield f"spectral identity broken ({sigma} vs {root})"
 
 
-def _check_gram_identity(rng, tol):
+def _check_gram_identity(rng):
     fam = _random_frame(rng)
-    if not matrices_close(frame_operator(fam), _blockwise_frame_operator(fam), tol.rel_eps):
+    if not matrices_close(frame_operator(fam), _blockwise_frame_operator(fam)):
         yield "frame operator != blockwise sum of block grams"
 
 
@@ -302,36 +302,36 @@ def _failed_equivalences(checks):
             yield f"{name} broken (" + " ".join(f"{k}={v}" for k, v in numbers.items()) + ")"
 
 
-def _check_canonical_dual(rng, tol):
+def _check_canonical_dual(rng):
     fam = _random_frame(rng)
     dual = canonical_dual(fam)
-    yield from _failed_equivalences([dual_check("dual-pairing", dual, fam, tol)])
+    yield from _failed_equivalences([dual_check("dual-pairing", dual, fam)])
     double = canonical_dual(dual)
     for i, (a, b) in enumerate(zip(double.blocks, fam.blocks)):
-        if not matrices_close(a, b, tol.rel_eps):
+        if not matrices_close(a, b):
             yield f"dual involution broken at block {i}"
-    yield from _failed_equivalences([parseval_check(parseval_normalize(fam), tol)])
+    yield from _failed_equivalences([parseval_check(parseval_normalize(fam))])
 
 
-def _check_pair_parseval(rng, tol):
+def _check_pair_parseval(rng):
     """Strong disjointness <-> the normalized pair family is Parseval."""
     lam, theta = _random_strongly_disjoint(rng)
-    delta, check = normalized_pair(lam, theta, tol)
+    delta, check = normalized_pair(lam, theta)
     yield from _failed_equivalences([check])
     numbers = check[2]
     if not (numbers["strongly_disjoint"] and numbers["is_parseval"]):
         yield f"pair drawn strongly disjoint: {numbers}"
-    if not matrices_close(frame_operator(delta), np.eye(delta.domain_dim), tol.rel_eps):
+    if not matrices_close(frame_operator(delta), np.eye(delta.domain_dim)):
         yield "frame operator of the normalized pair is not I"
     l1 = hermitian_power(frame_operator(lam), -0.5)
     l2 = hermitian_power(frame_operator(theta), -0.5)
-    if not strong_disjointness_converse_check(lam, theta, l1, l2, tol):
+    if not strong_disjointness_converse_check(lam, theta, l1, l2):
         yield "canonical witnesses rejected"
     lam2, theta2 = _random_pair(rng)
-    if not classify(lam2, theta2, tol).strongly_disjoint:
+    if not classify(lam2, theta2).strongly_disjoint:
         w1 = hermitian_power(frame_operator(lam2), -0.5)
         w2 = hermitian_power(frame_operator(theta2), -0.5)
-        if strong_disjointness_converse_check(lam2, theta2, w1, w2, tol):
+        if strong_disjointness_converse_check(lam2, theta2, w1, w2):
             yield "converse check passed a non-strongly-disjoint pair"
 
 
@@ -350,13 +350,13 @@ def _dense_riesz(fam):
     return rank == fam.codomain_dim, svals
 
 
-def _pair_with_dense_ranks(rng, tol):
+def _pair_with_dense_ranks(rng):
     """A drawn pair's report and pair family, with rank A + rank B and rank [A|B]
     from the dense SVDs of the stacked matrices: the reference for the pair verdicts."""
     lam, theta = _random_pair(rng)
     a, b = analysis_matrix(lam), analysis_matrix(theta)
     ranks = [_dense_rank(m)[0] for m in (a, b, np.hstack([a, b]))]
-    return classify(lam, theta, tol), gamma_family(lam, theta), ranks[0] + ranks[1], ranks[2]
+    return classify(lam, theta), gamma_family(lam, theta), ranks[0] + ranks[1], ranks[2]
 
 
 def _against_dense(**verdicts):
@@ -366,36 +366,36 @@ def _against_dense(**verdicts):
             yield f"{name}={verdict} but the dense SVD gives {reference}"
 
 
-def _riesz_against_dense(fam, tol, synthesis_lower_bound, **verdicts):
+def _riesz_against_dense(fam, synthesis_lower_bound, **verdicts):
     """A fault for each Riesz-type verdict of the frame ``fam`` that differs from
     the dense SVD's, and one unless ``synthesis_lower_bound`` is sigma_min(A)^2
-    when it is Riesz-type and 0 otherwise, to rel_eps of sigma_max(A)^2."""
+    when it is Riesz-type and 0 otherwise, to REL_EPS of sigma_max(A)^2."""
     riesz, svals = _dense_riesz(fam)
     yield from _against_dense(**{name: (verdict, riesz) for name, verdict in verdicts.items()})
     reference = float(svals[-1]) ** 2 if riesz else 0.0
-    if not _tiny(synthesis_lower_bound - reference, tol, float(svals[0]) ** 2):
+    if not _tiny(synthesis_lower_bound - reference, float(svals[0]) ** 2):
         yield f"synthesis lower bound {synthesis_lower_bound} but the dense SVD gives {reference}"
 
 
-def _check_pair_frame_iff_disjoint(rng, tol):
+def _check_pair_frame_iff_disjoint(rng):
     """Disjoint iff the pair family is a frame iff its kernel is trivial, each
     verdict against dim(U cap V) = rank A + rank B - rank [A|B]."""
-    report, gamma, rank_sum, rank_ab = _pair_with_dense_ranks(rng, tol)
+    report, gamma, rank_sum, rank_ab = _pair_with_dense_ranks(rng)
     disjoint = rank_sum == rank_ab
     yield from _against_dense(
         range_intersection_dim=(report.range_intersection_dim, rank_sum - rank_ab),
-        pair_family_is_frame=(frame_bounds(gamma, tol).is_frame, disjoint),
+        pair_family_is_frame=(frame_bounds(gamma).is_frame, disjoint),
         weakly_disjoint=(report.weakly_disjoint, disjoint),
     )
 
 
-def _check_pair_riesz_equivalences(rng, tol):
+def _check_pair_riesz_equivalences(rng):
     """Complementary iff the pair family is Riesz-type, and strongly
     complementary iff strongly disjoint and complementary, against the dense
     ranks: complementary means rank A + rank B = rank [A|B] = N."""
-    report, gamma, rank_sum, rank_ab = _pair_with_dense_ranks(rng, tol)
+    report, gamma, rank_sum, rank_ab = _pair_with_dense_ranks(rng)
     complementary = rank_sum == rank_ab == gamma.codomain_dim
-    riesz = frame_bounds(gamma, tol).is_frame and riesz_check(gamma).is_riesz_type
+    riesz = frame_bounds(gamma).is_frame and riesz_check(gamma).is_riesz_type
     strongly_complementary = report.strongly_disjoint and complementary
     yield from _against_dense(
         pair_family_riesz=(riesz, complementary),
@@ -409,11 +409,11 @@ def _orthonormal_range_basis(matrix):
     return u[:, : rank_from_singular_values(s, matrix.shape)]
 
 
-def _check_pair_bound_sandwich(rng, tol):
+def _check_pair_bound_sandwich(rng):
     """Bounds of the pair family against the sum-map estimate: the map's norm and
     the upper bound on every pair, the lower bound on disjoint pairs."""
     lam, theta = _random_pair(rng)
-    report = classify(lam, theta, tol)
+    report = classify(lam, theta)
     basis = np.hstack(
         [
             _orthonormal_range_basis(analysis_matrix(lam)),
@@ -421,29 +421,30 @@ def _check_pair_bound_sandwich(rng, tol):
         ]
     )
     gain_sq, norm_sq = singular_values(basis)[[-1, 0]] ** 2
-    if norm_sq > 2.0 * (1.0 + tol.rel_eps):
+    eps = _linalg.REL_EPS
+    if norm_sq > 2.0 * (1.0 + eps):
         yield f"sum map norm^2 {norm_sq} exceeds 2"
-    rep_l = frame_bounds(lam, tol)
-    rep_t = frame_bounds(theta, tol)
-    rep_g = frame_bounds(gamma_family(lam, theta), tol)
+    rep_l = frame_bounds(lam)
+    rep_t = frame_bounds(theta)
+    rep_g = frame_bounds(gamma_family(lam, theta))
     lower_guard = gain_sq * min(rep_l.lower_bound, rep_t.lower_bound)
     upper_guard = norm_sq * max(rep_l.upper_bound, rep_t.upper_bound)
-    if report.disjoint and rep_g.lower_bound < lower_guard * (1.0 - tol.rel_eps) - tol.rel_eps:
+    if report.disjoint and rep_g.lower_bound < lower_guard * (1.0 - eps) - eps:
         yield "pair lower bound below sum-map estimate"
-    if rep_g.upper_bound > upper_guard * (1.0 + tol.rel_eps) + tol.rel_eps:
+    if rep_g.upper_bound > upper_guard * (1.0 + eps) + eps:
         yield "pair upper bound above sum-map estimate"
 
 
-def _check_riesz_criteria(rng, tol):
+def _check_riesz_criteria(rng):
     """Both Riesz routes and ``riesz_check``'s synthesis lower bound against the dense
     SVD of the analysis matrix."""
     fam = _random_fit_or_overcomplete_frame(rng)
     by_rank, by_synthesis = riesz_criteria(fam)
     lower = riesz_check(fam).synthesis_lower_bound
-    yield from _riesz_against_dense(fam, tol, lower, by_rank=by_rank, by_synthesis=by_synthesis)
+    yield from _riesz_against_dense(fam, lower, by_rank=by_rank, by_synthesis=by_synthesis)
 
 
-def _check_synthesis_kernel(rng, tol):
+def _check_synthesis_kernel(rng):
     """The kernel test on a random vector when the dense SVD finds A^H injective,
     else on A^H's last right singular vector, which spans part of its kernel."""
     fam = _random_fit_or_overcomplete_frame(rng)
@@ -459,7 +460,7 @@ def _check_synthesis_kernel(rng, tol):
             yield "SVD kernel vector rejected"
 
 
-def _check_cross_surjectivity(rng, tol):
+def _check_cross_surjectivity(rng):
     fam = _random_frame(rng)
     dual = canonical_dual(fam)
     theta_frame, surjective = cross_surjectivity(fam, dual)
@@ -488,14 +489,14 @@ def _check_cross_surjectivity(rng, tol):
         yield "Riesz-type + frame pair not surjective"
 
 
-def _check_perturbation(rng, tol):
+def _check_perturbation(rng):
     lam = _random_fit_or_overcomplete_frame(rng)
     domain = lam.domain_dim
-    rep = frame_bounds(lam, tol)
+    rep = frame_bounds(lam)
     noise = GFrameFamily.from_rows(lam.space, _cgauss(rng, lam.rows.shape), lam.block_dims)
     scale = 0.4 * rep.lower_bound / max(operator_norm(cross_operator(noise, lam)), 1e-12)
     theta = GFrameFamily.from_rows(lam.space, lam.rows + scale * noise.rows, lam.block_dims)
-    result = perturbation_riesz_transfer(lam, theta, tol)
+    result = perturbation_riesz_transfer(lam, theta)
     if not result.criterion_met:
         yield "constructed perturbation misses the criterion"
         return
@@ -505,22 +506,22 @@ def _check_perturbation(rng, tol):
     f = _cgauss(rng, (domain,))
     lhs = float(np.linalg.norm(cross @ f))
     rhs = (rep.lower_bound - result.lambda_gap) * float(np.linalg.norm(f))
-    if lhs < rhs * (1.0 - tol.rel_eps) - tol.rel_eps:
+    if lhs < rhs * (1.0 - _linalg.REL_EPS) - _linalg.REL_EPS:
         yield "injectivity chain violated"
     # gross perturbation: criterion must not fire
     big = GFrameFamily.from_rows(
         lam.space, (1.0 + 2.0 * rep.upper_bound / rep.lower_bound) * lam.rows, lam.block_dims
     )
-    if perturbation_riesz_transfer(lam, big, tol).criterion_met:
+    if perturbation_riesz_transfer(lam, big).criterion_met:
         yield "oversized perturbation passed the criterion"
 
 
-def _check_mixed_construction(rng, tol):
+def _check_mixed_construction(rng):
     lam = _random_fit_or_overcomplete_frame(rng)
     theta = canonical_dual(lam)
     l1 = _random_operator(rng, lam.domain_dim, lam.domain_dim)
     l2 = np.linalg.inv(l1).conj().T
-    result = mixed_construction(lam, theta, l1, l2, tol)
+    result = mixed_construction(lam, theta, l1, l2)
     if not result.sandwich_ok:
         yield (
             f"bounds [{result.lower_bound}, {result.upper_bound}] escape "
@@ -528,40 +529,39 @@ def _check_mixed_construction(rng, tol):
         )
     yield from _riesz_against_dense(
         result.family,
-        tol,
         result.synthesis_combination_lower_bound,
         riesz_verdict=result.riesz_report.is_riesz_type,
         onto=result.adjoint_combination_surjective,
     )
 
 
-def _check_disjoint_sum(rng, tol):
+def _check_disjoint_sum(rng):
     lam, theta = _random_disjoint_equal_domain(rng)
     d = lam.domain_dim
     for pair in (
         OperatorPair(np.eye(d), np.eye(d)),
         OperatorPair(_random_operator(rng, d, d), _cgauss(rng, (d, d))),
     ):
-        yield from _failed_equivalences(disjoint_sum_family(lam, theta, pair, tol).checks)
+        yield from _failed_equivalences(disjoint_sum_family(lam, theta, pair).checks)
 
 
-def _check_strong_sum(rng, tol):
+def _check_strong_sum(rng):
     lam, theta = _random_strongly_disjoint(rng, equal_domains=True)
     d = lam.domain_dim
     c1, c2 = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0))
     pair = OperatorPair(c1 * _random_unitary(rng, d), c2 * _random_unitary(rng, d))
     expected_scale = c1**2 + c2**2
-    result = strongly_disjoint_sum(lam, theta, pair, tol)
-    if abs(result.scale - expected_scale) > tol.rel_eps * expected_scale:
+    result = strongly_disjoint_sum(lam, theta, pair)
+    if abs(result.scale - expected_scale) > _linalg.REL_EPS * expected_scale:
         yield f"recovered scale {result.scale} != {expected_scale}"
     yield from _failed_equivalences(result.checks)
-    rep_l, rep_t = frame_bounds(lam, tol), frame_bounds(theta, tol)
+    rep_l, rep_t = frame_bounds(lam), frame_bounds(theta)
     roof = rep_l.upper_bound * c1**2 + rep_t.upper_bound * c2**2
-    if result.report.upper_bound > roof * (1.0 + tol.rel_eps) + tol.rel_eps:
+    if result.report.upper_bound > roof * (1.0 + _linalg.REL_EPS) + _linalg.REL_EPS:
         yield "upper bound above the Bessel roof"
 
 
-def _check_strong_sum_tightness(rng, tol):
+def _check_strong_sum_tightness(rng):
     """On Parseval strongly disjoint pairs: tight with bound A <-> the operator
     squares sum to A * identity (both directions)."""
     lam, theta = _random_strongly_disjoint(rng, parseval=True, equal_domains=True)
@@ -572,12 +572,12 @@ def _check_strong_sum_tightness(rng, tol):
     else:
         l1, l2 = _cgauss(rng, (d, d)), _cgauss(rng, (d, d))
     pair = OperatorPair(l1, l2)
-    _, hypothesis = pair.identity_multiple(tol)
-    rep = frame_bounds(compose_sum(lam, theta, l1, l2), tol)
+    _, hypothesis = pair.identity_multiple()
+    rep = frame_bounds(compose_sum(lam, theta, l1, l2))
     if rep.is_tight != hypothesis:
         yield f"tight={rep.is_tight} but identity hypothesis={hypothesis}"
     if hypothesis:
-        result = strongly_disjoint_sum(lam, theta, pair, tol)
+        result = strongly_disjoint_sum(lam, theta, pair)
         yield from _failed_equivalences(result.checks)
         if "tight-with-hypothesis-scale" not in (name for name, _, _ in result.checks):
             yield "no tightness check on Parseval inputs"
@@ -587,7 +587,7 @@ def _check_strong_sum_tightness(rng, tol):
         h = _cgauss(rng, (d,))
         lhs = float(np.linalg.norm(l1 @ h) ** 2 + np.linalg.norm(l2 @ h) ** 2)
         rhs = rep.upper_bound * float(np.linalg.norm(h) ** 2)
-        if abs(lhs - rhs) > tol.rel_eps * max(1.0, rhs):
+        if not _tiny(lhs - rhs, rhs):
             yield "tight sum violates the square identity"
     # scalar corollary: Parseval result <-> |a|^2 + |b|^2 = 1
     alpha, beta = complex(_cgauss(rng, ())), complex(_cgauss(rng, ()))
@@ -598,12 +598,12 @@ def _check_strong_sum_tightness(rng, tol):
     scalar_sum = GFrameFamily.from_rows(
         lam.space, alpha * lam.rows + beta * theta.rows, lam.block_dims
     )
-    scalar_rep = frame_bounds(scalar_sum, tol)
-    if scalar_rep.is_parseval != bool(abs(weight - 1.0) <= tol.rel_eps):
+    scalar_rep = frame_bounds(scalar_sum)
+    if scalar_rep.is_parseval != bool(abs(weight - 1.0) <= _linalg.REL_EPS):
         yield "scalar Parseval criterion mismatch"
 
 
-def _glued_pairing_faults(rng, glued, dim_h: int, dim_k: int, tol, which: str):
+def _glued_pairing_faults(rng, glued, dim_h: int, dim_k: int, which: str):
     """Atom by atom, the glued pairing of random (h1, k1), (h2, k2) against the
     direct-sum inner product <h1, h2> + <k1, k2>; its defect unless tiny."""
     h1, h2 = _cgauss(rng, (dim_h,)), _cgauss(rng, (dim_h,))
@@ -613,19 +613,19 @@ def _glued_pairing_faults(rng, glued, dim_h: int, dim_k: int, tol, which: str):
         pairing += w * inner(gb @ np.concatenate([h1, k1]), db @ np.concatenate([h2, k2]))
     expected = inner(h1, h2) + inner(k1, k2)
     defect = abs(pairing - expected)
-    if not _tiny(defect, tol, abs(expected)):
+    if not _tiny(defect, abs(expected)):
         yield f"{which} pairing defect {defect:.3e}"
 
 
-def _check_direct_sum_duals(rng, tol):
+def _check_direct_sum_duals(rng):
     lam, psi = _random_strongly_disjoint(rng)
     theta, phi = canonical_dual(lam), canonical_dual(psi)
-    result = direct_sum_duals(lam, theta, psi, phi, tol)
+    result = direct_sum_duals(lam, theta, psi, phi)
     yield from _failed_equivalences(result.checks)
-    yield from _glued_pairing_faults(rng, result, lam.domain_dim, psi.domain_dim, tol, "glued")
+    yield from _glued_pairing_faults(rng, result, lam.domain_dim, psi.domain_dim, "glued")
 
 
-def _check_pseudo_dual(rng, tol):
+def _check_pseudo_dual(rng):
     lam, theta = _random_strongly_disjoint(rng, equal_domains=True)
     d = lam.domain_dim
     pairs = [
@@ -636,10 +636,10 @@ def _check_pseudo_dual(rng, tol):
         rows = int(rng.integers(1, d))
         pairs.append(OperatorPair(_random_operator(rng, rows, d), _cgauss(rng, (rows, d))))
     for pair in pairs:
-        yield from _failed_equivalences(pseudo_dual(lam, theta, pair, tol).checks)
+        yield from _failed_equivalences(pseudo_dual(lam, theta, pair).checks)
 
 
-def _check_lift_pipeline(rng, tol):
+def _check_lift_pipeline(rng):
     atoms = int(rng.integers(2, 6))
     space = MeasureSpace(rng.uniform(0.25, 4.0, atoms))
     dim_h = int(rng.integers(1, min(atoms, 3) + 1))
@@ -649,21 +649,21 @@ def _check_lift_pipeline(rng, tol):
         _frame_over(rng, space, (1,) * atoms, _cgauss(rng, (atoms, dim))) for dim in (dim_h, dim_k)
     )
     lifted = lift_continuous_frame(f, g)
-    glued = direct_sum_duals(lifted.lam, lifted.theta, lifted.psi, lifted.phi, tol)
+    glued = direct_sum_duals(lifted.lam, lifted.theta, lifted.psi, lifted.phi)
     yield from _failed_equivalences(glued.checks)
-    yield from _glued_pairing_faults(rng, glued, dim_h, dim_k, tol, "lifted")
+    yield from _glued_pairing_faults(rng, glued, dim_h, dim_k, "lifted")
 
 
-def _check_pseudo_inverse(rng, tol):
+def _check_pseudo_inverse(rng):
     cols = int(rng.integers(1, 6))
     rows = int(rng.integers(1, cols + 1))
     matrix = _random_operator(rng, rows, cols)
     product = matrix @ pseudo_inverse(matrix)
-    if not matrices_close(product, np.eye(rows), tol.rel_eps):
+    if not matrices_close(product, np.eye(rows)):
         yield "pseudo-inverse is not a right inverse"
 
 
-def _check_document_roundtrip(rng, tol):
+def _check_document_roundtrip(rng):
     dims = _random_dims(rng, max_atoms=4)
     space = MeasureSpace(rng.uniform(0.25, 4.0, len(dims)))
     families = {}
@@ -680,14 +680,14 @@ def _check_document_roundtrip(rng, tol):
 
 
 def _per_case(check):
-    """The suite form ``fn(rng, cases, tol)`` of a one-case check: ``cases``
+    """The suite form ``fn(rng, cases)`` of a one-case check: ``cases``
     cases drawn in turn from ``rng``, each failure labelled with its case."""
 
-    def run(rng, cases, tol):
+    def run(rng, cases):
         failures = []
         for case in range(cases):
             try:
-                for fault in check(rng, tol):
+                for fault in check(rng):
                     failures.append(f"case {case}: {fault}")
             except GFrameError as exc:
                 failures.append(f"case {case}: raised {type(exc).__name__}: {exc}")
@@ -742,7 +742,6 @@ class CheckResult:
 class SuiteReport:
     seed: int
     cases: int
-    tolerance: TolerancePolicy
     results: tuple[CheckResult, ...]
 
     @property
@@ -765,13 +764,13 @@ def _usable_cpus() -> int:
 
 def _run_check(task) -> CheckResult:
     """Check ``index`` of ``CHECKS`` on ``cases`` cases drawn from its child seed."""
-    index, child_seed, cases, tol = task
+    index, child_seed, cases = task
     name, fn = CHECKS[index]
-    failures = fn(np.random.default_rng(child_seed), cases, tol)
+    failures = fn(np.random.default_rng(child_seed), cases)
     return CheckResult(name=name, cases=cases, failures=tuple(failures))
 
 
-def run_suite(seed: int, cases: int, tol: TolerancePolicy = DEFAULT_TOL) -> SuiteReport:
+def run_suite(seed: int, cases: int) -> SuiteReport:
     """Run every named check on ``cases`` generated instances each.
 
     From ``_POOL_MIN_CASES`` cases on, the checks run in a pool of forked
@@ -781,7 +780,7 @@ def run_suite(seed: int, cases: int, tol: TolerancePolicy = DEFAULT_TOL) -> Suit
     each check draws from its own child seed of ``seed``, so the report is the
     same."""
     children = np.random.SeedSequence(seed).spawn(len(CHECKS))
-    tasks = [(index, child, cases, tol) for index, child in enumerate(children)]
+    tasks = [(index, child, cases) for index, child in enumerate(children)]
     workers = min(_usable_cpus(), len(CHECKS))
     if (
         workers > 1
@@ -792,4 +791,4 @@ def run_suite(seed: int, cases: int, tol: TolerancePolicy = DEFAULT_TOL) -> Suit
             results = pool.map(_run_check, tasks, chunksize=1)
     else:
         results = list(map(_run_check, tasks))
-    return SuiteReport(seed=seed, cases=cases, tolerance=tol, results=tuple(results))
+    return SuiteReport(seed=seed, cases=cases, results=tuple(results))

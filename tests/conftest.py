@@ -1,11 +1,6 @@
 import pytest
 
-from gframes import GFrameFamily, MeasureSpace, TolerancePolicy
-
-
-@pytest.fixture
-def tol():
-    return TolerancePolicy()
+from gframes import GFrameFamily, MeasureSpace
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ Each randomized criterion runs the named checks of the ``verify`` suite
 (``gframes.verification.CHECKS``) on 200 generated cases and asserts that they
 report no failure; the hand-computed values are asserted here.  Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.  All
-tolerances are relative 1e-9 (the default policy), and every criterion draws
+tolerances are relative 1e-9 (``_linalg.REL_EPS``), and every criterion draws
 from a fixed seed so the verdict is reproducible.
 """
 
@@ -18,7 +18,6 @@ from gframes import (
     GFrameFamily,
     KHatVector,
     OperatorPair,
-    TolerancePolicy,
     analysis_matrix,
     classify,
     frame_bounds,
@@ -30,11 +29,10 @@ from gframes import (
     strongly_disjoint_sum,
     synthesis_kernel_test,
 )
-from gframes._linalg import rank_from_singular_values, singular_values
+from gframes._linalg import REL_EPS, rank_from_singular_values, singular_values
 from gframes.cli import run_command
 from gframes.verification import CHECKS
 
-TOL = TolerancePolicy()
 CASES = 200
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 
@@ -49,7 +47,7 @@ def _suite(name: str, criterion: int, *checks: str) -> None:
     criterion number; pass when none reports a failure."""
     rng = np.random.default_rng(100 + criterion)
     run = dict(CHECKS)
-    failures = [f"{check}: {fault}" for check in checks for fault in run[check](rng, CASES, TOL)]
+    failures = [f"{check}: {fault}" for check in checks for fault in run[check](rng, CASES)]
     detail = f"{', '.join(checks)} over {CASES} cases; {len(failures)} failures"
     _verdict(name, not failures, "; ".join([detail, *failures[:3]]))
 
@@ -57,15 +55,15 @@ def _suite(name: str, criterion: int, *checks: str) -> None:
 def test_suite_driver_labels_each_case_in_order(monkeypatch):
     import gframes.verification as verification
 
-    def toy(rng, tol):
+    def toy(rng):
         draw = int(rng.integers(0, 4))
         if draw % 2:
             yield f"odd draw {draw}"
             yield "second fault"
 
     run = verification._per_case(toy)
-    faults = run(np.random.default_rng(5), 12, TOL)
-    replay = run(np.random.default_rng(5), 12, TOL)
+    faults = run(np.random.default_rng(5), 12)
+    replay = run(np.random.default_rng(5), 12)
     draws = np.random.default_rng(5).integers(0, 4, 12)
     expected = [
         line
@@ -75,10 +73,10 @@ def test_suite_driver_labels_each_case_in_order(monkeypatch):
     ]
     assert faults == replay == expected and expected
     monkeypatch.setattr(verification, "CHECKS", (("toy", run),))
-    report = verification.run_suite(3, 12, TOL)
+    report = verification.run_suite(3, 12)
     rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
     assert [(r.name, r.cases, r.failures) for r in report.results] == [
-        ("toy", 12, tuple(run(rng, 12, TOL)))
+        ("toy", 12, tuple(run(rng, 12)))
     ]
     assert not report.passed
 
@@ -116,7 +114,7 @@ def test_suite_check_fails_with_its_construction_check(check, function, monkeypa
 
     real = getattr(verification, function)
     monkeypatch.setattr(verification, function, lambda *args: _refuted(real(*args)))
-    faults = dict(CHECKS)[check](np.random.default_rng(0), 10, TOL)
+    faults = dict(CHECKS)[check](np.random.default_rng(0), 10)
     assert any(" broken (" in fault for fault in faults), faults
 
 
@@ -138,16 +136,16 @@ def test_criterion_04_parseval_pair_sum():
 
 def test_criterion_05_pair_family_frame_iff_disjoint(lam_family, theta_family):
     _suite("criterion-05 pair-family-frame-iff-disjoint", 5, "pair-frame-iff-disjoint")
-    rep = frame_bounds(gamma_family(lam_family, theta_family), TOL)
-    assert rep.lower_bound == pytest.approx((3.0 - np.sqrt(5.0)) / 2.0, rel=TOL.rel_eps)
-    assert rep.upper_bound == pytest.approx((3.0 + np.sqrt(5.0)) / 2.0, rel=TOL.rel_eps)
+    rep = frame_bounds(gamma_family(lam_family, theta_family))
+    assert rep.lower_bound == pytest.approx((3.0 - np.sqrt(5.0)) / 2.0, rel=REL_EPS)
+    assert rep.upper_bound == pytest.approx((3.0 + np.sqrt(5.0)) / 2.0, rel=REL_EPS)
 
 
 def test_criterion_06_pair_riesz_equivalences(theta_family):
     _suite("criterion-06 pair-riesz-equivalences", 6, "pair-riesz-equivalences")
-    report = classify(theta_family, theta_family, TOL)
+    report = classify(theta_family, theta_family)
     gamma = gamma_family(theta_family, theta_family)
-    riesz = frame_bounds(gamma, TOL).is_frame and riesz_check(gamma).is_riesz_type
+    riesz = frame_bounds(gamma).is_frame and riesz_check(gamma).is_riesz_type
     assert report.complementary_pair == riesz
     assert report.strongly_complementary_pair == (report.strongly_disjoint and riesz)
     # a trivial kernel of the pair family: [A|B] of full column rank in its dense SVD
@@ -165,12 +163,12 @@ def test_criterion_07_disjoint_sums_certified():
 def test_criterion_08_strong_sum_tight_bounds(lam_family, ortho_family):
     _suite("criterion-08 strong-sum-tight-bounds", 8, "strong-sum-bounds", "strong-sum-tightness")
     scalar = strongly_disjoint_sum(
-        lam_family, ortho_family, OperatorPair(3.0 * np.eye(1), 4.0 * np.eye(1)), TOL
+        lam_family, ortho_family, OperatorPair(3.0 * np.eye(1), 4.0 * np.eye(1))
     )
     assert scalar.report.is_tight
-    assert scalar.report.upper_bound == pytest.approx(25.0, rel=TOL.rel_eps)
+    assert scalar.report.upper_bound == pytest.approx(25.0, rel=REL_EPS)
     half = np.eye(1) / np.sqrt(2.0)
-    unit = strongly_disjoint_sum(lam_family, ortho_family, OperatorPair(half, half), TOL)
+    unit = strongly_disjoint_sum(lam_family, ortho_family, OperatorPair(half, half))
     assert unit.report.is_parseval
 
 
@@ -195,11 +193,11 @@ def test_criterion_11_perturbation_criterion(identity_family):
             identity_family.space, factor * identity_family.rows, identity_family.block_dims
         )
 
-    small = perturbation_riesz_transfer(identity_family, scaled(1.1), TOL)
-    large = perturbation_riesz_transfer(identity_family, scaled(3.0), TOL)
-    assert small.lambda_gap == pytest.approx(0.1, rel=TOL.rel_eps)
+    small = perturbation_riesz_transfer(identity_family, scaled(1.1))
+    large = perturbation_riesz_transfer(identity_family, scaled(3.0))
+    assert small.lambda_gap == pytest.approx(0.1, rel=REL_EPS)
     assert small.criterion_met and small.equivalence_verified
-    assert large.lambda_gap == pytest.approx(2.0, rel=TOL.rel_eps)
+    assert large.lambda_gap == pytest.approx(2.0, rel=REL_EPS)
     assert not large.criterion_met
 
 

@@ -1,5 +1,7 @@
 """Frame operator, bounds, duals, and cross operators."""
 
+import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,6 @@ from gframes import (
     KHatVector,
     ShapeError,
     SingularOperatorError,
-    TolerancePolicy,
     analysis_matrix,
     canonical_dual,
     classify,
@@ -36,7 +37,8 @@ from gframes import (
     synthesis_kernel_test,
     synthesis_matrix,
 )
-from gframes import analysis, model
+import gframes
+from gframes import _linalg, analysis, cli, constructions, disjointness, model, riesz, verification
 from gframes._linalg import (
     gram_certifies_full_column_rank,
     rank_cutoff,
@@ -60,27 +62,27 @@ def test_frame_operator_weighted():
     assert np.allclose(frame_operator(fam), [[3.0]])
 
 
-def test_frame_bounds_tight_not_parseval(theta_family, tol):
-    rep = frame_bounds(theta_family, tol)
+def test_frame_bounds_tight_not_parseval(theta_family):
+    rep = frame_bounds(theta_family)
     assert rep.lower_bound == pytest.approx(2.0)
     assert rep.upper_bound == pytest.approx(2.0)
     assert rep.is_frame and rep.is_tight and not rep.is_parseval
 
 
-def test_frame_bounds_parseval(identity_family, tol):
-    rep = frame_bounds(identity_family, tol)
+def test_frame_bounds_parseval(identity_family):
+    rep = frame_bounds(identity_family)
     assert rep.is_parseval
 
 
-def test_frame_bounds_rank_deficient(tol):
+def test_frame_bounds_rank_deficient():
     fam = GFrameFamily(space=MeasureSpace([1.0]), domain_dim=2, blocks=([[1.0, 1.0]],))
-    rep = frame_bounds(fam, tol)
+    rep = frame_bounds(fam)
     assert rep.lower_bound == 0.0  # fewer rows than columns
     assert rep.upper_bound == pytest.approx(2.0)
     assert not rep.is_frame
 
 
-def test_a_non_frame_lower_bound_comes_from_the_singular_values(tol):
+def test_a_non_frame_lower_bound_comes_from_the_singular_values():
     """A rank-one family is no frame, and its smallest Gram eigenvalue rounds to
     either side of 0: the lower bound is sigma_d(A)^2 (0 below d rows), never negative."""
     rng = np.random.default_rng(31)
@@ -89,20 +91,20 @@ def test_a_non_frame_lower_bound_comes_from_the_singular_values(tol):
         vectors = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in (rows, domain_dim)]
         space = MeasureSpace(rng.uniform(0.5, 2.0, rows))
         fam = GFrameFamily.from_rows(space, np.outer(*vectors), (1,) * rows)
-        rep = frame_bounds(fam, tol)
+        rep = frame_bounds(fam)
         svals = singular_values(analysis_matrix(fam))
         assert not rep.is_frame
         assert rep.lower_bound == (svals[-1] ** 2 if rows >= domain_dim else 0.0)
 
 
-def test_canonical_dual_scalar_pair(theta_family, tol):
+def test_canonical_dual_scalar_pair(theta_family):
     dual = canonical_dual(theta_family)
     for block in dual.blocks:
         assert np.allclose(block, [[0.5]])
-    assert is_dual_pair(dual, theta_family, tol)
+    assert is_dual_pair(dual, theta_family)
 
 
-def test_canonical_dual_of_parseval_is_itself(identity_family, tol):
+def test_canonical_dual_of_parseval_is_itself(identity_family):
     dual = canonical_dual(identity_family)
     for a, b in zip(dual.blocks, identity_family.blocks):
         assert np.allclose(a, b)
@@ -114,20 +116,20 @@ def test_canonical_dual_rejects_non_frame():
         canonical_dual(fam)
 
 
-def test_parseval_normalize_scalar(tol):
+def test_parseval_normalize_scalar():
     fam = GFrameFamily(space=MeasureSpace([2.0]), domain_dim=1, blocks=([1.0],))
     normalized = parseval_normalize(fam)
     assert np.allclose(normalized.blocks[0], [[1.0 / np.sqrt(2.0)]])
     assert np.allclose(frame_operator(normalized), [[1.0]])
 
 
-def test_parseval_normalize_fixes_parseval_input(identity_family, tol):
+def test_parseval_normalize_fixes_parseval_input(identity_family):
     normalized = parseval_normalize(identity_family)
     for a, b in zip(normalized.blocks, identity_family.blocks):
         assert np.allclose(a, b)
 
 
-def test_parseval_normalize_diagonal_scaling(space2, tol):
+def test_parseval_normalize_diagonal_scaling(space2):
     # frame operator diag(1, 4): the normalization right-multiplies by diag(1, 1/2)
     fam = GFrameFamily(space=space2, domain_dim=2, blocks=([[1.0, 0.0]], [[0.0, 2.0]]))
     normalized = parseval_normalize(fam)
@@ -167,15 +169,15 @@ def test_cross_operator_rejects_mismatched_spaces(lam_family):
         cross_operator(lam_family, other)
 
 
-def test_is_dual_pair_parseval_with_itself(identity_family, tol):
-    assert is_dual_pair(identity_family, identity_family, tol)
+def test_is_dual_pair_parseval_with_itself(identity_family):
+    assert is_dual_pair(identity_family, identity_family)
 
 
-def test_is_dual_pair_rejects_orthogonal(lam_family, ortho_family, tol):
-    assert not is_dual_pair(ortho_family, lam_family, tol)
+def test_is_dual_pair_rejects_orthogonal(lam_family, ortho_family):
+    assert not is_dual_pair(ortho_family, lam_family)
 
 
-def test_dual_check_forms_one_pairing(monkeypatch, theta_family, tol):
+def test_dual_check_forms_one_pairing(monkeypatch, theta_family):
     dual = canonical_dual(theta_family)
     calls = []
 
@@ -184,40 +186,40 @@ def test_dual_check_forms_one_pairing(monkeypatch, theta_family, tol):
         return cross_operator(left, right)
 
     monkeypatch.setattr(analysis, "cross_operator", counting)
-    name, passed, numbers = dual_check("dual-pairing", dual, theta_family, tol)
+    name, passed, numbers = dual_check("dual-pairing", dual, theta_family)
     assert calls == [(dual, theta_family)]
     assert passed and numbers["identity_defect"] < 1e-12
-    assert is_dual_pair(dual, theta_family, tol) and is_dual_pair(theta_family, dual, tol)
+    assert is_dual_pair(dual, theta_family) and is_dual_pair(theta_family, dual)
     assert len(calls) == 3
 
 
-def test_frame_check_states_the_frame_report(space2, theta_family, tol):
+def test_frame_check_states_the_frame_report(space2, theta_family):
     zero = GFrameFamily(space=space2, domain_dim=1, blocks=([0.0], [0.0]))
     for fam in (theta_family, zero):
-        rep = frame_bounds(fam, tol)
-        assert frame_check(fam, tol) == ("is-frame", rep.is_frame, rep.numbers())
-    assert frame_check(theta_family, tol)[1] and not frame_check(zero, tol)[1]
+        rep = frame_bounds(fam)
+        assert frame_check(fam) == ("is-frame", rep.is_frame, rep.numbers())
+    assert frame_check(theta_family)[1] and not frame_check(zero)[1]
 
 
-def test_defining_inequality_and_norm_bound_on_random_frames(tol):
+def test_defining_inequality_and_norm_bound_on_random_frames():
     rng = np.random.default_rng(17)
     for _ in range(20):
         fam = _random_frame(rng)
-        rep = frame_bounds(fam, tol)
+        rep = frame_bounds(fam)
         mat = analysis_matrix(fam)
         h = rng.standard_normal((fam.domain_dim, 100)) + 1j * rng.standard_normal(
             (fam.domain_dim, 100)
         )
         values = np.sum(np.abs(mat @ h) ** 2, axis=0)
         norms = np.sum(np.abs(h) ** 2, axis=0)
-        slack = tol.rel_eps * rep.upper_bound * norms
+        slack = _linalg.REL_EPS * rep.upper_bound * norms
         assert np.all(values >= rep.lower_bound * norms - slack)
         assert np.all(values <= rep.upper_bound * norms + slack)
         sigma = np.linalg.norm(mat, 2)
         assert sigma == pytest.approx(np.sqrt(rep.upper_bound), rel=1e-9)
 
 
-def test_reconstruction_identity_on_random_frames(tol):
+def test_reconstruction_identity_on_random_frames():
     rng = np.random.default_rng(18)
     for _ in range(20):
         fam = _random_frame(rng)
@@ -232,7 +234,7 @@ def test_reconstruction_identity_on_random_frames(tol):
         assert total == pytest.approx(inner(f, g), rel=1e-9, abs=1e-9)
 
 
-def test_canonical_dual_is_involution(tol):
+def test_canonical_dual_is_involution():
     rng = np.random.default_rng(19)
     for _ in range(10):
         fam = _random_frame(rng)
@@ -292,11 +294,11 @@ def test_spectra_are_computed_once_per_family(monkeypatch):
     riesz_check(f)
     first = classify(f, g)
     second = classify(f, g)
-    assert first is second and first.range_sum_dim == 5
+    assert first == second and first.range_sum_dim == 5
     # the Gram eigenvalues certify every rank: no tall matrix is decomposed and
     # [A|B] is never stacked; only the 3 x 2 cross operator's norm takes an SVD,
-    # and the second call decomposes nothing
-    assert svds == [(3, 2)]
+    # once per call, as the report is built on each
+    assert svds == [(3, 2), (3, 2)]
     # once per family, and once for the 5 x 5 pair Gram
     assert eigs == [(2, 2), (3, 3), (5, 5)]
 
@@ -381,7 +383,7 @@ def _svd_rank_reference(fam: GFrameFamily) -> int:
     return svd_rank(analysis_matrix(fam))
 
 
-def test_analysis_rank_matches_the_svd_on_planted_spectra(tol):
+def test_analysis_rank_matches_the_svd_on_planted_spectra():
     rng = np.random.default_rng(23)
     certified = set()
     for kappa in np.logspace(0, 16, 17):
@@ -391,26 +393,26 @@ def test_analysis_rank_matches_the_svd_on_planted_spectra(tol):
             for svals in (spread, np.append(np.ones(cols - 1), 1.0 / kappa)):
                 fam = _planted_family(rng, rows, svals)
                 assert analysis_rank(fam) == _svd_rank_reference(fam), (rows, svals)
-                rep = frame_bounds(fam, tol)
+                rep = frame_bounds(fam)
                 bounds = (rep.lower_bound, rep.upper_bound)
                 certified.add(gram_certifies_full_column_rank(*bounds, (rows, cols)))
     # both the eigenvalue certificate and the SVD fallback were exercised
     assert certified == {True, False}
 
 
-def test_analysis_rank_of_a_tall_family_matches_the_svd(tol):
+def test_analysis_rank_of_a_tall_family_matches_the_svd():
     fam = _planted_family(np.random.default_rng(29), 20_000, np.geomspace(1.0, 1e-3, 12))
     assert analysis_rank(fam) == _svd_rank_reference(fam) == 12
 
 
-def test_every_rank_verdict_reads_the_singular_values_near_the_cutoff(tol):
+def test_every_rank_verdict_reads_the_singular_values_near_the_cutoff():
     # sigma(A) = (1, s) while the frame operator's eigenvalues are (1, s^2): every
     # s clears the singular-value cutoff, but most s^2 sit below the eigenvalue one
     space = MeasureSpace([1.0, 1.0, 1.0])
     raised = 0
     for s in np.logspace(-9, -7, 41):
         fam = GFrameFamily(space, 2, ([[1.0, 0.0]], [[0.0, s]], [[0.0, 0.0]]))
-        rep = frame_bounds(fam, tol)
+        rep = frame_bounds(fam)
         assert rep.is_frame and analysis_rank(fam) == 2, s
         assert svd_rank(analysis_matrix(fam)) == 2, s
         sigma_min = singular_values(analysis_matrix(fam))[-1]
@@ -419,8 +421,8 @@ def test_every_rank_verdict_reads_the_singular_values_near_the_cutoff(tol):
         # range error, never a singular operator
         invertible = s**2 > rank_cutoff((2, 2), 1.0)
         for operation, verdict in (
-            (canonical_dual, lambda dual: is_dual_pair(dual, fam, tol)),
-            (parseval_normalize, lambda normalized: frame_bounds(normalized, tol).is_parseval),
+            (canonical_dual, lambda dual: is_dual_pair(dual, fam)),
+            (parseval_normalize, lambda normalized: frame_bounds(normalized).is_parseval),
         ):
             if invertible:
                 assert verdict(operation(fam)), s
@@ -431,7 +433,7 @@ def test_every_rank_verdict_reads_the_singular_values_near_the_cutoff(tol):
     assert raised == 2 * 37
 
 
-def test_synthesis_gain_states_bounded_below_once_near_the_cutoff(tol):
+def test_synthesis_gain_states_bounded_below_once_near_the_cutoff():
     rng = np.random.default_rng(37)
     cutoff = rank_cutoff((3, 3), 1.0)
     for smallest in (4.0 * cutoff, 0.25 * cutoff):
@@ -447,39 +449,35 @@ def test_synthesis_gain_states_bounded_below_once_near_the_cutoff(tol):
                 riesz_criteria(fam)
 
 
-def test_other_tolerance_values_get_their_own_frame_report():
-    fam = GFrameFamily(MeasureSpace([1.0, 1.0]), 2, ([[1.0, 0.0]], [[0.0, 1.0 + 1e-6]]))
-    report = frame_bounds(fam)
-    assert frame_bounds(fam) is report
-    assert frame_bounds(fam, TolerancePolicy()) is report
-    loose = frame_bounds(fam, TolerancePolicy(rel_eps=1e-3))
-    assert loose is not report
-    assert not report.is_tight and loose.is_tight
-    assert frame_bounds(fam, TolerancePolicy(rel_eps=1e-6)) is not report
-    assert loose.frame_operator is report.frame_operator
-
-
 def test_frame_reports_are_built_only_where_a_tolerance_is_read(
     monkeypatch, lam_family, ortho_family, identity_family
 ):
     built, original = [], analysis.FrameReport
+    lookups, pair_memo = [], GFrameFamily._pair_memo
 
     def counted(**fields):
         built.append(fields)
         return original(**fields)
 
+    def looked_up(fam, partner, start):
+        lookups.append((fam, partner))
+        return pair_memo(fam, partner, start)
+
     monkeypatch.setattr(analysis, "FrameReport", counted)
+    monkeypatch.setattr(GFrameFamily, "_pair_memo", looked_up)
     classify(lam_family, ortho_family)
+    # the cross operator and the pair family each read the record once
+    assert len(lookups) <= 2
     for operation in (riesz_check, canonical_dual, parseval_normalize):
         operation(identity_family)
     assert built == []
-    report = frame_bounds(identity_family)
-    other = frame_bounds(identity_family, TolerancePolicy(rel_eps=1e-6))
-    assert len(built) == 2 and other is not report
-    assert other.lower_bound is report.lower_bound and other.upper_bound is report.upper_bound
+    # a report is built on each call, from the one memo entry of the bounds
+    first, second = frame_bounds(identity_family), frame_bounds(identity_family)
+    assert len(built) == 2 and first == second
+    assert first.lower_bound is second.lower_bound and first.upper_bound is second.upper_bound
 
 
-def test_functions_that_compare_nothing_take_no_tolerance(lam_family, ortho_family, tol):
+def test_functions_that_compare_nothing_take_no_tolerance(lam_family, ortho_family):
     calls = (
         (analysis_rank, lam_family),
         (require_frame, lam_family, "family"),
@@ -495,7 +493,36 @@ def test_functions_that_compare_nothing_take_no_tolerance(lam_family, ortho_fami
     for function, *args in calls:
         function(*args)
         with pytest.raises(TypeError):
-            function(*args, tol=tol)
+            function(*args, tol=1e-9)
+
+
+def _signatures(module):
+    """(name, signature) of each function of ``module`` and of its classes' methods."""
+    for name, value in vars(module).items():
+        if inspect.isclass(value) and value.__module__ == module.__name__:
+            for attr, method in vars(value).items():
+                if inspect.isfunction(method):
+                    yield f"{name}.{attr}", inspect.signature(method)
+        elif inspect.isfunction(value) and value.__module__ == module.__name__:
+            yield name, inspect.signature(value)
+
+
+def test_no_function_takes_a_tolerance(identity_family):
+    # the one relative tolerance is _linalg.REL_EPS, read at call time
+    modules = (_linalg, model, analysis, disjointness, riesz, constructions, verification, cli)
+    for module in modules:
+        for name, signature in _signatures(module):
+            assert not {"tol", "rel_eps", "tolerance"} & set(signature.parameters), name
+    assert not hasattr(gframes, "TolerancePolicy") and not hasattr(gframes, "DEFAULT_TOL")
+    assert "tolerance" not in {field.name for field in dataclasses.fields(verification.SuiteReport)}
+    for call in (
+        lambda: frame_bounds(identity_family, 1e-9),
+        lambda: classify(identity_family, identity_family, 1e-9),
+        lambda: _linalg.matrices_close(np.eye(2), np.eye(2), 1e-9),
+        lambda: frame_bounds(identity_family).within(0.5, 2.0, 1e-9),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_frame_operator_and_report_operator_are_read_only(theta_family):
@@ -568,7 +595,7 @@ def test_bounds_and_classify_form_no_row_sized_temporary():
 
 
 @pytest.mark.parametrize("factor", [None, 0.5, 2.0], ids=["shared-column", "0.5x", "2x"])
-def test_streamed_singular_values_match_the_dense_svd(factor, tol):
+def test_streamed_singular_values_match_the_dense_svd(factor):
     # a family of 12 columns over many row chunks and its column split (lam, theta):
     # theta's first column is lam's fourth, or sigma_min is planted at a multiple
     # of the rank cutoff; neither Gram can certify a full rank
@@ -592,7 +619,7 @@ def test_streamed_singular_values_match_the_dense_svd(factor, tol):
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         streamed = analysis_singular_values(fam)
-        report = classify(lam, theta, tol)
+        report = classify(lam, theta)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

@@ -511,11 +511,11 @@ def test_json_reports_of_disjoint_and_delta_parse(tmp_path, capsys):
     [
         ["analyze", "missing.json", "lam"],
         ["construct", PAIR_DOC, "canonical-dual", "theta", "-o", "no/such/dir/out.json"],
-        ["analyze", PAIR_DOC, "theta", "--tol", "0"],
-        ["analyze", PAIR_DOC, "theta", "--tol", "nan"],
-        # the rank cutoff takes no factor: every command rejects the option
+        # the rank cutoff takes no factor and the tolerance is a constant: every
+        # command rejects both options
         *(
-            [*argv, "--rank-factor", "10"]
+            [*argv, *option]
+            for option in (["--rank-factor", "10"], ["--tol", "1e-9"])
             for argv in (
                 ["analyze", PAIR_DOC, "theta"],
                 ["disjoint", PAIR_DOC, "lam", "theta"],
@@ -632,7 +632,7 @@ def test_every_package_error_is_a_usage_error(monkeypatch, capsys):
     class NewFault(GFrameError):
         pass
 
-    def command(args, tol):
+    def command(args):
         raise NewFault("a fault of a new kind")
 
     monkeypatch.setitem(cli._COMMANDS, "analyze", command)

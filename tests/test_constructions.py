@@ -104,9 +104,9 @@ def test_pseudo_inverse_reads_its_matrix_by_the_operator_rule(matrix, error, mes
     assert str(err.value) == message
 
 
-def test_disjoint_sum_identity_operators(lam_family, theta_family, tol):
+def test_disjoint_sum_identity_operators(lam_family, theta_family):
     pair = OperatorPair(np.eye(1), np.eye(1))
-    result = disjoint_sum_family(lam_family, theta_family, pair, tol)
+    result = disjoint_sum_family(lam_family, theta_family, pair)
     assert np.allclose(result.family.blocks[0], [[2.0]])
     assert np.allclose(result.family.blocks[1], [[1.0]])
     assert np.allclose(frame_operator(result.family), [[5.0]])
@@ -114,15 +114,15 @@ def test_disjoint_sum_identity_operators(lam_family, theta_family, tol):
     assert _verdicts(result) == {"is-frame": True, "certificate-sandwich": True}
 
 
-def test_disjoint_sum_degenerate_second_operator(lam_family, ortho_family, tol):
+def test_disjoint_sum_degenerate_second_operator(lam_family, ortho_family):
     pair = OperatorPair(np.eye(1), np.zeros((1, 1)))
-    result = disjoint_sum_family(lam_family, ortho_family, pair, tol)
+    result = disjoint_sum_family(lam_family, ortho_family, pair)
     for block, original in zip(result.family.blocks, lam_family.blocks):
         assert np.allclose(block, original)
     assert _verdicts(result) == {"is-frame": True, "certificate-sandwich": True}
 
 
-def test_disjoint_sum_rectangular_surjection(tol):
+def test_disjoint_sum_rectangular_surjection():
     space = MeasureSpace([1.0, 1.0, 1.0, 1.0])
     lam = GFrameFamily(
         space=space,
@@ -135,17 +135,17 @@ def test_disjoint_sum_rectangular_surjection(tol):
         blocks=([[0.0, 0.0]], [[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]),
     )
     pair = OperatorPair(np.array([[1.0, 0.0]]), np.array([[0.3, 0.7]]))
-    result = disjoint_sum_family(lam, theta, pair, tol)
+    result = disjoint_sum_family(lam, theta, pair)
     assert result.family.domain_dim == 1
     assert _verdicts(result) == {"is-frame": True, "certificate-sandwich": True}
 
 
 @pytest.mark.parametrize("tiny", [1e-200, 1e-320])
-def test_disjoint_sum_certificate_of_a_tiny_surjection(tiny, lam_family, theta_family, tol):
+def test_disjoint_sum_certificate_of_a_tiny_surjection(tiny, lam_family, theta_family):
     # ||L1_pinv||^2 = 1 / tiny^2 is past the float range; the certified lower
     # bound A_pair * tiny^2 underflows to 0 instead of raising
     pair = OperatorPair(np.array([[tiny]]), np.eye(1))
-    result = disjoint_sum_family(lam_family, theta_family, pair, tol)
+    result = disjoint_sum_family(lam_family, theta_family, pair)
     assert _verdicts(result) == {"is-frame": True, "certificate-sandwich": True}
     numbers = result.checks[1][2]
     assert numbers["certified_lower"] == 0.0
@@ -155,26 +155,26 @@ def test_disjoint_sum_certificate_of_a_tiny_surjection(tiny, lam_family, theta_f
 @pytest.mark.parametrize("operators", [([[1e200]], [[1.0]]), ([[1.0]], [[1e155]])])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_disjoint_sum_overflowing_operator_raises(operators, lam_family, theta_family, tol):
+def test_disjoint_sum_overflowing_operator_raises(operators, lam_family, theta_family):
     with pytest.raises(NumericalRangeError):
-        disjoint_sum_family(lam_family, theta_family, OperatorPair(*operators), tol)
+        disjoint_sum_family(lam_family, theta_family, OperatorPair(*operators))
 
 
-def test_disjoint_sum_rejects_overlapping_pair(theta_family, tol):
+def test_disjoint_sum_rejects_overlapping_pair(theta_family):
     pair = OperatorPair(np.eye(1), np.eye(1))
     with pytest.raises(PreconditionError):
-        disjoint_sum_family(theta_family, theta_family, pair, tol)
+        disjoint_sum_family(theta_family, theta_family, pair)
 
 
-def test_disjoint_sum_rejects_two_singular_operators(lam_family, ortho_family, tol):
+def test_disjoint_sum_rejects_two_singular_operators(lam_family, ortho_family):
     pair = OperatorPair(np.zeros((1, 1)), np.zeros((1, 1)))
     with pytest.raises(PreconditionError):
-        disjoint_sum_family(lam_family, ortho_family, pair, tol)
+        disjoint_sum_family(lam_family, ortho_family, pair)
 
 
-def test_strong_sum_scalar_three_four(lam_family, ortho_family, tol):
+def test_strong_sum_scalar_three_four(lam_family, ortho_family):
     pair = OperatorPair(3.0 * np.eye(1), 4.0 * np.eye(1))
-    result = strongly_disjoint_sum(lam_family, ortho_family, pair, tol)
+    result = strongly_disjoint_sum(lam_family, ortho_family, pair)
     assert result.scale == pytest.approx(25.0)
     assert np.allclose(result.family.blocks[0], [[3.0]])
     assert np.allclose(result.family.blocks[1], [[4.0]])
@@ -182,65 +182,63 @@ def test_strong_sum_scalar_three_four(lam_family, ortho_family, tol):
     assert result.report.upper_bound == pytest.approx(25.0, rel=1e-9)
 
 
-def test_strong_sum_unit_circle_gives_parseval(lam_family, ortho_family, tol):
+def test_strong_sum_unit_circle_gives_parseval(lam_family, ortho_family):
     scale = 1.0 / np.sqrt(2.0)
     pair = OperatorPair(scale * np.eye(1), scale * np.eye(1))
-    result = strongly_disjoint_sum(lam_family, ortho_family, pair, tol)
+    result = strongly_disjoint_sum(lam_family, ortho_family, pair)
     assert result.scale == pytest.approx(1.0)
     assert result.report.is_parseval
 
 
-def test_strong_sum_degenerate_second_operator(lam_family, ortho_family, tol):
+def test_strong_sum_degenerate_second_operator(lam_family, ortho_family):
     pair = OperatorPair(np.eye(1), np.zeros((1, 1)))
-    result = strongly_disjoint_sum(lam_family, ortho_family, pair, tol)
+    result = strongly_disjoint_sum(lam_family, ortho_family, pair)
     assert result.scale == pytest.approx(1.0)
     for block, original in zip(result.family.blocks, lam_family.blocks):
         assert np.allclose(block, original)
 
 
-def test_strong_sum_rejects_bad_gram(tol):
+def test_strong_sum_rejects_bad_gram():
     # diag(2, 5) is not a multiple of the identity
     a, b = random_strongly_disjoint_parseval_pair(11, (1, 1, 2), 2, 2)
     bad = OperatorPair(np.diag([1.0, 2.0]).astype(complex), np.eye(2))
     with pytest.raises(PreconditionError):
-        strongly_disjoint_sum(a, b, bad, tol)
+        strongly_disjoint_sum(a, b, bad)
 
 
 @pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3, 1e6])
-def test_the_identity_hypothesis_does_not_depend_on_the_operators_scale(s, tol):
+def test_the_identity_hypothesis_does_not_depend_on_the_operators_scale(s):
     # s * (diag(1, 2), diag(1, 0.5)) squares to s^2 diag(2, 4.25) at every s, and
     # s * (I, a unitary) to 2 s^2 I: a tiny s must not pass the first for a multiple of I
     far = OperatorPair(s * np.diag([1.0, 2.0]), s * np.diag([1.0, 0.5]))
-    assert not far.identity_multiple(tol)[1]
+    assert not far.identity_multiple()[1]
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    scale, held = OperatorPair(s * np.eye(2), s * swap).identity_multiple(tol)
+    scale, held = OperatorPair(s * np.eye(2), s * swap).identity_multiple()
     assert held and scale == pytest.approx(2.0 * s**2, rel=1e-12)
     lam, theta = random_strongly_disjoint_parseval_pair(1, (1, 1, 1, 1), 2, 2)
     with pytest.raises(PreconditionError, match="not a positive multiple of the identity"):
-        strongly_disjoint_sum(lam, theta, far, tol)
+        strongly_disjoint_sum(lam, theta, far)
 
 
-def test_strong_sum_rejects_non_strong_pair(lam_family, theta_family, tol):
+def test_strong_sum_rejects_non_strong_pair(lam_family, theta_family):
     pair = OperatorPair(np.eye(1), np.eye(1))
     with pytest.raises(PreconditionError):
-        strongly_disjoint_sum(lam_family, theta_family, pair, tol)
+        strongly_disjoint_sum(lam_family, theta_family, pair)
 
 
-def test_direct_sum_duals_requires_strong_disjointness(identity_family, tol):
+def test_direct_sum_duals_requires_strong_disjointness(identity_family):
     with pytest.raises(PreconditionError):
-        direct_sum_duals(
-            identity_family, identity_family, identity_family, identity_family, tol
-        )
+        direct_sum_duals(identity_family, identity_family, identity_family, identity_family)
 
 
 # direct_sum_duals raises on a failed hypothesis, so its one check is the glued pairing
 _GLUED_CHECKS = ("glued-dual-pair",)
 
 
-def test_direct_sum_duals_on_orthogonal_split(tol):
+def test_direct_sum_duals_on_orthogonal_split():
     lam, psi = random_strongly_disjoint_parseval_pair(21, (1, 1, 1, 2), 2, 2)
     theta, phi = canonical_dual(lam), canonical_dual(psi)
-    result = direct_sum_duals(lam, theta, psi, phi, tol)
+    result = direct_sum_duals(lam, theta, psi, phi)
     assert _verdicts(result) == dict.fromkeys(_GLUED_CHECKS, True)
     assert result.gamma.domain_dim == lam.domain_dim + psi.domain_dim
 
@@ -249,7 +247,7 @@ def test_direct_sum_duals_on_orthogonal_split(tol):
     "broken, message",
     [("theta", "lam is not a dual of theta"), ("phi", "psi is not a dual of phi")],
 )
-def test_direct_sum_duals_names_the_failed_dual_hypothesis(broken, message, tol):
+def test_direct_sum_duals_names_the_failed_dual_hypothesis(broken, message):
     lam, psi = random_strongly_disjoint_parseval_pair(21, (1, 1, 1, 2), 2, 2)
     families = {
         "lam": lam, "theta": canonical_dual(lam), "psi": psi, "phi": canonical_dual(psi)
@@ -258,31 +256,31 @@ def test_direct_sum_duals_names_the_failed_dual_hypothesis(broken, message, tol)
     dual = families[broken]
     families[broken] = GFrameFamily.from_rows(dual.space, 2.0 * dual.rows, dual.block_dims)
     with pytest.raises(PreconditionError, match=f"^{message}$"):
-        direct_sum_duals(**families, tol=tol)
+        direct_sum_duals(**families)
 
 
-def test_pseudo_dual_identity_operators(lam_family, ortho_family, tol):
+def test_pseudo_dual_identity_operators(lam_family, ortho_family):
     pair = OperatorPair(np.eye(1), np.eye(1))
-    result = pseudo_dual(lam_family, ortho_family, pair, tol)
+    result = pseudo_dual(lam_family, ortho_family, pair)
     dual = canonical_dual(lam_family)
     for a, b in zip(result.dual_candidate.blocks, dual.blocks):
         assert np.allclose(a, b)
     assert _verdicts(result) == {"dual-of-sum": True, "dual-of-single": True}
 
 
-def test_pseudo_dual_scaled_operator(lam_family, ortho_family, tol):
+def test_pseudo_dual_scaled_operator(lam_family, ortho_family):
     pair = OperatorPair(2.0 * np.eye(1), np.eye(1))
-    result = pseudo_dual(lam_family, ortho_family, pair, tol)
+    result = pseudo_dual(lam_family, ortho_family, pair)
     dual = canonical_dual(lam_family)
     for a, b in zip(result.dual_candidate.blocks, dual.blocks):
         assert np.allclose(a, 0.5 * b)
     assert _verdicts(result) == {"dual-of-sum": True, "dual-of-single": True}
 
 
-def test_pseudo_dual_rejects_singular_first_operator(lam_family, ortho_family, tol):
+def test_pseudo_dual_rejects_singular_first_operator(lam_family, ortho_family):
     pair = OperatorPair(np.zeros((1, 1)), np.eye(1))
     with pytest.raises(PreconditionError):
-        pseudo_dual(lam_family, ortho_family, pair, tol)
+        pseudo_dual(lam_family, ortho_family, pair)
 
 
 def _unit_family(space, vectors):
@@ -291,28 +289,28 @@ def _unit_family(space, vectors):
     return GFrameFamily.from_rows(space, rows, (1,) * space.atom_count)
 
 
-def test_lift_standard_basis(tol):
+def test_lift_standard_basis():
     space = MeasureSpace([1.0, 1.0])
     basis = ([1.0, 0.0], [0.0, 1.0])
     lifted = lift_continuous_frame(_unit_family(space, basis), _unit_family(space, basis))
     assert all(d == 2 for d in lifted.lam.block_dims)
-    assert is_dual_pair(lifted.theta, lifted.lam, tol)
-    assert is_dual_pair(lifted.psi, lifted.phi, tol)
-    assert classify(lifted.lam, lifted.phi, tol).strongly_disjoint
-    assert classify(lifted.theta, lifted.psi, tol).strongly_disjoint
-    glued = direct_sum_duals(lifted.lam, lifted.theta, lifted.psi, lifted.phi, tol)
+    assert is_dual_pair(lifted.theta, lifted.lam)
+    assert is_dual_pair(lifted.psi, lifted.phi)
+    assert classify(lifted.lam, lifted.phi).strongly_disjoint
+    assert classify(lifted.theta, lifted.psi).strongly_disjoint
+    glued = direct_sum_duals(lifted.lam, lifted.theta, lifted.psi, lifted.phi)
     assert _verdicts(glued) == dict.fromkeys(_GLUED_CHECKS, True)
 
 
-def test_lift_scalar_frame_halves_dual_coefficients(tol):
+def test_lift_scalar_frame_halves_dual_coefficients():
     space = MeasureSpace([1.0, 1.0])
     f = _unit_family(space, ([1.0], [1.0]))
     lifted = lift_continuous_frame(f, _unit_family(space, ([1.0], [0.0])))
     assert np.allclose(lifted.theta.blocks[0], [[0.5], [0.0]])
-    assert is_dual_pair(lifted.theta, lifted.lam, tol)
+    assert is_dual_pair(lifted.theta, lifted.lam)
 
 
-def test_lift_writes_each_frame_and_its_dual_into_one_block_row(tol):
+def test_lift_writes_each_frame_and_its_dual_into_one_block_row():
     rng = np.random.default_rng(8)
     space = MeasureSpace(rng.uniform(0.5, 2.0, 4))
     f = _unit_family(space, rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
@@ -328,7 +326,7 @@ def test_lift_writes_each_frame_and_its_dual_into_one_block_row(tol):
         assert not fam.rows[0::2].any()
 
 
-def test_lift_rejects_degenerate_spec(tol):
+def test_lift_rejects_degenerate_spec():
     space = MeasureSpace([1.0, 1.0])
     f = _unit_family(space, ([0.0], [0.0]))
     g = _unit_family(space, ([1.0], [0.0]))
@@ -338,7 +336,7 @@ def test_lift_rejects_degenerate_spec(tol):
         lift_continuous_frame(g, f)
 
 
-def test_lift_rejects_wider_blocks_and_other_spaces(tol):
+def test_lift_rejects_wider_blocks_and_other_spaces():
     space = MeasureSpace([1.0, 1.0])
     f = _unit_family(space, ([1.0], [1.0]))
     wide = GFrameFamily(space=space, domain_dim=1, blocks=([[1.0], [0.0]], [1.0]))
@@ -400,17 +398,17 @@ def test_generators_read_integral_float_dims_as_int():
     assert floats == random_strongly_disjoint_parseval_pair(1, (1, 1, 2), 1, 1)
 
 
-def test_random_pair_split_full_is_strongly_complementary(tol):
+def test_random_pair_split_full_is_strongly_complementary():
     first, second = random_strongly_disjoint_parseval_pair(3, (1, 1, 2), 2, 2)
-    report = classify(first, second, tol)
+    report = classify(first, second)
     assert report.strongly_disjoint and report.strongly_complementary_pair
-    assert frame_bounds(first, tol).is_parseval
-    assert frame_bounds(second, tol).is_parseval
+    assert frame_bounds(first).is_parseval
+    assert frame_bounds(second).is_parseval
 
 
-def test_random_pair_partial_split_not_complementary(tol):
+def test_random_pair_partial_split_not_complementary():
     first, second = random_strongly_disjoint_parseval_pair(4, (1, 1, 2), 1, 2)
-    report = classify(first, second, tol)
+    report = classify(first, second)
     assert report.strongly_disjoint and not report.complementary_pair
 
 
@@ -429,31 +427,31 @@ def test_random_pair_rejects_infeasible_split():
 # it accepts, and a wrong-shaped pair under its own shape rule with the message.
 _OPERATOR_TAKERS = {
     "disjoint_sum_family": (
-        lambda f, l1, l2, tol: disjoint_sum_family(f.lam, f.theta, OperatorPair(l1, l2), tol),
+        lambda f, l1, l2: disjoint_sum_family(f.lam, f.theta, OperatorPair(l1, l2)),
         np.eye(1), ([[1.0]], [[1.0], [0.0]]), "L2 must be 1 x 1, got (2, 1)",
     ),
     "pseudo_dual": (
-        lambda f, l1, l2, tol: pseudo_dual(f.lam, f.ortho, OperatorPair(l1, l2), tol),
+        lambda f, l1, l2: pseudo_dual(f.lam, f.ortho, OperatorPair(l1, l2)),
         np.eye(1), ([[1.0, 0.0]], [[1.0]]), "L1 must be 1 x 1, got (1, 2)",
     ),
     "strongly_disjoint_sum": (
-        lambda f, l1, l2, tol: strongly_disjoint_sum(f.lam, f.ortho, OperatorPair(l1, l2), tol),
+        lambda f, l1, l2: strongly_disjoint_sum(f.lam, f.ortho, OperatorPair(l1, l2)),
         np.eye(1), ([[1.0, 0.0]], [[1.0]]), "L1 must be 1 x 1, got (1, 2)",
     ),
     "mixed_construction": (
-        lambda f, l1, l2, tol: mixed_construction(f.identity, f.identity, l1, l2, tol),
+        lambda f, l1, l2: mixed_construction(f.identity, f.identity, l1, l2),
         np.eye(2), (np.eye(2), np.eye(3)), "L2 must be 2 x 2, got (3, 3)",
     ),
     "strong_disjointness_converse_check": (
-        lambda f, l1, l2, tol: strong_disjointness_converse_check(f.lam, f.ortho, l1, l2, tol),
+        lambda f, l1, l2: strong_disjointness_converse_check(f.lam, f.ortho, l1, l2),
         np.eye(1), ([[1.0]], [[1.0, 0.0]]), "L2 must be 1 x 1, got (1, 2)",
     ),
     "compose_sum": (
-        lambda f, l1, l2, tol: compose_sum(f.lam, f.theta, l1, l2),
+        lambda f, l1, l2: compose_sum(f.lam, f.theta, l1, l2),
         np.eye(1), (1.0, 1.0), "L1 must be a non-empty 2-D matrix, got ()",
     ),
     "identity_multiple": (
-        lambda f, l1, l2, tol: OperatorPair(l1, l2).identity_multiple(tol),
+        lambda f, l1, l2: OperatorPair(l1, l2).identity_multiple(),
         np.eye(1), (np.eye(2), np.eye(3)), "L2 must have L1's 2 columns, got (3, 3)",
     ),
 }
@@ -461,7 +459,7 @@ _OPERATOR_TAKERS = {
 
 @pytest.mark.parametrize("name", sorted(_OPERATOR_TAKERS))
 def test_operator_faults_raise_one_exit_2_error(
-    name, lam_family, theta_family, ortho_family, identity_family, tol
+    name, lam_family, theta_family, ortho_family, identity_family
 ):
     # a non-finite entry must reach neither an SVD (LinAlgError) nor a hypothesis
     # (exit 1): each fault is one exit-2 error that names the operator
@@ -474,9 +472,9 @@ def test_operator_faults_raise_one_exit_2_error(
             operators = [accepted.astype(complex), accepted.astype(complex)]
             operators[which][0, 0] = value
             with pytest.raises(NumericalRangeError, match=f"^L{which + 1} has non-finite entries$"):
-                call(families, *operators, tol)
+                call(families, *operators)
     with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-        call(families, *wrong, tol)
+        call(families, *wrong)
     # an empty operator would pass for surjective and build a family of domain dim 0
     with pytest.raises(ShapeError, match=r"^L2 must be a non-empty 2-D matrix, got \(0, 1\)$"):
-        call(families, accepted, np.zeros((0, 1)), tol)
+        call(families, accepted, np.zeros((0, 1)))

@@ -18,7 +18,6 @@ from gframes import (
     PreconditionError,
     ShapeError,
     SingularOperatorError,
-    TolerancePolicy,
     analysis_matrix,
     classify,
     cross_operator,
@@ -33,7 +32,7 @@ from gframes import (
     right_compose,
     strong_disjointness_converse_check,
 )
-from gframes import model, verification
+from gframes import _linalg, model, verification
 from gframes._linalg import rank_from_singular_values, singular_values
 from gframes.analysis import analysis_rank
 
@@ -42,8 +41,8 @@ PAIR_DOC = os.path.join(os.path.dirname(__file__), "..", "samples", "pair.json")
 GOLDEN = (3.0 - np.sqrt(5.0)) / 2.0, (3.0 + np.sqrt(5.0)) / 2.0
 
 
-def test_classify_strongly_complementary(lam_family, ortho_family, tol):
-    report = classify(lam_family, ortho_family, tol)
+def test_classify_strongly_complementary(lam_family, ortho_family):
+    report = classify(lam_family, ortho_family)
     assert report.strongly_disjoint
     assert report.disjoint and report.weakly_disjoint
     assert report.complementary_pair and report.strongly_complementary_pair
@@ -52,126 +51,123 @@ def test_classify_strongly_complementary(lam_family, ortho_family, tol):
     assert report.range_sum_dim == 2 == report.khat_dim
 
 
-def test_classify_disjoint_not_strong(lam_family, theta_family, tol):
-    report = classify(lam_family, theta_family, tol)
+def test_classify_disjoint_not_strong(lam_family, theta_family):
+    report = classify(lam_family, theta_family)
     assert not report.strongly_disjoint
     assert report.disjoint and report.weakly_disjoint
     assert report.complementary_pair and not report.strongly_complementary_pair
     assert report.cross_operator_norm == pytest.approx(1.0)
 
 
-def test_classify_identical_family_not_weakly_disjoint(theta_family, tol):
-    report = classify(theta_family, theta_family, tol)
+def test_classify_identical_family_not_weakly_disjoint(theta_family):
+    report = classify(theta_family, theta_family)
     assert not report.weakly_disjoint
     assert not report.disjoint and not report.strongly_disjoint
     assert report.range_intersection_dim == 1
 
 
-def test_strongly_complementary_needs_a_complementary_pair(theta_family):
+def test_strongly_complementary_needs_a_complementary_pair(theta_family, monkeypatch):
     # at rel_eps = 10 theta is strongly disjoint from itself (cross norm 2 against
     # 10 * 2), while its two ranges meet in one dimension: never complementary
-    report = classify(theta_family, theta_family, TolerancePolicy(rel_eps=10.0))
+    monkeypatch.setattr(_linalg, "REL_EPS", 10.0)
+    report = classify(theta_family, theta_family)
     assert report.strongly_disjoint and not report.complementary_pair
     assert not report.strongly_complementary_pair
 
 
-def test_classify_rejects_non_frame(lam_family, tol):
+def test_classify_rejects_non_frame(lam_family):
     zero = GFrameFamily(space=lam_family.space, domain_dim=1, blocks=([0.0], [0.0]))
     with pytest.raises(PreconditionError):
-        classify(lam_family, zero, tol)
+        classify(lam_family, zero)
 
 
-def test_classify_rejects_mismatched_block_dims(lam_family, tol):
+def test_classify_rejects_mismatched_block_dims(lam_family):
     other = GFrameFamily(
         space=lam_family.space, domain_dim=1, blocks=([[1.0], [0.0]], [1.0])
     )
     with pytest.raises(ShapeError):
-        classify(lam_family, other, tol)
+        classify(lam_family, other)
 
 
-def test_gamma_of_strongly_complementary_pair_is_parseval(lam_family, ortho_family, tol):
+def test_gamma_of_strongly_complementary_pair_is_parseval(lam_family, ortho_family):
     gamma = gamma_family(lam_family, ortho_family)
     assert np.allclose(gamma.blocks[0], [[1.0, 0.0]])
     assert np.allclose(gamma.blocks[1], [[0.0, 1.0]])
-    assert frame_bounds(gamma, tol).is_parseval
+    assert frame_bounds(gamma).is_parseval
 
 
-def test_gamma_bounds_match_hand_computation(lam_family, theta_family, tol):
-    rep = frame_bounds(gamma_family(lam_family, theta_family), tol)
+def test_gamma_bounds_match_hand_computation(lam_family, theta_family):
+    rep = frame_bounds(gamma_family(lam_family, theta_family))
     assert rep.lower_bound == pytest.approx(GOLDEN[0], rel=1e-9)
     assert rep.upper_bound == pytest.approx(GOLDEN[1], rel=1e-9)
     assert rep.is_frame
 
 
-def test_gamma_of_identical_family_is_not_a_frame(theta_family, tol):
-    assert not frame_bounds(gamma_family(theta_family, theta_family), tol).is_frame
+def test_gamma_of_identical_family_is_not_a_frame(theta_family):
+    assert not frame_bounds(gamma_family(theta_family, theta_family)).is_frame
 
 
-def test_delta_equals_gamma_for_parseval_inputs(lam_family, ortho_family, tol):
+def test_delta_equals_gamma_for_parseval_inputs(lam_family, ortho_family):
     delta = delta_family(lam_family, ortho_family)
     gamma = gamma_family(lam_family, ortho_family)
     for a, b in zip(delta.blocks, gamma.blocks):
         assert np.allclose(a, b)
-    assert frame_bounds(delta, tol).is_parseval
+    assert frame_bounds(delta).is_parseval
 
 
-def test_delta_normalizes_scaled_input(space2, ortho_family, tol):
+def test_delta_normalizes_scaled_input(space2, ortho_family):
     scaled = GFrameFamily(space=space2, domain_dim=1, blocks=([np.sqrt(2.0)], [0.0]))
     delta = delta_family(scaled, ortho_family)
     assert np.allclose(delta.blocks[0], [[1.0, 0.0]])
     assert np.allclose(delta.blocks[1], [[0.0, 1.0]])
-    assert frame_bounds(delta, tol).is_parseval
+    assert frame_bounds(delta).is_parseval
 
 
-def test_delta_rejects_non_frame_input(lam_family, tol):
+def test_delta_rejects_non_frame_input(lam_family):
     zero = GFrameFamily(space=lam_family.space, domain_dim=1, blocks=([0.0], [0.0]))
     with pytest.raises(SingularOperatorError):
         delta_family(lam_family, zero)
 
 
-def test_delta_keeps_cross_term_for_non_strong_pair(lam_family, theta_family, tol):
+def test_delta_keeps_cross_term_for_non_strong_pair(lam_family, theta_family):
     delta = delta_family(lam_family, theta_family)
     assert not np.allclose(frame_operator(delta), np.eye(2), atol=1e-12)
-    assert not frame_bounds(delta, tol).is_parseval
+    assert not frame_bounds(delta).is_parseval
 
 
-def test_converse_check_accepts_canonical_witnesses(lam_family, ortho_family, tol):
-    assert strong_disjointness_converse_check(
-        lam_family, ortho_family, np.eye(1), np.eye(1), tol
-    )
+def test_converse_check_accepts_canonical_witnesses(lam_family, ortho_family):
+    assert strong_disjointness_converse_check(lam_family, ortho_family, np.eye(1), np.eye(1))
 
 
-def test_converse_check_rejects_scaled_witness(lam_family, ortho_family, tol):
+def test_converse_check_rejects_scaled_witness(lam_family, ortho_family):
     assert not strong_disjointness_converse_check(
-        lam_family, ortho_family, 2.0 * np.eye(1), np.eye(1), tol
+        lam_family, ortho_family, 2.0 * np.eye(1), np.eye(1)
     )
 
 
-def test_converse_check_rejects_non_strong_pair(lam_family, theta_family, tol):
+def test_converse_check_rejects_non_strong_pair(lam_family, theta_family):
     rng = np.random.default_rng(3)
     for _ in range(5):
         l1 = np.array([[rng.uniform(0.5, 2.0)]])
         l2 = np.array([[rng.uniform(0.5, 2.0)]])
-        assert not strong_disjointness_converse_check(lam_family, theta_family, l1, l2, tol)
+        assert not strong_disjointness_converse_check(lam_family, theta_family, l1, l2)
 
 
-def test_converse_check_rejects_singular_operator(lam_family, ortho_family, tol):
+def test_converse_check_rejects_singular_operator(lam_family, ortho_family):
     with pytest.raises(PreconditionError):
-        strong_disjointness_converse_check(
-            lam_family, ortho_family, np.zeros((1, 1)), np.eye(1), tol
-        )
+        strong_disjointness_converse_check(lam_family, ortho_family, np.zeros((1, 1)), np.eye(1))
 
 
-def test_kernel_triviality(lam_family, ortho_family, theta_family, tol):
+def test_kernel_triviality(lam_family, ortho_family, theta_family):
     # in finite dimension a trivial kernel of the analysis map is the frame verdict:
     # each family that is no frame has a nonzero vector that every block annihilates
-    assert frame_bounds(gamma_family(lam_family, ortho_family), tol).is_frame
+    assert frame_bounds(gamma_family(lam_family, ortho_family)).is_frame
     single = GFrameFamily(space=MeasureSpace([1.0]), domain_dim=2, blocks=([[1.0, 0.0]],))
     for fam, kernel in (
         (gamma_family(theta_family, theta_family), [1.0, -1.0]),
         (single, [0.0, 1.0]),
     ):
-        assert not frame_bounds(fam, tol).is_frame
+        assert not frame_bounds(fam).is_frame
         assert not any(np.any(block @ kernel) for block in fam.blocks)
 
 
@@ -197,13 +193,13 @@ def svd_rank(matrix) -> int:
     return rank_from_singular_values(singular_values(matrix), matrix.shape)
 
 
-def test_classify_ranks_match_the_svd_of_the_stacked_matrix(tol):
+def test_classify_ranks_match_the_svd_of_the_stacked_matrix():
     rng = np.random.default_rng(31)
     for shared in range(4):
         for rows, dim_a, dim_b in ((12, 3, 4), (40, 5, 5), (400, 8, 12), (1500, 24, 24)):
             lam, theta = _pair_with_intersection(rng, rows, dim_a, dim_b, shared)
             a, b = analysis_matrix(lam), analysis_matrix(theta)
-            report = classify(lam, theta, tol)
+            report = classify(lam, theta)
             rank_ab = svd_rank(np.hstack([a, b]))
             intersection = svd_rank(a) + svd_rank(b) - rank_ab
             assert report.range_sum_dim == rank_ab, (rows, shared)
@@ -211,7 +207,7 @@ def test_classify_ranks_match_the_svd_of_the_stacked_matrix(tol):
             assert report.weakly_disjoint == report.disjoint == (shared == 0)
 
 
-def test_intersection_dim_matches_the_dense_svd_on_drawn_pairs(tol):
+def test_intersection_dim_matches_the_dense_svd_on_drawn_pairs():
     # classify reads rank [A|B] from Gram certificates and streamed factors; the
     # reference is the dense SVD rank of A, of B and of the stacked [A|B], as in
     # verify's pair checks
@@ -228,12 +224,12 @@ def test_intersection_dim_matches_the_dense_svd_on_drawn_pairs(tol):
     for lam, theta in [*itertools.product(sample, repeat=2), *drawn, ill]:
         a, b = analysis_matrix(lam), analysis_matrix(theta)
         expected = svd_rank(a) + svd_rank(b) - svd_rank(np.hstack([a, b]))
-        assert classify(lam, theta, tol).range_intersection_dim == expected
+        assert classify(lam, theta).range_intersection_dim == expected
         found.append(expected)
     assert min(found) == 0 and max(found) >= 2 and found[-1] == 7
 
 
-def test_identical_ranges_meet_in_full(tol):
+def test_identical_ranges_meet_in_full():
     # a frame and its invertible right composition share one range at any
     # conditioning; orthonormal bases of the two ranges, computed apart, differ by
     # about eps times the condition number, so rank [Q_A | Q_B] is no reference here
@@ -247,7 +243,7 @@ def test_identical_ranges_meet_in_full(tol):
         v = np.linalg.qr(_cgauss(rng, (domain, domain)))[0]
         lam = family_from_analysis_matrix((u * np.geomspace(1.0, 1e-3, domain)) @ v, space, dims)
         theta = right_compose(lam, verification._random_operator(rng, domain, domain))
-        assert classify(lam, theta, tol).range_intersection_dim == domain, draw
+        assert classify(lam, theta).range_intersection_dim == domain, draw
 
 
 def _memo_contents(value):
@@ -312,19 +308,54 @@ def test_pair_family_gram_holds_the_conjugate_cross_block():
     assert np.linalg.norm(op - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("multiple, strongly", [(0.5, True), (2.0, False)])
-def test_strong_disjointness_flips_at_its_threshold(multiple, strongly, tol):
-    # bounds B_lam = 4 and B_theta = 9, so the threshold is rel_eps * 6, and C = 6 c
-    c = multiple * tol.rel_eps * np.exp(0.7j)
+def _threshold_pair(multiple):
+    """A pair with bounds B_lam = 4 and B_theta = 9, so that the strong-disjointness
+    threshold is rel_eps * 6, and cross operator C = 6 c, c = ``multiple`` rel_eps e^0.7i."""
+    c = multiple * _linalg.REL_EPS * np.exp(0.7j)
     space = MeasureSpace([1.0, 1.0])
     lam = GFrameFamily(space, 1, ([2.0], [0.0]))
-    theta = GFrameFamily(space, 1, ([3.0 * c], [3.0 * np.sqrt(1.0 - abs(c) ** 2)]))
+    return lam, GFrameFamily(space, 1, ([3.0 * c], [3.0 * np.sqrt(1.0 - abs(c) ** 2)]))
+
+
+@pytest.mark.parametrize("multiple, strongly", [(0.5, True), (2.0, False)])
+def test_strong_disjointness_flips_at_its_threshold(multiple, strongly):
+    lam, theta = _threshold_pair(multiple)
     assert frame_bounds(lam).upper_bound == 4.0
     assert frame_bounds(theta).upper_bound == pytest.approx(9.0, rel=1e-15)
-    report = classify(lam, theta, tol)
-    assert report.cross_operator_norm == pytest.approx(multiple * 6.0 * tol.rel_eps, rel=1e-12)
+    report = classify(lam, theta)
+    assert report.cross_operator_norm == pytest.approx(multiple * 6.0 * _linalg.REL_EPS, rel=1e-12)
     assert report.strongly_disjoint is strongly
     assert report.disjoint and report.weakly_disjoint
+
+
+def _memo_entries(*families) -> dict:
+    """Every memo entry of ``families``, the entries of their pair records included."""
+    entries = {}
+    for fam in families:
+        for key, value in fam._memo.items():
+            if isinstance(key, tuple) and key[0] == "pair":
+                entries.update({(id(fam), key, name): item for name, item in value[1].items()})
+            else:
+                entries[id(fam), key] = value
+    return entries
+
+
+def test_no_verdict_outlives_the_tolerance(monkeypatch):
+    # a family whose bounds differ by 1e-6 relatively and a pair whose cross norm is
+    # twice the strong-disjointness threshold, both asked at the default tolerance first
+    fam = GFrameFamily(MeasureSpace([1.0, 1.0]), 2, ([[1.0, 0.0]], [[0.0, 1.0 + 1e-6]]))
+    lam, theta = _threshold_pair(2.0)
+    report = frame_bounds(fam)
+    assert not report.is_tight and not classify(lam, theta).strongly_disjoint
+    memo = _memo_entries(fam, lam, theta)
+    # the same objects under a planted tolerance: both verdicts follow it
+    monkeypatch.setattr(_linalg, "REL_EPS", 1e-3)
+    loose = frame_bounds(fam)
+    assert loose.is_tight and classify(lam, theta).strongly_disjoint
+    assert (loose.lower_bound, loose.upper_bound) == (report.lower_bound, report.upper_bound)
+    # and read the memo as it was: no entry was added or replaced for the new value
+    after = _memo_entries(fam, lam, theta)
+    assert after.keys() == memo.keys() and all(after[key] is memo[key] for key in memo)
 
 
 def test_a_new_partner_gets_its_own_report_even_under_a_reused_id(monkeypatch):
@@ -333,7 +364,7 @@ def test_a_new_partner_gets_its_own_report_even_under_a_reused_id(monkeypatch):
     shared_rows = np.column_stack([lam.rows[:, 0], theta.rows[:, 1]])
     shared = GFrameFamily.from_rows(lam.space, shared_rows, lam.block_dims)
     first = classify(lam, theta)
-    assert first.disjoint and first is classify(lam, theta)
+    assert first.disjoint and first == classify(lam, theta)
     # the reference: a fresh copy of the pair, whose ids nothing else shares
     copies = [GFrameFamily.from_rows(f.space, f.rows.copy(), f.block_dims) for f in (shared, lam)]
     expected = cross_operator(*copies)

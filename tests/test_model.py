@@ -16,7 +16,6 @@ from gframes import (
     KHatVector,
     MeasureSpace,
     ShapeError,
-    TolerancePolicy,
     analysis_matrix,
     apply_analysis,
     canonical_dual,
@@ -37,13 +36,6 @@ from gframes import model
 from gframes._linalg import singular_values
 from gframes.analysis import compose_sum
 from gframes.model import require_same_khat
-
-
-def test_tolerance_policy_rejects_bad_values():
-    with pytest.raises(ValueError):
-        TolerancePolicy(rel_eps=0.0)
-    with pytest.raises(TypeError):  # a rank takes no tolerance
-        TolerancePolicy(rank_eps_factor=10.0)
 
 
 def _violations(build) -> list[str]:
@@ -75,7 +67,7 @@ def test_block_dims_are_the_row_counts_of_the_blocks(space2):
 
 
 @pytest.mark.parametrize("domain_dim", [2.0, np.int64(2), True])
-def test_dims_are_read_off_the_rows(domain_dim, tol):
+def test_dims_are_read_off_the_rows(domain_dim):
     # the stored domain dim is the column count: a stored 2.0 would make
     # np.eye(2.0) raise TypeError in dual_check and lift_continuous_frame
     width = int(domain_dim)
@@ -83,7 +75,7 @@ def test_dims_are_read_off_the_rows(domain_dim, tol):
     blocks = [np.eye(width)[i % width] for i in range(3)]
     fam = GFrameFamily(space, domain_dim, blocks)
     assert type(fam.domain_dim) is int and fam.domain_dim == width and fam.codomain_dim == 3
-    assert dual_check("dual", canonical_dual(fam), fam, tol)[1]
+    assert dual_check("dual", canonical_dual(fam), fam)[1]
     lifted = lift_continuous_frame(fam, fam)
     assert lifted.lam.domain_dim == width and lifted.lam.codomain_dim == 6
 
@@ -336,12 +328,6 @@ def test_blocks_are_read_only(identity_family):
 def test_right_compose_rejects_wrong_shape(identity_family):
     with pytest.raises(ShapeError):
         right_compose(identity_family, np.eye(3))
-
-
-def test_tolerance_policy_rejects_non_finite_values():
-    for value in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            TolerancePolicy(rel_eps=value)
 
 
 def test_invalid_blocks_are_named_at_construction(space2):

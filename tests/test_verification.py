@@ -16,9 +16,7 @@ import numpy as np
 import pytest
 
 from gframes import (
-    DEFAULT_TOL,
     PreconditionError,
-    TolerancePolicy,
     analysis,
     analysis_matrix,
     classify,
@@ -53,19 +51,19 @@ import test_disjointness
 DRAWS = 300
 
 
-def _within_condition_bound(fam, tol) -> bool:
-    rep = frame_bounds(fam, tol)
+def _within_condition_bound(fam) -> bool:
+    rep = frame_bounds(fam)
     return rep.is_frame and rep.upper_bound <= _MAX_CONDITION * rep.lower_bound
 
 
-def test_every_drawn_frame_meets_the_condition_bound(tol):
+def test_every_drawn_frame_meets_the_condition_bound():
     rng = np.random.default_rng(41)
     for draw in range(DRAWS):
         for fam in (_random_frame(rng), _random_fit_or_overcomplete_frame(rng)):
-            assert _within_condition_bound(fam, tol), draw
+            assert _within_condition_bound(fam), draw
 
 
-def test_every_drawn_operator_is_conditioned(tol):
+def test_every_drawn_operator_is_conditioned():
     rng = np.random.default_rng(42)
     for draw in range(DRAWS):
         cols = int(rng.integers(1, 7))
@@ -74,16 +72,16 @@ def test_every_drawn_operator_is_conditioned(tol):
         assert svals.shape == (rows,) and svals[-1] >= 1e-2 * svals[0], draw
 
 
-def test_each_pair_mode_realizes_its_relation(tol):
+def test_each_pair_mode_realizes_its_relation():
     rng = np.random.default_rng(43)
     modes = set()
     for draw in range(DRAWS):
         mode = int(copy.deepcopy(rng).integers(0, 4))  # the first number _random_pair draws
         lam, theta = _random_pair(rng)
-        report = classify(lam, theta, tol)
+        report = classify(lam, theta)
         # only mode 1 right-composes a drawn frame, which may multiply its bound by 1e4
-        assert _within_condition_bound(lam, tol), draw
-        assert mode == 1 or _within_condition_bound(theta, tol), draw
+        assert _within_condition_bound(lam), draw
+        assert mode == 1 or _within_condition_bound(theta), draw
         if mode == 0:
             assert report.strongly_disjoint, draw
         elif mode == 1:
@@ -94,16 +92,16 @@ def test_each_pair_mode_realizes_its_relation(tol):
     assert modes == {0, 1, 2, 3}
 
 
-def test_strongly_disjoint_and_equal_domain_pairs_are_what_they_claim(tol):
+def test_strongly_disjoint_and_equal_domain_pairs_are_what_they_claim():
     rng = np.random.default_rng(44)
     for draw in range(DRAWS):
         lam, theta = _random_strongly_disjoint(rng)
-        assert classify(lam, theta, tol).strongly_disjoint, draw
+        assert classify(lam, theta).strongly_disjoint, draw
         lam, theta = _random_disjoint_equal_domain(rng)
-        assert lam.domain_dim == theta.domain_dim and classify(lam, theta, tol).disjoint, draw
+        assert lam.domain_dim == theta.domain_dim and classify(lam, theta).disjoint, draw
 
 
-def test_draws_stay_conditioned_at_scale(tol):
+def test_draws_stay_conditioned_at_scale():
     """Sizes at which a rejection draw of a Gaussian almost never passes the
     bound (a 100 x 100 one in about 1 of 70 tries, a 160 x 160 one never)."""
     rng = np.random.default_rng(45)
@@ -112,28 +110,28 @@ def test_draws_stay_conditioned_at_scale(tol):
     dims = (2,) * 80
     riesz = _random_frame(rng, dims=dims, domain_dim=160)
     same_range = right_compose(riesz, _random_operator(rng, 160, 160))
-    assert _within_condition_bound(riesz, tol)
-    assert classify(riesz, same_range, tol).range_intersection_dim == 160
+    assert _within_condition_bound(riesz)
+    assert classify(riesz, same_range).range_intersection_dim == 160
     # 60 + 60 <= 160 generic directions: disjoint, as the dense SVD counts it too
     lam = _random_frame(rng, dims=dims, domain_dim=60)
     raw = rng.standard_normal((160, 60)) + 1j * rng.standard_normal((160, 60))
     theta = _frame_over(rng, lam.space, dims, raw)
-    assert _within_condition_bound(lam, tol) and _within_condition_bound(theta, tol)
-    report, _, checks = pair_equivalences(lam, theta, tol)
+    assert _within_condition_bound(lam) and _within_condition_bound(theta)
+    report, _, checks = pair_equivalences(lam, theta)
     assert report.disjoint and not report.strongly_disjoint
     assert all(passed for _, passed, _ in checks), checks
     stacked = np.hstack([analysis_matrix(lam), analysis_matrix(theta)])
     assert rank_from_singular_values(singular_values(stacked), stacked.shape) == 120
 
 
-def test_a_check_that_raises_fails_its_case_and_the_suite_goes_on(tol):
-    def toy(rng, tol):
+def test_a_check_that_raises_fails_its_case_and_the_suite_goes_on():
+    def toy(rng):
         draw = int(rng.integers(0, 4))
         yield f"draw {draw}"
         if draw % 2:
             raise PreconditionError(f"odd draw {draw}")
 
-    faults = _per_case(toy)(np.random.default_rng(6), 10, tol)
+    faults = _per_case(toy)(np.random.default_rng(6), 10)
     draws = np.random.default_rng(6).integers(0, 4, 10)
     expected = []
     for case, draw in enumerate(draws):
@@ -143,9 +141,9 @@ def test_a_check_that_raises_fails_its_case_and_the_suite_goes_on(tol):
     assert faults == expected and any(draws % 2)
 
 
-def _failed(tol) -> dict:
+def _failed() -> dict:
     """The failure lines of each failing check of ``run_suite(0, 10)``."""
-    report = run_suite(0, 10, tol)
+    report = run_suite(0, 10)
     assert len(report.results) == 24
     return {result.name: result.failures for result in report.results if not result.passed}
 
@@ -153,21 +151,21 @@ def _failed(tol) -> dict:
 def _fails_exactly(*names):
     """Catcher: ``run_suite(0, 10)`` fails exactly the checks ``names``."""
 
-    def catch(tol):
-        assert sorted(_failed(tol)) == sorted(names)
+    def catch():
+        assert sorted(_failed()) == sorted(names)
 
     return catch
 
 
-def _raises_in_mixed_construction(tol):
-    failed = _failed(tol)
+def _raises_in_mixed_construction():
+    failed = _failed()
     assert "mixed-construction" in failed
     assert any(": raised PreconditionError: " in line for line in failed["mixed-construction"])
 
 
-def _breaks_the_pair_upper_bound(tol):
+def _breaks_the_pair_upper_bound():
     """The pair family's upper bound is checked on every pair, not only on disjoint ones."""
-    faults = _failed(tol).get("pair-bound-sandwich")
+    faults = _failed().get("pair-bound-sandwich")
     assert faults and all(f.endswith(": pair upper bound above sum-map estimate") for f in faults)
 
 
@@ -225,9 +223,9 @@ def _gain_of_the_largest_singular_value(fam):
 _PERTURBATION = riesz.perturbation_riesz_transfer
 
 
-def _equivalence_as_both_riesz(lam, theta, tol=DEFAULT_TOL):
+def _equivalence_as_both_riesz(lam, theta):
     """The perturbation result with "both Riesz-type" for "the same Riesz verdict"."""
-    result = _PERTURBATION(lam, theta, tol)
+    result = _PERTURBATION(lam, theta)
     both = all(riesz.riesz_check(fam).is_riesz_type for fam in (lam, theta))
     return dataclasses.replace(result, equivalence_verified=result.criterion_met and both)
 
@@ -273,7 +271,7 @@ def _fails(test, *args):
     ``verify`` misses, such as a transposed cross block, or that its one-chunk
     draws never reach, such as those of the composed Gram and its finiteness proof."""
 
-    def catcher(tol):
+    def catcher():
         with pytest.raises((AssertionError, pytest.fail.Exception)):
             test(*args)
 
@@ -305,8 +303,7 @@ _PLANTED = {
     ),
     "M4": (
         [(_linalg, "rank_cutoff", _cutoff_a_million_times_higher)],
-        _fails(test_analysis.test_every_rank_verdict_reads_the_singular_values_near_the_cutoff,
-               DEFAULT_TOL),
+        _fails(test_analysis.test_every_rank_verdict_reads_the_singular_values_near_the_cutoff),
     ),
     "M5": (
         [(analysis, "_pair_gram", _transposed_cross)],
@@ -375,15 +372,17 @@ _PLANTED = {
 
 
 @pytest.mark.parametrize("fault", sorted(_PLANTED))
-def test_a_planted_fault_is_caught_by_its_catcher(fault, monkeypatch, tol):
+def test_a_planted_fault_is_caught_by_its_catcher(fault, monkeypatch):
     patches, catcher = _PLANTED[fault]
     for module, name, value in patches:
         monkeypatch.setattr(module, name, value)
-    catcher(tol)
+    catcher()
 
 
-def test_verify_reports_every_check_under_a_tolerance_nothing_meets(capsys):
-    argv = ["verify", "--seed", "0", "--cases", "2", "--tol", "1e-300", "--format", "json"]
+def test_verify_reports_every_check_under_a_tolerance_nothing_meets(monkeypatch, capsys):
+    # under rel_eps = 1e-300 no two computed values are equal
+    monkeypatch.setattr(_linalg, "REL_EPS", 1e-300)
+    argv = ["verify", "--seed", "0", "--cases", "2", "--format", "json"]
     assert run_command(argv) == 1
     out, err = capsys.readouterr()
     payload = json.loads(out)
@@ -412,28 +411,29 @@ def _with_cpus(monkeypatch, cpus):
 @pytest.mark.parametrize("seed, rel_eps", [(0, 1e-9), (1, 1e-9), (2, 1e-9), (0, 1e-300)])
 def test_the_suite_report_equals_a_one_cpu_run(seed, rel_eps, monkeypatch):
     # the checks run in forked workers over the usable CPUs and in turn on one;
-    # under rel_eps = 1e-300 checks fail, and the same lines come back in order
-    tol = TolerancePolicy(rel_eps=rel_eps)
+    # under rel_eps = 1e-300 checks fail, and the same lines come back in order;
+    # the forked workers inherit the planted value
+    monkeypatch.setattr(_linalg, "REL_EPS", rel_eps)
     cases = verification._POOL_MIN_CASES
     _with_cpus(monkeypatch, {0, 1})
-    pooled = run_suite(seed, cases, tol)
+    pooled = run_suite(seed, cases)
     _with_cpus(monkeypatch, {0})
-    assert run_suite(seed, cases, tol) == pooled
+    assert run_suite(seed, cases) == pooled
     assert pooled.passed == (rel_eps == 1e-9) and len(pooled.results) == 24
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
-def test_no_worker_outlives_the_suite(cpus, monkeypatch, tol):
+def test_no_worker_outlives_the_suite(cpus, monkeypatch):
     _with_cpus(monkeypatch, cpus)
-    assert run_suite(3, verification._POOL_MIN_CASES, tol).passed
+    assert run_suite(3, verification._POOL_MIN_CASES).passed
     assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
-def test_an_error_from_outside_the_package_ends_the_suite_with_its_type(cpus, monkeypatch, tol):
+def test_an_error_from_outside_the_package_ends_the_suite_with_its_type(cpus, monkeypatch):
     # only package errors fail a case; any other exception reaches the caller as
     # itself, from a worker too, and takes no worker with it
-    def divide(rng, cases, tol):
+    def divide(rng, cases):
         return [f"{1 / 0}"]
 
     checks = list(verification.CHECKS)
@@ -441,5 +441,5 @@ def test_an_error_from_outside_the_package_ends_the_suite_with_its_type(cpus, mo
     monkeypatch.setattr(verification, "CHECKS", tuple(checks))
     _with_cpus(monkeypatch, cpus)
     with pytest.raises(ZeroDivisionError):
-        run_suite(3, verification._POOL_MIN_CASES, tol)
+        run_suite(3, verification._POOL_MIN_CASES)
     assert multiprocessing.active_children() == []
