@@ -3,7 +3,8 @@
 Every command emits a run report (human-readable lines or ``--format json``)
 in which each boolean verdict is accompanied by the numbers it was derived
 from.  Exit status: 0 when all verdicts pass, 1 on a failed check or failed
-hypothesis (``PreconditionError``), 2 on any other error (``GFrameError``, ``OSError``).
+hypothesis (``PreconditionError``), 2 on any other error (``GFrameError``, ``OSError``,
+``MemoryError``).
 """
 
 from __future__ import annotations
@@ -12,33 +13,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
-import numpy as np
-
-from . import _linalg
-from .analysis import (
-    canonical_dual,
-    dual_check,
-    frame_bounds,
-    frame_check,
-    parseval_check,
-    parseval_normalize,
-)
-from .constructions import (
-    direct_sum_duals,
-    disjoint_sum_family,
-    lift_continuous_frame,
-    pseudo_dual,
-    random_gframe,
-    random_strongly_disjoint_parseval_pair,
-    strongly_disjoint_sum,
-)
-from .disjointness import classify, normalized_pair, pair_equivalences
-from .documents import FrameDocument, load_document, parse_matrix, save_document
 from .errors import GFrameError, PreconditionError
-from .model import GFrameFamily, OperatorPair
-from .riesz import riesz_check
+
+# Each command and recipe imports the library modules it uses when it runs, so
+# that a command line loads only its own modules and a usage error loads no numpy.
 
 
 class UsageError(GFrameError):
@@ -101,15 +80,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _family(doc: FrameDocument, name: str) -> GFrameFamily:
+def _family(doc, name: str):
     if name not in doc.families:
         known = ", ".join(sorted(doc.families)) or "(none)"
         raise UsageError(f"unknown family '{name}'; document has: {known}")
     return doc.families[name]
 
 
-def _operator_pair(args, dim: int) -> OperatorPair:
+def _operator_pair(args, dim: int):
     """The --l1/--l2 operators, each defaulting to the identity on ``dim``."""
+    import numpy as np
+
+    from .documents import parse_matrix
+    from .model import OperatorPair
+
     eye = np.eye(dim)
     l1 = eye if args.l1 is None else parse_matrix(args.l1, "--l1")
     l2 = eye if args.l2 is None else parse_matrix(args.l2, "--l2")
@@ -125,14 +109,22 @@ def _checks(checks) -> list[dict]:
     return [_check(name, passed, **numbers) for name, passed, numbers in checks]
 
 
-def _write_document(path: str, families: dict[str, GFrameFamily]) -> dict:
+def _write_document(path: str, families: dict) -> dict:
     """Save ``families`` as one document over their shared space; the output report."""
+    from .documents import FrameDocument, save_document
+
     space = next(iter(families.values())).space
     save_document(FrameDocument(space, families), path)
     return {"path": path, "families": sorted(families)}
 
 
 def _cmd_analyze(args) -> dict:
+    from dataclasses import asdict
+
+    from .analysis import frame_bounds, frame_check
+    from .documents import load_document
+    from .riesz import riesz_check
+
     doc = load_document(args.file)
     fam = _family(doc, args.family)
     rep = frame_bounds(fam)
@@ -143,6 +135,12 @@ def _cmd_analyze(args) -> dict:
 
 
 def _cmd_disjoint(args) -> dict:
+    from dataclasses import asdict
+
+    from .analysis import frame_bounds
+    from .disjointness import pair_equivalences
+    from .documents import load_document
+
     doc = load_document(args.file)
     lam, theta = _family(doc, args.family_a), _family(doc, args.family_b)
     relations, gamma, checks = pair_equivalences(lam, theta)
@@ -156,27 +154,39 @@ def _cmd_disjoint(args) -> dict:
 
 
 def _recipe_gamma(lam, theta, args):
+    from .analysis import frame_bounds
+    from .disjointness import pair_equivalences
+
     _, gamma, checks = pair_equivalences(lam, theta)
     return {"gamma": gamma}, frame_bounds(gamma).numbers(), checks
 
 
 def _recipe_delta(lam, theta, args):
+    from .analysis import frame_bounds
+    from .disjointness import normalized_pair
+
     delta, check = normalized_pair(lam, theta)
     return {"delta": delta}, frame_bounds(delta).numbers(), [check]
 
 
 def _recipe_sum_disjoint(lam, theta, args):
+    from .constructions import disjoint_sum_family
+
     result = disjoint_sum_family(lam, theta, _operator_pair(args, lam.domain_dim))
     return {"sum": result.family}, result.report.numbers(), result.checks
 
 
 def _recipe_sum_strong(lam, theta, args):
+    from .constructions import strongly_disjoint_sum
+
     result = strongly_disjoint_sum(lam, theta, _operator_pair(args, lam.domain_dim))
     numbers = {**result.report.numbers(), "scale": result.scale}
     return {"sum": result.family}, numbers, result.checks
 
 
 def _recipe_pseudo_dual(lam, theta, args):
+    from .constructions import pseudo_dual
+
     result = pseudo_dual(lam, theta, _operator_pair(args, lam.domain_dim))
     families = {
         "pseudo_dual": result.dual_candidate,
@@ -187,17 +197,23 @@ def _recipe_pseudo_dual(lam, theta, args):
 
 
 def _recipe_canonical_dual(lam, theta, args):
+    from .analysis import canonical_dual, dual_check, frame_bounds
+
     dual = canonical_dual(lam)
     check = dual_check("dual-pairing", dual, lam)
     return {"canonical_dual": dual}, frame_bounds(dual).numbers(), [check]
 
 
 def _recipe_parseval(lam, theta, args):
+    from .analysis import parseval_check, parseval_normalize
+
     normalized = parseval_normalize(lam)
     return {"parseval": normalized}, None, [parseval_check(normalized)]
 
 
 def _recipe_lift_example(lam, theta, args):
+    from .constructions import direct_sum_duals, lift_continuous_frame
+
     lifted = lift_continuous_frame(lam, theta)
     families = {
         "lifted_lambda": lifted.lam,
@@ -223,6 +239,8 @@ _RECIPES = {
 
 
 def _cmd_construct(args) -> dict:
+    from .documents import load_document
+
     doc = load_document(args.file)
     arity, recipe, takes_operators = _RECIPES[args.recipe]
     names = args.families
@@ -237,6 +255,10 @@ def _cmd_construct(args) -> dict:
 
 
 def _cmd_generate(args) -> dict:
+    from .analysis import frame_bounds, frame_check
+    from .constructions import random_gframe, random_strongly_disjoint_parseval_pair
+    from .disjointness import classify
+
     try:
         dims = tuple(int(part) for part in args.block_dims.split(","))
     except ValueError:
@@ -286,7 +308,7 @@ def _cmd_verify(args) -> dict:
         raise UsageError(f"--cases must be >= 1, got {args.cases}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    from .verification import run_suite  # only this command loads the suite
+    from .verification import run_suite
 
     suite = run_suite(args.seed, args.cases)
     checks = [
@@ -342,6 +364,10 @@ def _print_report(report: dict, fmt: str) -> None:
 def run_command(argv: list[str]) -> int:
     try:
         args = build_parser().parse_args(argv)
+        import numpy as np  # not before the command line is accepted
+
+        from . import _linalg
+
         # an overflow ends the command with NumericalRangeError, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             body = _COMMANDS[args.command](args)
@@ -352,6 +378,9 @@ def run_command(argv: list[str]) -> int:
         return 1
     except (GFrameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the allocation it could not make
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     report = {
         "command": list(argv),

@@ -26,7 +26,7 @@ from gframes import (
     load_document,
     save_document,
 )
-from gframes import _linalg, cli
+from gframes import _linalg, cli, constructions
 from gframes.cli import run_command
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
@@ -628,6 +628,21 @@ def test_an_oversized_generate_request_is_a_usage_error(size, kind, tmp_path, ca
     assert size in err and not (tmp_path / "x.json").exists()
 
 
+def test_running_out_of_memory_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # a size numpy accepts but no machine holds; the allocation's refusal is
+    # planted where the blocks are drawn, so that nothing is allocated
+    def refuse(rng, shape):
+        raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+    monkeypatch.setattr(constructions, "_complex_gaussian", refuse)
+    argv = ["generate", "--kind", "frame", "--block-dims", "1000000000000", "--domain-dim", "3",
+            "-o", str(tmp_path / "x.json")]
+    assert run_command(argv) == 2
+    err = "error: out of memory: Unable to allocate an array with shape (1000000000000, 3)\n"
+    assert capsys.readouterr() == ("", err)
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_every_package_error_is_a_usage_error(monkeypatch, capsys):
     class NewFault(GFrameError):
         pass
@@ -762,10 +777,67 @@ def test_cli_import_leaves_the_verify_suite_unloaded():
     assert done.returncode == 0, done.stderr
 
 
+def test_a_cold_import_loads_each_name_on_first_use():
+    # a name's home is the module that defines it; FORMAT_VERSION, a str, names none
+    code = (
+        "import importlib, sys, gframes\n"
+        "loaded = [m for m in sys.modules if m.startswith(('numpy', 'gframes.'))]\n"
+        "assert loaded == [], loaded\n"
+        "assert len(gframes.verification.CHECKS) == 24\n"
+        "for name in gframes.__all__:\n"
+        "    value = getattr(gframes, name)\n"
+        "    home = getattr(value, '__module__', 'gframes.documents')\n"
+        "    assert getattr(importlib.import_module(home), name) is value, name\n"
+        "star = {}\n"
+        "exec('from gframes import *', star)\n"
+        "assert all(star[name] is getattr(gframes, name) for name in gframes.__all__)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def _modules_loaded_by(argv):
+    """The exit status of ``argv`` run in a fresh interpreter, and the numpy
+    and gframes modules that run loaded."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from gframes.cli import run_command\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    status = run_command(sys.argv[1:])\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] in ('numpy', 'gframes')]\n"
+        "print(json.dumps([status, loaded]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=_child_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    status, loaded = json.loads(done.stdout)
+    return status, set(loaded)
+
+
+@pytest.mark.parametrize("argv, status", [(["analyze"], 2), (["analyze", "--help"], 0)],
+                         ids=["usage-error", "help"])
+def test_a_command_line_the_parser_ends_loads_no_numpy(argv, status):
+    assert _modules_loaded_by(argv) == (status, {"gframes", "gframes.cli", "gframes.errors"})
+
+
+def test_each_command_loads_only_the_modules_it_uses(tmp_path):
+    status, loaded = _modules_loaded_by(["analyze", PAIR_DOC, "lam"])
+    assert status == 0 and "numpy" in loaded
+    assert not loaded & {"gframes.constructions", "gframes.verification"}
+    status, loaded = _modules_loaded_by(
+        ["construct", PAIR_DOC, "canonical-dual", "lam", "-o", str(tmp_path / "dual.json")]
+    )
+    assert status == 0
+    assert not loaded & {"gframes.constructions", "gframes.disjointness", "gframes.riesz"}
+    status, loaded = _modules_loaded_by(["verify", "--cases", "1"])
+    assert status == 0 and "gframes.verification" in loaded
+
+
 def test_unknown_package_attribute_is_an_attribute_error():
     import gframes
 
-    with pytest.raises(AttributeError, match="no_such_name"):
+    with pytest.raises(AttributeError, match="^module 'gframes' has no attribute 'no_such_name'$"):
         gframes.no_such_name
 
 
